@@ -34,7 +34,7 @@ from .cocycle import (ContinuousCocycle, DiscreteCocycle,
                       spectral_norm)
 from .dichotomy import (DichotomyCertificate, GreenKernel, VerificationReport,
                         autonomous_certificate, autonomous_certificate_discrete,
-                        green_eval, paper_projection_bound, projection_distance,
+                        paper_projection_bound, projection_distance,
                         spectral_projection, spectral_projection_discrete,
                         verify_dichotomy)
 from .greens import (BoundedSolution, ForcingSequence, bounded_solution,

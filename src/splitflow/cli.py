@@ -30,6 +30,7 @@ from .errors import ConfigurationError, SplitflowError
 from .grids import TimeGrid
 from .hyperbolic import (SemilinearProblem, certify_hyperbolic,
                          find_hyperbolic_solution)
+from .io import cell, write_csv
 from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
                     ou_series, pathwise_ou_residual, sample_wiener_path,
                     shift_path, sublinearity_report, zero_path)
@@ -176,14 +177,9 @@ class ExperimentConfig:
         lines = [f"# splitflow {self.command} config"]
         for key in SCHEMAS[self.command]:
             v = self.values[key]
-            if isinstance(v, list):
-                lines.append(f"{key} = {','.join(repr(float(x)) for x in v)}")
-            elif isinstance(v, bool):
-                lines.append(f"{key} = {'true' if v else 'false'}")
-            elif isinstance(v, float):
-                lines.append(f"{key} = {v!r}")
-            else:
-                lines.append(f"{key} = {v}")
+            text = (",".join(cell(float(x)) for x in v) if isinstance(v, list)
+                    else cell(v))
+            lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
     def grid(self):
@@ -191,30 +187,24 @@ class ExperimentConfig:
                         self.values["h"])
 
 
-def _write(out_dir, name, text):
+def _path(out_dir, name):
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
     return str(path)
 
 
-def _csv(rows, columns):
-    lines = [",".join(columns)]
-    for r in rows:
-        out = []
-        for c in columns:
-            v = r.get(c)
-            if isinstance(v, (bool, np.bool_)):
-                out.append("true" if v else "false")
-            elif isinstance(v, (float, np.floating)):
-                out.append(repr(float(v)))
-            elif v is None:
-                out.append("")
-            else:
-                out.append(str(v))
-        lines.append(",".join(out))
-    return "\n".join(lines) + "\n"
+def _write(out_dir, name, text):
+    path = _path(out_dir, name)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
+def _write_csv(out_dir, name, rows, columns):
+    """One CSV row per dict in ``rows``, one column per key in ``columns``."""
+    path = _path(out_dir, name)
+    write_csv(path, ([r.get(c) for c in columns] for r in rows), header=columns)
+    return path
 
 
 def cmd_ou_check(cfg, out_dir):
@@ -276,8 +266,8 @@ def cmd_ou_check(cfg, out_dir):
                    "target": meds[0], "band": 0.0,
                    "passed": meds[1] < meds[0]})
 
-    files = [_write(out_dir, "ou_check.csv",
-                    _csv(checks, ("check", "value", "target", "band", "passed")))]
+    files = [_write_csv(out_dir, "ou_check.csv", checks,
+                        ("check", "value", "target", "band", "passed"))]
     ok = all(c["passed"] for c in checks)
     return (0 if ok else 1), files
 
@@ -398,7 +388,7 @@ def cmd_hyperbolic(cfg, out_dir):
         rows.append(row)
     cols = ("eta", "sup_distance", "eps_used", "lambda", "certified",
             "alpha_tilde", "M_bound", "residual", "status", "error")
-    files = [_write(out_dir, "hyperbolic.csv", _csv(rows, cols)),
+    files = [_write_csv(out_dir, "hyperbolic.csv", rows, cols),
              _write(out_dir, "hyperbolic.json",
                     json.dumps({"command": "hyperbolic", "seed": v["seed"],
                                 "model": v["model"], "rows": rows},
@@ -427,12 +417,9 @@ def cmd_wave(cfg, out_dir):
                                    indent=2) + "\n")]
         sys.stderr.write(f"wave: {exc}\n")
         return 1, files
-    import io
-
-    buf = io.StringIO()
-    report.to_csv(buf)
-    files = [_write(out_dir, "wave.csv", buf.getvalue()),
-             _write(out_dir, "wave.json", report.to_json() + "\n")]
+    csv_path = _path(out_dir, "wave.csv")
+    report.to_csv(csv_path)
+    files = [csv_path, _write(out_dir, "wave.json", report.to_json() + "\n")]
     cutoff = report.meta["eta_cutoff"]
     ok = all(r["certified"] for r in report.rows if r["eta"] <= cutoff)
     ok = ok and not any(r["status"] == "failed" for r in report.rows)

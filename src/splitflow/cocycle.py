@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError
+from .io import write_csv
 
 DEFAULT_STEP = 1.0 / 64.0
 
@@ -40,27 +41,6 @@ class DiscreteCocycle:
         m = np.atleast_2d(np.asarray(matrix, float)).copy()
         return DiscreteCocycle(lambda n: m, m.shape[0], label)
 
-    @staticmethod
-    def from_sequence(mapping, fallback=None, label=""):
-        """Cocycle from a dict node -> matrix, with optional default matrix."""
-        some = next(iter(mapping.values()))
-        d = np.atleast_2d(np.asarray(some, float)).shape[0]
-
-        def step(n):
-            if n in mapping:
-                return np.atleast_2d(np.asarray(mapping[n], float))
-            if fallback is None:
-                raise KeyError(f"no step operator at node {n}")
-            return np.atleast_2d(np.asarray(fallback, float))
-
-        return DiscreteCocycle(step, d, label)
-
-    def perturbed(self, b_step):
-        """The cocycle with steps ``A_n + B_n``."""
-        return DiscreteCocycle(
-            lambda n: self.step(n) + b_step(n), self.dim, self.label + "+B"
-        )
-
 
 class EvolutionProcessView:
     """Two-parameter maps ``phi_{t,s} = phi(t-s, shift s)`` of a cocycle.
@@ -83,19 +63,8 @@ class EvolutionProcessView:
 
 def export_matrix_csv(matrix, file, label=""):
     """Write a matrix as a labeled CSV block for cross-tool inspection."""
-    matrix = np.atleast_2d(np.asarray(matrix, float))
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w", newline="\n")
-        close = True
-    try:
-        if label:
-            file.write(f"# {label}\n")
-        for row in matrix:
-            file.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if close:
-            file.close()
+    write_csv(file, np.atleast_2d(np.asarray(matrix, float)),
+              comment=label or None)
 
 
 def as_step_sequence(b, dim):
@@ -143,16 +112,12 @@ class ContinuousCocycle:
         return ContinuousCocycle(lambda t: m, m.shape[0], step, label,
                                  time_invariant=True)
 
-    def with_step(self, step):
-        return ContinuousCocycle(self.generator, self.dim, step, self.label,
-                                 self.time_invariant)
 
-
-def _rk4_matrix(gen, t0, t1, y0, step, samples=None):
-    """Integrate Y' = gen(t) Y from t0 to t1; optionally record snapshots.
+def _rk4(field, t0, t1, y0, step, samples=None):
+    """Integrate y' = field(t, y) from t0 to t1; optionally record snapshots.
 
     ``samples``: number of equispaced snapshot intervals in [t0, t1]; when
-    given, returns (Y_end, times, snapshots) with snapshots[0] = Y(t0).
+    given, returns (y_end, times, snapshots) with snapshots[0] = y(t0).
     """
     span = t1 - t0
     if span == 0:
@@ -173,10 +138,10 @@ def _rk4_matrix(gen, t0, t1, y0, step, samples=None):
     for i in range(n):
         ta, tb = bounds[i], bounds[i + 1]
         hh = tb - ta
-        k1 = gen(ta) @ y
-        k2 = gen(ta + hh / 2) @ (y + hh / 2 * k1)
-        k3 = gen(ta + hh / 2) @ (y + hh / 2 * k2)
-        k4 = gen(tb) @ (y + hh * k3)
+        k1 = field(ta, y)
+        k2 = field(ta + hh / 2, y + hh / 2 * k1)
+        k3 = field(ta + hh / 2, y + hh / 2 * k2)
+        k4 = field(tb, y + hh * k3)
         y = y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if snaps is not None and (i + 1) % per == 0:
             snaps.append(y.copy())
@@ -193,7 +158,8 @@ def integrate(c, t0, t1, x0):
         raise ValueError("integrate needs t1 >= t0")
     x0 = np.asarray(x0, float)
     scalar = x0.ndim == 0
-    y = _rk4_matrix(c.generator, t0, t1, np.atleast_1d(x0), c.step)
+    gen = c.generator
+    y = _rk4(lambda t, y: gen(t) @ y, t0, t1, np.atleast_1d(x0), c.step)
     return float(y[0]) if scalar else y
 
 
@@ -205,32 +171,17 @@ def propagator(c, shift, duration, samples=None):
     """
     if duration < 0:
         raise ValueError("propagator needs duration >= 0")
-    eye = np.eye(c.dim)
-    return _rk4_matrix(c.generator, shift, shift + duration, eye, c.step,
-                       samples=samples)
+    gen = c.generator
+    return _rk4(lambda t, y: gen(t) @ y, shift, shift + duration,
+                np.eye(c.dim), c.step, samples=samples)
 
 
 def integrate_nonlinear(field, t0, t1, y0, step=DEFAULT_STEP):
     """RK4 for a nonlinear field ``y' = field(t, y)`` (oracles and demos)."""
     if t1 < t0:
         raise ValueError("integrate_nonlinear needs t1 >= t0")
-    y = np.array(np.atleast_1d(y0), float)
-    span = t1 - t0
-    if span == 0:
-        return y
-    n = max(1, int(np.ceil(span / step - 1e-12)))
-    bounds = np.linspace(t0, t1, n + 1)
-    for i in range(n):
-        ta, tb = bounds[i], bounds[i + 1]
-        hh = tb - ta
-        k1 = np.asarray(field(ta, y), float)
-        k2 = np.asarray(field(ta + hh / 2, y + hh / 2 * k1), float)
-        k3 = np.asarray(field(ta + hh / 2, y + hh / 2 * k2), float)
-        k4 = np.asarray(field(tb, y + hh * k3), float)
-        y = y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(y)):
-        raise IntegrationError(f"non-finite state while integrating [{t0}, {t1}]")
-    return y
+    return _rk4(lambda t, y: np.asarray(field(t, y), float), t0, t1,
+                np.atleast_1d(y0), step)
 
 
 def discretize(c):
@@ -246,12 +197,6 @@ def discretize(c):
     return DiscreteCocycle(step, c.dim, label=c.label + "|unit")
 
 
-def unit_scan(c, shift, samples_per_unit=64):
-    """Norm snapshots of ``t -> phi(t, shift)`` for t in [0, 1]."""
-    _, ts, snaps = propagator(c, shift, 1.0, samples=samples_per_unit)
-    return ts, np.array([spectral_norm(m) for m in snaps]), snaps
-
-
 def one_step_bound(c, window, samples_per_unit=64):
     """Sampled sup of ``|phi(t, shift)|`` over unit intervals in ``window``.
 
@@ -261,6 +206,6 @@ def one_step_bound(c, window, samples_per_unit=64):
     """
     best = 0.0
     for n in window.integer_nodes()[:-1]:
-        _, norms, _ = unit_scan(c, float(n), samples_per_unit)
-        best = max(best, float(norms.max()))
+        _, _, snaps = propagator(c, float(n), 1.0, samples=samples_per_unit)
+        best = max(best, max(spectral_norm(m) for m in snaps))
     return best

@@ -24,6 +24,7 @@ from scipy.linalg import expm, schur, solve_sylvester
 from .cocycle import DiscreteCocycle, propagator, spectral_norm
 from .errors import ConfigurationError, NonHyperbolicError
 from .grids import TimeGrid
+from .io import jsonable
 
 GAP_TOL = 1e-8
 ALPHA_MARGIN = 0.1
@@ -238,24 +239,9 @@ class VerificationReport:
     meta: dict = field(default_factory=dict)
 
     def to_json(self, indent=2):
-        def clean(x):
-            if isinstance(x, dict):
-                return {k: clean(v) for k, v in x.items()}
-            if isinstance(x, (np.bool_, bool)):
-                return bool(x)
-            if isinstance(x, (np.floating, float)):
-                return float(x)
-            if isinstance(x, (np.integer, int)):
-                return int(x)
-            if isinstance(x, (list, tuple)):
-                return [clean(v) for v in x]
-            return x
-
-        return json.dumps(
-            {"passed": bool(self.passed), "axioms": clean(self.axioms),
-             "meta": clean(self.meta)},
-            indent=indent,
-        )
+        return json.dumps(jsonable(
+            {"passed": self.passed, "axioms": self.axioms, "meta": self.meta}),
+            indent=indent)
 
 
 def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6,
@@ -441,11 +427,6 @@ class GreenKernel:
         g_plus = self.eval(s, s)
         back_limit = self.cert.proj_u(s)
         return spectral_norm(g_plus + back_limit - np.eye(self.cert.dim))
-
-
-def green_eval(kernel, t, s):
-    """Evaluate a :class:`GreenKernel` (function-style front for the class)."""
-    return kernel.eval(t, s)
 
 
 def paper_projection_bound(alpha_a, alpha_b, eps):

@@ -24,6 +24,7 @@ import numpy as np
 from .cocycle import as_step_sequence, spectral_norm
 from .dichotomy import _range_basis
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
+from .io import write_csv
 
 DEFAULT_TRUNC_TOL = 1e-10
 CONTRACTION_MARGIN = 0.9  # enforced bound on the contraction factor rho
@@ -195,6 +196,13 @@ def _band_for(cert, delta_eff, f_sup, trunc_tol):
     return truncation_length(cert.exponent, sup_term, trunc_tol)
 
 
+def _gamma(gb, b_step, f, x):
+    """Kernel sum ``Gamma_f x``: ``u_n = B_n x_n + f_n`` applied through the band."""
+    n_lo, n_hi = f.window
+    u = np.stack([b_step(n) @ x[i] for i, n in enumerate(range(n_lo, n_hi + 1))])
+    return gb.apply(u + f.values)
+
+
 def gamma_apply(cocycle, cert, b, f, x, trunc_tol=DEFAULT_TRUNC_TOL):
     """One application of the kernel sum to a candidate sequence.
 
@@ -211,9 +219,7 @@ def gamma_apply(cocycle, cert, b, f, x, trunc_tol=DEFAULT_TRUNC_TOL):
     delta_eff = _delta_eff(cert, b_step, n_lo, n_hi)
     band = min(_band_for(cert, delta_eff, max(f.sup_norm(), _seq_sup(x)), trunc_tol),
                n_hi - n_lo + 1)
-    gb = GreenBand(cocycle, cert, n_lo, n_hi, band)
-    u = np.stack([b_step(n) @ x[i] for i, n in enumerate(range(n_lo, n_hi + 1))])
-    return gb.apply(u + f.values)
+    return _gamma(GreenBand(cocycle, cert, n_lo, n_hi, band), b_step, f, x)
 
 
 @dataclass
@@ -235,29 +241,16 @@ class BoundedSolution:
     def value_at(self, n):
         return self.values[n - self.n_min]
 
-    def interior_slice(self):
-        lo, hi = self.interior
-        return slice(lo - self.n_min, hi - self.n_min + 1)
-
     def sup_norm(self):
         return _seq_sup(self.values)
 
     def to_csv(self, file):
-        close = False
-        if isinstance(file, (str, bytes)):
-            file = open(file, "w", newline="\n")
-            close = True
-        try:
-            file.write(f"# residual={self.residual!r} iterations={self.iterations}\n")
-            d = self.values.shape[1]
-            file.write("n," + ",".join(f"x{i}" for i in range(d)) + "\n")
-            for i, n in enumerate(range(self.n_min, self.n_max + 1)):
-                row = ",".join(repr(float(v))
-                               for v in np.atleast_1d(self.values[i]).ravel())
-                file.write(f"{n},{row}\n")
-        finally:
-            if close:
-                file.close()
+        d = self.values.shape[1]
+        rows = ([n, *np.ravel(v)]
+                for n, v in zip(range(self.n_min, self.n_max + 1), self.values))
+        write_csv(file, rows, header=["n"] + [f"x{i}" for i in range(d)],
+                  comment=f"residual={self.residual!r} "
+                          f"iterations={self.iterations}")
 
 
 def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
@@ -285,12 +278,6 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     f_sup = f.sup_norm()
     band = min(_band_for(cert, delta_eff, f_sup, trunc_tol), n_hi - n_lo + 1)
     gb = GreenBand(cocycle, cert, n_lo, n_hi, band)
-
-    def gamma(x):
-        u = np.stack([b_step(n) @ x[i]
-                      for i, n in enumerate(range(n_lo, n_hi + 1))])
-        return gb.apply(u + f.values)
-
     x = np.zeros_like(f.values) if x0 is None else np.asarray(x0, float).copy()
     if max_iter is None:
         c0 = cert.bound * f_sup * (1.0 + e) / (1.0 - e) + _seq_sup(x)
@@ -301,13 +288,13 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
             max_iter = 3
     it = 0
     while it < max_iter:
-        y = gamma(x)
+        y = _gamma(gb, b_step, f, x)
         res = _seq_sup(y - x)
         x = y
         it += 1
         if res <= tol:
             break
-    residual = _seq_sup(gamma(x) - x)
+    residual = _seq_sup(_gamma(gb, b_step, f, x) - x)
     if residual > tol:
         raise SplitflowError(
             f"Picard iteration did not certify residual {tol:g} "

@@ -72,25 +72,10 @@ class TimeGrid:
         """Signed node index of grid time ``t`` (0 for ``t = 0``)."""
         return _as_node(t, self.h, "time")
 
-    def contains(self, t):
-        q = t / self.h
-        n = round(q)
-        return (
-            abs(q - n) <= _REL_TOL * max(1.0, abs(q)) and self.n_min <= n <= self.n_max
-        )
-
     def shifted(self, t):
         """The grid seen from a base point moved by ``t`` (a grid multiple)."""
         n = _as_node(t, self.h, "shift")
         return TimeGrid((self.n_min - n) * self.h, (self.n_max - n) * self.h, self.h)
-
-    def widened(self, left, right):
-        """Grow the window by ``left`` seconds leftwards and ``right`` rightwards."""
-        nl = _as_node(left, self.h, "left extension")
-        nr = _as_node(right, self.h, "right extension")
-        if nl < 0 or nr < 0:
-            raise ConfigurationError("extensions must be nonnegative")
-        return TimeGrid((self.n_min - nl) * self.h, (self.n_max + nr) * self.h, self.h)
 
     def integer_nodes(self):
         """Integer times contained in the grid (used as shift base points)."""

@@ -31,6 +31,9 @@ from .cocycle import ContinuousCocycle, spectral_norm
 from .dichotomy import autonomous_certificate
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
+from .greens import _band_for
+from .io import write_csv
+from .robustness import robust_dichotomy_continuous
 
 SMALLNESS_DIVISOR = 6.0     # per-term budget: 1/(6 M beta^{-1})
 CONTRACTION_LIMIT = 0.75    # measured-factor bound: 1/2 from the proof + margin
@@ -337,24 +340,14 @@ class HyperbolicSolutionCertificate:
             body["linearization_passed"] = bool(self.linearization_report.passed)
         if trajectory_stride:
             sl = slice(None, None, trajectory_stride)
-            body["trajectory_t"] = [float(t) for t in self.times[sl]]
-            body["trajectory"] = [[float(v) for v in row]
-                                  for row in self.trajectory[sl]]
+            body["trajectory_t"] = self.times[sl].tolist()
+            body["trajectory"] = self.trajectory[sl].tolist()
         return json.dumps(body, indent=indent)
 
     def trajectory_csv(self, file):
-        close = False
-        if isinstance(file, (str, bytes)):
-            file = open(file, "w", newline="\n")
-            close = True
-        try:
-            d = self.trajectory.shape[1]
-            file.write("t," + ",".join(f"y{i}" for i in range(d)) + "\n")
-            for t, row in zip(self.times, self.trajectory):
-                file.write(f"{t!r}," + ",".join(repr(float(v)) for v in row) + "\n")
-        finally:
-            if close:
-                file.close()
+        d = self.trajectory.shape[1]
+        write_csv(file, ([t, *row] for t, row in zip(self.times, self.trajectory)),
+                  header=["t"] + [f"y{i}" for i in range(d)])
 
 
 def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
@@ -503,9 +496,6 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
     projection nodes on [-n_half, n_half], shrunk automatically to what the
     trajectory window supports.
     """
-    from .greens import _band_for
-    from .robustness import robust_dichotomy_continuous
-
     h_grid = cert.times[1] - cert.times[0]
     base_cc = ContinuousCocycle.constant(
         p.a_matrix, step=step if step else min(1.0 / 64.0, h_grid))

@@ -1,0 +1,62 @@
+"""Text output shared by every writer: CSV cells and rows, a path-or-file
+sink, and JSON-ready values.
+
+CSV cells are ``true``/``false`` for booleans, empty for None, ``repr`` of
+the Python float for floats (numpy scalars included) and ``str`` otherwise,
+so every numeric cell parses back with ``float()``.  Files are written with
+LF line ends.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+
+
+def cell(v):
+    """One CSV cell in the format above."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+@contextmanager
+def text_sink(file, mode="w"):
+    """``file`` itself when it is an open text file, else the path ``file``
+    opened in ``mode`` (LF line ends when writing) and closed on exit."""
+    if not isinstance(file, (str, bytes)):
+        yield file
+        return
+    with open(file, mode, newline="\n" if mode == "w" else None) as fh:
+        yield fh
+
+
+def write_csv(file, rows, header=None, comment=None):
+    """Write ``rows`` (sequences of cell values) to a path or text file,
+    after an optional ``# comment`` line and an optional header row."""
+    with text_sink(file) as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+
+
+def jsonable(x):
+    """``x`` with numpy scalars turned into Python ones, recursively through
+    dicts, lists and tuples, so that ``json.dumps`` accepts it."""
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (float, np.floating)):
+        return float(x)
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return x

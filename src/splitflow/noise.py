@@ -20,6 +20,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigurationError, WindowError
 from .grids import TimeGrid
+from .io import text_sink, write_csv
 
 DEFAULT_TAIL_TOL = 1e-10
 
@@ -358,37 +359,20 @@ def ensemble_diagnostics(n_paths, h=1.0 / 64, t_min=-30.0, seed=0):
 
 def export_path_csv(path, file):
     """Write a path as CSV with columns (t, omega); seed in a header comment."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w", newline="\n")
-        close = True
-    try:
-        file.write(f"# seed={path.seed if path.seed is not None else 'none'}\n")
-        file.write("t,omega\n")
-        for t, v in zip(path.times(), path.values):
-            file.write(f"{float(t)!r},{float(v)!r}\n")
-    finally:
-        if close:
-            file.close()
+    write_csv(file, zip(path.times(), path.values), header=["t", "omega"],
+              comment=f"seed={path.seed if path.seed is not None else 'none'}")
 
 
 def import_path_csv(file):
     """Read a path written by :func:`export_path_csv`."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "r")
-        close = True
-    try:
-        header = file.readline().strip()
+    with text_sink(file, "r") as fh:
+        header = fh.readline().strip()
         seed = None
         if header.startswith("# seed="):
             tok = header.split("=", 1)[1]
             seed = None if tok == "none" else int(tok)
-        file.readline()  # column header
-        data = np.loadtxt(file, delimiter=",")
-    finally:
-        if close:
-            file.close()
+        fh.readline()  # column header
+        data = np.loadtxt(fh, delimiter=",")
     ts, vals = data[:, 0], data[:, 1]
     h = ts[1] - ts[0]
     grid = TimeGrid(ts[0], ts[-1], h)

@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .cocycle import (DiscreteCocycle, discretize, propagator, spectral_norm)
-from .dichotomy import (DichotomyCertificate, _window_nodes,
-                        verify_dichotomy)
+from .dichotomy import (DichotomyCertificate, _range_basis, _window_nodes,
+                        autonomous_certificate, verify_dichotomy)
 from .errors import RobustnessHypothesisError, SplitflowError
-from .greens import impulse_response_projection
+from .greens import _band_for, _delta_eff, impulse_response_projection
+from .io import jsonable
 
 SAFETY = 0.9  # applied to the strict thresholds: finite-window sups run low
 
@@ -129,16 +131,9 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
     k_bound, alpha = base_cert.bound, base_cert.exponent
     b_step = _difference_step(base, perturbed)
 
-    probe = max(
-        spectral_norm(b_step(n)) for n in range(n_lo, n_hi + 1)
-    )
-    from .greens import _band_for  # local import: sizing shared with the solver
-
-    band0 = _band_for(base_cert, k_bound * probe, 1.0, trunc_tol) + 8
-    lo, hi = n_lo - band0, n_hi + band0
-    delta_eff = k_bound * max(
-        spectral_norm(b_step(n)) for n in range(lo, hi + 1)
-    )
+    band0 = _band_for(base_cert, _delta_eff(base_cert, b_step, n_lo, n_hi),
+                      1.0, trunc_tol) + 8
+    delta_eff = _delta_eff(base_cert, b_step, n_lo - band0, n_hi + band0)
     thr = delta_threshold(alpha)
     if delta_eff > safety * thr:
         raise RobustnessHypothesisError(
@@ -180,6 +175,17 @@ def _unit_snapshots(cc, shifts, samples_per_unit):
     return out
 
 
+def _lift_envelope(snaps, alpha):
+    """``max(1, max_n max_t |phi(t, n)| e^{alpha t})`` over per-node unit
+    snapshots at equispaced t in [0, 1]."""
+    env = 1.0
+    for unit in snaps.values():
+        ts = np.linspace(0.0, 1.0, len(unit))
+        norms = np.array([spectral_norm(m) for m in unit])
+        env = max(env, float(np.max(norms * np.exp(alpha * ts))))
+    return env
+
+
 def lift_certificate(cc, discrete_cert, window, samples_per_unit=64):
     """Continuous certificate from a discrete one via the intra-unit envelope.
 
@@ -189,12 +195,8 @@ def lift_certificate(cc, discrete_cert, window, samples_per_unit=64):
     """
     nodes = _window_nodes(window)
     alpha = discrete_cert.exponent
-    snaps = _unit_snapshots(cc, nodes[:-1], samples_per_unit)
-    env = 1.0
-    ts = np.linspace(0.0, 1.0, samples_per_unit + 1)
-    for n in nodes[:-1]:
-        norms = np.array([spectral_norm(m) for m in snaps[n]])
-        env = max(env, float(np.max(norms * np.exp(alpha * ts))))
+    env = _lift_envelope(_unit_snapshots(cc, nodes[:-1], samples_per_unit),
+                         alpha)
     k_hat = discrete_cert.bound * env
     if discrete_cert.constant_projection is not None:
         proj_kwargs = {"constant_projection": discrete_cert.constant_projection}
@@ -252,11 +254,7 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
         trunc_tol=trunc_tol, verify=verify,
     )
     a_tilde = cert_d.exponent
-    ts = np.linspace(0.0, 1.0, samples_per_unit + 1)
-    env = 1.0
-    for n in nodes[:-1]:
-        norms = np.array([spectral_norm(m) for m in snaps_p[n]])
-        env = max(env, float(np.max(norms * np.exp(a_tilde * ts))))
+    env = _lift_envelope(snaps_p, a_tilde)
     m_hat = cert_d.bound * env
     cert = DichotomyCertificate(
         bound=m_hat, exponent=a_tilde, discrete=False,
@@ -281,11 +279,6 @@ class LinearPerturbationVerdict:
     L: float
     delta_allowed: float
 
-    def as_dict(self):
-        return {"eps_measured": self.eps_measured, "eps_cutoff": self.eps_cutoff,
-                "satisfied": bool(self.satisfied), "L": self.L,
-                "delta_allowed": self.delta_allowed}
-
 
 def linear_random_perturbation_check(a_matrix, b_fn, window, *,
                                      samples_per_unit=32, safety=SAFETY,
@@ -298,12 +291,8 @@ def linear_random_perturbation_check(a_matrix, b_fn, window, *,
     ``delta_allowed`` the continuous robustness threshold; the Gronwall
     chain then bounds the perturbed flow distance by the threshold.
     """
-    from .dichotomy import autonomous_certificate
-
     cert = autonomous_certificate(a_matrix, margin=gap_margin)
     k_bound, alpha = cert.bound, cert.exponent
-    from scipy.linalg import expm
-
     ts = np.linspace(0.0, 1.0, samples_per_unit + 1)
     l_env = max(spectral_norm(expm(np.atleast_2d(a_matrix) * t)) for t in ts)
 
@@ -377,8 +366,6 @@ def subspace_decay_diagnostic(cocycle, cert, window, rate_slack=0.05):
         out["forward"] = {"slope": -math.inf, "required": -alpha, "passed": True}
 
     pu = cert.proj_u(n0)
-    from .dichotomy import _range_basis
-
     b0 = _range_basis(pu)
     if b0.shape[1] == 0:
         out["backward"] = {"slope": -math.inf, "required": -beta, "passed": True}
@@ -415,7 +402,7 @@ def robustness_report_json(cert, indent=2):
         "constants": meta.get("constants"),
         "bound": cert.bound,
         "exponent": cert.exponent,
-        "axioms": None if rep is None else json.loads(rep.to_json())["axioms"],
+        "axioms": None if rep is None else jsonable(rep.axioms),
         "passed": None if rep is None else bool(rep.passed),
     }
     return json.dumps(body, indent=indent)

@@ -28,6 +28,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .errors import (ConfigurationError, ContractionMarginError,
                      NonHyperbolicError, SplitflowError, ThresholdError,
                      WindowError)
 from .grids import TimeGrid
+from .io import jsonable, write_csv
 from .hyperbolic import (SemilinearProblem, certify_hyperbolic, eta_epsilon,
                          find_hyperbolic_solution, lambda_eta,
                          neighborhood_thresholds)
@@ -108,10 +110,34 @@ class _NoiseDressing:
         self._check(t)
         return np.interp(t, self.ts, self.kz)
 
-    def c_gap(self, t):
-        """(kappa - kappadot) z* at t, the linear-perturbation coefficient."""
+    def gap(self, eta, t):
+        """``eta (kappa_t - kappadot_t) z*``, the coefficient of the linear
+        noise term, which acts on the pattern block."""
         self._check(t)
-        return np.interp(t, self.ts, self.ckz)
+        return eta * np.interp(t, self.ts, self.ckz)
+
+    def scale(self, eta, pattern, t):
+        """``exp(eta pattern kappa_t z*)``, so that ``y = scale * v``; one
+        row per time when ``t`` is a column of times."""
+        return np.exp(eta * pattern * self.kappa_z(t))
+
+
+def _conjugated_fields(spec, dressing):
+    """The nonlinearity of ``spec`` under the change of variables,
+    ``e^{-c} f(e^{c} v)`` with ``c = eta pattern kappa_t z*``, and its
+    Jacobian in ``v``, both as functions of ``(eta, t, v)``."""
+    f, fp, pattern = spec.f, spec.f_prime, spec.pattern
+
+    def f_eta(eta, t, v):
+        s = dressing.scale(eta, pattern, t)
+        return np.asarray(f(s * v), float) / s
+
+    def f_eta_dy(eta, t, v):
+        s = dressing.scale(eta, pattern, t)
+        jac = np.atleast_2d(np.asarray(fp(s * v), float))
+        return (jac * s[None, :]) / s[:, None]
+
+    return f_eta, f_eta_dy
 
 
 @dataclass
@@ -122,7 +148,7 @@ class RandomODESpec:
     f_eta: object        # (t, v) -> vector
     f_eta_dy: object     # (t, v) -> matrix
     b_eta: object        # (t,) -> matrix
-    scale: object        # (t,) -> d-vector, exp(eta * pattern * kappa z*)
+    scale: object        # (t,) -> d-vector with y = scale * v
     eta: float
     pattern: np.ndarray
     dressing: _NoiseDressing
@@ -136,37 +162,22 @@ def transform(spec, path, tail_tol=DEFAULT_TAIL_TOL):
     of the diagonal pattern block.
     """
     dressing = _NoiseDressing(path, spec.kappa, tail_tol)
+    f_eta, f_eta_dy = _conjugated_fields(spec, dressing)
     eta, pattern = spec.eta, spec.pattern
-    f, fp = spec.f, spec.f_prime
-
-    def scale(t):
-        return np.exp(eta * pattern * dressing.kappa_z(t))
-
-    def f_eta(t, v):
-        s = scale(t)
-        return np.asarray(f(s * v), float) / s
-
-    def f_eta_dy(t, v):
-        s = scale(t)
-        jac = np.atleast_2d(np.asarray(fp(s * v), float))
-        return (jac * s[None, :]) / s[:, None]
-
-    def b_eta(t):
-        return float(eta) * dressing.c_gap(t) * np.diag(pattern)
-
-    return RandomODESpec(b_matrix=spec.b_matrix, f_eta=f_eta,
-                         f_eta_dy=f_eta_dy, b_eta=b_eta, scale=scale,
-                         eta=eta, pattern=pattern, dressing=dressing)
+    return RandomODESpec(
+        b_matrix=spec.b_matrix, f_eta=partial(f_eta, eta),
+        f_eta_dy=partial(f_eta_dy, eta),
+        b_eta=lambda t: dressing.gap(float(eta), t) * np.diag(pattern),
+        scale=partial(dressing.scale, eta, pattern),
+        eta=eta, pattern=pattern, dressing=dressing)
 
 
 def inverse_transform(times, v_traj, spec, path, tail_tol=DEFAULT_TAIL_TOL):
     """Pointwise inverse map ``y(t) = exp(+eta_tilde kappa_t z*) v(t)``."""
     dressing = _NoiseDressing(path, spec.kappa, tail_tol)
-    times = np.asarray(times, float)
     v_traj = np.atleast_2d(np.asarray(v_traj, float))
-    kz = np.array([dressing.kappa_z(t) for t in times])
-    s = np.exp(spec.eta * np.outer(kz, spec.pattern))
-    return s * v_traj
+    times = np.asarray(times, float)[:, None]
+    return dressing.scale(spec.eta, spec.pattern, times) * v_traj
 
 
 def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
@@ -177,6 +188,7 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
     plus the linear noise term; both scale down to zero with eta.
     """
     dressing = _NoiseDressing(path, strat.kappa, tail_tol)
+    conj, conj_dy = _conjugated_fields(strat, dressing)
     pattern = strat.pattern
     f, fp = strat.f, strat.f_prime
     y0_star = np.atleast_1d(np.asarray(y0_star, float))
@@ -184,15 +196,10 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
         a_matrix = strat.b_matrix + np.atleast_2d(np.asarray(fp(y0_star), float))
 
     def f_eta(eta, t, y):
-        s = np.exp(eta * pattern * dressing.kappa_z(t))
-        lin = eta * dressing.c_gap(t) * (pattern * y)
-        return np.asarray(f(s * y), float) / s + lin
+        return conj(eta, t, y) + dressing.gap(eta, t) * (pattern * y)
 
     def f_eta_dy(eta, t, y):
-        s = np.exp(eta * pattern * dressing.kappa_z(t))
-        jac = np.atleast_2d(np.asarray(fp(s * y), float))
-        return (jac * s[None, :]) / s[:, None] \
-            + eta * dressing.c_gap(t) * np.diag(pattern)
+        return conj_dy(eta, t, y) + dressing.gap(eta, t) * np.diag(pattern)
 
     return SemilinearProblem(
         a_matrix=a_matrix,
@@ -290,45 +297,13 @@ class WaveDemoReport:
                "M_bound", "seed")
 
     def to_csv(self, file):
-        close = False
-        if isinstance(file, (str, bytes)):
-            file = open(file, "w", newline="\n")
-            close = True
-        try:
-            file.write(",".join(self.COLUMNS) + "\n")
-            for r in self.rows:
-                vals = []
-                for c in self.COLUMNS:
-                    v = r.get(c)
-                    if isinstance(v, (bool, np.bool_)):
-                        vals.append("true" if v else "false")
-                    elif v is None:
-                        vals.append("")
-                    elif isinstance(v, (float, np.floating)):
-                        vals.append(repr(float(v)))
-                    else:
-                        vals.append(str(v))
-                file.write(",".join(vals) + "\n")
-        finally:
-            if close:
-                file.close()
+        write_csv(file, ([r.get(c) for c in self.COLUMNS] for r in self.rows),
+                  header=self.COLUMNS)
 
     def to_json(self, indent=2):
-        def clean(v):
-            if isinstance(v, (np.bool_, bool)):
-                return bool(v)
-            if isinstance(v, (np.floating,)):
-                return float(v)
-            if isinstance(v, (np.integer,)):
-                return int(v)
-            return v
-
-        return json.dumps(
-            {"seed": self.seed,
-             "meta": {k: clean(v) for k, v in self.meta.items()},
-             "rows": [{k: clean(v) for k, v in r.items()} for r in self.rows]},
-            indent=indent,
-        )
+        return json.dumps(jsonable(
+            {"seed": self.seed, "meta": self.meta, "rows": self.rows}),
+            indent=indent)
 
 
 def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
@@ -397,11 +372,8 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
             row["sup_dist_v"] = sol.sup_distance
             vt = sol.interior_times()
             v = sol.trajectory[sol.interior]
-            strat_eta = StratonovichSpec(
-                b_matrix=strat.b_matrix, f=strat.f, f_prime=strat.f_prime,
-                eta=float(eta), kappa=kappa, pattern=strat.pattern,
-            )
-            y = inverse_transform(vt, v, strat_eta, path, tail_tol=tail_tol)
+            y = problem.meta["dressing"].scale(float(eta), strat.pattern,
+                                               vt[:, None]) * v
             row["sup_dist_y"] = float(np.max(np.linalg.norm(y, axis=1)))
             row["status"] = sol.status
             row["certified"] = sol.status == "certified"

@@ -185,9 +185,11 @@ def test_matrix_csv_export(tmp_path):
     from splitflow import export_matrix_csv
 
     f = tmp_path / "prop.csv"
-    m = np.array([[1.5, -2.0], [0.25, 3.0]])
-    export_matrix_csv(m, str(f), label="unit propagator")
-    lines = f.read_text().splitlines()
-    assert lines[0] == "# unit propagator"
-    back = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(back, m)
+    m = np.array([[1.5, -2.0], [0.25, 3.0 + 1e-15]])
+    for label in ("unit propagator", ""):
+        export_matrix_csv(m, str(f), label=label)
+        lines = f.read_text().splitlines()
+        if label:  # no comment line without a label
+            assert lines.pop(0) == "# unit propagator"
+        back = np.array([[float(x) for x in ln.split(",")] for ln in lines])
+        assert np.array_equal(back, m)

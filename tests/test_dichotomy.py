@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        DichotomyCertificate, GreenKernel, NonHyperbolicError,
                        autonomous_certificate, autonomous_certificate_discrete,
-                       green_eval, paper_projection_bound, projection_distance,
+                       paper_projection_bound, projection_distance,
                        spectral_norm, spectral_projection,
                        spectral_projection_discrete, verify_dichotomy)
 from conftest import riesz_projector_oracle
@@ -160,9 +160,9 @@ class TestGreenKernel:
                                              discrete=True)
         g = GreenKernel(c, cert)
         for n in range(0, 6):
-            assert green_eval(g, n, 0)[0, 0] == 0.5 ** n
+            assert g.eval(n, 0)[0, 0] == 0.5 ** n
         for n in range(-4, 0):
-            assert green_eval(g, n, 0)[0, 0] == 0.0
+            assert g.eval(n, 0)[0, 0] == 0.0
 
     def test_unstable_scalar(self):
         c = DiscreteCocycle.constant([[2.0]])
@@ -170,9 +170,9 @@ class TestGreenKernel:
                                              discrete=True)
         g = GreenKernel(c, cert)
         for n in range(0, 5):
-            assert green_eval(g, n, 0)[0, 0] == 0.0
+            assert g.eval(n, 0)[0, 0] == 0.0
         for n in range(-4, 0):
-            assert abs(green_eval(g, n, 0)[0, 0] - (-(2.0 ** n))) < 1e-15
+            assert abs(g.eval(n, 0)[0, 0] - (-(2.0 ** n))) < 1e-15
 
     def test_jump_identity(self):
         c = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
@@ -191,7 +191,7 @@ class TestGreenKernel:
         g = GreenKernel(c, cert)
         z = 1.0
         for n in range(0, 8):
-            val = sum(green_eval(g, n, k + 1)[0, 0] * (z if k == -1 else 0.0)
+            val = sum(g.eval(n, k + 1)[0, 0] * (z if k == -1 else 0.0)
                       for k in range(-5, 8))
             assert val == 0.5 ** n
 

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,15 @@ class TestBoundedSolution:
         for n in range(max(lo, -12), min(hi, 12) + 1):
             want = 0.55 ** n if n >= 0 else 0.0
             assert abs(sol.value_at(n)[0] - want) < 1e-8
+        # the CSV export parses back exactly, every cell through float()
+        buf = io.StringIO()
+        sol.to_csv(buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[:2] == [f"# residual={sol.residual!r} "
+                             f"iterations={sol.iterations}", "n,x0"]
+        back = np.array([[float(c) for c in ln.split(",")] for ln in lines[2:]])
+        assert np.array_equal(back, np.column_stack([np.arange(-50, 51),
+                                                     sol.values]))
 
     def test_two_initial_guesses_agree(self):
         c, cert = stable_scalar()

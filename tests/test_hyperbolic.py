@@ -292,3 +292,5 @@ def test_certificate_serialization(tmp_path):
     lines = f.read_text().splitlines()
     assert lines[0] == "t,y0"
     assert len(lines) == len(sol.times) + 1
+    back = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    assert np.array_equal(back, np.column_stack([sol.times, sol.trajectory]))

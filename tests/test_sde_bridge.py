@@ -240,6 +240,11 @@ class TestWaveDemo:
         rep.to_csv(str(f))
         text = open(f).read()
         assert text.splitlines()[0] == ",".join(rep.COLUMNS)
+        # cells are true/false, empty (None) or numbers that float() parses
+        for line in text.splitlines()[1:]:
+            for c in line.split(","):
+                if c not in ("true", "false", ""):
+                    float(c)
         body = rep.to_json()
         import json
 
