@@ -275,56 +275,46 @@ def cmd_ou_check(cfg, out_dir):
 def cmd_robustness(cfg, out_dir):
     """Scalar and saddle regression instances through the discrete pipeline."""
     v = cfg.values
-    instances = []
-    ok = True
-
-    base = DiscreteCocycle.constant([[v["base_step"]]])
-    pert = DiscreteCocycle.constant([[v["pert_step"]]])
-    bc = DichotomyCertificate.constant([[1.0]], 1.0, float(np.log(2.0)),
-                                       discrete=True)
+    ln2 = float(np.log(2.0))
     window = (int(np.ceil(v["t_min"])), int(np.floor(v["t_max"])))
-    entry = {"name": "scalar", "base_step": v["base_step"],
-             "pert_step": v["pert_step"]}
-    try:
-        cert = robust_dichotomy_discrete(base, bc, pert, window,
-                                         slack=v["slack"])
-        rep = cert.meta["verification"]
-        entry.update(json.loads(robustness_report_json(cert)))
-        entry["alpha_tilde"] = cert.exponent
-        true_rate = float(-np.log(abs(v["pert_step"]))) \
-            if v["pert_step"] != 0 else None
-        entry["true_rate"] = true_rate
-        entry["exponent_conservative"] = (
-            true_rate is not None and cert.exponent <= true_rate + 1e-9)
-        ok = ok and rep.passed and entry["exponent_conservative"]
-    except SplitflowError as exc:
-        entry["error"] = str(exc)
-        entry["measured"] = getattr(exc, "measured", None)
-        entry["threshold"] = getattr(exc, "threshold", None)
-        ok = False
-    instances.append(entry)
-
+    cases = [({"name": "scalar", "base_step": v["base_step"],
+               "pert_step": v["pert_step"]},
+              DiscreteCocycle.constant([[v["base_step"]]]),
+              DiscreteCocycle.constant([[v["pert_step"]]]),
+              DichotomyCertificate.constant([[1.0]], 1.0, ln2, discrete=True))]
     if v["run_saddle"]:
         eps = v["rotation"]
         d_mat = np.diag([0.5, 2.0])
         rot = np.array([[np.cos(eps), -np.sin(eps)],
                         [np.sin(eps), np.cos(eps)]])
-        base2 = DiscreteCocycle.constant(d_mat)
-        pert2 = DiscreteCocycle.constant(rot @ d_mat)
-        bc2 = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
-                                            float(np.log(2.0)), discrete=True)
-        entry2 = {"name": "saddle_rotation", "rotation": eps}
+        cases.append(({"name": "saddle_rotation", "rotation": eps},
+                      DiscreteCocycle.constant(d_mat),
+                      DiscreteCocycle.constant(rot @ d_mat),
+                      DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
+                                                    ln2, discrete=True)))
+    instances = []
+    ok = True
+    for entry, base, pert, bc in cases:
         try:
-            cert2 = robust_dichotomy_discrete(base2, bc2, pert2, window,
-                                              slack=v["slack"])
-            rep2 = cert2.meta["verification"]
-            entry2.update(json.loads(robustness_report_json(cert2)))
-            ok = ok and rep2.passed
+            cert = robust_dichotomy_discrete(base, bc, pert, window,
+                                             slack=v["slack"])
+            entry.update(json.loads(robustness_report_json(cert)))
+            passed = cert.meta["verification"].passed
+            if entry["name"] == "scalar":
+                entry["alpha_tilde"] = cert.exponent
+                true_rate = float(-np.log(abs(v["pert_step"]))) \
+                    if v["pert_step"] != 0 else None
+                entry["true_rate"] = true_rate
+                entry["exponent_conservative"] = (
+                    true_rate is not None and cert.exponent <= true_rate + 1e-9)
+                passed = passed and entry["exponent_conservative"]
         except SplitflowError as exc:
-            entry2["error"] = str(exc)
-            entry2["threshold"] = getattr(exc, "threshold", None)
-            ok = False
-        instances.append(entry2)
+            entry["error"] = str(exc)
+            entry["measured"] = getattr(exc, "measured", None)
+            entry["threshold"] = getattr(exc, "threshold", None)
+            passed = False
+        ok = ok and passed
+        instances.append(entry)
 
     body = json.dumps({"command": "robustness", "seed": v["seed"],
                        "passed": bool(ok), "instances": instances}, indent=2)

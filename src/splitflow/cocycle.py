@@ -5,10 +5,13 @@ one-step maps along the driven base orbit); a continuous one by a
 matrix-valued generator ``t -> G(t)`` of the linear ODE ``x' = G(t) x``.
 Both expose the two-parameter evolution maps by composition.  Integration is
 classical fixed-step RK4: generators met in practice are smooth in time and a
-fixed step keeps runs bit-reproducible per seed.
+fixed step keeps runs bit-reproducible per seed.  The flow of a continuous
+cocycle over each unit interval [n, n+1] is integrated once, into the
+cocycle's unit-flow table (:meth:`ContinuousCocycle.unit_flow`); the
+discretization, the lift envelope and the verifier all read that table.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -17,6 +20,7 @@ from .errors import IntegrationError
 from .io import write_csv
 
 DEFAULT_STEP = 1.0 / 64.0
+UNIT_SAMPLES = 16  # snapshot intervals per unit in the unit-flow table
 
 
 def spectral_norm(m):
@@ -97,7 +101,7 @@ class ContinuousCocycle:
 
     ``step`` is the RK4 integrator step; tighten it when an oracle demands
     more accuracy than the O(step^4) default.  ``time_invariant`` marks an
-    autonomous generator so unit propagators are computed once.
+    autonomous generator so its unit-flow table holds one shared entry.
     """
 
     generator: Callable[[float], np.ndarray]
@@ -105,6 +109,20 @@ class ContinuousCocycle:
     step: float = DEFAULT_STEP
     label: str = ""
     time_invariant: bool = False
+    _units: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def unit_flow(self, n):
+        """Snapshots ``phi(j / UNIT_SAMPLES, shift n)``, j = 0..UNIT_SAMPLES.
+
+        Memoized per cocycle and integer shift (shift 0 for every n when
+        ``time_invariant``), so each unit propagator is integrated once.
+        """
+        key = 0 if self.time_invariant else int(n)
+        if key not in self._units:
+            self._units[key] = propagator(self, float(key), 1.0,
+                                          UNIT_SAMPLES)[2]
+        return self._units[key]
 
     @staticmethod
     def constant(matrix, step=DEFAULT_STEP, label=""):
@@ -185,27 +203,28 @@ def integrate_nonlinear(field, t0, t1, y0, step=DEFAULT_STEP):
 
 
 def discretize(c):
-    """Unit-time step operators ``n -> phi(1, shift n)``, memoized."""
-    cache = {}
-
-    def step(n):
-        key = 0 if c.time_invariant else n
-        if key not in cache:
-            cache[key] = propagator(c, float(key), 1.0)
-        return cache[key]
-
-    return DiscreteCocycle(step, c.dim, label=c.label + "|unit")
+    """Unit-time step operators ``n -> phi(1, shift n)`` from the unit-flow
+    table."""
+    return DiscreteCocycle(lambda n: c.unit_flow(n)[-1], c.dim,
+                           label=c.label + "|unit")
 
 
-def one_step_bound(c, window, samples_per_unit=64):
+def _unit_envelope(c, shifts, alpha):
+    """``max(1, max_n max_t |phi(t, shift n)| e^{alpha t})`` over the
+    unit-flow table of ``c`` at the integer ``shifts``."""
+    ts = np.linspace(0.0, 1.0, UNIT_SAMPLES + 1)
+    env = 1.0
+    for n in shifts:
+        norms = np.array([spectral_norm(m) for m in c.unit_flow(n)])
+        env = max(env, float(np.max(norms * np.exp(alpha * ts))))
+    return env
+
+
+def one_step_bound(c, window):
     """Sampled sup of ``|phi(t, shift)|`` over unit intervals in ``window``.
 
-    The sup runs over integer shifts in the window and t in [0, 1] sampled at
-    ``samples_per_unit`` points; the value is a sampled lower bound of the
-    true supremum.
+    The sup runs over integer shifts in the window and the unit-flow table's
+    ``UNIT_SAMPLES + 1`` times in [0, 1]; the value is a sampled lower bound
+    of the true supremum.
     """
-    best = 0.0
-    for n in window.integer_nodes()[:-1]:
-        _, _, snaps = propagator(c, float(n), 1.0, samples=samples_per_unit)
-        best = max(best, max(spectral_norm(m) for m in snaps))
-    return best
+    return _unit_envelope(c, window.integer_nodes()[:-1], 0.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm, schur, solve_sylvester
 
-from .cocycle import DiscreteCocycle, propagator, spectral_norm
+from .cocycle import UNIT_SAMPLES, DiscreteCocycle, spectral_norm
 from .errors import ConfigurationError, NonHyperbolicError
 from .grids import TimeGrid
 from .io import jsonable
@@ -162,6 +162,24 @@ class DichotomyCertificate:
         return max(spectral_norm(p @ p - p) for p in mats)
 
 
+def _envelope_scan(pi_u, step_fwd, step_bwd, alpha, ts):
+    """``(Pi^s, K)`` with K the smallest ``max(|Pi^s(t)|, |Pi^u(-t)|)
+    e^{alpha t}`` bound (at least 1) over the scan times ``ts``, rounded up
+    to 3 significant digits; ``step_fwd``/``step_bwd`` advance the flow by
+    one scan step forward/backward."""
+    pi_s = np.eye(pi_u.shape[0]) - pi_u
+    m = 1.0
+    cur_s, cur_u = pi_s.copy(), pi_u.copy()
+    for t in ts:
+        m = max(m, spectral_norm(cur_s) * np.exp(alpha * t))
+        m = max(m, spectral_norm(cur_u) * np.exp(alpha * t))
+        # re-project: the projections commute with the flow, and this kills
+        # round-off components that would grow along the complementary part
+        cur_s = pi_s @ (step_fwd @ cur_s)
+        cur_u = pi_u @ (step_bwd @ cur_u)
+    return pi_s, _ceil_3sig(m)
+
+
 def autonomous_certificate(A, margin=ALPHA_MARGIN, scan_points=2048, gap_tol=GAP_TOL):
     """Certificate for the constant-generator flow ``t -> e^{At}``.
 
@@ -172,22 +190,11 @@ def autonomous_certificate(A, margin=ALPHA_MARGIN, scan_points=2048, gap_tol=GAP
     """
     A = np.atleast_2d(np.asarray(A, float))
     pi_u, gap = spectral_projection(A, gap_tol)
-    pi_s = np.eye(A.shape[0]) - pi_u
     alpha = gap * (1.0 - margin)
     span = max(4.0, 40.0 / gap)
     ts = np.linspace(0.0, span, scan_points)
-    m = 1.0
-    step_fwd = expm(A * (ts[1] - ts[0]))
-    step_bwd = expm(-A * (ts[1] - ts[0]))
-    cur_s, cur_u = pi_s.copy(), pi_u.copy()
-    for t in ts:
-        m = max(m, spectral_norm(cur_s) * np.exp(alpha * t))
-        m = max(m, spectral_norm(cur_u) * np.exp(alpha * t))
-        # re-project: the projections commute with the flow, and this kills
-        # round-off components that would grow along the complementary part
-        cur_s = pi_s @ (step_fwd @ cur_s)
-        cur_u = pi_u @ (step_bwd @ cur_u)
-    k = _ceil_3sig(m)
+    pi_s, k = _envelope_scan(pi_u, expm(A * (ts[1] - ts[0])),
+                             expm(-A * (ts[1] - ts[0])), alpha, ts)
     return DichotomyCertificate.constant(
         pi_s, k, alpha, discrete=False,
         meta={"gap": gap, "margin": margin, "scan_span": span,
@@ -200,17 +207,9 @@ def autonomous_certificate_discrete(S, margin=ALPHA_MARGIN, scan_len=80,
     """Certificate for the constant-step cocycle ``n -> S^n``."""
     S = np.atleast_2d(np.asarray(S, float))
     pi_u, gap = spectral_projection_discrete(S, gap_tol)
-    pi_s = np.eye(S.shape[0]) - pi_u
     alpha = gap * (1.0 - margin)
-    m = 1.0
-    cur_s, cur_u = pi_s.copy(), pi_u.copy()
-    s_inv = np.linalg.inv(S)
-    for n in range(scan_len + 1):
-        m = max(m, spectral_norm(cur_s) * np.exp(alpha * n))
-        m = max(m, spectral_norm(cur_u) * np.exp(alpha * n))
-        cur_s = pi_s @ (S @ cur_s)
-        cur_u = pi_u @ (s_inv @ cur_u)
-    k = _ceil_3sig(m)
+    pi_s, k = _envelope_scan(pi_u, S, np.linalg.inv(S), alpha,
+                             range(scan_len + 1))
     return DichotomyCertificate.constant(
         pi_s, k, alpha, discrete=True, meta={"gap": gap, "margin": margin}
     )
@@ -244,8 +243,7 @@ class VerificationReport:
             indent=indent)
 
 
-def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6,
-                     samples_per_unit=8):
+def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     """Check the dichotomy axioms of ``cert`` against ``cocycle`` on a window.
 
     Axioms checked, with max residuals reported:
@@ -259,9 +257,9 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6,
         (finite condition number, small out-of-subspace leakage).
 
     A singular restricted map sets an ``isomorphism_violation`` flag in the
-    report rather than raising.  For continuous cocycles, fractional horizons
-    are sampled at ``samples_per_unit`` points per unit from every integer
-    base node.
+    report rather than raising.  For continuous cocycles, the unit steps and
+    the fractional horizons are read from the cocycle's unit-flow table
+    (``UNIT_SAMPLES`` points per unit from every integer base node).
     """
     nodes = _window_nodes(window)
     if len(nodes) < 2:
@@ -276,10 +274,8 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6,
         if discrete:
             unit[n] = np.atleast_2d(np.asarray(cocycle.step(n), float))
         else:
-            _, _, snaps = propagator(cocycle, float(n), 1.0,
-                                     samples=samples_per_unit)
-            unit[n] = snaps[-1]
-            frac[n] = snaps
+            frac[n] = cocycle.unit_flow(n)
+            unit[n] = frac[n][-1]
 
     proj = {n: cert.proj_s(n) for n in nodes}
     proj_u = {n: np.eye(d) - proj[n] for n in nodes}
@@ -369,7 +365,7 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6,
     meta = {
         "nodes": [nodes[0], nodes[-1]],
         "slack": slack,
-        "samples_per_unit": samples_per_unit if not discrete else 0,
+        "samples_per_unit": 0 if discrete else UNIT_SAMPLES,
         "bound": k_bound,
         "exponent": alpha,
         "idempotence_residual": cert.idempotence_residual(),

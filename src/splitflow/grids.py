@@ -72,11 +72,6 @@ class TimeGrid:
         """Signed node index of grid time ``t`` (0 for ``t = 0``)."""
         return _as_node(t, self.h, "time")
 
-    def shifted(self, t):
-        """The grid seen from a base point moved by ``t`` (a grid multiple)."""
-        n = _as_node(t, self.h, "shift")
-        return TimeGrid((self.n_min - n) * self.h, (self.n_max - n) * self.h, self.h)
-
     def integer_nodes(self):
         """Integer times contained in the grid (used as shift base points)."""
         per = _as_node(1.0, self.h, "unit") if self.contains_unit() else None

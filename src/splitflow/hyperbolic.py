@@ -22,6 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -72,6 +73,12 @@ class SemilinearProblem:
     def dim(self):
         return self.a_matrix.shape[0]
 
+    @cached_property
+    def autonomous_cert(self):
+        """Dichotomy certificate of ``a_matrix``, computed once per problem
+        (raises when the linearization is not hyperbolic)."""
+        return autonomous_certificate(self.a_matrix)
+
     def validate(self, tol=1e-8):
         """Equilibrium residual of the full autonomous field, plus hyperbolicity."""
         d0 = self.d_f0(self.y0_star)
@@ -82,7 +89,7 @@ class SemilinearProblem:
             raise ConfigurationError(
                 f"y0_star is not an equilibrium (residual {res:.3e})"
             )
-        autonomous_certificate(self.a_matrix)  # raises if not hyperbolic
+        self.autonomous_cert  # raises if not hyperbolic
         return res
 
     def d_f0(self, y):
@@ -361,7 +368,7 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     certificate has ``status='bounded'`` (hyperbolicity is certified
     separately by :func:`certify_hyperbolic`).
     """
-    cert_a = autonomous_certificate(p.a_matrix)
+    cert_a = p.autonomous_cert
     m_bound, beta = cert_a.bound, cert_a.exponent
     lam = lambda_eta(p, eta, window, n_time=n_time, n_cloud=n_cloud)
     eps1, eps2, eps0 = neighborhood_thresholds(p, m_bound, beta)
@@ -487,7 +494,7 @@ def linearize_along(p, cert, step=None, b_sup_stride=8):
 
 
 def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
-                       trunc_tol=1e-9, samples_per_unit=16, step=None):
+                       trunc_tol=1e-9, step=None):
     """Attach a dichotomy certificate of the linearization along ``cert``.
 
     Runs the continuous robustness pipeline with the frozen linearization as
@@ -522,7 +529,6 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
         lin_cert = robust_dichotomy_continuous(
             base_cc, cert.autonomous_cert, pert_cc, (-use_half, use_half),
             slack=slack, tol=tol, trunc_tol=trunc_tol,
-            samples_per_unit=samples_per_unit,
         )
     except (RobustnessHypothesisError, ContractionMarginError) as exc:
         cert.status = STATUS_BOUNDED

@@ -311,15 +311,19 @@ class NoiseBounds:
         return f"NoiseBounds(m1={self.m1:.6g}, m2={self.m2:.6g}, eta={self.eta:g})"
 
 
-def noise_bounds(path, kappa, window, eta=0.0, tail_tol=DEFAULT_TAIL_TOL):
-    """Grid maxima m1, m2 of the kappa-rescaled stationary noise on ``window``."""
-    ts = window.times()
-    z = ou_series(path, window, tail_tol)
+def rescaled_noise(path, kappa, ts, tail_tol=DEFAULT_TAIL_TOL):
+    """The noise coefficients ``kappa_t z*(theta_t omega)`` and
+    ``(kappa_t - kappa_dot_t) z*(theta_t omega)`` at the grid times ``ts``."""
+    z = ou_series(path, ts, tail_tol)
     k = np.asarray(kappa.kappa(ts), float)
     kd = np.asarray(kappa.kappa_dot(ts), float)
-    m1 = float(np.max(np.abs(k * z)))
-    m2 = float(np.max(np.abs((k - kd) * z)))
-    return NoiseBounds(m1, m2, window, eta)
+    return k * z, (k - kd) * z
+
+
+def noise_bounds(path, kappa, window, eta=0.0, tail_tol=DEFAULT_TAIL_TOL):
+    """Grid maxima m1, m2 of the kappa-rescaled stationary noise on ``window``."""
+    kz, ckz = rescaled_noise(path, kappa, window.times(), tail_tol)
+    return NoiseBounds(np.max(np.abs(kz)), np.max(np.abs(ckz)), window, eta)
 
 
 def sublinearity_report(path, checkpoints, tail_tol=DEFAULT_TAIL_TOL):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .cocycle import (DiscreteCocycle, discretize, propagator, spectral_norm)
+from .cocycle import (DiscreteCocycle, _unit_envelope, discretize,
+                      spectral_norm)
 from .dichotomy import (DichotomyCertificate, _range_basis, _window_nodes,
                         autonomous_certificate, verify_dichotomy)
 from .errors import RobustnessHypothesisError, SplitflowError
@@ -161,42 +162,15 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
     return cert
 
 
-def _unit_snapshots(cc, shifts, samples_per_unit):
-    out = {}
-    shared = None
-    for n in shifts:
-        if cc.time_invariant:
-            if shared is None:
-                _, _, shared = propagator(cc, 0.0, 1.0, samples=samples_per_unit)
-            out[n] = shared
-        else:
-            _, _, snaps = propagator(cc, float(n), 1.0, samples=samples_per_unit)
-            out[n] = snaps
-    return out
-
-
-def _lift_envelope(snaps, alpha):
-    """``max(1, max_n max_t |phi(t, n)| e^{alpha t})`` over per-node unit
-    snapshots at equispaced t in [0, 1]."""
-    env = 1.0
-    for unit in snaps.values():
-        ts = np.linspace(0.0, 1.0, len(unit))
-        norms = np.array([spectral_norm(m) for m in unit])
-        env = max(env, float(np.max(norms * np.exp(alpha * ts))))
-    return env
-
-
-def lift_certificate(cc, discrete_cert, window, samples_per_unit=64):
+def lift_certificate(cc, discrete_cert, window):
     """Continuous certificate from a discrete one via the intra-unit envelope.
 
     The lifted bound is ``K_hat = K * sup_{0<=t<=1} |phi(t)| e^{alpha t}``,
     with the sup sampled over the window's integer shifts (the observed
     envelope; for autonomous flows it coincides with the base-point scan).
     """
-    nodes = _window_nodes(window)
     alpha = discrete_cert.exponent
-    env = _lift_envelope(_unit_snapshots(cc, nodes[:-1], samples_per_unit),
-                         alpha)
+    env = _unit_envelope(cc, _window_nodes(window)[:-1], alpha)
     k_hat = discrete_cert.bound * env
     if discrete_cert.constant_projection is not None:
         proj_kwargs = {"constant_projection": discrete_cert.constant_projection}
@@ -212,26 +186,26 @@ def lift_certificate(cc, discrete_cert, window, samples_per_unit=64):
 
 def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
                                 slack=1.2, safety=SAFETY, tol=1e-10,
-                                trunc_tol=1e-10, samples_per_unit=16,
-                                verify=True):
+                                trunc_tol=1e-10, verify=True):
     """Perturbed continuous certificate: discretize, robustify, lift.
 
     The hypothesis is measured as the sampled sup over unit intervals of the
     flow distance; it must stay below ``safety * threshold / K``.  The
     emitted certificate carries the discrete perturbed constants and the
     lifted bound ``M_hat = M * sup_{0<=t<=1} |psi(t)| e^{alpha_tilde t}``.
+    Every unit flow comes from the cocycles' unit-flow tables, so each is
+    integrated once across the measurement, the discrete pipeline, the lift
+    and the verification.
     """
     nodes = _window_nodes(window)
     n_lo, n_hi = nodes[0], nodes[-1]
+    shifts = nodes[:-1]
     k_bound, alpha = base_cert.bound, base_cert.exponent
-    base_d = discretize(base_cc)
-    pert_d = discretize(perturbed_cc)
 
-    snaps_b = _unit_snapshots(base_cc, nodes[:-1], samples_per_unit)
-    snaps_p = _unit_snapshots(perturbed_cc, nodes[:-1], samples_per_unit)
     d_unit = max(
-        max(spectral_norm(a - b) for a, b in zip(snaps_b[n], snaps_p[n]))
-        for n in nodes[:-1]
+        max(spectral_norm(a - b) for a, b in
+            zip(base_cc.unit_flow(n), perturbed_cc.unit_flow(n)))
+        for n in shifts
     )
     allowed = safety * delta_threshold(alpha) / k_bound
     if d_unit > allowed:
@@ -249,12 +223,12 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
         meta=dict(base_cert.meta),
     )
     cert_d = robust_dichotomy_discrete(
-        base_d, base_cert_d, pert_d, (n_lo, n_hi),
-        slack=1.0 + (slack - 1.0) / 2.0, safety=safety, tol=tol,
+        discretize(base_cc), base_cert_d, discretize(perturbed_cc),
+        (n_lo, n_hi), slack=1.0 + (slack - 1.0) / 2.0, safety=safety, tol=tol,
         trunc_tol=trunc_tol, verify=verify,
     )
     a_tilde = cert_d.exponent
-    env = _lift_envelope(snaps_p, a_tilde)
+    env = _unit_envelope(perturbed_cc, shifts, a_tilde)
     m_hat = cert_d.bound * env
     cert = DichotomyCertificate(
         bound=m_hat, exponent=a_tilde, discrete=False,
@@ -263,8 +237,7 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
               "discrete_bound": cert_d.bound},
     )
     if verify:
-        report = verify_dichotomy(perturbed_cc, cert, (n_lo, n_hi), slack=slack,
-                                  samples_per_unit=max(4, samples_per_unit // 2))
+        report = verify_dichotomy(perturbed_cc, cert, (n_lo, n_hi), slack=slack)
         cert.meta["verification_continuous"] = report
     return cert
 
@@ -341,12 +314,11 @@ def subspace_decay_diagnostic(cocycle, cert, window, rate_slack=0.05):
     alpha = cert.exponent
     beta = cert.meta.get("beta_tilde", alpha)
     d = cert.dim
-    discrete = isinstance(cocycle, DiscreteCocycle)
+    if not isinstance(cocycle, DiscreteCocycle):
+        cocycle = discretize(cocycle)
 
     def step(n):
-        if discrete:
-            return np.atleast_2d(np.asarray(cocycle.step(n), float))
-        return propagator(cocycle, float(n), 1.0)
+        return np.atleast_2d(np.asarray(cocycle.step(n), float))
 
     out = {}
     ks = np.arange(0, nodes[-1] - n0 + 1)

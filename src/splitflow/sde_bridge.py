@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .dichotomy import autonomous_certificate, spectral_projection
+from .dichotomy import spectral_projection
 from .errors import (ConfigurationError, ContractionMarginError,
                      NonHyperbolicError, SplitflowError, ThresholdError,
                      WindowError)
@@ -41,7 +41,7 @@ from .io import jsonable, write_csv
 from .hyperbolic import (SemilinearProblem, certify_hyperbolic, eta_epsilon,
                          find_hyperbolic_solution, lambda_eta,
                          neighborhood_thresholds)
-from .noise import (DEFAULT_TAIL_TOL, default_kappa, ou_series,
+from .noise import (DEFAULT_TAIL_TOL, default_kappa, rescaled_noise,
                     sample_wiener_path)
 
 
@@ -90,13 +90,8 @@ class _NoiseDressing:
         if idx_first > g.n_nodes - 2:
             raise WindowError("path window too short for the noise dressing",
                               required_extension=t_first - g.t_min)
-        ts = g.times()[max(idx_first, 0):]
-        z = ou_series(path, ts, tail_tol)
-        k = np.asarray(kappa.kappa(ts), float)
-        kd = np.asarray(kappa.kappa_dot(ts), float)
-        self.ts = ts
-        self.kz = k * z
-        self.ckz = (k - kd) * z
+        self.ts = g.times()[max(idx_first, 0):]
+        self.kz, self.ckz = rescaled_noise(path, kappa, self.ts, tail_tol)
 
     def _check(self, t):
         t = np.asarray(t, float)
@@ -335,7 +330,7 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
     )
     problem = random_ode_problem(strat, path, base.y0_star, base.r_u,
                                  a_matrix=base.a_matrix, tail_tol=tail_tol)
-    cert_a = autonomous_certificate(base.a_matrix)
+    cert_a = problem.autonomous_cert
     m_bound, beta = cert_a.bound, cert_a.exponent
     n_time, n_cloud = lambda_samples
 

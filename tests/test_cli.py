@@ -103,14 +103,19 @@ class TestRobustnessCmd:
         assert consts["D1"] == 1.0 and consts["D2"] == 1.0
 
     def test_over_threshold_is_one_and_named(self, tmp_path):
-        cfg = tmp_path / "r.cfg"
-        cfg.write_text("pert_step = 0.95\nrun_saddle = false\n")
-        out = tmp_path / "out"
-        assert run_cli(["robustness", "--config", str(cfg),
-                        "--out", str(out)]) == 1
-        body = json.loads((out / "robustness.json").read_text())
-        assert body["instances"][0]["threshold"] is not None
-        assert "threshold" in body["instances"][0]["error"]
+        # the scalar instance, then the saddle instance, over its threshold
+        for i, text in enumerate(("pert_step = 0.95\nrun_saddle = false\n",
+                                  "rotation = 0.3\n")):
+            cfg = tmp_path / f"r{i}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / f"out{i}"
+            assert run_cli(["robustness", "--config", str(cfg),
+                            "--out", str(out)]) == 1
+            body = json.loads((out / "robustness.json").read_text())
+            entry = body["instances"][i]
+            assert entry["threshold"] is not None
+            assert entry["measured"] > entry["threshold"]
+            assert "threshold" in entry["error"]
 
 
 class TestHyperbolicCmd:

@@ -3,7 +3,10 @@
 A definition counts as used when its name appears anywhere in the package,
 the tests, the demos or the benchmark other than at the definition itself:
 as a name, an attribute, an import or an identifier string (the benchmark
-wraps functions it looks up by name).  Dunder names are exempt.
+wraps functions it looks up by name).  A method counts as used only when it
+is named as an attribute or as an identifier string: a bare name is a local
+variable or a module-level function, never a method.  Dunder names are
+exempt.
 """
 
 import ast
@@ -14,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splitflow"
 SEARCHED = ("src", "tests", "demos", "perfbench")
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _trees():
@@ -24,29 +27,42 @@ def _trees():
 
 
 def _mentions(tree):
+    """``(name, as_member)`` per mention; ``as_member`` marks an attribute
+    or an identifier string, the only ways a method can be named."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1]
+            yield node.name.split(".")[-1], False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            yield node.value
+            yield node.value, True
+
+
+def _definitions(tree):
+    """``(name, line, is_method)`` of every function, class and method."""
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, FUNCTIONS)}
+    for node in ast.walk(tree):
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, node.lineno, id(node) in methods
 
 
 def test_every_definition_is_named_elsewhere():
-    mentions = Counter()
+    any_mention = Counter()
+    member_mention = Counter()
     defined = []
     for path, tree in _trees():
-        mentions.update(_mentions(tree))
+        for name, as_member in _mentions(tree):
+            any_mention[name] += 1
+            member_mention[name] += as_member
         if path.is_relative_to(PACKAGE):
-            for node in ast.walk(tree):
-                if isinstance(node, DEFINITIONS):
-                    defined.append((node.name, path.relative_to(ROOT),
-                                    node.lineno))
-    unused = [f"{path}:{line} {name}" for name, path, line in defined
+            defined.extend((name, path.relative_to(ROOT), line, is_method)
+                           for name, line, is_method in _definitions(tree))
+    unused = [f"{path}:{line} {name}" for name, path, line, is_method in defined
               if not (name.startswith("__") and name.endswith("__"))
-              and mentions[name] == 0]
+              and (member_mention if is_method else any_mention)[name] == 0]
     assert not unused, "defined but never named:\n" + "\n".join(unused)

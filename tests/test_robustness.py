@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        robust_dichotomy_discrete, sample_wiener_path,
                        spectral_norm, subspace_decay_diagnostic,
                        verify_dichotomy)
+from splitflow import cocycle as cocycle_module
 from conftest import brute_force_projections
 
 LN2 = float(np.log(2.0))
@@ -247,6 +251,32 @@ class TestContinuousPipeline:
         eps_hyp = max(ca.bound, cert.bound) * cert.meta["d_unit"]
         assert dist <= paper_projection_bound(ca.exponent, cert.exponent,
                                               eps_hyp)
+
+    def test_each_unit_flow_integrated_once(self, monkeypatch):
+        # count propagator calls under every name splitflow imports it by
+        original = cocycle_module.propagator
+        calls = Counter()
+
+        def counted(c, shift, duration, samples=None):
+            calls[(id(c), shift, duration)] += 1
+            return original(c, shift, duration, samples)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("splitflow") \
+                    and getattr(mod, "propagator", None) is original:
+                monkeypatch.setattr(mod, "propagator", counted)
+        a = np.diag([-1.0, 1.0])
+        j_mat = np.array([[0.0, 1.0], [1.0, 0.0]])
+        base = ContinuousCocycle.constant(a)
+        pert = ContinuousCocycle(lambda t: a + 0.02 * np.sin(t) * j_mat, 2)
+        cert = robust_dichotomy_continuous(base, autonomous_certificate(a),
+                                           pert, (-3, 3))
+        assert cert.meta["verification_continuous"].passed
+        assert calls and max(calls.values()) == 1
+        assert {d for _, _, d in calls} == {1.0}
+        pert_shifts = {s for c, s, _ in calls if c == id(pert)}
+        assert set(range(-3, 3)) <= pert_shifts
+        assert {s for c, s, _ in calls if c == id(base)} == {0.0}
 
     def test_lift_bound_formula(self):
         a = np.diag([-1.0, 1.0])

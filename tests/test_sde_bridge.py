@@ -141,8 +141,7 @@ class TestWaveSystem:
             p = build_wave_system(n, 1.0, lambda u: 0.0 * u, lambda u: 0.0 * u)
             cert = autonomous_certificate(p.a_matrix)
             cc = ContinuousCocycle.constant(p.a_matrix)
-            rep = verify_dichotomy(cc, cert, (-2, 2), slack=1.05,
-                                   samples_per_unit=16)
+            rep = verify_dichotomy(cc, cert, (-2, 2), slack=1.05)
             assert rep.passed, f"N={n}"
 
     def test_eigenvalue_ratio(self):
