@@ -14,6 +14,11 @@ geometric-tail length; Picard iteration then yields the solution together
 with a residual certificate.  (A direct banded linear solve would work too;
 the iteration mirrors the contraction argument and its residual is the
 certificate, so the linear-solve route is kept as a test oracle only.)
+
+The perturbed projections at a family of nodes are bounded solutions of
+unit-impulse problems, solved together as the column blocks of one forcing:
+one Green band, one Picard loop and one residual certificate per family
+(the finite-interval boundary-value form of Huels, DCDS-B 12, 2009).
 """
 
 import math
@@ -99,9 +104,8 @@ def _seq_sup(values):
     values = np.asarray(values, float)
     if len(values) == 0:
         return 0.0
-    if values.ndim == 2:
-        return float(np.max(np.linalg.norm(values, axis=1)))
-    return float(max(spectral_norm(v) for v in values))
+    return float(np.max(np.linalg.norm(values, 2,
+                                       axis=tuple(range(1, values.ndim)))))
 
 
 class GreenBand:
@@ -117,7 +121,6 @@ class GreenBand:
     def __init__(self, cocycle, cert, n_lo, n_hi, band):
         self.n_lo, self.n_hi, self.band = n_lo, n_hi, band
         d = cocycle.dim
-        self.d = d
         w = n_hi - n_lo + 1
         steps = {n: np.atleast_2d(np.asarray(cocycle.step(n), float))
                  for n in range(n_lo, n_hi + 1)}
@@ -194,6 +197,14 @@ def _band_for(cert, delta_eff, f_sup, trunc_tol):
     apriori = cert.bound * f_sup * (1.0 + e) / ((1.0 - e) * max(1.0 - rho, 1e-12))
     sup_term = 2.0 * (delta_eff * apriori + cert.bound * f_sup)  # both tails
     return truncation_length(cert.exponent, sup_term, trunc_tol)
+
+
+def _impulse_span(cert, b_step, n_lo, n_hi, trunc_tol):
+    """Span of the impulse solves for the nodes [n_lo, n_hi]: the window
+    widened by the unit-forcing band of its perturbation size, plus 8."""
+    band0 = _band_for(cert, _delta_eff(cert, b_step, n_lo, n_hi), 1.0,
+                      trunc_tol) + 8
+    return n_lo - band0, n_hi + band0
 
 
 def _gamma(gb, b_step, f, x):
@@ -315,28 +326,32 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     )
 
 
-def impulse_response_projection(cocycle, cert, b, node, tol=1e-10,
-                                trunc_tol=DEFAULT_TRUNC_TOL, margin=4):
-    """Perturbed projections at ``node`` from unit-impulse bounded solutions.
+def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
+                                trunc_tol=DEFAULT_TRUNC_TOL):
+    """Perturbed stable projections ``{node: Pi^s}`` from unit impulses.
 
     Solving with the impulse ``f_{node-1} = e_j`` and reading the bounded
     solution at the impulse node gives column j of the perturbed stable
-    projection; the unstable one is its complement.  All d columns are
-    solved at once.
+    projection there; the unstable one is its complement.  The family is one
+    bounded solution over :func:`_impulse_span`: column block j of the
+    forcing is the identity at ``nodes[j] - 1``, and block j of the solution
+    is read at ``nodes[j]``.
     """
-    d = cocycle.dim
-    b_step = as_step_sequence(b, d)
-    delta_eff = _delta_eff(cert, b_step, node - 2, node + 2)
-    band = _band_for(cert, delta_eff, 1.0, trunc_tol)
-    span = band + max(margin, 2)
-    f = ForcingSequence.impulse(node - span, node + span, node - 1, np.eye(d))
+    d, m = cocycle.dim, len(nodes)
+    n_lo, n_hi = _impulse_span(cert, as_step_sequence(b, d), min(nodes),
+                               max(nodes), trunc_tol)
+    f = ForcingSequence.zeros(n_lo, n_hi, d, d * m)
+    for j, n in enumerate(nodes):
+        f.values[n - 1 - n_lo, :, j * d:(j + 1) * d] = np.eye(d)
     sol = bounded_solution(cocycle, cert, b, f, tol=tol, trunc_tol=trunc_tol)
-    pi_s = sol.value_at(node)
-    pi_u = np.eye(d) - pi_s
-    idem = spectral_norm(pi_s @ pi_s - pi_s)
-    if idem > 1e-4:
+    # block j of row nodes[j], stacked (m, d, d)
+    pi_s = sol.values.reshape(-1, d, m, d)[np.asarray(nodes) - n_lo, :,
+                                           np.arange(m)]
+    idem = np.linalg.norm(pi_s @ pi_s - pi_s, 2, axis=(1, 2))
+    if np.max(idem) > 1e-4:
+        j = int(np.argmax(idem))
         raise SplitflowError(
-            f"impulse projection at node {node} is far from idempotent "
-            f"(residual {idem:.3e}); perturbation may be too large"
+            f"impulse projection at node {nodes[j]} is far from idempotent "
+            f"(residual {idem[j]:.3e}); perturbation may be too large"
         )
-    return pi_s, pi_u
+    return dict(zip(nodes, pi_s))

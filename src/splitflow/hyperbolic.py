@@ -64,6 +64,8 @@ class SemilinearProblem:
     f0_prime: object = None
     f_eta_dy: object = None
     meta: dict = field(default_factory=dict)
+    _base_cocycles: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         self.a_matrix = np.atleast_2d(np.asarray(self.a_matrix, float))
@@ -78,6 +80,14 @@ class SemilinearProblem:
         """Dichotomy certificate of ``a_matrix``, computed once per problem
         (raises when the linearization is not hyperbolic)."""
         return autonomous_certificate(self.a_matrix)
+
+    def base_cocycle(self, step):
+        """Constant cocycle of ``a_matrix`` at RK4 step ``step``, one per
+        problem and step, so its unit flow is integrated once."""
+        if step not in self._base_cocycles:
+            self._base_cocycles[step] = ContinuousCocycle.constant(
+                self.a_matrix, step=step)
+        return self._base_cocycles[step]
 
     def validate(self, tol=1e-8):
         """Equilibrium residual of the full autonomous field, plus hyperbolicity."""
@@ -504,8 +514,7 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
     trajectory window supports.
     """
     h_grid = cert.times[1] - cert.times[0]
-    base_cc = ContinuousCocycle.constant(
-        p.a_matrix, step=step if step else min(1.0 / 64.0, h_grid))
+    base_cc = p.base_cocycle(step if step else min(1.0 / 64.0, h_grid))
     pert_cc = linearize_along(p, cert, step=step)
 
     pad = _band_for(cert.autonomous_cert,

@@ -10,7 +10,7 @@ factor.  Both emit certificates that are then *checked*, not trusted.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -20,7 +20,7 @@ from .cocycle import (DiscreteCocycle, _unit_envelope, discretize,
 from .dichotomy import (DichotomyCertificate, _range_basis, _window_nodes,
                         autonomous_certificate, verify_dichotomy)
 from .errors import RobustnessHypothesisError, SplitflowError
-from .greens import _band_for, _delta_eff, impulse_response_projection
+from .greens import _delta_eff, _impulse_span, impulse_response_projection
 from .io import jsonable
 
 SAFETY = 0.9  # applied to the strict thresholds: finite-window sups run low
@@ -132,9 +132,8 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
     k_bound, alpha = base_cert.bound, base_cert.exponent
     b_step = _difference_step(base, perturbed)
 
-    band0 = _band_for(base_cert, _delta_eff(base_cert, b_step, n_lo, n_hi),
-                      1.0, trunc_tol) + 8
-    delta_eff = _delta_eff(base_cert, b_step, n_lo - band0, n_hi + band0)
+    span = _impulse_span(base_cert, b_step, n_lo, n_hi, trunc_tol)
+    delta_eff = _delta_eff(base_cert, b_step, *span)
     thr = delta_threshold(alpha)
     if delta_eff > safety * thr:
         raise RobustnessHypothesisError(
@@ -143,15 +142,10 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
             measured=delta_eff, threshold=safety * thr,
         )
     consts = robust_constants(k_bound, alpha, delta_eff)
-    projections = {}
-    for n in nodes:
-        pi_s, _ = impulse_response_projection(
-            base, base_cert, b_step, n, tol=tol, trunc_tol=trunc_tol
-        )
-        projections[n] = pi_s
     cert = DichotomyCertificate(
         bound=max(consts.M, 1.0), exponent=consts.alpha_tilde, discrete=True,
-        projections=projections,
+        projections=impulse_response_projection(
+            base, base_cert, b_step, nodes, tol=tol, trunc_tol=trunc_tol),
         meta={"constants": consts.as_dict(), "delta_eff": delta_eff,
               "threshold": thr, "safety": safety,
               "window": [n_lo, n_hi], "beta_tilde": consts.beta_tilde},
@@ -169,19 +163,11 @@ def lift_certificate(cc, discrete_cert, window):
     with the sup sampled over the window's integer shifts (the observed
     envelope; for autonomous flows it coincides with the base-point scan).
     """
-    alpha = discrete_cert.exponent
-    env = _unit_envelope(cc, _window_nodes(window)[:-1], alpha)
-    k_hat = discrete_cert.bound * env
-    if discrete_cert.constant_projection is not None:
-        proj_kwargs = {"constant_projection": discrete_cert.constant_projection}
-    else:
-        proj_kwargs = {"projections": dict(discrete_cert.projections)}
-    return DichotomyCertificate(
-        bound=k_hat, exponent=alpha, discrete=False,
-        meta={**discrete_cert.meta, "lift_envelope": env,
-              "discrete_bound": discrete_cert.bound},
-        **proj_kwargs,
-    )
+    env = _unit_envelope(cc, _window_nodes(window)[:-1], discrete_cert.exponent)
+    return replace(discrete_cert, bound=discrete_cert.bound * env,
+                   discrete=False,
+                   meta={**discrete_cert.meta, "lift_envelope": env,
+                         "discrete_bound": discrete_cert.bound})
 
 
 def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
@@ -199,15 +185,13 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
     """
     nodes = _window_nodes(window)
     n_lo, n_hi = nodes[0], nodes[-1]
-    shifts = nodes[:-1]
-    k_bound, alpha = base_cert.bound, base_cert.exponent
 
     d_unit = max(
         max(spectral_norm(a - b) for a, b in
             zip(base_cc.unit_flow(n), perturbed_cc.unit_flow(n)))
-        for n in shifts
+        for n in nodes[:-1]
     )
-    allowed = safety * delta_threshold(alpha) / k_bound
+    allowed = safety * delta_threshold(base_cert.exponent) / base_cert.bound
     if d_unit > allowed:
         raise RobustnessHypothesisError(
             f"unit-interval flow distance {d_unit:.6g} exceeds "
@@ -215,27 +199,14 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
             measured=d_unit, threshold=allowed,
         )
     # base certificate transfers to the discretization with the same constants
-    base_cert_d = DichotomyCertificate(
-        bound=k_bound, exponent=alpha, discrete=True,
-        constant_projection=base_cert.constant_projection,
-        projections=None if base_cert.constant_projection is not None
-        else dict(base_cert.projections),
-        meta=dict(base_cert.meta),
-    )
     cert_d = robust_dichotomy_discrete(
-        discretize(base_cc), base_cert_d, discretize(perturbed_cc),
+        discretize(base_cc), replace(base_cert, discrete=True),
+        discretize(perturbed_cc),
         (n_lo, n_hi), slack=1.0 + (slack - 1.0) / 2.0, safety=safety, tol=tol,
         trunc_tol=trunc_tol, verify=verify,
     )
-    a_tilde = cert_d.exponent
-    env = _unit_envelope(perturbed_cc, shifts, a_tilde)
-    m_hat = cert_d.bound * env
-    cert = DichotomyCertificate(
-        bound=m_hat, exponent=a_tilde, discrete=False,
-        projections=dict(cert_d.projections),
-        meta={**cert_d.meta, "lift_envelope": env, "d_unit": d_unit,
-              "discrete_bound": cert_d.bound},
-    )
+    cert = lift_certificate(perturbed_cc, cert_d, (n_lo, n_hi))
+    cert.meta["d_unit"] = d_unit
     if verify:
         report = verify_dichotomy(perturbed_cc, cert, (n_lo, n_hi), slack=slack)
         cert.meta["verification_continuous"] = report

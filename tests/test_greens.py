@@ -190,20 +190,23 @@ class TestBoundedSolution:
 class TestImpulseProjections:
     def test_saddle_unperturbed_recovery(self):
         c, cert = saddle()
-        pi_s, pi_u = impulse_response_projection(c, cert, 0.0, 0, tol=1e-11)
+        pi_s = impulse_response_projection(c, cert, 0.0, [0], tol=1e-11)[0]
+        pi_u = np.eye(2) - pi_s
         assert np.allclose(pi_s, np.diag([1.0, 0.0]), atol=1e-9)
         assert np.allclose(pi_u, np.diag([0.0, 1.0]), atol=1e-9)
 
     def test_stable_scalar_any_small_perturbation(self):
         c, cert = stable_scalar()
-        pi_s, pi_u = impulse_response_projection(c, cert, 0.05, 0, tol=1e-11)
+        pi_s = impulse_response_projection(c, cert, 0.05, [0], tol=1e-11)[0]
+        pi_u = np.eye(1) - pi_s
         assert abs(pi_s[0, 0] - 1.0) < 1e-9
         assert abs(pi_u[0, 0]) < 1e-9
 
     def test_unstable_scalar(self):
         c = DiscreteCocycle.constant([[2.0]])
         cert = DichotomyCertificate.constant([[0.0]], 1.0, LN2, discrete=True)
-        pi_s, pi_u = impulse_response_projection(c, cert, 0.05, 0, tol=1e-11)
+        pi_s = impulse_response_projection(c, cert, 0.05, [0], tol=1e-11)[0]
+        pi_u = np.eye(1) - pi_s
         assert abs(pi_u[0, 0] - 1.0) < 1e-9
         assert abs(pi_s[0, 0]) < 1e-9
 
@@ -211,6 +214,21 @@ class TestImpulseProjections:
         c, cert = saddle()
         rng = np.random.default_rng(14)
         b_mat = {n: 0.03 * rng.standard_normal((2, 2)) for n in range(-80, 81)}
-        pi_s, pi_u = impulse_response_projection(c, cert, b_mat, 2, tol=1e-11)
+        pi_s = impulse_response_projection(c, cert, b_mat, [2], tol=1e-11)[2]
+        pi_u = np.eye(2) - pi_s
         assert np.linalg.norm(pi_s @ pi_s - pi_s, 2) < 1e-8
         assert np.linalg.norm(pi_s @ pi_u, 2) < 1e-8
+
+    def test_family_solve_matches_single_node_solves(self):
+        # one solve for the whole family against one solve per node, on the
+        # time-varying saddle of test_idempotent
+        c, cert = saddle()
+        rng = np.random.default_rng(14)
+        b_mat = {n: 0.03 * rng.standard_normal((2, 2)) for n in range(-80, 81)}
+        nodes = list(range(-6, 7))
+        family = impulse_response_projection(c, cert, b_mat, nodes, tol=1e-11)
+        assert list(family) == nodes
+        for n in nodes:
+            single = impulse_response_projection(c, cert, b_mat, [n],
+                                                 tol=1e-11)[n]
+            assert np.max(np.abs(family[n] - single)) < 1e-10

@@ -15,6 +15,7 @@ from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        spectral_norm, subspace_decay_diagnostic,
                        verify_dichotomy)
 from splitflow import cocycle as cocycle_module
+from splitflow import greens as greens_module
 from conftest import brute_force_projections
 
 LN2 = float(np.log(2.0))
@@ -200,6 +201,31 @@ class TestDiscretePipeline:
             lhs = cert.proj_s(n + 3) @ m
             rhs = m @ cert.proj_s(n)
             assert spectral_norm(lhs - rhs) < 1e-8
+
+    def test_one_bounded_solve_per_certificate(self, monkeypatch):
+        # count bounded_solution calls under every name splitflow imports it by
+        original = greens_module.bounded_solution
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("splitflow") \
+                    and getattr(mod, "bounded_solution", None) is original:
+                monkeypatch.setattr(mod, "bounded_solution", counted)
+        d_mat = np.diag([0.5, 2.0])
+        rot = np.array([[np.cos(0.01), -np.sin(0.01)],
+                        [np.sin(0.01), np.cos(0.01)]])
+        base = DiscreteCocycle.constant(d_mat)
+        pert = DiscreteCocycle.constant(rot @ d_mat)
+        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
+                                           discrete=True)
+        cert = robust_dichotomy_discrete(base, bc, pert, (-6, 6))
+        assert cert.meta["verification"].passed
+        assert sorted(cert.projections) == list(range(-6, 7))
+        assert len(calls) == 1
 
     def test_decay_diagnostic(self):
         d_mat = np.diag([0.5, 2.0])
