@@ -157,6 +157,10 @@ class ExperimentConfig:
         self._validate()
 
     def _validate(self):
+        for key, val in self.values.items():
+            if any(isinstance(x, float) and not np.isfinite(x)
+                   for x in (val if isinstance(val, list) else [val])):
+                raise ConfigurationError(f"field {key!r} must be finite")
         for key in ("tol", "tail_tol", "trunc_tol", "ode_tol", "linear_tol"):
             if key in self.values and not self.values[key] > 0.0:
                 raise ConfigurationError(f"tolerance {key} must be positive")

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, SplitflowError
 from .io import write_csv
 
 DEFAULT_STEP = 1.0 / 64.0
@@ -26,6 +26,24 @@ UNIT_SAMPLES = 16  # snapshot intervals per unit in the unit-flow table
 def spectral_norm(m):
     """Largest singular value (the operator norm used throughout)."""
     return float(np.linalg.norm(np.asarray(m, float), 2))
+
+
+def spectral_norms(mats):
+    """:func:`spectral_norm` of every matrix in a stack (last two axes)."""
+    return np.linalg.norm(np.asarray(mats, float), 2, axis=(-2, -1))
+
+
+def stack_steps(step, nodes):
+    """``step(n)`` for every node, stacked to shape ``(len(nodes), d, d)``.
+
+    A non-finite entry raises :class:`SplitflowError` naming its node, before
+    any factorization can fail on it with a raw numpy error.
+    """
+    mats = np.array([np.atleast_2d(np.asarray(step(n), float)) for n in nodes])
+    bad = np.argwhere(~np.isfinite(mats))
+    if len(bad):
+        raise SplitflowError(f"non-finite step matrix at node {nodes[bad[0][0]]}")
+    return mats
 
 
 @dataclass(frozen=True)
@@ -215,7 +233,7 @@ def _unit_envelope(c, shifts, alpha):
     ts = np.linspace(0.0, 1.0, UNIT_SAMPLES + 1)
     env = 1.0
     for n in shifts:
-        norms = np.array([spectral_norm(m) for m in c.unit_flow(n)])
+        norms = spectral_norms(c.unit_flow(n))
         env = max(env, float(np.max(norms * np.exp(alpha * ts))))
     return env
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import as_step_sequence, spectral_norm
-from .dichotomy import _range_basis
+from .cocycle import as_step_sequence, spectral_norms, stack_steps
+from .dichotomy import _split_march
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
 from .io import write_csv
 
@@ -111,61 +111,27 @@ def _seq_sup(values):
 class GreenBand:
     """Banded table of Green-kernel values over an integer window.
 
-    For every source node ``m`` in [n_lo+1, n_hi+1] the table holds
-    ``G(m+j, m)`` for forward offsets j in [0, band] and ``G(m-j, m)`` for
-    backward offsets j in [1, band], targets clipped to [n_lo, n_hi].
-    Source index i corresponds to m = n_lo + 1 + i, matching the index of
-    the forcing entry k = m - 1 it multiplies.
+    The tables are the split-flow march (``dichotomy._split_march``) over
+    the nodes [n_lo, n_hi+1], with source index i at node m = n_lo + 1 + i,
+    the index of the forcing entry k = m - 1 it multiplies:
+    ``fwd[j, i] = G(m+j, m)`` for offsets j in [0, band] and
+    ``bwd[j, i] = G(m-j, m)`` for j in [1, band]; :meth:`apply` reads the
+    targets in [n_lo, n_hi].  A rank change or a singular restricted step,
+    which leaves no backward branch, raises :class:`SplitflowError`.
     """
 
     def __init__(self, cocycle, cert, n_lo, n_hi, band):
         self.n_lo, self.n_hi, self.band = n_lo, n_hi, band
-        d = cocycle.dim
-        w = n_hi - n_lo + 1
-        steps = {n: np.atleast_2d(np.asarray(cocycle.step(n), float))
-                 for n in range(n_lo, n_hi + 1)}
-        proj_s = {m: cert.proj_s(m) for m in range(n_lo, n_hi + 2)}
-
-        self.fwd = np.zeros((band + 1, w + 1, d, d))
-        for i, m in enumerate(range(n_lo + 1, n_hi + 2)):
-            jmax = min(n_hi - m, band)
-            if jmax < 0:
-                continue
-            cur = proj_s[m]
-            self.fwd[0, i] = cur
-            for j in range(1, jmax + 1):
-                # re-project onto the stable range: kills round-off
-                # components that would grow along the unstable directions
-                cur = proj_s[m + j] @ (steps[m + j - 1] @ cur)
-                self.fwd[j, i] = cur
-
-        bases = {m: _range_basis(np.eye(d) - proj_s[m])
-                 for m in range(n_lo, n_hi + 2)}
-        back_step = {}
-        for n in range(n_lo, n_hi + 1):
-            bn, bn1 = bases[n], bases[n + 1]
-            if bn1.shape[1] == 0:
-                back_step[n] = np.zeros((d, d))
-                continue
-            if bn.shape[1] != bn1.shape[1]:
-                raise SplitflowError(
-                    f"unstable rank changes across node {n}; no backward branch"
-                )
-            wmat = bn1.T @ steps[n] @ bn
-            sv = np.linalg.svd(wmat, compute_uv=False)
-            if sv[-1] <= 1e-300:
-                raise SplitflowError(
-                    f"unstable-restricted step at node {n} is singular"
-                )
-            back_step[n] = bn @ np.linalg.inv(wmat) @ bn1.T
-
-        self.bwd = np.zeros((band + 1, w + 1, d, d))
-        for i, m in enumerate(range(n_lo + 1, n_hi + 2)):
-            cur = -(np.eye(d) - proj_s[m])  # marching seed, not a kernel value
-            jmax = min(m - n_lo, band)
-            for j in range(1, jmax + 1):
-                cur = back_step[m - j] @ cur
-                self.bwd[j, i] = cur
+        march = _split_march(
+            stack_steps(cocycle.step, range(n_lo, n_hi + 1)),
+            np.array([cert.proj_s(m) for m in range(n_lo, n_hi + 2)]), band)
+        if np.any(march.no_inverse):
+            k = int(np.argmax(march.no_inverse))
+            why = ("unstable rank changes" if march.rank[k] != march.rank[k + 1]
+                   else "unstable-restricted step is singular")
+            raise SplitflowError(f"{why} across node {n_lo + k}; "
+                                 "no backward branch")
+        self.fwd, self.bwd = march.fwd[:, 1:], march.bwd[:, 1:]
 
     def apply(self, u):
         """``out(n) = sum_k G(n, k+1) u(k)`` over the band; u lives on the window."""
@@ -187,8 +153,8 @@ class GreenBand:
 
 
 def _delta_eff(cert, b_step, n_lo, n_hi):
-    norms = [spectral_norm(b_step(n)) for n in range(n_lo, n_hi + 1)]
-    return cert.bound * (max(norms) if norms else 0.0)
+    mats = stack_steps(b_step, range(n_lo, n_hi + 1))
+    return cert.bound * (float(np.max(spectral_norms(mats))) if len(mats) else 0.0)
 
 
 def _band_for(cert, delta_eff, f_sup, trunc_tol):
@@ -347,7 +313,7 @@ def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
     # block j of row nodes[j], stacked (m, d, d)
     pi_s = sol.values.reshape(-1, d, m, d)[np.asarray(nodes) - n_lo, :,
                                            np.arange(m)]
-    idem = np.linalg.norm(pi_s @ pi_s - pi_s, 2, axis=(1, 2))
+    idem = spectral_norms(pi_s @ pi_s - pi_s)
     if np.max(idem) > 1e-4:
         j = int(np.argmax(idem))
         raise SplitflowError(

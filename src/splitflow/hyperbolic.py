@@ -29,7 +29,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import expm
 
 from .cocycle import ContinuousCocycle, spectral_norm
-from .dichotomy import autonomous_certificate
+from .dichotomy import _envelope_scan, autonomous_certificate
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
 from .greens import _band_for
@@ -262,26 +262,15 @@ class _AutonomousGreen:
     """Tabulated kernel ``G(t - s)`` of a hyperbolic constant generator."""
 
     def __init__(self, a_matrix, pi_s, h, n_off):
-        d = a_matrix.shape[0]
-        self.h, self.n_off, self.d = h, n_off, d
-        pi_u = np.eye(d) - pi_s
-        e_f = expm(a_matrix * h)
-        e_b = expm(-a_matrix * h)
-        fwd = np.zeros((n_off + 1, d, d))
-        cur = pi_s.copy()
-        for k in range(n_off + 1):
-            fwd[k] = cur
-            cur = pi_s @ (e_f @ cur)  # re-project: kills unstable round-off
-        bwd = np.zeros((n_off + 1, d, d))
-        cur = -pi_u.copy()
-        for k in range(1, n_off + 1):
-            cur = -(pi_u @ (e_b @ (-cur)))
-            bwd[k] = cur
+        self.h, self.n_off = h, n_off
+        pi_u = np.eye(a_matrix.shape[0]) - pi_s
+        fwd, bwd = _envelope_scan(pi_s, pi_u, expm(a_matrix * h),
+                                  expm(-a_matrix * h), n_off + 1)
         # composite trapezoid split at the kernel jump: the coincidence node
         # carries the average of the one-sided limits, (Pi^s - Pi^u)/2
         fwd[0] = 0.5 * (pi_s - pi_u)
         # stacked offsets -n_off .. n_off for the convolution
-        self.table = np.concatenate([bwd[1:][::-1], fwd], axis=0)
+        self.table = np.concatenate([-bwd[1:][::-1], fwd], axis=0)
 
     def convolve(self, u, weights):
         """``h * sum_j G[i-j] w_j u_j`` for u of shape (N, d)."""

@@ -16,22 +16,15 @@ import numpy as np
 from scipy.linalg import expm
 
 from .cocycle import (DiscreteCocycle, _unit_envelope, discretize,
-                      spectral_norm)
-from .dichotomy import (DichotomyCertificate, _range_basis, _window_nodes,
-                        autonomous_certificate, verify_dichotomy)
+                      spectral_norm, spectral_norms, stack_steps)
+from .dichotomy import (DichotomyCertificate, _split_march, _window_nodes,
+                        autonomous_certificate, delta_threshold,
+                        verify_dichotomy)
 from .errors import RobustnessHypothesisError, SplitflowError
 from .greens import _delta_eff, _impulse_span, impulse_response_projection
 from .io import jsonable
 
 SAFETY = 0.9  # applied to the strict thresholds: finite-window sups run low
-
-
-def delta_threshold(alpha):
-    """Admissible perturbation size ``(1 - e^{-alpha}) / (1 + e^{-alpha})``."""
-    if not alpha > 0.0:
-        raise ValueError(f"exponent must be positive, got {alpha}")
-    e = math.exp(-alpha)
-    return (1.0 - e) / (1.0 + e)
 
 
 def gronwall_constants(a, delta, d_const):
@@ -186,11 +179,8 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
     nodes = _window_nodes(window)
     n_lo, n_hi = nodes[0], nodes[-1]
 
-    d_unit = max(
-        max(spectral_norm(a - b) for a, b in
-            zip(base_cc.unit_flow(n), perturbed_cc.unit_flow(n)))
-        for n in nodes[:-1]
-    )
+    d_unit = max(float(np.max(spectral_norms(
+        base_cc.unit_flow(n) - perturbed_cc.unit_flow(n)))) for n in nodes[:-1])
     allowed = safety * delta_threshold(base_cert.exponent) / base_cert.bound
     if d_unit > allowed:
         raise RobustnessHypothesisError(
@@ -278,56 +268,34 @@ def subspace_decay_diagnostic(cocycle, cert, window, rate_slack=0.05):
     Columns of the stable projection must have forward orbits decaying at
     least at rate ``alpha_tilde`` (minus the slack); unstable columns must
     extend to backward orbits decaying at rate ``beta_tilde`` when walked
-    backward.  Fits run over the given window from its center node.
+    backward.  Fits run over the given window from its center node, on the
+    columns of the center node in the window's split-flow march.
     """
     nodes = _window_nodes(window)
-    n0 = nodes[len(nodes) // 2]
+    c = len(nodes) // 2
     alpha = cert.exponent
     beta = cert.meta.get("beta_tilde", alpha)
-    d = cert.dim
     if not isinstance(cocycle, DiscreteCocycle):
         cocycle = discretize(cocycle)
-
-    def step(n):
-        return np.atleast_2d(np.asarray(cocycle.step(n), float))
+    march = _split_march(stack_steps(cocycle.step, nodes[:-1]),
+                         np.array([cert.proj_s(n) for n in nodes]),
+                         len(nodes) - 1)
 
     out = {}
-    ks = np.arange(0, nodes[-1] - n0 + 1)
-    m = np.eye(d)
-    norms = []
-    for k in ks:
-        norms.append(spectral_norm(m @ cert.proj_s(n0)))
-        if n0 + k < nodes[-1]:
-            m = step(n0 + int(k)) @ m
-    norms = np.array(norms)
+    norms = spectral_norms(march.fwd[: len(nodes) - c, c])
     if norms[0] > 0 and np.all(norms > 0):
-        slope = np.polyfit(ks, np.log(norms), 1)[0]
+        slope = np.polyfit(np.arange(len(norms)), np.log(norms), 1)[0]
         out["forward"] = {"slope": float(slope),
                           "required": -alpha * (1.0 - rate_slack),
                           "passed": slope <= -alpha * (1.0 - rate_slack)}
     else:
         out["forward"] = {"slope": -math.inf, "required": -alpha, "passed": True}
 
-    pu = cert.proj_u(n0)
-    b0 = _range_basis(pu)
-    if b0.shape[1] == 0:
+    if march.rank[c] == 0:
         out["backward"] = {"slope": -math.inf, "required": -beta, "passed": True}
         return out
-    ks = np.arange(0, n0 - nodes[0] + 1)
-    cur = pu
-    norms = []
-    for k in ks:
-        norms.append(spectral_norm(cur))
-        n = n0 - int(k) - 1
-        if n < nodes[0]:
-            break
-        bn = _range_basis(cert.proj_u(n))
-        bn1 = _range_basis(cert.proj_u(n + 1))
-        w = bn1.T @ step(n) @ bn
-        cur = (bn @ np.linalg.inv(w) @ bn1.T) @ cur
-    norms = np.array(norms)
-    kk = np.arange(len(norms))
-    slope = np.polyfit(kk, np.log(norms), 1)[0]
+    norms = spectral_norms(march.bwd[: c + 1, c])
+    slope = np.polyfit(np.arange(len(norms)), np.log(norms), 1)[0]
     out["backward"] = {"slope": float(slope),
                        "required": -beta * (1.0 - rate_slack),
                        "passed": slope <= -beta * (1.0 - rate_slack)}

@@ -57,6 +57,35 @@ def brute_force_projections(step_matrix, n_power=200):
     return np.eye(2) - pi_u, pi_u
 
 
+def time_varying_saddle(window, seed=14, sigma=0.03, reach=80):
+    """A saddle cocycle ``A_n = diag(1/2, 2) + sigma N(0, 1)`` with its exact
+    invariant projections on the window nodes.
+
+    The unstable direction at node n is the image of ``A_{n-1} ... A_{n-L}``
+    (forward power iteration from the far past), the stable one the
+    preimage of ``A_{n+L-1} ... A_n`` (backward power iteration from the far
+    future); at ``L = reach`` both are exact to machine precision.  Returns
+    ``(steps, projections)``: dicts of step matrices and ``Pi^s`` by node.
+    """
+    lo, hi = window
+    gen = np.random.default_rng(seed)
+    steps = {n: np.diag([0.5, 2.0]) + sigma * gen.standard_normal((2, 2))
+             for n in range(lo - reach, hi + reach + 1)}
+    projections = {}
+    for n in range(lo, hi + 2):
+        u = np.ones(2)
+        for k in range(n - reach, n):
+            u = steps[k] @ u
+            u /= np.linalg.norm(u)
+        s = np.ones(2)
+        for k in range(n + reach - 1, n - 1, -1):
+            s = np.linalg.solve(steps[k], s)
+            s /= np.linalg.norm(s)
+        w = np.array([-s[1], s[0]])  # annihilates the stable direction
+        projections[n] = np.eye(2) - np.outer(u, w) / (w @ u)
+    return steps, projections
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

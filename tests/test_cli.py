@@ -57,6 +57,20 @@ class TestExitCodes:
         assert run_cli(["ou-check", "--config", str(tmp_path / "absent.cfg"),
                         "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, text", [
+        ("robustness", "pert_step = nan\n"),
+        ("robustness", "rotation = nan\n"),
+        ("robustness", "pert_step = inf\n"),
+        ("hyperbolic", "eta_grid = 0.2,nan\n"),
+        ("ou-check", "checkpoints = 10,inf\n"),
+    ])
+    def test_non_finite_config_is_two(self, tmp_path, command, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert run_cli([command, "--config", str(cfg),
+                        "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
 
 class TestOuCheck(object):
     def test_default_small_run(self, tmp_path):
@@ -88,6 +102,16 @@ class TestRobustnessCmd:
         assert body["passed"] is True
         scalar = body["instances"][0]
         assert scalar["alpha_tilde"] <= -np.log(0.55) + 1e-9
+
+    @pytest.mark.parametrize("half", [24, 48])
+    def test_saddle_passes_on_long_windows(self, tmp_path, half):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"t_min = {-half}\nt_max = {half}\n")
+        out = tmp_path / "out"
+        assert run_cli(["robustness", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        body = json.loads((out / "robustness.json").read_text())
+        assert [i["passed"] for i in body["instances"]] == [True, True]
 
     def test_delta_zero_collapses_constants(self, tmp_path):
         cfg = tmp_path / "r.cfg"

@@ -4,11 +4,56 @@ from scipy.linalg import expm
 
 from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        DichotomyCertificate, GreenKernel, NonHyperbolicError,
-                       autonomous_certificate, autonomous_certificate_discrete,
+                       SplitflowError, autonomous_certificate,
+                       autonomous_certificate_discrete, discretize,
                        paper_projection_bound, projection_distance,
-                       spectral_norm, spectral_projection,
-                       spectral_projection_discrete, verify_dichotomy)
-from conftest import riesz_projector_oracle
+                       robust_dichotomy_discrete, spectral_norm,
+                       spectral_projection, spectral_projection_discrete,
+                       verify_dichotomy)
+from splitflow.cocycle import UNIT_SAMPLES
+from conftest import riesz_projector_oracle, time_varying_saddle
+
+SADDLE = np.diag([0.5, 2.0])
+
+
+def rotated_saddle():
+    """The CLI's saddle instance: base, its certificate, and the rotated
+    perturbation."""
+    eps = 0.01
+    rot = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
+    base_cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
+                                              np.log(2.0), discrete=True)
+    return (DiscreteCocycle.constant(SADDLE), base_cert,
+            DiscreteCocycle.constant(rot @ SADDLE))
+
+
+def oracle_ratios(cocycle, cert, nodes):
+    """Forward and backward max decay ratios from per-pair kernel values.
+
+    Each pair (t, s) is one :class:`GreenKernel` evaluation: the plain
+    product for the forward branch, projected once onto ``Pi^s(t)`` at the
+    end (equal in exact arithmetic, since the projections are invariant, and
+    free of the round-off that grows along the unstable range), and the
+    multi-step restricted inverse for the backward branch.  A continuous
+    cocycle adds the fractional horizons from its unit-flow table.
+    """
+    discrete = isinstance(cocycle, DiscreteCocycle)
+    g = GreenKernel(cocycle if discrete else discretize(cocycle), cert)
+    k, a = cert.bound, cert.exponent
+    fwd = bwd = 0.0
+    for s in nodes:
+        bwd = max(bwd, spectral_norm(cert.proj_u(s)) / k)
+        for t in nodes:
+            if t < s:
+                bwd = max(bwd, spectral_norm(g.eval(t, s)) * np.exp(a * (s - t)) / k)
+                continue
+            val = cert.proj_s(t) @ g.eval(t, s)
+            fwd = max(fwd, spectral_norm(val) * np.exp(a * (t - s)) / k)
+            if not discrete and t < nodes[-1]:
+                for j, snap in enumerate(cocycle.unit_flow(t)[1:-1], start=1):
+                    h = t - s + j / UNIT_SAMPLES
+                    fwd = max(fwd, spectral_norm(snap @ val) * np.exp(a * h) / k)
+    return fwd, bwd
 
 
 class TestSpectralProjection:
@@ -115,31 +160,126 @@ class TestVerify:
                                slack=1.5)
         assert rep.passed
 
-    def test_doubled_exponent_fails(self):
+    @pytest.mark.parametrize("half", [3, 48])
+    def test_doubled_exponent_fails(self, half):
         a = np.diag([-1.0, 1.0])
         cert = autonomous_certificate(a)
         bad = DichotomyCertificate.constant(cert.proj_s(0), cert.bound,
                                             2.0 * cert.exponent, discrete=False)
-        rep = verify_dichotomy(ContinuousCocycle.constant(a), bad, (-3, 3),
-                               slack=1.01)
+        rep = verify_dichotomy(ContinuousCocycle.constant(a), bad,
+                               (-half, half), slack=1.01)
         assert not rep.passed
         assert not rep.axioms["forward_decay"]["passed"]
 
-    def test_unstable_projection_identity_fails_backward(self):
+    @pytest.mark.parametrize("half", [3, 48])
+    def test_unstable_projection_identity_fails_backward(self, half):
         saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
         bad = DichotomyCertificate.constant(np.zeros((2, 2)), 1.0,
                                             np.log(2.0), discrete=True)
-        rep = verify_dichotomy(saddle, bad, (-3, 3), slack=1.05)
+        rep = verify_dichotomy(saddle, bad, (-half, half), slack=1.05)
         assert not rep.passed
         assert not rep.axioms["backward_decay"]["passed"]
 
-    def test_stable_projection_identity_fails_forward(self):
+    @pytest.mark.parametrize("half", [3, 48])
+    def test_stable_projection_identity_fails_forward(self, half):
         saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
         bad = DichotomyCertificate.constant(np.eye(2), 1.0, np.log(2.0),
                                             discrete=True)
-        rep = verify_dichotomy(saddle, bad, (-3, 3), slack=1.05)
+        rep = verify_dichotomy(saddle, bad, (-half, half), slack=1.05)
         assert not rep.passed
         assert not rep.axioms["forward_decay"]["passed"]
+
+    @pytest.mark.parametrize("half", [3, 48])
+    def test_tilted_projections_fail(self, half):
+        # the saddle's robust certificate with every Pi^s tilted by 1e-3 rad
+        base, base_cert, pert = rotated_saddle()
+        cert = robust_dichotomy_discrete(base, base_cert, pert, (-half, half),
+                                         verify=False)
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        tilt = np.array([[c, -s], [s, c]])
+        bad = DichotomyCertificate(
+            bound=cert.bound, exponent=cert.exponent, discrete=True,
+            projections={n: tilt @ p @ tilt.T
+                         for n, p in cert.projections.items()})
+        rep = verify_dichotomy(pert, bad, (-half, half), slack=1.1)
+        assert not rep.passed
+        assert not rep.axioms["commutation"]["passed"]
+        assert not rep.axioms["invertibility"]["passed"]
+
+    @pytest.mark.parametrize("half", [24, 48])
+    def test_saddle_certificate_passes_long_windows(self, half):
+        base, base_cert, pert = rotated_saddle()
+        cert = robust_dichotomy_discrete(base, base_cert, pert, (-half, half),
+                                         slack=1.1)
+        rep = cert.meta["verification"]
+        assert rep.passed
+        short = robust_dichotomy_discrete(base, base_cert, pert, (-8, 8),
+                                          slack=1.1).meta["verification"]
+        for axiom in ("forward_decay", "backward_decay"):
+            assert rep.axioms[axiom]["max_ratio"] == \
+                short.axioms[axiom]["max_ratio"]
+
+    @pytest.mark.parametrize("half", [3, 5, 8])
+    @pytest.mark.parametrize("case", ["time_varying", "discretized",
+                                      "continuous"])
+    def test_ratios_match_per_pair_oracle(self, case, half):
+        nodes = list(range(-half, half + 1))
+        if case == "time_varying":
+            steps, projections = time_varying_saddle((-half, half))
+            cocycle = DiscreteCocycle(lambda n: steps[n], 2)
+            cert = DichotomyCertificate(bound=1.0, exponent=0.8, discrete=True,
+                                        projections=projections)
+        else:
+            a = np.array([[0.0, 1.0], [2.0, -1.0]])  # eigenvalues 1, -2
+            cocycle = ContinuousCocycle.constant(a)
+            # exponent above both rates: the ratios peak at long horizons
+            cert = DichotomyCertificate.constant(
+                autonomous_certificate(a).proj_s(0), 1.0, 2.2,
+                discrete=case == "discretized")
+            if case == "discretized":
+                cocycle = discretize(cocycle)
+        rep = verify_dichotomy(cocycle, cert, (-half, half))
+        fwd, bwd = oracle_ratios(cocycle, cert, nodes)
+        assert rep.axioms["forward_decay"]["max_ratio"] == \
+            pytest.approx(fwd, rel=1e-10)
+        assert rep.axioms["backward_decay"]["max_ratio"] == \
+            pytest.approx(bwd, rel=1e-10)
+
+    def test_leakage_charged_against_roughness_threshold(self):
+        # Pi^s tilted by 3e-7 rad: leakage and commutation residual stay
+        # below comm_tol, but K * leakage exceeds delta_threshold(ln 2) = 1/3
+        # once K = 1e6, and the roughness theorem no longer applies
+        saddle = DiscreteCocycle.constant(SADDLE)
+        c, s = np.cos(3e-7), np.sin(3e-7)
+        tilt = np.array([[c, -s], [s, c]])
+        pi_s = tilt @ np.diag([1.0, 0.0]) @ tilt.T
+        for bound, charged_ok in ((1.0, True), (1e6, False)):
+            cert = DichotomyCertificate.constant(pi_s, bound, np.log(2.0),
+                                                 discrete=True)
+            rep = verify_dichotomy(saddle, cert, (-3, 3))
+            inv = rep.axioms["invertibility"]
+            assert rep.axioms["commutation"]["passed"]
+            assert inv["leakage"] <= inv["tol"]
+            assert inv["charged_leakage"] == bound * inv["leakage"]
+            assert inv["passed"] is charged_ok
+            assert rep.passed is charged_ok
+
+    def test_strong_saddle_passes_long_window(self):
+        # the stable kernel underflows to 0 where e^{alpha t} overflows
+        step = np.diag([1e-4, 1e4])
+        cert = autonomous_certificate_discrete(step)
+        rep = verify_dichotomy(DiscreteCocycle.constant(step), cert, (-48, 48))
+        assert rep.passed
+        assert rep.axioms["forward_decay"]["max_ratio"] == 1.0
+
+    def test_non_finite_step_raises_typed_error(self):
+        steps = {n: SADDLE for n in range(-3, 3)}
+        steps[1] = np.array([[0.5, np.nan], [0.0, 2.0]])
+        cocycle = DiscreteCocycle(lambda n: steps[n], 2)
+        cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
+                                             np.log(2.0), discrete=True)
+        with pytest.raises(SplitflowError, match="node 1"):
+            verify_dichotomy(cocycle, cert, (-3, 3))
 
     def test_report_serializes(self):
         a = np.diag([-1.0, 1.0])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from splitflow import (ContractionMarginError, DiscreteCocycle,
-                       DichotomyCertificate, ForcingSequence, bounded_solution,
-                       gamma_apply, impulse_response_projection,
-                       truncation_length)
+                       DichotomyCertificate, ForcingSequence, GreenKernel,
+                       SplitflowError, bounded_solution, gamma_apply,
+                       impulse_response_projection, truncation_length)
+from splitflow.greens import GreenBand
+from conftest import time_varying_saddle
 
 LN2 = float(np.log(2.0))
 
@@ -74,6 +76,36 @@ class TestGammaApply:
         lhs = gamma_apply(c, cert, b, f0, x + y)
         rhs = gamma_apply(c, cert, b, f0, x) + gamma_apply(c, cert, b, f0, y)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+class TestGreenBand:
+    def test_tables_match_kernel_per_pair(self):
+        # the marched tables against the per-pair two-branch kernel on a
+        # time-varying saddle with exact invariant projections
+        n_lo, n_hi = -6, 5
+        steps, projections = time_varying_saddle((n_lo, n_hi))
+        c = DiscreteCocycle(lambda n: steps[n], 2)
+        cert = DichotomyCertificate(bound=1.5, exponent=0.5, discrete=True,
+                                    projections=projections)
+        band = n_hi - n_lo + 1
+        gb = GreenBand(c, cert, n_lo, n_hi, band)
+        g = GreenKernel(c, cert)
+        for i, m in enumerate(range(n_lo + 1, n_hi + 2)):
+            for j in range(band + 1):
+                if m + j <= n_hi:
+                    assert np.max(np.abs(gb.fwd[j, i] - g.eval(m + j, m))) \
+                        < 1e-12
+                if j >= 1 and m - j >= n_lo:
+                    assert np.max(np.abs(gb.bwd[j, i] - g.eval(m - j, m))) \
+                        < 1e-12
+
+    def test_rank_change_raises(self):
+        c, _ = saddle()
+        cert = DichotomyCertificate(
+            bound=1.0, exponent=LN2, discrete=True,
+            projections={n: np.diag([1.0, float(n > 0)]) for n in range(-4, 5)})
+        with pytest.raises(SplitflowError, match="rank changes across node 0"):
+            GreenBand(c, cert, -4, 3, 4)
 
 
 class TestBoundedSolution:

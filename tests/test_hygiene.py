@@ -7,6 +7,9 @@ wraps functions it looks up by name).  A method counts as used only when it
 is named as an attribute or as an identifier string: a bare name is a local
 variable or a module-level function, never a method.  Dunder names are
 exempt.
+
+Likewise every ``self.<attr>`` stored under src/splitflow must be read
+somewhere: as an attribute load or as an identifier string (``getattr``).
 """
 
 import ast
@@ -66,3 +69,34 @@ def test_every_definition_is_named_elsewhere():
               if not (name.startswith("__") and name.endswith("__"))
               and (member_mention if is_method else any_mention)[name] == 0]
     assert not unused, "defined but never named:\n" + "\n".join(unused)
+
+
+def _stored_attributes(tree):
+    """``(attr, line)`` of every ``self.<attr>`` assignment target."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and isinstance(node.value, ast.Name) and node.value.id == "self":
+            yield node.attr, node.lineno
+
+
+def _attribute_reads(tree):
+    """Names read as an attribute or given as an identifier string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_stored_attribute_is_read():
+    read = set()
+    stored = []
+    for path, tree in _trees():
+        read.update(_attribute_reads(tree))
+        if path.is_relative_to(PACKAGE):
+            stored.extend((attr, path.relative_to(ROOT), line)
+                          for attr, line in _stored_attributes(tree))
+    unread = [f"{path}:{line} self.{attr}" for attr, path, line in stored
+              if attr not in read]
+    assert not unread, "stored but never read:\n" + "\n".join(unread)

@@ -6,8 +6,8 @@ import pytest
 
 from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        DichotomyCertificate, KappaFn, RobustnessHypothesisError,
-                       TimeGrid, autonomous_certificate, delta_threshold,
-                       gronwall_constants, lift_certificate,
+                       SplitflowError, TimeGrid, autonomous_certificate,
+                       delta_threshold, gronwall_constants, lift_certificate,
                        linear_random_perturbation_check, noise_bounds,
                        ou_series, paper_projection_bound, projection_distance,
                        robust_constants, robust_dichotomy_continuous,
@@ -235,6 +235,23 @@ class TestDiscretePipeline:
         cert = robust_dichotomy_discrete(pert, bc, pert, (-6, 6))
         diag = subspace_decay_diagnostic(pert, cert, (-6, 6))
         assert diag["forward"]["passed"] and diag["backward"]["passed"]
+
+    def test_decay_diagnostic_exact_slopes(self):
+        # diagonal saddle, exact projections: both orbits decay like 2^-k
+        saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
+        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
+                                           discrete=True)
+        diag = subspace_decay_diagnostic(saddle, bc, (-5, 7))
+        for way in ("forward", "backward"):
+            assert diag[way]["slope"] == pytest.approx(-LN2, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_perturbation_raises_typed_error(self, bad):
+        base = DiscreteCocycle.constant([[0.5]])
+        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+        with pytest.raises(SplitflowError, match="non-finite"):
+            robust_dichotomy_discrete(base, bc,
+                                      DiscreteCocycle.constant([[bad]]), (-5, 5))
 
 
 class TestContinuousPipeline:
