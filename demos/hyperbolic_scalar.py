@@ -17,10 +17,11 @@ grid = sf.TimeGrid(-112.0, 72.0, 1.0 / 64)
 path = sf.sample_wiener_path(grid, seed=8)
 kappa = sf.KappaFn.inverse_quadratic(0.002)
 
+# f is batched over states already; pointwise adapts the one-state f_prime
 strat = sf.StratonovichSpec(
     b_matrix=[[1.0]],
     f=lambda y: -y ** 3,
-    f_prime=lambda y: np.atleast_2d(-3.0 * y ** 2),
+    f_prime=sf.pointwise(lambda y: np.atleast_2d(-3.0 * y ** 2)),
     eta=1.0, kappa=kappa,
 )
 problem = sf.random_ode_problem(strat, path, y0_star=[1.0], r_u=0.3)
@@ -41,7 +42,8 @@ eta = 0.1
 sol = sf.find_hyperbolic_solution(problem, eta, window, tol=1e-10)
 from splitflow.cocycle import integrate_nonlinear
 
-field = lambda t, y: np.array([y[0]]) + problem.f_eta(eta, t, y)
+field = lambda t, y: (np.array([y[0]])
+                      + problem.f_eta(eta, np.array([t]), y[None])[0])
 y_pb = integrate_nonlinear(field, -40.0, 5.0, np.array([1.0]), step=1.0 / 128)
 print(f"  pullback y(5)    = {y_pb[0]:.10f}")
 print(f"  fixed point xi(5) = {sol.xi_star(5.0)[0]:.10f}")

@@ -30,8 +30,8 @@ from .noise import (KappaFn, NoiseBounds, SamplePath, default_kappa,
                     sublinearity_report, zero_path)
 from .cocycle import (ContinuousCocycle, DiscreteCocycle,
                       EvolutionProcessView, compose_discrete, discretize,
-                      export_matrix_csv, integrate, one_step_bound, propagator,
-                      spectral_norm)
+                      export_matrix_csv, integrate, one_step_bound, pointwise,
+                      propagator, spectral_norm)
 from .dichotomy import (DichotomyCertificate, GreenKernel, VerificationReport,
                         autonomous_certificate, autonomous_certificate_discrete,
                         paper_projection_bound, projection_distance,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cocycle import DiscreteCocycle
+from .cocycle import DiscreteCocycle, pointwise
 from .dichotomy import DichotomyCertificate
 from .errors import ConfigurationError, SplitflowError
 from .grids import TimeGrid
@@ -331,11 +331,11 @@ def _hyperbolic_problem(cfg):
     if v["model"] == "additive":
         return SemilinearProblem(
             a_matrix=[[-1.0]],
-            f_eta=lambda eta, t, y: np.array([eta * np.cos(t)]),
-            f0=lambda y: np.zeros(1),
+            f_eta=pointwise(lambda eta, t, y: np.array([eta * np.cos(t)])),
+            f0=pointwise(lambda y: np.zeros(1)),
             y0_star=[0.0], r_u=1.0,
-            f0_prime=lambda y: np.zeros((1, 1)),
-            f_eta_dy=lambda eta, t, y: np.zeros((1, 1)),
+            f0_prime=pointwise(lambda y: np.zeros((1, 1))),
+            f_eta_dy=pointwise(lambda eta, t, y: np.zeros((1, 1))),
         )
     if v["model"] == "cubic":
         pg = TimeGrid(v["t_min"] - 42.0, v["t_max"] + 2.0, v["h"])
@@ -343,7 +343,7 @@ def _hyperbolic_problem(cfg):
         kap = KappaFn.inverse_quadratic(v["kappa_amplitude"])
         strat = StratonovichSpec(
             b_matrix=[[1.0]], f=lambda y: -y ** 3,
-            f_prime=lambda y: np.atleast_2d(-3.0 * y ** 2),
+            f_prime=lambda y: (-3.0 * y ** 2)[:, :, None],
             eta=1.0, kappa=kap,
         )
         return random_ode_problem(strat, path, [1.0], r_u=v["r_u"])

@@ -5,9 +5,14 @@ one-step maps along the driven base orbit); a continuous one by a
 matrix-valued generator ``t -> G(t)`` of the linear ODE ``x' = G(t) x``.
 Both expose the two-parameter evolution maps by composition.  Integration is
 classical fixed-step RK4: generators met in practice are smooth in time and a
-fixed step keeps runs bit-reproducible per seed.  The flow of a continuous
-cocycle over each unit interval [n, n+1] is integrated once, into the
-cocycle's unit-flow table (:meth:`ContinuousCocycle.unit_flow`); the
+fixed step keeps runs bit-reproducible per seed.
+
+Generators are time-batched: ``generator(ts)`` maps a vector of N times to
+the ``(N, d, d)`` stack of generator matrices, so one RK4 run advances a
+whole stack of initial value problems with one generator call per stage;
+:func:`pointwise` adapts a callback written for one time.  The flow of a
+continuous cocycle over each unit interval [n, n+1] is integrated once, into
+the cocycle's unit-flow table (:meth:`ContinuousCocycle.unit_flows`); the
 discretization, the lift envelope and the verifier all read that table.
 """
 
@@ -21,6 +26,25 @@ from .io import write_csv
 
 DEFAULT_STEP = 1.0 / 64.0
 UNIT_SAMPLES = 16  # snapshot intervals per unit in the unit-flow table
+
+
+def pointwise(fn):
+    """Adapt a callback written for one time point to the batched protocol.
+
+    The adapted callable takes every array argument with a leading batch
+    axis of length N (times ``ts[N]``, states ``Y[N, d]``) and shares every
+    scalar argument (such as ``eta``) across the batch; it calls ``fn`` once
+    per batch row and stacks the results.  ``pointwise(lambda eta, t, y:
+    ...)`` is a field ``f_eta(eta, ts, Y)``, ``pointwise(lambda t: ...)`` a
+    generator ``generator(ts)``.
+    """
+    def batched(*args):
+        n = next(len(a) for a in args if np.ndim(a))
+        return np.array([
+            np.asarray(fn(*(a[i] if np.ndim(a) else a for a in args)), float)
+            for i in range(n)])
+
+    return batched
 
 
 def spectral_norm(m):
@@ -117,12 +141,15 @@ def compose_discrete(c, n, base=0):
 class ContinuousCocycle:
     """Generator view of a continuous linear cocycle ``x' = generator(t) x``.
 
-    ``step`` is the RK4 integrator step; tighten it when an oracle demands
-    more accuracy than the O(step^4) default.  ``time_invariant`` marks an
-    autonomous generator so its unit-flow table holds one shared entry.
+    ``generator(ts)`` is time-batched: it maps a vector of N times to the
+    ``(N, d, d)`` stack of generator matrices (wrap a one-time callback with
+    :func:`pointwise`).  ``step`` is the RK4 integrator step; tighten it
+    when an oracle demands more accuracy than the O(step^4) default.
+    ``time_invariant`` marks an autonomous generator so its unit-flow table
+    holds one shared entry.
     """
 
-    generator: Callable[[float], np.ndarray]
+    generator: Callable[[np.ndarray], np.ndarray]
     dim: int
     step: float = DEFAULT_STEP
     label: str = ""
@@ -131,61 +158,99 @@ class ContinuousCocycle:
                          compare=False)
 
     def unit_flow(self, n):
-        """Snapshots ``phi(j / UNIT_SAMPLES, shift n)``, j = 0..UNIT_SAMPLES.
+        """Snapshots ``phi(j / UNIT_SAMPLES, shift n)``, j = 0..UNIT_SAMPLES."""
+        return self.unit_flows([n])[0]
 
-        Memoized per cocycle and integer shift (shift 0 for every n when
-        ``time_invariant``), so each unit propagator is integrated once.
+    def unit_flows(self, shifts):
+        """:meth:`unit_flow` at every integer shift, stacked to shape
+        ``(len(shifts), UNIT_SAMPLES + 1, d, d)``.
+
+        The table is memoized per cocycle and integer shift (shift 0 for
+        every n when ``time_invariant``); the shifts it lacks are integrated
+        together, in one RK4 run over their stack.
         """
-        key = 0 if self.time_invariant else int(n)
-        if key not in self._units:
-            self._units[key] = propagator(self, float(key), 1.0,
-                                          UNIT_SAMPLES)[2]
-        return self._units[key]
+        keys = self._fill(shifts, snapshots=True)
+        return np.array([self._units[k] for k in keys]).reshape(
+            len(keys), UNIT_SAMPLES + 1, self.dim, self.dim)
+
+    def unit_steps(self, shifts):
+        """The unit steps ``phi(1, shift n)`` at every integer shift, stacked
+        to shape ``(len(shifts), d, d)``.  A shift this integrates keeps only
+        its endpoint in the table; each is still integrated once."""
+        keys = self._fill(shifts, snapshots=False)
+        return np.array([self._units[k][-1] for k in keys]).reshape(
+            len(keys), self.dim, self.dim)
+
+    def _fill(self, shifts, snapshots):
+        """Table keys of ``shifts``, after integrating the missing entries
+        (and, when ``snapshots``, the entries that hold only an endpoint)."""
+        keys = [0 if self.time_invariant else int(n) for n in shifts]
+        todo = sorted({k for k in keys if k not in self._units
+                       or (snapshots and len(self._units[k]) == 1)})
+        if not todo:
+            return keys
+        if len(todo) == 1:  # a single shift is one propagator call
+            flows = propagator(self, float(todo[0]), 1.0, UNIT_SAMPLES)[2][None]
+        else:
+            t0 = np.array(todo, float)
+            n = _step_count(1.0, self.step, UNIT_SAMPLES)
+            gen = self.generator
+            flows = _rk4(lambda t, y: gen(t) @ y, t0, t0 + 1.0,
+                         np.broadcast_to(np.eye(self.dim),
+                                         (len(todo), self.dim, self.dim)),
+                         n, every=n // UNIT_SAMPLES if snapshots else n)
+        for k, flow in zip(todo, flows):
+            self._units[k] = flow if snapshots else flow[-1:]
+        return keys
 
     @staticmethod
     def constant(matrix, step=DEFAULT_STEP, label=""):
         m = np.atleast_2d(np.asarray(matrix, float)).copy()
-        return ContinuousCocycle(lambda t: m, m.shape[0], step, label,
-                                 time_invariant=True)
+        return ContinuousCocycle(
+            lambda ts: np.broadcast_to(m, (len(ts),) + m.shape), m.shape[0],
+            step, label, time_invariant=True)
 
 
-def _rk4(field, t0, t1, y0, step, samples=None):
-    """Integrate y' = field(t, y) from t0 to t1; optionally record snapshots.
-
-    ``samples``: number of equispaced snapshot intervals in [t0, t1]; when
-    given, returns (y_end, times, snapshots) with snapshots[0] = y(t0).
-    """
-    span = t1 - t0
+def _step_count(span, step, samples):
+    """RK4 steps over ``span``: the least multiple of ``samples`` whose
+    steps are at most ``step`` long (none for an empty span)."""
     if span == 0:
-        out = np.array(y0, float)
-        if samples is None:
-            return out
-        return out, np.array([t0]), np.array([out])
-    if samples is None:
-        n = max(1, int(np.ceil(abs(span) / step - 1e-12)))
-        bounds = np.linspace(t0, t1, n + 1)
-        snaps = None
-    else:
-        per = max(1, int(np.ceil(abs(span) / (samples * step) - 1e-12)))
-        n = per * samples
-        bounds = np.linspace(t0, t1, n + 1)
-        snaps = [np.array(y0, float)]
+        return 0
+    return max(1, int(np.ceil(abs(span) / (samples * step) - 1e-12))) * samples
+
+
+def _rk4(field, t0, t1, y0, n, every=None):
+    """RK4 for ``y' = field(t, y)`` over a stack of initial value problems.
+
+    Member b runs from ``t0[b]`` to ``t1[b]`` with ``y0[b]`` in ``n`` equal
+    steps on its own grid ``linspace(t0[b], t1[b], n + 1)``, so it equals
+    the run of that member alone; ``field`` receives the vector of the
+    members' stage times and the stacked states.  Returns the end states,
+    or with ``every`` the states after every ``every`` steps, ``y0``
+    included, stacked on axis 1.
+    """
+    t0, t1 = np.asarray(t0, float), np.asarray(t1, float)
+    bounds = np.linspace(t0, t1, n + 1)
     y = np.array(y0, float)
+    shape = (-1,) + (1,) * (y.ndim - 1)
+    snaps = None if every is None else [y]
     for i in range(n):
         ta, tb = bounds[i], bounds[i + 1]
         hh = tb - ta
+        hb = hh.reshape(shape)
         k1 = field(ta, y)
-        k2 = field(ta + hh / 2, y + hh / 2 * k1)
-        k3 = field(ta + hh / 2, y + hh / 2 * k2)
-        k4 = field(tb, y + hh * k3)
-        y = y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if snaps is not None and (i + 1) % per == 0:
-            snaps.append(y.copy())
-    if not np.all(np.isfinite(y)):
-        raise IntegrationError(f"non-finite state while integrating [{t0}, {t1}]")
-    if snaps is None:
-        return y
-    return y, np.linspace(t0, t1, samples + 1), np.array(snaps)
+        k2 = field(ta + hh / 2, y + hb / 2 * k1)
+        k3 = field(ta + hh / 2, y + hb / 2 * k2)
+        k4 = field(tb, y + hb * k3)
+        y = y + (hb / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if snaps is not None and (i + 1) % every == 0:
+            snaps.append(y)
+    bad = ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
+    if np.any(bad):
+        b = int(np.argmax(bad))
+        raise IntegrationError(
+            f"non-finite state while integrating [{t0[b]}, {t1[b]}]")
+    return y if snaps is None else np.stack(snaps, axis=1)
 
 
 def integrate(c, t0, t1, x0):
@@ -195,7 +260,9 @@ def integrate(c, t0, t1, x0):
     x0 = np.asarray(x0, float)
     scalar = x0.ndim == 0
     gen = c.generator
-    y = _rk4(lambda t, y: gen(t) @ y, t0, t1, np.atleast_1d(x0), c.step)
+    y = _rk4(lambda t, y: gen(t) @ y, [t0], [t1],
+             np.atleast_1d(x0)[None, :, None],
+             _step_count(t1 - t0, c.step, 1))[0, :, 0]
     return float(y[0]) if scalar else y
 
 
@@ -203,27 +270,34 @@ def propagator(c, shift, duration, samples=None):
     """The matrix ``phi(duration)`` along the orbit started at base shift.
 
     Integrates the matrix ODE over [shift, shift + duration]; with
-    ``samples`` also returns equispaced snapshots for norm scans.
+    ``samples`` also returns the equispaced snapshot times and snapshots
+    ``(y_end, times, snapshots)`` for norm scans, snapshots[0] = identity.
     """
     if duration < 0:
         raise ValueError("propagator needs duration >= 0")
     gen = c.generator
-    return _rk4(lambda t, y: gen(t) @ y, shift, shift + duration,
-                np.eye(c.dim), c.step, samples=samples)
+    n = _step_count(duration, c.step, samples or 1)
+    run = _rk4(lambda t, y: gen(t) @ y, [shift], [shift + duration],
+               np.eye(c.dim)[None], n,
+               every=n // samples if samples else None)[0]
+    if samples is None:
+        return run
+    return run[-1], np.linspace(shift, shift + duration, len(run)), run
 
 
 def integrate_nonlinear(field, t0, t1, y0, step=DEFAULT_STEP):
     """RK4 for a nonlinear field ``y' = field(t, y)`` (oracles and demos)."""
     if t1 < t0:
         raise ValueError("integrate_nonlinear needs t1 >= t0")
-    return _rk4(lambda t, y: np.asarray(field(t, y), float), t0, t1,
-                np.atleast_1d(y0), step)
+    return _rk4(lambda t, y: np.asarray(field(t[0], y[0]), float)[None],
+                [t0], [t1], np.atleast_1d(y0)[None],
+                _step_count(t1 - t0, step, 1))[0]
 
 
 def discretize(c):
     """Unit-time step operators ``n -> phi(1, shift n)`` from the unit-flow
     table."""
-    return DiscreteCocycle(lambda n: c.unit_flow(n)[-1], c.dim,
+    return DiscreteCocycle(lambda n: c.unit_steps([n])[0], c.dim,
                            label=c.label + "|unit")
 
 
@@ -231,11 +305,8 @@ def _unit_envelope(c, shifts, alpha):
     """``max(1, max_n max_t |phi(t, shift n)| e^{alpha t})`` over the
     unit-flow table of ``c`` at the integer ``shifts``."""
     ts = np.linspace(0.0, 1.0, UNIT_SAMPLES + 1)
-    env = 1.0
-    for n in shifts:
-        norms = spectral_norms(c.unit_flow(n))
-        env = max(env, float(np.max(norms * np.exp(alpha * ts))))
-    return env
+    norms = spectral_norms(c.unit_flows(shifts))
+    return float(np.max(norms * np.exp(alpha * ts), initial=1.0))
 
 
 def one_step_bound(c, window):

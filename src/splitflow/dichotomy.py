@@ -366,6 +366,7 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     discrete = isinstance(cocycle, DiscreteCocycle)
     k_bound, alpha = cert.bound, cert.exponent
     n = len(nodes)
+    flows = None if discrete else cocycle.unit_flows(nodes[:-1])
     steps = stack_steps(cocycle.step if discrete
                         else lambda m: cocycle.unit_flow(m)[-1], nodes[:-1])
     proj = np.array([cert.proj_s(m) for m in nodes])
@@ -378,7 +379,7 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     norms = np.zeros((n, n, subs))
     norms[:, :, 0] = spectral_norms(march.fwd).T
     if not discrete:
-        snaps = np.array([cocycle.unit_flow(m)[1:-1] for m in nodes[:-1]])
+        snaps = flows[:, 1:-1]
         for k in range(n - 1):
             norms[: n - 1 - k, k, 1:] = spectral_norms(
                 snaps[k:] @ march.fwd[k, : n - 1 - k, None])

@@ -272,7 +272,7 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
         if res <= tol:
             break
     residual = _seq_sup(_gamma(gb, b_step, f, x) - x)
-    if residual > tol:
+    if not residual <= tol:
         raise SplitflowError(
             f"Picard iteration did not certify residual {tol:g} "
             f"(got {residual:.3e} after {it} iterations)"

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import expm
 
-from .cocycle import ContinuousCocycle, spectral_norm
+from .cocycle import ContinuousCocycle, spectral_norms
 from .dichotomy import _envelope_scan, autonomous_certificate
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
@@ -50,10 +50,16 @@ class SemilinearProblem:
     """An autonomous semilinear field with a nonautonomous perturbation family.
 
     ``a_matrix`` is the linearization at the equilibrium (drift plus
-    ``f0'(y0_star)``); ``f_eta(eta, t, y)`` the perturbed nonlinearity with
-    the driving-noise realization baked into the callback; ``r_u`` the
-    radius of the working neighborhood around ``y0_star``.  Analytic
-    derivative callbacks are optional; central differences stand in.
+    ``f0'(y0_star)``); ``f_eta`` the perturbed nonlinearity with the
+    driving-noise realization baked into the callback; ``r_u`` the radius of
+    the working neighborhood around ``y0_star``.  Analytic derivative
+    callbacks are optional; central differences stand in.
+
+    The callbacks are time-batched: ``f_eta(eta, ts[N], Y[N, d]) -> [N, d]``
+    and ``f_eta_dy(eta, ts, Y) -> [N, d, d]`` evaluate row i at time
+    ``ts[i]`` and state ``Y[i]``; ``f0(Y) -> [N, d]`` and
+    ``f0_prime(Y) -> [N, d, d]`` likewise for the autonomous field.  Wrap a
+    callback written for one point with :func:`splitflow.pointwise`.
     """
 
     a_matrix: np.ndarray
@@ -91,10 +97,9 @@ class SemilinearProblem:
 
     def validate(self, tol=1e-8):
         """Equilibrium residual of the full autonomous field, plus hyperbolicity."""
-        d0 = self.d_f0(self.y0_star)
-        drift = self.a_matrix - d0
-        res = float(np.linalg.norm(drift @ self.y0_star
-                                   + np.asarray(self.f0(self.y0_star), float)))
+        y0 = self.y0_star[None]
+        drift = self.a_matrix - self.d_f0(y0)[0]
+        res = float(np.linalg.norm(drift @ self.y0_star + self.f0_at(y0)[0]))
         if res > tol:
             raise ConfigurationError(
                 f"y0_star is not an equilibrium (residual {res:.3e})"
@@ -102,28 +107,62 @@ class SemilinearProblem:
         self.autonomous_cert  # raises if not hyperbolic
         return res
 
-    def d_f0(self, y):
+    def f0_at(self, ys):
+        """``f0`` at the states ``ys[N, d]``, shape ``(N, d)``."""
+        return _rows(self.f0(ys), len(ys), self.dim)
+
+    def f_eta_at(self, eta, ts, ys):
+        """``f_eta`` at the times ``ts[N]`` and states ``ys[N, d]``, shape
+        ``(N, d)``."""
+        return _rows(self.f_eta(eta, ts, ys), len(ys), self.dim)
+
+    def d_f0(self, ys):
+        """Jacobians of ``f0`` at the states ``ys[N, d]``, ``(N, d, d)``."""
         if self.f0_prime is not None:
-            return np.atleast_2d(np.asarray(self.f0_prime(y), float))
-        return _central_jacobian(self.f0, y)
+            return _rows(self.f0_prime(ys), len(ys), self.dim, self.dim)
+        return _central_jacobian(self.f0_at, ys)
 
-    def d_f_eta(self, eta, t, y):
+    def d_f_eta(self, eta, ts, ys):
+        """Jacobians in y of ``f_eta`` at ``(ts[i], ys[i])``, ``(N, d, d)``."""
         if self.f_eta_dy is not None:
-            return np.atleast_2d(np.asarray(self.f_eta_dy(eta, t, y), float))
-        return _central_jacobian(lambda yy: self.f_eta(eta, t, yy), y)
+            return _rows(self.f_eta_dy(eta, ts, ys), len(ys), self.dim,
+                         self.dim)
+        return _central_jacobian(lambda yy: self.f_eta_at(eta, ts, yy), ys)
 
 
-def _central_jacobian(fn, y, rel_step=1e-5):
-    y = np.atleast_1d(np.asarray(y, float))
-    d = len(y)
-    step = rel_step * (1.0 + np.linalg.norm(y))
+def _rows(values, n, *shape):
+    """A batched callback's values as an ``(n, *shape)`` float array."""
+    values = np.asarray(values, float)
+    if values.size != n * math.prod(shape):
+        raise ConfigurationError(
+            f"batched callback gave shape {values.shape} for {n} points, "
+            f"expected {(n, *shape)}; wrap a one-point callback with "
+            "splitflow.pointwise")
+    return values.reshape((n, *shape))
+
+
+def _finite(values, ts):
+    """``values`` (one row per time in ``ts``), or :class:`SplitflowError`
+    naming the first time whose row is not finite."""
+    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if np.any(bad):
+        raise SplitflowError(
+            f"non-finite field values at t={ts[int(np.argmax(bad))]} "
+            f"({int(np.sum(bad))} of {len(bad)} times)")
+    return values
+
+
+def _central_jacobian(fn, ys, rel_step=1e-5):
+    """Central-difference Jacobians of a batched ``fn`` at every row of
+    ``ys``, shape ``(N, d, d)``."""
+    ys = np.asarray(ys, float)
+    step = rel_step * (1.0 + np.linalg.norm(ys, axis=1))
     cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = step
-        cols.append((np.asarray(fn(y + e), float)
-                     - np.asarray(fn(y - e), float)) / (2 * step))
-    return np.column_stack(cols)
+    for j in range(ys.shape[1]):
+        e = np.zeros_like(ys)
+        e[:, j] = step
+        cols.append((fn(ys + e) - fn(ys - e)) / (2 * step[:, None]))
+    return np.stack(cols, axis=-1)
 
 
 def _ball_cloud(center, radius, n, seed=20201102):
@@ -142,20 +181,18 @@ def lambda_eta(p, eta, window, n_time=65, n_cloud=32):
     """Sampled sup of the perturbation distance over (time, neighborhood).
 
     The sup of ``|f_eta - f0| + |d_y f_eta - f0'|`` over the window times and
-    a deterministic cloud in the working ball.
+    a deterministic cloud in the working ball; one batched field call per
+    cloud point covers all the times.
     """
     ts = np.linspace(window.t_min, window.t_max, n_time)
     xs = _ball_cloud(p.y0_star, p.r_u, n_cloud)
+    f0x, d0x = p.f0_at(xs), p.d_f0(xs)
     worst = 0.0
-    for x in xs:
-        f0x = np.asarray(p.f0(x), float)
-        d0x = p.d_f0(x)
-        for t in ts:
-            v = np.linalg.norm(np.asarray(p.f_eta(eta, t, x), float) - f0x)
-            dv = spectral_norm(p.d_f_eta(eta, t, x) - d0x)
-            if not np.isfinite(v) or not np.isfinite(dv):
-                raise SplitflowError(f"non-finite field values at t={t}")
-            worst = max(worst, v + dv)
+    for x, f0, d0 in zip(xs, f0x, d0x):
+        ys = np.broadcast_to(x, (n_time, p.dim))
+        v = np.linalg.norm(p.f_eta_at(eta, ts, ys) - f0, axis=1)
+        dv = spectral_norms(p.d_f_eta(eta, ts, ys) - d0)
+        worst = max(worst, float(np.max(_finite(v + dv, ts), initial=0.0)))
     return worst
 
 
@@ -166,29 +203,24 @@ def rho_modulus(p, eps, n_cloud=32, n_dirs=8):
     if eps <= 0.0:
         return 0.0
     xs = _ball_cloud(p.y0_star, p.r_u - eps, n_cloud)
-    rng = np.random.default_rng(787)
-    worst = 0.0
-    for x in xs:
-        f0x = np.asarray(p.f0(x), float)
-        d0x = p.d_f0(x)
-        dirs = rng.standard_normal((n_dirs, p.dim))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-12)
-        for u in dirs:
-            for mag in (eps, eps / 2, eps / 8):
-                h = mag * u
-                rem = np.linalg.norm(np.asarray(p.f0(x + h), float)
-                                     - f0x - d0x @ h)
-                worst = max(worst, rem / mag)
-    return worst
+    dirs = np.random.default_rng(787).standard_normal((n_cloud, n_dirs, p.dim))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=2)[..., None], 1e-12)
+    mags = np.array([eps, eps / 2, eps / 8])
+    # steps h[cloud point, direction, magnitude] and the points x + h
+    h = mags[:, None] * dirs[:, :, None, :]
+    f0xh = p.f0_at((xs[:, None, None, :] + h).reshape(-1, p.dim))
+    rem = (f0xh.reshape(h.shape) - p.f0_at(xs)[:, None, None, :]
+           - np.einsum("cij,cdmj->cdmi", p.d_f0(xs), h))
+    return float(np.max(np.linalg.norm(rem, axis=-1) / mags))
 
 
 def _lip_dev(p, eps, n_dirs=24):
     """Sampled sup of ``|f0'(y0*+h) - f0'(y0*)|`` over ``|h| <= eps``."""
     if eps <= 0.0:
         return 0.0
-    d0 = p.d_f0(p.y0_star)
+    d0 = p.d_f0(p.y0_star[None])[0]
     hs = _ball_cloud(np.zeros(p.dim), eps, n_dirs, seed=555)
-    return max(spectral_norm(p.d_f0(p.y0_star + h) - d0) for h in hs)
+    return float(np.max(spectral_norms(p.d_f0(p.y0_star + hs) - d0)))
 
 
 def _bisect_largest(pred, lo, hi, steps=16):
@@ -271,13 +303,16 @@ class _AutonomousGreen:
         fwd[0] = 0.5 * (pi_s - pi_u)
         # stacked offsets -n_off .. n_off for the convolution
         self.table = np.concatenate([-bwd[1:][::-1], fwd], axis=0)
+        self._spectra = {}  # rfft of the table per FFT length
 
     def convolve(self, u, weights):
         """``h * sum_j G[i-j] w_j u_j`` for u of shape (N, d)."""
         n = u.shape[0]
         uw = u * weights[:, None]
         n_fft = next_fast_len(n + 2 * self.n_off + 1)
-        gf = rfft(self.table, n_fft, axis=0)
+        if n_fft not in self._spectra:
+            self._spectra[n_fft] = rfft(self.table, n_fft, axis=0)
+        gf = self._spectra[n_fft]
         uf = rfft(uw, n_fft, axis=0)
         yf = np.einsum("fab,fb->fa", gf, uf)
         y = irfft(yf, n_fft, axis=0)[self.n_off : self.n_off + n]
@@ -313,11 +348,24 @@ class HyperbolicSolutionCertificate:
     meta: dict = field(default_factory=dict)
 
     def xi_star(self, t):
-        """Trajectory value at ``t`` (componentwise linear interpolation)."""
+        """Trajectory value at ``t``, shape ``t.shape + (d,)``.
+
+        Linear interpolation of every component in one pass, value for
+        value as ``np.interp`` per component: exact at the nodes, held
+        constant outside the window.
+        """
         t = np.asarray(t, float)
-        cols = [np.interp(t, self.times, self.trajectory[:, j])
-                for j in range(self.trajectory.shape[1])]
-        return np.stack(cols, axis=-1)
+        x = t.reshape(-1)
+        xp, fp = self.times, self.trajectory
+        j = np.searchsorted(xp, x, side="right") - 1
+        lo = np.clip(j, 0, len(xp) - 2)
+        slope = (fp[lo + 1] - fp[lo]) / (xp[lo + 1] - xp[lo])[:, None]
+        out = slope * (x - xp[lo])[:, None] + fp[lo]
+        node = (j >= 0) & (xp[np.maximum(j, 0)] == x)
+        out[node] = fp[j[node]]
+        out[j < 0] = fp[0]
+        out[j >= len(xp) - 1] = fp[-1]
+        return out.reshape(t.shape + (fp.shape[1],))
 
     def interior_times(self):
         return self.times[self.interior]
@@ -413,15 +461,13 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     green = _AutonomousGreen(p.a_matrix, cert_a.proj_s(0), h, n_off)
     weights = np.ones(n)
     weights[0] = weights[-1] = 0.5
-    f0_star = np.asarray(p.f0(p.y0_star), float)
-    d0_star = p.d_f0(p.y0_star)
+    f0_star = p.f0_at(p.y0_star[None])[0]
+    d0_star = p.d_f0(p.y0_star[None])[0]
 
     def g_all(phi):
-        out = np.empty_like(phi)
-        for i, t in enumerate(times):
-            out[i] = (np.asarray(p.f_eta(eta, t, p.y0_star + phi[i]), float)
-                      - f0_star - d0_star @ phi[i])
-        return out
+        # one field call over every node; a non-finite value fails closed
+        f = _finite(p.f_eta_at(eta, times, p.y0_star + phi), times)
+        return f - f0_star - phi @ d0_star.T
 
     phi = np.zeros((n, p.dim)) if x0 is None else np.array(x0, float)
     if max_iter is None:
@@ -442,7 +488,7 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
             break
     residual = float(np.max(np.linalg.norm(
         green.convolve(g_all(phi), weights) - phi, axis=1)))
-    if residual > tol:
+    if not residual <= tol:
         raise SplitflowError(
             f"kernel iteration did not certify residual {tol:g} "
             f"(got {residual:.3e} after {it} iterations)"
@@ -471,21 +517,19 @@ def linearize_along(p, cert, step=None, b_sup_stride=8):
     """Variational cocycle along the certified trajectory.
 
     Generator ``A + B(t)`` with
-    ``B(t) = d_y f_eta(eta, t, xi*(t)) - f0'(y0*)``; the window sup of
-    ``|B|`` is recorded on the certificate.
+    ``B(t) = d_y f_eta(eta, t, xi*(t)) - f0'(y0*)``, evaluated for a vector
+    of times in one field call; the window sup of ``|B|`` is recorded on
+    the certificate.
     """
-    d0_star = p.d_f0(p.y0_star)
+    d0_star = p.d_f0(p.y0_star[None])[0]
     eta = cert.eta
 
-    def gen(t):
-        return p.a_matrix + p.d_f_eta(eta, t, cert.xi_star(t)) - d0_star
+    def gen(ts):
+        return p.a_matrix + p.d_f_eta(eta, ts, cert.xi_star(ts)) - d0_star
 
     sub = cert.times[cert.interior][::b_sup_stride]
-    b_sup = max(
-        spectral_norm(p.d_f_eta(eta, t, cert.xi_star(t)) - d0_star)
-        for t in sub
-    ) if len(sub) else 0.0
-    cert.b_sup = float(b_sup)
+    cert.b_sup = float(np.max(spectral_norms(
+        p.d_f_eta(eta, sub, cert.xi_star(sub)) - d0_star), initial=0.0))
     h = cert.times[1] - cert.times[0]
     return ContinuousCocycle(gen, p.dim,
                              step=step if step else min(h, 1.0 / 64.0),

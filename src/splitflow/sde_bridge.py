@@ -49,9 +49,10 @@ from .noise import (DEFAULT_TAIL_TOL, default_kappa, rescaled_noise,
 class StratonovichSpec:
     """A Stratonovich problem with bounded time-rescaled multiplicative noise.
 
-    ``pattern`` is the 0/1 diagonal of the noise placement (which state
-    blocks receive the noise); the actual noise matrix is
-    ``eta * diag(pattern)`` with entries in {0, eta}.
+    ``f`` and ``f_prime`` are batched over states, ``f(Y[N, d]) -> [N, d]``
+    and ``f_prime(Y) -> [N, d, d]``.  ``pattern`` is the 0/1 diagonal of the
+    noise placement (which state blocks receive the noise); the actual
+    noise matrix is ``eta * diag(pattern)`` with entries in {0, eta}.
     """
 
     b_matrix: np.ndarray
@@ -94,11 +95,15 @@ class _NoiseDressing:
         self.kz, self.ckz = rescaled_noise(path, kappa, self.ts, tail_tol)
 
     def _check(self, t):
-        t = np.asarray(t, float)
-        if np.any(t < self.ts[0] - 1e-9) or np.any(t > self.ts[-1] + 1e-9):
+        """Raise :class:`WindowError` when a time (scalar or array) leaves
+        the dressed window, naming the first such time and the count."""
+        t = np.ravel(np.asarray(t, float))
+        out = (t < self.ts[0] - 1e-9) | (t > self.ts[-1] + 1e-9)
+        if np.any(out):
             raise WindowError(
-                f"time {t} outside the dressed window "
-                f"[{self.ts[0]:.2f}, {self.ts[-1]:.2f}]"
+                f"time {t[np.argmax(out)]} outside the dressed window "
+                f"[{self.ts[0]:.2f}, {self.ts[-1]:.2f}] "
+                f"({int(np.sum(out))} of {t.size} times out)"
             )
 
     def kappa_z(self, t):
@@ -120,29 +125,32 @@ class _NoiseDressing:
 def _conjugated_fields(spec, dressing):
     """The nonlinearity of ``spec`` under the change of variables,
     ``e^{-c} f(e^{c} v)`` with ``c = eta pattern kappa_t z*``, and its
-    Jacobian in ``v``, both as functions of ``(eta, t, v)``."""
+    Jacobian in ``v``, both as batched functions of ``(eta, ts[N], V[N, d])``
+    (one range check and one interpolation per batch)."""
     f, fp, pattern = spec.f, spec.f_prime, spec.pattern
+    d = len(pattern)
 
-    def f_eta(eta, t, v):
-        s = dressing.scale(eta, pattern, t)
-        return np.asarray(f(s * v), float) / s
+    def f_eta(eta, ts, v):
+        s = dressing.scale(eta, pattern, np.asarray(ts, float)[:, None])
+        return np.asarray(f(s * v), float).reshape(s.shape) / s
 
-    def f_eta_dy(eta, t, v):
-        s = dressing.scale(eta, pattern, t)
-        jac = np.atleast_2d(np.asarray(fp(s * v), float))
-        return (jac * s[None, :]) / s[:, None]
+    def f_eta_dy(eta, ts, v):
+        s = dressing.scale(eta, pattern, np.asarray(ts, float)[:, None])
+        jac = np.asarray(fp(s * v), float).reshape(len(s), d, d)
+        return (jac * s[:, None, :]) / s[:, :, None]
 
     return f_eta, f_eta_dy
 
 
 @dataclass
 class RandomODESpec:
-    """The transformed random ODE: fields closed over one noise realization."""
+    """The transformed random ODE: fields closed over one noise realization,
+    batched over times."""
 
     b_matrix: np.ndarray
-    f_eta: object        # (t, v) -> vector
-    f_eta_dy: object     # (t, v) -> matrix
-    b_eta: object        # (t,) -> matrix
+    f_eta: object        # (ts[N], V[N, d]) -> [N, d]
+    f_eta_dy: object     # (ts[N], V[N, d]) -> [N, d, d]
+    b_eta: object        # (ts[N],) -> [N, d, d]
     scale: object        # (t,) -> d-vector with y = scale * v
     eta: float
     pattern: np.ndarray
@@ -162,7 +170,8 @@ def transform(spec, path, tail_tol=DEFAULT_TAIL_TOL):
     return RandomODESpec(
         b_matrix=spec.b_matrix, f_eta=partial(f_eta, eta),
         f_eta_dy=partial(f_eta_dy, eta),
-        b_eta=lambda t: dressing.gap(float(eta), t) * np.diag(pattern),
+        b_eta=lambda ts: (dressing.gap(float(eta), np.asarray(ts, float))
+                          [:, None, None] * np.diag(pattern)),
         scale=partial(dressing.scale, eta, pattern),
         eta=eta, pattern=pattern, dressing=dressing)
 
@@ -188,21 +197,23 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
     f, fp = strat.f, strat.f_prime
     y0_star = np.atleast_1d(np.asarray(y0_star, float))
     if a_matrix is None:
-        a_matrix = strat.b_matrix + np.atleast_2d(np.asarray(fp(y0_star), float))
+        a_matrix = strat.b_matrix + np.asarray(fp(y0_star[None]), float)[0]
 
-    def f_eta(eta, t, y):
-        return conj(eta, t, y) + dressing.gap(eta, t) * (pattern * y)
+    def f_eta(eta, ts, y):
+        gap = dressing.gap(eta, np.asarray(ts, float))[:, None]
+        return conj(eta, ts, y) + gap * (pattern * y)
 
-    def f_eta_dy(eta, t, y):
-        return conj_dy(eta, t, y) + dressing.gap(eta, t) * np.diag(pattern)
+    def f_eta_dy(eta, ts, y):
+        gap = dressing.gap(eta, np.asarray(ts, float))[:, None, None]
+        return conj_dy(eta, ts, y) + gap * np.diag(pattern)
 
     return SemilinearProblem(
         a_matrix=a_matrix,
         f_eta=f_eta,
-        f0=lambda y: np.asarray(f(y), float),
+        f0=f,
         y0_star=y0_star,
         r_u=r_u,
-        f0_prime=lambda y: np.atleast_2d(np.asarray(fp(y), float)),
+        f0_prime=fp,
         f_eta_dy=f_eta_dy,
         meta={"dressing": dressing, "pattern": pattern},
     )
@@ -250,25 +261,25 @@ def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime,
     gram = phi.T @ (w[:, None] * phi)
     proj = np.linalg.solve(gram, phi.T * w[None, :])  # modal re-projection
 
-    def f0(y):
-        a = np.asarray(y, float)[:n]
-        u = phi @ a
-        out = np.zeros(2 * n)
-        out[n:] = proj @ np.asarray(f_scalar(u), float)
+    def f0(ys):
+        # batched over states: ys[N, 2n] -> [N, 2n]
+        u = np.asarray(ys, float)[:, :n] @ phi.T
+        out = np.zeros((len(u), 2 * n))
+        out[:, n:] = np.asarray(f_scalar(u), float) @ proj.T
         return out
 
-    def f0_prime(y):
-        a = np.asarray(y, float)[:n]
-        u = phi @ a
-        jac = np.zeros((2 * n, 2 * n))
-        jac[n:, :n] = proj @ (np.asarray(f_scalar_prime(u), float)[:, None] * phi)
+    def f0_prime(ys):
+        u = np.asarray(ys, float)[:, :n] @ phi.T
+        jac = np.zeros((len(u), 2 * n, 2 * n))
+        jac[:, n:, :n] = proj @ (np.asarray(f_scalar_prime(u), float)[:, :, None]
+                                 * phi)
         return jac
 
-    a_matrix = big_b + f0_prime(np.zeros(2 * n))
+    a_matrix = big_b + f0_prime(np.zeros((1, 2 * n)))[0]
     spectral_projection(a_matrix)  # hard error when not hyperbolic
     problem = SemilinearProblem(
         a_matrix=a_matrix,
-        f_eta=lambda eta, t, y: f0(y),
+        f_eta=lambda eta, ts, ys: f0(ys),
         f0=f0,
         y0_star=np.zeros(2 * n),
         r_u=r_u,

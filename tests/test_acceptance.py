@@ -137,7 +137,7 @@ def _cubic_problem(seed):
     path = sf.sample_wiener_path(grid, seed)
     strat = StratonovichSpec(
         b_matrix=[[1.0]], f=lambda y: -y ** 3,
-        f_prime=lambda y: np.atleast_2d(-3.0 * y ** 2),
+        f_prime=lambda y: (-3.0 * y ** 2)[:, :, None],
         eta=1.0, kappa=KappaFn.inverse_quadratic(0.002),
     )
     return sf.random_ode_problem(strat, path, [1.0], r_u=0.3)
@@ -148,10 +148,10 @@ def test_c6_hyperbolic_convergence():
     # additive model against the variation-of-constants oracle
     p = sf.SemilinearProblem(
         a_matrix=[[-1.0]],
-        f_eta=lambda eta, t, y: np.array([eta * np.cos(t)]),
-        f0=lambda y: np.zeros(1), y0_star=[0.0], r_u=1.0,
-        f0_prime=lambda y: np.zeros((1, 1)),
-        f_eta_dy=lambda eta, t, y: np.zeros((1, 1)),
+        f_eta=sf.pointwise(lambda eta, t, y: np.array([eta * np.cos(t)])),
+        f0=sf.pointwise(lambda y: np.zeros(1)), y0_star=[0.0], r_u=1.0,
+        f0_prime=sf.pointwise(lambda y: np.zeros((1, 1))),
+        f_eta_dy=sf.pointwise(lambda eta, t, y: np.zeros((1, 1))),
     )
     eta = 0.03
     sol = sf.find_hyperbolic_solution(p, eta, w, tol=1e-10, tail_tol=1e-9)

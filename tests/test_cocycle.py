@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from splitflow import (ContinuousCocycle, DiscreteCocycle, TimeGrid,
                        compose_discrete, discretize, integrate,
-                       one_step_bound, propagator, spectral_norm)
-from splitflow.cocycle import integrate_nonlinear
+                       one_step_bound, pointwise, propagator, spectral_norm)
+from splitflow.cocycle import UNIT_SAMPLES, integrate_nonlinear
 
 
 class TestComposeDiscrete:
@@ -52,14 +52,14 @@ class TestIntegrate:
             assert spectral_norm(got - want) < 1e-8, spectral_norm(got - want)
 
     def test_scalar_integrating_factor(self):
-        c = ContinuousCocycle(lambda t: np.array([[np.sin(t)]]), 1)
+        c = ContinuousCocycle(pointwise(lambda t: np.array([[np.sin(t)]])), 1)
         got = integrate(c, 0.5, 2.5, np.array([1.3]))[0]
         want = 1.3 * np.exp(np.cos(0.5) - np.cos(2.5))
         assert abs(got - want) < 1e-7
 
     def test_linearity(self, rng):
-        c = ContinuousCocycle(lambda t: np.array([[0.1 * np.cos(t), 1.0],
-                                                  [-1.0, -0.2]]), 2)
+        c = ContinuousCocycle(pointwise(lambda t: np.array(
+            [[0.1 * np.cos(t), 1.0], [-1.0, -0.2]])), 2)
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
         lhs = integrate(c, 0.0, 1.5, 2.0 * x - 3.0 * y)
@@ -74,7 +74,7 @@ class TestIntegrate:
 
 class TestPropagator:
     def test_zero_duration(self):
-        c = ContinuousCocycle(lambda t: np.array([[np.sin(t)]]), 1)
+        c = ContinuousCocycle(pointwise(lambda t: np.array([[np.sin(t)]])), 1)
         assert np.array_equal(propagator(c, 0.3, 0.0), np.eye(1))
 
     def test_cocycle_law(self):
@@ -86,7 +86,7 @@ class TestPropagator:
                              [0.3 * np.sin(t), 0.0, -40.0, -1.0]])
             return base
 
-        c = ContinuousCocycle(gen, 4)
+        c = ContinuousCocycle(pointwise(gen), 4)
         for (t, s) in [(0.5, 0.25), (1.0, 1.0), (0.75, 1.25)]:
             whole = propagator(c, 0.0, t + s)
             parts = propagator(c, s, t) @ propagator(c, 0.0, s)
@@ -112,12 +112,74 @@ class TestDiscretize:
         assert np.allclose(d.step(3), np.eye(2), atol=1e-14)
 
     def test_compose_matches_propagator(self):
-        c = ContinuousCocycle(lambda t: np.array([[0.2 * np.cos(t), 0.5],
-                                                  [-0.5, -0.4]]), 2)
+        c = ContinuousCocycle(pointwise(lambda t: np.array(
+            [[0.2 * np.cos(t), 0.5], [-0.5, -0.4]])), 2)
         d = discretize(c)
         got = compose_discrete(d, 3)
         want = propagator(c, 0.0, 3.0)
         assert spectral_norm(got - want) < 3e-9
+
+
+def _rk4_oracle(gen, shift, n_steps, samples):
+    """Unbatched RK4 of ``phi' = gen(t) phi`` over [shift, shift + 1]: the
+    loop of one scalar time per stage, with snapshots every
+    ``n_steps / samples`` steps."""
+    bounds = np.linspace(shift, shift + 1.0, n_steps + 1)
+    y = np.eye(gen(shift).shape[0])
+    snaps = [y]
+    for i in range(n_steps):
+        ta, tb = bounds[i], bounds[i + 1]
+        hh = tb - ta
+        k1 = gen(ta) @ y
+        k2 = gen(ta + hh / 2) @ (y + hh / 2 * k1)
+        k3 = gen(ta + hh / 2) @ (y + hh / 2 * k2)
+        k4 = gen(tb) @ (y + hh * k3)
+        y = y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (i + 1) % (n_steps // samples) == 0:
+            snaps.append(y)
+    return np.array(snaps)
+
+
+class TestUnitFlowTable:
+    @staticmethod
+    def gen(t):
+        return np.array([[0.2 * np.cos(t), 1.0, 0.0],
+                         [-4.0, -0.3 + 0.1 * np.sin(2 * t), 0.5],
+                         [0.0, 0.3 * np.cos(t), -1.0]])
+
+    # 1/20: 1/step is not a multiple of UNIT_SAMPLES, so the step shrinks
+    @pytest.mark.parametrize("step, n_steps", [(1.0 / 64, 64), (1.0 / 20, 32)])
+    def test_batched_flows_match_scalar_propagators(self, step, n_steps):
+        c = ContinuousCocycle(pointwise(self.gen), 3, step=step)
+        shifts = list(range(-4, 5))
+        flows = c.unit_flows(shifts)
+        assert flows.shape == (len(shifts), UNIT_SAMPLES + 1, 3, 3)
+        for n, flow in zip(shifts, flows):
+            want = propagator(c, float(n), 1.0, UNIT_SAMPLES)[2]
+            assert np.max(np.abs(flow - want)) <= 1e-13
+            oracle = _rk4_oracle(self.gen, float(n), n_steps, UNIT_SAMPLES)
+            assert np.max(np.abs(flow - oracle)) <= 1e-13
+
+    def test_endpoint_only_shifts(self):
+        c = ContinuousCocycle(pointwise(self.gen), 3, step=1.0 / 20)
+        steps = c.unit_steps(range(-2, 3))
+        for n, got in zip(range(-2, 3), steps):
+            want = propagator(c, float(n), 1.0, UNIT_SAMPLES)[0]
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert len(c._units[n]) == 1  # only the endpoint is kept
+        # asking for the snapshots later integrates them; the endpoint agrees
+        flow = c.unit_flow(0)
+        assert len(c._units[0]) == UNIT_SAMPLES + 1
+        assert np.array_equal(flow[-1], steps[2])
+        assert np.array_equal(discretize(c).step(0), flow[-1])
+
+    def test_time_invariant_table_has_one_entry(self):
+        c = ContinuousCocycle.constant([[0.0, 1.0], [-4.0, -0.5]])
+        flows = c.unit_flows(range(-3, 3))
+        assert list(c._units) == [0]
+        assert np.allclose(flows[-1, -1], expm(np.array([[0.0, 1.0],
+                                                          [-4.0, -0.5]])),
+                           atol=1e-9)
 
 
 class TestOneStepBound:
@@ -161,7 +223,8 @@ class TestEvolutionProcessView:
     def test_two_parameter_identity_continuous(self):
         from splitflow import EvolutionProcessView
 
-        c = ContinuousCocycle(lambda t: np.array([[0.3 * np.cos(t)]]), 1)
+        c = ContinuousCocycle(pointwise(lambda t: np.array([[0.3 * np.cos(t)]])),
+                              1)
         view = EvolutionProcessView(c)
         lhs = view.map(2.0, 1.25) @ view.map(1.25, 0.5)
         assert spectral_norm(lhs - view.map(2.0, 0.5)) < 1e-9
@@ -174,7 +237,8 @@ def test_cocycle_law_wave_scale():
     p = build_wave_system(4, 1.0, lambda u: u - u ** 3,
                           lambda u: 1.0 - 3.0 * u ** 2)
     a = p.a_matrix
-    c = ContinuousCocycle(lambda t: a + 0.02 * np.sin(t) * np.eye(8), 8)
+    c = ContinuousCocycle(pointwise(lambda t: a + 0.02 * np.sin(t) * np.eye(8)),
+                          8)
     for (t, s) in [(1.0, 1.0), (0.5, 0.75), (1.0, 0.25)]:
         whole = propagator(c, 0.0, t + s)
         parts = propagator(c, s, t) @ propagator(c, 0.0, s)

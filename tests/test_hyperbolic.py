@@ -2,25 +2,31 @@ import numpy as np
 import pytest
 
 from splitflow import (ContractionMarginError, KappaFn, SemilinearProblem,
-                       StratonovichSpec, ThresholdError, TimeGrid,
-                       certify_hyperbolic, eta_epsilon,
+                       SplitflowError, StratonovichSpec, ThresholdError,
+                       TimeGrid, certify_hyperbolic, eta_epsilon,
                        find_hyperbolic_solution, lambda_eta, linearize_along,
-                       random_ode_problem, rho_modulus,
+                       pointwise, random_ode_problem, rho_modulus,
                        sample_wiener_path, spectral_norm)
 from splitflow.cocycle import integrate_nonlinear
+from splitflow.hyperbolic import _AutonomousGreen
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
 
-def additive_problem():
+def additive_problem(f_eta=lambda eta, t, y: np.array([eta * np.cos(t)])):
     return SemilinearProblem(
         a_matrix=[[-1.0]],
-        f_eta=lambda eta, t, y: np.array([eta * np.cos(t)]),
-        f0=lambda y: np.zeros(1),
+        f_eta=pointwise(f_eta),
+        f0=pointwise(lambda y: np.zeros(1)),
         y0_star=[0.0], r_u=1.0,
-        f0_prime=lambda y: np.zeros((1, 1)),
-        f_eta_dy=lambda eta, t, y: np.zeros((1, 1)),
+        f0_prime=pointwise(lambda y: np.zeros((1, 1))),
+        f_eta_dy=pointwise(lambda eta, t, y: np.zeros((1, 1))),
     )
+
+
+def at_time(p, eta):
+    """The perturbed field of ``p`` as a one-point ``field(t, y)``."""
+    return lambda t, y: p.f_eta_at(eta, np.array([t]), y[None])[0]
 
 
 _CUBIC_CACHE = {}
@@ -35,7 +41,7 @@ def cubic_problem(seed=8, amplitude=0.002):
         kap = KappaFn.inverse_quadratic(amplitude)
         strat = StratonovichSpec(
             b_matrix=[[1.0]], f=lambda y: -y ** 3,
-            f_prime=lambda y: np.atleast_2d(-3.0 * y ** 2),
+            f_prime=lambda y: (-3.0 * y ** 2)[:, :, None],
             eta=1.0, kappa=kap,
         )
         _CUBIC_CACHE[key] = random_ode_problem(strat, path, [1.0], r_u=0.3)
@@ -71,7 +77,7 @@ class TestRhoModulus:
             f_eta=lambda eta, t, y: y ** 3,
             f0=lambda y: y ** 3,
             y0_star=[0.0], r_u=1.0,
-            f0_prime=lambda y: np.atleast_2d(3.0 * y ** 2),
+            f0_prime=lambda y: (3.0 * y ** 2)[:, :, None],
         )
         for eps in (0.1, 0.25, 0.5):
             rho = rho_modulus(p, eps)
@@ -178,7 +184,8 @@ class TestFindSolution:
         p = cubic_problem()
         eta = 0.1
         sol = find_hyperbolic_solution(p, eta, W64, tol=1e-10)
-        field = lambda t, y: np.array([y[0]]) + p.f_eta(eta, t, y)
+        f_eta = at_time(p, eta)
+        field = lambda t, y: np.array([y[0]]) + f_eta(t, y)
         y = integrate_nonlinear(field, -40.0, 5.0, np.array([1.0]),
                                 step=1.0 / 128)
         assert abs(y[0] - sol.xi_star(5.0)[0]) < 1e-7
@@ -187,10 +194,71 @@ class TestFindSolution:
         p = cubic_problem()
         eta = 0.1
         sol = find_hyperbolic_solution(p, eta, W64, tol=1e-10)
-        field = lambda t, y: np.array([y[0]]) + p.f_eta(eta, t, y)
+        f_eta = at_time(p, eta)
+        field = lambda t, y: np.array([y[0]]) + f_eta(t, y)
         for s, t in ((-5.0, -1.0), (0.0, 4.0), (2.0, 7.0)):
             y = integrate_nonlinear(field, s, t, sol.xi_star(s), step=1.0 / 128)
             assert np.linalg.norm(y - sol.xi_star(t)) < 1e-7
+
+
+class TestFailClosed:
+    def test_nan_at_one_grid_node_raises(self):
+        # t = 0.0625 is a grid node but not one of lambda_eta's sample times,
+        # so only the kernel iteration sees the NaN
+        bad_t = 0.0625
+        p = additive_problem(lambda eta, t, y: np.array(
+            [np.nan if t == bad_t else eta * np.cos(t)]))
+        window = TimeGrid(-40.0, 40.0, 1.0 / 16)
+        assert bad_t not in np.linspace(-40.0, 40.0, 65)
+        with pytest.raises(SplitflowError, match=f"t={bad_t}"):
+            find_hyperbolic_solution(p, 0.01, window, tol=1e-10)
+
+    def test_nan_in_lambda_sample_raises(self):
+        p = additive_problem(lambda eta, t, y: np.array(
+            [np.nan if t == 0.0 else eta * np.cos(t)]))
+        with pytest.raises(SplitflowError, match="t=0.0"):
+            lambda_eta(p, 0.01, TimeGrid(-4.0, 4.0, 0.25), n_time=9)
+
+    def test_scalar_callback_gets_typed_error(self):
+        p = SemilinearProblem(
+            a_matrix=[[-1.0]], f_eta=lambda eta, t, y: np.zeros(1),
+            f0=lambda y: np.zeros(1), y0_star=[0.0], r_u=1.0)
+        with pytest.raises(SplitflowError, match="pointwise"):
+            lambda_eta(p, 0.01, TimeGrid(-4.0, 4.0, 0.25))
+
+
+def test_kernel_spectrum_cached_per_fft_length():
+    # the cached table spectrum gives the bytes of a fresh rfft per call
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    a = np.array([[-1.0, 0.3], [0.0, 2.0]])
+    pi_s = np.array([[1.0, -0.1], [0.0, 0.0]])  # onto e_1 along (0.1, 1)
+    green = _AutonomousGreen(a, pi_s, 1.0 / 16, 40)
+    u = np.random.default_rng(2).standard_normal((300, 2))
+    w = np.ones(300)
+    for n in (300, 300, 120):
+        n_fft = next_fast_len(n + 2 * 40 + 1)
+        uf = rfft(u[:n] * w[:n, None], n_fft, axis=0)
+        yf = np.einsum("fab,fb->fa", rfft(green.table, n_fft, axis=0), uf)
+        want = green.h * irfft(yf, n_fft, axis=0)[40:40 + n]
+        assert np.array_equal(green.convolve(u[:n], w[:n]), want)
+    assert len(green._spectra) == 2
+
+
+class TestXiStar:
+    def test_matches_np_interp_per_component(self):
+        p = cubic_problem()
+        sol = find_hyperbolic_solution(p, 0.1, W64, tol=1e-9)
+        traj = np.column_stack([sol.trajectory[:, 0],
+                                2.0 * sol.trajectory[:, 0] - 1.0])
+        sol.trajectory = traj
+        rng = np.random.default_rng(3)
+        ts = np.concatenate([rng.uniform(-71.0, 71.0, 400), sol.times[::97],
+                             [W64.t_min, W64.t_max, -80.0, 80.0]])
+        got = sol.xi_star(ts)
+        for j in range(2):
+            assert np.array_equal(got[:, j], np.interp(ts, sol.times, traj[:, j]))
+        assert np.array_equal(sol.xi_star(ts[0]), got[0])
 
 
 class TestLinearization:
@@ -199,17 +267,26 @@ class TestLinearization:
         sol = find_hyperbolic_solution(p, 0.0, W64, tol=1e-11)
         cc = linearize_along(p, sol)
         assert sol.b_sup == 0.0
-        assert np.allclose(cc.generator(1.3), p.a_matrix)
+        assert np.allclose(cc.generator(np.array([1.3, 2.0])), p.a_matrix)
 
     def test_cubic_deviation_matches_symbolics(self):
         p = cubic_problem()
         eta = 0.1
         sol = find_hyperbolic_solution(p, eta, W64, tol=1e-10)
         cc = linearize_along(p, sol)
-        for t in (-3.0, 0.0, 2.0):
-            got = cc.generator(t) - p.a_matrix
-            want = p.d_f_eta(eta, t, sol.xi_star(t)) - p.d_f0(p.y0_star)
-            assert spectral_norm(got - want) < 1e-12
+        ts = np.array([-3.0, 0.0, 0.03, 2.0])
+        batch = cc.generator(ts)
+        d0 = p.d_f0(p.y0_star[None])[0]
+        for t, got in zip(ts, batch):
+            xi = np.array([np.interp(t, sol.times, sol.trajectory[:, 0])])
+            # f_eta_dy of the transformed cubic at one point, by hand
+            dressing = p.meta["dressing"]
+            c = eta * dressing.kappa_z(t)
+            want = (-3.0 * np.exp(2 * c) * xi[0] ** 2
+                    + dressing.gap(eta, t)) - d0[0, 0]
+            assert abs(got[0, 0] - p.a_matrix[0, 0] - want) < 1e-12
+            one = cc.generator(np.array([t]))[0]
+            assert np.array_equal(one, got)
 
     def test_b_sup_vanishes_along_halving(self):
         p = cubic_problem()
@@ -240,7 +317,7 @@ class TestCertify:
         path = sample_wiener_path(grid, 5)
         strat = StratonovichSpec(
             b_matrix=[[-1.0]], f=lambda y: y ** 3,
-            f_prime=lambda y: np.atleast_2d(3.0 * y ** 2),
+            f_prime=lambda y: (3.0 * y ** 2)[:, :, None],
             eta=1.0, kappa=KappaFn.inverse_quadratic(0.0075),
         )
         p = random_ode_problem(strat, path, [0.0], r_u=0.3)

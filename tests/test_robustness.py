@@ -1,5 +1,4 @@
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,9 +11,10 @@ from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        ou_series, paper_projection_bound, projection_distance,
                        robust_constants, robust_dichotomy_continuous,
                        robust_dichotomy_discrete, sample_wiener_path,
-                       spectral_norm, subspace_decay_diagnostic,
+                       pointwise, spectral_norm, subspace_decay_diagnostic,
                        verify_dichotomy)
 from splitflow import cocycle as cocycle_module
+from splitflow.cocycle import UNIT_SAMPLES
 from splitflow import greens as greens_module
 from conftest import brute_force_projections
 
@@ -267,7 +267,8 @@ class TestContinuousPipeline:
 
     def test_scalar_sin_perturbation(self):
         cc1 = ContinuousCocycle.constant([[-1.0]])
-        cc2 = ContinuousCocycle(lambda t: np.array([[-1.0 + 0.05 * np.sin(t)]]), 1)
+        cc2 = ContinuousCocycle(
+            pointwise(lambda t: np.array([[-1.0 + 0.05 * np.sin(t)]])), 1)
         ca = autonomous_certificate(np.array([[-1.0]]))
         cert = robust_dichotomy_continuous(cc1, ca, cc2, (-5, 5))
         assert cert.meta["verification_continuous"].passed
@@ -285,7 +286,7 @@ class TestContinuousPipeline:
         noise = lambda t: 0.02 * np.interp(t, zt, z)
         # rotate the perturbation so the projections actually move
         j_mat = np.array([[0.0, 1.0], [1.0, 0.0]])
-        cc2 = ContinuousCocycle(lambda t: a + noise(t) * j_mat, 2)
+        cc2 = ContinuousCocycle(pointwise(lambda t: a + noise(t) * j_mat), 2)
         ca = autonomous_certificate(a)
         cert = robust_dichotomy_continuous(ContinuousCocycle.constant(a), ca,
                                            cc2, (-5, 5))
@@ -296,30 +297,42 @@ class TestContinuousPipeline:
                                               eps_hyp)
 
     def test_each_unit_flow_integrated_once(self, monkeypatch):
-        # count propagator calls under every name splitflow imports it by
-        original = cocycle_module.propagator
-        calls = Counter()
+        # record every RK4 run: the shifts of its members, its step count
+        # and its snapshot spacing
+        original = cocycle_module._rk4
+        runs = []
 
-        def counted(c, shift, duration, samples=None):
-            calls[(id(c), shift, duration)] += 1
-            return original(c, shift, duration, samples)
+        def recorded(field, t0, t1, y0, n, every=None):
+            runs.append((np.atleast_1d(t0).tolist(), n, every))
+            return original(field, t0, t1, y0, n, every)
 
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("splitflow") \
-                    and getattr(mod, "propagator", None) is original:
-                monkeypatch.setattr(mod, "propagator", counted)
+        monkeypatch.setattr(cocycle_module, "_rk4", recorded)
         a = np.diag([-1.0, 1.0])
         j_mat = np.array([[0.0, 1.0], [1.0, 0.0]])
         base = ContinuousCocycle.constant(a)
-        pert = ContinuousCocycle(lambda t: a + 0.02 * np.sin(t) * j_mat, 2)
+        pert = ContinuousCocycle(
+            pointwise(lambda t: a + 0.02 * np.sin(t) * j_mat), 2)
         cert = robust_dichotomy_continuous(base, autonomous_certificate(a),
                                            pert, (-3, 3))
         assert cert.meta["verification_continuous"].passed
-        assert calls and max(calls.values()) == 1
-        assert {d for _, _, d in calls} == {1.0}
-        pert_shifts = {s for c, s, _ in calls if c == id(pert)}
-        assert set(range(-3, 3)) <= pert_shifts
-        assert {s for c, s, _ in calls if c == id(base)} == {0.0}
+        # the constant base fills its one shared entry; the perturbed table
+        # is filled in one run for the window and one for the impulse span
+        assert len(runs) == 3
+        (base_shifts, _, _), window, span = runs
+        assert base_shifts == [0.0] and list(base._units) == [0]
+        assert window[0] == [float(n) for n in range(-3, 4)]
+        assert window[2] == window[1] // UNIT_SAMPLES  # all snapshots
+        assert span[2] == span[1]  # no intermediate snapshots
+        # each shift is integrated once, and the span surrounds the window
+        assert not set(window[0]) & set(span[0])
+        shifts = sorted(window[0] + span[0])
+        assert shifts == [float(n) for n in range(int(shifts[0]),
+                                                  int(shifts[-1]) + 1)]
+        assert shifts[0] < -3 and shifts[-1] > 3
+        for n in range(-3, 4):
+            assert len(pert._units[n]) == UNIT_SAMPLES + 1
+        for n in span[0]:
+            assert len(pert._units[int(n)]) == 1
 
     def test_lift_bound_formula(self):
         a = np.diag([-1.0, 1.0])

@@ -5,9 +5,10 @@ import pytest
 
 from splitflow import (ConfigurationError, ContinuousCocycle, KappaFn,
                        NonHyperbolicError, StratonovichSpec, TimeGrid,
-                       autonomous_certificate, build_wave_system,
-                       injected_path, inverse_transform, noise_bounds,
-                       ou_series, run_wave_demo, sample_wiener_path,
+                       WindowError, autonomous_certificate, build_wave_system,
+                       default_kappa, injected_path, inverse_transform,
+                       noise_bounds, ou_series, pointwise, random_ode_problem,
+                       run_wave_demo, sample_wiener_path,
                        spectral_projection, transform, verify_dichotomy)
 from splitflow.cocycle import integrate_nonlinear
 
@@ -19,7 +20,7 @@ def scalar_spec(eta, kappa=None, f=None, fp=None, b=-1.0):
     return StratonovichSpec(
         b_matrix=[[b]],
         f=f if f else (lambda y: 0.0 * y),
-        f_prime=fp if fp else (lambda y: np.zeros((1, 1))),
+        f_prime=fp if fp else (lambda y: np.zeros((len(y), 1, 1))),
         eta=eta, kappa=kappa or KappaFn.inverse_quadratic(1.0),
     )
 
@@ -28,12 +29,12 @@ class TestTransform:
     def test_eta_zero_is_identity_on_fields(self, rng):
         path = sample_wiener_path(PATH_GRID, 2)
         f = lambda y: y - y ** 3
-        spec = scalar_spec(0.0, f=f, fp=lambda y: np.atleast_2d(1 - 3 * y**2))
+        spec = scalar_spec(0.0, f=f, fp=lambda y: (1 - 3 * y**2)[:, :, None])
         ode = transform(spec, path)
-        for t in (-2.0, 0.0, 3.0):
-            y = rng.standard_normal(1)
-            assert np.allclose(ode.f_eta(t, y), f(y), atol=1e-14)
-            assert np.allclose(ode.b_eta(t), 0.0, atol=1e-15)
+        ts = np.array([-2.0, 0.0, 3.0])
+        y = rng.standard_normal((3, 1))
+        assert np.allclose(ode.f_eta(ts, y), f(y), atol=1e-14)
+        assert np.allclose(ode.b_eta(ts), 0.0, atol=1e-15)
 
     def test_linear_field_matches_dressing(self):
         # f = 0: the transformed generator is B + eta (kappa - kappadot) z* I
@@ -45,9 +46,8 @@ class TestTransform:
         z = ou_series(path, win)
         ts = win.times()
         coeff = (np.asarray(kap.kappa(ts)) - np.asarray(kap.kappa_dot(ts))) * z
-        for i in range(0, len(ts), 37):
-            want = 0.3 * coeff[i]
-            assert abs(ode.b_eta(ts[i])[0, 0] - want) < 1e-10
+        got = ode.b_eta(ts[::37])
+        assert np.max(np.abs(got[:, 0, 0] - 0.3 * coeff[::37])) < 1e-10
 
     def test_round_trip_identity(self, rng):
         path = sample_wiener_path(PATH_GRID, 4)
@@ -65,7 +65,7 @@ class TestTransform:
         kap = KappaFn.inverse_quadratic(1.0)
         spec = StratonovichSpec(
             b_matrix=np.diag([-1.0, -2.0]),
-            f=lambda y: 0.0 * y, f_prime=lambda y: np.zeros((2, 2)),
+            f=lambda y: 0.0 * y, f_prime=lambda y: np.zeros((len(y), 2, 2)),
             eta=0.4, kappa=kap, pattern=np.array([1.0, 0.0]),
         )
         assert np.allclose(spec.eta_tilde(), np.diag([0.4, 0.0]))
@@ -99,7 +99,7 @@ class TestTransform:
         ode = transform(spec, path)
 
         def v_field(t, v):
-            return ode.b_matrix @ v + ode.b_eta(t) @ v
+            return ode.b_matrix @ v + ode.b_eta(np.array([t]))[0] @ v
 
         t_end = 4.0
         v0 = np.array([1.0]) / ode.scale(0.0)
@@ -119,8 +119,110 @@ class TestTransform:
         ode = transform(spec, path)
         win = TimeGrid(-4.0, 6.0, H)
         nb = noise_bounds(path, kap, win, eta=eta)
-        sup_b = max(abs(ode.b_eta(t)[0, 0]) for t in win.times())
+        sup_b = float(np.max(np.abs(ode.b_eta(win.times())[:, 0, 0])))
         assert abs(sup_b - nb.b_sup) < 1e-12
+
+
+class TestBatchedFields:
+    """Batched field calls against one-point evaluations of the same
+    formulas, built here from the problem's parts."""
+
+    @staticmethod
+    def check_against_points(f, jac, ts, ys, f_point, jac_point):
+        assert f.shape == ys.shape and jac.shape == ys.shape + ys.shape[1:]
+        for t, y, fi, ji in zip(ts, ys, f, jac):
+            assert np.max(np.abs(fi - f_point(t, y))) <= 1e-14 * (
+                1 + np.max(np.abs(fi)))
+            assert np.max(np.abs(ji - jac_point(t, y))) <= 1e-14 * (
+                1 + np.max(np.abs(ji)))
+
+    def test_random_ode_problem(self, rng):
+        path = sample_wiener_path(PATH_GRID, 9)
+        kap = KappaFn.inverse_quadratic(0.5)
+        strat = StratonovichSpec(
+            b_matrix=[[1.0]], f=lambda y: -y ** 3,
+            f_prime=lambda y: (-3.0 * y ** 2)[:, :, None], eta=1.0,
+            kappa=kap)
+        p = random_ode_problem(strat, path, [1.0], r_u=0.3)
+        dressing, eta = p.meta["dressing"], 0.4
+        ts = rng.uniform(-4.0, 9.0, 50)
+        ys = 1.0 + 0.3 * rng.standard_normal((50, 1))
+
+        def f_point(t, y):
+            s = np.exp(eta * dressing.kappa_z(t))
+            return -(s * y) ** 3 / s + dressing.gap(eta, t) * y
+
+        def jac_point(t, y):
+            s = np.exp(eta * dressing.kappa_z(t))
+            return np.atleast_2d(-3.0 * s * s * y ** 2 + dressing.gap(eta, t))
+
+        self.check_against_points(p.f_eta(eta, ts, ys), p.f_eta_dy(eta, ts, ys),
+                                  ts, ys, f_point, jac_point)
+
+    def test_build_wave_system(self, rng):
+        f_s, fp_s = (lambda u: u - u ** 3), (lambda u: 1.0 - 3.0 * u ** 2)
+        p = build_wave_system(3, 1.0, f_s, fp_s)
+        phi, proj = p.meta["phi"], p.meta["proj"]
+
+        def f0_point(y):
+            out = np.zeros(6)
+            out[3:] = proj @ f_s(phi @ y[:3])
+            return out
+
+        def f0p_point(y):
+            jac = np.zeros((6, 6))
+            jac[3:, :3] = proj @ (fp_s(phi @ y[:3])[:, None] * phi)
+            return jac
+
+        ts = rng.uniform(-5.0, 5.0, 20)
+        ys = 0.2 * rng.standard_normal((20, 6))
+        self.check_against_points(p.f_eta(0.3, ts, ys), p.f0_prime(ys), ts, ys,
+                                  lambda t, y: f0_point(y),
+                                  lambda t, y: f0p_point(y))
+        # and the transformed wave field on one noise path
+        path = sample_wiener_path(PATH_GRID, 10)
+        strat = StratonovichSpec(b_matrix=p.meta["b_matrix"], f=p.f0,
+                                 f_prime=p.f0_prime, eta=1.0,
+                                 kappa=default_kappa(), pattern=np.ones(6))
+        q = random_ode_problem(strat, path, p.y0_star, p.r_u,
+                               a_matrix=p.a_matrix)
+        dressing, eta = q.meta["dressing"], 0.05
+
+        def f_point(t, y):
+            s = np.exp(eta * dressing.kappa_z(t))
+            return f0_point(s * y) / s + dressing.gap(eta, t) * y
+
+        def jac_point(t, y):
+            s = np.exp(eta * dressing.kappa_z(t))
+            return f0p_point(s * y) + dressing.gap(eta, t) * np.eye(6)
+
+        self.check_against_points(q.f_eta(eta, ts, ys), q.f_eta_dy(eta, ts, ys),
+                                  ts, ys, f_point, jac_point)
+
+    def test_pointwise_adapter(self):
+        field = pointwise(lambda eta, t, y: eta * np.cos(t) * y)
+        ts, ys = np.array([0.0, 1.0, 2.0]), np.arange(6.0).reshape(3, 2)
+        want = 0.5 * np.cos(ts)[:, None] * ys
+        assert np.array_equal(field(0.5, ts, ys), want)
+        gen = pointwise(lambda t: np.array([[t, 1.0], [0.0, -t]]))
+        assert gen(ts).shape == (3, 2, 2)
+        assert np.array_equal(gen(ts)[2], [[2.0, 1.0], [0.0, -2.0]])
+
+    def test_dressing_window_check(self):
+        path = sample_wiener_path(PATH_GRID, 11)
+        p = random_ode_problem(scalar_spec(1.0), path, [0.0], r_u=0.3)
+        dressing = p.meta["dressing"]
+        lo, hi = dressing.ts[0], dressing.ts[-1]
+        assert dressing.gap(0.5, hi) == dressing.gap(0.5, np.array([hi]))[0]
+        with pytest.raises(WindowError, match=r"time 13.0 outside .*\(1 of 1 "):
+            dressing.gap(0.5, 13.0)
+        ts = np.array([0.0, hi + 1.0, lo - 2.0, hi + 3.0])
+        with pytest.raises(WindowError) as exc:
+            p.f_eta(0.5, ts, np.zeros((4, 1)))
+        msg = str(exc.value)
+        assert msg.startswith(f"time {hi + 1.0} outside")
+        assert "(3 of 4 times out)" in msg
+        assert "[" not in msg.split("outside")[0]  # no array printed
 
 
 class TestWaveSystem:
@@ -173,7 +275,7 @@ class TestWaveSystem:
         rng = np.random.default_rng(0)
         a = rng.standard_normal(3)
         y = np.concatenate([a, np.zeros(3)])
-        out = p.f0(y)
+        out = p.f0(y[None])[0]
         assert np.allclose(out[3:], 2.5 * a, atol=1e-12)
         assert np.allclose(out[:3], 0.0)
 
@@ -216,8 +318,9 @@ class TestWaveDemo:
         )
         ode = transform(strat, path)
         y0 = 0.1 * np.ones(4)
-        fa = lambda t, y: p.meta["b_matrix"] @ y + p.f0(y)
-        ft = lambda t, y: ode.b_matrix @ y + ode.f_eta(t, y) + ode.b_eta(t) @ y
+        fa = lambda t, y: p.meta["b_matrix"] @ y + p.f0(y[None])[0]
+        ft = lambda t, y: (ode.b_matrix @ y + ode.f_eta(np.array([t]), y[None])[0]
+                           + ode.b_eta(np.array([t]))[0] @ y)
         ya = integrate_nonlinear(fa, 0.0, 3.0, y0, step=1.0 / 64)
         yt = integrate_nonlinear(ft, 0.0, 3.0, y0, step=1.0 / 64)
         assert np.max(np.abs(ya - yt)) < 1e-12
