@@ -57,6 +57,17 @@ def spectral_norms(mats):
     return np.linalg.norm(np.asarray(mats, float), 2, axis=(-2, -1))
 
 
+def _finite(values, ts, what):
+    """``values`` (one row per time in ``ts``), or :class:`SplitflowError`
+    naming the first time whose row is not finite."""
+    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if np.any(bad):
+        raise SplitflowError(
+            f"non-finite {what} at t={ts[int(np.argmax(bad))]} "
+            f"({int(np.sum(bad))} of {len(bad)} times)")
+    return values
+
+
 def stack_steps(step, nodes):
     """``step(n)`` for every node, stacked to shape ``(len(nodes), d, d)``.
 

@@ -236,6 +236,32 @@ def delta_threshold(alpha):
     return (1.0 - e) / (1.0 + e)
 
 
+def _restricted_inverse(steps, proj_s):
+    """One-step inverses ``R_k = B_k (B_{k+1}^T A_k B_k)^{-1} B_{k+1}^T`` of
+    the flow restricted unstable-to-unstable, with ``B_k`` an orthonormal
+    basis of the range of ``Pi^u(k)``.  Returns ``(R, rank, no_inverse,
+    cond)`` as :class:`_SplitMarch` reports them; ``R_k = 0`` where the
+    restricted step has no inverse (across a rank change, or singular).
+    """
+    n, d = proj_s.shape[:2]
+    basis, sv, _ = np.linalg.svd(np.eye(d) - proj_s)
+    rank = np.sum(sv > 0.5, axis=1)  # range basis = leading singular vectors
+    no_inverse = rank[1:] != rank[:-1]
+    back = np.zeros((n - 1, d, d))
+    cond = np.ones(n - 1)
+    keep = ~no_inverse & (rank[1:] > 0)
+    for r in np.unique(rank[1:][keep]):
+        k = np.flatnonzero(keep & (rank[1:] == r))
+        b0, b1t = basis[k, :, :r], basis[k + 1, :, :r].swapaxes(1, 2)
+        w = b1t @ steps[k] @ b0
+        s = np.linalg.svd(w, compute_uv=False)
+        cond[k] = s[:, 0] / np.maximum(s[:, -1], 1e-300)
+        ok = (s[:, -1] > 1e-300) & np.isfinite(cond[k])
+        no_inverse[k] = ~ok
+        back[k[ok]] = b0[ok] @ np.linalg.inv(w[ok]) @ b1t[ok]
+    return back, rank, no_inverse, cond
+
+
 class _SplitMarch(NamedTuple):
     """Kernel tables and per-step diagnostics of :func:`_split_march`."""
 
@@ -255,31 +281,15 @@ def _split_march(steps, proj_s, band):
     the target among the nodes (other entries zero), ``fwd[j, i] = Pi^s(i+j)
     A_{i+j-1} ... Pi^s(i+1) A_i Pi^s(i)`` re-projects the stable range after
     every step, and ``bwd[j, i]`` carries ``-Pi^u(i)`` back j steps through
-    the one-step inverses of the flow restricted unstable-to-unstable: the
+    the one-step restricted inverses (:func:`_restricted_inverse`): the
     Green kernel values ``G(i+j, i)`` and ``G(i-j, i)`` of the cocycle with
     its off-diagonal blocks removed (the re-projected, QR-style propagation
     of Dieci & Van Vleck, SIAM J. Numer. Anal. 40, 2002).  One loop runs
-    over the offsets.  Problems are reported per step, never raised; a
-    restricted step without an inverse (across a rank change, or singular) is
-    taken as zero.
+    over the offsets.  Problems are reported per step, never raised.
     """
     n, d = proj_s.shape[:2]
     proj_u = np.eye(d) - proj_s
-    basis, sv, _ = np.linalg.svd(proj_u)
-    rank = np.sum(sv > 0.5, axis=1)  # range basis = leading singular vectors
-    no_inverse = rank[1:] != rank[:-1]
-    back = np.zeros((n - 1, d, d))
-    cond = np.ones(n - 1)
-    keep = ~no_inverse & (rank[1:] > 0)
-    for r in np.unique(rank[1:][keep]):
-        k = np.flatnonzero(keep & (rank[1:] == r))
-        b0, b1t = basis[k, :, :r], basis[k + 1, :, :r].swapaxes(1, 2)
-        w = b1t @ steps[k] @ b0
-        s = np.linalg.svd(w, compute_uv=False)
-        cond[k] = s[:, 0] / np.maximum(s[:, -1], 1e-300)
-        ok = (s[:, -1] > 1e-300) & np.isfinite(cond[k])
-        no_inverse[k] = ~ok
-        back[k[ok]] = b0[ok] @ np.linalg.inv(w[ok]) @ b1t[ok]
+    back, rank, no_inverse, cond = _restricted_inverse(steps, proj_s)
     off = proj_u[1:] @ steps @ proj_s[:-1] + proj_s[1:] @ steps @ proj_u[:-1]
 
     fwd = np.zeros((band + 1, n, d, d))

@@ -9,16 +9,19 @@ is the fixed point of the kernel sum
     (Gamma_f x)(n) = sum_k G(n, k+1) (B_k x_k + f_k),
 
 a contraction on bounded sequences whenever the perturbation is small
-against the dichotomy constants.  The sum is truncated at the certified
-geometric-tail length; Picard iteration then yields the solution together
-with a residual certificate.  (A direct banded linear solve would work too;
-the iteration mirrors the contraction argument and its residual is the
+against the dichotomy constants.  On a window the sum solves a
+boundary-value problem (Beyn, IMA J. Numer. Anal. 10, 1990; Huels, DCDS-B
+12, 2009): two first-order sweeps, forward along the stable ranges and
+backward through the restricted one-step inverses, apply it exactly.
+Picard iteration then yields the solution together with a residual
+certificate; nodes within the certified geometric-tail length (the band) of
+the window edges are edge-contaminated.  (A direct linear solve would work
+too; the iteration mirrors the contraction argument and its residual is the
 certificate, so the linear-solve route is kept as a test oracle only.)
 
 The perturbed projections at a family of nodes are bounded solutions of
 unit-impulse problems, solved together as the column blocks of one forcing:
-one Green band, one Picard loop and one residual certificate per family
-(the finite-interval boundary-value form of Huels, DCDS-B 12, 2009).
+one Picard loop and one residual certificate per family.
 """
 
 import math
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cocycle import as_step_sequence, spectral_norms, stack_steps
-from .dichotomy import _split_march
+from .dichotomy import _restricted_inverse
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
 from .io import write_csv
 
@@ -108,53 +111,9 @@ def _seq_sup(values):
                                        axis=tuple(range(1, values.ndim)))))
 
 
-class GreenBand:
-    """Banded table of Green-kernel values over an integer window.
-
-    The tables are the split-flow march (``dichotomy._split_march``) over
-    the nodes [n_lo, n_hi+1], with source index i at node m = n_lo + 1 + i,
-    the index of the forcing entry k = m - 1 it multiplies:
-    ``fwd[j, i] = G(m+j, m)`` for offsets j in [0, band] and
-    ``bwd[j, i] = G(m-j, m)`` for j in [1, band]; :meth:`apply` reads the
-    targets in [n_lo, n_hi].  A rank change or a singular restricted step,
-    which leaves no backward branch, raises :class:`SplitflowError`.
-    """
-
-    def __init__(self, cocycle, cert, n_lo, n_hi, band):
-        self.n_lo, self.n_hi, self.band = n_lo, n_hi, band
-        march = _split_march(
-            stack_steps(cocycle.step, range(n_lo, n_hi + 1)),
-            np.array([cert.proj_s(m) for m in range(n_lo, n_hi + 2)]), band)
-        if np.any(march.no_inverse):
-            k = int(np.argmax(march.no_inverse))
-            why = ("unstable rank changes" if march.rank[k] != march.rank[k + 1]
-                   else "unstable-restricted step is singular")
-            raise SplitflowError(f"{why} across node {n_lo + k}; "
-                                 "no backward branch")
-        self.fwd, self.bwd = march.fwd[:, 1:], march.bwd[:, 1:]
-
-    def apply(self, u):
-        """``out(n) = sum_k G(n, k+1) u(k)`` over the band; u lives on the window."""
-        w = self.n_hi - self.n_lo + 1
-        out = np.zeros((w,) + u.shape[1:])
-        for j in range(self.band + 1):
-            imax = w - 2 - j  # largest source index whose target stays in window
-            if imax >= 0:
-                out[j + 1 : j + 2 + imax] += np.einsum(
-                    "kab,kb...->ka...", self.fwd[j, : imax + 1], u[: imax + 1]
-                )
-        for j in range(1, self.band + 1):
-            imin = j - 1  # smallest source index whose target stays in window
-            if imin <= w - 1:
-                out[: w - imin] += np.einsum(
-                    "kab,kb...->ka...", self.bwd[j, imin:w], u[imin:w]
-                )
-        return out
-
-
-def _delta_eff(cert, b_step, n_lo, n_hi):
-    mats = stack_steps(b_step, range(n_lo, n_hi + 1))
-    return cert.bound * (float(np.max(spectral_norms(mats))) if len(mats) else 0.0)
+def _delta_eff(cert, b_mats):
+    """``K sup_n |B_n|`` over a stack of perturbation steps."""
+    return cert.bound * (float(np.max(spectral_norms(b_mats))) if len(b_mats) else 0.0)
 
 
 def _band_for(cert, delta_eff, f_sup, trunc_tol):
@@ -168,23 +127,49 @@ def _band_for(cert, delta_eff, f_sup, trunc_tol):
 def _impulse_span(cert, b_step, n_lo, n_hi, trunc_tol):
     """Span of the impulse solves for the nodes [n_lo, n_hi]: the window
     widened by the unit-forcing band of its perturbation size, plus 8."""
-    band0 = _band_for(cert, _delta_eff(cert, b_step, n_lo, n_hi), 1.0,
-                      trunc_tol) + 8
+    delta_eff = _delta_eff(cert, stack_steps(b_step, range(n_lo, n_hi + 1)))
+    band0 = _band_for(cert, delta_eff, 1.0, trunc_tol) + 8
     return n_lo - band0, n_hi + band0
 
 
-def _gamma(gb, b_step, f, x):
-    """Kernel sum ``Gamma_f x``: ``u_n = B_n x_n + f_n`` applied through the band."""
-    n_lo, n_hi = f.window
-    u = np.stack([b_step(n) @ x[i] for i, n in enumerate(range(n_lo, n_hi + 1))])
-    return gb.apply(u + f.values)
+def _sweeps(cocycle, cert, n_lo, n_hi):
+    """``A_m``, ``Pi^s(m+1)``, ``Pi^u(m+1)`` and ``R_m`` per step m of the
+    window, for :func:`_gamma`.  A rank change or a singular restricted
+    step, which leaves no backward branch, raises :class:`SplitflowError`."""
+    steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1))
+    proj_s = np.array([cert.proj_s(m) for m in range(n_lo, n_hi + 2)])
+    back, rank, no_inverse, _ = _restricted_inverse(steps, proj_s)
+    if np.any(no_inverse):
+        k = int(np.argmax(no_inverse))
+        why = ("unstable rank changes" if rank[k] != rank[k + 1]
+               else "unstable-restricted step is singular")
+        raise SplitflowError(f"{why} across node {n_lo + k}; "
+                             "no backward branch")
+    return steps, proj_s[1:], np.eye(cocycle.dim) - proj_s[1:], back
 
 
-def gamma_apply(cocycle, cert, b, f, x, trunc_tol=DEFAULT_TRUNC_TOL):
+def _gamma(sweeps, b_mats, f, x):
+    """Kernel sum ``Gamma_f x = sum_k G(n, k+1) u(k)``, ``u = B x + f``, as
+    ``S + U``: forward ``S(m+1) = Pi^s(m+1) (A_m S(m) + u(m))`` from
+    ``S(n_lo) = 0``, backward ``U(m) = R_m (U(m+1) - Pi^u(m+1) u(m))`` from
+    ``U(n_hi+1) = 0``."""
+    steps, pi_s, pi_u, back = sweeps
+    u = np.einsum("kab,kb...->ka...", b_mats, x) + f.values
+    out = np.zeros_like(u)
+    for m in range(len(u) - 1):
+        out[m + 1] = pi_s[m] @ (steps[m] @ out[m] + u[m])
+    acc = np.zeros_like(u[0])
+    for m in range(len(u) - 1, -1, -1):
+        acc = back[m] @ (acc - pi_u[m] @ u[m])
+        out[m] += acc
+    return out
+
+
+def gamma_apply(cocycle, cert, b, f, x):
     """One application of the kernel sum to a candidate sequence.
 
-    ``x`` has the forcing's window shape; the truncated series is evaluated
-    at every window node.  Linear in (x, f).
+    ``x`` has the forcing's window shape; the sum runs over the whole
+    window.  Linear in (x, f).
     """
     n_lo, n_hi = f.window
     x = np.asarray(x, float)
@@ -192,19 +177,16 @@ def gamma_apply(cocycle, cert, b, f, x, trunc_tol=DEFAULT_TRUNC_TOL):
         raise ConfigurationError(
             f"candidate shape {x.shape} does not match forcing {f.values.shape}"
         )
-    b_step = as_step_sequence(b, cocycle.dim)
-    delta_eff = _delta_eff(cert, b_step, n_lo, n_hi)
-    band = min(_band_for(cert, delta_eff, max(f.sup_norm(), _seq_sup(x)), trunc_tol),
-               n_hi - n_lo + 1)
-    return _gamma(GreenBand(cocycle, cert, n_lo, n_hi, band), b_step, f, x)
+    b_mats = stack_steps(as_step_sequence(b, cocycle.dim), range(n_lo, n_hi + 1))
+    return _gamma(_sweeps(cocycle, cert, n_lo, n_hi), b_mats, f, x)
 
 
 @dataclass
 class BoundedSolution:
     """Fixed point of the kernel contraction, with its residual certificate.
 
-    Nodes within the truncation band of the window edges are
-    edge-contaminated; ``interior`` is the clean sub-window.
+    Nodes within the band (the certified geometric-tail length) of the
+    window edges are edge-contaminated; ``interior`` is the clean rest.
     """
 
     n_min: int
@@ -241,8 +223,8 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     residual ``|Gamma_f x - x| <= tol``.
     """
     n_lo, n_hi = f.window
-    b_step = as_step_sequence(b, cocycle.dim)
-    delta_eff = _delta_eff(cert, b_step, n_lo, n_hi)
+    b_mats = stack_steps(as_step_sequence(b, cocycle.dim), range(n_lo, n_hi + 1))
+    delta_eff = _delta_eff(cert, b_mats)
     e = math.exp(-cert.exponent)
     rho = delta_eff * (1.0 + e) / (1.0 - e)
     if rho > CONTRACTION_MARGIN:
@@ -254,7 +236,7 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
         )
     f_sup = f.sup_norm()
     band = min(_band_for(cert, delta_eff, f_sup, trunc_tol), n_hi - n_lo + 1)
-    gb = GreenBand(cocycle, cert, n_lo, n_hi, band)
+    sweeps = _sweeps(cocycle, cert, n_lo, n_hi)
     x = np.zeros_like(f.values) if x0 is None else np.asarray(x0, float).copy()
     if max_iter is None:
         c0 = cert.bound * f_sup * (1.0 + e) / (1.0 - e) + _seq_sup(x)
@@ -265,13 +247,13 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
             max_iter = 3
     it = 0
     while it < max_iter:
-        y = _gamma(gb, b_step, f, x)
+        y = _gamma(sweeps, b_mats, f, x)
         res = _seq_sup(y - x)
         x = y
         it += 1
         if res <= tol:
             break
-    residual = _seq_sup(_gamma(gb, b_step, f, x) - x)
+    residual = _seq_sup(_gamma(sweeps, b_mats, f, x) - x)
     if not residual <= tol:
         raise SplitflowError(
             f"Picard iteration did not certify residual {tol:g} "

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import expm
 
-from .cocycle import ContinuousCocycle, spectral_norms
+from .cocycle import ContinuousCocycle, _finite, spectral_norms
 from .dichotomy import _envelope_scan, autonomous_certificate
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
@@ -141,17 +141,6 @@ def _rows(values, n, *shape):
     return values.reshape((n, *shape))
 
 
-def _finite(values, ts):
-    """``values`` (one row per time in ``ts``), or :class:`SplitflowError`
-    naming the first time whose row is not finite."""
-    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-    if np.any(bad):
-        raise SplitflowError(
-            f"non-finite field values at t={ts[int(np.argmax(bad))]} "
-            f"({int(np.sum(bad))} of {len(bad)} times)")
-    return values
-
-
 def _central_jacobian(fn, ys, rel_step=1e-5):
     """Central-difference Jacobians of a batched ``fn`` at every row of
     ``ys``, shape ``(N, d, d)``."""
@@ -192,7 +181,8 @@ def lambda_eta(p, eta, window, n_time=65, n_cloud=32):
         ys = np.broadcast_to(x, (n_time, p.dim))
         v = np.linalg.norm(p.f_eta_at(eta, ts, ys) - f0, axis=1)
         dv = spectral_norms(p.d_f_eta(eta, ts, ys) - d0)
-        worst = max(worst, float(np.max(_finite(v + dv, ts), initial=0.0)))
+        worst = max(worst, float(np.max(_finite(v + dv, ts, "field values"),
+                                         initial=0.0)))
     return worst
 
 
@@ -466,7 +456,8 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
 
     def g_all(phi):
         # one field call over every node; a non-finite value fails closed
-        f = _finite(p.f_eta_at(eta, times, p.y0_star + phi), times)
+        f = _finite(p.f_eta_at(eta, times, p.y0_star + phi), times,
+                    "field values")
         return f - f0_star - phi @ d0_star.T
 
     phi = np.zeros((n, p.dim)) if x0 is None else np.array(x0, float)

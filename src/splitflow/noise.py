@@ -18,6 +18,7 @@ Langevin equation ``dz + z dt = dW``.
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .cocycle import _finite
 from .errors import ConfigurationError, WindowError
 from .grids import TimeGrid
 from .io import text_sink, write_csv
@@ -199,8 +200,8 @@ def ou_series(path, window, tail_tol=DEFAULT_TAIL_TOL):
 
     Algebraically identical to calling :func:`ou_value` per node (same
     trapezoid weights), but O(N) overall.  Window spans beyond a few hundred
-    time units would overflow the internal exponential weights; desk-scale
-    windows are far below that.
+    time units overflow the internal exponential weights; a non-finite value
+    raises :class:`SplitflowError`.
     """
     g = path.grid
     ts = window.times() if isinstance(window, TimeGrid) else np.asarray(window, float)
@@ -213,12 +214,13 @@ def ou_series(path, window, tail_tol=DEFAULT_TAIL_TOL):
             required_extension=g.t_min - need,
         )
     all_t = g.times()
-    w = np.exp(all_t - t0)  # renormalized to keep the weights finite
-    cw = np.concatenate([[0.0], cumulative_trapezoid(w, dx=g.h)])
-    cwo = np.concatenate([[0.0], cumulative_trapezoid(w * path.values, dx=g.h)])
     idx = np.array([g.index_of(t) for t in ts])
-    scale = np.exp(-(all_t[idx] - t0))
-    return scale * (path.values[idx] * cw[idx] - cwo[idx])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(all_t - t0)  # renormalized at the window start
+        cw = np.concatenate([[0.0], cumulative_trapezoid(w, dx=g.h)])
+        cwo = np.concatenate([[0.0], cumulative_trapezoid(w * path.values, dx=g.h)])
+        z = np.exp(-(all_t[idx] - t0)) * (path.values[idx] * cw[idx] - cwo[idx])
+    return _finite(z, ts, "z*")
 
 
 def pathwise_ou_residual(path, window, tail_tol=DEFAULT_TAIL_TOL):

@@ -126,7 +126,8 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
     b_step = _difference_step(base, perturbed)
 
     span = _impulse_span(base_cert, b_step, n_lo, n_hi, trunc_tol)
-    delta_eff = _delta_eff(base_cert, b_step, *span)
+    delta_eff = _delta_eff(base_cert,
+                           stack_steps(b_step, range(span[0], span[1] + 1)))
     thr = delta_threshold(alpha)
     if delta_eff > safety * thr:
         raise RobustnessHypothesisError(

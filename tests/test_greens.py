@@ -7,7 +7,7 @@ from splitflow import (ContractionMarginError, DiscreteCocycle,
                        DichotomyCertificate, ForcingSequence, GreenKernel,
                        SplitflowError, bounded_solution, gamma_apply,
                        impulse_response_projection, truncation_length)
-from splitflow.greens import GreenBand
+from splitflow.dichotomy import _split_march
 from conftest import time_varying_saddle
 
 LN2 = float(np.log(2.0))
@@ -77,8 +77,33 @@ class TestGammaApply:
         rhs = gamma_apply(c, cert, b, f0, x) + gamma_apply(c, cert, b, f0, y)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_full_window_sum_matches_kernel_per_pair(self):
+        # sum_k G(n, k+1) (B_k x_k + f_k) over every pair of the window, on
+        # the time-varying saddle with 3 forcing columns; the overstated
+        # exponent puts the geometric-tail band at tolerance 1e-10 (9 nodes)
+        # inside the 13-node window, so a sum cut at the band misses terms
+        n_lo, n_hi = -6, 6
+        steps, projections = time_varying_saddle((n_lo, n_hi))
+        c = DiscreteCocycle(lambda n: steps[n], 2)
+        cert = DichotomyCertificate(bound=1.5, exponent=3.0, discrete=True,
+                                    projections=projections)
+        rng = np.random.default_rng(5)
+        w = n_hi - n_lo + 1
+        b = {n: 0.02 * rng.standard_normal((2, 2))
+             for n in range(n_lo, n_hi + 1)}
+        f = ForcingSequence(n_lo, n_hi, rng.standard_normal((w, 2, 3)))
+        x = rng.standard_normal((w, 2, 3))
+        g = GreenKernel(c, cert)
+        u = [b[k] @ x[k - n_lo] + f.values[k - n_lo]
+             for k in range(n_lo, n_hi + 1)]
+        want = np.array([sum(g.eval(n, k + 1) @ u[k - n_lo]
+                             for k in range(n_lo, n_hi + 1))
+                         for n in range(n_lo, n_hi + 1)])
+        out = gamma_apply(c, cert, b, f, x)
+        assert np.max(np.abs(out - want)) < 1e-12
 
-class TestGreenBand:
+
+class TestSplitMarch:
     def test_tables_match_kernel_per_pair(self):
         # the marched tables against the per-pair two-branch kernel on a
         # time-varying saddle with exact invariant projections
@@ -88,24 +113,18 @@ class TestGreenBand:
         cert = DichotomyCertificate(bound=1.5, exponent=0.5, discrete=True,
                                     projections=projections)
         band = n_hi - n_lo + 1
-        gb = GreenBand(c, cert, n_lo, n_hi, band)
+        march = _split_march(
+            np.array([steps[n] for n in range(n_lo, n_hi + 1)]),
+            np.array([projections[n] for n in range(n_lo, n_hi + 2)]), band)
         g = GreenKernel(c, cert)
-        for i, m in enumerate(range(n_lo + 1, n_hi + 2)):
+        for i, m in enumerate(range(n_lo, n_hi + 2)):
             for j in range(band + 1):
-                if m + j <= n_hi:
-                    assert np.max(np.abs(gb.fwd[j, i] - g.eval(m + j, m))) \
+                if m + j <= n_hi + 1:
+                    assert np.max(np.abs(march.fwd[j, i] - g.eval(m + j, m))) \
                         < 1e-12
                 if j >= 1 and m - j >= n_lo:
-                    assert np.max(np.abs(gb.bwd[j, i] - g.eval(m - j, m))) \
+                    assert np.max(np.abs(march.bwd[j, i] - g.eval(m - j, m))) \
                         < 1e-12
-
-    def test_rank_change_raises(self):
-        c, _ = saddle()
-        cert = DichotomyCertificate(
-            bound=1.0, exponent=LN2, discrete=True,
-            projections={n: np.diag([1.0, float(n > 0)]) for n in range(-4, 5)})
-        with pytest.raises(SplitflowError, match="rank changes across node 0"):
-            GreenBand(c, cert, -4, 3, 4)
 
 
 class TestBoundedSolution:
@@ -190,6 +209,30 @@ class TestBoundedSolution:
         lo, hi = s1.interior
         for n in range(lo, hi + 1):
             assert abs(s1.value_at(n)[0] - s2.value_at(n)[0]) < 1e-9
+
+    def test_rank_change_raises(self):
+        c, _ = saddle()
+        cert = DichotomyCertificate(
+            bound=1.0, exponent=LN2, discrete=True,
+            projections={n: np.diag([1.0, float(n > 0)]) for n in range(-4, 5)})
+        with pytest.raises(SplitflowError, match="rank changes across node 0"):
+            bounded_solution(c, cert, 0.0, ForcingSequence.zeros(-4, 3, 2))
+
+    def test_perturbation_stacked_once_per_solve(self):
+        # B is read once per window node, not once per node and iteration
+        c, cert = saddle()
+        rng = np.random.default_rng(11)
+        b_mat = 0.03 * rng.standard_normal((2, 2))
+        calls = []
+
+        def b(n):
+            calls.append(n)
+            return b_mat
+
+        f = ForcingSequence(-30, 30, 0.3 * rng.standard_normal((61, 2)))
+        sol = bounded_solution(c, cert, b, f, tol=1e-10)
+        assert sol.iterations > 1
+        assert calls == list(range(-30, 31))
 
     def test_margin_error_reports_threshold(self):
         c, cert = stable_scalar()

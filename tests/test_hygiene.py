@@ -1,12 +1,13 @@
-"""Every function, class and method under src/splitflow has a use.
+"""Every function, class, method and module-level constant under
+src/splitflow has a use.
 
 A definition counts as used when its name appears anywhere in the package,
 the tests, the demos or the benchmark other than at the definition itself:
-as a name, an attribute, an import or an identifier string (the benchmark
-wraps functions it looks up by name).  A method counts as used only when it
-is named as an attribute or as an identifier string: a bare name is a local
-variable or a module-level function, never a method.  Dunder names are
-exempt.
+as a name read, an attribute, an import or an identifier string (the
+benchmark wraps functions it looks up by name).  Assigning to a name is not
+a use.  A method counts as used only when it is named as an attribute or as
+an identifier string: a bare name is a local variable or a module-level
+function, never a method.  Dunder names are exempt.
 
 Likewise every ``self.<attr>`` stored under src/splitflow must be read
 somewhere: as an attribute load or as an identifier string (``getattr``).
@@ -33,7 +34,7 @@ def _mentions(tree):
     """``(name, as_member)`` per mention; ``as_member`` marks an attribute
     or an identifier string, the only ways a method can be named."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id, False
         elif isinstance(node, ast.Attribute):
             yield node.attr, True
@@ -45,13 +46,21 @@ def _mentions(tree):
 
 
 def _definitions(tree):
-    """``(name, line, is_method)`` of every function, class and method."""
+    """``(name, line, is_method)`` of every function, class, method and
+    module-level constant."""
     methods = {id(node) for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef)
                for node in cls.body if isinstance(node, FUNCTIONS)}
     for node in ast.walk(tree):
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             yield node.name, node.lineno, id(node) in methods
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno, False
 
 
 def test_every_definition_is_named_elsewhere():

@@ -8,7 +8,7 @@ from splitflow import (ContractionMarginError, KappaFn, SemilinearProblem,
                        pointwise, random_ode_problem, rho_modulus,
                        sample_wiener_path, spectral_norm)
 from splitflow.cocycle import integrate_nonlinear
-from splitflow.hyperbolic import _AutonomousGreen
+from splitflow.hyperbolic import SUP_OVER_LAMBDA, _AutonomousGreen
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -158,7 +158,8 @@ class TestFindSolution:
         sols = {}
         for eta in (0.2, 0.1, 0.05):
             sol = find_hyperbolic_solution(p, eta, W64, tol=1e-9)
-            c_proof = 4.0 * sol.autonomous_cert.bound / sol.autonomous_cert.exponent
+            c_proof = (SUP_OVER_LAMBDA * sol.autonomous_cert.bound
+                       / sol.autonomous_cert.exponent)
             assert sol.sup_distance <= c_proof * sol.lambda_value
             assert sol.sup_distance < sol.eps_used
             sols[eta] = sol.sup_distance

@@ -1,10 +1,11 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
-from splitflow import (ConfigurationError, KappaFn, TimeGrid, WindowError,
-                       injected_path, linear_path, noise_bounds, ou_series,
+from splitflow import (ConfigurationError, KappaFn, SplitflowError, TimeGrid,
+                       WindowError, injected_path, linear_path, noise_bounds, ou_series,
                        ou_value, sample_wiener_path, shift_path,
                        sublinearity_report, zero_path)
 from splitflow.noise import (default_kappa, ensemble_diagnostics,
@@ -125,6 +126,16 @@ class TestStationaryFilter:
         with pytest.raises(WindowError) as exc:
             ou_value(p, 0.0)
         assert exc.value.required_extension is not None
+
+    def test_long_window_fails_closed(self):
+        # a 750-unit window overflows the series weights in 658 of its values
+        p = sample_wiener_path(TimeGrid(-800.0, 20.0, 1.0 / 16), 3)
+        ts = np.arange(-12000, 1) / 16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SplitflowError,
+                               match=r"at t=-41\.0625 \(658 of 12001 times\)"):
+                ou_series(p, ts)
 
     def test_ensemble_variance(self):
         d = ensemble_diagnostics(4000, h=H, t_min=-30.0, seed=9)
