@@ -442,10 +442,11 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
 class GreenKernel:
     """Two-branch solution kernel of a cocycle with a dichotomy certificate.
 
-    For integer times: ``G(t, s) = phi_{t,s} Pi^s`` when ``t >= s`` and
-    ``-phi_{t,s} Pi^u`` (through the unstable-restricted inverse) when
-    ``t < s``.  Each value is computed on its own, per pair: the test
-    reference for the split-flow march.
+    For integer times: ``G(t, s) = phi_{t,s} Pi^s`` when ``t >= s``, as the
+    steps ``Pi^s(k+1) A_k`` applied to ``Pi^s(s)``, and ``-phi_{t,s} Pi^u``
+    (through the unstable-restricted inverse) when ``t < s``.  Each value is
+    computed on its own, per pair: the test reference for the split-flow
+    march and the kernel sweeps.
     """
 
     def __init__(self, cocycle, cert):
@@ -464,7 +465,12 @@ class GreenKernel:
     def eval(self, t, s):
         t, s = int(t), int(s)
         if t >= s:
-            return self._forward(t, s, self.cert.proj_s(s))
+            # re-projected at every step, so round-off cannot grow along
+            # the unstable range
+            m = self.cert.proj_s(s)
+            for k in range(s, t):
+                m = self.cert.proj_s(k + 1) @ self._forward(k + 1, k, m)
+            return m
         pu_s = self.cert.proj_u(s)
         pu_t = self.cert.proj_u(t)
         b_s = _range_basis(pu_s)

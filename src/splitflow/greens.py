@@ -124,11 +124,11 @@ def _band_for(cert, delta_eff, f_sup, trunc_tol):
     return truncation_length(cert.exponent, sup_term, trunc_tol)
 
 
-def _impulse_span(cert, b_step, n_lo, n_hi, trunc_tol):
+def _impulse_span(cert, b_mats, n_lo, n_hi, trunc_tol):
     """Span of the impulse solves for the nodes [n_lo, n_hi]: the window
-    widened by the unit-forcing band of its perturbation size, plus 8."""
-    delta_eff = _delta_eff(cert, stack_steps(b_step, range(n_lo, n_hi + 1)))
-    band0 = _band_for(cert, delta_eff, 1.0, trunc_tol) + 8
+    widened by the unit-forcing band of its perturbation size, plus 8.
+    ``b_mats`` stacks the perturbation steps over the window."""
+    band0 = _band_for(cert, _delta_eff(cert, b_mats), 1.0, trunc_tol) + 8
     return n_lo - band0, n_hi + band0
 
 
@@ -286,8 +286,9 @@ def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
     is read at ``nodes[j]``.
     """
     d, m = cocycle.dim, len(nodes)
-    n_lo, n_hi = _impulse_span(cert, as_step_sequence(b, d), min(nodes),
-                               max(nodes), trunc_tol)
+    window = range(min(nodes), max(nodes) + 1)
+    n_lo, n_hi = _impulse_span(cert, stack_steps(as_step_sequence(b, d), window),
+                               window[0], window[-1], trunc_tol)
     f = ForcingSequence.zeros(n_lo, n_hi, d, d * m)
     for j, n in enumerate(nodes):
         f.values[n - 1 - n_lo, :, j * d:(j + 1) * d] = np.eye(d)

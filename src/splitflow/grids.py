@@ -15,13 +15,24 @@ from .errors import ConfigurationError
 _REL_TOL = 1e-9
 
 
+def _first(t, mask):
+    """The first entry of ``t`` (a scalar or an array) where ``mask`` holds."""
+    return np.ravel(t)[np.argmax(np.ravel(mask))].item()
+
+
 def _as_node(t, h, what="time"):
-    """Integer node index of ``t`` on a grid of step ``h``; error if off-grid."""
-    q = t / h
-    n = round(q)
-    if abs(q - n) > _REL_TOL * max(1.0, abs(q)):
-        raise ConfigurationError(f"{what} {t!r} is not a multiple of the grid step {h!r}")
-    return int(n)
+    """Integer node index of ``t`` on a grid of step ``h``; error if off-grid.
+
+    ``t`` may be an array, checked in one pass; the error names the first
+    off-grid time.  A scalar gives an ``int``, an array an integer array.
+    """
+    q = np.asarray(t, float) / h
+    n = np.rint(q)
+    off = ~(np.abs(q - n) <= _REL_TOL * np.maximum(1.0, np.abs(q)))
+    if off.any():
+        raise ConfigurationError(f"{what} {_first(t, off)!r} is not a multiple "
+                                 f"of the grid step {h!r}")
+    return int(n) if n.ndim == 0 else n.astype(int)
 
 
 @dataclass(frozen=True)
@@ -62,10 +73,13 @@ class TimeGrid:
         return np.arange(self.n_min, self.n_max + 1) * self.h
 
     def index_of(self, t):
-        """Array offset of grid time ``t`` (0 for ``t_min``)."""
+        """Array offset of grid time ``t`` (0 for ``t_min``); ``t`` may be an
+        array of times, checked in one pass."""
         n = _as_node(t, self.h, "time")
-        if not self.n_min <= n <= self.n_max:
-            raise ConfigurationError(f"time {t!r} outside grid [{self.t_min}, {self.t_max}]")
+        outside = (n < self.n_min) | (n > self.n_max)
+        if np.any(outside):
+            raise ConfigurationError(f"time {_first(t, outside)!r} outside grid "
+                                     f"[{self.t_min}, {self.t_max}]")
         return n - self.n_min
 
     def node_of(self, t):

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import expm
 
 from .cocycle import ContinuousCocycle, _finite, spectral_norms
@@ -280,6 +279,20 @@ def kernel_tail_length(m_bound, beta, tail_tol):
     return math.log(max(m_bound / (beta * tail_tol), 2.0)) / beta
 
 
+def _fast_len(n):
+    """Smallest 11-smooth integer ``>= n``: the FFT length
+    ``scipy.fft.next_fast_len`` picks by default."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 class _AutonomousGreen:
     """Tabulated kernel ``G(t - s)`` of a hyperbolic constant generator."""
 
@@ -299,13 +312,13 @@ class _AutonomousGreen:
         """``h * sum_j G[i-j] w_j u_j`` for u of shape (N, d)."""
         n = u.shape[0]
         uw = u * weights[:, None]
-        n_fft = next_fast_len(n + 2 * self.n_off + 1)
+        n_fft = _fast_len(n + 2 * self.n_off + 1)
         if n_fft not in self._spectra:
-            self._spectra[n_fft] = rfft(self.table, n_fft, axis=0)
+            self._spectra[n_fft] = np.fft.rfft(self.table, n_fft, axis=0)
         gf = self._spectra[n_fft]
-        uf = rfft(uw, n_fft, axis=0)
+        uf = np.fft.rfft(uw, n_fft, axis=0)
         yf = np.einsum("fab,fb->fa", gf, uf)
-        y = irfft(yf, n_fft, axis=0)[self.n_off : self.n_off + n]
+        y = np.fft.irfft(yf, n_fft, axis=0)[self.n_off : self.n_off + n]
         return self.h * y
 
 

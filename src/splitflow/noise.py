@@ -16,7 +16,6 @@ Langevin equation ``dz + z dt = dW``.
 """
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .cocycle import _finite
 from .errors import ConfigurationError, WindowError
@@ -195,6 +194,13 @@ def ou_value(path, t, tail_tol=DEFAULT_TAIL_TOL):
     return float(-np.trapezoid(np.exp(s) * shifted, dx=g.h))
 
 
+def _cumulative_trapezoid(y, h):
+    """Running trapezoid integrals of ``y`` from its first sample, starting
+    at 0; the arithmetic of ``scipy.integrate.cumulative_trapezoid``, so
+    the sums agree bit for bit."""
+    return np.concatenate([[0.0], np.cumsum(h * (y[1:] + y[:-1]) / 2.0)])
+
+
 def ou_series(path, window, tail_tol=DEFAULT_TAIL_TOL):
     """z*(theta_t omega) at every node of ``window`` in one cumulative pass.
 
@@ -214,11 +220,11 @@ def ou_series(path, window, tail_tol=DEFAULT_TAIL_TOL):
             required_extension=g.t_min - need,
         )
     all_t = g.times()
-    idx = np.array([g.index_of(t) for t in ts])
+    idx = g.index_of(ts)
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(all_t - t0)  # renormalized at the window start
-        cw = np.concatenate([[0.0], cumulative_trapezoid(w, dx=g.h)])
-        cwo = np.concatenate([[0.0], cumulative_trapezoid(w * path.values, dx=g.h)])
+        cw = _cumulative_trapezoid(w, g.h)
+        cwo = _cumulative_trapezoid(w * path.values, g.h)
         z = np.exp(-(all_t[idx] - t0)) * (path.values[idx] * cw[idx] - cwo[idx])
     return _finite(z, ts, "z*")
 
@@ -231,8 +237,7 @@ def pathwise_ou_residual(path, window, tail_tol=DEFAULT_TAIL_TOL):
     """
     ts = window.times()
     z = ou_series(path, window, tail_tol)
-    idx = np.array([path.grid.index_of(t) for t in ts])
-    om = path.values[idx]
+    om = path.values[path.grid.index_of(ts)]
     h = window.h
     dz = (z[2:] - z[:-2]) / (2 * h)
     dom = (om[2:] - om[:-2]) / (2 * h)

@@ -123,11 +123,15 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
     nodes = _window_nodes(window)
     n_lo, n_hi = nodes[0], nodes[-1]
     k_bound, alpha = base_cert.bound, base_cert.exponent
+    # B is read once per node of the impulse span: the window's stack sizes
+    # the span, the span's stack measures delta_eff, and the impulse solves
+    # look their steps up in it
     b_step = _difference_step(base, perturbed)
-
-    span = _impulse_span(base_cert, b_step, n_lo, n_hi, trunc_tol)
-    delta_eff = _delta_eff(base_cert,
-                           stack_steps(b_step, range(span[0], span[1] + 1)))
+    b_window = stack_steps(b_step, range(n_lo, n_hi + 1))
+    span_lo, span_hi = _impulse_span(base_cert, b_window, n_lo, n_hi, trunc_tol)
+    b_span = np.concatenate([stack_steps(b_step, range(span_lo, n_lo)), b_window,
+                             stack_steps(b_step, range(n_hi + 1, span_hi + 1))])
+    delta_eff = _delta_eff(base_cert, b_span)
     thr = delta_threshold(alpha)
     if delta_eff > safety * thr:
         raise RobustnessHypothesisError(
@@ -139,7 +143,8 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
     cert = DichotomyCertificate(
         bound=max(consts.M, 1.0), exponent=consts.alpha_tilde, discrete=True,
         projections=impulse_response_projection(
-            base, base_cert, b_step, nodes, tol=tol, trunc_tol=trunc_tol),
+            base, base_cert, dict(zip(range(span_lo, span_hi + 1), b_span)),
+            nodes, tol=tol, trunc_tol=trunc_tol),
         meta={"constants": consts.as_dict(), "delta_eff": delta_eff,
               "threshold": thr, "safety": safety,
               "window": [n_lo, n_hi], "beta_tilde": consts.beta_tilde},
@@ -195,9 +200,10 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
     # base certificate transfers to the discretization with the same constants
     base_d, pert_d = discretize(base_cc), discretize(perturbed_cc)
     base_cert_d = replace(base_cert, discrete=True)
-    span_lo, span_hi = _impulse_span(base_cert_d,
-                                     _difference_step(base_d, pert_d),
-                                     n_lo, n_hi, trunc_tol)
+    span_lo, span_hi = _impulse_span(
+        base_cert_d, stack_steps(_difference_step(base_d, pert_d),
+                                 range(n_lo, n_hi + 1)),
+        n_lo, n_hi, trunc_tol)
     for cc in (base_cc, perturbed_cc):
         cc.unit_steps(range(span_lo, span_hi + 1))
     cert_d = robust_dichotomy_discrete(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splitflow
 from splitflow.cli import ExperimentConfig, main, parse_config_text
 from splitflow.errors import ConfigurationError
 
@@ -195,3 +200,19 @@ def test_outputs_use_lf_endings(tmp_path):
     run_cli(["ou-check", "--config", str(cfg), "--out", str(out)])
     raw = (out / "ou_check.csv").read_bytes()
     assert b"\r" not in raw
+
+
+def test_cold_import_loads_only_scipy_linalg():
+    # a fresh interpreter: scipy.integrate and scipy.fft would pull in
+    # scipy.special, scipy.optimize and scipy.sparse, most of the start-up
+    src = str(Path(splitflow.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, splitflow.cli; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.'))))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "scipy.linalg" in loaded
+    for name in ("scipy.integrate", "scipy.fft", "scipy.special",
+                 "scipy.optimize", "scipy.sparse"):
+        assert not [m for m in loaded if m == name or m.startswith(name + ".")]

@@ -30,12 +30,11 @@ def rotated_saddle():
 def oracle_ratios(cocycle, cert, nodes):
     """Forward and backward max decay ratios from per-pair kernel values.
 
-    Each pair (t, s) is one :class:`GreenKernel` evaluation: the plain
-    product for the forward branch, projected once onto ``Pi^s(t)`` at the
-    end (equal in exact arithmetic, since the projections are invariant, and
-    free of the round-off that grows along the unstable range), and the
-    multi-step restricted inverse for the backward branch.  A continuous
-    cocycle adds the fractional horizons from its unit-flow table.
+    Each pair (t, s) is one :class:`GreenKernel` evaluation: the product
+    re-projected onto the stable range at every step for the forward branch,
+    and the multi-step restricted inverse for the backward branch.  A
+    continuous cocycle adds the fractional horizons from its unit-flow
+    table.
     """
     discrete = isinstance(cocycle, DiscreteCocycle)
     g = GreenKernel(cocycle if discrete else discretize(cocycle), cert)
@@ -47,7 +46,7 @@ def oracle_ratios(cocycle, cert, nodes):
             if t < s:
                 bwd = max(bwd, spectral_norm(g.eval(t, s)) * np.exp(a * (s - t)) / k)
                 continue
-            val = cert.proj_s(t) @ g.eval(t, s)
+            val = g.eval(t, s)
             fwd = max(fwd, spectral_norm(val) * np.exp(a * (t - s)) / k)
             if not discrete and t < nodes[-1]:
                 for j, snap in enumerate(cocycle.unit_flow(t)[1:-1], start=1):
@@ -313,6 +312,18 @@ class TestGreenKernel:
             assert g.eval(n, 0)[0, 0] == 0.0
         for n in range(-4, 0):
             assert abs(g.eval(n, 0)[0, 0] - (-(2.0 ** n))) < 1e-15
+
+    def test_forward_branch_decays_on_time_varying_saddle(self):
+        # 80 steps at stable rate about 1/2 against unstable rate about 2:
+        # round-off in the stable projection must not grow along the
+        # unstable range
+        steps, projections = time_varying_saddle((-40, 40))
+        c = DiscreteCocycle(lambda n: steps[n], 2)
+        cert = DichotomyCertificate(bound=1.5, exponent=0.5, discrete=True,
+                                    projections=projections)
+        g = GreenKernel(c, cert)
+        for j in (20, 40, 60, 80):
+            assert spectral_norm(g.eval(-40 + j, -40)) < 0.5 ** j
 
     def test_jump_identity(self):
         c = DiscreteCocycle.constant(np.diag([0.5, 2.0]))

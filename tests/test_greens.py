@@ -77,12 +77,11 @@ class TestGammaApply:
         rhs = gamma_apply(c, cert, b, f0, x) + gamma_apply(c, cert, b, f0, y)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
-    def test_full_window_sum_matches_kernel_per_pair(self):
-        # sum_k G(n, k+1) (B_k x_k + f_k) over every pair of the window, on
-        # the time-varying saddle with 3 forcing columns; the overstated
-        # exponent puts the geometric-tail band at tolerance 1e-10 (9 nodes)
-        # inside the 13-node window, so a sum cut at the band misses terms
-        n_lo, n_hi = -6, 6
+    @staticmethod
+    def _kernel_sum_gap(n_lo, n_hi):
+        """Largest deviation of the sweeps from sum_k G(n, k+1) (B_k x_k + f_k)
+        over every pair of the window, and the largest entry of that sum, on
+        the time-varying saddle with 3 forcing columns."""
         steps, projections = time_varying_saddle((n_lo, n_hi))
         c = DiscreteCocycle(lambda n: steps[n], 2)
         cert = DichotomyCertificate(bound=1.5, exponent=3.0, discrete=True,
@@ -100,7 +99,21 @@ class TestGammaApply:
                              for k in range(n_lo, n_hi + 1))
                          for n in range(n_lo, n_hi + 1)])
         out = gamma_apply(c, cert, b, f, x)
-        assert np.max(np.abs(out - want)) < 1e-12
+        return np.max(np.abs(out - want)), np.max(np.abs(want))
+
+    def test_full_window_sum_matches_kernel_per_pair(self):
+        # the overstated exponent puts the geometric-tail band at tolerance
+        # 1e-10 (9 nodes) inside the 13-node window, so a sum cut at the
+        # band misses terms
+        gap, _ = self._kernel_sum_gap(-6, 6)
+        assert gap < 1e-12
+
+    def test_wide_window_sum_matches_kernel_per_pair(self):
+        # on +-24 the per-pair forward branch crosses 48 steps of a saddle
+        # whose unstable rate is 2; it stays an oracle only if round-off in
+        # its stable projection cannot grow along the unstable range
+        gap, scale = self._kernel_sum_gap(-24, 24)
+        assert gap < 1e-12 * scale
 
 
 class TestSplitMarch:

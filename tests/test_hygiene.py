@@ -11,6 +11,10 @@ function, never a method.  Dunder names are exempt.
 
 Likewise every ``self.<attr>`` stored under src/splitflow must be read
 somewhere: as an attribute load or as an identifier string (``getattr``).
+
+Of scipy, src/splitflow imports ``scipy.linalg`` alone, wherever the import
+statement stands: any other submodule would weigh on every start-up, or on
+the first call that reaches a deferred import.
 """
 
 import ast
@@ -109,3 +113,29 @@ def test_every_stored_attribute_is_read():
     unread = [f"{path}:{line} self.{attr}" for attr, path, line in stored
               if attr not in read]
     assert not unread, "stored but never read:\n" + "\n".join(unread)
+
+
+def _imported_modules(tree):
+    """``(line, module)`` of every absolute import; ``from scipy import x``
+    counts as module ``scipy.x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "scipy":
+                for alias in node.names:
+                    yield node.lineno, f"scipy.{alias.name}"
+            else:
+                yield node.lineno, node.module
+
+
+def test_scipy_is_imported_only_for_linalg():
+    stray = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray.extend(f"{path.relative_to(ROOT)}:{line} {module}"
+                     for line, module in _imported_modules(tree)
+                     if module.split(".")[0] == "scipy"
+                     and module.split(".")[:2] != ["scipy", "linalg"])
+    assert not stray, "scipy imported beyond scipy.linalg:\n" + "\n".join(stray)

@@ -8,7 +8,7 @@ from splitflow import (ContractionMarginError, KappaFn, SemilinearProblem,
                        pointwise, random_ode_problem, rho_modulus,
                        sample_wiener_path, spectral_norm)
 from splitflow.cocycle import integrate_nonlinear
-from splitflow.hyperbolic import SUP_OVER_LAMBDA, _AutonomousGreen
+from splitflow.hyperbolic import SUP_OVER_LAMBDA, _AutonomousGreen, _fast_len
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -228,22 +228,47 @@ class TestFailClosed:
             lambda_eta(p, 0.01, TimeGrid(-4.0, 4.0, 0.25))
 
 
-def test_kernel_spectrum_cached_per_fft_length():
-    # the cached table spectrum gives the bytes of a fresh rfft per call
-    from scipy.fft import irfft, next_fast_len, rfft
-
+def saddle_green():
+    """Kernel table of a non-normal saddle, 40 offsets each way."""
     a = np.array([[-1.0, 0.3], [0.0, 2.0]])
     pi_s = np.array([[1.0, -0.1], [0.0, 0.0]])  # onto e_1 along (0.1, 1)
-    green = _AutonomousGreen(a, pi_s, 1.0 / 16, 40)
+    return _AutonomousGreen(a, pi_s, 1.0 / 16, 40)
+
+
+def test_kernel_spectrum_cached_per_fft_length():
+    # the cached table spectrum gives the bytes of a fresh rfft per call
+    green = saddle_green()
     u = np.random.default_rng(2).standard_normal((300, 2))
     w = np.ones(300)
     for n in (300, 300, 120):
-        n_fft = next_fast_len(n + 2 * 40 + 1)
-        uf = rfft(u[:n] * w[:n, None], n_fft, axis=0)
-        yf = np.einsum("fab,fb->fa", rfft(green.table, n_fft, axis=0), uf)
-        want = green.h * irfft(yf, n_fft, axis=0)[40:40 + n]
+        n_fft = _fast_len(n + 2 * 40 + 1)
+        uf = np.fft.rfft(u[:n] * w[:n, None], n_fft, axis=0)
+        yf = np.einsum("fab,fb->fa", np.fft.rfft(green.table, n_fft, axis=0), uf)
+        want = green.h * np.fft.irfft(yf, n_fft, axis=0)[40:40 + n]
         assert np.array_equal(green.convolve(u[:n], w[:n]), want)
     assert len(green._spectra) == 2
+
+
+def test_kernel_convolution_matches_direct_sum():
+    # h * sum_j G[i-j] w_j u_j over |i-j| <= n_off, term by term
+    green = saddle_green()
+    rng = np.random.default_rng(4)
+    n = 150
+    u = rng.standard_normal((n, 2))
+    w = rng.uniform(0.5, 1.0, n)
+    want = np.zeros((n, 2))
+    for i in range(n):
+        for j in range(max(0, i - 40), min(n, i + 41)):
+            want[i] += green.table[i - j + 40] @ (w[j] * u[j])
+    got = green.convolve(u, w)
+    assert np.max(np.abs(got - green.h * want)) < 1e-12
+
+
+def test_fft_length_is_scipys_default():
+    from scipy.fft import next_fast_len
+
+    assert [_fast_len(n) for n in range(1, 20001)] == \
+        [next_fast_len(n) for n in range(1, 20001)]
 
 
 class TestXiStar:

@@ -8,9 +8,10 @@ from splitflow import (ConfigurationError, KappaFn, SplitflowError, TimeGrid,
                        WindowError, injected_path, linear_path, noise_bounds, ou_series,
                        ou_value, sample_wiener_path, shift_path,
                        sublinearity_report, zero_path)
-from splitflow.noise import (default_kappa, ensemble_diagnostics,
-                             export_path_csv, import_path_csv,
-                             pathwise_ou_residual, validate_kappa)
+from splitflow.noise import (_cumulative_trapezoid, default_kappa,
+                             ensemble_diagnostics, export_path_csv,
+                             import_path_csv, pathwise_ou_residual,
+                             validate_kappa)
 
 H = 1.0 / 64
 GRID = TimeGrid(-32.0, 8.0, H)
@@ -55,6 +56,31 @@ class TestSampling:
             TimeGrid(-1.0, 4.0, 0.3)  # 0 not on the grid
         with pytest.raises(ConfigurationError):
             sample_wiener_path(GRID, -1)
+
+
+class TestGridNodes:
+    def test_array_indices_match_scalar_lookups(self):
+        ts = np.concatenate([GRID.times(), GRID.times()[::-7] * (1 + 1e-12)])
+        want = [GRID.index_of(t) for t in ts]
+        got = GRID.index_of(ts)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == want
+
+    def test_first_off_grid_time_named(self):
+        ts = np.array([0.0, 0.25, 0.3, 0.1, 1.0])
+        with pytest.raises(ConfigurationError, match=r"^time 0\.3 is not"):
+            GRID.index_of(ts)
+        with pytest.raises(ConfigurationError, match=r"^time 0\.3 is not"):
+            GRID.index_of(0.3)
+        with pytest.raises(ConfigurationError, match="not a multiple"):
+            GRID.index_of(np.array([0.0, np.nan]))
+
+    def test_first_time_outside_named(self):
+        ts = np.array([0.0, 8.0, 9.0, -40.0])
+        with pytest.raises(ConfigurationError, match=r"^time 9\.0 outside"):
+            GRID.index_of(ts)
+        with pytest.raises(ConfigurationError, match=r"outside grid"):
+            ou_series(sample_wiener_path(GRID, 4), ts[:3])
 
 
 class TestShift:
@@ -136,6 +162,15 @@ class TestStationaryFilter:
             with pytest.raises(SplitflowError,
                                match=r"at t=-41\.0625 \(658 of 12001 times\)"):
                 ou_series(p, ts)
+
+    def test_cumulative_trapezoid_bit_equal_to_scipy(self):
+        from scipy.integrate import cumulative_trapezoid
+
+        p = sample_wiener_path(GRID, 23)
+        for y in (np.exp(GRID.times() - GRID.t_min),
+                  np.exp(GRID.times()) * p.values):
+            assert np.array_equal(_cumulative_trapezoid(y, H),
+                                  cumulative_trapezoid(y, dx=H, initial=0))
 
     def test_ensemble_variance(self):
         d = ensemble_diagnostics(4000, h=H, t_min=-30.0, seed=9)

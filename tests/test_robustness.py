@@ -16,6 +16,7 @@ from splitflow import (ContinuousCocycle, DiscreteCocycle,
 from splitflow import cocycle as cocycle_module
 from splitflow.cocycle import UNIT_SAMPLES
 from splitflow import greens as greens_module
+from splitflow import robustness as robustness_module
 from conftest import brute_force_projections
 
 LN2 = float(np.log(2.0))
@@ -226,6 +227,34 @@ class TestDiscretePipeline:
         assert cert.meta["verification"].passed
         assert sorted(cert.projections) == list(range(-6, 7))
         assert len(calls) == 1
+
+    def test_perturbation_read_once_per_node(self, monkeypatch):
+        # B = psi - phi is read once per node of the impulse span: the
+        # window sizes the span, the span measures delta_eff, and the
+        # impulse solves look B up instead of reading it again
+        original = robustness_module._difference_step
+        calls = []
+
+        def counted(base, perturbed):
+            b_step = original(base, perturbed)
+
+            def b(n):
+                calls.append(n)
+                return b_step(n)
+            return b
+
+        monkeypatch.setattr(robustness_module, "_difference_step", counted)
+        d_mat = np.diag([0.5, 2.0])
+        rot = np.array([[np.cos(0.01), -np.sin(0.01)],
+                        [np.sin(0.01), np.cos(0.01)]])
+        base = DiscreteCocycle.constant(d_mat)
+        pert = DiscreteCocycle.constant(rot @ d_mat)
+        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
+                                           discrete=True)
+        cert = robust_dichotomy_discrete(base, bc, pert, (-8, 8))
+        assert cert.meta["verification"].passed
+        # the span is the window widened by 44 nodes per side
+        assert sorted(calls) == list(range(-52, 53))
 
     def test_decay_diagnostic(self):
         d_mat = np.diag([0.5, 2.0])
