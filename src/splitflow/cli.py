@@ -25,12 +25,12 @@ import numpy as np
 
 from . import __version__
 from .cocycle import DiscreteCocycle, pointwise
-from .dichotomy import DichotomyCertificate
+from .dichotomy import DichotomyCertificate, _window_nodes
 from .errors import ConfigurationError, SplitflowError
 from .grids import TimeGrid
 from .hyperbolic import (SemilinearProblem, certify_hyperbolic,
                          find_hyperbolic_solution)
-from .io import cell, write_csv
+from .io import write_csv
 from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
                     ou_series, pathwise_ou_residual, sample_wiener_path,
                     shift_path, sublinearity_report, zero_path)
@@ -177,15 +177,6 @@ class ExperimentConfig:
     def from_text(cls, text, command):
         return cls(command, parse_config_text(text, command))
 
-    def to_text(self):
-        lines = [f"# splitflow {self.command} config"]
-        for key in SCHEMAS[self.command]:
-            v = self.values[key]
-            text = (",".join(cell(float(x)) for x in v) if isinstance(v, list)
-                    else cell(v))
-            lines.append(f"{key} = {text}")
-        return "\n".join(lines) + "\n"
-
     def grid(self):
         return TimeGrid(self.values["t_min"], self.values["t_max"],
                         self.values["h"])
@@ -281,6 +272,7 @@ def cmd_robustness(cfg, out_dir):
     v = cfg.values
     ln2 = float(np.log(2.0))
     window = (int(np.ceil(v["t_min"])), int(np.floor(v["t_max"])))
+    _window_nodes(window)  # a window of fewer than two nodes exits 2
     cases = [({"name": "scalar", "base_step": v["base_step"],
                "pert_step": v["pert_step"]},
               DiscreteCocycle.constant([[v["base_step"]]]),

@@ -2,8 +2,8 @@
 
 A discrete cocycle is generated by a step-operator sequence ``n -> A_n`` (the
 one-step maps along the driven base orbit); a continuous one by a
-matrix-valued generator ``t -> G(t)`` of the linear ODE ``x' = G(t) x``.
-Both expose the two-parameter evolution maps by composition.  Integration is
+matrix-valued generator ``t -> G(t)`` of the linear ODE ``x' = G(t) x``,
+whose evolution maps :func:`propagator` integrates.  Integration is
 classical fixed-step RK4: generators met in practice are smooth in time and a
 fixed step keeps runs bit-reproducible per seed.
 
@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, SplitflowError
-from .io import write_csv
 
 DEFAULT_STEP = 1.0 / 64.0
 UNIT_SAMPLES = 16  # snapshot intervals per unit in the unit-flow table
@@ -99,31 +98,6 @@ class DiscreteCocycle:
         return DiscreteCocycle(lambda n: m, m.shape[0], label)
 
 
-class EvolutionProcessView:
-    """Two-parameter maps ``phi_{t,s} = phi(t-s, shift s)`` of a cocycle.
-
-    The base point is the one baked into the cocycle's step/generator
-    closures; this view only fixes the two-time convention.
-    """
-
-    def __init__(self, cocycle):
-        self.cocycle = cocycle
-        self.discrete = isinstance(cocycle, DiscreteCocycle)
-
-    def map(self, t, s):
-        if t < s:
-            raise ValueError("evolution maps need t >= s")
-        if self.discrete:
-            return compose_discrete(self.cocycle, int(t - s), base=int(s))
-        return propagator(self.cocycle, float(s), float(t - s))
-
-
-def export_matrix_csv(matrix, file, label=""):
-    """Write a matrix as a labeled CSV block for cross-tool inspection."""
-    write_csv(file, np.atleast_2d(np.asarray(matrix, float)),
-              comment=label or None)
-
-
 def as_step_sequence(b, dim):
     """Normalize a perturbation spec (callable, dict, matrix, scalar) to n -> matrix."""
     if callable(b):
@@ -136,16 +110,6 @@ def as_step_sequence(b, dim):
         m = m * np.eye(dim)
     m = np.atleast_2d(m)
     return lambda n: m
-
-
-def compose_discrete(c, n, base=0):
-    """Ordered product ``A_{base+n-1} ... A_{base}`` (identity for n = 0)."""
-    if n < 0:
-        raise ValueError("compose_discrete needs n >= 0")
-    out = np.eye(c.dim)
-    for k in range(base, base + n):
-        out = c.step(k) @ out
-    return out
 
 
 @dataclass(frozen=True)
@@ -264,19 +228,6 @@ def _rk4(field, t0, t1, y0, n, every=None):
     return y if snaps is None else np.stack(snaps, axis=1)
 
 
-def integrate(c, t0, t1, x0):
-    """Solve ``x' = generator(t) x`` from (t0, x0) to t1 (t1 >= t0)."""
-    if t1 < t0:
-        raise ValueError("integrate needs t1 >= t0")
-    x0 = np.asarray(x0, float)
-    scalar = x0.ndim == 0
-    gen = c.generator
-    y = _rk4(lambda t, y: gen(t) @ y, [t0], [t1],
-             np.atleast_1d(x0)[None, :, None],
-             _step_count(t1 - t0, c.step, 1))[0, :, 0]
-    return float(y[0]) if scalar else y
-
-
 def propagator(c, shift, duration, samples=None):
     """The matrix ``phi(duration)`` along the orbit started at base shift.
 
@@ -319,12 +270,3 @@ def _unit_envelope(c, shifts, alpha):
     norms = spectral_norms(c.unit_flows(shifts))
     return float(np.max(norms * np.exp(alpha * ts), initial=1.0))
 
-
-def one_step_bound(c, window):
-    """Sampled sup of ``|phi(t, shift)|`` over unit intervals in ``window``.
-
-    The sup runs over integer shifts in the window and the unit-flow table's
-    ``UNIT_SAMPLES + 1`` times in [0, 1]; the value is a sampled lower bound
-    of the true supremum.
-    """
-    return _unit_envelope(c, window.integer_nodes()[:-1], 0.0)

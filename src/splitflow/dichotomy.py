@@ -1,4 +1,4 @@
-"""Dichotomy certificates: construction, verification, and Green kernels.
+"""Dichotomy certificates: construction and verification.
 
 A :class:`DichotomyCertificate` packages a projection family on a window of
 integer nodes together with a bound ``K`` and an exponent ``alpha``:
@@ -7,7 +7,9 @@ ranges forward in time and on the unstable ranges backward in time, with the
 projections commuting with the flow.  :func:`verify_dichotomy` checks the
 four defining estimates numerically and reports residuals per axiom; it must
 also be able to *fail* on doctored certificates, which the test suite
-exercises.
+exercises.  It reads the Green kernel of the certified split from one
+split-flow march (:func:`_split_march`) over the window; the bounded solves
+of :mod:`splitflow.greens` share its one-step restricted inverses.
 
 Splitting of autonomous generators is done on the ordered real Schur form
 (the numerically stable equivalent of the resolvent contour integral, which
@@ -41,11 +43,12 @@ def _ceil_3sig(x):
     return math.ceil(x / f - 1e-12) * f
 
 
-def _schur_projector(A, select):
-    """Projector onto the invariant subspace selected on the real Schur form."""
+def _schur_projector(A):
+    """Projector onto the invariant subspace of the eigenvalues with
+    positive real part, on the ordered real Schur form."""
     A = np.atleast_2d(np.asarray(A, float))
     d = A.shape[0]
-    T, Z, sdim = schur(A, output="real", sort=select)
+    T, Z, sdim = schur(A, output="real", sort="rhp")
     if sdim == 0:
         return np.zeros((d, d))
     if sdim == d:
@@ -78,26 +81,7 @@ def spectral_projection(A, gap_tol=GAP_TOL):
             f"eigenvalue within {gap_tol:g} of the imaginary axis (gap {gap:.3e})",
             gap=gap,
         )
-    return _schur_projector(A, "rhp"), gap
-
-
-def spectral_projection_discrete(S, gap_tol=GAP_TOL):
-    """Unit-circle analogue of :func:`spectral_projection` for a step matrix.
-
-    Returns ``(Pi_u, gap)`` with ``Pi_u`` the projector onto the eigenvalues
-    with ``|lambda| > 1`` and ``gap = min |ln |lambda||``.
-    """
-    S = np.atleast_2d(np.asarray(S, float))
-    eigs = np.linalg.eigvals(S)
-    mods = np.abs(eigs)
-    if np.any(mods == 0.0):
-        raise NonHyperbolicError("step matrix is singular", gap=0.0)
-    gap = float(np.min(np.abs(np.log(mods))))
-    if gap < gap_tol:
-        raise NonHyperbolicError(
-            f"step eigenvalue within {gap_tol:g} of the unit circle", gap=gap
-        )
-    return _schur_projector(S, "ouc"), gap
+    return _schur_projector(A), gap
 
 
 @dataclass
@@ -117,9 +101,9 @@ class DichotomyCertificate:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.bound < 1.0:
+        if not 1.0 <= self.bound < math.inf:
             raise ConfigurationError(f"certificate bound must be >= 1, got {self.bound}")
-        if not self.exponent > 0.0:
+        if not 0.0 < self.exponent < math.inf:
             raise ConfigurationError(
                 f"certificate exponent must be positive, got {self.exponent}"
             )
@@ -214,20 +198,6 @@ def autonomous_certificate(A, margin=ALPHA_MARGIN, scan_points=2048, gap_tol=GAP
     )
 
 
-def autonomous_certificate_discrete(S, margin=ALPHA_MARGIN, scan_len=80,
-                                    gap_tol=GAP_TOL):
-    """Certificate for the constant-step cocycle ``n -> S^n``."""
-    S = np.atleast_2d(np.asarray(S, float))
-    pi_u, gap = spectral_projection_discrete(S, gap_tol)
-    pi_s = np.eye(S.shape[0]) - pi_u
-    alpha = gap * (1.0 - margin)
-    tables = _envelope_scan(pi_s, pi_u, S, np.linalg.inv(S), scan_len + 1)
-    return DichotomyCertificate.constant(
-        pi_s, _envelope_bound(*tables, alpha, np.arange(scan_len + 1)), alpha,
-        discrete=True, meta={"gap": gap, "margin": margin}
-    )
-
-
 def delta_threshold(alpha):
     """Admissible perturbation size ``(1 - e^{-alpha}) / (1 + e^{-alpha})``."""
     if not alpha > 0.0:
@@ -265,19 +235,18 @@ def _restricted_inverse(steps, proj_s):
 class _SplitMarch(NamedTuple):
     """Kernel tables and per-step diagnostics of :func:`_split_march`."""
 
-    fwd: np.ndarray          # (band+1, N, d, d), [offset, source node]
-    bwd: np.ndarray          # (band+1, N, d, d), [offset, source node]
-    rank: np.ndarray         # (N,) rank of Pi^u per node
+    fwd: np.ndarray          # (N, N, d, d), [offset, source node]
+    bwd: np.ndarray          # (N, N, d, d), [offset, source node]
     no_inverse: np.ndarray   # (N-1,) rank change, or singular restricted step
     cond: np.ndarray         # (N-1,) condition number of the restricted step
     leakage: np.ndarray      # (N-1,) |Pi^u A Pi^s + Pi^s A Pi^u| per step
 
 
-def _split_march(steps, proj_s, band):
+def _split_march(steps, proj_s):
     """Split flow of a node-indexed cocycle, marched from every node at once.
 
     ``steps[k]`` maps node k to node k+1 and ``proj_s[k]`` is ``Pi^s`` at
-    node k (nodes counted from the first).  For offsets ``j <= band`` with
+    node k (nodes counted from the first).  For every offset ``j`` with
     the target among the nodes (other entries zero), ``fwd[j, i] = Pi^s(i+j)
     A_{i+j-1} ... Pi^s(i+1) A_i Pi^s(i)`` re-projects the stable range after
     every step, and ``bwd[j, i]`` carries ``-Pi^u(i)`` back j steps through
@@ -286,33 +255,37 @@ def _split_march(steps, proj_s, band):
     its off-diagonal blocks removed (the re-projected, QR-style propagation
     of Dieci & Van Vleck, SIAM J. Numer. Anal. 40, 2002).  One loop runs
     over the offsets.  Problems are reported per step, never raised.
+    :func:`verify_dichotomy` is the only reader; the test suite checks the
+    tables against a per-pair kernel of its own.
     """
     n, d = proj_s.shape[:2]
     proj_u = np.eye(d) - proj_s
-    back, rank, no_inverse, cond = _restricted_inverse(steps, proj_s)
+    back, _, no_inverse, cond = _restricted_inverse(steps, proj_s)
     off = proj_u[1:] @ steps @ proj_s[:-1] + proj_s[1:] @ steps @ proj_u[:-1]
 
-    fwd = np.zeros((band + 1, n, d, d))
-    bwd = np.zeros((band + 1, n, d, d))
+    fwd = np.zeros((n, n, d, d))
+    bwd = np.zeros((n, n, d, d))
     fwd[0], bwd[0] = proj_s, -proj_u
-    for j in range(1, min(band, n - 1) + 1):
+    for j in range(1, n):
         fwd[j, : n - j] = proj_s[j:] @ (steps[j - 1 :] @ fwd[j - 1, : n - j])
         bwd[j, j:] = back[: n - j] @ bwd[j - 1, j:]
-    return _SplitMarch(fwd, bwd, rank, no_inverse, cond, spectral_norms(off))
+    return _SplitMarch(fwd, bwd, no_inverse, cond, spectral_norms(off))
 
 
 def _window_nodes(window):
+    """The sorted integer nodes of a window: a :class:`TimeGrid`, an
+    ``(n_lo, n_hi)`` pair or an iterable of nodes.  Fewer than two nodes
+    raise :class:`ConfigurationError`."""
     if isinstance(window, TimeGrid):
-        return [int(n) for n in window.integer_nodes()]
-    if isinstance(window, tuple) and len(window) == 2:
-        return list(range(int(window[0]), int(window[1]) + 1))
-    return sorted(int(n) for n in window)
-
-
-def _range_basis(proj, rank_tol=0.5):
-    """Orthonormal basis of the range of a (possibly oblique) projection."""
-    u, s, _ = np.linalg.svd(proj)
-    return u[:, s > rank_tol]
+        nodes = [int(n) for n in window.integer_nodes()]
+    elif isinstance(window, tuple) and len(window) == 2:
+        nodes = list(range(int(window[0]), int(window[1]) + 1))
+    else:
+        nodes = sorted(int(n) for n in window)
+    if len(nodes) < 2:
+        raise ConfigurationError(
+            f"window {window!r} needs at least two integer nodes")
+    return nodes
 
 
 @dataclass
@@ -371,8 +344,6 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     table, as ``unit_flow(n + k)[j] @ fwd[k, n]``.
     """
     nodes = _window_nodes(window)
-    if len(nodes) < 2:
-        raise ConfigurationError("verification window needs at least two nodes")
     discrete = isinstance(cocycle, DiscreteCocycle)
     k_bound, alpha = cert.bound, cert.exponent
     n = len(nodes)
@@ -380,7 +351,7 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     steps = stack_steps(cocycle.step if discrete
                         else lambda m: cocycle.unit_flow(m)[-1], nodes[:-1])
     proj = np.array([cert.proj_s(m) for m in nodes])
-    march = _split_march(steps, proj, n - 1)
+    march = _split_march(steps, proj)
     comm = float(np.max(spectral_norms(proj[1:] @ steps - steps @ proj[:-1])))
 
     # (b) ratios [source, offset k, fraction j] at horizon k + j / subs
@@ -437,58 +408,6 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
         "idempotence_residual": cert.idempotence_residual(),
     }
     return VerificationReport(axioms=axioms, passed=passed, meta=meta)
-
-
-class GreenKernel:
-    """Two-branch solution kernel of a cocycle with a dichotomy certificate.
-
-    For integer times: ``G(t, s) = phi_{t,s} Pi^s`` when ``t >= s``, as the
-    steps ``Pi^s(k+1) A_k`` applied to ``Pi^s(s)``, and ``-phi_{t,s} Pi^u``
-    (through the unstable-restricted inverse) when ``t < s``.  Each value is
-    computed on its own, per pair: the test reference for the split-flow
-    march and the kernel sweeps.
-    """
-
-    def __init__(self, cocycle, cert):
-        if not isinstance(cocycle, DiscreteCocycle):
-            raise ConfigurationError("GreenKernel works on discrete cocycles; "
-                                     "discretize continuous ones first")
-        self.cocycle = cocycle
-        self.cert = cert
-
-    def _forward(self, t, s, m):
-        """``phi_{t,s} m``, applied step by step from the right."""
-        for k in range(s, t):
-            m = np.atleast_2d(np.asarray(self.cocycle.step(k), float)) @ m
-        return m
-
-    def eval(self, t, s):
-        t, s = int(t), int(s)
-        if t >= s:
-            # re-projected at every step, so round-off cannot grow along
-            # the unstable range
-            m = self.cert.proj_s(s)
-            for k in range(s, t):
-                m = self.cert.proj_s(k + 1) @ self._forward(k + 1, k, m)
-            return m
-        pu_s = self.cert.proj_u(s)
-        pu_t = self.cert.proj_u(t)
-        b_s = _range_basis(pu_s)
-        b_t = _range_basis(pu_t)
-        if b_s.shape[1] == 0:
-            return np.zeros((self.cert.dim, self.cert.dim))
-        w = b_s.T @ self._forward(s, t, b_t)
-        sv = np.linalg.svd(w, compute_uv=False)
-        if sv[-1] <= 1e-300:
-            raise NonHyperbolicError("unstable-restricted map is singular; "
-                                     "backward branch undefined")
-        return -(b_t @ np.linalg.inv(w) @ b_s.T @ pu_s)
-
-    def jump_residual(self, s):
-        """|G(s,s) + (backward-branch limit at s) - Id|; zero when Pi^s+Pi^u=Id."""
-        g_plus = self.eval(s, s)
-        back_limit = self.cert.proj_u(s)
-        return spectral_norm(g_plus + back_limit - np.eye(self.cert.dim))
 
 
 def paper_projection_bound(alpha_a, alpha_b, eps):

@@ -12,12 +12,13 @@ a contraction on bounded sequences whenever the perturbation is small
 against the dichotomy constants.  On a window the sum solves a
 boundary-value problem (Beyn, IMA J. Numer. Anal. 10, 1990; Huels, DCDS-B
 12, 2009): two first-order sweeps, forward along the stable ranges and
-backward through the restricted one-step inverses, apply it exactly.
-Picard iteration then yields the solution together with a residual
-certificate; nodes within the certified geometric-tail length (the band) of
-the window edges are edge-contaminated.  (A direct linear solve would work
-too; the iteration mirrors the contraction argument and its residual is the
-certificate, so the linear-solve route is kept as a test oracle only.)
+backward through the restricted one-step inverses, apply it exactly
+(:func:`_gamma`).  Picard iteration then yields the solution together with a
+residual certificate; nodes within the certified geometric-tail length (the
+band) of the window edges are edge-contaminated.  (A direct linear solve
+would work too; the iteration mirrors the contraction argument and its
+residual is the certificate.  The test suite keeps the linear solve, and a
+per-pair Green kernel, as oracles for the sweeps.)
 
 The perturbed projections at a family of nodes are bounded solutions of
 unit-impulse problems, solved together as the column blocks of one forcing:
@@ -82,17 +83,6 @@ class ForcingSequence:
     def zeros(n_min, n_max, d, r=None):
         shape = (n_max - n_min + 1, d) if r is None else (n_max - n_min + 1, d, r)
         return ForcingSequence(n_min, n_max, np.zeros(shape))
-
-    @staticmethod
-    def impulse(n_min, n_max, node, payload):
-        """Forcing equal to ``payload`` at ``node`` and zero elsewhere."""
-        payload = np.asarray(payload, float)
-        if not n_min <= node <= n_max:
-            raise ConfigurationError(f"impulse node {node} outside window")
-        f = ForcingSequence.zeros(n_min, n_max, payload.shape[0],
-                                  None if payload.ndim == 1 else payload.shape[1])
-        f.values[node - n_min] = payload
-        return f
 
     @property
     def window(self):
@@ -163,22 +153,6 @@ def _gamma(sweeps, b_mats, f, x):
         acc = back[m] @ (acc - pi_u[m] @ u[m])
         out[m] += acc
     return out
-
-
-def gamma_apply(cocycle, cert, b, f, x):
-    """One application of the kernel sum to a candidate sequence.
-
-    ``x`` has the forcing's window shape; the sum runs over the whole
-    window.  Linear in (x, f).
-    """
-    n_lo, n_hi = f.window
-    x = np.asarray(x, float)
-    if x.shape != f.values.shape:
-        raise ConfigurationError(
-            f"candidate shape {x.shape} does not match forcing {f.values.shape}"
-        )
-    b_mats = stack_steps(as_step_sequence(b, cocycle.dim), range(n_lo, n_hi + 1))
-    return _gamma(_sweeps(cocycle, cert, n_lo, n_hi), b_mats, f, x)
 
 
 @dataclass

@@ -32,12 +32,13 @@ from .dichotomy import _envelope_scan, autonomous_certificate
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
 from .greens import _band_for
-from .io import write_csv
 from .robustness import robust_dichotomy_continuous
 
 SMALLNESS_DIVISOR = 6.0     # per-term budget: 1/(6 M beta^{-1})
 CONTRACTION_LIMIT = 0.75    # measured-factor bound: 1/2 from the proof + margin
-SUP_OVER_LAMBDA = 4.0       # a-posteriori: sup distance <= 4 M beta^{-1} lambda
+# a-posteriori: sup distance <= 4 M beta^{-1} lambda; only the tests read it
+# until ROADMAP open item 4 records the bound on the hyperbolic rows
+SUP_OVER_LAMBDA = 4.0
 
 STATUS_CERTIFIED = "certified"
 STATUS_BOUNDED = "bounded"
@@ -400,11 +401,6 @@ class HyperbolicSolutionCertificate:
             body["trajectory_t"] = self.times[sl].tolist()
             body["trajectory"] = self.trajectory[sl].tolist()
         return json.dumps(body, indent=indent)
-
-    def trajectory_csv(self, file):
-        d = self.trajectory.shape[1]
-        write_csv(file, ([t, *row] for t, row in zip(self.times, self.trajectory)),
-                  header=["t"] + [f"y{i}" for i in range(d)])
 
 
 def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,

@@ -24,13 +24,13 @@ def cell(v):
 
 
 @contextmanager
-def text_sink(file, mode="w"):
+def text_sink(file):
     """``file`` itself when it is an open text file, else the path ``file``
-    opened in ``mode`` (LF line ends when writing) and closed on exit."""
+    opened for writing with LF line ends and closed on exit."""
     if not isinstance(file, (str, bytes)):
         yield file
         return
-    with open(file, mode, newline="\n" if mode == "w" else None) as fh:
+    with open(file, "w", newline="\n") as fh:
         yield fh
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from .cocycle import _finite
 from .errors import ConfigurationError, WindowError
 from .grids import TimeGrid
-from .io import text_sink, write_csv
 
 DEFAULT_TAIL_TOL = 1e-10
 
@@ -34,7 +33,7 @@ class SamplePath:
     """
 
     def __init__(self, grid, values, seed=None, *, _root=None, _root_lo=None,
-                 _shift=0, extended=False):
+                 _shift=0):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_nodes,):
             raise ConfigurationError(
@@ -47,7 +46,6 @@ class SamplePath:
         self.values = values
         self.values.setflags(write=False)
         self.seed = seed
-        self.extended = extended
         # Raw sample array in the frame of the originally sampled path.
         # root[j] is the original path at node (_root_lo + j); this view's
         # node m corresponds to original node m + _shift.  Shifts re-anchor
@@ -115,48 +113,29 @@ def linear_path(grid):
     return injected_path(grid, lambda t: t)
 
 
-def _view(root, root_lo, shift, seed, grid, extended):
-    """Materialize the shifted view of ``root`` on ``grid`` (node frame of the view)."""
-    lo = (grid.n_min + shift) - root_lo
-    hi = (grid.n_max + shift) - root_lo
-    anchor = shift - root_lo
-    vals = root[lo : hi + 1] - root[anchor]
-    return SamplePath(grid, vals, seed=seed, _root=root, _root_lo=root_lo,
-                      _shift=shift, extended=extended)
-
-
-def shift_path(path, t, *, extend=False):
+def shift_path(path, t):
     """The Wiener-shifted path ``theta_t omega = omega(t + .) - omega(t)``.
 
-    ``t`` must be a grid multiple of ``h``.  By default the result lives on
-    the image of the stored window, which must still straddle 0; with
-    ``extend=True`` (seeded paths only) the underlying path is resampled on a
-    grid wide enough that the shifted path keeps the input's window shape,
-    and the result is flagged ``extended``.
+    ``t`` must be a grid multiple of ``h``.  The result lives on the image
+    of the stored window, which must still straddle 0; to shift further,
+    sample a wider grid with the same seed, which extends the same streams.
     """
     n = path.grid.node_of(t)
     if n == 0:
         return path
     g = path.grid
     shift = path._shift + n
-    if extend:
-        if path.seed is None:
-            raise WindowError("cannot extend an injected path by fresh sampling")
-        out_lo, out_hi = g.n_min, g.n_max  # keep the window shape
-        need_lo = min(out_lo + shift, path._root_lo, -1)
-        need_hi = max(out_hi + shift, path._root_lo + len(path._root) - 1, 1)
-        wide = TimeGrid(need_lo * g.h, need_hi * g.h, g.h)
-        root = _wiener_root(wide, path.seed)
-        return _view(root, wide.n_min, shift, path.seed,
-                     TimeGrid(out_lo * g.h, out_hi * g.h, g.h), True)
     out_lo, out_hi = g.n_min - n, g.n_max - n
     if not (out_lo < 0 < out_hi):
         raise WindowError(
             f"shift by {t} leaves the stored window [{g.t_min}, {g.t_max}]",
             required_extension=abs(n * g.h),
         )
-    return _view(path._root, path._root_lo, shift, path.seed,
-                 TimeGrid(out_lo * g.h, out_hi * g.h, g.h), path.extended)
+    base = shift - path._root_lo  # root index of the shifted path's node 0
+    vals = path._root[base + out_lo : base + out_hi + 1] - path._root[base]
+    return SamplePath(TimeGrid(out_lo * g.h, out_hi * g.h, g.h), vals,
+                      seed=path.seed, _root=path._root,
+                      _root_lo=path._root_lo, _shift=shift)
 
 
 def _tail_envelope(path, t):
@@ -265,33 +244,9 @@ class KappaFn:
             name=f"{a:g}/(1+t^2)",
         )
 
-    @staticmethod
-    def constant(value=1.0):
-        c = float(value)
-        return KappaFn(lambda t: c + 0.0 * np.asarray(t, float),
-                       lambda t: 0.0 * np.asarray(t, float),
-                       name=f"{c:g}")
-
 
 def default_kappa():
     return KappaFn.inverse_quadratic(1.0)
-
-
-def validate_kappa(kappa, grid, fd_tol=1e-5):
-    """Check positivity and the analytic derivative against central differences."""
-    ts = grid.times()
-    k = np.asarray(kappa.kappa(ts), float)
-    if np.any(k <= 0.0):
-        raise ConfigurationError(f"kappa must be positive on the grid ({kappa.name})")
-    kd = np.asarray(kappa.kappa_dot(ts), float)
-    fd = np.gradient(k, grid.h)
-    err = np.max(np.abs(kd[2:-2] - fd[2:-2]))
-    scale = max(1.0, float(np.max(np.abs(kd))))
-    if err > max(fd_tol, 10.0 * grid.h**2 * scale):
-        raise ConfigurationError(
-            f"kappa_dot disagrees with finite differences (max err {err:.3e})"
-        )
-    return float(err)
 
 
 class NoiseBounds:
@@ -367,24 +322,3 @@ def ensemble_diagnostics(n_paths, h=1.0 / 64, t_min=-30.0, seed=0):
     z_var = float(np.var(z, ddof=1))
     return {"w1_var": w1_var, "z_var": z_var, "n_paths": n_paths, "h": h}
 
-
-def export_path_csv(path, file):
-    """Write a path as CSV with columns (t, omega); seed in a header comment."""
-    write_csv(file, zip(path.times(), path.values), header=["t", "omega"],
-              comment=f"seed={path.seed if path.seed is not None else 'none'}")
-
-
-def import_path_csv(file):
-    """Read a path written by :func:`export_path_csv`."""
-    with text_sink(file, "r") as fh:
-        header = fh.readline().strip()
-        seed = None
-        if header.startswith("# seed="):
-            tok = header.split("=", 1)[1]
-            seed = None if tok == "none" else int(tok)
-        fh.readline()  # column header
-        data = np.loadtxt(fh, delimiter=",")
-    ts, vals = data[:, 0], data[:, 1]
-    h = ts[1] - ts[0]
-    grid = TimeGrid(ts[0], ts[-1], h)
-    return SamplePath(grid, vals, seed=seed)

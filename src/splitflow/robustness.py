@@ -13,12 +13,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
-from .cocycle import (DiscreteCocycle, _unit_envelope, discretize,
-                      spectral_norm, spectral_norms, stack_steps)
-from .dichotomy import (DichotomyCertificate, _split_march, _window_nodes,
-                        autonomous_certificate, delta_threshold,
+from .cocycle import _unit_envelope, discretize, spectral_norms, stack_steps
+from .dichotomy import (DichotomyCertificate, _window_nodes, delta_threshold,
                         verify_dichotomy)
 from .errors import RobustnessHypothesisError, SplitflowError
 from .greens import _delta_eff, _impulse_span, impulse_response_projection
@@ -33,9 +30,9 @@ def gronwall_constants(a, delta, d_const):
     Requires ``delta < (1/D) (1-e^{-a})/(1+e^{-a})`` and a nonnegative
     radicand; violations raise ``ValueError`` naming the condition.
     """
-    if not a > 0.0 or d_const <= 0.0:
+    if not (0.0 < a < math.inf and 0.0 < d_const < math.inf):
         raise ValueError("need a > 0 and D > 0")
-    if delta < 0.0 or delta >= delta_threshold(a) / d_const:
+    if not 0.0 <= delta < delta_threshold(a) / d_const:
         raise ValueError(
             f"Gronwall condition delta < D^-1 (1-e^-a)/(1+e^-a) fails: "
             f"delta={delta}, limit={delta_threshold(a) / d_const:.6g}"
@@ -78,10 +75,10 @@ def robust_constants(k_bound, alpha, delta):
     closed forms then evaluate to finite values with ``M >= K``,
     ``0 < alpha_tilde <= alpha`` and ``beta_tilde >= alpha_tilde``.
     """
-    if k_bound < 1.0:
+    if not 1.0 <= k_bound < math.inf:
         raise ValueError(f"bound must be >= 1, got {k_bound}")
     thr = delta_threshold(alpha)
-    if delta < 0.0 or delta >= thr:
+    if not 0.0 <= delta < thr:
         raise RobustnessHypothesisError(
             f"delta={delta:.6g} is not below the threshold {thr:.6g}",
             measured=delta, threshold=thr,
@@ -201,9 +198,8 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
     base_d, pert_d = discretize(base_cc), discretize(perturbed_cc)
     base_cert_d = replace(base_cert, discrete=True)
     span_lo, span_hi = _impulse_span(
-        base_cert_d, stack_steps(_difference_step(base_d, pert_d),
-                                 range(n_lo, n_hi + 1)),
-        n_lo, n_hi, trunc_tol)
+        base_cert_d, pert_flows[:, -1] - base_flows[:, -1], n_lo, n_hi,
+        trunc_tol)
     for cc in (base_cc, perturbed_cc):
         cc.unit_steps(range(span_lo, span_hi + 1))
     cert_d = robust_dichotomy_discrete(
@@ -217,105 +213,6 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
         report = verify_dichotomy(perturbed_cc, cert, (n_lo, n_hi), slack=slack)
         cert.meta["verification_continuous"] = report
     return cert
-
-
-@dataclass
-class LinearPerturbationVerdict:
-    """Outcome of the integral-smallness check for a linear random term."""
-
-    eps_measured: float
-    eps_cutoff: float
-    satisfied: bool
-    L: float
-    delta_allowed: float
-
-
-def linear_random_perturbation_check(a_matrix, b_fn, window, *,
-                                     samples_per_unit=32, safety=SAFETY,
-                                     gap_margin=0.1):
-    """Measure ``sup_{0<=t<=1} |int_0^t B|`` and compare with the cutoff.
-
-    ``b_fn(t)`` returns the perturbation matrix at absolute time t.  The
-    cutoff is the eps solving ``eps * L^2 e^{L eps} = delta_allowed``, where
-    L is the unit-interval envelope of the unperturbed flow and
-    ``delta_allowed`` the continuous robustness threshold; the Gronwall
-    chain then bounds the perturbed flow distance by the threshold.
-    """
-    cert = autonomous_certificate(a_matrix, margin=gap_margin)
-    k_bound, alpha = cert.bound, cert.exponent
-    ts = np.linspace(0.0, 1.0, samples_per_unit + 1)
-    l_env = max(spectral_norm(expm(np.atleast_2d(a_matrix) * t)) for t in ts)
-
-    nodes = _window_nodes(window)
-    eps_measured = 0.0
-    for n in nodes[:-1]:
-        grid_t = n + ts
-        mats = np.array([np.atleast_2d(np.asarray(b_fn(t), float))
-                         for t in grid_t])
-        acc = np.zeros_like(mats[0])
-        for i in range(len(ts) - 1):
-            acc = acc + 0.5 * (ts[1] - ts[0]) * (mats[i] + mats[i + 1])
-            eps_measured = max(eps_measured, spectral_norm(acc))
-    delta_allowed = safety * delta_threshold(alpha) / k_bound
-
-    def chain(eps):
-        return eps * l_env * l_env * math.exp(l_env * eps)
-
-    lo, hi = 0.0, 1.0
-    while chain(hi) < delta_allowed and hi < 1e6:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if chain(mid) < delta_allowed:
-            lo = mid
-        else:
-            hi = mid
-    eps_cutoff = lo
-    return LinearPerturbationVerdict(
-        eps_measured=eps_measured, eps_cutoff=eps_cutoff,
-        satisfied=eps_measured < eps_cutoff, L=l_env,
-        delta_allowed=delta_allowed,
-    )
-
-
-def subspace_decay_diagnostic(cocycle, cert, window, rate_slack=0.05):
-    """Log-linear decay fits of the projected orbits (range characterization).
-
-    Columns of the stable projection must have forward orbits decaying at
-    least at rate ``alpha_tilde`` (minus the slack); unstable columns must
-    extend to backward orbits decaying at rate ``beta_tilde`` when walked
-    backward.  Fits run over the given window from its center node, on the
-    columns of the center node in the window's split-flow march.
-    """
-    nodes = _window_nodes(window)
-    c = len(nodes) // 2
-    alpha = cert.exponent
-    beta = cert.meta.get("beta_tilde", alpha)
-    if not isinstance(cocycle, DiscreteCocycle):
-        cocycle = discretize(cocycle)
-    march = _split_march(stack_steps(cocycle.step, nodes[:-1]),
-                         np.array([cert.proj_s(n) for n in nodes]),
-                         len(nodes) - 1)
-
-    out = {}
-    norms = spectral_norms(march.fwd[: len(nodes) - c, c])
-    if norms[0] > 0 and np.all(norms > 0):
-        slope = np.polyfit(np.arange(len(norms)), np.log(norms), 1)[0]
-        out["forward"] = {"slope": float(slope),
-                          "required": -alpha * (1.0 - rate_slack),
-                          "passed": slope <= -alpha * (1.0 - rate_slack)}
-    else:
-        out["forward"] = {"slope": -math.inf, "required": -alpha, "passed": True}
-
-    if march.rank[c] == 0:
-        out["backward"] = {"slope": -math.inf, "required": -beta, "passed": True}
-        return out
-    norms = spectral_norms(march.bwd[: c + 1, c])
-    slope = np.polyfit(np.arange(len(norms)), np.log(norms), 1)[0]
-    out["backward"] = {"slope": float(slope),
-                       "required": -beta * (1.0 - rate_slack),
-                       "passed": slope <= -beta * (1.0 - rate_slack)}
-    return out
 
 
 def robustness_report_json(cert, indent=2):

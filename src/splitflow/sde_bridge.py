@@ -28,7 +28,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -73,9 +72,6 @@ class StratonovichSpec:
             raise ConfigurationError("pattern must be a 0/1 vector of length d")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigurationError(f"eta must lie in [0, 1], got {self.eta}")
-
-    def eta_tilde(self):
-        return np.diag(self.eta * self.pattern)
 
 
 class _NoiseDressing:
@@ -140,40 +136,6 @@ def _conjugated_fields(spec, dressing):
         return (jac * s[:, None, :]) / s[:, :, None]
 
     return f_eta, f_eta_dy
-
-
-@dataclass
-class RandomODESpec:
-    """The transformed random ODE: fields closed over one noise realization,
-    batched over times."""
-
-    b_matrix: np.ndarray
-    f_eta: object        # (ts[N], V[N, d]) -> [N, d]
-    f_eta_dy: object     # (ts[N], V[N, d]) -> [N, d, d]
-    b_eta: object        # (ts[N],) -> [N, d, d]
-    scale: object        # (t,) -> d-vector with y = scale * v
-    eta: float
-    pattern: np.ndarray
-    dressing: _NoiseDressing
-
-
-def transform(spec, path, tail_tol=DEFAULT_TAIL_TOL):
-    """Random-ODE form of a Stratonovich spec along one sampled path.
-
-    At ``eta = 0`` the returned fields coincide with the autonomous ones.
-    For structured patterns the scalar exponential becomes the exponential
-    of the diagonal pattern block.
-    """
-    dressing = _NoiseDressing(path, spec.kappa, tail_tol)
-    f_eta, f_eta_dy = _conjugated_fields(spec, dressing)
-    eta, pattern = spec.eta, spec.pattern
-    return RandomODESpec(
-        b_matrix=spec.b_matrix, f_eta=partial(f_eta, eta),
-        f_eta_dy=partial(f_eta_dy, eta),
-        b_eta=lambda ts: (dressing.gap(float(eta), np.asarray(ts, float))
-                          [:, None, None] * np.diag(pattern)),
-        scale=partial(dressing.scale, eta, pattern),
-        eta=eta, pattern=pattern, dressing=dressing)
 
 
 def inverse_transform(times, v_traj, spec, path, tail_tol=DEFAULT_TAIL_TOL):

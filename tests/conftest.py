@@ -1,13 +1,21 @@
 """Shared oracles for the test suite.
 
 These deliberately avoid the library code paths they are used to check:
-the contour-integral projector is quadrature on the resolvent, and the
+the contour-integral projector is quadrature on the resolvent, the
 long-product projections extract stable/unstable directions by
-forward/backward power iteration.
+forward/backward power iteration, and :class:`GreenKernel` evaluates the
+two-branch Green kernel one pair of times at a time, where the library
+marches and sweeps whole windows.  The helpers at the end drive library
+internals the way a test needs them.
 """
 
 import numpy as np
 import pytest
+
+from splitflow import (ConfigurationError, DiscreteCocycle, ForcingSequence,
+                       NonHyperbolicError, spectral_norm)
+from splitflow.cocycle import as_step_sequence, stack_steps
+from splitflow.greens import _gamma, _sweeps
 
 
 def riesz_projector_oracle(a_matrix, n_quad=400):
@@ -84,6 +92,102 @@ def time_varying_saddle(window, seed=14, sigma=0.03, reach=80):
         w = np.array([-s[1], s[0]])  # annihilates the stable direction
         projections[n] = np.eye(2) - np.outer(u, w) / (w @ u)
     return steps, projections
+
+
+def _range_basis(proj, rank_tol=0.5):
+    """Orthonormal basis of the range of a (possibly oblique) projection."""
+    u, s, _ = np.linalg.svd(proj)
+    return u[:, s > rank_tol]
+
+
+class GreenKernel:
+    """Two-branch solution kernel of a cocycle with a dichotomy certificate.
+
+    For integer times: ``G(t, s) = phi_{t,s} Pi^s`` when ``t >= s``, as the
+    steps ``Pi^s(k+1) A_k`` applied to ``Pi^s(s)``, and ``-phi_{t,s} Pi^u``
+    (through the unstable-restricted inverse) when ``t < s``.  Each value is
+    computed on its own, per pair: the reference for the split-flow march
+    and the kernel sweeps.
+    """
+
+    def __init__(self, cocycle, cert):
+        if not isinstance(cocycle, DiscreteCocycle):
+            raise ConfigurationError("GreenKernel works on discrete cocycles; "
+                                     "discretize continuous ones first")
+        self.cocycle = cocycle
+        self.cert = cert
+
+    def _forward(self, t, s, m):
+        """``phi_{t,s} m``, applied step by step from the right."""
+        for k in range(s, t):
+            m = np.atleast_2d(np.asarray(self.cocycle.step(k), float)) @ m
+        return m
+
+    def eval(self, t, s):
+        t, s = int(t), int(s)
+        if t >= s:
+            # re-projected at every step, so round-off cannot grow along
+            # the unstable range
+            m = self.cert.proj_s(s)
+            for k in range(s, t):
+                m = self.cert.proj_s(k + 1) @ self._forward(k + 1, k, m)
+            return m
+        pu_s = self.cert.proj_u(s)
+        pu_t = self.cert.proj_u(t)
+        b_s = _range_basis(pu_s)
+        b_t = _range_basis(pu_t)
+        if b_s.shape[1] == 0:
+            return np.zeros((self.cert.dim, self.cert.dim))
+        w = b_s.T @ self._forward(s, t, b_t)
+        sv = np.linalg.svd(w, compute_uv=False)
+        if sv[-1] <= 1e-300:
+            raise NonHyperbolicError("unstable-restricted map is singular; "
+                                     "backward branch undefined")
+        return -(b_t @ np.linalg.inv(w) @ b_s.T @ pu_s)
+
+    def jump_residual(self, s):
+        """|G(s,s) + (backward-branch limit at s) - Id|; zero when Pi^s+Pi^u=Id."""
+        g_plus = self.eval(s, s)
+        back_limit = self.cert.proj_u(s)
+        return spectral_norm(g_plus + back_limit - np.eye(self.cert.dim))
+
+
+def gamma_apply(cocycle, cert, b, f, x):
+    """One application of the library's kernel sum (``greens._gamma`` over
+    ``greens._sweeps``) to a candidate ``x`` of the forcing's shape, over
+    the forcing's whole window.  Linear in (x, f)."""
+    n_lo, n_hi = f.window
+    b_mats = stack_steps(as_step_sequence(b, cocycle.dim), range(n_lo, n_hi + 1))
+    return _gamma(_sweeps(cocycle, cert, n_lo, n_hi), b_mats, f,
+                  np.asarray(x, float))
+
+
+def impulse(n_min, n_max, node, payload):
+    """Forcing on [n_min, n_max] equal to ``payload`` at ``node`` and zero
+    elsewhere."""
+    payload = np.asarray(payload, float)
+    f = ForcingSequence.zeros(n_min, n_max, payload.shape[0],
+                              None if payload.ndim == 1 else payload.shape[1])
+    f.values[node - n_min] = payload
+    return f
+
+
+def validate_kappa(kappa, grid, fd_tol=1e-5):
+    """Check a time-rescaling's positivity and its analytic derivative
+    against central differences on ``grid``; returns the derivative error."""
+    ts = grid.times()
+    k = np.asarray(kappa.kappa(ts), float)
+    if np.any(k <= 0.0):
+        raise ConfigurationError(f"kappa must be positive on the grid ({kappa.name})")
+    kd = np.asarray(kappa.kappa_dot(ts), float)
+    fd = np.gradient(k, grid.h)
+    err = np.max(np.abs(kd[2:-2] - fd[2:-2]))
+    scale = max(1.0, float(np.max(np.abs(kd))))
+    if err > max(fd_tol, 10.0 * grid.h**2 * scale):
+        raise ConfigurationError(
+            f"kappa_dot disagrees with finite differences (max err {err:.3e})"
+        )
+    return float(err)
 
 
 @pytest.fixture

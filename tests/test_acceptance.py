@@ -14,7 +14,7 @@ from splitflow import (DichotomyCertificate, DiscreteCocycle,
                        StratonovichSpec, TimeGrid)
 from splitflow.cli import main as cli_main
 from splitflow.noise import ensemble_diagnostics, pathwise_ou_residual
-from conftest import brute_force_projections
+from conftest import brute_force_projections, impulse
 
 LN2 = float(np.log(2.0))
 
@@ -45,7 +45,7 @@ def test_c2_admissibility_oracle():
     c = DiscreteCocycle.constant([[0.5]])
     cert = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
     tol = 1e-10
-    f = ForcingSequence.impulse(-50, 50, -1, np.array([1.0]))
+    f = impulse(-50, 50, -1, np.array([1.0]))
     sol = sf.bounded_solution(c, cert, 0.05, f, tol=tol)
     lo, hi = sol.interior
     worst = max(

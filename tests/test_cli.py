@@ -17,14 +17,6 @@ def run_cli(args):
 
 
 class TestConfigParsing:
-    def test_round_trip(self):
-        cfg = ExperimentConfig.from_text(
-            "seed = 7\nn_paths = 500\nvariance_band = 0.05\n", "ou-check")
-        text = cfg.to_text()
-        cfg2 = ExperimentConfig.from_text(text, "ou-check")
-        assert cfg2.values == cfg.values
-        assert cfg2.to_text() == text
-
     def test_unknown_key_with_line(self):
         with pytest.raises(ConfigurationError, match="line 2"):
             parse_config_text("seed = 1\nnope = 2\n", "ou-check")
@@ -117,6 +109,19 @@ class TestRobustnessCmd:
                         "--out", str(out)]) == 0
         body = json.loads((out / "robustness.json").read_text())
         assert [i["passed"] for i in body["instances"]] == [True, True]
+
+    @pytest.mark.parametrize("t_min, t_max", [(3, -3), (0.2, 0.9)])
+    def test_window_without_two_nodes_is_two(self, tmp_path, capsys, t_min,
+                                             t_max):
+        # reversed, or no integer node inside: a usage error, before any
+        # instance runs
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"t_min = {t_min}\nt_max = {t_max}\n")
+        out = tmp_path / "out"
+        assert run_cli(["robustness", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert "at least two integer nodes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_delta_zero_collapses_constants(self, tmp_path):
         cfg = tmp_path / "r.cfg"

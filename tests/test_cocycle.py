@@ -2,20 +2,31 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from splitflow import (ContinuousCocycle, DiscreteCocycle, TimeGrid,
-                       compose_discrete, discretize, integrate,
-                       one_step_bound, pointwise, propagator, spectral_norm)
-from splitflow.cocycle import UNIT_SAMPLES, integrate_nonlinear
+from splitflow import (ContinuousCocycle, DiscreteCocycle, discretize,
+                       pointwise, propagator, spectral_norm)
+from splitflow.cocycle import (UNIT_SAMPLES, _unit_envelope,
+                               integrate_nonlinear, stack_steps)
+from splitflow.dichotomy import _split_march
+
+
+def composed(c, n_lo, n_hi):
+    """The forward table of the split-flow march over the nodes n_lo..n_hi
+    with ``Pi^s = Id``: entry ``[j, i]`` is the ordered product
+    ``A_{n_lo+i+j-1} ... A_{n_lo+i}`` of the cocycle's steps."""
+    steps = stack_steps(c.step, range(n_lo, n_hi))
+    return _split_march(steps, np.broadcast_to(
+        np.eye(c.dim), (n_hi - n_lo + 1, c.dim, c.dim))).fwd
 
 
 class TestComposeDiscrete:
     def test_zero_steps_is_identity(self):
         c = DiscreteCocycle.constant([[2.0, 1.0], [0.0, 0.5]])
-        assert np.array_equal(compose_discrete(c, 0), np.eye(2))
+        assert np.array_equal(composed(c, 0, 3)[0], np.broadcast_to(
+            np.eye(2), (4, 2, 2)))
 
     def test_scalar_power(self):
         c = DiscreteCocycle.constant([[0.5]])
-        assert compose_discrete(c, 3)[0, 0] == 0.125
+        assert composed(c, 0, 3)[3, 0, 0, 0] == 0.125
 
     def test_alternating_sequence_brute_force(self):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -26,17 +37,16 @@ class TestComposeDiscrete:
 
         c = DiscreteCocycle(step, 2)
         expected = rot @ dia @ rot @ dia  # n = 4 from base 0
-        assert np.allclose(compose_discrete(c, 4), expected, atol=1e-15)
+        assert np.allclose(composed(c, 0, 4)[4, 0], expected, atol=1e-15)
         # and from a shifted base
         expected2 = rot @ dia @ rot  # steps at 1,2,3
-        assert np.allclose(compose_discrete(c, 3, base=1), expected2)
+        assert np.allclose(composed(c, 0, 4)[3, 1], expected2)
 
 
 class TestIntegrate:
     def test_zero_generator(self):
         c = ContinuousCocycle.constant(np.zeros((3, 3)))
-        x0 = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(integrate(c, 0.0, 2.0, x0), x0, atol=1e-14)
+        assert np.allclose(propagator(c, 0.0, 2.0), np.eye(3), atol=1e-14)
 
     def test_matrix_exponential_oracle(self, rng):
         mats = [np.array([[0.3, 1.2], [-0.7, -1.1]]),
@@ -53,23 +63,30 @@ class TestIntegrate:
 
     def test_scalar_integrating_factor(self):
         c = ContinuousCocycle(pointwise(lambda t: np.array([[np.sin(t)]])), 1)
-        got = integrate(c, 0.5, 2.5, np.array([1.3]))[0]
+        got = 1.3 * propagator(c, 0.5, 2.0)[0, 0]
         want = 1.3 * np.exp(np.cos(0.5) - np.cos(2.5))
         assert abs(got - want) < 1e-7
 
     def test_linearity(self, rng):
-        c = ContinuousCocycle(pointwise(lambda t: np.array(
-            [[0.1 * np.cos(t), 1.0], [-1.0, -0.2]])), 2)
+        # the vector RK4 of a linear field is linear in the initial state
+        # and applies the matrix propagator
+        gen = lambda t: np.array([[0.1 * np.cos(t), 1.0], [-1.0, -0.2]])
+        c = ContinuousCocycle(pointwise(gen), 2)
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
-        lhs = integrate(c, 0.0, 1.5, 2.0 * x - 3.0 * y)
-        rhs = 2.0 * integrate(c, 0.0, 1.5, x) - 3.0 * integrate(c, 0.0, 1.5, y)
-        assert np.allclose(lhs, rhs, atol=1e-12)
+
+        def solve(x0):
+            return integrate_nonlinear(lambda t, v: gen(t) @ v, 0.0, 1.5, x0)
+
+        lhs = solve(2.0 * x - 3.0 * y)
+        assert np.allclose(lhs, 2.0 * solve(x) - 3.0 * solve(y), atol=1e-12)
+        assert np.allclose(lhs, propagator(c, 0.0, 1.5) @ (2.0 * x - 3.0 * y),
+                           atol=1e-12)
 
     def test_backward_rejected(self):
         c = ContinuousCocycle.constant([[1.0]])
         with pytest.raises(ValueError):
-            integrate(c, 1.0, 0.0, np.array([1.0]))
+            propagator(c, 1.0, -1.0)
 
 
 class TestPropagator:
@@ -115,7 +132,7 @@ class TestDiscretize:
         c = ContinuousCocycle(pointwise(lambda t: np.array(
             [[0.2 * np.cos(t), 0.5], [-0.5, -0.4]])), 2)
         d = discretize(c)
-        got = compose_discrete(d, 3)
+        got = d.step(2) @ d.step(1) @ d.step(0)
         want = propagator(c, 0.0, 3.0)
         assert spectral_norm(got - want) < 3e-9
 
@@ -183,17 +200,22 @@ class TestUnitFlowTable:
 
 
 class TestOneStepBound:
+    """The lift envelope at exponent 0: the sampled sup of ``|phi(t, n)|``
+    over the unit intervals of the shifts."""
+
+    SHIFTS = range(-2, 2)
+
     def test_zero_generator(self):
         c = ContinuousCocycle.constant(np.zeros((2, 2)))
-        assert one_step_bound(c, TimeGrid(-2.0, 2.0, 1.0 / 8)) == 1.0
+        assert _unit_envelope(c, self.SHIFTS, 0.0) == 1.0
 
     def test_decaying_scalar(self):
         c = ContinuousCocycle.constant([[-1.0]])
-        assert abs(one_step_bound(c, TimeGrid(-2.0, 2.0, 1.0 / 8)) - 1.0) < 1e-12
+        assert abs(_unit_envelope(c, self.SHIFTS, 0.0) - 1.0) < 1e-12
 
     def test_growing_scalar(self):
         c = ContinuousCocycle.constant([[1.0]])
-        got = one_step_bound(c, TimeGrid(-2.0, 2.0, 1.0 / 8))
+        got = _unit_envelope(c, self.SHIFTS, 0.0)
         assert abs(got - np.e) < 1e-8
 
 
@@ -203,31 +225,6 @@ def test_integrate_nonlinear_logistic():
     got = integrate_nonlinear(field, 0.0, 3.0, np.array([0.1]), step=1.0 / 64)[0]
     want = 1.0 / (1.0 + 9.0 * np.exp(-3.0))
     assert abs(got - want) < 1e-8
-
-
-class TestEvolutionProcessView:
-    def test_two_parameter_identity_discrete(self):
-        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        dia = np.diag([2.0, 0.5])
-        c = DiscreteCocycle(lambda n: dia if n % 2 == 0 else rot, 2)
-        from splitflow import EvolutionProcessView
-
-        view = EvolutionProcessView(c)
-        # phi_{t,s} = phi(t-s, shift s)
-        assert np.allclose(view.map(5, 2), compose_discrete(c, 3, base=2))
-        assert np.allclose(view.map(2, 2), np.eye(2))
-        # composition: phi_{t,s} phi_{s,r} = phi_{t,r}
-        lhs = view.map(6, 3) @ view.map(3, 1)
-        assert np.allclose(lhs, view.map(6, 1), atol=1e-14)
-
-    def test_two_parameter_identity_continuous(self):
-        from splitflow import EvolutionProcessView
-
-        c = ContinuousCocycle(pointwise(lambda t: np.array([[0.3 * np.cos(t)]])),
-                              1)
-        view = EvolutionProcessView(c)
-        lhs = view.map(2.0, 1.25) @ view.map(1.25, 0.5)
-        assert spectral_norm(lhs - view.map(2.0, 0.5)) < 1e-9
 
 
 def test_cocycle_law_wave_scale():
@@ -244,16 +241,3 @@ def test_cocycle_law_wave_scale():
         parts = propagator(c, s, t) @ propagator(c, 0.0, s)
         assert spectral_norm(whole - parts) < 1e-6
 
-
-def test_matrix_csv_export(tmp_path):
-    from splitflow import export_matrix_csv
-
-    f = tmp_path / "prop.csv"
-    m = np.array([[1.5, -2.0], [0.25, 3.0 + 1e-15]])
-    for label in ("unit propagator", ""):
-        export_matrix_csv(m, str(f), label=label)
-        lines = f.read_text().splitlines()
-        if label:  # no comment line without a label
-            assert lines.pop(0) == "# unit propagator"
-        back = np.array([[float(x) for x in ln.split(",")] for ln in lines])
-        assert np.array_equal(back, m)

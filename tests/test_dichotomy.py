@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
-from splitflow import (ContinuousCocycle, DiscreteCocycle,
-                       DichotomyCertificate, GreenKernel, NonHyperbolicError,
-                       SplitflowError, autonomous_certificate,
-                       autonomous_certificate_discrete, discretize,
+from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
+                       DichotomyCertificate, NonHyperbolicError,
+                       SplitflowError, autonomous_certificate, discretize,
                        paper_projection_bound, projection_distance,
                        robust_dichotomy_discrete, spectral_norm,
-                       spectral_projection, spectral_projection_discrete,
-                       verify_dichotomy)
+                       spectral_projection, verify_dichotomy)
 from splitflow.cocycle import UNIT_SAMPLES
-from conftest import riesz_projector_oracle, time_varying_saddle
+from conftest import GreenKernel, riesz_projector_oracle, time_varying_saddle
 
 SADDLE = np.diag([0.5, 2.0])
 
@@ -96,12 +94,21 @@ class TestSpectralProjection:
         with pytest.raises(NonHyperbolicError):
             spectral_projection(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
-    def test_discrete_unit_circle(self):
-        pi_u, gap = spectral_projection_discrete(np.diag([0.5, 2.0]))
-        assert np.allclose(pi_u, np.diag([0.0, 1.0]), atol=1e-12)
-        assert abs(gap - np.log(2.0)) < 1e-12
-        with pytest.raises(NonHyperbolicError):
-            spectral_projection_discrete(np.diag([1.0, 0.5]))
+
+class TestCertificate:
+    @pytest.mark.parametrize("bound, exponent, match", [
+        (np.nan, 0.5, "bound must be >= 1"),
+        (np.inf, 0.5, "bound must be >= 1"),
+        (0.5, 0.5, "bound must be >= 1"),
+        (1.0, np.nan, "exponent must be positive"),
+        (1.0, np.inf, "exponent must be positive"),
+        (1.0, 0.0, "exponent must be positive"),
+    ])
+    def test_non_finite_or_out_of_range_constants_rejected(self, bound,
+                                                           exponent, match):
+        with pytest.raises(ConfigurationError, match=match):
+            DichotomyCertificate.constant(np.eye(1), bound, exponent,
+                                          discrete=True)
 
 
 class TestAutonomousCertificate:
@@ -127,11 +134,6 @@ class TestAutonomousCertificate:
                    for t in ts)
         assert cert.bound >= scan * (1.0 - 1e-6)
         assert cert.bound <= scan * 1.02  # ceil to 3 significant digits
-
-    def test_discrete_variant(self):
-        cert = autonomous_certificate_discrete(np.diag([0.5, 2.0]))
-        assert cert.discrete
-        assert abs(cert.exponent - 0.9 * np.log(2.0)) < 1e-12
 
 
 class TestVerify:
@@ -266,7 +268,8 @@ class TestVerify:
     def test_strong_saddle_passes_long_window(self):
         # the stable kernel underflows to 0 where e^{alpha t} overflows
         step = np.diag([1e-4, 1e4])
-        cert = autonomous_certificate_discrete(step)
+        cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
+                                             0.9 * np.log(1e4), discrete=True)
         rep = verify_dichotomy(DiscreteCocycle.constant(step), cert, (-48, 48))
         assert rep.passed
         assert rep.axioms["forward_decay"]["max_ratio"] == 1.0
@@ -362,8 +365,9 @@ class TestProjectionDistance:
         eps = 0.01
         rot = np.array([[np.cos(eps), -np.sin(eps)],
                         [np.sin(eps), np.cos(eps)]])
-        cert_a = autonomous_certificate_discrete(d_mat)
-        cert_b = autonomous_certificate_discrete(rot @ d_mat)
+        # certificates of the generators whose time-one maps are the steps
+        cert_a = autonomous_certificate(logm(d_mat).real)
+        cert_b = autonomous_certificate(logm(rot @ d_mat).real)
         dist = projection_distance(cert_a, cert_b, (-3, 3))
         # hypothesis constant: sup K |phi_1 - psi_1|
         eps_hyp = max(cert_a.bound, cert_b.bound) * spectral_norm(rot @ d_mat - d_mat)
@@ -375,7 +379,5 @@ class TestProjectionDistance:
         node_cert = DichotomyCertificate(
             bound=1.0, exponent=0.5, discrete=True,
             projections={0: np.diag([1.0, 0.0])})
-        from splitflow import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             projection_distance(cert, node_cert, (-2, 2))

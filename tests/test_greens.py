@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from splitflow import (ContractionMarginError, DiscreteCocycle,
-                       DichotomyCertificate, ForcingSequence, GreenKernel,
-                       SplitflowError, bounded_solution, gamma_apply,
-                       impulse_response_projection, truncation_length)
+                       DichotomyCertificate, ForcingSequence, SplitflowError,
+                       bounded_solution, impulse_response_projection,
+                       truncation_length)
 from splitflow.dichotomy import _split_march
-from conftest import time_varying_saddle
+from conftest import GreenKernel, gamma_apply, impulse, time_varying_saddle
 
 LN2 = float(np.log(2.0))
 
@@ -59,7 +59,7 @@ class TestGammaApply:
 
     def test_impulse_geometric(self):
         c, cert = stable_scalar()
-        f = ForcingSequence.impulse(-20, 20, -1, np.array([1.0]))
+        f = impulse(-20, 20, -1, np.array([1.0]))
         out = gamma_apply(c, cert, 0.0, f, np.zeros((41, 1)))
         for n in range(0, 10):
             assert out[n + 20, 0] == 0.5 ** n
@@ -128,7 +128,7 @@ class TestSplitMarch:
         band = n_hi - n_lo + 1
         march = _split_march(
             np.array([steps[n] for n in range(n_lo, n_hi + 1)]),
-            np.array([projections[n] for n in range(n_lo, n_hi + 2)]), band)
+            np.array([projections[n] for n in range(n_lo, n_hi + 2)]))
         g = GreenKernel(c, cert)
         for i, m in enumerate(range(n_lo, n_hi + 2)):
             for j in range(band + 1):
@@ -150,7 +150,7 @@ class TestBoundedSolution:
     def test_perturbed_geometric_oracle(self):
         # x_{n+1} = 0.55 x_n + f_n with impulse: x_n = 0.55^n, n >= 0
         c, cert = stable_scalar()
-        f = ForcingSequence.impulse(-50, 50, -1, np.array([1.0]))
+        f = impulse(-50, 50, -1, np.array([1.0]))
         sol = bounded_solution(c, cert, 0.05, f, tol=1e-10)
         lo, hi = sol.interior
         for n in range(max(lo, -12), min(hi, 12) + 1):
@@ -168,7 +168,7 @@ class TestBoundedSolution:
 
     def test_two_initial_guesses_agree(self):
         c, cert = stable_scalar()
-        f = ForcingSequence.impulse(-40, 40, -1, np.array([1.0]))
+        f = impulse(-40, 40, -1, np.array([1.0]))
         tol = 1e-9
         s1 = bounded_solution(c, cert, 0.05, f, tol=tol)
         rng = np.random.default_rng(8)
@@ -193,7 +193,7 @@ class TestBoundedSolution:
 
     def test_apriori_bound_recorded_and_satisfied(self):
         c, cert = stable_scalar()
-        f = ForcingSequence.impulse(-40, 40, -1, np.array([2.5]))
+        f = impulse(-40, 40, -1, np.array([2.5]))
         sol = bounded_solution(c, cert, 0.05, f, tol=1e-10)
         assert sol.meta["sup_norm"] <= sol.meta["apriori_bound"] * (1 + 1e-6)
 
@@ -249,7 +249,7 @@ class TestBoundedSolution:
 
     def test_margin_error_reports_threshold(self):
         c, cert = stable_scalar()
-        f = ForcingSequence.impulse(-20, 20, -1, np.array([1.0]))
+        f = impulse(-20, 20, -1, np.array([1.0]))
         with pytest.raises(ContractionMarginError) as exc:
             bounded_solution(c, cert, 0.4, f)
         assert exc.value.factor > 0.9

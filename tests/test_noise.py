@@ -1,4 +1,3 @@
-import io
 import warnings
 
 import numpy as np
@@ -9,9 +8,8 @@ from splitflow import (ConfigurationError, KappaFn, SplitflowError, TimeGrid,
                        ou_value, sample_wiener_path, shift_path,
                        sublinearity_report, zero_path)
 from splitflow.noise import (_cumulative_trapezoid, default_kappa,
-                             ensemble_diagnostics, export_path_csv,
-                             import_path_csv, pathwise_ou_residual,
-                             validate_kappa)
+                             ensemble_diagnostics, pathwise_ou_residual)
+from conftest import validate_kappa
 
 H = 1.0 / 64
 GRID = TimeGrid(-32.0, 8.0, H)
@@ -109,20 +107,17 @@ class TestShift:
 
     def test_window_error_and_extension(self):
         p = sample_wiener_path(GRID, 5)
-        with pytest.raises(WindowError):
+        with pytest.raises(WindowError) as exc:
             shift_path(p, 20.0)
-        q = shift_path(p, 20.0, extend=True)
-        assert q.extended
-        assert q.grid.t_min == GRID.t_min and q.grid.t_max == GRID.t_max
-        # extension must agree with a wide fresh sample of the same seed
+        assert exc.value.required_extension == 20.0
+        # a wider grid of the same seed extends the window: it holds the
+        # stored values, and its shift reaches the requested base point
         wide = sample_wiener_path(TimeGrid(-32.0, 32.0, H), 5)
-        ref = shift_path(wide, 20.0)
-        a, b = common_values(q, ref)
-        assert np.array_equal(a, b)
-
-    def test_injected_cannot_extend(self):
-        with pytest.raises(WindowError):
-            shift_path(linear_path(GRID), 20.0, extend=True)
+        q = shift_path(wide, 20.0)
+        assert q.grid.t_min == GRID.t_min - 20.0
+        for s in (-45.0, -20.0 - H, -13.0):
+            assert wide.value_at(20.0 + s) == p.value_at(20.0 + s)
+            assert q.value_at(s) == p.value_at(20.0 + s) - wide.value_at(20.0)
 
 
 class TestStationaryFilter:
@@ -271,14 +266,3 @@ class TestKappa:
         with pytest.raises(ConfigurationError):
             validate_kappa(bad, TimeGrid(-8.0, 8.0, H))
 
-
-def test_csv_round_trip(tmp_path):
-    p = sample_wiener_path(TimeGrid(-2.0, 2.0, 1.0 / 8), 31)
-    f = tmp_path / "path.csv"
-    export_path_csv(p, str(f))
-    q = import_path_csv(str(f))
-    assert q.seed == 31
-    assert np.allclose(q.values, p.values, atol=0, rtol=0)
-    buf = io.StringIO()
-    export_path_csv(linear_path(TimeGrid(-1.0, 1.0, 0.5)), buf)
-    assert buf.getvalue().startswith("# seed=none\nt,omega\n")

@@ -7,11 +7,10 @@ from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        DichotomyCertificate, KappaFn, RobustnessHypothesisError,
                        SplitflowError, TimeGrid, autonomous_certificate,
                        delta_threshold, gronwall_constants, lift_certificate,
-                       linear_random_perturbation_check, noise_bounds,
-                       ou_series, paper_projection_bound, projection_distance,
-                       robust_constants, robust_dichotomy_continuous,
-                       robust_dichotomy_discrete, sample_wiener_path,
-                       pointwise, spectral_norm, subspace_decay_diagnostic,
+                       noise_bounds, ou_series, paper_projection_bound,
+                       projection_distance, robust_constants,
+                       robust_dichotomy_continuous, robust_dichotomy_discrete,
+                       sample_wiener_path, pointwise, spectral_norm,
                        verify_dichotomy)
 from splitflow import cocycle as cocycle_module
 from splitflow.cocycle import UNIT_SAMPLES
@@ -76,6 +75,18 @@ class TestGronwall:
         with pytest.raises(ValueError, match="delta"):
             gronwall_constants(LN2, 0.2, 2.0)
 
+    @pytest.mark.parametrize("a, delta, d_const, match", [
+        (0.5, np.nan, 1.0, "delta"),
+        (0.5, np.inf, 1.0, "delta"),
+        (np.nan, 0.1, 1.0, "need a > 0"),
+        (np.inf, 0.1, 1.0, "need a > 0"),
+        (0.5, 0.1, np.nan, "need a > 0"),
+        (0.5, 0.1, np.inf, "need a > 0"),
+    ])
+    def test_non_finite_arguments_rejected(self, a, delta, d_const, match):
+        with pytest.raises(ValueError, match=match):
+            gronwall_constants(a, delta, d_const)
+
     def test_extremal_sequence_decay_fit(self):
         # solve the equality version of the recursion on a long window and
         # fit the decay rate; it must not beat the lemma's rate claim
@@ -139,6 +150,13 @@ class TestRobustConstants:
             robust_constants(1.0, LN2, 0.5)
         assert exc.value.measured == 0.5
         assert abs(exc.value.threshold - 1.0 / 3.0) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_arguments_rejected(self, bad):
+        with pytest.raises(RobustnessHypothesisError, match="not below"):
+            robust_constants(2.0, 0.5, bad)
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            robust_constants(bad, 0.5, 0.1)
 
 
 class TestDiscretePipeline:
@@ -257,22 +275,32 @@ class TestDiscretePipeline:
         assert sorted(calls) == list(range(-52, 53))
 
     def test_decay_diagnostic(self):
+        # the verifier's decay axioms on the unperturbed saddle's robust
+        # certificate: stable columns decay forward, unstable ones backward
         d_mat = np.diag([0.5, 2.0])
         pert = DiscreteCocycle.constant(d_mat)
         bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
                                            discrete=True)
         cert = robust_dichotomy_discrete(pert, bc, pert, (-6, 6))
-        diag = subspace_decay_diagnostic(pert, cert, (-6, 6))
-        assert diag["forward"]["passed"] and diag["backward"]["passed"]
+        rep = cert.meta["verification"]
+        assert rep.axioms["forward_decay"]["passed"]
+        assert rep.axioms["backward_decay"]["passed"]
 
     def test_decay_diagnostic_exact_slopes(self):
-        # diagonal saddle, exact projections: both orbits decay like 2^-k
+        # diagonal saddle, exact projections: both orbits decay like 2^-k,
+        # so every decay ratio at rate ln 2 and K = 1 is exactly 1
         saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
         bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
                                            discrete=True)
-        diag = subspace_decay_diagnostic(saddle, bc, (-5, 7))
-        for way in ("forward", "backward"):
-            assert diag[way]["slope"] == pytest.approx(-LN2, rel=1e-12)
+        rep = verify_dichotomy(saddle, bc, (-5, 7))
+        for way in ("forward_decay", "backward_decay"):
+            assert rep.axioms[way]["max_ratio"] == pytest.approx(1.0,
+                                                                 rel=1e-12)
+        steep = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
+                                              1.01 * LN2, discrete=True)
+        rep = verify_dichotomy(saddle, steep, (-5, 7), slack=1.0)
+        assert not rep.axioms["forward_decay"]["passed"]
+        assert not rep.axioms["backward_decay"]["passed"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_perturbation_raises_typed_error(self, bad):
@@ -377,24 +405,35 @@ class TestContinuousPipeline:
 
 
 class TestLinearPerturbationCheck:
+    """The continuous pipeline's hypothesis check: ``d_unit``, the sampled
+    sup over unit intervals of the distance between the unit flows of the
+    base ``x' = A x`` and of the linearly perturbed ``x' = (A + B(t)) x``."""
+
+    A = np.diag([-1.0, 1.0])
+
+    def d_unit(self, b_fn, window):
+        base = ContinuousCocycle.constant(self.A)
+        pert = ContinuousCocycle(pointwise(lambda t: self.A + b_fn(t)), 2)
+        cert = robust_dichotomy_continuous(
+            base, autonomous_certificate(self.A), pert, window)
+        return cert.meta["d_unit"], cert
+
     def test_zero_perturbation(self):
-        v = linear_random_perturbation_check(
-            np.diag([-1.0, 1.0]), lambda t: np.zeros((2, 2)),
-            TimeGrid(-4.0, 4.0, 1.0 / 16))
-        assert v.eps_measured == 0.0 and v.satisfied
+        d_unit, cert = self.d_unit(lambda t: np.zeros((2, 2)), (-4, 4))
+        assert d_unit == 0.0
+        assert cert.meta["verification_continuous"].passed
 
     def test_constant_perturbation_value(self):
+        # commuting flows: the distance peaks at t = 1, e (e^c - 1)
         c = 0.007
-        v = linear_random_perturbation_check(
-            np.diag([-1.0, 1.0]), lambda t: c * np.eye(2),
-            TimeGrid(-4.0, 4.0, 1.0 / 16))
-        assert abs(v.eps_measured - c) < 1e-12
+        d_unit, _ = self.d_unit(lambda t: c * np.eye(2), (-4, 4))
+        assert abs(d_unit - np.e * np.expm1(c)) < 1e-9
 
     def test_noise_term_bounded_by_m2(self):
-        g = TimeGrid(-40.0, 10.0, 1.0 / 32)
+        g = TimeGrid(-80.0, 20.0, 1.0 / 32)
         path = sample_wiener_path(g, 4)
         kap = KappaFn.inverse_quadratic(1.0)
-        win = TimeGrid(-6.0, 7.0, 1.0 / 32)
+        win = TimeGrid(-50.0, 16.0, 1.0 / 32)
         nb = noise_bounds(path, kap, win)
         z = ou_series(path, win)
         ts = win.times()
@@ -404,7 +443,7 @@ class TestLinearPerturbationCheck:
         def b_fn(t):
             return eta * np.interp(t, ts, coeff) * np.eye(2)
 
-        v = linear_random_perturbation_check(np.diag([-1.0, 1.0]), b_fn,
-                                             TimeGrid(-5.0, 6.0, 1.0 / 32))
-        assert v.eps_measured <= eta * nb.m2 * (1.0 + 1e-6)
-        assert v.satisfied
+        # |e^{At} (e^{int b} - 1)| <= e (e^{eta m2} - 1) on a unit interval
+        d_unit, cert = self.d_unit(b_fn, (-5, 6))
+        assert d_unit <= np.e * np.expm1(eta * nb.m2) * (1.0 + 1e-6)
+        assert cert.meta["verification_continuous"].passed

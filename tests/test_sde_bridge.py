@@ -9,7 +9,7 @@ from splitflow import (ConfigurationError, ContinuousCocycle, KappaFn,
                        default_kappa, injected_path, inverse_transform,
                        noise_bounds, ou_series, pointwise, random_ode_problem,
                        run_wave_demo, sample_wiener_path,
-                       spectral_projection, transform, verify_dichotomy)
+                       spectral_projection, verify_dichotomy)
 from splitflow.cocycle import integrate_nonlinear
 
 H = 1.0 / 32
@@ -25,39 +25,50 @@ def scalar_spec(eta, kappa=None, f=None, fp=None, b=-1.0):
     )
 
 
+def transformed(spec, path):
+    """The random-ODE problem of ``spec`` along ``path`` and its noise
+    dressing: the field is ``b_matrix v + f_eta(eta, t, v)``, whose linear
+    noise term is ``dressing.gap(eta, t) pattern v`` and whose change of
+    variables is ``y = dressing.scale(eta, pattern, t) v``."""
+    d = spec.b_matrix.shape[0]
+    problem = random_ode_problem(spec, path, np.zeros(d), r_u=1.0)
+    return problem, problem.meta["dressing"]
+
+
 class TestTransform:
     def test_eta_zero_is_identity_on_fields(self, rng):
         path = sample_wiener_path(PATH_GRID, 2)
         f = lambda y: y - y ** 3
         spec = scalar_spec(0.0, f=f, fp=lambda y: (1 - 3 * y**2)[:, :, None])
-        ode = transform(spec, path)
+        problem, dressing = transformed(spec, path)
         ts = np.array([-2.0, 0.0, 3.0])
         y = rng.standard_normal((3, 1))
-        assert np.allclose(ode.f_eta(ts, y), f(y), atol=1e-14)
-        assert np.allclose(ode.b_eta(ts), 0.0, atol=1e-15)
+        assert np.allclose(problem.f_eta(0.0, ts, y), f(y), atol=1e-14)
+        assert np.allclose(dressing.gap(0.0, ts), 0.0, atol=1e-15)
 
     def test_linear_field_matches_dressing(self):
         # f = 0: the transformed generator is B + eta (kappa - kappadot) z* I
         path = sample_wiener_path(PATH_GRID, 3)
         kap = KappaFn.inverse_quadratic(1.0)
         spec = scalar_spec(0.3, kappa=kap)
-        ode = transform(spec, path)
+        problem, _ = transformed(spec, path)
         win = TimeGrid(-4.0, 6.0, H)
         z = ou_series(path, win)
         ts = win.times()
         coeff = (np.asarray(kap.kappa(ts)) - np.asarray(kap.kappa_dot(ts))) * z
-        got = ode.b_eta(ts[::37])
+        got = problem.f_eta_dy(0.3, ts[::37], np.ones((len(ts[::37]), 1)))
         assert np.max(np.abs(got[:, 0, 0] - 0.3 * coeff[::37])) < 1e-10
 
     def test_round_trip_identity(self, rng):
         path = sample_wiener_path(PATH_GRID, 4)
         spec = scalar_spec(0.25)
-        ode = transform(spec, path)
+        _, dressing = transformed(spec, path)
         ts = np.linspace(-3.0, 5.0, 41)
         v = rng.standard_normal((41, 1))
         y = inverse_transform(ts, v, spec, path)
         # invert pointwise: v = y / scale
-        back = np.stack([y[i] / ode.scale(t) for i, t in enumerate(ts)])
+        back = np.stack([y[i] / dressing.scale(0.25, spec.pattern, t)
+                         for i, t in enumerate(ts)])
         assert np.max(np.abs(back - v)) < 1e-14
 
     def test_structured_pattern_blocks(self):
@@ -68,13 +79,17 @@ class TestTransform:
             f=lambda y: 0.0 * y, f_prime=lambda y: np.zeros((len(y), 2, 2)),
             eta=0.4, kappa=kap, pattern=np.array([1.0, 0.0]),
         )
-        assert np.allclose(spec.eta_tilde(), np.diag([0.4, 0.0]))
-        ode = transform(spec, path)
+        problem, dressing = transformed(spec, path)
         t = 1.5
         z = ou_series(path, np.array([t]))[0]
         c = kap.kappa(t) * z
         want = np.array([np.exp(0.4 * c), 1.0])
-        assert np.allclose(ode.scale(t), want, atol=1e-10)
+        assert np.allclose(dressing.scale(0.4, spec.pattern, t), want,
+                           atol=1e-10)
+        # the linear noise term acts on the noisy block only
+        gap = dressing.gap(0.4, np.array([t]))[0]
+        jac = problem.f_eta_dy(0.4, np.array([t]), np.zeros((1, 2)))[0]
+        assert np.allclose(jac, np.diag([gap, 0.0]), atol=1e-15)
         y = inverse_transform([t], np.array([[2.0, 3.0]]), spec, path)[0]
         assert np.allclose(y, [2.0 * np.exp(0.4 * c), 3.0], atol=1e-9)
 
@@ -96,13 +111,14 @@ class TestTransform:
         kap = KappaFn.inverse_quadratic(1.0)
         a, eta = -0.7, 0.3
         spec = scalar_spec(eta, kappa=kap, b=a)
-        ode = transform(spec, path)
+        problem, dressing = transformed(spec, path)
 
         def v_field(t, v):
-            return ode.b_matrix @ v + ode.b_eta(np.array([t]))[0] @ v
+            return spec.b_matrix @ v + problem.f_eta(eta, np.array([t]),
+                                                     v[None])[0]
 
         t_end = 4.0
-        v0 = np.array([1.0]) / ode.scale(0.0)
+        v0 = np.array([1.0]) / dressing.scale(eta, spec.pattern, 0.0)
         v_end = integrate_nonlinear(v_field, 0.0, t_end, v0, step=1.0 / 128)
         y_end = inverse_transform([t_end], v_end[None, :], spec, path)[0, 0]
         ts = np.arange(0.0, t_end + 1e-12, 1.0 / 64)
@@ -116,10 +132,10 @@ class TestTransform:
         kap = KappaFn.inverse_quadratic(1.0)
         eta = 0.2
         spec = scalar_spec(eta, kappa=kap)
-        ode = transform(spec, path)
+        _, dressing = transformed(spec, path)
         win = TimeGrid(-4.0, 6.0, H)
         nb = noise_bounds(path, kap, win, eta=eta)
-        sup_b = float(np.max(np.abs(ode.b_eta(win.times())[:, 0, 0])))
+        sup_b = float(np.max(np.abs(dressing.gap(eta, win.times()))))
         assert abs(sup_b - nb.b_sup) < 1e-12
 
 
@@ -316,11 +332,11 @@ class TestWaveDemo:
             b_matrix=p.meta["b_matrix"], f=p.f0, f_prime=p.f0_prime,
             eta=0.0, kappa=KappaFn.inverse_quadratic(1.0),
         )
-        ode = transform(strat, path)
+        problem, _ = transformed(strat, path)
         y0 = 0.1 * np.ones(4)
         fa = lambda t, y: p.meta["b_matrix"] @ y + p.f0(y[None])[0]
-        ft = lambda t, y: (ode.b_matrix @ y + ode.f_eta(np.array([t]), y[None])[0]
-                           + ode.b_eta(np.array([t]))[0] @ y)
+        ft = lambda t, y: (strat.b_matrix @ y
+                           + problem.f_eta(0.0, np.array([t]), y[None])[0])
         ya = integrate_nonlinear(fa, 0.0, 3.0, y0, step=1.0 / 64)
         yt = integrate_nonlinear(ft, 0.0, 3.0, y0, step=1.0 / 64)
         assert np.max(np.abs(ya - yt)) < 1e-12
