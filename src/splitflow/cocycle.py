@@ -8,9 +8,13 @@ classical fixed-step RK4: generators met in practice are smooth in time and a
 fixed step keeps runs bit-reproducible per seed.
 
 Generators are time-batched: ``generator(ts)`` maps a vector of N times to
-the ``(N, d, d)`` stack of generator matrices, so one RK4 run advances a
-whole stack of initial value problems with one generator call per stage;
-:func:`pointwise` adapts a callback written for one time.  The flow of a
+the ``(N, d, d)`` stack of generator matrices; :func:`pointwise` adapts a
+callback written for one time.  One RK4 run advances a whole stack of
+initial value problems, and a linear run calls the generator once per
+snapshot interval (``1 / UNIT_SAMPLES`` of the run), for the step bounds and
+midpoints of all its steps and members at once; its four stages are then
+matrix products on that table.  A non-finite generator row raises
+:class:`SplitflowError` naming its time.  The flow of a
 continuous cocycle over each unit interval [n, n+1] is integrated once, into
 the cocycle's unit-flow table (:meth:`ContinuousCocycle.unit_flows`); the
 discretization, the lift envelope and the verifier all read that table.
@@ -169,8 +173,7 @@ class ContinuousCocycle:
         else:
             t0 = np.array(todo, float)
             n = _step_count(1.0, self.step, UNIT_SAMPLES)
-            gen = self.generator
-            flows = _rk4(lambda t, y: gen(t) @ y, t0, t0 + 1.0,
+            flows = _rk4(_linear_field(self.generator), t0, t0 + 1.0,
                          np.broadcast_to(np.eye(self.dim),
                                          (len(todo), self.dim, self.dim)),
                          n, every=n // UNIT_SAMPLES if snapshots else n)
@@ -195,28 +198,39 @@ def _step_count(span, step, samples):
 
 
 def _rk4(field, t0, t1, y0, n, every=None):
-    """RK4 for ``y' = field(t, y)`` over a stack of initial value problems.
+    """RK4 for ``y' = f(t, y)`` over a stack of initial value problems.
 
     Member b runs from ``t0[b]`` to ``t1[b]`` with ``y0[b]`` in ``n`` equal
     steps on its own grid ``linspace(t0[b], t1[b], n + 1)``, so it equals
-    the run of that member alone; ``field`` receives the vector of the
-    members' stage times and the stacked states.  Returns the end states,
-    or with ``every`` the states after every ``every`` steps, ``y0``
-    included, stacked on axis 1.
+    the run of that member alone.  Step i has three distinct stage times:
+    ``bounds[i]``, the midpoint (shared by the second and third stages) and
+    ``bounds[i + 1]`` (the next step's first).  ``field`` receives them a
+    block at a time, one block per ``max(1, n // UNIT_SAMPLES)`` steps (a
+    snapshot interval of a unit flow): ``field(ts)`` takes the
+    ``(2m + 1, members)`` stage times of a block of m steps, even rows the
+    step bounds and odd rows the midpoints, and returns ``f(j, y)``, the
+    field at the block's stage j applied to the stacked states.  Returns the
+    end states, or with ``every`` the states after every ``every`` steps,
+    ``y0`` included, stacked on axis 1.
     """
     t0, t1 = np.asarray(t0, float), np.asarray(t1, float)
     bounds = np.linspace(t0, t1, n + 1)
+    stages = np.empty((2 * n + 1,) + t0.shape)
+    stages[::2] = bounds
+    stages[1::2] = bounds[:-1] + (bounds[1:] - bounds[:-1]) / 2
+    block = max(1, n // UNIT_SAMPLES)
     y = np.array(y0, float)
     shape = (-1,) + (1,) * (y.ndim - 1)
     snaps = None if every is None else [y]
     for i in range(n):
-        ta, tb = bounds[i], bounds[i + 1]
-        hh = tb - ta
-        hb = hh.reshape(shape)
-        k1 = field(ta, y)
-        k2 = field(ta + hh / 2, y + hb / 2 * k1)
-        k3 = field(ta + hh / 2, y + hb / 2 * k2)
-        k4 = field(tb, y + hb * k3)
+        j = 2 * (i % block)
+        if j == 0:
+            f = field(stages[2 * i:2 * (i + block) + 1])
+        hb = (bounds[i + 1] - bounds[i]).reshape(shape)
+        k1 = f(j, y)
+        k2 = f(j + 1, y + hb / 2 * k1)
+        k3 = f(j + 1, y + hb / 2 * k2)
+        k4 = f(j + 2, y + hb * k3)
         y = y + (hb / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if snaps is not None and (i + 1) % every == 0:
             snaps.append(y)
@@ -228,6 +242,19 @@ def _rk4(field, t0, t1, y0, n, every=None):
     return y if snaps is None else np.stack(snaps, axis=1)
 
 
+def _linear_field(generator):
+    """The :func:`_rk4` field of ``x' = generator(t) x``: one generator call
+    per block of stage times, each row checked finite, then the stages are
+    matrix products on that table."""
+    def block(ts):
+        flat = ts.ravel()
+        g = _finite(np.asarray(generator(flat), float), flat, "generator")
+        g = g.reshape(ts.shape + g.shape[1:])
+        return lambda j, y: g[j] @ y
+
+    return block
+
+
 def propagator(c, shift, duration, samples=None):
     """The matrix ``phi(duration)`` along the orbit started at base shift.
 
@@ -237,9 +264,8 @@ def propagator(c, shift, duration, samples=None):
     """
     if duration < 0:
         raise ValueError("propagator needs duration >= 0")
-    gen = c.generator
     n = _step_count(duration, c.step, samples or 1)
-    run = _rk4(lambda t, y: gen(t) @ y, [shift], [shift + duration],
+    run = _rk4(_linear_field(c.generator), [shift], [shift + duration],
                np.eye(c.dim)[None], n,
                every=n // samples if samples else None)[0]
     if samples is None:
@@ -251,8 +277,11 @@ def integrate_nonlinear(field, t0, t1, y0, step=DEFAULT_STEP):
     """RK4 for a nonlinear field ``y' = field(t, y)`` (oracles and demos)."""
     if t1 < t0:
         raise ValueError("integrate_nonlinear needs t1 >= t0")
-    return _rk4(lambda t, y: np.asarray(field(t[0], y[0]), float)[None],
-                [t0], [t1], np.atleast_1d(y0)[None],
+
+    def stage_field(ts):
+        return lambda j, y: np.asarray(field(ts[j][0], y[0]), float)[None]
+
+    return _rk4(stage_field, [t0], [t1], np.atleast_1d(y0)[None],
                 _step_count(t1 - t0, step, 1))[0]
 
 

@@ -16,7 +16,6 @@ Splitting of autonomous generators is done on the ordered real Schur form
 the tests retain as a cross-check oracle).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -28,7 +27,6 @@ from .cocycle import (UNIT_SAMPLES, DiscreteCocycle, spectral_norm,
                       spectral_norms, stack_steps)
 from .errors import ConfigurationError, NonHyperbolicError
 from .grids import TimeGrid
-from .io import jsonable
 
 GAP_TOL = 1e-8
 ALPHA_MARGIN = 0.1
@@ -200,8 +198,8 @@ def autonomous_certificate(A, margin=ALPHA_MARGIN, scan_points=2048, gap_tol=GAP
 
 def delta_threshold(alpha):
     """Admissible perturbation size ``(1 - e^{-alpha}) / (1 + e^{-alpha})``."""
-    if not alpha > 0.0:
-        raise ValueError(f"exponent must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"exponent must be positive and finite, got {alpha}")
     e = math.exp(-alpha)
     return (1.0 - e) / (1.0 + e)
 
@@ -295,11 +293,6 @@ class VerificationReport:
     axioms: dict
     passed: bool
     meta: dict = field(default_factory=dict)
-
-    def to_json(self, indent=2):
-        return json.dumps(jsonable(
-            {"passed": self.passed, "axioms": self.axioms, "meta": self.meta}),
-            indent=indent)
 
 
 def _decay_ratio(norms, exponents, k_bound):

@@ -33,7 +33,6 @@ import numpy as np
 from .cocycle import as_step_sequence, spectral_norms, stack_steps
 from .dichotomy import _restricted_inverse
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
-from .io import write_csv
 
 DEFAULT_TRUNC_TOL = 1e-10
 CONTRACTION_MARGIN = 0.9  # enforced bound on the contraction factor rho
@@ -44,11 +43,15 @@ def truncation_length(alpha, sup_bound, tol):
 
     The geometric tail of the kernel sum beyond N is below ``tol``.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"decay exponent must be positive, got {alpha}")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if sup_bound <= 0.0:
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"decay exponent must be positive and finite, "
+                         f"got {alpha}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if not 0.0 <= sup_bound < math.inf:
+        raise ValueError(f"sup bound must be nonnegative and finite, "
+                         f"got {sup_bound}")
+    if sup_bound == 0.0:
         return 0
     lim = sup_bound / (1.0 - math.exp(-alpha))
     if lim <= tol:
@@ -170,20 +173,6 @@ class BoundedSolution:
     iterations: int
     interior: tuple
     meta: dict = field(default_factory=dict)
-
-    def value_at(self, n):
-        return self.values[n - self.n_min]
-
-    def sup_norm(self):
-        return _seq_sup(self.values)
-
-    def to_csv(self, file):
-        d = self.values.shape[1]
-        rows = ([n, *np.ravel(v)]
-                for n, v in zip(range(self.n_min, self.n_max + 1), self.values))
-        write_csv(file, rows, header=["n"] + [f"x{i}" for i in range(d)],
-                  comment=f"residual={self.residual!r} "
-                          f"iterations={self.iterations}")
 
 
 def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,

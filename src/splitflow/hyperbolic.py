@@ -18,7 +18,6 @@ term gets the budget ``1/(6 M beta^{-1})`` out of the contraction constant,
 and the measured factor must stay below ``1/2`` plus a margin.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -373,34 +372,6 @@ class HyperbolicSolutionCertificate:
 
     def interior_times(self):
         return self.times[self.interior]
-
-    def to_json(self, indent=2, trajectory_stride=0):
-        body = {
-            "status": self.status,
-            "eta": self.eta,
-            "eps_used": self.eps_used,
-            "lambda": self.lambda_value,
-            "sup_distance": self.sup_distance,
-            "fixed_point_residual": self.fixed_point_residual,
-            "iterations": self.iterations,
-            "contraction_factor": self.contraction_factor,
-            "b_sup": self.b_sup,
-            "autonomous": {"bound": self.autonomous_cert.bound,
-                           "exponent": self.autonomous_cert.exponent},
-            "linearization": None,
-        }
-        if self.linearization_certificate is not None:
-            body["linearization"] = {
-                "bound": self.linearization_certificate.bound,
-                "exponent": self.linearization_certificate.exponent,
-            }
-        if self.linearization_report is not None:
-            body["linearization_passed"] = bool(self.linearization_report.passed)
-        if trajectory_stride:
-            sl = slice(None, None, trajectory_stride)
-            body["trajectory_t"] = self.times[sl].tolist()
-            body["trajectory"] = self.trajectory[sl].tolist()
-        return json.dumps(body, indent=indent)
 
 
 def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,

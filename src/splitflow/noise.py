@@ -55,9 +55,6 @@ class SamplePath:
         self._root_lo = grid.n_min if _root_lo is None else _root_lo
         self._shift = _shift
 
-    def times(self):
-        return self.grid.times()
-
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
 

@@ -172,6 +172,11 @@ def impulse(n_min, n_max, node, payload):
     return f
 
 
+def value_at(sol, n):
+    """Value of a :class:`~splitflow.greens.BoundedSolution` at node n."""
+    return sol.values[n - sol.n_min]
+
+
 def validate_kappa(kappa, grid, fd_tol=1e-5):
     """Check a time-rescaling's positivity and its analytic derivative
     against central differences on ``grid``; returns the derivative error."""

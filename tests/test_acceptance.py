@@ -14,7 +14,7 @@ from splitflow import (DichotomyCertificate, DiscreteCocycle,
                        StratonovichSpec, TimeGrid)
 from splitflow.cli import main as cli_main
 from splitflow.noise import ensemble_diagnostics, pathwise_ou_residual
-from conftest import brute_force_projections, impulse
+from conftest import brute_force_projections, impulse, value_at
 
 LN2 = float(np.log(2.0))
 
@@ -49,11 +49,12 @@ def test_c2_admissibility_oracle():
     sol = sf.bounded_solution(c, cert, 0.05, f, tol=tol)
     lo, hi = sol.interior
     worst = max(
-        abs(sol.value_at(n)[0] - (0.55 ** n if n >= 0 else 0.0))
+        abs(value_at(sol, n)[0] - (0.55 ** n if n >= 0 else 0.0))
         for n in range(lo, hi + 1)
     )
     zero = sf.bounded_solution(
-        c, cert, 0.05, ForcingSequence.zeros(-50, 50, 1), tol=tol).sup_norm()
+        c, cert, 0.05, ForcingSequence.zeros(-50, 50, 1),
+        tol=tol).meta["sup_norm"]
     rng = np.random.default_rng(6)
     alt = sf.bounded_solution(c, cert, 0.05, f, tol=tol,
                               x0=rng.standard_normal(f.values.shape))

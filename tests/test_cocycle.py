@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from splitflow import (ContinuousCocycle, DiscreteCocycle, discretize,
-                       pointwise, propagator, spectral_norm)
+from splitflow import (ContinuousCocycle, DiscreteCocycle, SplitflowError,
+                       discretize, pointwise, propagator, spectral_norm)
 from splitflow.cocycle import (UNIT_SAMPLES, _unit_envelope,
                                integrate_nonlinear, stack_steps)
 from splitflow.dichotomy import _split_march
@@ -173,9 +175,43 @@ class TestUnitFlowTable:
         assert flows.shape == (len(shifts), UNIT_SAMPLES + 1, 3, 3)
         for n, flow in zip(shifts, flows):
             want = propagator(c, float(n), 1.0, UNIT_SAMPLES)[2]
-            assert np.max(np.abs(flow - want)) <= 1e-13
+            assert np.array_equal(flow, want)
             oracle = _rk4_oracle(self.gen, float(n), n_steps, UNIT_SAMPLES)
-            assert np.max(np.abs(flow - oracle)) <= 1e-13
+            assert np.array_equal(flow, oracle)
+
+    @pytest.mark.parametrize("step, n_steps", [(1.0 / 64, 64), (1.0 / 20, 32)])
+    def test_one_generator_call_per_snapshot_interval(self, step, n_steps):
+        # each call takes the two stage times of every step of one snapshot
+        # interval, plus the interval's end, for every shift of the stack
+        calls = []
+
+        def gen(ts):
+            calls.append(len(ts))
+            return pointwise(self.gen)(ts)
+
+        c = ContinuousCocycle(gen, 3, step=step)
+        shifts = list(range(-4, 5))
+        c.unit_flows(shifts)
+        per_call = len(shifts) * (2 * n_steps // UNIT_SAMPLES + 1)
+        assert calls == [per_call] * UNIT_SAMPLES
+        calls.clear()
+        c.unit_steps(range(5, 8))  # an endpoint-only fill, too
+        assert len(calls) == UNIT_SAMPLES
+
+    def test_non_finite_generator_names_stage_time(self):
+        bad = 0.5 + 1.0 / 128  # the midpoint of step 32 of shift 0
+
+        def gen(ts):
+            out = pointwise(self.gen)(ts)
+            out[ts == bad] = np.nan
+            return out
+
+        c = ContinuousCocycle(gen, 3)
+        match = re.escape(f"non-finite generator at t={bad}")
+        with pytest.raises(SplitflowError, match=match):
+            c.unit_flows(range(-2, 3))
+        with pytest.raises(SplitflowError, match=match):
+            propagator(c, 0.0, 1.0)
 
     def test_endpoint_only_shifts(self):
         c = ContinuousCocycle(pointwise(self.gen), 3, step=1.0 / 20)

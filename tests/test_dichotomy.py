@@ -283,17 +283,6 @@ class TestVerify:
         with pytest.raises(SplitflowError, match="node 1"):
             verify_dichotomy(cocycle, cert, (-3, 3))
 
-    def test_report_serializes(self):
-        a = np.diag([-1.0, 1.0])
-        cert = autonomous_certificate(a)
-        rep = verify_dichotomy(ContinuousCocycle.constant(a), cert, (-2, 2))
-        import json
-
-        body = json.loads(rep.to_json())
-        assert body["passed"] is True
-        assert set(body["axioms"]) == {"commutation", "forward_decay",
-                                       "backward_decay", "invertibility"}
-
 
 class TestGreenKernel:
     def test_stable_scalar(self):

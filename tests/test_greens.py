@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,8 @@ from splitflow import (ContractionMarginError, DiscreteCocycle,
                        bounded_solution, impulse_response_projection,
                        truncation_length)
 from splitflow.dichotomy import _split_march
-from conftest import GreenKernel, gamma_apply, impulse, time_varying_saddle
+from conftest import (GreenKernel, gamma_apply, impulse, time_varying_saddle,
+                      value_at)
 
 LN2 = float(np.log(2.0))
 
@@ -47,6 +46,14 @@ class TestTruncationLength:
             truncation_length(-0.1, 1.0, 1e-8)
         with pytest.raises(ValueError):
             truncation_length(LN2, 1.0, 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_arguments_rejected(self, position, value):
+        args = [LN2, 1.0, 1e-8]
+        args[position] = value
+        with pytest.raises(ValueError, match="finite"):
+            truncation_length(*args)
 
 
 class TestGammaApply:
@@ -145,7 +152,7 @@ class TestBoundedSolution:
         c, cert = stable_scalar()
         f = ForcingSequence.zeros(-20, 20, 1)
         sol = bounded_solution(c, cert, 0.05, f, tol=1e-10)
-        assert sol.sup_norm() == 0.0
+        assert sol.meta["sup_norm"] == 0.0
 
     def test_perturbed_geometric_oracle(self):
         # x_{n+1} = 0.55 x_n + f_n with impulse: x_n = 0.55^n, n >= 0
@@ -155,16 +162,7 @@ class TestBoundedSolution:
         lo, hi = sol.interior
         for n in range(max(lo, -12), min(hi, 12) + 1):
             want = 0.55 ** n if n >= 0 else 0.0
-            assert abs(sol.value_at(n)[0] - want) < 1e-8
-        # the CSV export parses back exactly, every cell through float()
-        buf = io.StringIO()
-        sol.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[:2] == [f"# residual={sol.residual!r} "
-                             f"iterations={sol.iterations}", "n,x0"]
-        back = np.array([[float(c) for c in ln.split(",")] for ln in lines[2:]])
-        assert np.array_equal(back, np.column_stack([np.arange(-50, 51),
-                                                     sol.values]))
+            assert abs(value_at(sol, n)[0] - want) < 1e-8
 
     def test_two_initial_guesses_agree(self):
         c, cert = stable_scalar()
@@ -206,7 +204,8 @@ class TestBoundedSolution:
         step = np.diag([0.5, 2.0]) + b_mat
         lo, hi = sol.interior
         for n in range(lo, hi):
-            res = sol.value_at(n + 1) - step @ sol.value_at(n) - f.values[n + 40]
+            res = (value_at(sol, n + 1) - step @ value_at(sol, n)
+                   - f.values[n + 40])
             assert np.linalg.norm(res) < 1e-8
 
     def test_window_extension_stability(self):
@@ -221,7 +220,7 @@ class TestBoundedSolution:
         s2 = bounded_solution(c, cert, 0.05, f2, tol=1e-11)
         lo, hi = s1.interior
         for n in range(lo, hi + 1):
-            assert abs(s1.value_at(n)[0] - s2.value_at(n)[0]) < 1e-9
+            assert abs(value_at(s1, n)[0] - value_at(s2, n)[0]) < 1e-9
 
     def test_rank_change_raises(self):
         c, _ = saddle()

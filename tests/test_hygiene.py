@@ -7,7 +7,10 @@ as a name read, an attribute, an import or an identifier string (the
 benchmark wraps functions it looks up by name).  Assigning to a name is not
 a use.  A method counts as used only when it is named as an attribute or as
 an identifier string: a bare name is a local variable or a module-level
-function, never a method.  Dunder names are exempt.
+function, never a method.  Methods are told apart by class: ``C.m`` and,
+inside class ``C``, ``self.m`` or ``cls.m`` name only ``C``'s method ``m``;
+any other mention of ``m`` names a method only when one class alone defines
+a method of that name.  Dunder names are exempt.
 
 Stricter, the program itself must name every definition: a name counts
 only when ``src``, ``demos`` or ``perfbench`` mentions it, outside the
@@ -43,56 +46,84 @@ def _trees(tops=SEARCHED):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
+def _scoped(node, cls=None):
+    """``(node, cls)`` for every node below ``node``, ``cls`` the name of
+    the innermost class whose body holds it."""
+    for child in ast.iter_child_nodes(node):
+        yield child, cls
+        yield from _scoped(child, child.name if isinstance(child, ast.ClassDef)
+                           else cls)
+
+
 def _mentions(tree):
-    """``(name, as_member)`` per mention; ``as_member`` marks an attribute
-    or an identifier string, the only ways a method can be named."""
-    for node in ast.walk(tree):
+    """``(name, as_member, receiver)`` per mention; ``as_member`` marks an
+    attribute or an identifier string, the only ways a method can be named.
+    ``receiver`` is the class an attribute is read from when the code says
+    which: the enclosing class for ``self.m`` and ``cls.m``, else the last
+    name of the receiver (``C`` in ``C.m`` and ``sf.C.m``)."""
+    for node, cls in _scoped(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id, False
+            yield node.id, False, None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, True
+            value = node.value
+            receiver = value.id if isinstance(value, ast.Name) else \
+                value.attr if isinstance(value, ast.Attribute) else None
+            if isinstance(value, ast.Name) and receiver in ("self", "cls"):
+                receiver = cls
+            yield node.attr, True, receiver
         elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1], False
+            yield node.name.split(".")[-1], False, None
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            yield node.value, True
+            yield node.value, True, None
 
 
 def _definitions(tree):
-    """``(name, line, is_method)`` of every function, class, method and
-    module-level constant."""
-    methods = {id(node) for cls in ast.walk(tree)
-               if isinstance(cls, ast.ClassDef)
-               for node in cls.body if isinstance(node, FUNCTIONS)}
+    """``(name, line, cls)`` of every function, class, method and
+    module-level constant; ``cls`` names the class of a method, else None."""
+    owner = {id(node): cls.name for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, FUNCTIONS)}
     for node in ast.walk(tree):
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
-            yield node.name, node.lineno, id(node) in methods
+            yield node.name, node.lineno, owner.get(id(node))
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
-                        yield name.id, node.lineno, False
+                        yield name.id, node.lineno, None
 
 
 def _unnamed(tops, skip=()):
     """``path:line name`` of every package definition that no file under
-    ``tops`` names, mentions in the files ``skip`` not counted."""
-    any_mention = Counter()
-    member_mention = Counter()
+    ``tops`` names, mentions in the files ``skip`` not counted; a method is
+    reported as ``Class.method``."""
+    mentions = []
     defined = []
     for path, tree in _trees(tops):
         if path not in skip:
-            for name, as_member in _mentions(tree):
-                any_mention[name] += 1
-                member_mention[name] += as_member
+            mentions.extend(_mentions(tree))
         if path.is_relative_to(PACKAGE):
-            defined.extend((name, path.relative_to(ROOT), line, is_method)
-                           for name, line, is_method in _definitions(tree))
-    return [f"{path}:{line} {name}" for name, path, line, is_method in defined
+            defined.extend((name, path.relative_to(ROOT), line, cls)
+                           for name, line, cls in _definitions(tree))
+    methods = {(cls, name) for name, _, _, cls in defined if cls}
+    classes = {cls for cls, _ in methods}
+    definers = Counter(name for _, name in methods)
+    named = set()
+    for name, as_member, receiver in mentions:
+        named.add((None, name))
+        if not as_member:
+            continue
+        if receiver in classes:  # the code says whose attribute it is
+            named.add((receiver, name))
+        elif definers[name] == 1:
+            named.update(m for m in methods if m[1] == name)
+    return [f"{path}:{line} {cls + '.' if cls else ''}{name}"
+            for name, path, line, cls in defined
             if not (name.startswith("__") and name.endswith("__"))
-            and (member_mention if is_method else any_mention)[name] == 0]
+            and (cls, name) not in named]
 
 
 def test_every_definition_is_named_elsewhere():

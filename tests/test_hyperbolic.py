@@ -378,17 +378,3 @@ def test_additive_halving_response():
     s1 = find_hyperbolic_solution(p, 0.03, W64, tol=1e-10)
     s2 = find_hyperbolic_solution(p, 0.015, W64, tol=1e-10)
     assert s2.sup_distance <= 0.75 * s1.sup_distance
-
-
-def test_certificate_serialization():
-    p = cubic_problem()
-    sol = find_hyperbolic_solution(p, 0.1, W64, tol=1e-9)
-    certify_hyperbolic(p, sol, n_half=3)
-    import json
-
-    body = json.loads(sol.to_json(trajectory_stride=512))
-    assert body["status"] == "certified"
-    assert body["linearization"]["exponent"] > 0
-    assert len(body["trajectory"]) > 4
-    assert body["trajectory_t"] == sol.times[::512].tolist()
-    assert body["trajectory"] == sol.trajectory[::512].tolist()

@@ -38,6 +38,11 @@ class TestDeltaThreshold:
         with pytest.raises(ValueError):
             delta_threshold(0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponent_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            delta_threshold(alpha)
+
 
 class TestGronwall:
     def test_unperturbed_recovery(self):
