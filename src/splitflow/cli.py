@@ -17,6 +17,7 @@ identical config and seed give byte-identical outputs.
 
 import argparse
 import json
+import locale  # noqa: F401  -- argparse's gettext loads it at the first parser
 import sys
 import warnings
 from pathlib import Path

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
+import numpy.fft  # noqa: F401  -- loaded at start-up, not by the first run
 
 from .cocycle import ContinuousCocycle, _finite, spectral_norms
-from .dichotomy import _envelope_scan, autonomous_certificate
+from .dichotomy import _envelope_scan, autonomous_certificate, expm
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
 from .greens import _band_for
@@ -36,7 +36,7 @@ from .robustness import robust_dichotomy_continuous
 SMALLNESS_DIVISOR = 6.0     # per-term budget: 1/(6 M beta^{-1})
 CONTRACTION_LIMIT = 0.75    # measured-factor bound: 1/2 from the proof + margin
 # a-posteriori: sup distance <= 4 M beta^{-1} lambda; only the tests read it
-# until ROADMAP open item 4 records the bound on the hyperbolic rows
+# until ROADMAP open item 8 records the bound on the hyperbolic rows
 SUP_OVER_LAMBDA = 4.0
 
 STATUS_CERTIFIED = "certified"
@@ -71,6 +71,8 @@ class SemilinearProblem:
     meta: dict = field(default_factory=dict)
     _base_cocycles: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
+    _greens: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.a_matrix = np.atleast_2d(np.asarray(self.a_matrix, float))
@@ -93,6 +95,16 @@ class SemilinearProblem:
             self._base_cocycles[step] = ContinuousCocycle.constant(
                 self.a_matrix, step=step)
         return self._base_cocycles[step]
+
+    def autonomous_green(self, h, n_off):
+        """Tabulated Green kernel of ``a_matrix`` at grid step ``h`` over
+        ``n_off`` offsets, one per problem, step and offset count, so an eta
+        ladder builds it once."""
+        key = (h, n_off)
+        if key not in self._greens:
+            self._greens[key] = _AutonomousGreen(
+                self.a_matrix, self.autonomous_cert.proj_s(0), h, n_off)
+        return self._greens[key]
 
     def validate(self, tol=1e-8):
         """Equilibrium residual of the full autonomous field, plus hyperbolicity."""
@@ -428,7 +440,7 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
             f"window too short for the kernel tail: need > {2 * n_off} nodes, "
             f"have {n}"
         )
-    green = _AutonomousGreen(p.a_matrix, cert_a.proj_s(0), h, n_off)
+    green = p.autonomous_green(h, n_off)
     weights = np.ones(n)
     weights[0] = weights[-1] = 0.5
     f0_star = p.f0_at(p.y0_star[None])[0]

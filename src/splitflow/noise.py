@@ -16,6 +16,7 @@ Langevin equation ``dz + z dt = dW``.
 """
 
 import numpy as np
+import numpy.random  # noqa: F401  -- loaded at start-up, not by the first run
 
 from .cocycle import _finite
 from .errors import ConfigurationError, WindowError

@@ -207,17 +207,42 @@ def test_outputs_use_lf_endings(tmp_path):
     assert b"\r" not in raw
 
 
-def test_cold_import_loads_only_scipy_linalg():
-    # a fresh interpreter: scipy.integrate and scipy.fft would pull in
-    # scipy.special, scipy.optimize and scipy.sparse, most of the start-up
+def _fresh_interpreter(code, tmp_path):
+    """Standard output of ``code`` run by a fresh interpreter on this
+    checkout's package, in ``tmp_path``."""
     src = str(Path(splitflow.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, splitflow.cli; "
-            "print(' '.join(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.'))))")
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
-    assert "scipy.linalg" in loaded
-    for name in ("scipy.integrate", "scipy.fft", "scipy.special",
-                 "scipy.optimize", "scipy.sparse"):
-        assert not [m for m in loaded if m == name or m.startswith(name + ".")]
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          cwd=tmp_path, capture_output=True, text=True).stdout
+
+
+def test_cold_import_loads_no_scipy(tmp_path):
+    # the package runs on numpy alone; importing scipy.linalg took about
+    # half of every start-up
+    loaded = _fresh_interpreter(
+        "import sys, splitflow.cli; "
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        tmp_path).split()
+    assert loaded == []
+
+
+def test_run_imports_nothing(tmp_path):
+    # every module a run needs is loaded at start-up: a lazy import inside
+    # a run (numpy.random, numpy.fft, numpy.ma, locale) would be timed as
+    # run time
+    configs = {
+        "hyperbolic": "eta_grid = 0.1\n",
+        "wave": "n_modes = 2\nt_min = -58\nt_max = 58\n"
+                "eta_grid = 1e-4,0.0\nn_half = 2\n",
+        "robustness": "t_min = -4\nt_max = 4\n",
+    }
+    for command, text in configs.items():
+        (tmp_path / f"{command}.cfg").write_text(text)
+    code = (
+        "import sys\n"
+        "from splitflow import cli\n"
+        "before = set(sys.modules)\n"
+        f"for c in {sorted(configs)!r}:\n"
+        "    assert cli.main([c, '--config', c + '.cfg', '--out', c]) == 0, c\n"
+        "print('gained', *sorted(set(sys.modules) - before))\n")
+    assert _fresh_interpreter(code, tmp_path).splitlines()[-1] == "gained"

@@ -4,14 +4,38 @@ from scipy.linalg import expm, logm
 
 from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
                        DichotomyCertificate, NonHyperbolicError,
-                       SplitflowError, autonomous_certificate, discretize,
-                       paper_projection_bound, projection_distance,
-                       robust_dichotomy_discrete, spectral_norm,
-                       spectral_projection, verify_dichotomy)
+                       SplitflowError, autonomous_certificate,
+                       build_wave_system, discretize, paper_projection_bound,
+                       projection_distance, robust_dichotomy_discrete,
+                       spectral_norm, spectral_projection, verify_dichotomy)
+from splitflow import dichotomy
 from splitflow.cocycle import UNIT_SAMPLES
 from conftest import GreenKernel, riesz_projector_oracle, time_varying_saddle
 
 SADDLE = np.diag([0.5, 2.0])
+
+
+def _split_with_known_projector(gen, gap):
+    """A generator with one eigenvalue ``gap`` and its exact projector.
+
+    ``A = [[A11, C], [0, A22]]`` with ``A11`` upper triangular on diagonal
+    ``gap, 1, 2``, ``A22`` on diagonal ``-2, -1`` (repeated entries give
+    Jordan blocks, the non-normal case), and ``C = A11 X - X A22`` for an
+    integer ``X``, so that ``Pi^u = [[I, X], [0, 0]]``.  Small integers and
+    a power-of-two ``gap`` keep every entry exact; a random permutation of
+    the coordinates hides the blocks.
+    """
+    k, m = gen.integers(1, 6, 2)
+    a11 = np.triu(gen.integers(-3, 4, (k, k))).astype(float)
+    np.fill_diagonal(a11, gen.integers(1, 3, k))
+    a11[0, 0] = gap
+    a22 = np.triu(gen.integers(-3, 4, (m, m))).astype(float)
+    np.fill_diagonal(a22, -gen.integers(1, 3, m))
+    x = gen.integers(-3, 4, (k, m)).astype(float)
+    a = np.block([[a11, a11 @ x - x @ a22], [np.zeros((m, k)), a22]])
+    pi_u = np.block([[np.eye(k), x], [np.zeros((m, k + m))]])
+    perm = gen.permutation(k + m)
+    return a[np.ix_(perm, perm)], pi_u[np.ix_(perm, perm)]
 
 
 def rotated_saddle():
@@ -79,20 +103,90 @@ class TestSpectralProjection:
         assert spectral_norm(pi_u @ a - a @ pi_u) < 1e-12
 
     def test_matches_contour_integral_oracle(self, rng):
-        for _ in range(6):
-            a = rng.standard_normal((4, 4))
-            try:
-                pi_u, _ = spectral_projection(a)
-            except NonHyperbolicError:
-                continue
+        # 200 random matrices, d from 2 to 11: generic spectra, with right
+        # half-plane eigenvalues of large imaginary part beside left
+        # half-plane ones, which no one circle in the lambda plane separates
+        for _ in range(200):
+            a = rng.standard_normal((rng.integers(2, 12),) * 2)
+            pi_u, _ = spectral_projection(a)
             want = riesz_projector_oracle(a)
-            assert spectral_norm(pi_u - want) < 1e-8
+            scale = max(spectral_norm(want), 1.0)
+            assert spectral_norm(pi_u - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("digits", [3, 5, 7])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_small_relative_gaps_match_exact_projector(self, digits, side,
+                                                       rng):
+        # one eigenvalue 10^-digits from the axis and a norm of order 10:
+        # too near the axis for the contour oracle's quadrature, so the
+        # projector is known exactly by construction.  The sign iteration
+        # run on the unshifted matrix misses by up to 1e-10 on a few of
+        # these draws
+        gap = 2.0 ** -round(digits * np.log2(10))
+        for _ in range(200):
+            a, want = _split_with_known_projector(rng, gap)
+            a, want = side * a, (want if side > 0 else np.eye(len(a)) - want)
+            pi_u, got_gap = spectral_projection(a)
+            assert got_gap == pytest.approx(gap, rel=1e-6)
+            assert spectral_norm(pi_u - want) <= 1e-12 * spectral_norm(want)
 
     def test_near_axis_raises(self):
         with pytest.raises(NonHyperbolicError):
             spectral_projection(np.diag([1e-12, -1.0]))
         with pytest.raises(NonHyperbolicError):
             spectral_projection(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_generator_raises_typed_error(self, bad):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            spectral_projection([[bad]])
+        a = np.array([[-1.0, 0.5], [bad, 2.0]])
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            spectral_projection(a)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            autonomous_certificate(a)
+
+    def test_sign_iteration_that_fails_raises(self, monkeypatch):
+        # an eigenvalue on the imaginary axis makes an iterate singular
+        for a in ([[0.0]], [[0.0, 1.0], [-1.0, 0.0]], np.diag([1.0, 0.0, -2.0])):
+            with pytest.raises(NonHyperbolicError, match="sign iteration"):
+                dichotomy._sign_projector(np.asarray(a))
+        # and an iteration cut off before it settles fails closed too
+        monkeypatch.setattr(dichotomy, "_SIGN_MAX_ITER", 2)
+        with pytest.raises(NonHyperbolicError, match="did not converge"):
+            dichotomy._sign_projector(
+                np.random.default_rng(5).standard_normal((8, 8)))
+
+
+class TestExpm:
+    """The package's ``expm`` against ``scipy.linalg.expm``."""
+
+    @pytest.mark.parametrize("n_modes", [4, 8, 16])
+    def test_wave_generators_match_scipy_to_1e_13(self, n_modes):
+        # the CLI's wave generator, at the RK4 steps and the certificate's
+        # scan step 40 / 2047; 4 modes stay below the Pade-13 norm bound,
+        # 8 and 16 modes take 1 to 4 squarings
+        a = build_wave_system(n_modes, 1.0, lambda u: u - u ** 3,
+                              lambda u: 1.0 - 3.0 * u ** 2).a_matrix
+        for step in (1 / 64, -1 / 64, 1 / 32, 40 / 2047):
+            want = expm(a * step)
+            got = dichotomy.expm(a * step)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_random_matrices_match_scipy_to_1e_12(self):
+        gen = np.random.default_rng(31)
+        for d in range(1, 12):
+            for _ in range(20):
+                a = gen.standard_normal((d, d))
+                want = expm(a)
+                got = dichotomy.expm(a)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_diagonal_is_exact(self):
+        diag = np.array([-3.0, 0.0, 0.7, 12.5])
+        assert np.array_equal(dichotomy.expm(np.diag(diag)),
+                              np.diag(np.exp(diag)))
+        assert np.array_equal(dichotomy.expm([[-0.5]]), [[np.exp(-0.5)]])
 
 
 class TestCertificate:

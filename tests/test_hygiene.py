@@ -20,9 +20,9 @@ package for the tests alone (test oracles live under ``tests/``).
 Likewise every ``self.<attr>`` stored under src/splitflow must be read
 somewhere: as an attribute load or as an identifier string (``getattr``).
 
-Of scipy, src/splitflow imports ``scipy.linalg`` alone, wherever the import
-statement stands: any other submodule would weigh on every start-up, or on
-the first call that reaches a deferred import.
+src/splitflow imports nothing of scipy, wherever the import statement
+stands: the package runs on numpy alone, and any scipy module would weigh on
+every start-up, or on the first call that reaches a deferred import.
 """
 
 import ast
@@ -34,7 +34,7 @@ PACKAGE = ROOT / "src" / "splitflow"
 SEARCHED = ("src", "tests", "demos", "perfbench")
 PROGRAM = ("src", "demos", "perfbench")
 # named by tests only until the hyperbolic rows record the a-posteriori
-# bound (ROADMAP open item 4)
+# bound (ROADMAP open item 8)
 PROGRAM_EXEMPT = {"SUP_OVER_LAMBDA"}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -171,26 +171,20 @@ def test_every_stored_attribute_is_read():
 
 
 def _imported_modules(tree):
-    """``(line, module)`` of every absolute import; ``from scipy import x``
-    counts as module ``scipy.x``."""
+    """``(line, module)`` of every absolute import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if node.module == "scipy":
-                for alias in node.names:
-                    yield node.lineno, f"scipy.{alias.name}"
-            else:
-                yield node.lineno, node.module
+            yield node.lineno, node.module
 
 
-def test_scipy_is_imported_only_for_linalg():
+def test_scipy_is_not_imported():
     stray = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         stray.extend(f"{path.relative_to(ROOT)}:{line} {module}"
                      for line, module in _imported_modules(tree)
-                     if module.split(".")[0] == "scipy"
-                     and module.split(".")[:2] != ["scipy", "linalg"])
-    assert not stray, "scipy imported beyond scipy.linalg:\n" + "\n".join(stray)
+                     if module.split(".")[0] == "scipy")
+    assert not stray, "scipy imported:\n" + "\n".join(stray)

@@ -7,6 +7,7 @@ from splitflow import (ContractionMarginError, KappaFn, SemilinearProblem,
                        find_hyperbolic_solution, lambda_eta, linearize_along,
                        pointwise, random_ode_problem, rho_modulus,
                        sample_wiener_path, spectral_norm)
+from splitflow import hyperbolic
 from splitflow.cocycle import integrate_nonlinear
 from splitflow.hyperbolic import SUP_OVER_LAMBDA, _AutonomousGreen, _fast_len
 
@@ -262,6 +263,25 @@ def test_kernel_convolution_matches_direct_sum():
             want[i] += green.table[i - j + 40] @ (w[j] * u[j])
     got = green.convolve(u, w)
     assert np.max(np.abs(got - green.h * want)) < 1e-12
+
+
+def test_kernel_built_once_per_problem_step_and_offsets(monkeypatch):
+    # an eta ladder on one problem shares one kernel table, bit for bit the
+    # table a fresh build gives
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return _AutonomousGreen(*args)
+
+    monkeypatch.setattr(hyperbolic, "_AutonomousGreen", counted)
+    p = additive_problem()
+    sols = [find_hyperbolic_solution(p, eta, W64) for eta in (0.03, 0.015)]
+    assert len(builds) == 1
+    n_off = sols[0].meta["kernel_offsets"]
+    fresh = _AutonomousGreen(p.a_matrix, p.autonomous_cert.proj_s(0), W64.h,
+                             n_off)
+    assert np.array_equal(p.autonomous_green(W64.h, n_off).table, fresh.table)
 
 
 def test_fft_length_is_scipys_default():
