@@ -136,13 +136,9 @@ class ContinuousCocycle:
     _units: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def unit_flow(self, n):
-        """Snapshots ``phi(j / UNIT_SAMPLES, shift n)``, j = 0..UNIT_SAMPLES."""
-        return self.unit_flows([n])[0]
-
     def unit_flows(self, shifts):
-        """:meth:`unit_flow` at every integer shift, stacked to shape
-        ``(len(shifts), UNIT_SAMPLES + 1, d, d)``.
+        """Snapshots ``phi(j / UNIT_SAMPLES, shift n)``, j = 0..UNIT_SAMPLES, at
+        every integer shift, stacked to ``(len(shifts), UNIT_SAMPLES + 1, d, d)``.
 
         The table is memoized per cocycle and integer shift (shift 0 for
         every n when ``time_invariant``); the shifts it lacks are integrated

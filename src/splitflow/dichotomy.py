@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.ma  # noqa: F401  -- loaded at start-up, not by np.unique in a run
 
-from .cocycle import (UNIT_SAMPLES, DiscreteCocycle, spectral_norm,
+from .cocycle import (UNIT_SAMPLES, DiscreteCocycle, _finite, spectral_norm,
                       spectral_norms, stack_steps)
 from .errors import ConfigurationError, NonHyperbolicError
 from .grids import TimeGrid
@@ -404,15 +404,15 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     ``isomorphism_violation``; a non-finite step raises
     :class:`SplitflowError`.  Continuous cocycles read the unit steps and
     the fractional horizons ``k + j / UNIT_SAMPLES`` from the unit-flow
-    table, as ``unit_flow(n + k)[j] @ fwd[k, n]``.
+    table ``flows``, as ``flows[n + k, j] @ fwd[k, n]``.
     """
     nodes = _window_nodes(window)
     discrete = isinstance(cocycle, DiscreteCocycle)
     k_bound, alpha = cert.bound, cert.exponent
     n = len(nodes)
     flows = None if discrete else cocycle.unit_flows(nodes[:-1])
-    steps = stack_steps(cocycle.step if discrete
-                        else lambda m: cocycle.unit_flow(m)[-1], nodes[:-1])
+    steps = (stack_steps(cocycle.step, nodes[:-1]) if discrete
+             else _finite(flows[:, -1], nodes[:-1], "unit step"))
     proj = np.array([cert.proj_s(m) for m in nodes])
     march = _split_march(steps, proj)
     comm = float(np.max(spectral_norms(proj[1:] @ steps - steps @ proj[:-1])))

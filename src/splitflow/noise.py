@@ -15,6 +15,8 @@ edge; ``t -> z*(theta_t omega)`` is the pathwise stationary solution of the
 Langevin equation ``dz + z dt = dW``.
 """
 
+import math
+
 import numpy as np
 import numpy.random  # noqa: F401  -- loaded at start-up, not by the first run
 
@@ -23,6 +25,8 @@ from .errors import ConfigurationError, WindowError
 from .grids import TimeGrid
 
 DEFAULT_TAIL_TOL = 1e-10
+_OU_BLOCK = 512.0  # time units per block of the z* filter; e^512 is finite
+_ENSEMBLE_BLOCK = 128  # paths per block of ensemble draws, about 2 MB at defaults
 
 
 class SamplePath:
@@ -40,6 +44,9 @@ class SamplePath:
             raise ConfigurationError(
                 f"path needs {grid.n_nodes} values, got shape {values.shape}"
             )
+        if not np.all(np.isfinite(values)):
+            t_bad = grid.times()[np.argmax(~np.isfinite(values))]
+            raise ConfigurationError(f"non-finite path value at t={t_bad}")
         i0 = grid.index_of(0.0)
         if values[i0] != 0.0:
             raise ConfigurationError("path value at t = 0 must be exactly 0")
@@ -55,9 +62,6 @@ class SamplePath:
         self._root = values if _root is None else _root
         self._root_lo = grid.n_min if _root_lo is None else _root_lo
         self._shift = _shift
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.values)))
 
     def value_at(self, t):
         return float(self.values[self.grid.index_of(t)])
@@ -136,74 +140,85 @@ def shift_path(path, t):
                       _root_lo=path._root_lo, _shift=shift)
 
 
-def _tail_envelope(path, t):
-    """Crude bound on the neglected left tail of the z* integral at base t."""
-    return np.exp(path.grid.t_min - t) * (abs(path.grid.t_min) + path.max_abs())
-
-
-def required_left_window(path, t, tail_tol):
-    """How far left of ``t`` the window must reach for the tail bound to pass."""
-    c = abs(path.grid.t_min) + path.max_abs()
-    # solve e^{t_min - t} * c <= tol for t_min
-    return float(t - np.log(max(c, 1e-300) / tail_tol))
+def _tail_start(path, tail_tol):
+    """The first base time whose neglected left tail of the z* integral,
+    bounded by ``e^{t_min - t} (|t_min| + max|omega|)``, is within ``tail_tol``."""
+    if not tail_tol > 0.0:
+        raise ConfigurationError(f"tail_tol must be positive, got {tail_tol!r}")
+    g = path.grid
+    c = abs(g.t_min) + float(np.max(np.abs(path.values)))
+    return g.t_min + math.log(max(c, 1e-300) / tail_tol)
 
 
 def ou_value(path, t, tail_tol=DEFAULT_TAIL_TOL):
-    """z* at the shifted base point: ``-int e^s (theta_t omega)(s) ds``.
-
-    Trapezoidal quadrature on the grid, truncated at the stored window's left
-    edge; total error is O(h^2) plus the documented tail below ``tail_tol``.
-    """
+    """z* at the shifted base point, ``-int e^s (theta_t omega)(s) ds``: the
+    node ``t`` of :func:`ou_series`, O(h^2) plus a tail below ``tail_tol``."""
     g = path.grid
-    n = g.node_of(t)
-    if not (g.n_min < n <= g.n_max):
+    if not (g.n_min < g.node_of(t) <= g.n_max):
         raise WindowError(f"base time {t} not inside the stored window")
-    if _tail_envelope(path, t) > tail_tol:
-        need = required_left_window(path, t, tail_tol)
-        raise WindowError(
-            f"left window too short for tail tolerance {tail_tol:g} at t={t}: "
-            f"need t_min <= {need:.2f}, have {g.t_min}",
-            required_extension=g.t_min - need,
-        )
-    i = g.index_of(t)
-    s = (np.arange(g.n_min, g.n_min + i + 1) - n) * g.h  # s grid from t_min-t to 0
-    shifted = path.values[: i + 1] - path.values[i]
-    return float(-np.trapezoid(np.exp(s) * shifted, dx=g.h))
+    return float(ou_series(path, [t], tail_tol)[0])
 
 
 def _cumulative_trapezoid(y, h):
-    """Running trapezoid integrals of ``y`` from its first sample, starting
-    at 0; the arithmetic of ``scipy.integrate.cumulative_trapezoid``, so
-    the sums agree bit for bit."""
-    return np.concatenate([[0.0], np.cumsum(h * (y[1:] + y[:-1]) / 2.0)])
+    """Running trapezoid integrals along the last axis of ``y``, 0 at its
+    first sample, bit for bit ``scipy.integrate.cumulative_trapezoid``;
+    computed in place in the result, which spares a block its temporaries."""
+    out = np.zeros(y.shape)
+    s = out[..., 1:]
+    np.add(y[..., 1:], y[..., :-1], out=s)
+    np.multiply(h, s, out=s)
+    np.divide(s, 2.0, out=s)
+    np.cumsum(s, axis=-1, out=s)
+    return out
+
+
+def _ou_filter(values, times, t0, h):
+    """z*(theta_t omega) at the nodes of ``times`` (step ``h``) from ``t0``
+    on, along the last axis of ``values``: one path or a block of paths.
+
+    The trapezoid recursion ``I_{k+1} = e^{-h} I_k + (h/2) (e^{-h} omega_k
+    + omega_{k+1})`` in closed form, ``z* = e^{-(t-a)} (omega W - WO)``, with
+    ``W``, ``WO`` the running sums of ``e^{t-a}`` and ``e^{t-a} omega`` from
+    the left edge and ``a = t0`` up to ``t0 + _OU_BLOCK``; each further block
+    renormalizes at its first node, so no weight exceeds ``e^{_OU_BLOCK}``."""
+    i0 = int(np.searchsorted(times, t0 - h / 2))
+    step, last = round(_OU_BLOCK / h), len(times) - 1
+    z, lo, anchor = [], 0, t0
+    for hi in [*range(i0 + step, last, step), last]:
+        t, om = times[lo:hi + 1], values[..., lo:hi + 1]
+        w = np.exp(t - anchor)
+        cw, cwo = _cumulative_trapezoid(w, h), _cumulative_trapezoid(w * om, h)
+        if lo:  # the sums up to this block's first node, renormalized to it
+            cw += carry * cw_end
+            cwo += carry * cwo_end
+        first = 1 if lo else i0  # a later block's first node closed the one before
+        z.append(np.exp(-(t[first:] - anchor))
+                 * (om[..., first:] * cw[first:] - cwo[..., first:]))
+        cw_end, cwo_end = cw[-1], cwo[..., -1:]
+        lo, anchor, carry = hi, times[hi], np.exp(anchor - times[hi])
+    return np.concatenate(z, axis=-1)
 
 
 def ou_series(path, window, tail_tol=DEFAULT_TAIL_TOL):
-    """z*(theta_t omega) at every node of ``window`` in one cumulative pass.
-
-    Algebraically identical to calling :func:`ou_value` per node (same
-    trapezoid weights), but O(N) overall.  Window spans beyond a few hundred
-    time units overflow the internal exponential weights; a non-finite value
-    raises :class:`SplitflowError`.
-    """
+    """z*(theta_t omega) at every node of ``window`` (a :class:`TimeGrid` or
+    grid times) by :func:`_ou_filter`: the per-node trapezoid weights in
+    O(N), at any window length; under ``_OU_BLOCK`` one cumulative pass
+    weighted by ``e^{t - t0}``, ``t0`` the first time.  A base time whose tail
+    bound exceeds ``tail_tol`` raises :class:`WindowError`, a non-finite
+    value :class:`SplitflowError`."""
     g = path.grid
     ts = window.times() if isinstance(window, TimeGrid) else np.asarray(window, float)
     t0 = float(ts.min())
-    if _tail_envelope(path, t0) > tail_tol:
-        need = required_left_window(path, t0, tail_tol)
-        raise WindowError(
-            f"left window too short for tail tolerance {tail_tol:g} at t={t0}: "
-            f"need t_min <= {need:.2f}, have {g.t_min}",
-            required_extension=g.t_min - need,
-        )
-    all_t = g.times()
+    start = _tail_start(path, tail_tol)
+    if t0 < start:
+        raise WindowError(f"left window too short for tail tolerance {tail_tol:g} at "
+                          f"t={t0}: need t_min <= {g.t_min - (start - t0):.2f}, have "
+                          f"{g.t_min}", required_extension=start - t0)
     idx = g.index_of(ts)
+    end = idx.max() + 1  # nodes right of the window enter no sum
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(all_t - t0)  # renormalized at the window start
-        cw = _cumulative_trapezoid(w, g.h)
-        cwo = _cumulative_trapezoid(w * path.values, g.h)
-        z = np.exp(-(all_t[idx] - t0)) * (path.values[idx] * cw[idx] - cwo[idx])
-    return _finite(z, ts, "z*")
+        z = _ou_filter(path.values[:end], g.times()[:end], t0, g.h)
+    return _finite(z[idx - idx.min()], ts, "z*")
 
 
 def pathwise_ou_residual(path, window, tail_tol=DEFAULT_TAIL_TOL):
@@ -287,36 +302,34 @@ def noise_bounds(path, kappa, window, eta=0.0, tail_tol=DEFAULT_TAIL_TOL):
 
 
 def sublinearity_report(path, checkpoints, tail_tol=DEFAULT_TAIL_TOL):
-    """|z*(theta_t omega)| / |t| at each checkpoint (diagnostic trend to 0)."""
-    out = []
-    for t in checkpoints:
-        if t == 0:
-            raise ConfigurationError("sublinearity checkpoints must be nonzero")
-        out.append(abs(ou_value(path, t, tail_tol)) / abs(t))
-    return out
+    """|z*(theta_t omega)| / |t| at each checkpoint, one filter pass (trend to 0)."""
+    t = np.asarray(checkpoints, float)
+    if np.any(t == 0):
+        raise ConfigurationError("sublinearity checkpoints must be nonzero")
+    return (np.abs(ou_series(path, t, tail_tol)) / np.abs(t)).tolist()
 
 
 def ensemble_diagnostics(n_paths, h=1.0 / 64, t_min=-30.0, seed=0):
     """Vectorized Monte-Carlo checks over a path ensemble.
 
     Returns the sample variance of ``omega(1)`` (target 1) and of ``z*``
-    (target 1/2, the stationary variance of the unit-rate Langevin filter),
-    using one large increment matrix per half-line.
+    (target 1/2, the stationary variance of the unit-rate Langevin filter).
+    Increments are drawn in blocks of ``_ENSEMBLE_BLOCK`` paths, all forward
+    rows before all backward ones; z* comes from :func:`_ou_filter`.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(2,)))
-    n_fwd = round(1.0 / h)
-    fwd = np.cumsum(rng.standard_normal((n_paths, n_fwd)), axis=1) * np.sqrt(h)
-    w1_var = float(np.var(fwd[:, -1], ddof=1))
+    sizes = np.diff([*range(0, n_paths, _ENSEMBLE_BLOCK), n_paths])
+    w1 = np.concatenate([np.cumsum(rng.standard_normal((m, round(1.0 / h))),
+                                   axis=1)[:, -1] * np.sqrt(h) for m in sizes])
     n_bwd = round(-t_min / h)
-    bwd = np.cumsum(rng.standard_normal((n_paths, n_bwd)), axis=1) * np.sqrt(h)
-    # omega on [t_min, 0]: reverse so column j is node t_min + j*h; omega(0)=0
-    omega = np.concatenate([bwd[:, ::-1], np.zeros((n_paths, 1))], axis=1)
     s = np.arange(-n_bwd, 1) * h
-    w = np.exp(s) * h
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    z = -(omega @ w)
-    z_var = float(np.var(z, ddof=1))
-    return {"w1_var": w1_var, "z_var": z_var, "n_paths": n_paths, "h": h}
-
+    z = []
+    for m in sizes:
+        # omega(t_min + j*h) in column j: backward sums right to left, omega(0) = 0
+        omega = np.zeros((m, n_bwd + 1))
+        np.cumsum(rng.standard_normal((m, n_bwd)), axis=1, out=omega[:, -2::-1])
+        omega *= np.sqrt(h)
+        z.append(_ou_filter(omega, s, 0.0, h)[:, 0])
+    return {"w1_var": float(np.var(w1, ddof=1)), "n_paths": n_paths, "h": h,
+            "z_var": float(np.var(np.concatenate(z), ddof=1))}

@@ -25,7 +25,6 @@ that rule is a documented modeling choice, not a numerical bug.
 """
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,8 +39,8 @@ from .io import jsonable, write_csv
 from .hyperbolic import (SemilinearProblem, certify_hyperbolic, eta_epsilon,
                          find_hyperbolic_solution, lambda_eta,
                          neighborhood_thresholds)
-from .noise import (DEFAULT_TAIL_TOL, default_kappa, rescaled_noise,
-                    sample_wiener_path)
+from .noise import (DEFAULT_TAIL_TOL, _tail_start, default_kappa,
+                    rescaled_noise, sample_wiener_path)
 
 
 @dataclass
@@ -78,16 +77,12 @@ class _NoiseDressing:
     """Interpolators of ``kappa z*`` and ``(kappa - kappadot) z*`` on a path."""
 
     def __init__(self, path, kappa, tail_tol=DEFAULT_TAIL_TOL):
-        g = path.grid
-        # tail envelope e^{t_min - t} (|t_min| + max|omega|) <= tol
-        # holds from t_first = t_min + ln(C / tol) rightward
-        c_env = abs(g.t_min) + path.max_abs()
-        t_first = g.t_min + math.log(max(c_env, 1e-300) / tail_tol)
-        idx_first = int(math.ceil((t_first - g.t_min) / g.h - 1e-9))
-        if idx_first > g.n_nodes - 2:
+        t_first = _tail_start(path, tail_tol)
+        ts = path.grid.times()
+        self.ts = ts[ts >= t_first]
+        if len(self.ts) < 2:
             raise WindowError("path window too short for the noise dressing",
-                              required_extension=t_first - g.t_min)
-        self.ts = g.times()[max(idx_first, 0):]
+                              required_extension=t_first - path.grid.t_min)
         self.kz, self.ckz = rescaled_noise(path, kappa, self.ts, tail_tol)
 
     def _check(self, t):

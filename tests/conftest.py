@@ -209,6 +209,47 @@ def validate_kappa(kappa, grid, fd_tol=1e-5):
     return float(err)
 
 
+def ou_value_oracle(path, t):
+    """z*(theta_t omega) by the trapezoid rule on the nodes from the
+    window's left edge to ``t``, one sum per base point."""
+    g = path.grid
+    i = g.index_of(t)
+    s = (np.arange(i + 1) - i) * g.h
+    shifted = path.values[: i + 1] - path.values[i]
+    return float(-np.trapezoid(np.exp(s) * shifted, dx=g.h))
+
+
+def cumulative_ou_oracle(path, ts):
+    """z*(theta_t omega) at the times ``ts`` by one cumulative pass weighted
+    by ``e^{t - t0}``, ``t0 = min(ts)``: the weights overflow beyond about
+    700 time units right of ``t0``."""
+    g = path.grid
+    all_t, idx, t0 = g.times(), g.index_of(ts), float(np.min(ts))
+
+    def cumtrapz(y):
+        return np.concatenate([[0.0], np.cumsum(g.h * (y[1:] + y[:-1]) / 2.0)])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(all_t - t0)
+        cw, cwo = cumtrapz(w), cumtrapz(w * path.values)
+        return np.exp(-(all_t[idx] - t0)) * (path.values[idx] * cw[idx] - cwo[idx])
+
+
+def ensemble_oracle(n_paths, h, t_min, seed):
+    """``(w1_var, z_var)`` of :func:`splitflow.noise.ensemble_diagnostics`
+    from one increment matrix per half-line, z* as a weighted row sum."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(2,)))
+    fwd = np.cumsum(rng.standard_normal((n_paths, round(1.0 / h))), axis=1) * np.sqrt(h)
+    n_bwd = round(-t_min / h)
+    bwd = np.cumsum(rng.standard_normal((n_paths, n_bwd)), axis=1) * np.sqrt(h)
+    omega = np.concatenate([bwd[:, ::-1], np.zeros((n_paths, 1))], axis=1)
+    w = np.exp(np.arange(-n_bwd, 1) * h) * h
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return float(np.var(fwd[:, -1], ddof=1)), float(np.var(-(omega @ w), ddof=1))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -221,7 +221,7 @@ class TestUnitFlowTable:
             assert np.max(np.abs(got - want)) <= 1e-13
             assert len(c._units[n]) == 1  # only the endpoint is kept
         # asking for the snapshots later integrates them; the endpoint agrees
-        flow = c.unit_flow(0)
+        flow = c.unit_flows([0])[0]
         assert len(c._units[0]) == UNIT_SAMPLES + 1
         assert np.array_equal(flow[-1], steps[2])
         assert np.array_equal(discretize(c).step(0), flow[-1])

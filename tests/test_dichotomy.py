@@ -71,7 +71,7 @@ def oracle_ratios(cocycle, cert, nodes):
             val = g.eval(t, s)
             fwd = max(fwd, spectral_norm(val) * np.exp(a * (t - s)) / k)
             if not discrete and t < nodes[-1]:
-                for j, snap in enumerate(cocycle.unit_flow(t)[1:-1], start=1):
+                for j, snap in enumerate(cocycle.unit_flows([t])[0, 1:-1], start=1):
                     h = t - s + j / UNIT_SAMPLES
                     fwd = max(fwd, spectral_norm(snap @ val) * np.exp(a * h) / k)
     return fwd, bwd
@@ -376,6 +376,17 @@ class TestVerify:
                                              np.log(2.0), discrete=True)
         with pytest.raises(SplitflowError, match="node 1"):
             verify_dichotomy(cocycle, cert, (-3, 3))
+
+    def test_non_finite_unit_step_raises_typed_error(self, monkeypatch):
+        # the unit steps come from the unit-flow table, still checked finite
+        c = ContinuousCocycle.constant([[-1.0]])
+        flows = c.unit_flows(range(-3, 2)).copy()
+        flows[2, -1] = np.inf
+        monkeypatch.setattr(ContinuousCocycle, "unit_flows",
+                            lambda self, shifts: flows)
+        cert = DichotomyCertificate.constant([[1.0]], 1.0, 0.5, discrete=False)
+        with pytest.raises(SplitflowError, match=r"non-finite unit step at t=-1 "):
+            verify_dichotomy(c, cert, (-3, 2))
 
 
 class TestGreenKernel:

@@ -1,15 +1,17 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from splitflow import (ConfigurationError, KappaFn, SplitflowError, TimeGrid,
-                       WindowError, injected_path, linear_path, noise_bounds, ou_series,
-                       ou_value, sample_wiener_path, shift_path,
-                       sublinearity_report, zero_path)
-from splitflow.noise import (_cumulative_trapezoid, default_kappa,
+from splitflow import (ConfigurationError, KappaFn, SamplePath, SplitflowError,
+                       TimeGrid, WindowError, injected_path, linear_path,
+                       noise_bounds, ou_series, ou_value, sample_wiener_path,
+                       shift_path, sublinearity_report, zero_path)
+from splitflow.noise import (_OU_BLOCK, _cumulative_trapezoid, default_kappa,
                              ensemble_diagnostics, pathwise_ou_residual)
-from conftest import validate_kappa
+from conftest import (cumulative_ou_oracle, ensemble_oracle, ou_value_oracle,
+                      validate_kappa)
 
 H = 1.0 / 64
 GRID = TimeGrid(-32.0, 8.0, H)
@@ -46,6 +48,17 @@ class TestSampling:
         q = sample_wiener_path(TimeGrid(-40.0, 16.0, H), 12)
         a, b = common_values(p, q)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        vals = GRID.times().copy()
+        vals[GRID.index_of(-2.5)] = bad
+        with pytest.raises(ConfigurationError,
+                           match=r"non-finite path value at t=-2\.5"):
+            SamplePath(GRID, vals)
+        with pytest.raises(ConfigurationError,
+                           match=r"non-finite path value at t=1\.0"):
+            injected_path(GRID, lambda t: np.where(t == 1.0, bad, t))
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -133,8 +146,17 @@ class TestStationaryFilter:
         p = sample_wiener_path(GRID, 21)
         win = TimeGrid(-1.0, 6.0, H)
         zs = ou_series(p, win)
-        for i, t in enumerate(win.times()[:: 64]):
-            assert abs(zs[win.index_of(t)] - ou_value(p, t)) < 1e-10
+        for t in win.times()[::16]:
+            want = ou_value_oracle(p, t)
+            assert abs(zs[win.index_of(t)] - want) < 1e-12
+            assert abs(ou_value(p, t) - want) < 1e-12
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_single_block_bit_identical_to_one_cumulative_pass(self, seed):
+        p = sample_wiener_path(GRID, seed)
+        for ts in (TimeGrid(-1.0, 6.0, H).times(), GRID.times()[-1:2200:-37],
+                   np.array([5.0]), np.arange(-64, 513) / 64):
+            assert np.array_equal(ou_series(p, ts), cumulative_ou_oracle(p, ts))
 
     def test_shift_then_integrate_equals_direct(self):
         p = sample_wiener_path(GRID, 22)
@@ -142,21 +164,51 @@ class TestStationaryFilter:
         q = shift_path(p, t)
         assert abs(ou_value(q, 0.0) - ou_value(p, t)) < 1e-12
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+    def test_non_positive_tail_tolerance_rejected(self, tol):
+        p = sample_wiener_path(GRID, 1)
+        with pytest.raises(ConfigurationError, match="tail_tol must be positive"):
+            ou_series(p, [1.0], tol)
+
     def test_tail_window_error_reports_extension(self):
         p = sample_wiener_path(TimeGrid(-4.0, 4.0, H), 1)
         with pytest.raises(WindowError) as exc:
             ou_value(p, 0.0)
         assert exc.value.required_extension is not None
 
-    def test_long_window_fails_closed(self):
-        # a 750-unit window overflows the series weights in 658 of its values
-        p = sample_wiener_path(TimeGrid(-800.0, 20.0, 1.0 / 16), 3)
-        ts = np.arange(-12000, 1) / 16
+    def test_long_window_matches_per_node_oracle(self):
+        # 2,000 units: a single pass weighted by e^{t - t0} overflows past
+        # about 700 units; four blocks stay finite
+        p = sample_wiener_path(TimeGrid(-40.0, 2000.0, 1.0 / 16), 3)
+        ts = np.arange(0, 32001) / 16
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SplitflowError,
-                               match=r"at t=-41\.0625 \(658 of 12001 times\)"):
-                ou_series(p, ts)
+            z = ou_series(p, ts)
+        assert np.all(np.isfinite(z))
+        for i in [*range(0, len(ts), 251), *range(8190, 8195), len(ts) - 1]:
+            assert abs(z[i] - ou_value_oracle(p, ts[i])) < 1e-12
+
+    def test_block_boundary_matches_oracles(self):
+        # a window of 648 units crosses the first block boundary, where the
+        # one-pass weights are still finite
+        p = sample_wiener_path(TimeGrid(-40.0, 660.0, 1.0 / 16), 5)
+        ts = np.arange(-128, 10241) / 16
+        z, old = ou_series(p, ts), cumulative_ou_oracle(p, ts)
+        first = ts < ts[0] + _OU_BLOCK
+        assert not first.all()
+        assert np.array_equal(z[first], old[first])
+        assert np.max(np.abs(z - old)) < 1e-12
+        for i in [*range(0, len(ts), 97), *range(8190, 8196)]:
+            assert abs(z[i] - ou_value_oracle(p, ts[i])) < 1e-12
+
+    def test_overflowing_path_fails_closed(self):
+        # a finite path whose weighted values overflow inside one block
+        grid = TimeGrid(-400.0, 520.0, 1.0 / 4)
+        p = injected_path(grid, lambda t: 1e100 * np.sin(t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SplitflowError, match=r"non-finite z\* at t="):
+                ou_series(p, np.arange(0, 2081) / 4)
 
     def test_cumulative_trapezoid_bit_equal_to_scipy(self):
         from scipy.integrate import cumulative_trapezoid
@@ -166,10 +218,31 @@ class TestStationaryFilter:
                   np.exp(GRID.times()) * p.values):
             assert np.array_equal(_cumulative_trapezoid(y, H),
                                   cumulative_trapezoid(y, dx=H, initial=0))
+        # a block of rows: each row as on its own
+        block = np.exp(GRID.times()) * np.stack(
+            [sample_wiener_path(GRID, s).values for s in range(5)])
+        assert np.array_equal(_cumulative_trapezoid(block, H),
+                              cumulative_trapezoid(block, dx=H, initial=0))
 
     def test_ensemble_variance(self):
         d = ensemble_diagnostics(4000, h=H, t_min=-30.0, seed=9)
         assert abs(d["z_var"] - 0.5) < 0.04
+
+    @pytest.mark.parametrize("n_paths", [7, 500, 1234])
+    def test_ensemble_blocks_keep_one_matrix_draws(self, n_paths):
+        d = ensemble_diagnostics(n_paths, h=1.0 / 32, t_min=-20.0, seed=4)
+        w1_var, z_var = ensemble_oracle(n_paths, 1.0 / 32, -20.0, 4)
+        assert d["w1_var"] == w1_var
+        assert abs(d["z_var"] - z_var) <= 1e-13 * z_var
+
+    def test_ensemble_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            ensemble_diagnostics(10000, h=1.0 / 64, t_min=-30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
 
     def test_pathwise_ode_identity_smooth(self):
         p = injected_path(GRID, np.sin)
@@ -245,6 +318,12 @@ class TestSublinearity:
             early.append(v[0])
             late.append(v[1])
         assert np.median(late) < np.median(early)
+
+    def test_one_pass_matches_per_node_oracle(self):
+        p = sample_wiener_path(TimeGrid(-30.0, 102.0, 1.0 / 16), 5)
+        cps = [10.0, 25.0, 50.0, 100.0]
+        for got, t in zip(sublinearity_report(p, cps), cps):
+            assert abs(got - abs(ou_value_oracle(p, t)) / t) < 1e-14
 
     def test_zero_checkpoint_rejected(self):
         with pytest.raises(ConfigurationError):

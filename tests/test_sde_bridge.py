@@ -240,6 +240,19 @@ class TestBatchedFields:
         assert "(3 of 4 times out)" in msg
         assert "[" not in msg.split("outside")[0]  # no array printed
 
+    @pytest.mark.parametrize("tail_tol", [1e-10, 1e-6])
+    def test_dressing_starts_where_the_tail_rule_admits(self, tail_tol):
+        # the dressing and ou_series share one tail rule: the first dressed
+        # node is the first base time ou_series accepts
+        path = sample_wiener_path(PATH_GRID, 11)
+        p = random_ode_problem(scalar_spec(1.0), path, [0.0], r_u=0.3,
+                               tail_tol=tail_tol)
+        t0 = p.meta["dressing"].ts[0]
+        assert t0 > PATH_GRID.t_min
+        ou_series(path, [t0], tail_tol)
+        with pytest.raises(WindowError, match="left window too short"):
+            ou_series(path, [t0 - H], tail_tol)
+
 
 class TestWaveSystem:
     def test_single_mode_matrix_and_eigenvalues(self):
