@@ -29,7 +29,7 @@ from .noise import (KappaFn, NoiseBounds, SamplePath, default_kappa,
                     ou_value, sample_wiener_path, shift_path,
                     sublinearity_report, zero_path)
 from .cocycle import (ContinuousCocycle, DiscreteCocycle, discretize,
-                      pointwise, propagator, spectral_norm)
+                      pointwise, propagator)
 from .dichotomy import (DichotomyCertificate, VerificationReport,
                         autonomous_certificate, paper_projection_bound,
                         projection_distance, spectral_projection,

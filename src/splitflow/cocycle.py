@@ -50,14 +50,60 @@ def pointwise(fn):
     return batched
 
 
-def spectral_norm(m):
-    """Largest singular value (the operator norm used throughout)."""
-    return float(np.linalg.norm(np.asarray(m, float), 2))
+FROBENIUS_SLACK = 1e-10  # relative room over the few-ulp error of both norms
+_FIRST_BATCH = 16  # SVD batch of spectral_sup, doubled batch after batch
 
 
 def spectral_norms(mats):
-    """:func:`spectral_norm` of every matrix in a stack (last two axes)."""
+    """Largest singular value (the operator norm used throughout) of every
+    matrix in a stack (last two axes)."""
     return np.linalg.norm(np.asarray(mats, float), 2, axis=(-2, -1))
+
+
+def spectral_sup(mats, scale=1.0, offset=0.0):
+    """``max(offset + scale |M|)`` over a stack of matrices (last two axes),
+    exactly as over :func:`spectral_norms` of the whole stack; 0 for an
+    empty stack.
+
+    ``scale >= 0`` and ``offset`` broadcast over the stack's leading axes.
+    Since ``|M| <= |M|_F`` (Golub & Van Loan, *Matrix Computations*, 2.3),
+    the rows are taken in descending order of the bound
+    ``offset + scale |M|_F (1 + FROBENIUS_SLACK)``, their spectral norms in
+    batches of 16, 32, 64, ..., until the next bound falls below the
+    running max: rounding is monotone and the slack exceeds the error of
+    either norm, so no row left out can exceed the max.  Matrices of one
+    entry take ``abs``.  A non-finite entry raises :class:`SplitflowError`.
+    """
+    mats = np.asarray(mats, float)
+    lead = mats.shape[:-2]
+    mats = mats.reshape((-1,) + mats.shape[-2:])
+    scale, offset = (np.broadcast_to(np.asarray(a, float), lead).ravel()
+                     for a in (scale, offset))
+    if not (np.isfinite(mats).all() and np.isfinite(scale).all()
+            and np.isfinite(offset).all()):
+        raise SplitflowError("non-finite matrix entry or weight in a "
+                             "spectral sup")
+    if len(mats) == 0:
+        return 0.0
+    if mats.shape[1:] == (1, 1):
+        return float(np.max(offset + scale * np.abs(mats[:, 0, 0])))
+    frob = np.sqrt(np.einsum("nij,nij->n", mats, mats))
+    # where squares may under- or overflow, |M|_F = m |M / m|_F with
+    # m = max |M_ij| (a zero matrix has its bound 0 already)
+    odd = ~((frob >= 1e-150) & (frob <= 1e150)) & mats.any(axis=(1, 2))
+    if np.any(odd):
+        big = np.max(np.abs(mats[odd]), axis=(1, 2))
+        unit = mats[odd] / np.where(big > 0.0, big, 1.0)[:, None, None]
+        frob[odd] = big * np.sqrt(np.einsum("nij,nij->n", unit, unit))
+    bounds = offset + scale * (frob * (1.0 + FROBENIUS_SLACK))
+    order = np.argsort(-bounds, kind="stable")
+    best, lo, size = -np.inf, 0, _FIRST_BATCH
+    while lo < len(order) and bounds[order[lo]] >= best:
+        rows = order[lo:lo + size]
+        best = max(best, float(np.max(
+            offset[rows] + scale[rows] * spectral_norms(mats[rows]))))
+        lo, size = lo + size, 2 * size
+    return best
 
 
 def _finite(values, ts, what):
@@ -292,6 +338,5 @@ def _unit_envelope(c, shifts, alpha):
     """``max(1, max_n max_t |phi(t, shift n)| e^{alpha t})`` over the
     unit-flow table of ``c`` at the integer ``shifts``."""
     ts = np.linspace(0.0, 1.0, UNIT_SAMPLES + 1)
-    norms = spectral_norms(c.unit_flows(shifts))
-    return float(np.max(norms * np.exp(alpha * ts), initial=1.0))
+    return max(1.0, spectral_sup(c.unit_flows(shifts), np.exp(alpha * ts)))
 

@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 import numpy.ma  # noqa: F401  -- loaded at start-up, not by np.unique in a run
 
-from .cocycle import (UNIT_SAMPLES, DiscreteCocycle, _finite, spectral_norm,
-                      spectral_norms, stack_steps)
+from .cocycle import (UNIT_SAMPLES, DiscreteCocycle, _finite, spectral_norms,
+                      spectral_sup, stack_steps)
 from .errors import ConfigurationError, NonHyperbolicError
 from .grids import TimeGrid
 
@@ -211,36 +211,38 @@ class DichotomyCertificate:
         return np.eye(self.dim) - self.proj_s(n)
 
     def idempotence_residual(self):
-        mats = ([self.constant_projection] if self.constant_projection is not None
-                else list(self.projections.values()))
-        return max(spectral_norm(p @ p - p) for p in mats)
+        mats = (self.constant_projection[None]
+                if self.constant_projection is not None
+                else np.array(list(self.projections.values())))
+        return spectral_sup(mats @ mats - mats)
 
 
 def _envelope_scan(pi_s, pi_u, step_fwd, step_bwd, count):
     """Split flow of a constant generator over ``count`` scan steps.
 
-    Returns the stacked tables ``fwd[k] = Pi^s (S_f Pi^s)^k`` and
-    ``bwd[k] = Pi^u (S_b Pi^u)^k``, with ``step_fwd``/``step_bwd`` the
-    one-step maps ``S_f``/``S_b`` forward/backward.  Re-projecting after every
-    step is exact because the projections commute with the flow, and it kills
+    Returns the tables ``fwd[k] = Pi^s (S_f Pi^s)^k`` and
+    ``bwd[k] = Pi^u (S_b Pi^u)^k`` stacked as ``(fwd, bwd)`` in one
+    ``(2, count, d, d)`` array, with ``step_fwd``/``step_bwd`` the one-step
+    maps ``S_f``/``S_b`` forward/backward.  Re-projecting after every step is
+    exact because the projections commute with the flow, and it kills
     round-off components that would grow along the complementary range.
     """
     d = pi_s.shape[0]
-    fwd, bwd = np.empty((count, d, d)), np.empty((count, d, d))
+    tables = np.empty((2, count, d, d))
     cur_s, cur_u = pi_s, pi_u
     for k in range(count):
-        fwd[k], bwd[k] = cur_s, cur_u
+        tables[0, k], tables[1, k] = cur_s, cur_u
         cur_s = pi_s @ (step_fwd @ cur_s)
         cur_u = pi_u @ (step_bwd @ cur_u)
-    return fwd, bwd
+    return tables
 
 
-def _envelope_bound(fwd, bwd, alpha, ts):
+def _envelope_bound(tables, alpha, ts):
     """Smallest ``max(|Pi^s(t)|, |Pi^u(-t)|) e^{alpha t}`` bound (at least 1)
-    over the scan times ``ts``, rounded up to 3 significant digits."""
-    norms = np.maximum(spectral_norms(fwd), spectral_norms(bwd))
-    return _ceil_3sig(max(1.0, float(np.max(
-        norms * np.exp(alpha * np.asarray(ts, float))))))
+    over the scan times ``ts`` of the :func:`_envelope_scan` tables, rounded
+    up to 3 significant digits."""
+    weights = np.exp(alpha * np.asarray(ts, float))
+    return _ceil_3sig(max(1.0, spectral_sup(tables, weights)))
 
 
 def autonomous_certificate(A, margin=ALPHA_MARGIN, scan_points=2048, gap_tol=GAP_TOL):
@@ -260,7 +262,7 @@ def autonomous_certificate(A, margin=ALPHA_MARGIN, scan_points=2048, gap_tol=GAP
     tables = _envelope_scan(pi_s, pi_u, expm(A * (ts[1] - ts[0])),
                             expm(-A * (ts[1] - ts[0])), scan_points)
     return DichotomyCertificate.constant(
-        pi_s, _envelope_bound(*tables, alpha, ts), alpha, discrete=False,
+        pi_s, _envelope_bound(tables, alpha, ts), alpha, discrete=False,
         meta={"gap": gap, "margin": margin, "scan_span": span,
               "scan_points": scan_points},
     )
@@ -494,6 +496,5 @@ def projection_distance(cert_a, cert_b, window):
                     f"certificate lacks projections at nodes {missing[:4]}..."
                     if len(missing) > 4 else
                     f"certificate lacks projections at nodes {missing}")
-    return max(
-        spectral_norm(cert_a.proj_s(n) - cert_b.proj_s(n)) for n in nodes
-    )
+    return spectral_sup(np.array(
+        [cert_a.proj_s(n) - cert_b.proj_s(n) for n in nodes]))

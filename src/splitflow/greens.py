@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import as_step_sequence, spectral_norms, stack_steps
+from .cocycle import as_step_sequence, spectral_norms, spectral_sup, stack_steps
 from .dichotomy import _restricted_inverse
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
 
@@ -106,7 +106,7 @@ def _seq_sup(values):
 
 def _delta_eff(cert, b_mats):
     """``K sup_n |B_n|`` over a stack of perturbation steps."""
-    return cert.bound * (float(np.max(spectral_norms(b_mats))) if len(b_mats) else 0.0)
+    return cert.bound * spectral_sup(b_mats)
 
 
 def _band_for(cert, delta_eff, f_sup, trunc_tol):

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import numpy.fft  # noqa: F401  -- loaded at start-up, not by the first run
 
-from .cocycle import ContinuousCocycle, _finite, spectral_norms
+from .cocycle import ContinuousCocycle, _finite, spectral_sup
 from .dichotomy import _envelope_scan, autonomous_certificate, expm
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
@@ -181,20 +181,18 @@ def lambda_eta(p, eta, window, n_time=65, n_cloud=32):
     """Sampled sup of the perturbation distance over (time, neighborhood).
 
     The sup of ``|f_eta - f0| + |d_y f_eta - f0'|`` over the window times and
-    a deterministic cloud in the working ball; one batched field call per
-    cloud point covers all the times.
+    a deterministic cloud in the working ball; one batched field call and
+    one Jacobian call cover the whole cloud x time grid (cloud point major),
+    and a non-finite value raises naming its time.
     """
-    ts = np.linspace(window.t_min, window.t_max, n_time)
     xs = _ball_cloud(p.y0_star, p.r_u, n_cloud)
-    f0x, d0x = p.f0_at(xs), p.d_f0(xs)
-    worst = 0.0
-    for x, f0, d0 in zip(xs, f0x, d0x):
-        ys = np.broadcast_to(x, (n_time, p.dim))
-        v = np.linalg.norm(p.f_eta_at(eta, ts, ys) - f0, axis=1)
-        dv = spectral_norms(p.d_f_eta(eta, ts, ys) - d0)
-        worst = max(worst, float(np.max(_finite(v + dv, ts, "field values"),
-                                         initial=0.0)))
-    return worst
+    ts = np.tile(np.linspace(window.t_min, window.t_max, n_time), n_cloud)
+    ys = np.repeat(xs, n_time, axis=0)
+    f = _finite(p.f_eta_at(eta, ts, ys), ts, "field values")
+    jac = _finite(p.d_f_eta(eta, ts, ys), ts, "field Jacobians")
+    f0x, d0x = (np.repeat(a, n_time, axis=0) for a in (p.f0_at(xs), p.d_f0(xs)))
+    v = np.linalg.norm(f - f0x, axis=1)
+    return spectral_sup(jac - d0x, 1.0, v)
 
 
 def rho_modulus(p, eps, n_cloud=32, n_dirs=8):
@@ -221,7 +219,7 @@ def _lip_dev(p, eps, n_dirs=24):
         return 0.0
     d0 = p.d_f0(p.y0_star[None])[0]
     hs = _ball_cloud(np.zeros(p.dim), eps, n_dirs, seed=555)
-    return float(np.max(spectral_norms(p.d_f0(p.y0_star + hs) - d0)))
+    return spectral_sup(p.d_f0(p.y0_star + hs) - d0)
 
 
 def _bisect_largest(pred, lo, hi, steps=16):
@@ -511,8 +509,7 @@ def linearize_along(p, cert, step=None, b_sup_stride=8):
         return p.a_matrix + p.d_f_eta(eta, ts, cert.xi_star(ts)) - d0_star
 
     sub = cert.times[cert.interior][::b_sup_stride]
-    cert.b_sup = float(np.max(spectral_norms(
-        p.d_f_eta(eta, sub, cert.xi_star(sub)) - d0_star), initial=0.0))
+    cert.b_sup = spectral_sup(p.d_f_eta(eta, sub, cert.xi_star(sub)) - d0_star)
     h = cert.times[1] - cert.times[0]
     return ContinuousCocycle(gen, p.dim,
                              step=step if step else min(h, 1.0 / 64.0),

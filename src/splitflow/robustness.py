@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cocycle import _unit_envelope, discretize, spectral_norms, stack_steps
+from .cocycle import _unit_envelope, discretize, spectral_sup, stack_steps
 from .dichotomy import (DichotomyCertificate, _window_nodes, delta_threshold,
                         verify_dichotomy)
 from .errors import RobustnessHypothesisError, SplitflowError
@@ -186,7 +186,7 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
 
     base_flows, pert_flows = (cc.unit_flows(nodes)
                               for cc in (base_cc, perturbed_cc))
-    d_unit = float(np.max(spectral_norms(base_flows[:-1] - pert_flows[:-1])))
+    d_unit = spectral_sup(base_flows[:-1] - pert_flows[:-1])
     allowed = safety * delta_threshold(base_cert.exponent) / base_cert.bound
     if d_unit > allowed:
         raise RobustnessHypothesisError(

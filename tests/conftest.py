@@ -13,9 +13,15 @@ import numpy as np
 import pytest
 
 from splitflow import (ConfigurationError, DiscreteCocycle, ForcingSequence,
-                       NonHyperbolicError, spectral_norm)
-from splitflow.cocycle import as_step_sequence, stack_steps
+                       NonHyperbolicError)
+from splitflow.cocycle import as_step_sequence, spectral_norms, stack_steps
 from splitflow.greens import _gamma, _sweeps
+from splitflow.hyperbolic import _ball_cloud
+
+
+def spectral_norm(m):
+    """Largest singular value of one matrix."""
+    return float(np.linalg.norm(np.asarray(m, float), 2))
 
 
 def riesz_projector_oracle(a_matrix):
@@ -207,6 +213,22 @@ def validate_kappa(kappa, grid, fd_tol=1e-5):
             f"kappa_dot disagrees with finite differences (max err {err:.3e})"
         )
     return float(err)
+
+
+def lambda_eta_loop(p, eta, window, n_time=65, n_cloud=32):
+    """:func:`splitflow.lambda_eta` one cloud point at a time: a field call
+    and a Jacobian call per point over all the times, and every sampled
+    Jacobian deviation through its own SVD."""
+    ts = np.linspace(window.t_min, window.t_max, n_time)
+    xs = _ball_cloud(p.y0_star, p.r_u, n_cloud)
+    f0x, d0x = p.f0_at(xs), p.d_f0(xs)
+    worst = 0.0
+    for x, f0, d0 in zip(xs, f0x, d0x):
+        ys = np.broadcast_to(x, (n_time, p.dim))
+        v = np.linalg.norm(p.f_eta_at(eta, ts, ys) - f0, axis=1)
+        dv = spectral_norms(p.d_f_eta(eta, ts, ys) - d0)
+        worst = max(worst, float(np.max(v + dv, initial=0.0)))
+    return worst
 
 
 def ou_value_oracle(path, t):

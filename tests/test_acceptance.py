@@ -14,7 +14,7 @@ from splitflow import (DichotomyCertificate, DiscreteCocycle,
                        StratonovichSpec, TimeGrid)
 from splitflow.cli import main as cli_main
 from splitflow.noise import ensemble_diagnostics, pathwise_ou_residual
-from conftest import brute_force_projections, impulse, value_at
+from conftest import brute_force_projections, impulse, spectral_norm, value_at
 
 LN2 = float(np.log(2.0))
 
@@ -84,7 +84,7 @@ def test_c3_robustness_end_to_end():
     dist = sf.projection_distance(bc2, cert2, (-6, 6))
     bound = sf.paper_projection_bound(LN2, cert2.exponent, eps)
     pi_s_bf, _ = brute_force_projections(rot @ d_mat)
-    oracle_dev = sf.spectral_norm(cert2.proj_s(0) - pi_s_bf)
+    oracle_dev = spectral_norm(cert2.proj_s(0) - pi_s_bf)
     saddle_ok = (cert2.meta["verification"].passed and dist <= bound
                  and oracle_dev < 1e-6)
     report("C3 robustness end-to-end", scalar_ok and saddle_ok,
@@ -103,7 +103,7 @@ def test_c4_discretize_lift_round_trip():
     ts = np.linspace(0.0, 1.0, 20001)
     from scipy.linalg import expm
 
-    scan = max(sf.spectral_norm(expm(a * t)) * np.exp(cont.exponent * t)
+    scan = max(spectral_norm(expm(a * t)) * np.exp(cont.exponent * t)
                for t in ts)
     k_hat_oracle = cont.bound * scan
     rel = abs(lifted.bound - k_hat_oracle) / k_hat_oracle

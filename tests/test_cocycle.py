@@ -5,10 +5,13 @@ import pytest
 from scipy.linalg import expm
 
 from splitflow import (ContinuousCocycle, DiscreteCocycle, SplitflowError,
-                       discretize, pointwise, propagator, spectral_norm)
+                       discretize, pointwise, propagator)
+from splitflow import cocycle
 from splitflow.cocycle import (UNIT_SAMPLES, _unit_envelope,
-                               integrate_nonlinear, stack_steps)
+                               integrate_nonlinear, spectral_norms,
+                               spectral_sup, stack_steps)
 from splitflow.dichotomy import _split_march
+from conftest import spectral_norm
 
 
 def composed(c, n_lo, n_hi):
@@ -277,3 +280,72 @@ def test_cocycle_law_wave_scale():
         parts = propagator(c, s, t) @ propagator(c, 0.0, s)
         assert spectral_norm(whole - parts) < 1e-6
 
+
+def _sup_cases():
+    """Stacks for the spectral-sup oracle, each with its weight cases."""
+    rng = np.random.default_rng(17)
+    u, v = rng.standard_normal((200, 5, 1)), rng.standard_normal((200, 1, 5))
+    tie = rng.standard_normal((3, 3))
+    stacks = [
+        rng.standard_normal((1, 3, 3)),
+        rng.standard_normal((40, 4, 4)),
+        rng.standard_normal((300, 2, 2)),
+        rng.standard_normal((70, 3, 12)),  # d x d*m blocks
+        u @ v,  # rank one: |M| = |M|_F, the case the slack exists for
+        rng.standard_normal((50, 1, 1)),
+        np.zeros((1, 1, 1)),
+        np.zeros((30, 3, 3)),
+        np.stack([tie] * 40 + [-tie] * 40 + [0.5 * tie] * 10),  # exact ties
+        # 40 rotations (|Q| = 1, |Q|_F = 3) rank ahead of the rank-one max
+        np.concatenate([np.linalg.qr(rng.standard_normal((40, 9, 9)))[0],
+                        1.5 * np.outer(*np.eye(9)[:2])[None]]),
+        # squares that underflow and overflow
+        1e-170 * rng.standard_normal((100, 3, 3)),
+        1e170 * rng.standard_normal((100, 3, 3)),
+    ]
+    for mats in stacks:
+        n = len(mats)
+        zeroed = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 3.0, n))
+        for scale, offset in ((1.0, 0.0), (rng.uniform(0.0, 2.0, n), 0.0),
+                              (1.0, rng.uniform(0.0, 1.0, n)),
+                              (zeroed, rng.uniform(0.0, 1.0, n)),
+                              (0.0, 0.25)):
+            yield mats, scale, offset
+
+
+class TestSpectralSup:
+    def test_equals_max_over_every_svd(self):
+        for mats, scale, offset in _sup_cases():
+            want = np.max(offset + scale * spectral_norms(mats))
+            assert spectral_sup(mats, scale, offset) == want
+
+    def test_weights_broadcast_over_leading_axes(self):
+        # the unit-flow layout: (shifts, snapshots, d, d), one weight per
+        # snapshot
+        rng = np.random.default_rng(3)
+        flows = rng.standard_normal((6, UNIT_SAMPLES + 1, 3, 3))
+        w = np.exp(-0.7 * np.linspace(0.0, 1.0, UNIT_SAMPLES + 1))
+        assert spectral_sup(flows, w) == np.max(spectral_norms(flows) * w)
+
+    def test_empty_stack_is_zero(self):
+        assert spectral_sup(np.zeros((0, 2, 2))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        mats = np.ones((20, 2, 2))
+        mats[7, 1, 0] = bad
+        with pytest.raises(SplitflowError, match="non-finite"):
+            spectral_sup(mats)
+        with pytest.raises(SplitflowError, match="non-finite"):
+            spectral_sup(mats[:1, :1, :1] * bad)
+
+    def test_prunes_rows_that_cannot_reach_the_max(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        mats = 0.01 * rng.standard_normal((500, 4, 4))
+        mats[123] *= 1000.0
+        rows = []
+        real = cocycle.spectral_norms
+        monkeypatch.setattr(cocycle, "spectral_norms",
+                            lambda m: rows.append(len(m)) or real(m))
+        assert spectral_sup(mats) == np.max(real(mats))
+        assert 0 < sum(rows) < len(mats)

@@ -7,10 +7,11 @@ from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
                        SplitflowError, autonomous_certificate,
                        build_wave_system, discretize, paper_projection_bound,
                        projection_distance, robust_dichotomy_discrete,
-                       spectral_norm, spectral_projection, verify_dichotomy)
+                       spectral_projection, verify_dichotomy)
 from splitflow import dichotomy
 from splitflow.cocycle import UNIT_SAMPLES
-from conftest import GreenKernel, riesz_projector_oracle, time_varying_saddle
+from conftest import (GreenKernel, riesz_projector_oracle, spectral_norm,
+                      time_varying_saddle)
 
 SADDLE = np.diag([0.5, 2.0])
 

@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from splitflow import (ContractionMarginError, KappaFn, SemilinearProblem,
                        SplitflowError, StratonovichSpec, ThresholdError,
-                       TimeGrid, certify_hyperbolic, eta_epsilon,
+                       TimeGrid, build_wave_system, certify_hyperbolic,
+                       default_kappa, eta_epsilon,
                        find_hyperbolic_solution, lambda_eta, linearize_along,
                        pointwise, random_ode_problem, rho_modulus,
-                       sample_wiener_path, spectral_norm)
+                       sample_wiener_path)
 from splitflow import hyperbolic
 from splitflow.cocycle import integrate_nonlinear
 from splitflow.hyperbolic import SUP_OVER_LAMBDA, _AutonomousGreen, _fast_len
+from conftest import lambda_eta_loop, spectral_norm
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -49,6 +53,19 @@ def cubic_problem(seed=8, amplitude=0.002):
     return _CUBIC_CACHE[key]
 
 
+def wave_problem(seed=7):
+    """The transformed problem of the wave demo at its defaults (four
+    modes, the default kappa) on the window [-60, 60], h = 1/32."""
+    base = build_wave_system(4, 1.0, lambda u: u - u ** 3,
+                             lambda u: 1.0 - 3.0 * u ** 2)
+    path = sample_wiener_path(TimeGrid(-105.0, 61.0, 1.0 / 32), seed)
+    strat = StratonovichSpec(
+        b_matrix=base.meta["b_matrix"], f=base.f0, f_prime=base.f0_prime,
+        eta=1.0, kappa=default_kappa(), pattern=np.ones(8))
+    return random_ode_problem(strat, path, base.y0_star, base.r_u,
+                              a_matrix=base.a_matrix, tail_tol=1e-7)
+
+
 class TestLambdaEta:
     def test_zero_eta_vanishes(self):
         p = additive_problem()
@@ -65,6 +82,35 @@ class TestLambdaEta:
         win = TimeGrid(-20.0, 20.0, 1.0 / 16)
         vals = [lambda_eta(p, e, win) for e in (0.05, 0.1, 0.2, 0.4)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("case", [
+        (cubic_problem, TimeGrid(-20.0, 20.0, 1.0 / 16), (65, 32),
+         (0.0, 0.025, 0.1, 0.4)),
+        (wave_problem, TimeGrid(-60.0, 60.0, 1.0 / 32), (33, 12),
+         (0.0, 2e-6, 1.5e-5, 1e-3)),
+    ], ids=["cubic", "wave"])
+    def test_batched_grid_equals_per_point_loop(self, case):
+        make, win, (n_time, n_cloud), etas = case
+        p = make()
+        for eta in etas:
+            assert lambda_eta(p, eta, win, n_time, n_cloud) == \
+                lambda_eta_loop(p, eta, win, n_time, n_cloud)
+
+    def test_one_field_call_and_one_jacobian_call(self):
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        base = cubic_problem()
+        p = replace(base, f_eta=counted("f_eta", base.f_eta),
+                    f_eta_dy=counted("f_eta_dy", base.f_eta_dy))
+        win = TimeGrid(-20.0, 20.0, 1.0 / 16)
+        assert lambda_eta(p, 0.1, win) == lambda_eta_loop(base, 0.1, win)
+        assert calls == ["f_eta", "f_eta_dy"]
 
 
 class TestRhoModulus:
@@ -219,6 +265,30 @@ class TestFailClosed:
         p = additive_problem(lambda eta, t, y: np.array(
             [np.nan if t == 0.0 else eta * np.cos(t)]))
         with pytest.raises(SplitflowError, match="t=0.0"):
+            lambda_eta(p, 0.01, TimeGrid(-4.0, 4.0, 0.25), n_time=9)
+
+    def test_nan_jacobian_in_lambda_sample_raises(self):
+        p = additive_problem()
+        p.f_eta_dy = pointwise(lambda eta, t, y: np.array(
+            [[np.nan if t == 0.0 else 0.0]]))
+        with pytest.raises(SplitflowError, match="Jacobians at t=0.0"):
+            lambda_eta(p, 0.01, TimeGrid(-4.0, 4.0, 0.25), n_time=9)
+
+    def test_nan_autonomous_jacobian_in_lip_dev_raises(self):
+        p = SemilinearProblem(
+            a_matrix=np.diag([-1.0, -2.0]),
+            f_eta=lambda eta, ts, ys: np.zeros_like(ys),
+            f0=lambda ys: np.zeros_like(ys), y0_star=[0.0, 0.0], r_u=1.0,
+            f0_prime=lambda ys: np.full((len(ys), 2, 2), np.nan))
+        with pytest.raises(SplitflowError, match="non-finite"):
+            hyperbolic._lip_dev(p, 0.1)
+
+    def test_inf_field_without_analytic_jacobian_raises(self):
+        # central differences would turn the inf into nan Jacobians
+        p = additive_problem(lambda eta, t, y: np.array(
+            [np.inf if t == 0.0 else eta * np.cos(t)]))
+        p.f_eta_dy = None
+        with pytest.raises(SplitflowError, match="field values at t=0.0"):
             lambda_eta(p, 0.01, TimeGrid(-4.0, 4.0, 0.25), n_time=9)
 
     def test_scalar_callback_gets_typed_error(self):

@@ -10,13 +10,12 @@ from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        noise_bounds, ou_series, paper_projection_bound,
                        projection_distance, robust_constants,
                        robust_dichotomy_continuous, robust_dichotomy_discrete,
-                       sample_wiener_path, pointwise, spectral_norm,
-                       verify_dichotomy)
+                       sample_wiener_path, pointwise, verify_dichotomy)
 from splitflow import cocycle as cocycle_module
 from splitflow.cocycle import UNIT_SAMPLES
 from splitflow import greens as greens_module
 from splitflow import robustness as robustness_module
-from conftest import brute_force_projections
+from conftest import brute_force_projections, spectral_norm
 
 LN2 = float(np.log(2.0))
 
