@@ -1,7 +1,8 @@
 """Linear cocycles over a driving flow, discrete and continuous.
 
 A discrete cocycle is generated by a step-operator sequence ``n -> A_n`` (the
-one-step maps along the driven base orbit); a continuous one by a
+one-step maps along the driven base orbit), node-batched as ``step(ns) ->
+(N, d, d)`` and read through :func:`stack_steps`; a continuous one by a
 matrix-valued generator ``t -> G(t)`` of the linear ODE ``x' = G(t) x``,
 whose evolution maps :func:`propagator` integrates.  Integration is
 classical fixed-step RK4: generators met in practice are smooth in time and a
@@ -9,7 +10,7 @@ fixed step keeps runs bit-reproducible per seed.
 
 Generators are time-batched: ``generator(ts)`` maps a vector of N times to
 the ``(N, d, d)`` stack of generator matrices; :func:`pointwise` adapts a
-callback written for one time.  One RK4 run advances a whole stack of
+callback written for one time or node.  One RK4 run advances a whole stack of
 initial value problems, and a linear run calls the generator once per
 snapshot interval (``1 / UNIT_SAMPLES`` of the run), for the step bounds and
 midpoints of all its steps and members at once; its four stages are then
@@ -20,12 +21,13 @@ the cocycle's unit-flow table (:meth:`ContinuousCocycle.unit_flows`); the
 discretization, the lift envelope and the verifier all read that table.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationError, SplitflowError
+from .errors import ConfigurationError, IntegrationError, SplitflowError
 
 DEFAULT_STEP = 1.0 / 64.0
 UNIT_SAMPLES = 16  # snapshot intervals per unit in the unit-flow table
@@ -39,7 +41,8 @@ def pointwise(fn):
     scalar argument (such as ``eta``) across the batch; it calls ``fn`` once
     per batch row and stacks the results.  ``pointwise(lambda eta, t, y:
     ...)`` is a field ``f_eta(eta, ts, Y)``, ``pointwise(lambda t: ...)`` a
-    generator ``generator(ts)``.
+    generator ``generator(ts)`` and ``pointwise(lambda n: ...)`` a step
+    sequence ``step(ns)``.
     """
     def batched(*args):
         n = next(len(a) for a in args if np.ndim(a))
@@ -48,6 +51,22 @@ def pointwise(fn):
             for i in range(n)])
 
     return batched
+
+
+def _rows(values, n, *shape):
+    """A batched callback's values as an ``(n, *shape)`` float array."""
+    values = np.asarray(values, float)
+    if values.size != n * math.prod(shape):
+        raise ConfigurationError(
+            f"batched callback gave shape {values.shape} for {n} points, "
+            f"expected {(n, *shape)}; wrap a one-point callback with "
+            "splitflow.pointwise")
+    return values.reshape((n, *shape))
+
+
+def _constant_rows(m):
+    """The batched callback whose every row is the matrix ``m``."""
+    return lambda xs: np.broadcast_to(m, (len(xs),) + m.shape)
 
 
 FROBENIUS_SLACK = 1e-10  # relative room over the few-ulp error of both norms
@@ -117,13 +136,17 @@ def _finite(values, ts, what):
     return values
 
 
-def stack_steps(step, nodes):
-    """``step(n)`` for every node, stacked to shape ``(len(nodes), d, d)``.
+def stack_steps(step, nodes, dim):
+    """``step(nodes)``, the step matrices of the integer ``nodes`` from one
+    batched call, as a ``(len(nodes), dim, dim)`` float stack.
 
-    A non-finite entry raises :class:`SplitflowError` naming its node, before
-    any factorization can fail on it with a raw numpy error.
+    A wrong shape raises :class:`ConfigurationError` naming
+    :func:`pointwise`; a non-finite entry raises :class:`SplitflowError`
+    naming its node, before any factorization can fail on it with a raw
+    numpy error.
     """
-    mats = np.array([np.atleast_2d(np.asarray(step(n), float)) for n in nodes])
+    nodes = np.asarray(nodes, int)
+    mats = _rows(step(nodes), len(nodes), dim, dim)
     bad = np.argwhere(~np.isfinite(mats))
     if len(bad):
         raise SplitflowError(f"non-finite step matrix at node {nodes[bad[0][0]]}")
@@ -134,32 +157,31 @@ def stack_steps(step, nodes):
 class DiscreteCocycle:
     """Step-operator view of a discrete linear cocycle.
 
-    ``step(n)`` returns the d x d matrix applied between times n and n+1
-    along the base orbit; it must be deterministic in n.
+    ``step(ns)`` is node-batched: it maps a vector of N integer nodes to
+    the ``(N, d, d)`` stack of the matrices applied between times n and n+1
+    along the base orbit (wrap a one-node callback with :func:`pointwise`).
+    It must be deterministic in n.
     """
 
-    step: Callable[[int], np.ndarray]
+    step: Callable[[np.ndarray], np.ndarray]
     dim: int
-    label: str = ""
 
     @staticmethod
-    def constant(matrix, label=""):
+    def constant(matrix):
         m = np.atleast_2d(np.asarray(matrix, float)).copy()
-        return DiscreteCocycle(lambda n: m, m.shape[0], label)
+        return DiscreteCocycle(_constant_rows(m), m.shape[0])
 
 
 def as_step_sequence(b, dim):
-    """Normalize a perturbation spec (callable, dict, matrix, scalar) to n -> matrix."""
+    """A perturbation spec as a batched step sequence ``b(ns) -> (N, d, d)``:
+    a callable is one already; a matrix, or a scalar times the identity,
+    is the same at every node."""
     if callable(b):
-        return lambda n: np.atleast_2d(np.asarray(b(n), float))
-    if isinstance(b, dict):
-        z = np.zeros((dim, dim))
-        return lambda n: np.atleast_2d(np.asarray(b.get(n, z), float))
+        return b
     m = np.asarray(b, float)
     if m.ndim == 0:
         m = m * np.eye(dim)
-    m = np.atleast_2d(m)
-    return lambda n: m
+    return _constant_rows(np.atleast_2d(m))
 
 
 @dataclass(frozen=True)
@@ -177,7 +199,6 @@ class ContinuousCocycle:
     generator: Callable[[np.ndarray], np.ndarray]
     dim: int
     step: float = DEFAULT_STEP
-    label: str = ""
     time_invariant: bool = False
     _units: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -224,11 +245,10 @@ class ContinuousCocycle:
         return keys
 
     @staticmethod
-    def constant(matrix, step=DEFAULT_STEP, label=""):
+    def constant(matrix, step=DEFAULT_STEP):
         m = np.atleast_2d(np.asarray(matrix, float)).copy()
-        return ContinuousCocycle(
-            lambda ts: np.broadcast_to(m, (len(ts),) + m.shape), m.shape[0],
-            step, label, time_invariant=True)
+        return ContinuousCocycle(_constant_rows(m), m.shape[0], step,
+                                 time_invariant=True)
 
 
 def _step_count(span, step, samples):
@@ -328,10 +348,9 @@ def integrate_nonlinear(field, t0, t1, y0, step=DEFAULT_STEP):
 
 
 def discretize(c):
-    """Unit-time step operators ``n -> phi(1, shift n)`` from the unit-flow
-    table."""
-    return DiscreteCocycle(lambda n: c.unit_steps([n])[0], c.dim,
-                           label=c.label + "|unit")
+    """Unit-time step operators ``n -> phi(1, shift n)``, read from the
+    unit-flow table a whole batch of nodes at a time."""
+    return DiscreteCocycle(c.unit_steps, c.dim)
 
 
 def _unit_envelope(c, shifts, alpha):

@@ -403,7 +403,7 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     :func:`splitflow.robustness.robust_constants`.
 
     A singular restricted map or a rank change sets
-    ``isomorphism_violation``; a non-finite step raises
+    ``isomorphism_violation``; a non-finite step or projection raises
     :class:`SplitflowError`.  Continuous cocycles read the unit steps and
     the fractional horizons ``k + j / UNIT_SAMPLES`` from the unit-flow
     table ``flows``, as ``flows[n + k, j] @ fwd[k, n]``.
@@ -413,11 +413,12 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     k_bound, alpha = cert.bound, cert.exponent
     n = len(nodes)
     flows = None if discrete else cocycle.unit_flows(nodes[:-1])
-    steps = (stack_steps(cocycle.step, nodes[:-1]) if discrete
+    steps = (stack_steps(cocycle.step, nodes[:-1], cocycle.dim) if discrete
              else _finite(flows[:, -1], nodes[:-1], "unit step"))
-    proj = np.array([cert.proj_s(m) for m in nodes])
+    proj = _finite(np.array([cert.proj_s(m) for m in nodes]), nodes,
+                   "projection")
     march = _split_march(steps, proj)
-    comm = float(np.max(spectral_norms(proj[1:] @ steps - steps @ proj[:-1])))
+    comm = spectral_sup(proj[1:] @ steps - steps @ proj[:-1])
 
     # (b) ratios [source, offset k, fraction j] at horizon k + j / subs
     subs = 1 if discrete else UNIT_SAMPLES

@@ -23,6 +23,10 @@ per-pair Green kernel, as oracles for the sweeps.)
 The perturbed projections at a family of nodes are bounded solutions of
 unit-impulse problems, solved together as the column blocks of one forcing:
 one Picard loop and one residual certificate per family.
+
+A perturbation ``b`` is a matrix, a scalar (times the identity) or, like a
+cocycle's ``step``, a node-batched ``b(ns) -> (N, d, d)``; a solve reads
+both in one call each over its window.
 """
 
 import math
@@ -30,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import as_step_sequence, spectral_norms, spectral_sup, stack_steps
+from .cocycle import (_finite, as_step_sequence, spectral_norms, spectral_sup,
+                      stack_steps)
 from .dichotomy import _restricted_inverse
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
 
@@ -98,10 +103,9 @@ class ForcingSequence:
 def _seq_sup(values):
     """Sup over nodes of the Euclidean (vector) or spectral (matrix) norm."""
     values = np.asarray(values, float)
-    if len(values) == 0:
-        return 0.0
-    return float(np.max(np.linalg.norm(values, 2,
-                                       axis=tuple(range(1, values.ndim)))))
+    if values.ndim == 3:
+        return spectral_sup(values)
+    return float(np.max(np.linalg.norm(values, 2, axis=1), initial=0.0))
 
 
 def _delta_eff(cert, b_mats):
@@ -128,9 +132,11 @@ def _impulse_span(cert, b_mats, n_lo, n_hi, trunc_tol):
 def _sweeps(cocycle, cert, n_lo, n_hi):
     """``A_m``, ``Pi^s(m+1)``, ``Pi^u(m+1)`` and ``R_m`` per step m of the
     window, for :func:`_gamma`.  A rank change or a singular restricted
-    step, which leaves no backward branch, raises :class:`SplitflowError`."""
-    steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1))
-    proj_s = np.array([cert.proj_s(m) for m in range(n_lo, n_hi + 2)])
+    step, which leaves no backward branch, or a non-finite projection
+    raises :class:`SplitflowError`."""
+    steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1), cocycle.dim)
+    proj_s = _finite(np.array([cert.proj_s(m) for m in range(n_lo, n_hi + 2)]),
+                     range(n_lo, n_hi + 2), "projection")
     back, rank, no_inverse, _ = _restricted_inverse(steps, proj_s)
     if np.any(no_inverse):
         k = int(np.argmax(no_inverse))
@@ -186,7 +192,8 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     residual ``|Gamma_f x - x| <= tol``.
     """
     n_lo, n_hi = f.window
-    b_mats = stack_steps(as_step_sequence(b, cocycle.dim), range(n_lo, n_hi + 1))
+    b_mats = stack_steps(as_step_sequence(b, cocycle.dim),
+                         range(n_lo, n_hi + 1), cocycle.dim)
     delta_eff = _delta_eff(cert, b_mats)
     e = math.exp(-cert.exponent)
     rho = delta_eff * (1.0 + e) / (1.0 - e)
@@ -250,8 +257,8 @@ def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
     """
     d, m = cocycle.dim, len(nodes)
     window = range(min(nodes), max(nodes) + 1)
-    n_lo, n_hi = _impulse_span(cert, stack_steps(as_step_sequence(b, d), window),
-                               window[0], window[-1], trunc_tol)
+    b_window = stack_steps(as_step_sequence(b, d), window, d)
+    n_lo, n_hi = _impulse_span(cert, b_window, window[0], window[-1], trunc_tol)
     f = ForcingSequence.zeros(n_lo, n_hi, d, d * m)
     for j, n in enumerate(nodes):
         f.values[n - 1 - n_lo, :, j * d:(j + 1) * d] = np.eye(d)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import numpy.fft  # noqa: F401  -- loaded at start-up, not by the first run
 
-from .cocycle import ContinuousCocycle, _finite, spectral_sup
+from .cocycle import ContinuousCocycle, _finite, _rows, spectral_sup
 from .dichotomy import _envelope_scan, autonomous_certificate, expm
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
@@ -139,17 +139,6 @@ class SemilinearProblem:
             return _rows(self.f_eta_dy(eta, ts, ys), len(ys), self.dim,
                          self.dim)
         return _central_jacobian(lambda yy: self.f_eta_at(eta, ts, yy), ys)
-
-
-def _rows(values, n, *shape):
-    """A batched callback's values as an ``(n, *shape)`` float array."""
-    values = np.asarray(values, float)
-    if values.size != n * math.prod(shape):
-        raise ConfigurationError(
-            f"batched callback gave shape {values.shape} for {n} points, "
-            f"expected {(n, *shape)}; wrap a one-point callback with "
-            "splitflow.pointwise")
-    return values.reshape((n, *shape))
 
 
 def _central_jacobian(fn, ys, rel_step=1e-5):
@@ -512,8 +501,7 @@ def linearize_along(p, cert, step=None, b_sup_stride=8):
     cert.b_sup = spectral_sup(p.d_f_eta(eta, sub, cert.xi_star(sub)) - d0_star)
     h = cert.times[1] - cert.times[0]
     return ContinuousCocycle(gen, p.dim,
-                             step=step if step else min(h, 1.0 / 64.0),
-                             label="linearized")
+                             step=step if step else min(h, 1.0 / 64.0))
 
 
 def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,

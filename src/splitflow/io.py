@@ -1,13 +1,11 @@
-"""Text output shared by every writer: CSV cells and rows, a path-or-file
-sink, and JSON-ready values.
+"""Text output shared by every writer: CSV cells and files, and JSON-ready
+values.
 
 CSV cells are ``true``/``false`` for booleans, empty for None, ``repr`` of
 the Python float for floats (numpy scalars included) and ``str`` otherwise,
 so every numeric cell parses back with ``float()``.  Files are written with
 LF line ends.
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,23 +21,10 @@ def cell(v):
     return str(v)
 
 
-@contextmanager
-def text_sink(file):
-    """``file`` itself when it is an open text file, else the path ``file``
-    opened for writing with LF line ends and closed on exit."""
-    if not isinstance(file, (str, bytes)):
-        yield file
-        return
-    with open(file, "w", newline="\n") as fh:
-        yield fh
-
-
-def write_csv(file, rows, header=None, comment=None):
-    """Write ``rows`` (sequences of cell values) to a path or text file,
-    after an optional ``# comment`` line and an optional header row."""
-    with text_sink(file) as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
+def write_csv(path, rows, header=None):
+    """Write ``rows`` (sequences of cell values) to the file ``path``, after
+    an optional header row."""
+    with open(path, "w", newline="\n") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
         for row in rows:

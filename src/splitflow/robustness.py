@@ -3,9 +3,11 @@
 The discrete pipeline: measure the one-step perturbation size against the
 admissibility threshold, rebuild the projection family from unit-impulse
 bounded solutions, attach the explicit perturbed constants, and verify the
-result.  The continuous pipeline discretizes at unit time, runs the discrete
-pipeline, and lifts the certificate back with the intra-unit envelope
-factor.  Both emit certificates that are then *checked*, not trusted.
+result; it reads each cocycle's steps in one batched call for the window and
+one for the impulse span's outer nodes.  The continuous pipeline discretizes
+at unit time, runs the discrete pipeline, and lifts the certificate back
+with the intra-unit envelope factor.  Both emit certificates that are then
+*checked*, not trusted.
 """
 
 import json
@@ -98,13 +100,6 @@ def robust_constants(k_bound, alpha, delta):
                            D1=d1, D2=d2, M=m)
 
 
-def _difference_step(base, perturbed):
-    def b_step(n):
-        return np.atleast_2d(np.asarray(perturbed.step(n), float)) \
-            - np.atleast_2d(np.asarray(base.step(n), float))
-    return b_step
-
-
 def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
                               slack=1.1, safety=SAFETY, tol=1e-10,
                               trunc_tol=1e-10, verify=True):
@@ -120,14 +115,18 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
     nodes = _window_nodes(window)
     n_lo, n_hi = nodes[0], nodes[-1]
     k_bound, alpha = base_cert.bound, base_cert.exponent
+
+    def b_steps(ns):  # B = psi - phi at the nodes ns, one call per cocycle
+        return (stack_steps(perturbed.step, ns, perturbed.dim)
+                - stack_steps(base.step, ns, base.dim))
+
     # B is read once per node of the impulse span: the window's stack sizes
     # the span, the span's stack measures delta_eff, and the impulse solves
-    # look their steps up in it
-    b_step = _difference_step(base, perturbed)
-    b_window = stack_steps(b_step, range(n_lo, n_hi + 1))
+    # (same span rule, same window) look their steps up in it
+    b_window = b_steps(np.arange(n_lo, n_hi + 1))
     span_lo, span_hi = _impulse_span(base_cert, b_window, n_lo, n_hi, trunc_tol)
-    b_span = np.concatenate([stack_steps(b_step, range(span_lo, n_lo)), b_window,
-                             stack_steps(b_step, range(n_hi + 1, span_hi + 1))])
+    b_span = np.insert(b_steps(np.r_[span_lo:n_lo, n_hi + 1:span_hi + 1]),
+                       n_lo - span_lo, b_window, axis=0)
     delta_eff = _delta_eff(base_cert, b_span)
     thr = delta_threshold(alpha)
     if delta_eff > safety * thr:
@@ -140,7 +139,7 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
     cert = DichotomyCertificate(
         bound=max(consts.M, 1.0), exponent=consts.alpha_tilde, discrete=True,
         projections=impulse_response_projection(
-            base, base_cert, dict(zip(range(span_lo, span_hi + 1), b_span)),
+            base, base_cert, lambda ns: b_span[np.asarray(ns) - span_lo],
             nodes, tol=tol, trunc_tol=trunc_tol),
         meta={"constants": consts.as_dict(), "delta_eff": delta_eff,
               "threshold": thr, "safety": safety,
@@ -178,8 +177,8 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
     Every unit flow comes from the cocycles' unit-flow tables, so each is
     integrated once across the measurement, the discrete pipeline, the lift
     and the verification.  Each table is filled in two batched runs: the
-    window's nodes with all their snapshots (the step at the right end
-    sizes the impulse span), then the impulse span with endpoints only.
+    window's nodes with all their snapshots, then the impulse span's outer
+    nodes, which the discrete pipeline stacks, with endpoints only.
     """
     nodes = _window_nodes(window)
     n_lo, n_hi = nodes[0], nodes[-1]
@@ -195,15 +194,9 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
             measured=d_unit, threshold=allowed,
         )
     # base certificate transfers to the discretization with the same constants
-    base_d, pert_d = discretize(base_cc), discretize(perturbed_cc)
-    base_cert_d = replace(base_cert, discrete=True)
-    span_lo, span_hi = _impulse_span(
-        base_cert_d, pert_flows[:, -1] - base_flows[:, -1], n_lo, n_hi,
-        trunc_tol)
-    for cc in (base_cc, perturbed_cc):
-        cc.unit_steps(range(span_lo, span_hi + 1))
     cert_d = robust_dichotomy_discrete(
-        base_d, base_cert_d, pert_d,
+        discretize(base_cc), replace(base_cert, discrete=True),
+        discretize(perturbed_cc),
         (n_lo, n_hi), slack=1.0 + (slack - 1.0) / 2.0, safety=safety, tol=tol,
         trunc_tol=trunc_tol, verify=verify,
     )

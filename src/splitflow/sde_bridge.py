@@ -259,8 +259,8 @@ class WaveDemoReport:
     COLUMNS = ("eta", "sup_dist_v", "sup_dist_y", "certified", "alpha_tilde",
                "M_bound", "seed")
 
-    def to_csv(self, file):
-        write_csv(file, ([r.get(c) for c in self.COLUMNS] for r in self.rows),
+    def to_csv(self, path):
+        write_csv(path, ([r.get(c) for c in self.COLUMNS] for r in self.rows),
                   header=self.COLUMNS)
 
     def to_json(self, indent=2):

@@ -139,8 +139,9 @@ class GreenKernel:
 
     def _forward(self, t, s, m):
         """``phi_{t,s} m``, applied step by step from the right."""
-        for k in range(s, t):
-            m = np.atleast_2d(np.asarray(self.cocycle.step(k), float)) @ m
+        for step in stack_steps(self.cocycle.step, range(s, t),
+                                self.cocycle.dim):
+            m = step @ m
         return m
 
     def eval(self, t, s):
@@ -177,7 +178,8 @@ def gamma_apply(cocycle, cert, b, f, x):
     ``greens._sweeps``) to a candidate ``x`` of the forcing's shape, over
     the forcing's whole window.  Linear in (x, f)."""
     n_lo, n_hi = f.window
-    b_mats = stack_steps(as_step_sequence(b, cocycle.dim), range(n_lo, n_hi + 1))
+    b_mats = stack_steps(as_step_sequence(b, cocycle.dim),
+                         range(n_lo, n_hi + 1), cocycle.dim)
     return _gamma(_sweeps(cocycle, cert, n_lo, n_hi), b_mats, f,
                   np.asarray(x, float))
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from splitflow import (ContinuousCocycle, DiscreteCocycle, SplitflowError,
-                       discretize, pointwise, propagator)
+from splitflow import (ConfigurationError, ContinuousCocycle,
+                       DichotomyCertificate, DiscreteCocycle, ForcingSequence,
+                       SplitflowError, bounded_solution, discretize, pointwise,
+                       propagator, verify_dichotomy)
 from splitflow import cocycle
 from splitflow.cocycle import (UNIT_SAMPLES, _unit_envelope,
                                integrate_nonlinear, spectral_norms,
@@ -18,7 +20,7 @@ def composed(c, n_lo, n_hi):
     """The forward table of the split-flow march over the nodes n_lo..n_hi
     with ``Pi^s = Id``: entry ``[j, i]`` is the ordered product
     ``A_{n_lo+i+j-1} ... A_{n_lo+i}`` of the cocycle's steps."""
-    steps = stack_steps(c.step, range(n_lo, n_hi))
+    steps = stack_steps(c.step, range(n_lo, n_hi), c.dim)
     return _split_march(steps, np.broadcast_to(
         np.eye(c.dim), (n_hi - n_lo + 1, c.dim, c.dim))).fwd
 
@@ -40,12 +42,31 @@ class TestComposeDiscrete:
         def step(n):
             return dia if n % 2 == 0 else rot
 
-        c = DiscreteCocycle(step, 2)
+        c = DiscreteCocycle(pointwise(step), 2)
         expected = rot @ dia @ rot @ dia  # n = 4 from base 0
         assert np.allclose(composed(c, 0, 4)[4, 0], expected, atol=1e-15)
         # and from a shifted base
         expected2 = rot @ dia @ rot  # steps at 1,2,3
         assert np.allclose(composed(c, 0, 4)[3, 1], expected2)
+
+    def test_unwrapped_one_node_callbacks_name_pointwise(self):
+        # a step or perturbation written for one node returns one matrix
+        # for a whole batch of nodes; pointwise adapts it
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, 0.5,
+                                             discrete=True)
+        one_node = DiscreteCocycle(lambda n: rot, 2)
+        with pytest.raises(ConfigurationError, match="splitflow.pointwise"):
+            verify_dichotomy(one_node, cert, (-3, 3))
+        saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
+        f = ForcingSequence.zeros(-3, 3, 2)
+        with pytest.raises(ConfigurationError, match="splitflow.pointwise"):
+            bounded_solution(saddle, cert, lambda n: 0.01 * rot, f)
+        wrapped = DiscreteCocycle(pointwise(lambda n: rot), 2)
+        assert np.array_equal(stack_steps(wrapped.step, range(-3, 3), 2),
+                              np.broadcast_to(rot, (6, 2, 2)))
+        assert bounded_solution(saddle, cert, pointwise(lambda n: 0.01 * rot),
+                                f).meta["sup_norm"] == 0.0
 
 
 class TestIntegrate:
@@ -125,19 +146,19 @@ class TestPropagator:
 class TestDiscretize:
     def test_constant_scalar(self):
         c = ContinuousCocycle.constant([[-0.3]])
-        d = discretize(c)
-        assert abs(d.step(0)[0, 0] - np.exp(-0.3)) < 1e-10
-        assert abs(d.step(7)[0, 0] - np.exp(-0.3)) < 1e-10
+        steps = discretize(c).step([0, 7])
+        assert steps.shape == (2, 1, 1)
+        assert np.all(np.abs(steps - np.exp(-0.3)) < 1e-10)
 
     def test_zero_generator(self):
         d = discretize(ContinuousCocycle.constant(np.zeros((2, 2))))
-        assert np.allclose(d.step(3), np.eye(2), atol=1e-14)
+        assert np.allclose(d.step([3])[0], np.eye(2), atol=1e-14)
 
     def test_compose_matches_propagator(self):
         c = ContinuousCocycle(pointwise(lambda t: np.array(
             [[0.2 * np.cos(t), 0.5], [-0.5, -0.4]])), 2)
-        d = discretize(c)
-        got = d.step(2) @ d.step(1) @ d.step(0)
+        s0, s1, s2 = discretize(c).step([0, 1, 2])
+        got = s2 @ s1 @ s0
         want = propagator(c, 0.0, 3.0)
         assert spectral_norm(got - want) < 3e-9
 
@@ -227,7 +248,7 @@ class TestUnitFlowTable:
         flow = c.unit_flows([0])[0]
         assert len(c._units[0]) == UNIT_SAMPLES + 1
         assert np.array_equal(flow[-1], steps[2])
-        assert np.array_equal(discretize(c).step(0), flow[-1])
+        assert np.array_equal(discretize(c).step([0])[0], flow[-1])
 
     def test_time_invariant_table_has_one_entry(self):
         c = ContinuousCocycle.constant([[0.0, 1.0], [-4.0, -0.5]])

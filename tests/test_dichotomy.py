@@ -6,8 +6,9 @@ from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
                        DichotomyCertificate, NonHyperbolicError,
                        SplitflowError, autonomous_certificate,
                        build_wave_system, discretize, paper_projection_bound,
-                       projection_distance, robust_dichotomy_discrete,
-                       spectral_projection, verify_dichotomy)
+                       pointwise, projection_distance,
+                       robust_dichotomy_discrete, spectral_projection,
+                       verify_dichotomy)
 from splitflow import dichotomy
 from splitflow.cocycle import UNIT_SAMPLES
 from conftest import (GreenKernel, riesz_projector_oracle, spectral_norm,
@@ -322,7 +323,7 @@ class TestVerify:
         nodes = list(range(-half, half + 1))
         if case == "time_varying":
             steps, projections = time_varying_saddle((-half, half))
-            cocycle = DiscreteCocycle(lambda n: steps[n], 2)
+            cocycle = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
             cert = DichotomyCertificate(bound=1.0, exponent=0.8, discrete=True,
                                         projections=projections)
         else:
@@ -372,11 +373,29 @@ class TestVerify:
     def test_non_finite_step_raises_typed_error(self):
         steps = {n: SADDLE for n in range(-3, 3)}
         steps[1] = np.array([[0.5, np.nan], [0.0, 2.0]])
-        cocycle = DiscreteCocycle(lambda n: steps[n], 2)
+        cocycle = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
         cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
                                              np.log(2.0), discrete=True)
         with pytest.raises(SplitflowError, match="node 1"):
             verify_dichotomy(cocycle, cert, (-3, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_projection_raises_typed_error(self, bad):
+        # a constant projection, and one node of a family, fail closed
+        # before the march factors them
+        saddle = DiscreteCocycle.constant(SADDLE)
+        constant = DichotomyCertificate.constant(
+            [[1.0, 0.0], [0.0, bad]], 1.0, np.log(2.0), discrete=True)
+        with pytest.raises(SplitflowError,
+                           match=r"non-finite projection at t=-3 \(7 of 7"):
+            verify_dichotomy(saddle, constant, (-3, 3))
+        family = {n: np.diag([1.0, 0.0]) for n in range(-3, 4)}
+        family[2] = np.array([[1.0, bad], [0.0, 0.0]])
+        cert = DichotomyCertificate(bound=1.0, exponent=np.log(2.0),
+                                    discrete=True, projections=family)
+        with pytest.raises(SplitflowError,
+                           match=r"non-finite projection at t=2 \(1 of 7"):
+            verify_dichotomy(saddle, cert, (-3, 3))
 
     def test_non_finite_unit_step_raises_typed_error(self, monkeypatch):
         # the unit steps come from the unit-flow table, still checked finite
@@ -416,7 +435,7 @@ class TestGreenKernel:
         # round-off in the stable projection must not grow along the
         # unstable range
         steps, projections = time_varying_saddle((-40, 40))
-        c = DiscreteCocycle(lambda n: steps[n], 2)
+        c = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
         cert = DichotomyCertificate(bound=1.5, exponent=0.5, discrete=True,
                                     projections=projections)
         g = GreenKernel(c, cert)

@@ -4,7 +4,7 @@ import pytest
 from splitflow import (ContractionMarginError, DiscreteCocycle,
                        DichotomyCertificate, ForcingSequence, SplitflowError,
                        bounded_solution, impulse_response_projection,
-                       truncation_length)
+                       pointwise, truncation_length)
 from splitflow.dichotomy import _split_march
 from conftest import (GreenKernel, gamma_apply, impulse, time_varying_saddle,
                       value_at)
@@ -90,7 +90,7 @@ class TestGammaApply:
         over every pair of the window, and the largest entry of that sum, on
         the time-varying saddle with 3 forcing columns."""
         steps, projections = time_varying_saddle((n_lo, n_hi))
-        c = DiscreteCocycle(lambda n: steps[n], 2)
+        c = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
         cert = DichotomyCertificate(bound=1.5, exponent=3.0, discrete=True,
                                     projections=projections)
         rng = np.random.default_rng(5)
@@ -105,7 +105,7 @@ class TestGammaApply:
         want = np.array([sum(g.eval(n, k + 1) @ u[k - n_lo]
                              for k in range(n_lo, n_hi + 1))
                          for n in range(n_lo, n_hi + 1)])
-        out = gamma_apply(c, cert, b, f, x)
+        out = gamma_apply(c, cert, pointwise(lambda n: b[n]), f, x)
         return np.max(np.abs(out - want)), np.max(np.abs(want))
 
     def test_full_window_sum_matches_kernel_per_pair(self):
@@ -129,7 +129,7 @@ class TestSplitMarch:
         # time-varying saddle with exact invariant projections
         n_lo, n_hi = -6, 5
         steps, projections = time_varying_saddle((n_lo, n_hi))
-        c = DiscreteCocycle(lambda n: steps[n], 2)
+        c = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
         cert = DichotomyCertificate(bound=1.5, exponent=0.5, discrete=True,
                                     projections=projections)
         band = n_hi - n_lo + 1
@@ -231,20 +231,21 @@ class TestBoundedSolution:
             bounded_solution(c, cert, 0.0, ForcingSequence.zeros(-4, 3, 2))
 
     def test_perturbation_stacked_once_per_solve(self):
-        # B is read once per window node, not once per node and iteration
+        # B is read in one batched call over the window nodes, not once per
+        # node and iteration
         c, cert = saddle()
         rng = np.random.default_rng(11)
         b_mat = 0.03 * rng.standard_normal((2, 2))
         calls = []
 
-        def b(n):
-            calls.append(n)
-            return b_mat
+        def b(ns):
+            calls.append(list(ns))
+            return np.broadcast_to(b_mat, (len(ns), 2, 2))
 
         f = ForcingSequence(-30, 30, 0.3 * rng.standard_normal((61, 2)))
         sol = bounded_solution(c, cert, b, f, tol=1e-10)
         assert sol.iterations > 1
-        assert calls == list(range(-30, 31))
+        assert calls == [list(range(-30, 31))]
 
     def test_margin_error_reports_threshold(self):
         c, cert = stable_scalar()
@@ -301,7 +302,8 @@ class TestImpulseProjections:
         c, cert = saddle()
         rng = np.random.default_rng(14)
         b_mat = {n: 0.03 * rng.standard_normal((2, 2)) for n in range(-80, 81)}
-        pi_s = impulse_response_projection(c, cert, b_mat, [2], tol=1e-11)[2]
+        pi_s = impulse_response_projection(
+            c, cert, pointwise(lambda n: b_mat[n]), [2], tol=1e-11)[2]
         pi_u = np.eye(2) - pi_s
         assert np.linalg.norm(pi_s @ pi_s - pi_s, 2) < 1e-8
         assert np.linalg.norm(pi_s @ pi_u, 2) < 1e-8
@@ -312,10 +314,11 @@ class TestImpulseProjections:
         c, cert = saddle()
         rng = np.random.default_rng(14)
         b_mat = {n: 0.03 * rng.standard_normal((2, 2)) for n in range(-80, 81)}
+        b = pointwise(lambda n: b_mat[n])
         nodes = list(range(-6, 7))
-        family = impulse_response_projection(c, cert, b_mat, nodes, tol=1e-11)
+        family = impulse_response_projection(c, cert, b, nodes, tol=1e-11)
         assert list(family) == nodes
         for n in nodes:
-            single = impulse_response_projection(c, cert, b_mat, [n],
+            single = impulse_response_projection(c, cert, b, [n],
                                                  tol=1e-11)[n]
             assert np.max(np.abs(family[n] - single)) < 1e-10

@@ -250,33 +250,34 @@ class TestDiscretePipeline:
         assert sorted(cert.projections) == list(range(-6, 7))
         assert len(calls) == 1
 
-    def test_perturbation_read_once_per_node(self, monkeypatch):
-        # B = psi - phi is read once per node of the impulse span: the
-        # window sizes the span, the span measures delta_eff, and the
-        # impulse solves look B up instead of reading it again
-        original = robustness_module._difference_step
-        calls = []
-
-        def counted(base, perturbed):
-            b_step = original(base, perturbed)
-
-            def b(n):
-                calls.append(n)
-                return b_step(n)
-            return b
-
-        monkeypatch.setattr(robustness_module, "_difference_step", counted)
+    def test_perturbation_read_once_per_node(self):
+        # B = psi - phi is read once per node of the impulse span: each
+        # cocycle's step is called once for the window, which sizes the
+        # span, and once for the span's outer nodes; the impulse solves
+        # look B up in that stack instead of reading psi again
         d_mat = np.diag([0.5, 2.0])
         rot = np.array([[np.cos(0.01), -np.sin(0.01)],
                         [np.sin(0.01), np.cos(0.01)]])
-        base = DiscreteCocycle.constant(d_mat)
-        pert = DiscreteCocycle.constant(rot @ d_mat)
+        calls = {"base": [], "pert": []}
+
+        def counted(name, matrix):
+            def step(ns):
+                calls[name].append(list(ns))
+                return np.broadcast_to(matrix, (len(ns), 2, 2))
+            return DiscreteCocycle(step, 2)
+
+        base, pert = counted("base", d_mat), counted("pert", rot @ d_mat)
         bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
                                            discrete=True)
         cert = robust_dichotomy_discrete(base, bc, pert, (-8, 8))
         assert cert.meta["verification"].passed
         # the span is the window widened by 44 nodes per side
-        assert sorted(calls) == list(range(-52, 53))
+        window = list(range(-8, 9))
+        outer = list(range(-52, -8)) + list(range(9, 53))
+        # the impulse solves stack the base steps A_n over the span, and
+        # the verifier the perturbed steps over the window, in one call each
+        assert calls["base"] == [window, outer, list(range(-52, 53))]
+        assert calls["pert"] == [window, outer, window[:-1]]
 
     def test_decay_diagnostic(self):
         # the verifier's decay axioms on the unperturbed saddle's robust
@@ -313,6 +314,22 @@ class TestDiscretePipeline:
         with pytest.raises(SplitflowError, match="non-finite"):
             robust_dichotomy_discrete(base, bc,
                                       DiscreteCocycle.constant([[bad]]), (-5, 5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_base_projection_raises_typed_error(self, bad):
+        # the impulse solves stack the base projections over their span
+        saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
+        constant = DichotomyCertificate.constant([[1.0, 0.0], [0.0, bad]],
+                                                 1.0, LN2, discrete=True)
+        with pytest.raises(SplitflowError, match="non-finite projection"):
+            robust_dichotomy_discrete(saddle, constant, saddle, (-5, 5))
+        family = {n: np.diag([1.0, 0.0]) for n in range(-60, 61)}
+        family[3] = np.array([[1.0, 0.0], [bad, 0.0]])
+        cert = DichotomyCertificate(bound=1.0, exponent=LN2, discrete=True,
+                                    projections=family)
+        with pytest.raises(SplitflowError,
+                           match=r"non-finite projection at t=3 \(1 of"):
+            robust_dichotomy_discrete(saddle, cert, saddle, (-5, 5))
 
 
 class TestContinuousPipeline:
@@ -394,6 +411,47 @@ class TestContinuousPipeline:
             assert len(pert._units[n]) == UNIT_SAMPLES + 1
         for n in span[0]:
             assert len(pert._units[int(n)]) == 1
+
+    def test_outer_span_nodes_integrated_in_one_run(self, monkeypatch):
+        # with a time-varying base and perturbation, each unit-flow table is
+        # filled in one run for the window and, when the discrete pipeline
+        # stacks the impulse span's outer nodes, one more for those
+        original = cocycle_module._rk4
+        runs = []
+
+        def recorded(field, t0, t1, y0, n, every=None):
+            runs.append((np.atleast_1d(t0).tolist(), n, every))
+            return original(field, t0, t1, y0, n, every)
+
+        spans = []
+
+        def impulse_span(*args):
+            spans.append(greens_module._impulse_span(*args))
+            return spans[-1]
+
+        monkeypatch.setattr(cocycle_module, "_rk4", recorded)
+        monkeypatch.setattr(robustness_module, "_impulse_span", impulse_span)
+        a = np.diag([-1.0, 1.0])
+        j_mat = np.array([[0.0, 1.0], [1.0, 0.0]])
+        # a time-varying base that keeps the splitting of A
+        base_gen = lambda t: (1.0 + 0.05 * np.cos(t)) * a
+        base = ContinuousCocycle(pointwise(base_gen), 2)
+        pert = ContinuousCocycle(
+            pointwise(lambda t: base_gen(t) + 0.02 * np.sin(t) * j_mat), 2)
+        cert = robust_dichotomy_continuous(base, autonomous_certificate(a),
+                                           pert, (-3, 3))
+        assert cert.meta["verification_continuous"].passed
+        window = [float(n) for n in range(-3, 4)]
+        (span_lo, span_hi), = spans
+        outer = [float(n) for n in range(span_lo, -3)] \
+            + [float(n) for n in range(4, span_hi + 1)]
+        assert span_lo < -3 and span_hi > 3
+        assert len(runs) == 4
+        assert [r[0] for r in runs] == [window, window, outer, outer]
+        for shifts, n, every in runs[2:]:
+            assert every == n  # endpoints only
+        for cc in (base, pert):
+            assert sorted(cc._units) == list(range(span_lo, span_hi + 1))
 
     def test_lift_bound_formula(self):
         a = np.diag([-1.0, 1.0])
