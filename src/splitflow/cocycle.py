@@ -70,13 +70,15 @@ def _constant_rows(m):
 
 
 FROBENIUS_SLACK = 1e-10  # relative room over the few-ulp error of both norms
-_FIRST_BATCH = 16  # SVD batch of spectral_sup, doubled batch after batch
+_FIRST_BATCH = 16  # SVD batch of _pruned_argmax, doubled batch after batch
 
 
 def spectral_norms(mats):
     """Largest singular value (the operator norm used throughout) of every
-    matrix in a stack (last two axes)."""
-    return np.linalg.norm(np.asarray(mats, float), 2, axis=(-2, -1))
+    matrix in a stack (last two axes): the first of its singular values,
+    which LAPACK returns in descending order, so ``np.linalg.norm(m, 2)``
+    without its wrapper."""
+    return np.linalg.svd(np.asarray(mats, float), compute_uv=False)[..., 0]
 
 
 def spectral_sup(mats, scale=1.0, offset=0.0):
@@ -86,12 +88,11 @@ def spectral_sup(mats, scale=1.0, offset=0.0):
 
     ``scale >= 0`` and ``offset`` broadcast over the stack's leading axes.
     Since ``|M| <= |M|_F`` (Golub & Van Loan, *Matrix Computations*, 2.3),
-    the rows are taken in descending order of the bound
-    ``offset + scale |M|_F (1 + FROBENIUS_SLACK)``, their spectral norms in
-    batches of 16, 32, 64, ..., until the next bound falls below the
-    running max: rounding is monotone and the slack exceeds the error of
-    either norm, so no row left out can exceed the max.  Matrices of one
-    entry take ``abs``.  A non-finite entry raises :class:`SplitflowError`.
+    the bound ``offset + scale |M|_F (1 + FROBENIUS_SLACK)`` is never below
+    the row's value: rounding is monotone and the slack exceeds the error of
+    either norm.  Only the rows whose bound can still reach the max take an
+    SVD (:func:`_pruned_argmax`).  Matrices of one entry take ``abs``.  A
+    non-finite entry raises :class:`SplitflowError`.
     """
     mats = np.asarray(mats, float)
     lead = mats.shape[:-2]
@@ -106,33 +107,61 @@ def spectral_sup(mats, scale=1.0, offset=0.0):
         return 0.0
     if mats.shape[1:] == (1, 1):
         return float(np.max(offset + scale * np.abs(mats[:, 0, 0])))
+    bounds = offset + scale * (_frobenius(mats) * (1.0 + FROBENIUS_SLACK))
+    return _pruned_argmax(bounds, lambda rows: offset[rows] + scale[rows]
+                          * spectral_norms(mats[rows]))[0]
+
+
+def _frobenius(mats):
+    """``|M|_F`` of every matrix of an ``(N, m, n)`` stack.  Where squares
+    may under- or overflow, ``|M|_F = m |M / m|_F`` with ``m = max |M_ij|``
+    (a zero matrix has its norm 0 already); a non-finite entry gives NaN."""
     frob = np.sqrt(np.einsum("nij,nij->n", mats, mats))
-    # where squares may under- or overflow, |M|_F = m |M / m|_F with
-    # m = max |M_ij| (a zero matrix has its bound 0 already)
     odd = ~((frob >= 1e-150) & (frob <= 1e150)) & mats.any(axis=(1, 2))
     if np.any(odd):
         big = np.max(np.abs(mats[odd]), axis=(1, 2))
-        unit = mats[odd] / np.where(big > 0.0, big, 1.0)[:, None, None]
+        with np.errstate(invalid="ignore"):  # inf / inf: NaN, as it should
+            unit = mats[odd] / np.where(big > 0.0, big, 1.0)[:, None, None]
         frob[odd] = big * np.sqrt(np.einsum("nij,nij->n", unit, unit))
-    bounds = offset + scale * (frob * (1.0 + FROBENIUS_SLACK))
-    order = np.argsort(-bounds, kind="stable")
-    best, lo, size = -np.inf, 0, _FIRST_BATCH
+    return frob
+
+
+def _pruned_argmax(bounds, exact, floor=-math.inf):
+    """``(max, row)`` of ``exact(rows)`` over the rows whose upper bound
+    ``bounds[row]`` reaches ``floor``, ``row`` the first that attains the
+    max; None when no value reaches ``floor``.
+
+    ``exact(rows)`` evaluates a batch of rows.  The rows run in descending
+    order of their bounds, in batches of 16, 32, 64, ..., until the next
+    bound falls below the running max: no row left out can exceed it, and
+    every row that ties with it is evaluated, so the first one is known.
+    """
+    order = np.flatnonzero(bounds >= floor)
+    order = order[np.argsort(-bounds[order], kind="stable")]
+    best, first, lo, size = floor, None, 0, _FIRST_BATCH
     while lo < len(order) and bounds[order[lo]] >= best:
         rows = order[lo:lo + size]
-        best = max(best, float(np.max(
-            offset[rows] + scale[rows] * spectral_norms(mats[rows]))))
+        values = exact(rows)
+        top = float(np.max(values))
+        if top >= best:
+            row = int(np.min(rows[values == top]))
+            if top > best or first is None or row < first:
+                first = row
+            best = top
         lo, size = lo + size, 2 * size
-    return best
+    return None if first is None else (best, first)
 
 
-def _finite(values, ts, what):
-    """``values`` (one row per time in ``ts``), or :class:`SplitflowError`
-    naming the first time whose row is not finite."""
+def _finite(values, keys, what, nodes=False):
+    """``values`` (one row per time in ``keys``, or per integer node when
+    ``nodes``), or :class:`SplitflowError` naming the first time or node
+    whose row is not finite."""
     bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
     if np.any(bad):
+        at, kind = ("node ", "nodes") if nodes else ("t=", "times")
         raise SplitflowError(
-            f"non-finite {what} at t={ts[int(np.argmax(bad))]} "
-            f"({int(np.sum(bad))} of {len(bad)} times)")
+            f"non-finite {what} at {at}{keys[int(np.argmax(bad))]} "
+            f"({int(np.sum(bad))} of {len(bad)} {kind})")
     return values
 
 
@@ -146,11 +175,8 @@ def stack_steps(step, nodes, dim):
     numpy error.
     """
     nodes = np.asarray(nodes, int)
-    mats = _rows(step(nodes), len(nodes), dim, dim)
-    bad = np.argwhere(~np.isfinite(mats))
-    if len(bad):
-        raise SplitflowError(f"non-finite step matrix at node {nodes[bad[0][0]]}")
-    return mats
+    return _finite(_rows(step(nodes), len(nodes), dim, dim), nodes,
+                   "step matrix", nodes=True)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ projections commuting with the flow.  :func:`verify_dichotomy` checks the
 four defining estimates numerically and reports residuals per axiom; it must
 also be able to *fail* on doctored certificates, which the test suite
 exercises.  It reads the Green kernel of the certified split from one
-split-flow march (:func:`_split_march`) over the window; the bounded solves
-of :mod:`splitflow.greens` share its one-step restricted inverses.
+split-flow march (:func:`_split_march`) over the window, streamed one offset
+at a time, and takes SVDs only of the kernel values whose Frobenius bound can
+still reach the largest decay ratio; the bounded solves of
+:mod:`splitflow.greens` share its one-step restricted inverses.
 
 Autonomous generators are split by the Newton iteration for the matrix sign
 function, ``Pi^u = (I + sign A) / 2`` (Roberts, Int. J. Control 32, 1980;
@@ -22,18 +24,19 @@ tests cross-check them against the resolvent contour integral and
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import numpy.ma  # noqa: F401  -- loaded at start-up, not by np.unique in a run
 
-from .cocycle import (UNIT_SAMPLES, DiscreteCocycle, _finite, spectral_norms,
+from .cocycle import (FROBENIUS_SLACK, UNIT_SAMPLES, DiscreteCocycle,
+                      _finite, _frobenius, _pruned_argmax, spectral_norms,
                       spectral_sup, stack_steps)
 from .errors import ConfigurationError, NonHyperbolicError
 from .grids import TimeGrid
 
 GAP_TOL = 1e-8
 ALPHA_MARGIN = 0.1
+_BLOCK_BYTES = 1 << 18  # bytes of kernel values per verifier reduction
 _SIGN_MAX_ITER = 100  # Newton steps before the sign iteration gives up
 
 
@@ -280,8 +283,9 @@ def _restricted_inverse(steps, proj_s):
     """One-step inverses ``R_k = B_k (B_{k+1}^T A_k B_k)^{-1} B_{k+1}^T`` of
     the flow restricted unstable-to-unstable, with ``B_k`` an orthonormal
     basis of the range of ``Pi^u(k)``.  Returns ``(R, rank, no_inverse,
-    cond)`` as :class:`_SplitMarch` reports them; ``R_k = 0`` where the
-    restricted step has no inverse (across a rank change, or singular).
+    cond)``: the rank of each ``Pi^u(k)``; per step, whether the restricted
+    step has no inverse (across a rank change, or singular), where
+    ``R_k = 0``; and its condition number.
     """
     n, d = proj_s.shape[:2]
     basis, sv, _ = np.linalg.svd(np.eye(d) - proj_s)
@@ -302,44 +306,30 @@ def _restricted_inverse(steps, proj_s):
     return back, rank, no_inverse, cond
 
 
-class _SplitMarch(NamedTuple):
-    """Kernel tables and per-step diagnostics of :func:`_split_march`."""
-
-    fwd: np.ndarray          # (N, N, d, d), [offset, source node]
-    bwd: np.ndarray          # (N, N, d, d), [offset, source node]
-    no_inverse: np.ndarray   # (N-1,) rank change, or singular restricted step
-    cond: np.ndarray         # (N-1,) condition number of the restricted step
-    leakage: np.ndarray      # (N-1,) |Pi^u A Pi^s + Pi^s A Pi^u| per step
-
-
-def _split_march(steps, proj_s):
+def _split_march(steps, proj_s, back):
     """Split flow of a node-indexed cocycle, marched from every node at once.
 
-    ``steps[k]`` maps node k to node k+1 and ``proj_s[k]`` is ``Pi^s`` at
-    node k (nodes counted from the first).  For every offset ``j`` with
-    the target among the nodes (other entries zero), ``fwd[j, i] = Pi^s(i+j)
-    A_{i+j-1} ... Pi^s(i+1) A_i Pi^s(i)`` re-projects the stable range after
-    every step, and ``bwd[j, i]`` carries ``-Pi^u(i)`` back j steps through
-    the one-step restricted inverses (:func:`_restricted_inverse`): the
-    Green kernel values ``G(i+j, i)`` and ``G(i-j, i)`` of the cocycle with
+    ``steps[k]`` maps node k to node k+1, ``proj_s[k]`` is ``Pi^s`` at
+    node k (nodes counted from the first) and ``back`` holds the one-step
+    restricted inverses (:func:`_restricted_inverse`).  Yields, for every
+    offset ``j = 0, 1, ...`` with a target among the nodes, the pair
+    ``(fwd, bwd)``: ``fwd[i] = Pi^s(i+j) A_{i+j-1} ... Pi^s(i+1) A_i
+    Pi^s(i)``, re-projected onto the stable range after every step, over
+    the sources ``i < n - j``, and ``bwd[i]``, ``-Pi^u(i+j)`` carried back j
+    steps through the restricted inverses, over the sources ``i + j``: the
+    Green kernel values ``G(i+j, i)`` and ``G(i, i+j)`` of the cocycle with
     its off-diagonal blocks removed (the re-projected, QR-style propagation
-    of Dieci & Van Vleck, SIAM J. Numer. Anal. 40, 2002).  One loop runs
-    over the offsets.  Problems are reported per step, never raised.
-    :func:`verify_dichotomy` is the only reader; the test suite checks the
-    tables against a per-pair kernel of its own.
+    of Dieci & Van Vleck, SIAM J. Numer. Anal. 40, 2002).  Only the current
+    offset is held.  :func:`verify_dichotomy` is the only reader; the test
+    suite checks the tables against a per-pair kernel of its own.
     """
     n, d = proj_s.shape[:2]
-    proj_u = np.eye(d) - proj_s
-    back, _, no_inverse, cond = _restricted_inverse(steps, proj_s)
-    off = proj_u[1:] @ steps @ proj_s[:-1] + proj_s[1:] @ steps @ proj_u[:-1]
-
-    fwd = np.zeros((n, n, d, d))
-    bwd = np.zeros((n, n, d, d))
-    fwd[0], bwd[0] = proj_s, -proj_u
+    fwd, bwd = proj_s, proj_s - np.eye(d)
+    yield fwd, bwd
     for j in range(1, n):
-        fwd[j, : n - j] = proj_s[j:] @ (steps[j - 1 :] @ fwd[j - 1, : n - j])
-        bwd[j, j:] = back[: n - j] @ bwd[j - 1, j:]
-    return _SplitMarch(fwd, bwd, no_inverse, cond, spectral_norms(off))
+        fwd = proj_s[j:] @ (steps[j - 1:] @ fwd[:-1])
+        bwd = back[: n - j] @ bwd[1:]
+        yield fwd, bwd
 
 
 def _window_nodes(window):
@@ -367,13 +357,44 @@ class VerificationReport:
     meta: dict = field(default_factory=dict)
 
 
-def _decay_ratio(norms, exponents, k_bound):
-    """``norms * e^{exponents} / K``, zero where the norm is zero: a kernel
-    value that underflowed to 0 stays 0 when ``e^{alpha t}`` overflows."""
+def _decay_ratio(norms, weights, k_bound):
+    """``norms * weights / K``, zero where the norm is zero: a kernel value
+    that underflowed to 0 stays 0 where the weight ``e^{alpha t}``
+    overflowed."""
     out = np.zeros(norms.shape)
     with np.errstate(over="ignore"):
-        np.multiply(norms, np.exp(exponents), out=out, where=norms > 0.0)
+        np.multiply(norms, weights, out=out, where=norms > 0.0)
     return out / k_bound
+
+
+def _running_max(best, mats, weights, k_bound, start):
+    """The running max ``best = (ratio, location)`` of the decay ratios
+    ``_decay_ratio(|M|, weights, K)``, 0 with no location until a ratio is
+    positive, after a block of kernel values ``mats[i, k, j]`` (source or
+    target, offset, fraction), ``weights`` broadcast over the block and
+    ``start`` its first location.  A tie goes to the earlier location in C
+    order.  Only the values whose Frobenius ratio, pushed through the same
+    expression, can reach the max take an SVD
+    (:func:`~splitflow.cocycle._pruned_argmax`); 1x1 values take ``abs``.
+    """
+    floor = best[0] or math.ulp(0.0)
+    flat = mats.reshape(-1, *mats.shape[-2:])
+    weights = np.broadcast_to(weights, mats.shape[:-2]).ravel()
+    scalar = flat.shape[1:] == (1, 1)
+    norms = (np.abs(flat[:, 0, 0]) if scalar
+             else _frobenius(flat) * (1.0 + FROBENIUS_SLACK))
+    bounds = _decay_ratio(norms, weights, k_bound)
+    if not np.max(bounds, initial=0.0) >= floor:
+        return best
+    found = _pruned_argmax(bounds, (lambda rows: bounds[rows]) if scalar
+                           else (lambda rows: _decay_ratio(
+                               spectral_norms(flat[rows]), weights[rows],
+                               k_bound)), floor)
+    if found is None:
+        return best
+    loc = tuple(int(a + b) for a, b in
+                zip(np.unravel_index(found[1], mats.shape[:-2]), start))
+    return (found[0], loc) if found[0] > best[0] or loc < best[1] else best
 
 
 def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
@@ -402,52 +423,67 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     when ``K * leakage < delta_threshold(alpha)``, with the constants of
     :func:`splitflow.robustness.robust_constants`.
 
+    The march is reduced a block of offsets at a time, each block at most
+    ``_BLOCK_BYTES`` of kernel values (one offset if that is larger), so
+    memory stays O(N d^2) (times ``UNIT_SAMPLES`` for a continuous
+    cocycle).  Each block's ratios update a running max and its first
+    location in the order (source, horizon) of (b) and (target, offset) of
+    (c), and only the pairs whose Frobenius bound can reach it take an SVD:
+    ``max_ratio`` and ``worst`` are those of an SVD of every pair.
+
     A singular restricted map or a rank change sets
     ``isomorphism_violation``; a non-finite step or projection raises
-    :class:`SplitflowError`.  Continuous cocycles read the unit steps and
-    the fractional horizons ``k + j / UNIT_SAMPLES`` from the unit-flow
-    table ``flows``, as ``flows[n + k, j] @ fwd[k, n]``.
+    :class:`SplitflowError` naming its node.  Continuous cocycles read the
+    unit steps and the fractional horizons ``k + j / UNIT_SAMPLES`` from the
+    unit-flow table ``flows``, as ``flows[n + k, j] @ fwd[k, n]``.
     """
     nodes = _window_nodes(window)
     discrete = isinstance(cocycle, DiscreteCocycle)
     k_bound, alpha = cert.bound, cert.exponent
-    n = len(nodes)
+    n, d = len(nodes), cocycle.dim
     flows = None if discrete else cocycle.unit_flows(nodes[:-1])
-    steps = (stack_steps(cocycle.step, nodes[:-1], cocycle.dim) if discrete
-             else _finite(flows[:, -1], nodes[:-1], "unit step"))
+    steps = (stack_steps(cocycle.step, nodes[:-1], d) if discrete
+             else _finite(flows[:, -1], nodes[:-1], "unit step", nodes=True))
     proj = _finite(np.array([cert.proj_s(m) for m in nodes]), nodes,
-                   "projection")
-    march = _split_march(steps, proj)
+                   "projection", nodes=True)
+    back, _, no_inverse, cond = _restricted_inverse(steps, proj)
     comm = spectral_sup(proj[1:] @ steps - steps @ proj[:-1])
+    proj_u = np.eye(d) - proj
+    leak = spectral_sup(proj_u[1:] @ steps @ proj[:-1]
+                        + proj[1:] @ steps @ proj_u[:-1])
 
-    # (b) ratios [source, offset k, fraction j] at horizon k + j / subs
+    # (b) ratios [source, offset k, fraction j] at horizon k + j / subs, and
+    # (c) ratios [target, offset k] of the source node target + k, reduced a
+    # block of offsets at a time
     subs = 1 if discrete else UNIT_SAMPLES
     horizon = np.arange(n)[:, None] + np.arange(subs) / subs
-    norms = np.zeros((n, n, subs))
-    norms[:, :, 0] = spectral_norms(march.fwd).T
-    if not discrete:
-        snaps = flows[:, 1:-1]
-        for k in range(n - 1):
-            norms[: n - 1 - k, k, 1:] = spectral_norms(
-                snaps[k:] @ march.fwd[k, : n - 1 - k, None])
-    ratio = _decay_ratio(norms, alpha * horizon, k_bound)
-    i, k, j = np.unravel_index(np.argmax(ratio), ratio.shape)
-    ratio_fwd = float(ratio[i, k, j])
-    worst_fwd = (nodes[i], float(horizon[k, j])) if ratio_fwd > 0.0 else None
-
-    # (c) ratios [target, offset k] of the source node target + k
-    target, offset = np.indices((n, n))
-    inside = target + offset < n
-    norms = spectral_norms(march.bwd)[offset, np.where(inside, target + offset, 0)]
-    ratio = _decay_ratio(np.where(inside, norms, 0.0), alpha * offset, k_bound)
-    i, k = np.unravel_index(np.argmax(ratio), ratio.shape)
-    ratio_bwd = float(ratio[i, k])
-    worst_bwd = (nodes[i + k], float(k)) if ratio_bwd > 0.0 else None
+    with np.errstate(over="ignore"):
+        weights = np.exp(alpha * horizon)
+    span = max(1, min(n, _BLOCK_BYTES // (8 * n * subs * d * d)))
+    best_fwd = best_bwd = (0.0, None)
+    for k, (fwd, bwd) in enumerate(_split_march(steps, proj, back)):
+        k0, kk = k - k % span, k % span
+        if kk == 0:
+            fwd_block = np.zeros((n, min(span, n - k), subs, d, d))
+            bwd_block = np.zeros((n, min(span, n - k), 1, d, d))
+        fwd_block[: n - k, kk, 0], bwd_block[: n - k, kk, 0] = fwd, bwd
+        if not discrete:  # fractions j >= 1 end before the last node
+            np.matmul(flows[k:, 1:-1], fwd[:-1, None],
+                      out=fwd_block[: n - 1 - k, kk, 1:])
+        if kk == fwd_block.shape[1] - 1:
+            best_fwd = _running_max(best_fwd, fwd_block, weights[k0:k + 1],
+                                    k_bound, (0, k0, 0))
+            best_bwd = _running_max(best_bwd, bwd_block,
+                                    weights[k0:k + 1, :1], k_bound, (0, k0, 0))
+    ratio_fwd, at = best_fwd
+    worst_fwd = None if at is None else (nodes[at[0]],
+                                         float(horizon[at[1], at[2]]))
+    ratio_bwd, at = best_bwd
+    worst_bwd = None if at is None else (nodes[at[0] + at[1]], float(at[1]))
 
     # (d) restricted steps, and the leakage charged through roughness
-    iso_violation = bool(np.any(march.no_inverse))
-    max_cond = max(1.0, float(np.max(march.cond)))
-    leak = float(np.max(march.leakage))
+    iso_violation = bool(np.any(no_inverse))
+    max_cond = max(1.0, float(np.max(cond)))
     charged, thr = k_bound * leak, delta_threshold(alpha)
 
     axioms = {

@@ -13,12 +13,17 @@ against the dichotomy constants.  On a window the sum solves a
 boundary-value problem (Beyn, IMA J. Numer. Anal. 10, 1990; Huels, DCDS-B
 12, 2009): two first-order sweeps, forward along the stable ranges and
 backward through the restricted one-step inverses, apply it exactly
-(:func:`_gamma`).  Picard iteration then yields the solution together with a
-residual certificate; nodes within the certified geometric-tail length (the
-band) of the window edges are edge-contaminated.  (A direct linear solve
-would work too; the iteration mirrors the contraction argument and its
-residual is the certificate.  The test suite keeps the linear solve, and a
-per-pair Green kernel, as oracles for the sweeps.)
+(:func:`_gamma`).  Each sweep is a first-order linear recurrence, evaluated
+by doubling in ceil(log2 W) batched steps over a window of W nodes
+(:func:`_scan`; Kogge & Stone, 1973; Blelloch, 1990).  Picard iteration then
+yields the solution together with a residual certificate; its stopping test
+is the exact ``sup |Gamma_f x - x| <= tol``, which Frobenius bounds settle
+without an SVD in all but the last iteration or two (:func:`_within`).
+Nodes within the certified geometric-tail length (the band) of the window
+edges are edge-contaminated.  (A direct linear solve would work too; the
+iteration mirrors the contraction argument and its residual is the
+certificate.  The test suite keeps the linear solve, a per-pair Green kernel
+and the sweeps one node at a time as oracles.)
 
 The perturbed projections at a family of nodes are bounded solutions of
 unit-impulse problems, solved together as the column blocks of one forcing:
@@ -34,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import (_finite, as_step_sequence, spectral_norms, spectral_sup,
-                      stack_steps)
+from .cocycle import (FROBENIUS_SLACK, _finite, _frobenius, as_step_sequence,
+                      spectral_norms, spectral_sup, stack_steps)
 from .dichotomy import _restricted_inverse
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
 
@@ -108,6 +113,25 @@ def _seq_sup(values):
     return float(np.max(np.linalg.norm(values, 2, axis=1), initial=0.0))
 
 
+def _within(values, tol):
+    """``_seq_sup(values) <= tol``, exactly.  Over matrix sequences no SVD
+    runs while some row's Frobenius norm exceeds
+    ``tol sqrt(min(d, r)) (1 + FROBENIUS_SLACK)``, since ``|M| >= |M|_F /
+    sqrt(rank M)``, nor once every row's ``|M|_F (1 + FROBENIUS_SLACK)`` is
+    at most ``tol``, since ``|M| <= |M|_F`` (Golub & Van Loan, *Matrix
+    Computations*, 2.3).  A non-finite matrix entry raises
+    :class:`SplitflowError` (a vector sequence reads as not within).
+    """
+    if values.ndim == 3:
+        top = np.max(_frobenius(values))  # NaN after a non-finite entry
+        if top > tol * math.sqrt(min(values.shape[1:])) * (
+                1.0 + FROBENIUS_SLACK):
+            return False
+        if top * (1.0 + FROBENIUS_SLACK) <= tol:
+            return True
+    return _seq_sup(values) <= tol
+
+
 def _delta_eff(cert, b_mats):
     """``K sup_n |B_n|`` over a stack of perturbation steps."""
     return cert.bound * spectral_sup(b_mats)
@@ -129,14 +153,45 @@ def _impulse_span(cert, b_mats, n_lo, n_hi, trunc_tol):
     return n_lo - band0, n_hi + band0
 
 
+_SCAN_BYTES = 1 << 17  # scratch of one batched step of _gamma and _scan
+
+
+def _scan(v, maps, tmp, mul):
+    """Solve ``y(i) = v(i) + A_i y(i-1)``, ``y(0) = v(0)``, in place by
+    doubling, with ``maps[i-1] = A_i``.  At level l = 0, 1, ... and for
+    every ``i >= 2^l`` at once, ``v(i) += P_l(i) v(i - 2^l)``, where
+    ``P_l(i)`` is the product of the ``2^l`` maps ending at ``A_i`` and
+    ``P_{l+1}(i) = P_l(i) P_l(i - 2^l)``: ceil(log2 W) levels (Kogge &
+    Stone, IEEE Trans. Comput. C-22, 1973; Blelloch, CMU-CS-90-190, 1990).
+    Every node takes the same steps, so nodes alike stay bitwise alike.
+
+    The rows of a level go top down, ``len(tmp)`` at a time through the
+    scratch ``tmp``, so every row a block reads still holds the level's old
+    value; each level's maps are built from the last and dropped, so only
+    two levels are held.  ``mul`` applies a stack of maps to a stack
+    of matrices (``np.multiply`` for 1x1 maps).
+    """
+    s = 1
+    while len(maps):
+        for hi in range(len(v), s, -len(tmp)):
+            lo = max(s, hi - len(tmp))
+            v[lo:hi] += mul(maps[lo - s:hi - s], v[lo - s:hi - s],
+                            out=tmp[:hi - lo])
+        maps = mul(maps[s:], maps[:-s])
+        s *= 2
+
+
 def _sweeps(cocycle, cert, n_lo, n_hi):
-    """``A_m``, ``Pi^s(m+1)``, ``Pi^u(m+1)`` and ``R_m`` per step m of the
-    window, for :func:`_gamma`.  A rank change or a singular restricted
-    step, which leaves no backward branch, or a non-finite projection
-    raises :class:`SplitflowError`."""
+    """The two sweeps of :func:`_gamma` over the window's W nodes, as
+    :func:`_scan` recurrences: ``Pi^s(m+1)`` and ``-R_m Pi^u(m+1)``, which
+    take ``u(m)`` into the forward and the backward sweep, and the maps of
+    each, ``Pi^s(i) A_{i-1}`` and, on the reversed nodes, ``R_{W-1-i}``.  A
+    rank change or a singular restricted step, which leaves no backward
+    branch, or a non-finite projection raises :class:`SplitflowError`."""
     steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1), cocycle.dim)
-    proj_s = _finite(np.array([cert.proj_s(m) for m in range(n_lo, n_hi + 2)]),
-                     range(n_lo, n_hi + 2), "projection")
+    nodes = range(n_lo, n_hi + 2)
+    proj_s = _finite(np.array([cert.proj_s(m) for m in nodes]), nodes,
+                     "projection", nodes=True)
     back, rank, no_inverse, _ = _restricted_inverse(steps, proj_s)
     if np.any(no_inverse):
         k = int(np.argmax(no_inverse))
@@ -144,24 +199,35 @@ def _sweeps(cocycle, cert, n_lo, n_hi):
                else "unstable-restricted step is singular")
         raise SplitflowError(f"{why} across node {n_lo + k}; "
                              "no backward branch")
-    return steps, proj_s[1:], np.eye(cocycle.dim) - proj_s[1:], back
+    pi_s = proj_s[1:]
+    return (pi_s[:-1], back @ (pi_s - np.eye(cocycle.dim)),
+            pi_s[:-1] @ steps[:-1], back[-2::-1].copy())
 
 
 def _gamma(sweeps, b_mats, f, x):
     """Kernel sum ``Gamma_f x = sum_k G(n, k+1) u(k)``, ``u = B x + f``, as
     ``S + U``: forward ``S(m+1) = Pi^s(m+1) (A_m S(m) + u(m))`` from
     ``S(n_lo) = 0``, backward ``U(m) = R_m (U(m+1) - Pi^u(m+1) u(m))`` from
-    ``U(n_hi+1) = 0``."""
-    steps, pi_s, pi_u, back = sweeps
-    u = np.einsum("kab,kb...->ka...", b_mats, x) + f.values
-    out = np.zeros_like(u)
-    for m in range(len(u) - 1):
-        out[m + 1] = pi_s[m] @ (steps[m] @ out[m] + u[m])
-    acc = np.zeros_like(u[0])
-    for m in range(len(u) - 1, -1, -1):
-        acc = back[m] @ (acc - pi_u[m] @ u[m])
-        out[m] += acc
-    return out
+    ``U(n_hi+1) = 0``.  Both sweeps are first-order linear recurrences,
+    solved by doubling (:func:`_scan`) in place: ``S`` in the output, ``U``
+    in the buffer of ``u``, the backward one on the reversed nodes."""
+    pi_s, lift_u, fwd, bwd = sweeps
+    u = np.einsum("kab,kb...->ka...", b_mats, x)
+    u += f.values
+    w = u.reshape(len(u), u.shape[1], -1)  # vector forcing as (W, d, 1)
+    mul = np.multiply if w.shape[1] == 1 else np.matmul  # d = 1: scalars
+    out = np.empty_like(w)
+    out[0] = 0.0
+    mul(pi_s, w[:-1], out=out[1:])
+    block = max(1, min(len(w), _SCAN_BYTES // w[0].nbytes))
+    tmp = np.empty((block,) + w.shape[1:])
+    for lo in range(0, len(w), block):  # u(m) -> -R_m Pi^u(m+1) u(m)
+        rows = w[lo:lo + block]
+        rows[...] = mul(lift_u[lo:lo + block], rows, out=tmp[:len(rows)])
+    _scan(out, fwd, tmp, mul)
+    _scan(w[::-1], bwd, tmp, mul)
+    out += w
+    return out.reshape(u.shape)
 
 
 @dataclass
@@ -218,10 +284,10 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     it = 0
     while it < max_iter:
         y = _gamma(sweeps, b_mats, f, x)
-        res = _seq_sup(y - x)
+        done = _within(y - x, tol)
         x = y
         it += 1
-        if res <= tol:
+        if done:
             break
     residual = _seq_sup(_gamma(sweeps, b_mats, f, x) - x)
     if not residual <= tol:

@@ -5,16 +5,22 @@ the contour-integral projector is quadrature on the resolvent of a Cayley
 transform, the long-product projections extract stable/unstable directions
 by forward/backward power iteration, and :class:`GreenKernel` evaluates the
 two-branch Green kernel one pair of times at a time, where the library
-marches and sweeps whole windows.  The helpers at the end drive library
-internals the way a test needs them.
+marches and sweeps whole windows; :func:`gamma_sequential` runs the two
+kernel sweeps one node at a time, where the library evaluates them by
+doubling, and :func:`all_pairs_ratios` takes an SVD of every kernel value,
+where the verifier prunes.  The helpers at the end drive library internals
+the way a test needs them.
 """
 
 import numpy as np
 import pytest
 
-from splitflow import (ConfigurationError, DiscreteCocycle, ForcingSequence,
-                       NonHyperbolicError)
-from splitflow.cocycle import as_step_sequence, spectral_norms, stack_steps
+from splitflow import (ConfigurationError, DichotomyCertificate,
+                       DiscreteCocycle, ForcingSequence, NonHyperbolicError)
+from splitflow.cocycle import (UNIT_SAMPLES, as_step_sequence, spectral_norms,
+                               stack_steps)
+from splitflow.dichotomy import (_restricted_inverse, _split_march,
+                                 _window_nodes)
 from splitflow.greens import _gamma, _sweeps
 from splitflow.hyperbolic import _ball_cloud
 
@@ -114,6 +120,35 @@ def time_varying_saddle(window, seed=14, sigma=0.03, reach=80):
     return steps, projections
 
 
+def rotating_saddle(window, dim, n_stable, seed=0, bound=1.0, exponent=0.2):
+    """A time-varying saddle ``A_n = V_{n+1} D_n V_n^{-1}`` on ``dim``
+    coordinates and its exact invariant projections, as a node-batched
+    :class:`DiscreteCocycle` and a family certificate on the window.
+
+    ``V_n`` is a random rotation times a random well-conditioned shear, so
+    the splitting turns from node to node and the projections
+    ``Pi^s(n) = V_n E V_n^{-1}``, ``E`` the first ``n_stable`` coordinates,
+    are oblique; ``D_n`` is diagonal with ``n_stable`` rates in [0.3, 0.7]
+    and the others in [1.5, 2.5], so every step keeps the ranks.
+    """
+    lo, hi = window
+    gen = np.random.default_rng(seed)
+    frames = {}
+    for n in range(lo, hi + 2):
+        q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+        frames[n] = q @ (np.eye(dim) + 0.3 * np.triu(
+            gen.uniform(-1.0, 1.0, (dim, dim)), 1))
+    stable = np.arange(dim) < n_stable
+    steps = np.array([frames[n + 1] @ np.diag(np.where(
+        stable, gen.uniform(0.3, 0.7, dim), gen.uniform(1.5, 2.5, dim)))
+        @ np.linalg.inv(frames[n]) for n in range(lo, hi + 1)])
+    e = np.diag(stable.astype(float))
+    cert = DichotomyCertificate(
+        bound=bound, exponent=exponent, discrete=True,
+        projections={n: v @ e @ np.linalg.inv(v) for n, v in frames.items()})
+    return DiscreteCocycle(lambda ns: steps[np.asarray(ns) - lo], dim), cert
+
+
 def _range_basis(proj, rank_tol=0.5):
     """Orthonormal basis of the range of a (possibly oblique) projection."""
     u, s, _ = np.linalg.svd(proj)
@@ -182,6 +217,87 @@ def gamma_apply(cocycle, cert, b, f, x):
                          range(n_lo, n_hi + 1), cocycle.dim)
     return _gamma(_sweeps(cocycle, cert, n_lo, n_hi), b_mats, f,
                   np.asarray(x, float))
+
+
+def gamma_sequential(cocycle, cert, b, f, x):
+    """The kernel sum of :func:`gamma_apply` by the two first-order sweeps
+    one node at a time: forward ``S(m+1) = Pi^s(m+1) (A_m S(m) + u(m))``
+    from ``S(n_lo) = 0``, backward ``U(m) = R_m (U(m+1) - Pi^u(m+1) u(m))``
+    from ``U(n_hi+1) = 0``, with ``u = B x + f``."""
+    n_lo, n_hi = f.window
+    d = cocycle.dim
+    steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1), d)
+    b_mats = stack_steps(as_step_sequence(b, d), range(n_lo, n_hi + 1), d)
+    proj_s = np.array([cert.proj_s(m) for m in range(n_lo, n_hi + 2)])
+    back = _restricted_inverse(steps, proj_s)[0]
+    pi_s, pi_u = proj_s[1:], np.eye(d) - proj_s[1:]
+    u = np.einsum("kab,kb...->ka...", b_mats, np.asarray(x, float)) + f.values
+    out = np.zeros_like(u)
+    for m in range(len(u) - 1):
+        out[m + 1] = pi_s[m] @ (steps[m] @ out[m] + u[m])
+    acc = np.zeros_like(u[0])
+    for m in range(len(u) - 1, -1, -1):
+        acc = back[m] @ (acc - pi_u[m] @ u[m])
+        out[m] += acc
+    return out
+
+
+def march_tables(steps, proj_s):
+    """The streamed split-flow march stacked into ``(fwd, bwd)`` tables of
+    shape ``(N, N, d, d)``, entry ``[offset j, source node i]`` (zero where
+    the target leaves the nodes)."""
+    n, d = proj_s.shape[:2]
+    back = _restricted_inverse(steps, proj_s)[0]
+    fwd, bwd = np.zeros((2, n, n, d, d))
+    for j, (f, b) in enumerate(_split_march(steps, proj_s, back)):
+        fwd[j, : n - j], bwd[j, j:] = f, b
+    return fwd, bwd
+
+
+def all_pairs_ratios(cocycle, cert, window):
+    """``(max_ratio, worst)`` of the forward and the backward decay of
+    :func:`splitflow.verify_dichotomy` from a spectral norm of every pair
+    of the :func:`march_tables`, fractional horizons of a continuous
+    cocycle included, each located by the first max in C order of the
+    tables ``[source, offset, fraction]`` and ``[target, offset]``."""
+    nodes = _window_nodes(window)
+    n, d = len(nodes), cocycle.dim
+    discrete = isinstance(cocycle, DiscreteCocycle)
+    k_bound, alpha = cert.bound, cert.exponent
+    flows = None if discrete else cocycle.unit_flows(nodes[:-1])
+    steps = (stack_steps(cocycle.step, nodes[:-1], d) if discrete
+             else flows[:, -1])
+    fwd, bwd = march_tables(
+        steps, np.array([cert.proj_s(m) for m in nodes]))
+
+    def ratios(norms, exponents):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(norms > 0.0, norms * np.exp(exponents),
+                            0.0) / k_bound
+
+    subs = 1 if discrete else UNIT_SAMPLES
+    horizon = np.arange(n)[:, None] + np.arange(subs) / subs
+    def svd_norms(m):
+        return np.linalg.norm(m, 2, axis=(-2, -1))
+
+    norms = np.zeros((n, n, subs))
+    norms[:, :, 0] = svd_norms(fwd).T
+    for k in range(0 if discrete else n - 1):
+        norms[: n - 1 - k, k, 1:] = svd_norms(
+            flows[k:, 1:-1] @ fwd[k, : n - 1 - k, None])
+    ratio = ratios(norms, alpha * horizon)
+    i, k, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+    top_fwd = float(ratio[i, k, j])
+    worst_fwd = (nodes[i], float(horizon[k, j])) if top_fwd > 0.0 else None
+
+    target, offset = np.indices((n, n))
+    inside = target + offset < n
+    norms = svd_norms(bwd)[offset, np.where(inside, target + offset, 0)]
+    ratio = ratios(np.where(inside, norms, 0.0), alpha * offset)
+    i, k = np.unravel_index(np.argmax(ratio), ratio.shape)
+    top_bwd = float(ratio[i, k])
+    worst_bwd = (nodes[i + k], float(k)) if top_bwd > 0.0 else None
+    return (top_fwd, worst_fwd), (top_bwd, worst_bwd)
 
 
 def impulse(n_min, n_max, node, payload):

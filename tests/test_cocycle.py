@@ -12,8 +12,7 @@ from splitflow import cocycle
 from splitflow.cocycle import (UNIT_SAMPLES, _unit_envelope,
                                integrate_nonlinear, spectral_norms,
                                spectral_sup, stack_steps)
-from splitflow.dichotomy import _split_march
-from conftest import spectral_norm
+from conftest import march_tables, spectral_norm
 
 
 def composed(c, n_lo, n_hi):
@@ -21,8 +20,8 @@ def composed(c, n_lo, n_hi):
     with ``Pi^s = Id``: entry ``[j, i]`` is the ordered product
     ``A_{n_lo+i+j-1} ... A_{n_lo+i}`` of the cocycle's steps."""
     steps = stack_steps(c.step, range(n_lo, n_hi), c.dim)
-    return _split_march(steps, np.broadcast_to(
-        np.eye(c.dim), (n_hi - n_lo + 1, c.dim, c.dim))).fwd
+    return march_tables(steps, np.broadcast_to(
+        np.eye(c.dim), (n_hi - n_lo + 1, c.dim, c.dim)))[0]
 
 
 class TestComposeDiscrete:

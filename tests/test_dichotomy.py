@@ -11,8 +11,8 @@ from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
                        verify_dichotomy)
 from splitflow import dichotomy
 from splitflow.cocycle import UNIT_SAMPLES
-from conftest import (GreenKernel, riesz_projector_oracle, spectral_norm,
-                      time_varying_saddle)
+from conftest import (GreenKernel, all_pairs_ratios, riesz_projector_oracle,
+                      rotating_saddle, spectral_norm, time_varying_saddle)
 
 SADDLE = np.diag([0.5, 2.0])
 
@@ -387,14 +387,14 @@ class TestVerify:
         constant = DichotomyCertificate.constant(
             [[1.0, 0.0], [0.0, bad]], 1.0, np.log(2.0), discrete=True)
         with pytest.raises(SplitflowError,
-                           match=r"non-finite projection at t=-3 \(7 of 7"):
+                           match=r"non-finite projection at node -3 \(7 of 7"):
             verify_dichotomy(saddle, constant, (-3, 3))
         family = {n: np.diag([1.0, 0.0]) for n in range(-3, 4)}
         family[2] = np.array([[1.0, bad], [0.0, 0.0]])
         cert = DichotomyCertificate(bound=1.0, exponent=np.log(2.0),
                                     discrete=True, projections=family)
         with pytest.raises(SplitflowError,
-                           match=r"non-finite projection at t=2 \(1 of 7"):
+                           match=r"non-finite projection at node 2 \(1 of 7"):
             verify_dichotomy(saddle, cert, (-3, 3))
 
     def test_non_finite_unit_step_raises_typed_error(self, monkeypatch):
@@ -405,8 +405,155 @@ class TestVerify:
         monkeypatch.setattr(ContinuousCocycle, "unit_flows",
                             lambda self, shifts: flows)
         cert = DichotomyCertificate.constant([[1.0]], 1.0, 0.5, discrete=False)
-        with pytest.raises(SplitflowError, match=r"non-finite unit step at t=-1 "):
+        with pytest.raises(SplitflowError, match=r"non-finite unit step at node -1 "):
             verify_dichotomy(c, cert, (-3, 2))
+
+
+def _assert_matches_all_pairs(cocycle, cert, window, slack=1.05):
+    """The verifier's decay axioms equal the all-pairs oracle's, value and
+    location exactly, and the verdicts follow."""
+    rep = verify_dichotomy(cocycle, cert, window, slack=slack)
+    for axiom, (ratio, worst) in zip(("forward_decay", "backward_decay"),
+                                     all_pairs_ratios(cocycle, cert, window)):
+        got = rep.axioms[axiom]
+        assert got["max_ratio"] == ratio
+        assert got["worst"] == worst
+        assert got["passed"] is (ratio <= slack)
+    return rep
+
+
+class TestStreamedVerifier:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_discrete_matches_all_pairs(self, seed):
+        # rotating saddles of random size, constants and windows; the
+        # exponent ranges past the decay rates, so the max moves between
+        # horizon 0 and the longest horizons
+        gen = np.random.default_rng(seed)
+        dim = int(gen.integers(1, 6))
+        n_stable = int(gen.integers(0, dim + 1))
+        half = int(gen.integers(2, 25))
+        cocycle, cert = rotating_saddle(
+            (-half, half), dim, n_stable, seed=seed,
+            bound=float(gen.uniform(1.0, 3.0)),
+            exponent=float(gen.uniform(0.05, 1.2)))
+        _assert_matches_all_pairs(cocycle, cert, (-half, half))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_doctored_projections_match_all_pairs(self, seed):
+        # projections that are not invariant: the ratios still match, and
+        # so does the rejection
+        gen = np.random.default_rng(100 + seed)
+        cocycle, cert = rotating_saddle((-10, 10), 3, 2, seed=seed)
+        tilt = np.linalg.qr(np.eye(3) + 0.05 * gen.standard_normal((3, 3)))[0]
+        bad = DichotomyCertificate(
+            bound=1.0, exponent=0.5, discrete=True,
+            projections={n: tilt @ p @ tilt.T
+                         for n, p in cert.projections.items()})
+        rep = _assert_matches_all_pairs(cocycle, bad, (-10, 10))
+        assert not rep.passed
+
+    @pytest.mark.parametrize("case", ["constant", "time_varying"])
+    def test_continuous_matches_all_pairs(self, case):
+        # fractional horizons included
+        a = np.array([[0.0, 1.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.3, -1.5]])
+        cert = autonomous_certificate(a)
+        if case == "constant":
+            cocycle = ContinuousCocycle.constant(a)
+        else:
+            wobble = np.array([[0.0, 0.1, 0.0], [-0.1, 0.0, 0.2],
+                               [0.0, 0.0, 0.1]])
+            cocycle = ContinuousCocycle(
+                lambda ts: a + np.sin(ts)[:, None, None] * wobble, 3)
+        for k_bound, alpha in ((cert.bound, cert.exponent), (1.0, 2.5)):
+            c = DichotomyCertificate.constant(cert.proj_s(0), k_bound, alpha,
+                                              discrete=False)
+            _assert_matches_all_pairs(cocycle, c, (-4, 4))
+
+    @pytest.mark.parametrize("offsets", [1, 3])
+    def test_blocks_of_offsets_match_all_pairs(self, offsets, monkeypatch):
+        # blocks of one and of three offsets, so the running max carries
+        # ties and maxima across blocks
+        n = 21
+        monkeypatch.setattr(dichotomy, "_BLOCK_BYTES", offsets * 8 * n * 9)
+        cocycle, cert = rotating_saddle((-10, 10), 3, 2, seed=9, bound=1.3,
+                                        exponent=0.6)
+        _assert_matches_all_pairs(cocycle, cert, (-10, 10))
+        a = np.array([[0.0, 1.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.3, -1.5]])
+        monkeypatch.setattr(dichotomy, "_BLOCK_BYTES",
+                            offsets * 8 * 9 * UNIT_SAMPLES * 9)
+        _assert_matches_all_pairs(ContinuousCocycle.constant(a),
+                                  autonomous_certificate(a), (-4, 4))
+        step = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
+        monkeypatch.setattr(dichotomy, "_BLOCK_BYTES", offsets * 8 * n * 4)
+        ties = _assert_matches_all_pairs(step, DichotomyCertificate.constant(
+            np.diag([1.0, 0.0]), 1.0, np.log(2.0), discrete=True), (-10, 10))
+        assert ties.axioms["forward_decay"]["worst"][0] == -10
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_exact_ties_take_the_first_pair(self, dim):
+        # a constant cocycle: at each horizon every source has the same
+        # ratio, bit for bit, so the max ties across all sources and the
+        # first in C order, source -12, wins
+        step, pi_s = np.diag([0.5, 2.0][:dim]), np.diag([1.0, 0.0][:dim])
+        cert = DichotomyCertificate.constant(pi_s, 1.0, np.log(2.0),
+                                             discrete=True)
+        rep = _assert_matches_all_pairs(DiscreteCocycle.constant(step), cert,
+                                        (-12, 12))
+        fwd, bwd = (rep.axioms[a] for a in ("forward_decay", "backward_decay"))
+        assert fwd["max_ratio"] == pytest.approx(1.0, rel=1e-14)
+        assert fwd["worst"][0] == -12
+        if dim == 2:  # (source, offset) of the first target, node -12
+            assert bwd["worst"][0] - bwd["worst"][1] == -12
+        else:
+            assert bwd["worst"] is None
+
+    def test_offset_reduction_is_the_first_argmax_in_c_order(self):
+        # small integer norms under unit weights tie exactly and often; the
+        # reduction block of offsets by block must return the first max of
+        # the whole [source, offset, fraction] table, as argmax picks it,
+        # also where tied pairs have different Frobenius bounds
+        gen = np.random.default_rng(7)
+        n, subs = 7, 3
+        for _ in range(200):
+            table = np.zeros((n, n, subs, 2, 2))  # [source, offset, fraction]
+            table[..., 0, 0] = gen.integers(0, 4, (n, n, subs))
+            table[..., 1, 1] = table[..., 0, 0] * gen.uniform(0.0, 1.0,
+                                                              (n, n, subs))
+            best, k0 = (0.0, None), 0
+            while k0 < n:  # blocks of 1 to 3 offsets
+                k1 = min(n, k0 + int(gen.integers(1, 4)))
+                best = dichotomy._running_max(best, table[:, k0:k1],
+                                              np.ones(subs), 1.0, (0, k0, 0))
+                k0 = k1
+            norms = np.linalg.norm(table, 2, axis=(-2, -1))
+            at = tuple(int(a) for a in np.unravel_index(np.argmax(norms),
+                                                        norms.shape))
+            assert best == ((norms.max(), at) if norms.max() else (0.0, None))
+
+    def test_svds_only_for_pairs_that_can_reach_the_max(self, monkeypatch):
+        cocycle, cert = rotating_saddle((-30, 30), 3, 2, seed=5)
+        rows = []
+        real = dichotomy.spectral_norms
+        monkeypatch.setattr(dichotomy, "spectral_norms",
+                            lambda m: rows.append(len(m)) or real(m))
+        verify_dichotomy(cocycle, cert, (-30, 30))
+        pairs = 61 * 62  # both branches, every source and offset
+        assert 0 < sum(rows) < pairs // 10
+
+    def test_long_window_memory_is_linear(self):
+        # a discrete d = 2 verification on +-400 (801 nodes): the all-pairs
+        # tables alone would take 41 MB
+        import tracemalloc
+
+        cocycle, cert = rotating_saddle((-400, 400), 2, 1, seed=3)
+        tracemalloc.start()
+        try:
+            rep = verify_dichotomy(cocycle, cert, (-400, 400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.axioms["forward_decay"]["max_ratio"] > 0.0
+        assert peak < 10e6
 
 
 class TestGreenKernel:

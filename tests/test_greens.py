@@ -5,8 +5,11 @@ from splitflow import (ContractionMarginError, DiscreteCocycle,
                        DichotomyCertificate, ForcingSequence, SplitflowError,
                        bounded_solution, impulse_response_projection,
                        pointwise, truncation_length)
-from splitflow.dichotomy import _split_march
-from conftest import (GreenKernel, gamma_apply, impulse, time_varying_saddle,
+from splitflow import cocycle, greens
+from splitflow.cocycle import FROBENIUS_SLACK
+from splitflow.greens import _seq_sup, _within
+from conftest import (GreenKernel, gamma_apply, gamma_sequential, impulse,
+                      march_tables, rotating_saddle, time_varying_saddle,
                       value_at)
 
 LN2 = float(np.log(2.0))
@@ -123,6 +126,125 @@ class TestGammaApply:
         assert gap < 1e-12 * scale
 
 
+class TestDoublingSweeps:
+    @pytest.mark.parametrize("cols", [None, 3])
+    @pytest.mark.parametrize("dim, n_stable", [(1, 1), (1, 0), (2, 1),
+                                               (8, 5)])
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 9, 32, 33, 64, 65])
+    def test_matches_sequential_sweeps(self, width, dim, n_stable, cols):
+        # the doubling sweeps against the two sweeps one node at a time, on
+        # a time-varying saddle whose splitting rotates from node to node,
+        # with a time-varying perturbation, vector or matrix (family)
+        # forcing; the sums agree to 1e-14 of their size (reordered
+        # round-off: 4.3e-16 at worst over these cases)
+        lo = -3
+        hi = lo + width - 1
+        c, cert = rotating_saddle((lo, hi), dim, n_stable, seed=width)
+        rng = np.random.default_rng(width + dim)
+        b_mats = 0.05 * rng.standard_normal((width, dim, dim))
+        shape = (width, dim) + (() if cols is None else (cols,))
+        f = ForcingSequence(lo, hi, rng.standard_normal(shape))
+        x = rng.standard_normal(shape)
+
+        def b(ns):
+            return b_mats[np.asarray(ns) - lo]
+
+        want = gamma_sequential(c, cert, b, f, x)
+        got = gamma_apply(c, cert, b, f, x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(
+            np.abs(want)))
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_matches_sequential_sweeps_in_small_blocks(self, rows,
+                                                       monkeypatch):
+        # a scratch of a few rows splits every doubling level into blocks,
+        # which must run top down so that no block reads a row already
+        # updated at its level
+        monkeypatch.setattr(greens, "_SCAN_BYTES", rows * 8 * 2 * 3)
+        for width in (9, 33):
+            self.test_matches_sequential_sweeps(width, 2, 1, 3)
+            self.test_matches_sequential_sweeps(width, 1, 1, 3)
+
+    def test_constant_cocycle_nodes_stay_bitwise_alike(self):
+        # every node takes the same doubling steps, so on a constant
+        # cocycle the impulse projections away from the edges are equal
+        c, cert = saddle()
+        rot = np.array([[np.cos(0.01), -np.sin(0.01)],
+                        [np.sin(0.01), np.cos(0.01)]])
+        b = rot @ np.diag([0.5, 2.0]) - np.diag([0.5, 2.0])
+        family = impulse_response_projection(c, cert, b, list(range(-8, 9)))
+        first = family[-8]
+        assert all(np.array_equal(p, first) for p in family.values())
+
+
+class TestStoppingDecision:
+    @staticmethod
+    def _straddling(rng, d, r, tol):
+        """Stacks of 24 rows around ``tol``: Frobenius norms in
+        ``(tol, sqrt(k) tol]``, rank-one rows of norm ``tol`` up to
+        round-off, single entries of exactly ``tol``, and the same rows
+        shrunk below ``tol``."""
+        k = min(d, r)
+        mats = rng.standard_normal((24, d, r))
+        mats *= (tol * rng.uniform(1.0, np.sqrt(k), 24)
+                 / np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
+        u = rng.standard_normal((24, d, 1))
+        v = rng.standard_normal((24, 1, r))
+        rank_one = tol * (u / np.linalg.norm(u, axis=1, keepdims=True)) * (
+            v / np.linalg.norm(v, axis=2, keepdims=True))
+        exact = np.zeros((24, d, r))
+        exact[:, 0, -1] = tol
+        yield mats
+        yield rank_one
+        yield exact
+        yield np.concatenate([exact, 0.5 * mats])
+        yield np.concatenate([0.5 * mats, rank_one])
+        yield mats / np.sqrt(k)
+        yield rank_one * (1.0 - 1e-15)
+
+    def test_equals_exact_sup_on_straddling_stacks(self):
+        rng = np.random.default_rng(21)
+        seen = set()
+        for tol in (1e-10, 1e-8, 0.5):
+            for d, r in ((2, 194), (2, 3), (1, 9), (8, 40), (3, 3), (4, 1)):
+                for _ in range(5):
+                    for mats in self._straddling(rng, d, r, tol):
+                        want = _seq_sup(mats) <= tol
+                        assert _within(mats, tol) == want
+                        seen.add(bool(want))
+        assert seen == {True, False}
+
+    def test_no_svd_while_a_row_is_far_above_tol(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        tol = 1e-8
+        rows = []
+        real = cocycle.spectral_norms
+        monkeypatch.setattr(cocycle, "spectral_norms",
+                            lambda m: rows.append(len(m)) or real(m))
+        mats = 1e-3 * tol * rng.standard_normal((185, 2, 194))
+        mats[100] = tol * np.sqrt(2.0) * (1.0 + 4.0 * FROBENIUS_SLACK) * (
+            np.eye(2, 194) / np.sqrt(2.0))  # |M|_F just above sqrt(2) tol
+        assert _within(mats, tol) is False
+        mats[100] *= 1e-3  # every row's |M|_F now below tol
+        assert _within(mats, tol) is True
+        assert rows == []
+        mats[100] = 0.99 * tol * np.eye(2, 194)  # |M|_F > tol > |M|
+        assert _within(mats, tol) is True
+        assert sum(rows) > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        mats = np.zeros((10, 2, 6))
+        mats[2] = 10.0  # a row whose norm alone rules out convergence
+        mats[7, 1, 3] = bad
+        with pytest.raises(SplitflowError, match="non-finite"):
+            _within(mats, 1e-8)
+        mats[2] = 0.0  # and a stack that would otherwise read converged
+        with pytest.raises(SplitflowError, match="non-finite"):
+            _within(mats, 1e-8)
+
+
 class TestSplitMarch:
     def test_tables_match_kernel_per_pair(self):
         # the marched tables against the per-pair two-branch kernel on a
@@ -133,17 +255,17 @@ class TestSplitMarch:
         cert = DichotomyCertificate(bound=1.5, exponent=0.5, discrete=True,
                                     projections=projections)
         band = n_hi - n_lo + 1
-        march = _split_march(
+        fwd, bwd = march_tables(
             np.array([steps[n] for n in range(n_lo, n_hi + 1)]),
             np.array([projections[n] for n in range(n_lo, n_hi + 2)]))
         g = GreenKernel(c, cert)
         for i, m in enumerate(range(n_lo, n_hi + 2)):
             for j in range(band + 1):
                 if m + j <= n_hi + 1:
-                    assert np.max(np.abs(march.fwd[j, i] - g.eval(m + j, m))) \
+                    assert np.max(np.abs(fwd[j, i] - g.eval(m + j, m))) \
                         < 1e-12
                 if j >= 1 and m - j >= n_lo:
-                    assert np.max(np.abs(march.bwd[j, i] - g.eval(m - j, m))) \
+                    assert np.max(np.abs(bwd[j, i] - g.eval(m - j, m))) \
                         < 1e-12
 
 

@@ -328,7 +328,7 @@ class TestDiscretePipeline:
         cert = DichotomyCertificate(bound=1.0, exponent=LN2, discrete=True,
                                     projections=family)
         with pytest.raises(SplitflowError,
-                           match=r"non-finite projection at t=3 \(1 of"):
+                           match=r"non-finite projection at node 3 \(1 of"):
             robust_dichotomy_discrete(saddle, cert, saddle, (-5, 5))
 
 
