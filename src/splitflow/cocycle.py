@@ -70,7 +70,7 @@ def _constant_rows(m):
 
 
 FROBENIUS_SLACK = 1e-10  # relative room over the few-ulp error of both norms
-_FIRST_BATCH = 16  # SVD batch of _pruned_argmax, doubled batch after batch
+_FIRST_BATCH = 16  # SVD batch of spectral_argmax, doubled batch after batch
 
 
 def spectral_norms(mats):
@@ -81,35 +81,78 @@ def spectral_norms(mats):
     return np.linalg.svd(np.asarray(mats, float), compute_uv=False)[..., 0]
 
 
-def spectral_sup(mats, scale=1.0, offset=0.0):
-    """``max(offset + scale |M|)`` over a stack of matrices (last two axes),
-    exactly as over :func:`spectral_norms` of the whole stack; 0 for an
-    empty stack.
+def spectral_argmax(mats, weigh=None, floor=-math.inf):
+    """``(max, index)`` of ``weigh(|M|, rows)`` over a stack of matrices
+    (last two axes), exactly as over :func:`spectral_norms` of the whole
+    stack, ``index`` the first flat index (C order) of the max; None when
+    no value reaches ``floor``, as for an empty stack.
 
-    ``scale >= 0`` and ``offset`` broadcast over the stack's leading axes.
-    Since ``|M| <= |M|_F`` (Golub & Van Loan, *Matrix Computations*, 2.3),
-    the bound ``offset + scale |M|_F (1 + FROBENIUS_SLACK)`` is never below
-    the row's value: rounding is monotone and the slack exceeds the error of
-    either norm.  Only the rows whose bound can still reach the max take an
-    SVD (:func:`_pruned_argmax`).  Matrices of one entry take ``abs``.  A
-    non-finite entry raises :class:`SplitflowError`.
+    ``weigh(norms, rows)`` maps the norms of the rows ``rows`` (an index
+    into the flattened stack) to their values, the norms by default, and
+    must be non-decreasing in the norm.  As ``|M| <= |M|_F`` (Golub & Van
+    Loan, *Matrix Computations*, 2.3), ``weigh(|M|_F (1 + FROBENIUS_SLACK))``
+    bounds a row's value: rounding is monotone and the slack exceeds the
+    error of either norm.  The rows whose bound reaches ``floor`` take an
+    SVD in descending order of their bounds, in batches of 16, 32, 64, ...,
+    until the next bound falls below the running max: no row left out can
+    exceed it, and every row that ties with it is evaluated, so the first
+    one is known.  Matrices of one entry take ``abs``; a non-finite entry
+    raises :class:`SplitflowError`.
     """
     mats = np.asarray(mats, float)
-    lead = mats.shape[:-2]
-    mats = mats.reshape((-1,) + mats.shape[-2:])
-    scale, offset = (np.broadcast_to(np.asarray(a, float), lead).ravel()
-                     for a in (scale, offset))
-    if not (np.isfinite(mats).all() and np.isfinite(scale).all()
-            and np.isfinite(offset).all()):
-        raise SplitflowError("non-finite matrix entry or weight in a "
-                             "spectral sup")
-    if len(mats) == 0:
-        return 0.0
-    if mats.shape[1:] == (1, 1):
-        return float(np.max(offset + scale * np.abs(mats[:, 0, 0])))
-    bounds = offset + scale * (_frobenius(mats) * (1.0 + FROBENIUS_SLACK))
-    return _pruned_argmax(bounds, lambda rows: offset[rows] + scale[rows]
-                          * spectral_norms(mats[rows]))[0]
+    flat = mats.reshape((-1,) + mats.shape[-2:])
+    if not np.isfinite(flat).all():
+        raise SplitflowError("non-finite matrix entry in a spectral max")
+    weigh = weigh or (lambda norms, rows: norms)
+    if flat.shape[1:] == (1, 1):  # the values themselves: no sort, no SVD
+        v = weigh(np.abs(flat[:, 0, 0]), slice(None))
+        i = int(np.argmax(v)) if len(v) else 0
+        return (float(v[i]), i) if len(v) and v[i] >= floor else None
+    bounds = weigh(_frobenius(flat) * (1.0 + FROBENIUS_SLACK), slice(None))
+    order = np.flatnonzero(bounds >= floor)
+    order = order[np.argsort(-bounds[order], kind="stable")]
+    best, first, lo, size = floor, None, 0, _FIRST_BATCH
+    while lo < len(order) and bounds[order[lo]] >= best:
+        rows = order[lo:lo + size]
+        values = weigh(spectral_norms(flat[rows]), rows)
+        top = float(np.max(values))
+        if top >= best:
+            row = int(np.min(rows[values == top]))
+            if top > best or first is None or row < first:
+                first = row
+            best = top
+        lo, size = lo + size, 2 * size
+    return None if first is None else (best, first)
+
+
+def spectral_sup(mats, scale=1.0, offset=0.0):
+    """``max(offset + scale |M|)`` over a stack of matrices (last two axes),
+    exactly as over :func:`spectral_norms` of the whole stack
+    (:func:`spectral_argmax`); 0 for an empty stack.  ``scale >= 0`` and
+    ``offset`` broadcast over the stack's leading axes; a non-finite entry
+    or weight raises :class:`SplitflowError`.
+    """
+    scale, offset = (np.broadcast_to(np.asarray(a, float), np.shape(mats)[:-2])
+                     .ravel() for a in (scale, offset))
+    if not (np.isfinite(scale).all() and np.isfinite(offset).all()):
+        raise SplitflowError("non-finite weight in a spectral sup")
+    found = spectral_argmax(
+        mats, lambda norms, rows: offset[rows] + scale[rows] * norms)
+    return 0.0 if found is None else found[0]
+
+
+def spectral_sup_at_most(mats, tol):
+    """``spectral_sup(mats) <= tol``, exactly, for an ``(N, m, n)`` stack.
+    No SVD runs while some row's Frobenius norm exceeds ``tol sqrt(min(m,
+    n)) (1 + FROBENIUS_SLACK)``, since ``|M| >= |M|_F / sqrt(rank M)``, nor
+    once every row's Frobenius bound is at most ``tol``
+    (:func:`spectral_argmax` with a floor just above ``tol``).  A non-finite
+    entry raises :class:`SplitflowError`.
+    """
+    top = np.max(_frobenius(mats), initial=0.0)  # NaN after a non-finite entry
+    if top > tol * math.sqrt(min(mats.shape[1:])) * (1.0 + FROBENIUS_SLACK):
+        return False
+    return spectral_argmax(mats, floor=np.nextafter(tol, math.inf)) is None
 
 
 def _frobenius(mats):
@@ -124,32 +167,6 @@ def _frobenius(mats):
             unit = mats[odd] / np.where(big > 0.0, big, 1.0)[:, None, None]
         frob[odd] = big * np.sqrt(np.einsum("nij,nij->n", unit, unit))
     return frob
-
-
-def _pruned_argmax(bounds, exact, floor=-math.inf):
-    """``(max, row)`` of ``exact(rows)`` over the rows whose upper bound
-    ``bounds[row]`` reaches ``floor``, ``row`` the first that attains the
-    max; None when no value reaches ``floor``.
-
-    ``exact(rows)`` evaluates a batch of rows.  The rows run in descending
-    order of their bounds, in batches of 16, 32, 64, ..., until the next
-    bound falls below the running max: no row left out can exceed it, and
-    every row that ties with it is evaluated, so the first one is known.
-    """
-    order = np.flatnonzero(bounds >= floor)
-    order = order[np.argsort(-bounds[order], kind="stable")]
-    best, first, lo, size = floor, None, 0, _FIRST_BATCH
-    while lo < len(order) and bounds[order[lo]] >= best:
-        rows = order[lo:lo + size]
-        values = exact(rows)
-        top = float(np.max(values))
-        if top >= best:
-            row = int(np.min(rows[values == top]))
-            if top > best or first is None or row < first:
-                first = row
-            best = top
-        lo, size = lo + size, 2 * size
-    return None if first is None else (best, first)
 
 
 def _finite(values, keys, what, nodes=False):

@@ -9,8 +9,9 @@ four defining estimates numerically and reports residuals per axiom; it must
 also be able to *fail* on doctored certificates, which the test suite
 exercises.  It reads the Green kernel of the certified split from one
 split-flow march (:func:`_split_march`) over the window, streamed one offset
-at a time, and takes SVDs only of the kernel values whose Frobenius bound can
-still reach the largest decay ratio; the bounded solves of
+at a time, and keeps the largest decay ratio with
+:func:`~splitflow.cocycle.spectral_argmax`, so only the kernel values whose
+Frobenius bound can still reach it take an SVD; the bounded solves of
 :mod:`splitflow.greens` share its one-step restricted inverses.
 
 Autonomous generators are split by the Newton iteration for the matrix sign
@@ -26,10 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # noqa: F401  -- loaded at start-up, not by np.unique in a run
 
-from .cocycle import (FROBENIUS_SLACK, UNIT_SAMPLES, DiscreteCocycle,
-                      _finite, _frobenius, _pruned_argmax, spectral_norms,
+from .cocycle import (UNIT_SAMPLES, DiscreteCocycle, _finite, spectral_argmax,
                       spectral_sup, stack_steps)
 from .errors import ConfigurationError, NonHyperbolicError
 from .grids import TimeGrid
@@ -293,9 +292,10 @@ def _restricted_inverse(steps, proj_s):
     no_inverse = rank[1:] != rank[:-1]
     back = np.zeros((n - 1, d, d))
     cond = np.ones(n - 1)
-    keep = ~no_inverse & (rank[1:] > 0)
-    for r in np.unique(rank[1:][keep]):
-        k = np.flatnonzero(keep & (rank[1:] == r))
+    for r in range(1, d + 1):  # a pass marks no_inverse at its own steps only
+        k = np.flatnonzero(~no_inverse & (rank[1:] == r))
+        if not len(k):
+            continue
         b0, b1t = basis[k, :, :r], basis[k + 1, :, :r].swapaxes(1, 2)
         w = b1t @ steps[k] @ b0
         s = np.linalg.svd(w, compute_uv=False)
@@ -373,23 +373,12 @@ def _running_max(best, mats, weights, k_bound, start):
     positive, after a block of kernel values ``mats[i, k, j]`` (source or
     target, offset, fraction), ``weights`` broadcast over the block and
     ``start`` its first location.  A tie goes to the earlier location in C
-    order.  Only the values whose Frobenius ratio, pushed through the same
-    expression, can reach the max take an SVD
-    (:func:`~splitflow.cocycle._pruned_argmax`); 1x1 values take ``abs``.
+    order.  Only the values that can still reach the max take an SVD
+    (:func:`~splitflow.cocycle.spectral_argmax`).
     """
-    floor = best[0] or math.ulp(0.0)
-    flat = mats.reshape(-1, *mats.shape[-2:])
     weights = np.broadcast_to(weights, mats.shape[:-2]).ravel()
-    scalar = flat.shape[1:] == (1, 1)
-    norms = (np.abs(flat[:, 0, 0]) if scalar
-             else _frobenius(flat) * (1.0 + FROBENIUS_SLACK))
-    bounds = _decay_ratio(norms, weights, k_bound)
-    if not np.max(bounds, initial=0.0) >= floor:
-        return best
-    found = _pruned_argmax(bounds, (lambda rows: bounds[rows]) if scalar
-                           else (lambda rows: _decay_ratio(
-                               spectral_norms(flat[rows]), weights[rows],
-                               k_bound)), floor)
+    found = spectral_argmax(mats, lambda norms, rows: _decay_ratio(
+        norms, weights[rows], k_bound), best[0] or math.ulp(0.0))
     if found is None:
         return best
     loc = tuple(int(a + b) for a, b in
@@ -428,12 +417,13 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     memory stays O(N d^2) (times ``UNIT_SAMPLES`` for a continuous
     cocycle).  Each block's ratios update a running max and its first
     location in the order (source, horizon) of (b) and (target, offset) of
-    (c), and only the pairs whose Frobenius bound can reach it take an SVD:
-    ``max_ratio`` and ``worst`` are those of an SVD of every pair.
+    (c) (:func:`_running_max`): ``max_ratio`` and ``worst`` are those of an
+    SVD of every pair.
 
     A singular restricted map or a rank change sets
     ``isomorphism_violation``; a non-finite step or projection raises
-    :class:`SplitflowError` naming its node.  Continuous cocycles read the
+    :class:`SplitflowError` naming its node, and a march that overflows to a
+    non-finite kernel value raises it too.  Continuous cocycles read the
     unit steps and the fractional horizons ``k + j / UNIT_SAMPLES`` from the
     unit-flow table ``flows``, as ``flows[n + k, j] @ fwd[k, n]``.
     """

@@ -18,7 +18,8 @@ by doubling in ceil(log2 W) batched steps over a window of W nodes
 (:func:`_scan`; Kogge & Stone, 1973; Blelloch, 1990).  Picard iteration then
 yields the solution together with a residual certificate; its stopping test
 is the exact ``sup |Gamma_f x - x| <= tol``, which Frobenius bounds settle
-without an SVD in all but the last iteration or two (:func:`_within`).
+without an SVD in all but the last iteration or two
+(:func:`~splitflow.cocycle.spectral_sup_at_most`).
 Nodes within the certified geometric-tail length (the band) of the window
 edges are edge-contaminated.  (A direct linear solve would work too; the
 iteration mirrors the contraction argument and its residual is the
@@ -39,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import (FROBENIUS_SLACK, _finite, _frobenius, as_step_sequence,
-                      spectral_norms, spectral_sup, stack_steps)
+from .cocycle import (_finite, as_step_sequence, spectral_argmax,
+                      spectral_sup, spectral_sup_at_most, stack_steps)
 from .dichotomy import _restricted_inverse
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
 
@@ -107,34 +108,9 @@ class ForcingSequence:
 
 def _seq_sup(values):
     """Sup over nodes of the Euclidean (vector) or spectral (matrix) norm."""
-    values = np.asarray(values, float)
     if values.ndim == 3:
         return spectral_sup(values)
     return float(np.max(np.linalg.norm(values, 2, axis=1), initial=0.0))
-
-
-def _within(values, tol):
-    """``_seq_sup(values) <= tol``, exactly.  Over matrix sequences no SVD
-    runs while some row's Frobenius norm exceeds
-    ``tol sqrt(min(d, r)) (1 + FROBENIUS_SLACK)``, since ``|M| >= |M|_F /
-    sqrt(rank M)``, nor once every row's ``|M|_F (1 + FROBENIUS_SLACK)`` is
-    at most ``tol``, since ``|M| <= |M|_F`` (Golub & Van Loan, *Matrix
-    Computations*, 2.3).  A non-finite matrix entry raises
-    :class:`SplitflowError` (a vector sequence reads as not within).
-    """
-    if values.ndim == 3:
-        top = np.max(_frobenius(values))  # NaN after a non-finite entry
-        if top > tol * math.sqrt(min(values.shape[1:])) * (
-                1.0 + FROBENIUS_SLACK):
-            return False
-        if top * (1.0 + FROBENIUS_SLACK) <= tol:
-            return True
-    return _seq_sup(values) <= tol
-
-
-def _delta_eff(cert, b_mats):
-    """``K sup_n |B_n|`` over a stack of perturbation steps."""
-    return cert.bound * spectral_sup(b_mats)
 
 
 def _band_for(cert, delta_eff, f_sup, trunc_tol):
@@ -149,7 +125,8 @@ def _impulse_span(cert, b_mats, n_lo, n_hi, trunc_tol):
     """Span of the impulse solves for the nodes [n_lo, n_hi]: the window
     widened by the unit-forcing band of its perturbation size, plus 8.
     ``b_mats`` stacks the perturbation steps over the window."""
-    band0 = _band_for(cert, _delta_eff(cert, b_mats), 1.0, trunc_tol) + 8
+    band0 = _band_for(cert, cert.bound * spectral_sup(b_mats), 1.0,
+                      trunc_tol) + 8
     return n_lo - band0, n_hi + band0
 
 
@@ -260,7 +237,7 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     n_lo, n_hi = f.window
     b_mats = stack_steps(as_step_sequence(b, cocycle.dim),
                          range(n_lo, n_hi + 1), cocycle.dim)
-    delta_eff = _delta_eff(cert, b_mats)
+    delta_eff = cert.bound * spectral_sup(b_mats)
     e = math.exp(-cert.exponent)
     rho = delta_eff * (1.0 + e) / (1.0 - e)
     if rho > CONTRACTION_MARGIN:
@@ -284,7 +261,8 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     it = 0
     while it < max_iter:
         y = _gamma(sweeps, b_mats, f, x)
-        done = _within(y - x, tol)
+        done = (_seq_sup(y - x) <= tol if y.ndim == 2
+                else spectral_sup_at_most(y - x, tol))
         x = y
         it += 1
         if done:
@@ -332,11 +310,10 @@ def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
     # block j of row nodes[j], stacked (m, d, d)
     pi_s = sol.values.reshape(-1, d, m, d)[np.asarray(nodes) - n_lo, :,
                                            np.arange(m)]
-    idem = spectral_norms(pi_s @ pi_s - pi_s)
-    if np.max(idem) > 1e-4:
-        j = int(np.argmax(idem))
+    far = spectral_argmax(pi_s @ pi_s - pi_s, floor=np.nextafter(1e-4, 1.0))
+    if far is not None:
         raise SplitflowError(
-            f"impulse projection at node {nodes[j]} is far from idempotent "
-            f"(residual {idem[j]:.3e}); perturbation may be too large"
-        )
+            f"impulse projection at node {nodes[far[1]]} is far from "
+            f"idempotent (residual {far[0]:.3e}); perturbation may be too "
+            "large")
     return dict(zip(nodes, pi_s))

@@ -20,7 +20,7 @@ from .cocycle import _unit_envelope, discretize, spectral_sup, stack_steps
 from .dichotomy import (DichotomyCertificate, _window_nodes, delta_threshold,
                         verify_dichotomy)
 from .errors import RobustnessHypothesisError, SplitflowError
-from .greens import _delta_eff, _impulse_span, impulse_response_projection
+from .greens import _impulse_span, impulse_response_projection
 from .io import jsonable
 
 SAFETY = 0.9  # applied to the strict thresholds: finite-window sups run low
@@ -127,7 +127,7 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
     span_lo, span_hi = _impulse_span(base_cert, b_window, n_lo, n_hi, trunc_tol)
     b_span = np.insert(b_steps(np.r_[span_lo:n_lo, n_hi + 1:span_hi + 1]),
                        n_lo - span_lo, b_window, axis=0)
-    delta_eff = _delta_eff(base_cert, b_span)
+    delta_eff = k_bound * spectral_sup(b_span)
     thr = delta_threshold(alpha)
     if delta_eff > safety * thr:
         raise RobustnessHypothesisError(

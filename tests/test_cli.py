@@ -228,7 +228,7 @@ def test_cold_import_loads_no_scipy(tmp_path):
 
 def test_run_imports_nothing(tmp_path):
     # every module a run needs is loaded at start-up: a lazy import inside
-    # a run (numpy.random, numpy.fft, numpy.ma, locale) would be timed as
+    # a run (numpy.random, numpy.fft, locale) would be timed as
     # run time
     configs = {
         "hyperbolic": "eta_grid = 0.1\n",

@@ -10,8 +10,9 @@ from splitflow import (ConfigurationError, ContinuousCocycle,
                        propagator, verify_dichotomy)
 from splitflow import cocycle
 from splitflow.cocycle import (UNIT_SAMPLES, _unit_envelope,
-                               integrate_nonlinear, spectral_norms,
-                               spectral_sup, stack_steps)
+                               integrate_nonlinear, spectral_argmax,
+                               spectral_norms, spectral_sup, stack_steps)
+from splitflow.dichotomy import _decay_ratio
 from conftest import march_tables, spectral_norm
 
 
@@ -335,9 +336,31 @@ def _sup_cases():
 
 class TestSpectralSup:
     def test_equals_max_over_every_svd(self):
+        # spectral_sup, and spectral_argmax under the same weights: the max
+        # and its first row among exact ties, as over an SVD of every row,
+        # and None once the floor is above the max
         for mats, scale, offset in _sup_cases():
-            want = np.max(offset + scale * spectral_norms(mats))
+            values = offset + scale * spectral_norms(mats)
+            want = np.max(values)
             assert spectral_sup(mats, scale, offset) == want
+            scale, offset = (np.broadcast_to(a, len(mats))
+                             for a in (scale, offset))
+
+            def weigh(norms, rows):
+                return offset[rows] + scale[rows] * norms
+
+            first = (want, int(np.argmax(values)))
+            assert spectral_argmax(mats, weigh) == first
+            assert spectral_argmax(mats, weigh, floor=want) == first
+            assert spectral_argmax(mats, weigh,
+                                   floor=np.nextafter(want, np.inf)) is None
+        # the verifier's weigh: an overflowed weight e^{alpha t} on a zero
+        # matrix reads 0, and the tie at 1 goes to the first row
+        mats = np.zeros((5, 2, 2))
+        mats[1], mats[3] = np.eye(2), np.diag([0.0, 0.5])
+        weights = np.array([np.inf, 1.0, np.inf, 2.0, 1.0])
+        assert spectral_argmax(mats, lambda norms, rows: _decay_ratio(
+            norms, weights[rows], 1.0)) == (1.0, 1)
 
     def test_weights_broadcast_over_leading_axes(self):
         # the unit-flow layout: (shifts, snapshots, d, d), one weight per

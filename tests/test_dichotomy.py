@@ -9,6 +9,7 @@ from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
                        pointwise, projection_distance,
                        robust_dichotomy_discrete, spectral_projection,
                        verify_dichotomy)
+import splitflow.cocycle
 from splitflow import dichotomy
 from splitflow.cocycle import UNIT_SAMPLES
 from conftest import (GreenKernel, all_pairs_ratios, riesz_projector_oracle,
@@ -530,11 +531,40 @@ class TestStreamedVerifier:
                                                         norms.shape))
             assert best == ((norms.max(), at) if norms.max() else (0.0, None))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_kernel_value_raises(self, dim, bad):
+        # a kernel value with an inf or NaN entry has no decay ratio: the
+        # reduction fails closed at every d, rather than reading it as inf
+        # (d = 1) or as nothing (NaN, and inf at d >= 2)
+        block = np.zeros((2, 1, 1, dim, dim))
+        block[0, 0, 0] = np.eye(dim)
+        block[1, 0, 0, 0, 0] = bad
+        with pytest.raises(SplitflowError, match="non-finite"):
+            dichotomy._running_max((0.0, None), block, np.ones(1), 1.0,
+                                   (0, 0, 0))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_overflowing_march_raises(self, dim):
+        # steps diag(1e200, 0.5, ...) at nodes 0 and 1 overflow the forward
+        # march at offset 2; without the check, d = 1 read ratio inf and
+        # d = 2 only the finite 2e200 of the values before the overflow
+        def step(ns):
+            out = np.array([0.5 * np.eye(dim)] * len(ns))
+            out[(ns == 0) | (ns == 1), 0, 0] = 1e200
+            return out
+
+        cert = DichotomyCertificate.constant(np.eye(dim), 1.0, np.log(2.0),
+                                             discrete=True)
+        with pytest.raises(SplitflowError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            verify_dichotomy(DiscreteCocycle(step, dim), cert, (-3, 3))
+
     def test_svds_only_for_pairs_that_can_reach_the_max(self, monkeypatch):
         cocycle, cert = rotating_saddle((-30, 30), 3, 2, seed=5)
         rows = []
-        real = dichotomy.spectral_norms
-        monkeypatch.setattr(dichotomy, "spectral_norms",
+        real = splitflow.cocycle.spectral_norms
+        monkeypatch.setattr("splitflow.cocycle.spectral_norms",
                             lambda m: rows.append(len(m)) or real(m))
         verify_dichotomy(cocycle, cert, (-30, 30))
         pairs = 61 * 62  # both branches, every source and offset

@@ -6,8 +6,8 @@ from splitflow import (ContractionMarginError, DiscreteCocycle,
                        bounded_solution, impulse_response_projection,
                        pointwise, truncation_length)
 from splitflow import cocycle, greens
-from splitflow.cocycle import FROBENIUS_SLACK
-from splitflow.greens import _seq_sup, _within
+from splitflow.cocycle import FROBENIUS_SLACK, spectral_sup_at_most
+from splitflow.greens import _seq_sup
 from conftest import (GreenKernel, gamma_apply, gamma_sequential, impulse,
                       march_tables, rotating_saddle, time_varying_saddle,
                       value_at)
@@ -211,7 +211,7 @@ class TestStoppingDecision:
                 for _ in range(5):
                     for mats in self._straddling(rng, d, r, tol):
                         want = _seq_sup(mats) <= tol
-                        assert _within(mats, tol) == want
+                        assert spectral_sup_at_most(mats, tol) == want
                         seen.add(bool(want))
         assert seen == {True, False}
 
@@ -225,12 +225,12 @@ class TestStoppingDecision:
         mats = 1e-3 * tol * rng.standard_normal((185, 2, 194))
         mats[100] = tol * np.sqrt(2.0) * (1.0 + 4.0 * FROBENIUS_SLACK) * (
             np.eye(2, 194) / np.sqrt(2.0))  # |M|_F just above sqrt(2) tol
-        assert _within(mats, tol) is False
+        assert spectral_sup_at_most(mats, tol) is False
         mats[100] *= 1e-3  # every row's |M|_F now below tol
-        assert _within(mats, tol) is True
+        assert spectral_sup_at_most(mats, tol) is True
         assert rows == []
         mats[100] = 0.99 * tol * np.eye(2, 194)  # |M|_F > tol > |M|
-        assert _within(mats, tol) is True
+        assert spectral_sup_at_most(mats, tol) is True
         assert sum(rows) > 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -239,10 +239,10 @@ class TestStoppingDecision:
         mats[2] = 10.0  # a row whose norm alone rules out convergence
         mats[7, 1, 3] = bad
         with pytest.raises(SplitflowError, match="non-finite"):
-            _within(mats, 1e-8)
+            spectral_sup_at_most(mats, 1e-8)
         mats[2] = 0.0  # and a stack that would otherwise read converged
         with pytest.raises(SplitflowError, match="non-finite"):
-            _within(mats, 1e-8)
+            spectral_sup_at_most(mats, 1e-8)
 
 
 class TestSplitMarch:
@@ -429,6 +429,27 @@ class TestImpulseProjections:
         pi_u = np.eye(2) - pi_s
         assert np.linalg.norm(pi_s @ pi_s - pi_s, 2) < 1e-8
         assert np.linalg.norm(pi_s @ pi_u, 2) < 1e-8
+
+    def test_far_from_idempotent_names_the_first_worst_node(self,
+                                                             monkeypatch):
+        # doctored solves: the projection read at nodes -1 and 2 is 2 Pi^s
+        # (residual 2, an exact tie) and at node 0 it is 1.5 Pi^s (0.75);
+        # the error names the first node of the max and its residual
+        c, cert = saddle()
+        nodes = [-2, -1, 0, 1, 2]
+        real = greens.bounded_solution
+
+        def doctored(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            blocks = sol.values.reshape(len(sol.values), 2, len(nodes), 2)
+            for j, s in ((1, 2.0), (2, 1.5), (4, 2.0)):
+                blocks[nodes[j] - sol.n_min, :, j] = s * np.diag([1.0, 0.0])
+            return sol
+
+        monkeypatch.setattr(greens, "bounded_solution", doctored)
+        with pytest.raises(SplitflowError,
+                           match=r"node -1 .*\(residual 2\.000e\+00\)"):
+            impulse_response_projection(c, cert, 0.0, nodes)
 
     def test_family_solve_matches_single_node_solves(self):
         # one solve for the whole family against one solve per node, on the

@@ -20,6 +20,11 @@ package for the tests alone (test oracles live under ``tests/``).
 Likewise every ``self.<attr>`` stored under src/splitflow must be read
 somewhere: as an attribute load or as an identifier string (``getattr``).
 
+Only ``cocycle.py`` under src/splitflow names the parts of the pruned
+spectral max (``spectral_norms``, ``_frobenius``, ``FROBENIUS_SLACK``): every
+other module takes a max of matrix norms through ``spectral_argmax`` or the
+functions built on it, so the pruning rule has one implementation.
+
 src/splitflow imports nothing of scipy, wherever the import statement
 stands: the package runs on numpy alone, and any scipy module would weigh on
 every start-up, or on the first call that reaches a deferred import.
@@ -168,6 +173,19 @@ def test_every_stored_attribute_is_read():
     unread = [f"{path}:{line} self.{attr}" for attr, path, line in stored
               if attr not in read]
     assert not unread, "stored but never read:\n" + "\n".join(unread)
+
+
+SPECTRAL_PARTS = {"spectral_norms", "_frobenius", "FROBENIUS_SLACK"}
+
+
+def test_only_cocycle_names_the_spectral_max_parts():
+    stray = sorted({f"{path.relative_to(ROOT)} {name}"
+                    for path, tree in _trees(("src",))
+                    if path != PACKAGE / "cocycle.py"
+                    for name, _, _ in _mentions(tree)
+                    if name in SPECTRAL_PARTS})
+    assert not stray, ("spectral max rebuilt outside cocycle:\n"
+                       + "\n".join(stray))
 
 
 def _imported_modules(tree):
