@@ -12,10 +12,12 @@ Generators are time-batched: ``generator(ts)`` maps a vector of N times to
 the ``(N, d, d)`` stack of generator matrices; :func:`pointwise` adapts a
 callback written for one time or node.  One RK4 run advances a whole stack of
 initial value problems, and a linear run calls the generator once per
-snapshot interval (``1 / UNIT_SAMPLES`` of the run), for the step bounds and
-midpoints of all its steps and members at once; its four stages are then
-matrix products on that table.  A non-finite generator row raises
-:class:`SplitflowError` naming its time.  The flow of a
+block of whole snapshot intervals (``1 / UNIT_SAMPLES`` of the run each),
+for the step bounds and midpoints of all the block's steps and members at
+once, a block being as many intervals as keep its generator matrices
+within ``_BLOCK_BYTES`` (one interval at least): a short run is one call.
+Its four stages are then matrix products on that table.  A non-finite
+generator row raises :class:`SplitflowError` naming its time.  The flow of a
 continuous cocycle over each unit interval [n, n+1] is integrated once, into
 the cocycle's unit-flow table (:meth:`ContinuousCocycle.unit_flows`); the
 discretization, the lift envelope and the verifier all read that table.
@@ -31,6 +33,9 @@ from .errors import ConfigurationError, IntegrationError, SplitflowError
 
 DEFAULT_STEP = 1.0 / 64.0
 UNIT_SAMPLES = 16  # snapshot intervals per unit in the unit-flow table
+# bytes of stage matrices per generator call, and of kernel values per
+# verifier reduction
+_BLOCK_BYTES = 1 << 18
 
 
 def pointwise(fn):
@@ -103,12 +108,20 @@ def spectral_argmax(mats, weigh=None, floor=-math.inf):
     flat = mats.reshape((-1,) + mats.shape[-2:])
     if not np.isfinite(flat).all():
         raise SplitflowError("non-finite matrix entry in a spectral max")
+    frob = (np.abs(flat[:, 0, 0]) if flat.shape[1:] == (1, 1)
+            else _frobenius(flat))  # |M| itself for 1x1, in one pass
+    return _pruned_argmax(flat, frob, weigh, floor)
+
+
+def _pruned_argmax(flat, frob, weigh, floor):
+    """:func:`spectral_argmax` of a finite ``(N, m, n)`` stack whose
+    Frobenius norms ``frob`` are known."""
     weigh = weigh or (lambda norms, rows: norms)
-    if flat.shape[1:] == (1, 1):  # the values themselves: no sort, no SVD
-        v = weigh(np.abs(flat[:, 0, 0]), slice(None))
+    if flat.shape[1:] == (1, 1):  # frob is |M| itself: no sort, no SVD
+        v = weigh(frob, slice(None))
         i = int(np.argmax(v)) if len(v) else 0
         return (float(v[i]), i) if len(v) and v[i] >= floor else None
-    bounds = weigh(_frobenius(flat) * (1.0 + FROBENIUS_SLACK), slice(None))
+    bounds = weigh(frob * (1.0 + FROBENIUS_SLACK), slice(None))
     order = np.flatnonzero(bounds >= floor)
     order = order[np.argsort(-bounds[order], kind="stable")]
     best, first, lo, size = floor, None, 0, _FIRST_BATCH
@@ -145,20 +158,27 @@ def spectral_sup_at_most(mats, tol):
     """``spectral_sup(mats) <= tol``, exactly, for an ``(N, m, n)`` stack.
     No SVD runs while some row's Frobenius norm exceeds ``tol sqrt(min(m,
     n)) (1 + FROBENIUS_SLACK)``, since ``|M| >= |M|_F / sqrt(rank M)``, nor
-    once every row's Frobenius bound is at most ``tol``
-    (:func:`spectral_argmax` with a floor just above ``tol``).  A non-finite
-    entry raises :class:`SplitflowError`.
+    once every row's Frobenius bound is at most ``tol`` (the pruned max of
+    :func:`spectral_argmax` with a floor just above ``tol``, on the same
+    Frobenius norms: one pass over the stack).  A non-finite entry raises
+    :class:`SplitflowError`.
     """
-    top = np.max(_frobenius(mats), initial=0.0)  # NaN after a non-finite entry
+    frob = _frobenius(mats)
+    top = np.max(frob, initial=0.0)
+    if math.isnan(top):  # _frobenius reads NaN after a non-finite entry
+        raise SplitflowError("non-finite matrix entry in a spectral max")
     if top > tol * math.sqrt(min(mats.shape[1:])) * (1.0 + FROBENIUS_SLACK):
         return False
-    return spectral_argmax(mats, floor=np.nextafter(tol, math.inf)) is None
+    return _pruned_argmax(mats, frob, None,
+                          np.nextafter(tol, math.inf)) is None
 
 
 def _frobenius(mats):
-    """``|M|_F`` of every matrix of an ``(N, m, n)`` stack.  Where squares
-    may under- or overflow, ``|M|_F = m |M / m|_F`` with ``m = max |M_ij|``
-    (a zero matrix has its norm 0 already); a non-finite entry gives NaN."""
+    """``|M|_F`` of every matrix of an ``(N, m, n)`` stack, exactly ``|M|``
+    for 1x1 matrices (``sqrt(fl(x^2)) = |x|`` in binary floating point).
+    Where squares may under- or overflow, ``|M|_F = m |M / m|_F`` with ``m =
+    max |M_ij|`` (a zero matrix has its norm 0 already); a non-finite entry
+    gives NaN."""
     frob = np.sqrt(np.einsum("nij,nij->n", mats, mats))
     odd = ~((frob >= 1e-150) & (frob <= 1e150)) & mats.any(axis=(1, 2))
     if np.any(odd):
@@ -310,12 +330,14 @@ def _rk4(field, t0, t1, y0, n, every=None):
     the run of that member alone.  Step i has three distinct stage times:
     ``bounds[i]``, the midpoint (shared by the second and third stages) and
     ``bounds[i + 1]`` (the next step's first).  ``field`` receives them a
-    block at a time, one block per ``max(1, n // UNIT_SAMPLES)`` steps (a
-    snapshot interval of a unit flow): ``field(ts)`` takes the
-    ``(2m + 1, members)`` stage times of a block of m steps, even rows the
-    step bounds and odd rows the midpoints, and returns ``f(j, y)``, the
-    field at the block's stage j applied to the stacked states.  Returns the
-    end states, or with ``every`` the states after every ``every`` steps,
+    block at a time: ``field(ts)`` takes the ``(2m + 1, members)`` stage
+    times of a block of m steps, even rows the step bounds and odd rows the
+    midpoints, and returns ``f(j, y)``, the field at the block's stage j
+    applied to the stacked states.  A block is a whole number of snapshot
+    intervals of ``max(1, n // UNIT_SAMPLES)`` steps each, as many as keep
+    ``(2m + 1) * y.nbytes``, the block's stage matrices of a linear field,
+    within ``_BLOCK_BYTES``, and one interval at least.  Returns the end
+    states, or with ``every`` the states after every ``every`` steps,
     ``y0`` included, stacked on axis 1.
     """
     t0, t1 = np.asarray(t0, float), np.asarray(t1, float)
@@ -323,8 +345,9 @@ def _rk4(field, t0, t1, y0, n, every=None):
     stages = np.empty((2 * n + 1,) + t0.shape)
     stages[::2] = bounds
     stages[1::2] = bounds[:-1] + (bounds[1:] - bounds[:-1]) / 2
-    block = max(1, n // UNIT_SAMPLES)
     y = np.array(y0, float)
+    interval = max(1, n // UNIT_SAMPLES)
+    block = interval * max(1, (_BLOCK_BYTES // y.nbytes - 1) // (2 * interval))
     shape = (-1,) + (1,) * (y.ndim - 1)
     snaps = None if every is None else [y]
     for i in range(n):
@@ -349,8 +372,10 @@ def _rk4(field, t0, t1, y0, n, every=None):
 
 def _linear_field(generator):
     """The :func:`_rk4` field of ``x' = generator(t) x``: one generator call
-    per block of stage times, each row checked finite, then the stages are
-    matrix products on that table."""
+    per block of stage times (whole snapshot intervals, at most
+    ``_BLOCK_BYTES`` of generator matrices unless one interval is more),
+    each row checked finite, then the stages are matrix products on that
+    table."""
     def block(ts):
         flat = ts.ravel()
         g = _finite(np.asarray(generator(flat), float), flat, "generator")

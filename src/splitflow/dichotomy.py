@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import (UNIT_SAMPLES, DiscreteCocycle, _finite, spectral_argmax,
-                      spectral_sup, stack_steps)
-from .errors import ConfigurationError, NonHyperbolicError
+from .cocycle import (_BLOCK_BYTES, UNIT_SAMPLES, DiscreteCocycle, _finite,
+                      spectral_argmax, spectral_sup, stack_steps)
+from .errors import ConfigurationError, NonHyperbolicError, SplitflowError
 from .grids import TimeGrid
 
 GAP_TOL = 1e-8
 ALPHA_MARGIN = 0.1
-_BLOCK_BYTES = 1 << 18  # bytes of kernel values per verifier reduction
 _SIGN_MAX_ITER = 100  # Newton steps before the sign iteration gives up
 
 
@@ -225,17 +224,27 @@ def _envelope_scan(pi_s, pi_u, step_fwd, step_bwd, count):
     Returns the tables ``fwd[k] = Pi^s (S_f Pi^s)^k`` and
     ``bwd[k] = Pi^u (S_b Pi^u)^k`` stacked as ``(fwd, bwd)`` in one
     ``(2, count, d, d)`` array, with ``step_fwd``/``step_bwd`` the one-step
-    maps ``S_f``/``S_b`` forward/backward.  Re-projecting after every step is
-    exact because the projections commute with the flow, and it kills
-    round-off components that would grow along the complementary range.
+    maps ``S_f``/``S_b`` forward/backward.
+
+    The tables fill by doubling (Kogge & Stone, IEEE Trans. Comput. C-22,
+    1973): with ``T = Pi^s S_f``, ``fwd[k] = T^k Pi^s``, so once
+    ``fwd[:s]`` holds, ``fwd[s:2s] = T^s fwd[:s]`` and ``T^s`` squares to
+    ``T^{2s}``; likewise ``bwd`` with ``Pi^u S_b``.  That is
+    ``ceil(log2 count)`` batched products in place of ``count`` steps.
+    Projecting is exact because the projections commute with the flow, and
+    every factor ``T`` carries its own ``Pi^s`` (``Pi^u``), so every product
+    is re-projected and round-off components that would grow along the
+    complementary range are killed, as by a re-projection after every step.
     """
     d = pi_s.shape[0]
     tables = np.empty((2, count, d, d))
-    cur_s, cur_u = pi_s, pi_u
-    for k in range(count):
-        tables[0, k], tables[1, k] = cur_s, cur_u
-        cur_s = pi_s @ (step_fwd @ cur_s)
-        cur_u = pi_u @ (step_bwd @ cur_u)
+    tables[:, 0] = pi_s, pi_u
+    power = np.stack([pi_s @ step_fwd, pi_u @ step_bwd])  # T^s at s = 1
+    s = 1
+    while s < count:
+        m = min(s, count - s)
+        np.matmul(power[:, None], tables[:, :m], out=tables[:, s:s + m])
+        power, s = power @ power, 2 * s
     return tables
 
 
@@ -386,6 +395,23 @@ def _running_max(best, mats, weights, k_bound, start):
     return (found[0], loc) if found[0] > best[0] or loc < best[1] else best
 
 
+def _finite_kernel(block, nodes, k0, horizon, backward=False):
+    """``block``, the kernel values ``[i, offset k0 + k, fraction j]`` of the
+    forward (``i`` the source) or backward (``i`` the target) branch, or
+    :class:`SplitflowError` naming the source node and horizon of its first
+    non-finite value in march order (horizon, then ``i``)."""
+    if not np.isfinite(block).all():
+        bad = ~np.isfinite(block).all(axis=(-2, -1))
+        k, j, i = np.unravel_index(np.argmax(np.moveaxis(bad, 0, -1)),
+                                   bad.shape[1:] + bad.shape[:1])
+        branch, source = (("backward", nodes[i + k0 + k]) if backward
+                          else ("forward", nodes[i]))
+        raise SplitflowError(
+            f"non-finite {branch} kernel value from node {source} at horizon "
+            f"{float(horizon[k0 + k, j])}: the split-flow march overflowed")
+    return block
+
+
 def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     """Check the dichotomy axioms of ``cert`` against ``cocycle`` on a window.
 
@@ -422,10 +448,12 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
 
     A singular restricted map or a rank change sets
     ``isomorphism_violation``; a non-finite step or projection raises
-    :class:`SplitflowError` naming its node, and a march that overflows to a
-    non-finite kernel value raises it too.  Continuous cocycles read the
-    unit steps and the fractional horizons ``k + j / UNIT_SAMPLES`` from the
-    unit-flow table ``flows``, as ``flows[n + k, j] @ fwd[k, n]``.
+    :class:`SplitflowError` naming its node, and a march that overflows
+    raises it naming the source node and horizon of the first non-finite
+    kernel value (:func:`_finite_kernel`), with numpy's overflow warnings
+    silenced.  Continuous cocycles read the unit steps and the fractional
+    horizons ``k + j / UNIT_SAMPLES`` from the unit-flow table ``flows``, as
+    ``flows[n + k, j] @ fwd[k, n]``.
     """
     nodes = _window_nodes(window)
     discrete = isinstance(cocycle, DiscreteCocycle)
@@ -444,27 +472,30 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
 
     # (b) ratios [source, offset k, fraction j] at horizon k + j / subs, and
     # (c) ratios [target, offset k] of the source node target + k, reduced a
-    # block of offsets at a time
+    # block of offsets at a time; an overflow is named by _finite_kernel
     subs = 1 if discrete else UNIT_SAMPLES
     horizon = np.arange(n)[:, None] + np.arange(subs) / subs
-    with np.errstate(over="ignore"):
-        weights = np.exp(alpha * horizon)
     span = max(1, min(n, _BLOCK_BYTES // (8 * n * subs * d * d)))
     best_fwd = best_bwd = (0.0, None)
-    for k, (fwd, bwd) in enumerate(_split_march(steps, proj, back)):
-        k0, kk = k - k % span, k % span
-        if kk == 0:
-            fwd_block = np.zeros((n, min(span, n - k), subs, d, d))
-            bwd_block = np.zeros((n, min(span, n - k), 1, d, d))
-        fwd_block[: n - k, kk, 0], bwd_block[: n - k, kk, 0] = fwd, bwd
-        if not discrete:  # fractions j >= 1 end before the last node
-            np.matmul(flows[k:, 1:-1], fwd[:-1, None],
-                      out=fwd_block[: n - 1 - k, kk, 1:])
-        if kk == fwd_block.shape[1] - 1:
-            best_fwd = _running_max(best_fwd, fwd_block, weights[k0:k + 1],
-                                    k_bound, (0, k0, 0))
-            best_bwd = _running_max(best_bwd, bwd_block,
-                                    weights[k0:k + 1, :1], k_bound, (0, k0, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(alpha * horizon)
+        for k, (fwd, bwd) in enumerate(_split_march(steps, proj, back)):
+            k0, kk = k - k % span, k % span
+            if kk == 0:
+                fwd_block = np.zeros((n, min(span, n - k), subs, d, d))
+                bwd_block = np.zeros((n, min(span, n - k), 1, d, d))
+            fwd_block[: n - k, kk, 0], bwd_block[: n - k, kk, 0] = fwd, bwd
+            if not discrete:  # fractions j >= 1 end before the last node
+                np.matmul(flows[k:, 1:-1], fwd[:-1, None],
+                          out=fwd_block[: n - 1 - k, kk, 1:])
+            if kk == fwd_block.shape[1] - 1:
+                best_fwd = _running_max(
+                    best_fwd, _finite_kernel(fwd_block, nodes, k0, horizon),
+                    weights[k0:k + 1], k_bound, (0, k0, 0))
+                best_bwd = _running_max(
+                    best_bwd, _finite_kernel(bwd_block, nodes, k0, horizon,
+                                             backward=True),
+                    weights[k0:k + 1, :1], k_bound, (0, k0, 0))
     ratio_fwd, at = best_fwd
     worst_fwd = None if at is None else (nodes[at[0]],
                                          float(horizon[at[1], at[2]]))

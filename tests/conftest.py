@@ -7,8 +7,10 @@ by forward/backward power iteration, and :class:`GreenKernel` evaluates the
 two-branch Green kernel one pair of times at a time, where the library
 marches and sweeps whole windows; :func:`gamma_sequential` runs the two
 kernel sweeps one node at a time, where the library evaluates them by
-doubling, and :func:`all_pairs_ratios` takes an SVD of every kernel value,
-where the verifier prunes.  The helpers at the end drive library internals
+doubling, :func:`envelope_scan_sequential` builds the autonomous envelope
+tables one step at a time, where the library doubles, and
+:func:`all_pairs_ratios` takes an SVD of every kernel value, where the
+verifier prunes.  The helpers at the end drive library internals
 the way a test needs them.
 """
 
@@ -240,6 +242,21 @@ def gamma_sequential(cocycle, cert, b, f, x):
         acc = back[m] @ (acc - pi_u[m] @ u[m])
         out[m] += acc
     return out
+
+
+def envelope_scan_sequential(pi_s, pi_u, step_fwd, step_bwd, count):
+    """The tables of :func:`splitflow.dichotomy._envelope_scan`, ``fwd[k] =
+    Pi^s (S_f Pi^s)^k`` and ``bwd[k] = Pi^u (S_b Pi^u)^k`` as one ``(2,
+    count, d, d)`` array, one step at a time, re-projected after every
+    step."""
+    d = pi_s.shape[0]
+    tables = np.empty((2, count, d, d))
+    cur_s, cur_u = pi_s, pi_u
+    for k in range(count):
+        tables[0, k], tables[1, k] = cur_s, cur_u
+        cur_s = pi_s @ (step_fwd @ cur_s)
+        cur_u = pi_u @ (step_bwd @ cur_u)
+    return tables
 
 
 def march_tables(steps, proj_s):

@@ -203,24 +203,62 @@ class TestUnitFlowTable:
             oracle = _rk4_oracle(self.gen, float(n), n_steps, UNIT_SAMPLES)
             assert np.array_equal(flow, oracle)
 
+    # budgets: the default (None), three 1/64 snapshot intervals of nine
+    # shifts (25 stage rows of nine 3x3 matrices) and less than one interval
+    @pytest.mark.parametrize("budget", [None, 25 * 9 * 72, 1])
     @pytest.mark.parametrize("step, n_steps", [(1.0 / 64, 64), (1.0 / 20, 32)])
-    def test_one_generator_call_per_snapshot_interval(self, step, n_steps):
-        # each call takes the two stage times of every step of one snapshot
-        # interval, plus the interval's end, for every shift of the stack
+    def test_generator_calls_hold_whole_intervals_within_budget(
+            self, monkeypatch, budget, step, n_steps):
+        # a call takes the stage times of a whole number of snapshot
+        # intervals for every shift of the stack, as many intervals as keep
+        # its 2m + 1 generator matrices per shift within the byte budget
+        # (one interval at least); the calls cover every stage time in order
+        default = budget is None
+        if default:
+            budget = cocycle._BLOCK_BYTES
+        monkeypatch.setattr(cocycle, "_BLOCK_BYTES", budget)
+        interval = n_steps // UNIT_SAMPLES
         calls = []
 
         def gen(ts):
-            calls.append(len(ts))
+            calls.append(np.array(ts))
             return pointwise(self.gen)(ts)
 
         c = ContinuousCocycle(gen, 3, step=step)
-        shifts = list(range(-4, 5))
-        c.unit_flows(shifts)
-        per_call = len(shifts) * (2 * n_steps // UNIT_SAMPLES + 1)
-        assert calls == [per_call] * UNIT_SAMPLES
-        calls.clear()
-        c.unit_steps(range(5, 8))  # an endpoint-only fill, too
-        assert len(calls) == UNIT_SAMPLES
+        for shifts, fill in ((range(-4, 5), c.unit_flows),
+                             (range(5, 8), c.unit_steps)):  # endpoint-only
+            calls.clear()
+            got = fill(list(shifts))
+            members = len(shifts)
+            rows = [ts.reshape(-1, members) for ts in calls]
+            steps = [(len(r) - 1) // 2 for r in rows]
+            assert all(len(r) == 2 * m + 1 for r, m in zip(rows, steps))
+            assert all(m % interval == 0 for m in steps)
+            row = members * 3 * 3 * 8  # bytes of one stage's matrices
+            stage_bytes = [(2 * m + 1) * row for m in steps]
+            assert all(b <= budget or m == interval
+                       for b, m in zip(stage_bytes, steps))
+            assert all(b + 2 * interval * row > budget  # as many as fit
+                       for b in stage_bytes[:-1])
+            # consecutive calls share the bound between their blocks
+            assert all(np.array_equal(a[-1], b[0])
+                       for a, b in zip(rows, rows[1:]))
+            times = np.concatenate([rows[0][:1]] + [r[1:] for r in rows])
+            for col, n in enumerate(shifts):
+                bounds = np.linspace(n, n + 1.0, n_steps + 1)
+                want = np.empty(2 * n_steps + 1)
+                want[::2] = bounds
+                want[1::2] = bounds[:-1] + (bounds[1:] - bounds[:-1]) / 2
+                assert np.array_equal(times[:, col], want)
+            for n, flow in zip(shifts, got):
+                oracle = _rk4_oracle(self.gen, float(n), n_steps, UNIT_SAMPLES)
+                assert np.array_equal(flow, oracle if flow.ndim == 3
+                                      else oracle[-1])
+        if default:  # a small fill is one call
+            assert len(calls) == 1
+            calls.clear()
+            c.unit_flows(range(10, 19))
+            assert len(calls) == 1
 
     def test_non_finite_generator_names_stage_time(self):
         bad = 0.5 + 1.0 / 128  # the midpoint of step 32 of shift 0

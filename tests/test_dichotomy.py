@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
@@ -12,8 +15,9 @@ from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
 import splitflow.cocycle
 from splitflow import dichotomy
 from splitflow.cocycle import UNIT_SAMPLES
-from conftest import (GreenKernel, all_pairs_ratios, riesz_projector_oracle,
-                      rotating_saddle, spectral_norm, time_varying_saddle)
+from conftest import (GreenKernel, all_pairs_ratios, envelope_scan_sequential,
+                      riesz_projector_oracle, rotating_saddle, spectral_norm,
+                      time_varying_saddle)
 
 SADDLE = np.diag([0.5, 2.0])
 
@@ -231,6 +235,41 @@ class TestAutonomousCertificate:
                    for t in ts)
         assert cert.bound >= scan * (1.0 - 1e-6)
         assert cert.bound <= scan * 1.02  # ceil to 3 significant digits
+
+
+class TestEnvelopeScan:
+    # generators: the wave demo's 8x8 (all stable), a non-normal saddle
+    # (eigenvalues -1, 1/2, -2) and a scalar; counts: the short edge cases,
+    # the kernel tables of the hyperbolic runs and the autonomous scan
+    GENERATORS = {
+        "wave": build_wave_system(4, 1.0, lambda u: u - u ** 3,
+                                  lambda u: 1.0 - 3.0 * u ** 2).a_matrix,
+        "saddle": np.array([[-1.0, 5.0, 0.0], [0.0, 0.5, 3.0],
+                            [0.0, 0.0, -2.0]]),
+        "scalar": np.array([[-0.7]]),
+    }
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 717, 1383, 2048])
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_doubled_tables_match_sequential_scan(self, name, count):
+        # the step of autonomous_certificate's scan, so the long tables
+        # reach its span of 40 / gap
+        a = self.GENERATORS[name]
+        pi_u, gap = spectral_projection(a)
+        pi_s = np.eye(len(a)) - pi_u
+        h = max(4.0, 40.0 / gap) / 2047
+        args = (pi_s, pi_u, dichotomy.expm(a * h), dichotomy.expm(-a * h),
+                count)
+        got = dichotomy._envelope_scan(*args)
+        want = envelope_scan_sequential(*args)
+        assert got.shape == (2, count, len(a), len(a))
+        err = np.linalg.norm(got - want, 2, axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(want, 2, axis=(-2, -1)))
+        assert np.all(err <= 1e-13 * scale)
+        ts = h * np.arange(count)
+        alpha = gap * (1.0 - dichotomy.ALPHA_MARGIN)
+        assert (dichotomy._envelope_bound(got, alpha, ts)
+                == dichotomy._envelope_bound(want, alpha, ts))
 
 
 class TestVerify:
@@ -547,18 +586,28 @@ class TestStreamedVerifier:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_overflowing_march_raises(self, dim):
         # steps diag(1e200, 0.5, ...) at nodes 0 and 1 overflow the forward
-        # march at offset 2; without the check, d = 1 read ratio inf and
-        # d = 2 only the finite 2e200 of the values before the overflow
-        def step(ns):
-            out = np.array([0.5 * np.eye(dim)] * len(ns))
-            out[(ns == 0) | (ns == 1), 0, 0] = 1e200
-            return out
+        # march at offset 2 from node 0 first; without the check, d = 1 read
+        # ratio inf and d = 2 only the finite 2e200 of the values before the
+        # overflow.  Steps diag(1e-200, 2, ...) overflow the restricted
+        # inverses of the backward march from node 2.  The error names the
+        # pair, and numpy warns of nothing.
+        for branch, rate, entry, pi_s, source in (
+                ("forward", 0.5, 1e200, 1.0, 0),
+                ("backward", 2.0, 1e-200, 0.0, 2)):
+            def step(ns):
+                out = np.array([rate * np.eye(dim)] * len(ns))
+                out[(ns == 0) | (ns == 1), 0, 0] = entry
+                return out
 
-        cert = DichotomyCertificate.constant(np.eye(dim), 1.0, np.log(2.0),
-                                             discrete=True)
-        with pytest.raises(SplitflowError, match="non-finite"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            verify_dichotomy(DiscreteCocycle(step, dim), cert, (-3, 3))
+            cert = DichotomyCertificate.constant(pi_s * np.eye(dim), 1.0,
+                                                 np.log(2.0), discrete=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SplitflowError, match=re.escape(
+                        f"non-finite {branch} kernel value from node "
+                        f"{source} at horizon 2.0")):
+                    verify_dichotomy(DiscreteCocycle(step, dim), cert,
+                                     (-3, 3))
 
     def test_svds_only_for_pairs_that_can_reach_the_max(self, monkeypatch):
         cocycle, cert = rotating_saddle((-30, 30), 3, 2, seed=5)
