@@ -54,8 +54,8 @@ prob = sf.random_ode_problem(strat, path, p.y0_star, p.r_u,
 w2 = sf.TimeGrid(-58.0, 58.0, 1.0 / 32)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    sol = sf.find_hyperbolic_solution(prob, 2e-6, w2, tol=1e-7, tail_tol=1e-7)
-    sf.certify_hyperbolic(prob, sol, n_half=3, trunc_tol=1e-7, step=w2.h)
+    _, sol = sf.eta_row(prob, 2e-6, w2, tol=1e-7, tail_tol=1e-7, n_half=3,
+                        trunc_tol=1e-7, step=w2.h)
 lc = sol.linearization_certificate
 print(f"eta = 2e-6: status {sol.status}, alpha~ = {lc.exponent:.5f}, "
       f"M_hat = {lc.bound:.2f}")

@@ -30,12 +30,11 @@ problem.validate()
 window = sf.TimeGrid(-70.0, 70.0, 1.0 / 64)
 print("eta      sup|xi*-1|   lambda(eta)  eps_used   status     alpha~")
 for eta in (0.2, 0.1, 0.05, 0.025, 0.0):
-    sol = sf.find_hyperbolic_solution(problem, eta, window, tol=1e-9)
-    sf.certify_hyperbolic(problem, sol, n_half=4)
-    lc = sol.linearization_certificate
-    print(f"{eta:<8} {sol.sup_distance:<12.3e} {sol.lambda_value:<12.3e} "
-          f"{sol.eps_used:<10.4f} {sol.status:<10} "
-          f"{lc.exponent if lc else float('nan'):.5f}")
+    row, _ = sf.eta_row(problem, eta, window, tol=1e-9, n_half=4)
+    alpha = row["alpha_tilde"]
+    print(f"{eta:<8} {row['sup_distance']:<12.3e} {row['lambda']:<12.3e} "
+          f"{row['eps_used']:<10.4f} {row['status']:<10} "
+          f"{float('nan') if alpha is None else alpha:.5f}")
 
 print("\ncross-check against pullback integration (eta = 0.1):")
 eta = 0.1

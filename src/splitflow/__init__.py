@@ -40,7 +40,7 @@ from .robustness import (RobustConstants, delta_threshold, gronwall_constants,
                          lift_certificate, robust_constants,
                          robust_dichotomy_continuous, robust_dichotomy_discrete)
 from .hyperbolic import (HyperbolicSolutionCertificate, SemilinearProblem,
-                         certify_hyperbolic, eta_epsilon,
+                         certify_hyperbolic, eta_epsilon, eta_row,
                          find_hyperbolic_solution, lambda_eta, linearize_along,
                          neighborhood_thresholds, rho_modulus)
 from .sde_bridge import (StratonovichSpec, WaveDemoReport, build_wave_system,

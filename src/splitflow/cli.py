@@ -29,9 +29,9 @@ from .cocycle import DiscreteCocycle, pointwise
 from .dichotomy import DichotomyCertificate, _window_nodes
 from .errors import ConfigurationError, SplitflowError
 from .grids import TimeGrid
-from .hyperbolic import (SemilinearProblem, certify_hyperbolic,
-                         find_hyperbolic_solution)
-from .io import write_csv
+from .hyperbolic import (ROW_COLUMNS, STATUS_FAILED, SemilinearProblem,
+                         eta_row)
+from .io import cell
 from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
                     ou_series, pathwise_ou_residual, sample_wiener_path,
                     shift_path, sublinearity_report, zero_path)
@@ -183,24 +183,20 @@ class ExperimentConfig:
                         self.values["h"])
 
 
-def _path(out_dir, name):
+def _write(out_dir, name, text):
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
     return str(path)
 
 
-def _write(out_dir, name, text):
-    path = _path(out_dir, name)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-    return path
-
-
 def _write_csv(out_dir, name, rows, columns):
-    """One CSV row per dict in ``rows``, one column per key in ``columns``."""
-    path = _path(out_dir, name)
-    write_csv(path, ([r.get(c) for c in columns] for r in rows), header=columns)
-    return path
+    """A header row, then one CSV row per dict in ``rows``, one column per
+    key in ``columns``; the cells are :func:`splitflow.io.cell`'s."""
+    lines = [",".join(columns)]
+    lines += [",".join(cell(r.get(c)) for c in columns) for r in rows]
+    return _write(out_dir, name, "\n".join(lines) + "\n")
 
 
 def cmd_ou_check(cfg, out_dir):
@@ -343,38 +339,15 @@ def cmd_hyperbolic(cfg, out_dir):
     v = cfg.values
     problem = _hyperbolic_problem(cfg)
     window = cfg.grid()
-    rows = []
-    ok = True
-    for eta in v["eta_grid"]:
-        row = {"eta": eta, "sup_distance": None, "eps_used": None,
-               "lambda": None, "certified": False, "alpha_tilde": None,
-               "M_bound": None, "residual": None, "status": "error",
-               "error": None}
-        try:
-            sol = find_hyperbolic_solution(problem, eta, window, tol=v["tol"],
-                                           tail_tol=v["tail_tol"])
-            certify_hyperbolic(problem, sol, n_half=v["n_half"])
-            row["sup_distance"] = sol.sup_distance
-            row["eps_used"] = sol.eps_used
-            row["lambda"] = sol.lambda_value
-            row["residual"] = sol.fixed_point_residual
-            row["status"] = sol.status
-            row["certified"] = sol.status == "certified"
-            if sol.linearization_certificate is not None:
-                row["alpha_tilde"] = float(sol.linearization_certificate.exponent)
-                row["M_bound"] = float(sol.linearization_certificate.bound)
-            if row["certified"] and not sol.sup_distance < sol.eps_used:
-                ok = False
-        except SplitflowError as exc:
-            row["error"] = str(exc)
-        rows.append(row)
-    cols = ("eta", "sup_distance", "eps_used", "lambda", "certified",
-            "alpha_tilde", "M_bound", "residual", "status", "error")
-    files = [_write_csv(out_dir, "hyperbolic.csv", rows, cols),
+    rows = [eta_row(problem, eta, window, tol=v["tol"],
+                    tail_tol=v["tail_tol"], n_half=v["n_half"])[0]
+            for eta in v["eta_grid"]]
+    files = [_write_csv(out_dir, "hyperbolic.csv", rows, ROW_COLUMNS),
              _write(out_dir, "hyperbolic.json",
                     json.dumps({"command": "hyperbolic", "seed": v["seed"],
                                 "model": v["model"], "rows": rows},
                                indent=2) + "\n")]
+    ok = not any(r["status"] == STATUS_FAILED for r in rows)
     return (0 if ok else 1), files
 
 
@@ -399,12 +372,11 @@ def cmd_wave(cfg, out_dir):
                                    indent=2) + "\n")]
         sys.stderr.write(f"wave: {exc}\n")
         return 1, files
-    csv_path = _path(out_dir, "wave.csv")
-    report.to_csv(csv_path)
-    files = [csv_path, _write(out_dir, "wave.json", report.to_json() + "\n")]
+    files = [_write_csv(out_dir, "wave.csv", report.rows, report.COLUMNS),
+             _write(out_dir, "wave.json", report.to_json() + "\n")]
     cutoff = report.meta["eta_cutoff"]
     ok = all(r["certified"] for r in report.rows if r["eta"] <= cutoff)
-    ok = ok and not any(r["status"] == "failed" for r in report.rows)
+    ok = ok and not any(r["status"] == STATUS_FAILED for r in report.rows)
     return (0 if ok else 1), files
 
 

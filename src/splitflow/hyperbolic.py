@@ -43,6 +43,10 @@ STATUS_CERTIFIED = "certified"
 STATUS_BOUNDED = "bounded"
 STATUS_FAILED = "failed"
 
+# one eta row of a ladder, in the order the hyperbolic command writes it
+ROW_COLUMNS = ("eta", "sup_distance", "eps_used", "lambda", "certified",
+               "alpha_tilde", "M_bound", "residual", "status", "error")
+
 
 @dataclass
 class SemilinearProblem:
@@ -326,7 +330,8 @@ class HyperbolicSolutionCertificate:
     """A bounded trajectory near the equilibrium, with its certificates.
 
     ``status`` is three-valued: ``certified`` (linearized dichotomy verified),
-    ``bounded`` (trajectory found, hyperbolicity unverified), ``failed``.
+    ``bounded`` (trajectory found, hyperbolicity unverified), ``failed``
+    (sup distance not below ``eps_used``; never certified).
     Nodes within the kernel-tail length of the window edges are
     edge-contaminated; ``interior`` indexes the clean region.
     """
@@ -382,7 +387,8 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     ``CONTRACTION_LIMIT`` and the self-map inequality must close, else a
     :class:`ContractionMarginError` reports the numbers.  The returned
     certificate has ``status='bounded'`` (hyperbolicity is certified
-    separately by :func:`certify_hyperbolic`).
+    separately by :func:`certify_hyperbolic`), or ``'failed'`` when its sup
+    distance is not below ``eps_used``.
     """
     cert_a = p.autonomous_cert
     m_bound, beta = cert_a.bound, cert_a.exponent
@@ -466,7 +472,7 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     interior = slice(n_off, n - n_off)
     sup_dist = float(np.max(np.linalg.norm(phi[interior], axis=1)))
     status = STATUS_BOUNDED
-    if sup_dist >= eps_used:
+    if not sup_dist < eps_used:  # a NaN fails closed
         warnings.warn(
             f"sup distance {sup_dist:.4g} is not below eps={eps_used:.4g}"
         )
@@ -512,8 +518,11 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
     the base; a threshold violation downgrades the status to ``bounded``
     (hyperbolicity unverified) instead of raising.  ``n_half`` asks for
     projection nodes on [-n_half, n_half], shrunk automatically to what the
-    trajectory window supports.
+    trajectory window supports.  A ``failed`` trajectory (its sup distance
+    not below ``eps_used``) is left as it is, uncertified.
     """
+    if cert.status == STATUS_FAILED:
+        return cert
     h_grid = cert.times[1] - cert.times[0]
     base_cc = p.base_cocycle(step if step else min(1.0 / 64.0, h_grid))
     pert_cc = linearize_along(p, cert, step=step)
@@ -554,3 +563,36 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
     cert.status = STATUS_CERTIFIED if (report is None or report.passed) \
         else STATUS_BOUNDED
     return cert
+
+
+def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
+            trunc_tol=1e-9, step=None, n_time=65, n_cloud=32):
+    """One eta of a ladder: find the bounded trajectory, certify its
+    linearization, and read the outcome back as a row.
+
+    Returns ``(row, sol)``, ``row`` keyed by ``ROW_COLUMNS``.  A
+    :class:`SplitflowError` is warned about and becomes a row with status
+    ``error`` and ``sol`` None.  Anything else propagates: a ``ValueError``
+    names a bad argument, not a refused eta.
+    """
+    eta = float(eta)
+    row = dict.fromkeys(ROW_COLUMNS)
+    row.update(eta=eta, certified=False, status="error")
+    try:
+        sol = find_hyperbolic_solution(p, eta, window, tol=tol,
+                                       tail_tol=tail_tol, n_time=n_time,
+                                       n_cloud=n_cloud)
+        certify_hyperbolic(p, sol, n_half=n_half, trunc_tol=trunc_tol,
+                           step=step)
+    except SplitflowError as exc:
+        row["error"] = str(exc)
+        warnings.warn(f"eta={eta:g}: {exc}")
+        return row, None
+    row.update({"sup_distance": sol.sup_distance, "eps_used": sol.eps_used,
+                "lambda": sol.lambda_value,
+                "certified": sol.status == STATUS_CERTIFIED,
+                "residual": sol.fixed_point_residual, "status": sol.status})
+    lc = sol.linearization_certificate
+    if lc is not None:
+        row.update(alpha_tilde=float(lc.exponent), M_bound=float(lc.bound))
+    return row, sol

@@ -1,10 +1,8 @@
-"""Text output shared by every writer: CSV cells and files, and JSON-ready
-values.
+"""Text output shared by every writer: CSV cells and JSON-ready values.
 
 CSV cells are ``true``/``false`` for booleans, empty for None, ``repr`` of
 the Python float for floats (numpy scalars included) and ``str`` otherwise,
-so every numeric cell parses back with ``float()``.  Files are written with
-LF line ends.
+so every numeric cell parses back with ``float()``.
 """
 
 import numpy as np
@@ -19,16 +17,6 @@ def cell(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
-
-
-def write_csv(path, rows, header=None):
-    """Write ``rows`` (sequences of cell values) to the file ``path``, after
-    an optional header row."""
-    with open(path, "w", newline="\n") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
 
 
 def jsonable(x):

@@ -31,16 +31,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dichotomy import spectral_projection
-from .errors import (ConfigurationError, ContractionMarginError,
-                     NonHyperbolicError, SplitflowError, ThresholdError,
-                     WindowError)
+from .errors import ConfigurationError, NonHyperbolicError, WindowError
 from .grids import TimeGrid
-from .io import jsonable, write_csv
-from .hyperbolic import (SemilinearProblem, certify_hyperbolic, eta_epsilon,
-                         find_hyperbolic_solution, lambda_eta,
+from .io import jsonable
+from .hyperbolic import (SemilinearProblem, eta_epsilon, eta_row, lambda_eta,
                          neighborhood_thresholds)
 from .noise import (DEFAULT_TAIL_TOL, _tail_start, default_kappa,
                     rescaled_noise, sample_wiener_path)
+
+# the wave driver's target neighborhood as a share of eps0, the reach of
+# its noise path before the window, and its lambda(eta) (times, cloud) sizes
+EPS_FRACTION = 0.5
+PATH_MARGIN = 45.0
+LAMBDA_SAMPLES = (33, 12)
 
 
 @dataclass
@@ -259,10 +262,6 @@ class WaveDemoReport:
     COLUMNS = ("eta", "sup_dist_v", "sup_dist_y", "certified", "alpha_tilde",
                "M_bound", "seed")
 
-    def to_csv(self, path):
-        write_csv(path, ([r.get(c) for c in self.COLUMNS] for r in self.rows),
-                  header=self.COLUMNS)
-
     def to_json(self, indent=2):
         return json.dumps(jsonable(
             {"seed": self.seed, "meta": self.meta, "rows": self.rows}),
@@ -271,9 +270,7 @@ class WaveDemoReport:
 
 def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
                   f_scalar=None, f_scalar_prime=None, kappa=None,
-                  tol=1e-7, tail_tol=1e-7, trunc_tol=1e-7, n_half=3,
-                  eps_fraction=0.5, path_margin=45.0,
-                  lambda_samples=(33, 12)):
+                  tol=1e-7, tail_tol=1e-7, trunc_tol=1e-7, n_half=3):
     """Full pipeline on the spectral damped wave system for an eta ladder.
 
     For each eta: transform, solve for the bounded trajectory, certify the
@@ -289,7 +286,7 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
         kappa = default_kappa()
     base = build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime)
     d = 2 * n_modes
-    path_grid = TimeGrid(window.t_min - path_margin, window.t_max + 1.0,
+    path_grid = TimeGrid(window.t_min - PATH_MARGIN, window.t_max + 1.0,
                          window.h)
     path = sample_wiener_path(path_grid, seed)
     strat = StratonovichSpec(
@@ -300,13 +297,13 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
                                  a_matrix=base.a_matrix, tail_tol=tail_tol)
     cert_a = problem.autonomous_cert
     m_bound, beta = cert_a.bound, cert_a.exponent
-    n_time, n_cloud = lambda_samples
+    n_time, n_cloud = LAMBDA_SAMPLES
 
     def lam_curve(e):
         return lambda_eta(problem, e, window, n_time=n_time, n_cloud=n_cloud)
 
     eps1, eps2, eps0 = neighborhood_thresholds(problem, m_bound, beta)
-    eps_pick = eps_fraction * eps0
+    eps_pick = EPS_FRACTION * eps0
     eta_cut, emax = 0.0, 1.0
     for _ in range(4):  # zoom when the cutoff sits under the grid resolution
         with warnings.catch_warnings():
@@ -323,29 +320,17 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
             "n_modes": n_modes, "beta_damping": beta_damping}
     rows = []
     for eta in eta_grid:
-        row = {"eta": float(eta), "seed": seed, "sup_dist_v": None,
-               "sup_dist_y": None, "certified": False, "alpha_tilde": None,
-               "M_bound": None, "status": "error", "error": None}
-        try:
-            sol = find_hyperbolic_solution(problem, float(eta), window,
-                                           tol=tol, tail_tol=tail_tol,
-                                           n_time=n_time, n_cloud=n_cloud)
-            certify_hyperbolic(problem, sol, n_half=n_half,
-                               trunc_tol=trunc_tol, step=window.h)
-            row["sup_dist_v"] = sol.sup_distance
-            vt = sol.interior_times()
-            v = sol.trajectory[sol.interior]
-            y = problem.meta["dressing"].scale(float(eta), strat.pattern,
-                                               vt[:, None]) * v
-            row["sup_dist_y"] = float(np.max(np.linalg.norm(y, axis=1)))
-            row["status"] = sol.status
-            row["certified"] = sol.status == "certified"
-            if sol.linearization_certificate is not None:
-                row["alpha_tilde"] = float(sol.linearization_certificate.exponent)
-                row["M_bound"] = float(sol.linearization_certificate.bound)
-        except (SplitflowError, ThresholdError, ContractionMarginError,
-                ValueError) as exc:
-            row["error"] = str(exc)
-            warnings.warn(f"eta={eta:g}: {exc}")
-        rows.append(row)
+        row, sol = eta_row(problem, eta, window, tol=tol, tail_tol=tail_tol,
+                           n_half=n_half, trunc_tol=trunc_tol, step=window.h,
+                           n_time=n_time, n_cloud=n_cloud)
+        sup_y = None
+        if sol is not None:
+            y = problem.meta["dressing"].scale(
+                row["eta"], strat.pattern, sol.interior_times()[:, None]
+            ) * sol.trajectory[sol.interior]
+            sup_y = float(np.max(np.linalg.norm(y, axis=1)))
+        rows.append({"eta": row["eta"], "seed": seed,
+                     "sup_dist_v": row["sup_distance"], "sup_dist_y": sup_y,
+                     **{k: row[k] for k in ("certified", "alpha_tilde",
+                                            "M_bound", "status", "error")}})
     return WaveDemoReport(rows=rows, seed=seed, meta=meta)

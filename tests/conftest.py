@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from splitflow import (ConfigurationError, DichotomyCertificate,
-                       DiscreteCocycle, ForcingSequence, NonHyperbolicError)
+                       DiscreteCocycle, ForcingSequence, NonHyperbolicError,
+                       SemilinearProblem, pointwise)
 from splitflow.cocycle import (UNIT_SAMPLES, as_step_sequence, spectral_norms,
                                stack_steps)
 from splitflow.dichotomy import (_restricted_inverse, _split_march,
@@ -364,6 +365,25 @@ def lambda_eta_loop(p, eta, window, n_time=65, n_cloud=32):
         dv = spectral_norms(p.d_f_eta(eta, ts, ys) - d0)
         worst = max(worst, float(np.max(v + dv, initial=0.0)))
     return worst
+
+
+def bump_problem():
+    """Scalar ``y' = -y + 40 eta exp(-((t - 1)/0.05)^2)`` around 0.
+
+    On the window [-70, 70] the bump falls between the sample times of
+    :func:`splitflow.lambda_eta`, so lambda reads 0 and the admitted
+    neighborhood is eps_used = 0.125; at eta = 1 the trajectory reaches a
+    sup distance of about 3.2, so the solution is ``failed``.
+    """
+    return SemilinearProblem(
+        a_matrix=[[-1.0]],
+        f_eta=pointwise(lambda eta, t, y: np.array(
+            [40.0 * eta * np.exp(-((t - 1.0) / 0.05) ** 2)])),
+        f0=pointwise(lambda y: np.zeros(1)),
+        y0_star=[0.0], r_u=1.0,
+        f0_prime=pointwise(lambda y: np.zeros((1, 1))),
+        f_eta_dy=pointwise(lambda eta, t, y: np.zeros((1, 1))),
+    )
 
 
 def ou_value_oracle(path, t):

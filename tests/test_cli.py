@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import splitflow
+from conftest import bump_problem
+from splitflow import cli, hyperbolic
 from splitflow.cli import ExperimentConfig, main, parse_config_text
 from splitflow.errors import ConfigurationError
 
@@ -167,6 +169,19 @@ class TestHyperbolicCmd:
         assert row["status"] == "certified"
         assert float(row["sup_distance"]) <= 0.03
 
+    def test_failed_row_exits_one(self, tmp_path, monkeypatch):
+        # the bump leaves the neighborhood lambda(eta) admitted it for
+        monkeypatch.setattr(cli, "_hyperbolic_problem",
+                            lambda cfg: bump_problem())
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("eta_grid = 1.0\n")
+        out = tmp_path / "out"
+        assert run_cli(["hyperbolic", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+        row = json.loads((out / "hyperbolic.json").read_text())["rows"][0]
+        assert row["status"] == "failed" and row["certified"] is False
+        assert row["sup_distance"] > row["eps_used"]
+
     def test_bad_model_is_config_error(self, tmp_path):
         cfg = tmp_path / "h.cfg"
         cfg.write_text("model = pendulum\n")
@@ -188,6 +203,26 @@ class TestWaveCmd:
         assert (out1 / "wave.json").read_bytes() == (out2 / "wave.json").read_bytes()
         rows = (out1 / "wave.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 2
+
+    def test_failed_row_exits_one(self, tmp_path, monkeypatch):
+        # every trajectory reported failed: no row is certified, and the
+        # run is a scientific failure
+        find = hyperbolic.find_hyperbolic_solution
+
+        def failing(*args, **kwargs):
+            sol = find(*args, **kwargs)
+            sol.status = hyperbolic.STATUS_FAILED
+            return sol
+
+        monkeypatch.setattr(hyperbolic, "find_hyperbolic_solution", failing)
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("n_modes = 2\nt_min = -58\nt_max = 58\n"
+                       "eta_grid = 1e-4,0.0\nn_half = 2\n")
+        out = tmp_path / "out"
+        assert run_cli(["wave", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = json.loads((out / "wave.json").read_text())["rows"]
+        assert [r["status"] for r in rows] == ["failed", "failed"]
+        assert not any(r["certified"] for r in rows)
 
     def test_non_hyperbolic_config_is_scientific_failure(self, tmp_path):
         cfg = tmp_path / "w.cfg"

@@ -6,14 +6,14 @@ import pytest
 from splitflow import (ContractionMarginError, KappaFn, SemilinearProblem,
                        SplitflowError, StratonovichSpec, ThresholdError,
                        TimeGrid, build_wave_system, certify_hyperbolic,
-                       default_kappa, eta_epsilon,
+                       default_kappa, eta_epsilon, eta_row,
                        find_hyperbolic_solution, lambda_eta, linearize_along,
                        pointwise, random_ode_problem, rho_modulus,
                        sample_wiener_path)
 from splitflow import hyperbolic
 from splitflow.cocycle import integrate_nonlinear
 from splitflow.hyperbolic import SUP_OVER_LAMBDA, _AutonomousGreen, _fast_len
-from conftest import lambda_eta_loop, spectral_norm
+from conftest import bump_problem, lambda_eta_loop, spectral_norm
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -446,6 +446,17 @@ class TestCertify:
         assert a_t <= 0.9 * beta_true + 1e-12  # design margin
         assert a_t >= 0.9 * beta_true * (1.0 - 0.02)  # small-delta correction
 
+    def test_failed_solution_stays_failed(self):
+        p = bump_problem()
+        with pytest.warns(UserWarning, match="not below eps"):
+            sol = find_hyperbolic_solution(p, 1.0, W64)
+        assert sol.lambda_value == 0.0
+        assert sol.sup_distance > sol.eps_used
+        assert sol.status == "failed"
+        certify_hyperbolic(p, sol)
+        assert sol.status == "failed"
+        assert sol.linearization_certificate is None
+
     def test_threshold_violation_downgrades_to_bounded(self):
         # a weak-but-true base certificate (tiny exponent) shrinks the
         # admissible perturbation below the measured one; certification must
@@ -460,6 +471,46 @@ class TestCertify:
         assert sol.status == "bounded"
         assert sol.linearization_certificate is None
         assert sol.meta["certification"]["threshold"] is not None
+
+
+class TestEtaRow:
+    def test_certified_cubic_row(self):
+        p = cubic_problem()
+        row, sol = eta_row(p, 0.1, W64, tol=1e-9, n_half=4)
+        assert tuple(row) == hyperbolic.ROW_COLUMNS
+        assert row["status"] == "certified" and row["certified"] is True
+        assert row["error"] is None
+        assert row["eta"] == 0.1
+        assert row["sup_distance"] == sol.sup_distance < row["eps_used"]
+        assert row["lambda"] == sol.lambda_value
+        assert row["residual"] == sol.fixed_point_residual <= 1e-9
+        lc = sol.linearization_certificate
+        assert row["alpha_tilde"] == lc.exponent
+        assert row["M_bound"] == lc.bound
+
+    def test_contraction_error_row(self):
+        p = additive_problem()
+        with pytest.raises(ContractionMarginError) as exc:
+            find_hyperbolic_solution(p, 0.5, W64)
+        with pytest.warns(UserWarning, match="eta=0.5: "):
+            row, sol = eta_row(p, 0.5, W64)
+        assert sol is None
+        assert tuple(row) == hyperbolic.ROW_COLUMNS
+        assert row["status"] == "error" and row["certified"] is False
+        assert row["error"] == str(exc.value)
+        assert all(row[k] is None for k in hyperbolic.ROW_COLUMNS
+                   if k not in ("eta", "certified", "status", "error"))
+
+    def test_failed_row(self):
+        with pytest.warns(UserWarning, match="not below eps"):
+            row, sol = eta_row(bump_problem(), 1.0, W64)
+        assert tuple(row) == hyperbolic.ROW_COLUMNS
+        assert row["status"] == "failed" and row["certified"] is False
+        assert row["error"] is None
+        assert row["lambda"] == 0.0
+        assert row["sup_distance"] > row["eps_used"]
+        assert row["alpha_tilde"] is None and row["M_bound"] is None
+        assert sol.status == "failed"
 
 
 def test_additive_halving_response():

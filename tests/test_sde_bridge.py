@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 
 from splitflow import (ConfigurationError, ContinuousCocycle, KappaFn,
                        NonHyperbolicError, StratonovichSpec, TimeGrid,
-                       WindowError, autonomous_certificate, build_wave_system,
-                       default_kappa, injected_path, inverse_transform,
-                       noise_bounds, ou_series, pointwise, random_ode_problem,
-                       run_wave_demo, sample_wiener_path,
+                       WaveDemoReport, WindowError, autonomous_certificate,
+                       build_wave_system, default_kappa, injected_path,
+                       inverse_transform, noise_bounds, ou_series, pointwise,
+                       random_ode_problem, run_wave_demo, sample_wiener_path,
                        spectral_projection, verify_dichotomy)
+from splitflow.cli import main
 from splitflow.cocycle import integrate_nonlinear
 
 H = 1.0 / 32
@@ -362,24 +364,27 @@ class TestWaveDemo:
         assert rep.rows[0]["error"] is not None
         assert rep.rows[1]["certified"]
 
-    def test_report_serialization(self, tmp_path):
+    def test_bad_argument_raises(self):
+        # a ValueError names a bad argument: it is not an eta's error row
         w = TimeGrid(-60.0, 60.0, H)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = run_wave_demo(2, 1.0, [0.0], 31, w)
-        f = tmp_path / "wave.csv"
-        rep.to_csv(str(f))
-        text = open(f).read()
-        assert text.splitlines()[0] == ",".join(rep.COLUMNS)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            run_wave_demo(2, 1.0, [0.0], 31, w, trunc_tol=0.0)
+
+    def test_report_serialization(self, tmp_path):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("n_modes = 2\nt_min = -60\nt_max = 60\n"
+                       f"h = {H!r}\neta_grid = 0.0\n")
+        out = tmp_path / "out"
+        assert main(["wave", "--config", str(cfg), "--out", str(out),
+                     "--seed", "31"]) == 0
+        text = (out / "wave.csv").read_text()
+        assert text.splitlines()[0] == ",".join(WaveDemoReport.COLUMNS)
         # cells are true/false, empty (None) or numbers that float() parses
         for line in text.splitlines()[1:]:
             for c in line.split(","):
                 if c not in ("true", "false", ""):
                     float(c)
-        body = rep.to_json()
-        import json
-
-        parsed = json.loads(body)
+        parsed = json.loads((out / "wave.json").read_text())
         assert parsed["rows"][0]["certified"] is True
 
 
