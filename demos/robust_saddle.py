@@ -8,9 +8,12 @@ rebuilds the projections from unit impulses, attaches the explicit
 perturbed constants, and then verifies its own certificate.
 """
 
+import json
+
 import numpy as np
 
 import splitflow as sf
+from splitflow.robustness import robustness_report
 
 d_mat = np.diag([0.5, 2.0])
 eps = 0.01
@@ -46,7 +49,5 @@ for name, ax in rep.axioms.items():
                                                  else "max_cond")
     print(f"  {name:>15}: {key} = {ax[key]:.3e}  passed = {ax['passed']}")
 
-from splitflow.robustness import robustness_report_json
-
 print("\nfull machine-readable report:")
-print(robustness_report_json(cert))
+print(json.dumps(robustness_report(cert), indent=2))

@@ -35,7 +35,7 @@ from .io import cell
 from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
                     ou_series, pathwise_ou_residual, sample_wiener_path,
                     shift_path, sublinearity_report, zero_path)
-from .robustness import robust_dichotomy_discrete, robustness_report_json
+from .robustness import robust_dichotomy_discrete, robustness_report
 from .sde_bridge import StratonovichSpec, random_ode_problem, run_wave_demo
 
 # key -> (parser, default); None default means required
@@ -286,7 +286,7 @@ def cmd_robustness(cfg, out_dir):
         try:
             cert = robust_dichotomy_discrete(base, bc, pert, window,
                                              slack=v["slack"])
-            entry.update(json.loads(robustness_report_json(cert)))
+            entry.update(robustness_report(cert))
             passed = cert.meta["verification"].passed
             if entry["name"] == "scalar":
                 entry["alpha_tilde"] = cert.exponent
@@ -347,7 +347,7 @@ def cmd_hyperbolic(cfg, out_dir):
                     json.dumps({"command": "hyperbolic", "seed": v["seed"],
                                 "model": v["model"], "rows": rows},
                                indent=2) + "\n")]
-    ok = not any(r["status"] == STATUS_FAILED for r in rows)
+    ok = not any(r["status"] in (STATUS_FAILED, "error") for r in rows)
     return (0 if ok else 1), files
 
 

@@ -396,10 +396,10 @@ def _running_max(best, mats, weights, k_bound, start):
 
 
 def _finite_kernel(block, nodes, k0, horizon, backward=False):
-    """``block``, the kernel values ``[i, offset k0 + k, fraction j]`` of the
-    forward (``i`` the source) or backward (``i`` the target) branch, or
-    :class:`SplitflowError` naming the source node and horizon of its first
-    non-finite value in march order (horizon, then ``i``)."""
+    """Raise :class:`SplitflowError` naming the source node and horizon of
+    the first non-finite value, in march order (horizon, then ``i``), of
+    ``block``, the kernel values ``[i, offset k0 + k, fraction j]`` of the
+    forward (``i`` the source) or backward (``i`` the target) branch."""
     if not np.isfinite(block).all():
         bad = ~np.isfinite(block).all(axis=(-2, -1))
         k, j, i = np.unravel_index(np.argmax(np.moveaxis(bad, 0, -1)),
@@ -409,7 +409,6 @@ def _finite_kernel(block, nodes, k0, horizon, backward=False):
         raise SplitflowError(
             f"non-finite {branch} kernel value from node {source} at horizon "
             f"{float(horizon[k0 + k, j])}: the split-flow march overflowed")
-    return block
 
 
 def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
@@ -489,13 +488,16 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
                 np.matmul(flows[k:, 1:-1], fwd[:-1, None],
                           out=fwd_block[: n - 1 - k, kk, 1:])
             if kk == fwd_block.shape[1] - 1:
-                best_fwd = _running_max(
-                    best_fwd, _finite_kernel(fwd_block, nodes, k0, horizon),
-                    weights[k0:k + 1], k_bound, (0, k0, 0))
-                best_bwd = _running_max(
-                    best_bwd, _finite_kernel(bwd_block, nodes, k0, horizon,
-                                             backward=True),
-                    weights[k0:k + 1, :1], k_bound, (0, k0, 0))
+                w = weights[k0:k + 1]
+                try:  # spectral_argmax's finiteness check: the only pass
+                    best_fwd = _running_max(best_fwd, fwd_block, w, k_bound,
+                                            (0, k0, 0))
+                    best_bwd = _running_max(best_bwd, bwd_block, w[:, :1],
+                                            k_bound, (0, k0, 0))
+                except SplitflowError:  # locate the value that failed it
+                    _finite_kernel(fwd_block, nodes, k0, horizon)
+                    _finite_kernel(bwd_block, nodes, k0, horizon, True)
+                    raise
     ratio_fwd, at = best_fwd
     worst_fwd = None if at is None else (nodes[at[0]],
                                          float(horizon[at[1], at[2]]))

@@ -207,6 +207,34 @@ def _gamma(sweeps, b_mats, f, x):
     return out.reshape(u.shape)
 
 
+def _picard(apply, x, tol, rate, first, max_iter, what):
+    """Iterate ``x <- apply(x)`` to the exact test ``sup |apply(x) - x| <=
+    tol`` (:func:`_seq_sup`), at most ``max_iter`` times (by default 20 more
+    than a contraction of factor ``rate`` and first step ``first`` needs);
+    returns ``(x, residual, iterations)``, and an uncertified residual
+    raises :class:`SplitflowError` naming ``what``.  ``x`` is dropped after
+    the first step, so the caller passes it without keeping it."""
+    if max_iter is None:
+        max_iter = max(3, math.ceil(math.log(tol / (first + tol)) / math.log(
+            max(rate, 1e-6))) + 20) if rate > 0.0 and first > 0.0 else 3
+    it = 0
+    while it < max_iter:
+        y = apply(x)
+        done = (_seq_sup(y - x) <= tol if y.ndim == 2
+                else spectral_sup_at_most(y - x, tol))
+        x = y
+        it += 1
+        if done:
+            break
+    residual = _seq_sup(apply(x) - x)
+    if not residual <= tol:
+        raise SplitflowError(
+            f"{what} did not certify residual {tol:g} "
+            f"(got {residual:.3e} after {it} iterations)"
+        )
+    return x, residual, it
+
+
 @dataclass
 class BoundedSolution:
     """Fixed point of the kernel contraction, with its residual certificate.
@@ -250,29 +278,13 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     f_sup = f.sup_norm()
     band = min(_band_for(cert, delta_eff, f_sup, trunc_tol), n_hi - n_lo + 1)
     sweeps = _sweeps(cocycle, cert, n_lo, n_hi)
-    x = np.zeros_like(f.values) if x0 is None else np.asarray(x0, float).copy()
-    if max_iter is None:
-        c0 = cert.bound * f_sup * (1.0 + e) / (1.0 - e) + _seq_sup(x)
-        if rho > 0.0 and c0 > 0.0:
-            max_iter = max(2, int(math.ceil(
-                math.log(tol / (c0 + tol)) / math.log(rho))) + 20)
-        else:
-            max_iter = 3
-    it = 0
-    while it < max_iter:
-        y = _gamma(sweeps, b_mats, f, x)
-        done = (_seq_sup(y - x) <= tol if y.ndim == 2
-                else spectral_sup_at_most(y - x, tol))
-        x = y
-        it += 1
-        if done:
-            break
-    residual = _seq_sup(_gamma(sweeps, b_mats, f, x) - x)
-    if not residual <= tol:
-        raise SplitflowError(
-            f"Picard iteration did not certify residual {tol:g} "
-            f"(got {residual:.3e} after {it} iterations)"
-        )
+    first = cert.bound * f_sup * (1.0 + e) / (1.0 - e)
+    if x0 is not None:
+        first += _seq_sup(np.asarray(x0, float))
+    x, residual, it = _picard(
+        lambda x: _gamma(sweeps, b_mats, f, x),
+        np.zeros_like(f.values) if x0 is None else np.array(x0, float),
+        tol, rho, first, max_iter, "Picard iteration")
     apriori = cert.bound * f_sup * (1.0 + e) / ((1.0 - e) * (1.0 - rho))
     sup = _seq_sup(x)
     if f_sup > 0.0 and sup > apriori * (1.0 + 1e-6) + 10.0 * (tol + trunc_tol):

@@ -30,7 +30,7 @@ from .cocycle import ContinuousCocycle, _finite, _rows, spectral_sup
 from .dichotomy import _envelope_scan, autonomous_certificate, expm
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
-from .greens import _band_for
+from .greens import _impulse_span, _picard
 from .robustness import robust_dichotomy_continuous
 
 SMALLNESS_DIVISOR = 6.0     # per-term budget: 1/(6 M beta^{-1})
@@ -349,7 +349,6 @@ class HyperbolicSolutionCertificate:
     status: str
     autonomous_cert: object
     y0_star: np.ndarray
-    b_sup: float = None
     linearization_certificate: object = None
     linearization_report: object = None
     meta: dict = field(default_factory=dict)
@@ -445,30 +444,11 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
                     "field values")
         return f - f0_star - phi @ d0_star.T
 
-    phi = np.zeros((n, p.dim)) if x0 is None else np.array(x0, float)
-    if max_iter is None:
-        first = 2.0 * (m_bound / beta) * max(lam, tol)
-        if factor > 0.0:
-            max_iter = max(3, int(math.ceil(
-                math.log(tol / (first + tol)) / math.log(max(factor, 1e-6))))
-                + 15)
-        else:
-            max_iter = 3
-    it = 0
-    while it < max_iter:
-        nxt = green.convolve(g_all(phi), weights)
-        res = float(np.max(np.linalg.norm(nxt - phi, axis=1)))
-        phi = nxt
-        it += 1
-        if res <= tol:
-            break
-    residual = float(np.max(np.linalg.norm(
-        green.convolve(g_all(phi), weights) - phi, axis=1)))
-    if not residual <= tol:
-        raise SplitflowError(
-            f"kernel iteration did not certify residual {tol:g} "
-            f"(got {residual:.3e} after {it} iterations)"
-        )
+    phi, residual, it = _picard(
+        lambda phi: green.convolve(g_all(phi), weights),
+        np.zeros((n, p.dim)) if x0 is None else np.array(x0, float),
+        tol, factor, 2.0 * (m_bound / beta) * max(lam, tol), max_iter,
+        "kernel iteration")
     interior = slice(n_off, n - n_off)
     sup_dist = float(np.max(np.linalg.norm(phi[interior], axis=1)))
     status = STATUS_BOUNDED
@@ -489,13 +469,12 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     )
 
 
-def linearize_along(p, cert, step=None, b_sup_stride=8):
+def linearize_along(p, cert, step=None):
     """Variational cocycle along the certified trajectory.
 
     Generator ``A + B(t)`` with
     ``B(t) = d_y f_eta(eta, t, xi*(t)) - f0'(y0*)``, evaluated for a vector
-    of times in one field call; the window sup of ``|B|`` is recorded on
-    the certificate.
+    of times in one field call.
     """
     d0_star = p.d_f0(p.y0_star[None])[0]
     eta = cert.eta
@@ -503,8 +482,6 @@ def linearize_along(p, cert, step=None, b_sup_stride=8):
     def gen(ts):
         return p.a_matrix + p.d_f_eta(eta, ts, cert.xi_star(ts)) - d0_star
 
-    sub = cert.times[cert.interior][::b_sup_stride]
-    cert.b_sup = spectral_sup(p.d_f_eta(eta, sub, cert.xi_star(sub)) - d0_star)
     h = cert.times[1] - cert.times[0]
     return ContinuousCocycle(gen, p.dim,
                              step=step if step else min(h, 1.0 / 64.0))
@@ -516,37 +493,45 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
 
     Runs the continuous robustness pipeline with the frozen linearization as
     the base; a threshold violation downgrades the status to ``bounded``
-    (hyperbolicity unverified) instead of raising.  ``n_half`` asks for
-    projection nodes on [-n_half, n_half], shrunk automatically to what the
-    trajectory window supports.  A ``failed`` trajectory (its sup distance
-    not below ``eps_used``) is left as it is, uncertified.
+    (hyperbolicity unverified) instead of raising.  The projection nodes
+    are [-h, h], h the largest up to ``n_half`` in the clean interior whose
+    impulse span (:func:`~splitflow.greens._impulse_span` of the unit-step
+    distance over [-h, h]) keeps its unit flows inside the trajectory
+    window; with none, the status drops to ``bounded``, naming the span.  A
+    ``failed`` trajectory (its sup distance not below ``eps_used``) is left
+    as it is, uncertified.
     """
     if cert.status == STATUS_FAILED:
         return cert
     h_grid = cert.times[1] - cert.times[0]
     base_cc = p.base_cocycle(step if step else min(1.0 / 64.0, h_grid))
     pert_cc = linearize_along(p, cert, step=step)
-
-    pad = _band_for(cert.autonomous_cert,
-                    cert.autonomous_cert.bound * max(cert.b_sup, 1e-12),
-                    1.0, trunc_tol) + 10
-    # the kernel band may touch edge-contaminated trajectory values (they
-    # enter with exponentially small weight); the projection nodes themselves
-    # must sit in the clean interior
-    t_int = cert.interior_times()
-    reach = int(min(-cert.times[0], cert.times[-1]) - pad - 2)
-    clean = int(min(-t_int[0], t_int[-1]) - 1) if len(t_int) else -1
-    use_half = min(n_half, reach, clean)
-    if use_half < 1:
+    # the impulse solves may read edge-contaminated trajectory values (they
+    # enter with exponentially small weight), but no flow past the window
+    t0, t1, t_int = cert.times[0], cert.times[-1], cert.interior_times()
+    top = min(n_half, int(min(-t_int[0], t_int[-1]) - 1) if len(t_int) else 0)
+    need = "n_half and the clean interior leave no nodes -1, 1"
+    nodes = np.arange(-top, top + 1)  # read again by the robustness pipeline
+    dist = (pert_cc.unit_flows(nodes)[:, -1]
+            - base_cc.unit_flows(nodes)[:, -1])
+    for half in range(top, 0, -1):
+        lo, hi = _impulse_span(cert.autonomous_cert,
+                               dist[top - half:top + half + 1], -half, half,
+                               trunc_tol)
+        if t0 <= lo and hi + 1 <= t1:
+            break
+        need = (f"the impulse span [{lo}, {hi}] of nodes [-{half}, {half}] "
+                f"needs unit flows on [{lo}, {hi + 1}]")
+    else:
         cert.status = STATUS_BOUNDED
         cert.meta["certification"] = {
-            "error": f"trajectory window too short for certification "
-                     f"(needs half-width >= {pad + 2})"
+            "error": f"trajectory window [{t0:g}, {t1:g}] too short for "
+                     f"certification: {need}"
         }
         return cert
     try:
         lin_cert = robust_dichotomy_continuous(
-            base_cc, cert.autonomous_cert, pert_cc, (-use_half, use_half),
+            base_cc, cert.autonomous_cert, pert_cc, (-half, half),
             slack=slack, tol=tol, trunc_tol=trunc_tol,
         )
     except (RobustnessHypothesisError, ContractionMarginError) as exc:
@@ -557,11 +542,10 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
             "threshold": getattr(exc, "threshold", None),
         }
         return cert
-    report = lin_cert.meta.get("verification_continuous")
+    report = lin_cert.meta["verification_continuous"]
     cert.linearization_certificate = lin_cert
     cert.linearization_report = report
-    cert.status = STATUS_CERTIFIED if (report is None or report.passed) \
-        else STATUS_BOUNDED
+    cert.status = STATUS_CERTIFIED if report.passed else STATUS_BOUNDED
     return cert
 
 

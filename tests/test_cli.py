@@ -9,7 +9,7 @@ import pytest
 
 import splitflow
 from conftest import bump_problem
-from splitflow import cli, hyperbolic
+from splitflow import cli, hyperbolic, robustness
 from splitflow.cli import ExperimentConfig, main, parse_config_text
 from splitflow.errors import ConfigurationError
 
@@ -182,6 +182,18 @@ class TestHyperbolicCmd:
         assert row["status"] == "failed" and row["certified"] is False
         assert row["sup_distance"] > row["eps_used"]
 
+    def test_error_row_exits_one(self, tmp_path):
+        # eta = 5 is refused by the contraction budget: an error row is a
+        # failed check, not a success
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("eta_grid = 5.0\n")
+        out = tmp_path / "out"
+        assert run_cli(["hyperbolic", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+        row = json.loads((out / "hyperbolic.json").read_text())["rows"][0]
+        assert row["status"] == "error" and row["certified"] is False
+        assert row["error"]
+
     def test_bad_model_is_config_error(self, tmp_path):
         cfg = tmp_path / "h.cfg"
         cfg.write_text("model = pendulum\n")
@@ -231,6 +243,37 @@ class TestWaveCmd:
         assert run_cli(["wave", "--config", str(cfg), "--out", str(out)]) == 1
         body = json.loads((out / "wave.json").read_text())
         assert "not hyperbolic" in body["error"]
+
+
+@pytest.mark.parametrize("command, half", [("hyperbolic", 4), ("wave", 3)])
+def test_default_rows_certify_inside_the_window(tmp_path, monkeypatch,
+                                                command, half):
+    # at defaults every certified row covers [-n_half, n_half], and the
+    # impulse span [lo, hi] of its linearization, whose last unit flow ends
+    # at hi + 1, lies inside the trajectory window
+    spans, certified = [], []
+    span_rule, certify = robustness._impulse_span, hyperbolic.certify_hyperbolic
+
+    def recorded_span(*args):
+        spans.append(span_rule(*args))
+        return spans[-1]
+
+    def recorded_certify(p, sol, **kwargs):
+        start = len(spans)
+        certify(p, sol, **kwargs)
+        if sol.status == hyperbolic.STATUS_CERTIFIED:
+            certified.append((sol, spans[start:]))
+        return sol
+
+    monkeypatch.setattr(robustness, "_impulse_span", recorded_span)
+    monkeypatch.setattr(hyperbolic, "certify_hyperbolic", recorded_certify)
+    out = tmp_path / "out"
+    assert run_cli([command, "--out", str(out), "--seed", "12345"]) == 0
+    rows = json.loads((out / f"{command}.json").read_text())["rows"]
+    assert len(certified) == sum(r["certified"] for r in rows) > 0
+    for sol, ((lo, hi),) in certified:
+        assert sol.linearization_certificate.meta["window"] == [-half, half]
+        assert sol.times[0] <= lo and hi + 1 <= sol.times[-1]
 
 
 def test_outputs_use_lf_endings(tmp_path):

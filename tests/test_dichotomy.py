@@ -609,6 +609,21 @@ class TestStreamedVerifier:
                     verify_dichotomy(DiscreteCocycle(step, dim), cert,
                                      (-3, 3))
 
+    def test_finite_march_makes_no_locating_pass(self, monkeypatch):
+        # spectral_argmax's finiteness check is the only pass over a finite
+        # block; the overflow locator reads a block only after it failed
+        located = []
+        real = dichotomy._finite_kernel
+        monkeypatch.setattr(dichotomy, "_finite_kernel",
+                            lambda *a, **k: located.append(a) or real(*a, **k))
+        cocycle, cert = rotating_saddle((-30, 30), 3, 2, seed=5)
+        verify_dichotomy(cocycle, cert, (-30, 30))
+        flow = ContinuousCocycle.constant([[-1.0]])
+        stable = DichotomyCertificate.constant([[1.0]], 1.0, 1.0,
+                                               discrete=False)
+        assert verify_dichotomy(flow, stable, (-4, 4)).passed
+        assert located == []
+
     def test_svds_only_for_pairs_that_can_reach_the_max(self, monkeypatch):
         cocycle, cert = rotating_saddle((-30, 30), 3, 2, seed=5)
         rows = []

@@ -296,6 +296,17 @@ class TestBoundedSolution:
                               x0=rng.standard_normal(f.values.shape))
         assert np.max(np.abs(s1.values - s2.values)) < 2 * tol
 
+    @pytest.mark.parametrize("r", [None, 2])  # vector and matrix forcing
+    def test_iteration_cap_fails_closed(self, r):
+        # one Picard step at a tight tolerance leaves the residual
+        # uncertified: the solve raises rather than return it
+        c, cert = saddle()
+        f = ForcingSequence.zeros(-20, 20, 2, r)
+        f.values[20] = 1.0
+        with pytest.raises(SplitflowError, match=r"Picard iteration did not "
+                           r"certify residual 1e-12 \(got .* after 1 "):
+            bounded_solution(c, cert, 0.05, f, tol=1e-12, max_iter=1)
+
     def test_contraction_certificate_random_pairs(self):
         c, cert = stable_scalar()
         f0 = ForcingSequence.zeros(-25, 25, 1)

@@ -24,6 +24,8 @@ Only ``cocycle.py`` under src/splitflow names the parts of the pruned
 spectral max (``spectral_norms``, ``_frobenius``, ``FROBENIUS_SLACK``): every
 other module takes a max of matrix norms through ``spectral_argmax`` or the
 functions built on it, so the pruning rule has one implementation.
+Likewise only ``greens.py`` names ``_band_for``: every span of impulse
+solves comes from ``greens._impulse_span``.
 
 src/splitflow imports nothing of scipy, wherever the import statement
 stands: the package runs on numpy alone, and any scipy module would weigh on
@@ -178,13 +180,26 @@ def test_every_stored_attribute_is_read():
 SPECTRAL_PARTS = {"spectral_norms", "_frobenius", "FROBENIUS_SLACK"}
 
 
+def _named_outside(owner, names):
+    """``path name`` of every mention of ``names`` under src/splitflow
+    outside the module ``owner``."""
+    return sorted({f"{path.relative_to(ROOT)} {name}"
+                   for path, tree in _trees(("src",))
+                   if path != PACKAGE / owner
+                   for name, _, _ in _mentions(tree)
+                   if name in names})
+
+
 def test_only_cocycle_names_the_spectral_max_parts():
-    stray = sorted({f"{path.relative_to(ROOT)} {name}"
-                    for path, tree in _trees(("src",))
-                    if path != PACKAGE / "cocycle.py"
-                    for name, _, _ in _mentions(tree)
-                    if name in SPECTRAL_PARTS})
+    stray = _named_outside("cocycle.py", SPECTRAL_PARTS)
     assert not stray, ("spectral max rebuilt outside cocycle:\n"
+                       + "\n".join(stray))
+
+
+def test_only_greens_names_the_band_rule():
+    # every span of impulse solves comes from greens._impulse_span
+    stray = _named_outside("greens.py", {"_band_for"})
+    assert not stray, ("span rule rebuilt outside greens:\n"
                        + "\n".join(stray))
 
 

@@ -3,14 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitflow import (ContractionMarginError, KappaFn, SemilinearProblem,
-                       SplitflowError, StratonovichSpec, ThresholdError,
+from splitflow import (ContinuousCocycle, ContractionMarginError, KappaFn,
+                       SemilinearProblem, SplitflowError, StratonovichSpec,
+                       ThresholdError,
                        TimeGrid, build_wave_system, certify_hyperbolic,
                        default_kappa, eta_epsilon, eta_row,
                        find_hyperbolic_solution, lambda_eta, linearize_along,
                        pointwise, random_ode_problem, rho_modulus,
                        sample_wiener_path)
-from splitflow import hyperbolic
+from splitflow import hyperbolic, robustness
 from splitflow.cocycle import integrate_nonlinear
 from splitflow.hyperbolic import SUP_OVER_LAMBDA, _AutonomousGreen, _fast_len
 from conftest import bump_problem, lambda_eta_loop, spectral_norm
@@ -222,6 +223,13 @@ class TestFindSolution:
         s2 = find_hyperbolic_solution(p, 0.1, W64, tol=tol, x0=x0)
         assert np.max(np.abs(s1.trajectory - s2.trajectory)) < 2 * tol
 
+    def test_iteration_cap_fails_closed(self):
+        # the kernel iteration shares the Picard driver of bounded_solution
+        with pytest.raises(SplitflowError, match=r"kernel iteration did not "
+                           r"certify residual 1e-12 \(got .* after 1 "):
+            find_hyperbolic_solution(cubic_problem(), 0.1, W64, tol=1e-12,
+                                     max_iter=1)
+
     def test_contraction_error_when_eta_large(self):
         p = additive_problem()
         with pytest.raises(ContractionMarginError) as exc:
@@ -382,8 +390,9 @@ class TestLinearization:
         p = additive_problem()
         sol = find_hyperbolic_solution(p, 0.0, W64, tol=1e-11)
         cc = linearize_along(p, sol)
-        assert sol.b_sup == 0.0
         assert np.allclose(cc.generator(np.array([1.3, 2.0])), p.a_matrix)
+        certify_hyperbolic(p, sol, n_half=4)
+        assert sol.linearization_certificate.meta["delta_eff"] == 0.0
 
     def test_cubic_deviation_matches_symbolics(self):
         p = cubic_problem()
@@ -404,14 +413,16 @@ class TestLinearization:
             one = cc.generator(np.array([t]))[0]
             assert np.array_equal(one, got)
 
-    def test_b_sup_vanishes_along_halving(self):
+    def test_delta_eff_vanishes_along_halving(self):
+        # K sup |B| of the linearization's unit steps over the impulse span
+        # halves with eta: 1.196e-4, 5.98e-5 and 2.99e-5
         p = cubic_problem()
-        sups = []
+        deltas = []
         for eta in (0.2, 0.1, 0.05):
             sol = find_hyperbolic_solution(p, eta, W64, tol=1e-9)
-            linearize_along(p, sol)
-            sups.append(sol.b_sup)
-        assert all(x > y for x, y in zip(sups, sups[1:]))
+            certify_hyperbolic(p, sol)
+            deltas.append(sol.linearization_certificate.meta["delta_eff"])
+        assert all(0.45 < y / x < 0.55 for x, y in zip(deltas, deltas[1:]))
 
 
 class TestCertify:
@@ -471,6 +482,37 @@ class TestCertify:
         assert sol.status == "bounded"
         assert sol.linearization_certificate is None
         assert sol.meta["certification"]["threshold"] is not None
+
+
+    @pytest.mark.parametrize("t_max, half", [(22.0, 1), (20.0, None)])
+    def test_window_sizes_the_certified_nodes(self, t_max, half):
+        # at eta = 0.1 the impulse span of the nodes [-1, 1] is [-21, 21]:
+        # its last unit flow ends at 22, inside [-22, 22] but not [-20, 20]
+        p = cubic_problem()
+        row, sol = eta_row(p, 0.1, TimeGrid(-t_max, t_max, 1.0 / 64),
+                           tol=1e-9, n_half=4)
+        if half is None:
+            assert row["status"] == "bounded" and row["certified"] is False
+            assert sol.linearization_certificate is None
+            assert sol.meta["certification"]["error"] == (
+                "trajectory window [-20, 20] too short for certification: "
+                "the impulse span [-21, 21] of nodes [-1, 1] needs unit "
+                "flows on [-21, 22]")
+        else:
+            assert row["status"] == "certified"
+            assert sol.linearization_certificate.meta["window"] == [-1, 1]
+
+    def test_one_verification_per_row(self, monkeypatch):
+        calls = []
+        real = robustness.verify_dichotomy
+        monkeypatch.setattr(robustness, "verify_dichotomy",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        row, sol = eta_row(cubic_problem(), 0.1, W64, tol=1e-9, n_half=4)
+        assert row["status"] == "certified"
+        assert len(calls) == 1 and isinstance(calls[0][0], ContinuousCocycle)
+        meta = sol.linearization_certificate.meta
+        assert sol.linearization_report is meta["verification_continuous"]
+        assert "verification" not in meta
 
 
 class TestEtaRow:
