@@ -16,8 +16,11 @@ block of whole snapshot intervals (``1 / UNIT_SAMPLES`` of the run each),
 for the step bounds and midpoints of all the block's steps and members at
 once, a block being as many intervals as keep its generator matrices
 within ``_BLOCK_BYTES`` (one interval at least): a short run is one call.
-Its four stages are then matrix products on that table.  A non-finite
-generator row raises :class:`SplitflowError` naming its time.  The flow of a
+From that table it forms the RK4 step map ``M_i`` of every step and member
+of the block at once, in batched products, and the states then take ``y <-
+M_i y``, one product per step.  A non-finite generator row raises
+:class:`SplitflowError` naming its time, and a flow that overflows raises
+:class:`IntegrationError` naming its interval.  The flow of a
 continuous cocycle over each unit interval [n, n+1] is integrated once, into
 the cocycle's unit-flow table (:meth:`ContinuousCocycle.unit_flows`); the
 discretization, the lift envelope and the verifier all read that table.
@@ -101,8 +104,9 @@ def spectral_argmax(mats, weigh=None, floor=-math.inf):
     SVD in descending order of their bounds, in batches of 16, 32, 64, ...,
     until the next bound falls below the running max: no row left out can
     exceed it, and every row that ties with it is evaluated, so the first
-    one is known.  Matrices of one entry take ``abs``; a non-finite entry
-    raises :class:`SplitflowError`.
+    one is known.  Matrices of one entry take ``abs``, a stack of one
+    matrix takes one SVD, and a non-finite entry raises
+    :class:`SplitflowError`.
     """
     mats = np.asarray(mats, float)
     flat = mats.reshape((-1,) + mats.shape[-2:])
@@ -115,10 +119,15 @@ def spectral_argmax(mats, weigh=None, floor=-math.inf):
 
 def _pruned_argmax(flat, frob, weigh, floor):
     """:func:`spectral_argmax` of a finite ``(N, m, n)`` stack whose
-    Frobenius norms ``frob`` are known."""
+    Frobenius norms ``frob`` are known.  A stack of one matrix (every row
+    bitwise equal, such as the steps of a constant perturbation: exact ties
+    defeat the pruning) takes one SVD, its norm shared by every row."""
     weigh = weigh or (lambda norms, rows: norms)
-    if flat.shape[1:] == (1, 1):  # frob is |M| itself: no sort, no SVD
-        v = weigh(frob, slice(None))
+    scalar = flat.shape[1:] == (1, 1)  # frob is |M| itself: no SVD
+    if scalar or _one_matrix(flat, frob):
+        norms = frob if scalar else np.repeat(spectral_norms(flat[:1]),
+                                              len(flat))
+        v = weigh(norms, slice(None))
         i = int(np.argmax(v)) if len(v) else 0
         return (float(v[i]), i) if len(v) and v[i] >= floor else None
     bounds = weigh(frob * (1.0 + FROBENIUS_SLACK), slice(None))
@@ -136,6 +145,16 @@ def _pruned_argmax(flat, frob, weigh, floor):
             best = top
         lo, size = lo + size, 2 * size
     return None if first is None else (best, first)
+
+
+def _one_matrix(flat, frob):
+    """Whether every row of a stack of two or more is the first, bit for
+    bit; the Frobenius norms ``frob`` and the last row are compared first,
+    so a stack of distinct matrices rarely costs more than that."""
+    bits = flat.view(np.int64)
+    return (len(flat) > 1 and frob[0] == frob[-1]
+            and np.array_equal(bits[0], bits[-1])
+            and bool(np.all(bits == bits[0])))
 
 
 def spectral_sup(mats, scale=1.0, offset=0.0):
@@ -322,6 +341,36 @@ def _step_count(span, step, samples):
     return max(1, int(np.ceil(abs(span) / (samples * step) - 1e-12))) * samples
 
 
+def _rk4_step(f, y, h):
+    """One classical RK4 step of length ``h`` from ``y`` for ``y' = f(s,
+    y)``, ``s`` the stage time: 0 the step's start, 1 its midpoint (second
+    and third stages), 2 its end."""
+    k1 = f(0, y)
+    k2 = f(1, y + h / 2 * k1)
+    k3 = f(1, y + h / 2 * k2)
+    k4 = f(2, y + h * k3)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _step_maps(g, h):
+    """``(maps, mul)``: the RK4 step maps ``M_i`` of ``x' = G(t) x`` for
+    every step and member of a block, from its ``(2m + 1, members, d, d)``
+    stage matrices ``g`` and step lengths ``h``, and the product that
+    applies them (``np.multiply`` for 1x1 maps).  ``M_i`` is
+    :func:`_rk4_step` on the identity: ``I + h/6 (k1 + 2 k2 + 2 k3 +
+    k4)``, ``k1 = G(t_i)``, ``k2 = G(t_i + h/2) (I + h/2 k1)``, ``k3 =
+    G(t_i + h/2) (I + h/2 k2)``, ``k4 = G(t_{i+1}) (I + h k3)`` (Hairer,
+    Norsett & Wanner, *Solving ODEs I*, II.1)."""
+    ident = np.eye(g.shape[-1])
+    mul = np.multiply if g.shape[-1] == 1 else np.matmul
+
+    def stage(s, x):
+        gs = g[s:s + len(g) - 1:2]
+        return gs if x is ident else mul(gs, x)  # k1 is G(t_i) itself
+
+    return _rk4_step(stage, ident, h), mul
+
+
 def _rk4(field, t0, t1, y0, n, every=None):
     """RK4 for ``y' = f(t, y)`` over a stack of initial value problems.
 
@@ -332,13 +381,19 @@ def _rk4(field, t0, t1, y0, n, every=None):
     ``bounds[i + 1]`` (the next step's first).  ``field`` receives them a
     block at a time: ``field(ts)`` takes the ``(2m + 1, members)`` stage
     times of a block of m steps, even rows the step bounds and odd rows the
-    midpoints, and returns ``f(j, y)``, the field at the block's stage j
-    applied to the stacked states.  A block is a whole number of snapshot
-    intervals of ``max(1, n // UNIT_SAMPLES)`` steps each, as many as keep
-    ``(2m + 1) * y.nbytes``, the block's stage matrices of a linear field,
-    within ``_BLOCK_BYTES``, and one interval at least.  Returns the end
-    states, or with ``every`` the states after every ``every`` steps,
-    ``y0`` included, stacked on axis 1.
+    midpoints.  A nonlinear field returns ``f(j, y)``, the field at the
+    block's stage j applied to the stacked states, and the states march
+    by :func:`_rk4_step`; a linear one returns its ``(2m + 1, members, d,
+    d)`` generator matrices, whose step maps :func:`_step_maps` forms for
+    the whole block at once, and the states take ``y <- M_i y``, one
+    product per step.  A block is a whole number of snapshot intervals of
+    ``max(1, n // UNIT_SAMPLES)`` steps each, as many as keep ``(2m + 1) *
+    y.nbytes``, the block's stage matrices of a linear field, within
+    ``_BLOCK_BYTES``, and one interval at least.  Returns the end states,
+    or with ``every`` the states after every ``every`` steps, ``y0``
+    included, stacked on axis 1.  The arithmetic runs with overflow
+    ignored: a non-finite end state raises :class:`IntegrationError`
+    naming its interval.
     """
     t0, t1 = np.asarray(t0, float), np.asarray(t1, float)
     bounds = np.linspace(t0, t1, n + 1)
@@ -346,22 +401,25 @@ def _rk4(field, t0, t1, y0, n, every=None):
     stages[::2] = bounds
     stages[1::2] = bounds[:-1] + (bounds[1:] - bounds[:-1]) / 2
     y = np.array(y0, float)
+    h = (bounds[1:] - bounds[:-1]).reshape((n,) + t0.shape
+                                           + (1,) * (y.ndim - 1))
     interval = max(1, n // UNIT_SAMPLES)
     block = interval * max(1, (_BLOCK_BYTES // y.nbytes - 1) // (2 * interval))
-    shape = (-1,) + (1,) * (y.ndim - 1)
     snaps = None if every is None else [y]
-    for i in range(n):
-        j = 2 * (i % block)
-        if j == 0:
-            f = field(stages[2 * i:2 * (i + block) + 1])
-        hb = (bounds[i + 1] - bounds[i]).reshape(shape)
-        k1 = f(j, y)
-        k2 = f(j + 1, y + hb / 2 * k1)
-        k3 = f(j + 1, y + hb / 2 * k2)
-        k4 = f(j + 2, y + hb * k3)
-        y = y + (hb / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if snaps is not None and (i + 1) % every == 0:
-            snaps.append(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, block):
+            m = min(block, n - lo)
+            f = field(stages[2 * lo:2 * (lo + m) + 1])
+            linear = isinstance(f, np.ndarray)
+            if linear:
+                maps, mul = _step_maps(f, h[lo:lo + m])
+            for i in range(m):
+                if linear:
+                    y = mul(maps[i], y)
+                else:
+                    y = _rk4_step(lambda s, x: f(2 * i + s, x), y, h[lo + i])
+                if snaps is not None and (lo + i + 1) % every == 0:
+                    snaps.append(y)
     bad = ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
     if np.any(bad):
         b = int(np.argmax(bad))
@@ -374,13 +432,12 @@ def _linear_field(generator):
     """The :func:`_rk4` field of ``x' = generator(t) x``: one generator call
     per block of stage times (whole snapshot intervals, at most
     ``_BLOCK_BYTES`` of generator matrices unless one interval is more),
-    each row checked finite, then the stages are matrix products on that
-    table."""
+    each row checked finite, returned as the block's table of stage
+    matrices."""
     def block(ts):
         flat = ts.ravel()
         g = _finite(np.asarray(generator(flat), float), flat, "generator")
-        g = g.reshape(ts.shape + g.shape[1:])
-        return lambda j, y: g[j] @ y
+        return g.reshape(ts.shape + g.shape[1:])
 
     return block
 

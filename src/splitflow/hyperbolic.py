@@ -21,7 +21,7 @@ and the measured factor must stay below ``1/2`` plus a margin.
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import numpy.fft  # noqa: F401  -- loaded at start-up, not by the first run
@@ -158,16 +158,24 @@ def _central_jacobian(fn, ys, rel_step=1e-5):
     return np.stack(cols, axis=-1)
 
 
-def _ball_cloud(center, radius, n, seed=20201102):
-    """Deterministic point cloud in the closed ball, boundary included."""
-    center = np.atleast_1d(np.asarray(center, float))
-    d = len(center)
+@cache
+def _cloud_draw(n, d, seed):
+    """Unit directions and radius fractions of :func:`_ball_cloud`, drawn
+    once per ``(n, d, seed)`` and read-only."""
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-12)
-    radii = radius * rng.random(n) ** (1.0 / d)
-    radii[: max(1, n // 4)] = radius  # pin a share to the boundary
-    return center + dirs * radii[:, None]
+    fracs = rng.random(n) ** (1.0 / d)
+    fracs[: max(1, n // 4)] = 1.0  # pin a share to the boundary
+    dirs.flags.writeable = fracs.flags.writeable = False
+    return dirs, fracs
+
+
+def _ball_cloud(center, radius, n, seed=20201102):
+    """Deterministic point cloud in the closed ball, boundary included."""
+    center = np.atleast_1d(np.asarray(center, float))
+    dirs, fracs = _cloud_draw(n, len(center), seed)
+    return center + dirs * (radius * fracs)[:, None]
 
 
 def lambda_eta(p, eta, window, n_time=65, n_cloud=32):
@@ -354,24 +362,11 @@ class HyperbolicSolutionCertificate:
     meta: dict = field(default_factory=dict)
 
     def xi_star(self, t):
-        """Trajectory value at ``t``, shape ``t.shape + (d,)``.
-
-        Linear interpolation of every component in one pass, value for
-        value as ``np.interp`` per component: exact at the nodes, held
-        constant outside the window.
-        """
-        t = np.asarray(t, float)
-        x = t.reshape(-1)
-        xp, fp = self.times, self.trajectory
-        j = np.searchsorted(xp, x, side="right") - 1
-        lo = np.clip(j, 0, len(xp) - 2)
-        slope = (fp[lo + 1] - fp[lo]) / (xp[lo + 1] - xp[lo])[:, None]
-        out = slope * (x - xp[lo])[:, None] + fp[lo]
-        node = (j >= 0) & (xp[np.maximum(j, 0)] == x)
-        out[node] = fp[j[node]]
-        out[j < 0] = fp[0]
-        out[j >= len(xp) - 1] = fp[-1]
-        return out.reshape(t.shape + (fp.shape[1],))
+        """Trajectory value at ``t``, shape ``t.shape + (d,)``: ``np.interp``
+        per component, exact at the nodes, held constant outside the
+        window."""
+        return np.stack([np.interp(t, self.times, c)
+                         for c in self.trajectory.T], axis=-1)
 
     def interior_times(self):
         return self.times[self.interior]

@@ -10,7 +10,8 @@ kernel sweeps one node at a time, where the library evaluates them by
 doubling, :func:`envelope_scan_sequential` builds the autonomous envelope
 tables one step at a time, where the library doubles, and
 :func:`all_pairs_ratios` takes an SVD of every kernel value, where the
-verifier prunes.  The helpers at the end drive library internals
+verifier prunes, and :func:`ball_cloud_oracle` draws its cloud afresh,
+where the library draws once.  The helpers at the end drive library internals
 the way a test needs them.
 """
 
@@ -365,6 +366,19 @@ def lambda_eta_loop(p, eta, window, n_time=65, n_cloud=32):
         dv = spectral_norms(p.d_f_eta(eta, ts, ys) - d0)
         worst = max(worst, float(np.max(v + dv, initial=0.0)))
     return worst
+
+
+def ball_cloud_oracle(center, radius, n, seed=20201102):
+    """The point cloud of :func:`splitflow.hyperbolic._ball_cloud` from a
+    fresh draw on every call."""
+    center = np.atleast_1d(np.asarray(center, float))
+    d = len(center)
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-12)
+    radii = radius * rng.random(n) ** (1.0 / d)
+    radii[: max(1, n // 4)] = radius  # pin a share to the boundary
+    return center + dirs * radii[:, None]
 
 
 def bump_problem():

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from splitflow.cocycle import (UNIT_SAMPLES, _unit_envelope,
                                integrate_nonlinear, spectral_argmax,
                                spectral_norms, spectral_sup, stack_steps)
 from splitflow.dichotomy import _decay_ratio
+from splitflow.errors import IntegrationError
 from conftest import march_tables, spectral_norm
 
 
@@ -164,9 +166,31 @@ class TestDiscretize:
 
 
 def _rk4_oracle(gen, shift, n_steps, samples):
-    """Unbatched RK4 of ``phi' = gen(t) phi`` over [shift, shift + 1]: the
-    loop of one scalar time per stage, with snapshots every
-    ``n_steps / samples`` steps."""
+    """Unbatched RK4 of ``phi' = gen(t) phi`` over [shift, shift + 1] by its
+    step maps: one scalar time per stage, each step's map built from the
+    identity, then ``phi <- M phi``, with snapshots every ``n_steps /
+    samples`` steps."""
+    bounds = np.linspace(shift, shift + 1.0, n_steps + 1)
+    ident = np.eye(gen(shift).shape[0])
+    y = ident
+    snaps = [y]
+    for i in range(n_steps):
+        ta, tb = bounds[i], bounds[i + 1]
+        hh = tb - ta
+        k1 = gen(ta)
+        k2 = gen(ta + hh / 2) @ (ident + hh / 2 * k1)
+        k3 = gen(ta + hh / 2) @ (ident + hh / 2 * k2)
+        k4 = gen(tb) @ (ident + hh * k3)
+        y = (ident + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4)) @ y
+        if (i + 1) % (n_steps // samples) == 0:
+            snaps.append(y)
+    return np.array(snaps)
+
+
+def _state_march(gen, shift, n_steps, samples):
+    """RK4 of ``phi' = gen(t) phi`` over [shift, shift + 1] on the state:
+    each stage a product with the current state, one scalar time per stage,
+    with snapshots every ``n_steps / samples`` steps."""
     bounds = np.linspace(shift, shift + 1.0, n_steps + 1)
     y = np.eye(gen(shift).shape[0])
     snaps = [y]
@@ -296,6 +320,89 @@ class TestUnitFlowTable:
                                                           [-4.0, -0.5]])),
                            atol=1e-9)
 
+    # budgets: the default (None), 16,200 bytes and less than one interval
+    @pytest.mark.parametrize("budget", [None, 25 * 9 * 72, 1])
+    @pytest.mark.parametrize("step, n_steps", [(1.0 / 64, 64), (1.0 / 20, 32)])
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_step_maps_match_state_march(self, monkeypatch, dim, budget,
+                                         step, n_steps):
+        # the step maps and RK4 on the state differ by round-off only, in
+        # every snapshot and endpoint of a fill
+        if budget is not None:
+            monkeypatch.setattr(cocycle, "_BLOCK_BYTES", budget)
+        gen = _generators()[dim]
+        c = ContinuousCocycle(pointwise(gen), dim, step=step)
+        for shifts, fill in ((range(-4, 5), c.unit_flows),
+                             (range(5, 8), c.unit_steps)):  # endpoint-only
+            for n, flow in zip(shifts, fill(list(shifts))):
+                state = _state_march(gen, float(n), n_steps, UNIT_SAMPLES)
+                if flow.ndim == 2:
+                    flow, state = flow[None], state[-1:]
+                for got, want in zip(flow, state):
+                    assert spectral_norm(got - want) <= 1e-13 * max(
+                        1.0, spectral_norm(want))
+
+    def test_stage_formula_once_per_block(self, monkeypatch):
+        # a linear fill evaluates the stage formula once per generator
+        # block, on every step and member of the block; the nonlinear
+        # march evaluates it once per step
+        monkeypatch.setattr(cocycle, "_BLOCK_BYTES", 25 * 9 * 72)
+        real = cocycle._rk4_step
+        lengths, calls = [], []
+        monkeypatch.setattr(cocycle, "_rk4_step", lambda f, y, h: (
+            lengths.append(np.shape(h)) or real(f, y, h)))
+
+        def gen(ts):
+            calls.append(len(ts))
+            return pointwise(self.gen)(ts)
+
+        ContinuousCocycle(gen, 3).unit_flows(range(-4, 5))
+        assert len(calls) > 1
+        assert lengths == [((k // 9 - 1) // 2, 9, 1, 1) for k in calls]
+        calls.clear()
+        lengths.clear()
+        propagator(ContinuousCocycle(gen, 3), 0.0, 1.0)
+        assert lengths == [((k - 1) // 2, 1, 1, 1) for k in calls]
+        lengths.clear()
+        integrate_nonlinear(lambda t, y: -y, 0.0, 1.0, np.ones(2),
+                            step=1.0 / 64)
+        assert lengths == [(1, 1)] * 64
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_overflow_fails_closed_without_warnings(self, dim):
+        # an overflowing flow raises IntegrationError naming its interval,
+        # and no raw numpy warning escapes first
+        big = 5000.0 * np.eye(dim)
+        varying = ContinuousCocycle(
+            lambda ts: np.broadcast_to(big, (len(ts), dim, dim)), dim)
+
+        def raises(at):
+            return pytest.raises(IntegrationError, match=re.escape(
+                f"non-finite state while integrating {at}"))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with raises("[0.0, 1.0]"):
+                propagator(ContinuousCocycle.constant(big), 0.0, 1.0)
+            with raises("[0.0, 1.0]"):
+                ContinuousCocycle.constant(big).unit_flows([3])
+            with raises("[2.0, 3.0]"):
+                varying.unit_flows(range(2, 5))
+            with raises("[6.0, 7.0]"):
+                varying.unit_steps(range(6, 9))
+            with raises("[0.0, 1.0]"):
+                integrate_nonlinear(lambda t, y: big @ y, 0.0, 1.0,
+                                    np.ones(dim))
+
+
+def _generators():
+    """Time-varying generators at d = 1, 3 and 8."""
+    rng = np.random.default_rng(8)
+    a8, b8 = rng.standard_normal((2, 8, 8))
+    return {1: lambda t: np.array([[0.3 * np.cos(t) - 0.5]]),
+            3: TestUnitFlowTable.gen,
+            8: lambda t: a8 + np.sin(t) * b8}
+
 
 class TestOneStepBound:
     """The lift envelope at exponent 0: the sampled sup of ``|phi(t, n)|``
@@ -361,6 +468,11 @@ def _sup_cases():
         # squares that underflow and overflow
         1e-170 * rng.standard_normal((100, 3, 3)),
         1e170 * rng.standard_normal((100, 3, 3)),
+        # one wide matrix, and wide runs whose first and last rows agree
+        np.repeat(np.random.default_rng(18).standard_normal((1, 8, 56)),
+                  40, axis=0),
+        np.repeat(np.random.default_rng(18).standard_normal((3, 8, 56))[
+            [0, 1, 0]], [30, 1, 30], axis=0),
     ]
     for mats in stacks:
         n = len(mats)
@@ -430,3 +542,38 @@ class TestSpectralSup:
                             lambda m: rows.append(len(m)) or real(m))
         assert spectral_sup(mats) == np.max(real(mats))
         assert 0 < sum(rows) < len(mats)
+
+    def test_one_matrix_takes_one_svd(self, monkeypatch):
+        # a stack whose rows are one matrix, bit for bit, takes one SVD
+        # row, broadcast or not, weighted or not; any other stack is
+        # pruned as before, and the first of the tied rows still wins
+        rows = []
+        real = cocycle.spectral_norms
+        monkeypatch.setattr(cocycle, "spectral_norms",
+                            lambda m: rows.append(len(m)) or real(m))
+        b = np.array([[0.3, -0.2], [0.1, 0.4]])
+        assert spectral_sup(np.broadcast_to(b, (64, 2, 2))) == real(b)
+        assert spectral_argmax(np.broadcast_to(b, (64, 2, 2))) == (
+            real(b), 0)
+        w = np.linspace(1.0, 2.0, 64)
+        assert spectral_argmax(np.array([b] * 64), lambda n, r: n * w[r]) == (
+            2.0 * real(b), 63)
+        assert spectral_argmax(np.array([b] * 64), floor=1.0) is None
+        wide = np.random.default_rng(5).standard_normal((8, 56))
+        assert spectral_sup(np.broadcast_to(wide, (64, 8, 56))) == real(wide)
+        assert sum(rows) == 5
+        # equal first and last rows, a larger one between: no shortcut
+        assert spectral_argmax(np.array([b] * 30 + [2 * b] + [b] * 30)) == (
+            2.0 * real(b), 30)
+        # two distinct matrices tied at the max, in runs or interleaved
+        first, second = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        runs = np.array([0.5 * first] + [second] * 20 + [first] * 20)
+        assert spectral_argmax(runs) == (1.0, 1)
+        assert spectral_argmax(runs[::-1]) == (1.0, 0)
+        mixed = np.array([0.5 * first] + [second, first] * 20)
+        assert spectral_argmax(mixed) == (1.0, 1)
+        assert spectral_argmax(mixed[::-1]) == (1.0, 0)
+        # equal Frobenius norms (5), distinct spectral norms (4 and 5)
+        pair = np.array([np.diag([3.0, 4.0]), np.diag([5.0, 0.0])])
+        assert spectral_argmax(np.repeat(pair, 20, axis=0)) == (5.0, 20)
+        assert spectral_argmax(np.tile(pair, (20, 1, 1))) == (5.0, 1)

@@ -13,8 +13,10 @@ from splitflow import (ContinuousCocycle, ContractionMarginError, KappaFn,
                        sample_wiener_path)
 from splitflow import hyperbolic, robustness
 from splitflow.cocycle import integrate_nonlinear
-from splitflow.hyperbolic import SUP_OVER_LAMBDA, _AutonomousGreen, _fast_len
-from conftest import bump_problem, lambda_eta_loop, spectral_norm
+from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _AutonomousGreen,
+                                  _ball_cloud, _cloud_draw, _fast_len)
+from conftest import (ball_cloud_oracle, bump_problem, lambda_eta_loop,
+                      spectral_norm)
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -112,6 +114,27 @@ class TestLambdaEta:
         win = TimeGrid(-20.0, 20.0, 1.0 / 16)
         assert lambda_eta(p, 0.1, win) == lambda_eta_loop(base, 0.1, win)
         assert calls == ["f_eta", "f_eta_dy"]
+
+
+class TestBallCloud:
+    @pytest.mark.parametrize("seed", [20201102, 555])
+    def test_matches_fresh_draw(self, seed):
+        for center in ([0.0], [0.3], [1.0, -2.0], np.linspace(-1.0, 1.0, 8)):
+            for radius in (0.0, 0.05, 1.0, 3.5):
+                for n in (1, 3, 24, 32):
+                    for _ in range(2):  # the second call reads the memo
+                        assert np.array_equal(
+                            _ball_cloud(center, radius, n, seed),
+                            ball_cloud_oracle(center, radius, n, seed))
+
+    def test_callers_cannot_mutate_the_memo(self):
+        cloud = _ball_cloud([1.0, 2.0], 0.5, 12)
+        cloud[:] = np.nan
+        assert np.array_equal(_ball_cloud([1.0, 2.0], 0.5, 12),
+                              ball_cloud_oracle([1.0, 2.0], 0.5, 12))
+        for drawn in _cloud_draw(12, 2, 20201102):
+            with pytest.raises(ValueError):
+                drawn[0] = 0.0
 
 
 class TestRhoModulus:
