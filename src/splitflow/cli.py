@@ -31,25 +31,19 @@ from .errors import ConfigurationError, SplitflowError
 from .grids import TimeGrid
 from .hyperbolic import (ROW_COLUMNS, STATUS_FAILED, SemilinearProblem,
                          eta_row)
-from .io import cell
+from .io import cell, jsonable
 from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
                     ou_series, pathwise_ou_residual, sample_wiener_path,
                     shift_path, sublinearity_report, zero_path)
 from .robustness import robust_dichotomy_discrete, robustness_report
 from .sde_bridge import StratonovichSpec, random_ode_problem, run_wave_demo
 
-# key -> (parser, default); None default means required
-_COMMON = {
-    "seed": (int, 12345),
-    "t_min": (float, None),
-    "t_max": (float, None),
-    "h": (float, None),
-}
+# key -> (parser, default)
+_COMMON = {"seed": (int, 12345)}
 
 
 def _float_list(text):
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    return vals
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _bool(text):
@@ -108,10 +102,11 @@ SCHEMAS = {
 }
 
 
-def parse_config_text(text, command):
-    """Typed config dict from flat key=value text; errors carry line numbers."""
+def load_config(text, command):
+    """Typed config dict of ``command``: the schema defaults overridden by
+    the key = value lines of ``text``, checked; errors name a faulty line."""
     schema = SCHEMAS[command]
-    values = {}
+    given = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -124,63 +119,35 @@ def parse_config_text(text, command):
         if key not in schema:
             raise ConfigurationError(
                 f"line {lineno}: unknown key {key!r} for command {command!r}")
-        if key in values:
+        if key in given:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        parser = schema[key][0]
         try:
-            values[key] = parser(val)
+            given[key] = schema[key][0](val)
         except (ValueError, TypeError) as exc:
             raise ConfigurationError(
                 f"line {lineno}: field {key!r}: {exc}") from exc
+    values = {key: given.get(key, default)
+              for key, (_, default) in schema.items()}
+    for key, val in values.items():
+        if any(isinstance(x, float) and not np.isfinite(x)
+               for x in (val if isinstance(val, list) else [val])):
+            raise ConfigurationError(f"field {key!r} must be finite")
+    for key in ("tol", "tail_tol", "trunc_tol", "ode_tol", "linear_tol"):
+        if key in values and not values[key] > 0.0:
+            raise ConfigurationError(f"tolerance {key} must be positive")
+    if "eta_grid" in values:
+        grid = values["eta_grid"]
+        if any(e < 0 for e in grid):
+            raise ConfigurationError("eta_grid entries must be >= 0")
+        if list(grid) != sorted(grid, reverse=True):
+            raise ConfigurationError("eta_grid must be sorted descending")
+    if not values["h"] > 0.0:
+        raise ConfigurationError("h must be positive")
     return values
 
 
-class ExperimentConfig:
-    """A command plus its typed key/value map, round-trippable to text."""
-
-    def __init__(self, command, values):
-        if command not in SCHEMAS:
-            raise ConfigurationError(f"unknown command {command!r}")
-        schema = SCHEMAS[command]
-        merged = {}
-        for key, (_, default) in schema.items():
-            if key in values:
-                merged[key] = values[key]
-            elif default is not None:
-                merged[key] = default
-            else:
-                raise ConfigurationError(f"missing required key {key!r}")
-        extra = set(values) - set(schema)
-        if extra:
-            raise ConfigurationError(f"unknown keys {sorted(extra)}")
-        self.command = command
-        self.values = merged
-        self._validate()
-
-    def _validate(self):
-        for key, val in self.values.items():
-            if any(isinstance(x, float) and not np.isfinite(x)
-                   for x in (val if isinstance(val, list) else [val])):
-                raise ConfigurationError(f"field {key!r} must be finite")
-        for key in ("tol", "tail_tol", "trunc_tol", "ode_tol", "linear_tol"):
-            if key in self.values and not self.values[key] > 0.0:
-                raise ConfigurationError(f"tolerance {key} must be positive")
-        if "eta_grid" in self.values:
-            grid = self.values["eta_grid"]
-            if any(e < 0 for e in grid):
-                raise ConfigurationError("eta_grid entries must be >= 0")
-            if list(grid) != sorted(grid, reverse=True):
-                raise ConfigurationError("eta_grid must be sorted descending")
-        if "h" in self.values and not self.values["h"] > 0.0:
-            raise ConfigurationError("h must be positive")
-
-    @classmethod
-    def from_text(cls, text, command):
-        return cls(command, parse_config_text(text, command))
-
-    def grid(self):
-        return TimeGrid(self.values["t_min"], self.values["t_max"],
-                        self.values["h"])
+def _grid(v):
+    return TimeGrid(v["t_min"], v["t_max"], v["h"])
 
 
 def _write(out_dir, name, text):
@@ -199,10 +166,15 @@ def _write_csv(out_dir, name, rows, columns):
     return _write(out_dir, name, "\n".join(lines) + "\n")
 
 
-def cmd_ou_check(cfg, out_dir):
+def _write_json(out_dir, name, doc):
+    """``doc`` as indented JSON (numpy scalars as Python ones), one final
+    newline."""
+    return _write(out_dir, name, json.dumps(jsonable(doc), indent=2) + "\n")
+
+
+def cmd_ou_check(v, out_dir):
     """Noise-module diagnostics; nonzero exit on any invariant failure."""
-    v = cfg.values
-    grid = cfg.grid()
+    grid = _grid(v)
     checks = []
 
     ens = ensemble_diagnostics(v["n_paths"], h=v["h"], t_min=v["t_min"],
@@ -259,9 +231,8 @@ def cmd_ou_check(cfg, out_dir):
     return (0 if ok else 1), files
 
 
-def cmd_robustness(cfg, out_dir):
+def cmd_robustness(v, out_dir):
     """Scalar and saddle regression instances through the discrete pipeline."""
-    v = cfg.values
     ln2 = float(np.log(2.0))
     window = (int(np.ceil(v["t_min"])), int(np.floor(v["t_max"])))
     _window_nodes(window)  # a window of fewer than two nodes exits 2
@@ -304,14 +275,13 @@ def cmd_robustness(cfg, out_dir):
         ok = ok and passed
         instances.append(entry)
 
-    body = json.dumps({"command": "robustness", "seed": v["seed"],
-                       "passed": bool(ok), "instances": instances}, indent=2)
-    files = [_write(out_dir, "robustness.json", body + "\n")]
+    files = [_write_json(out_dir, "robustness.json",
+                         {"command": "robustness", "seed": v["seed"],
+                          "passed": bool(ok), "instances": instances})]
     return (0 if ok else 1), files
 
 
-def _hyperbolic_problem(cfg):
-    v = cfg.values
+def _hyperbolic_problem(v):
     if v["model"] == "additive":
         return SemilinearProblem(
             a_matrix=[[-1.0]],
@@ -334,27 +304,24 @@ def _hyperbolic_problem(cfg):
     raise ConfigurationError(f"field 'model': unknown model {v['model']!r}")
 
 
-def cmd_hyperbolic(cfg, out_dir):
+def cmd_hyperbolic(v, out_dir):
     """Bounded-solution ladder over the eta grid, with certification."""
-    v = cfg.values
-    problem = _hyperbolic_problem(cfg)
-    window = cfg.grid()
+    problem = _hyperbolic_problem(v)
+    window = _grid(v)
     rows = [eta_row(problem, eta, window, tol=v["tol"],
                     tail_tol=v["tail_tol"], n_half=v["n_half"])[0]
             for eta in v["eta_grid"]]
     files = [_write_csv(out_dir, "hyperbolic.csv", rows, ROW_COLUMNS),
-             _write(out_dir, "hyperbolic.json",
-                    json.dumps({"command": "hyperbolic", "seed": v["seed"],
-                                "model": v["model"], "rows": rows},
-                               indent=2) + "\n")]
+             _write_json(out_dir, "hyperbolic.json",
+                         {"command": "hyperbolic", "seed": v["seed"],
+                          "model": v["model"], "rows": rows})]
     ok = not any(r["status"] in (STATUS_FAILED, "error") for r in rows)
     return (0 if ok else 1), files
 
 
-def cmd_wave(cfg, out_dir):
+def cmd_wave(v, out_dir):
     """Stochastic damped-wave pipeline over the eta ladder."""
-    v = cfg.values
-    window = cfg.grid()
+    window = _grid(v)
     a = v["f_linear_coeff"]
     kap = KappaFn.inverse_quadratic(v["kappa_amplitude"])
     eta_grid = v["eta_grid"] if v["eta_grid"] else None
@@ -367,13 +334,13 @@ def cmd_wave(cfg, out_dir):
             trunc_tol=v["trunc_tol"], n_half=v["n_half"],
         )
     except SplitflowError as exc:
-        files = [_write(out_dir, "wave.json",
-                        json.dumps({"command": "wave", "error": str(exc)},
-                                   indent=2) + "\n")]
+        files = [_write_json(out_dir, "wave.json",
+                             {"command": "wave", "error": str(exc)})]
         sys.stderr.write(f"wave: {exc}\n")
         return 1, files
     files = [_write_csv(out_dir, "wave.csv", report.rows, report.COLUMNS),
-             _write(out_dir, "wave.json", report.to_json() + "\n")]
+             _write_json(out_dir, "wave.json", {
+                 "seed": report.seed, "meta": report.meta, "rows": report.rows})]
     cutoff = report.meta["eta_cutoff"]
     ok = all(r["certified"] for r in report.rows if r["eta"] <= cutoff)
     ok = ok and not any(r["status"] == STATUS_FAILED for r in report.rows)
@@ -403,26 +370,19 @@ def main(argv=None):
         sp.add_argument("--seed", type=int, help="override the config seed")
     args = parser.parse_args(argv)
     try:
-        text = ""
-        if args.config:
-            try:
-                with open(args.config) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ConfigurationError(f"cannot read config: {exc}") from exc
-        cfg = ExperimentConfig.from_text(text, args.command)
+        try:
+            text = Path(args.config).read_text() if args.config else ""
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config: {exc}") from exc
+        v = load_config(text, args.command)
         if args.seed is not None:
-            cfg.values["seed"] = args.seed
+            v["seed"] = args.seed
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, files = _COMMANDS[args.command](v, args.out)
     except ConfigurationError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            code, files = _COMMANDS[args.command](cfg, args.out)
-        except ConfigurationError as exc:
-            sys.stderr.write(f"config error: {exc}\n")
-            return 2
     for f in files:
         sys.stderr.write(f"wrote {f}\n")
     return code

@@ -31,7 +31,6 @@ import numpy as np
 from .cocycle import (_BLOCK_BYTES, UNIT_SAMPLES, DiscreteCocycle, _finite,
                       spectral_argmax, spectral_sup, stack_steps)
 from .errors import ConfigurationError, NonHyperbolicError, SplitflowError
-from .grids import TimeGrid
 
 GAP_TOL = 1e-8
 ALPHA_MARGIN = 0.1
@@ -342,15 +341,14 @@ def _split_march(steps, proj_s, back):
 
 
 def _window_nodes(window):
-    """The sorted integer nodes of a window: a :class:`TimeGrid`, an
-    ``(n_lo, n_hi)`` pair or an iterable of nodes.  Fewer than two nodes
-    raise :class:`ConfigurationError`."""
-    if isinstance(window, TimeGrid):
-        nodes = [int(n) for n in window.integer_nodes()]
-    elif isinstance(window, tuple) and len(window) == 2:
-        nodes = list(range(int(window[0]), int(window[1]) + 1))
-    else:
-        nodes = sorted(int(n) for n in window)
+    """The integer nodes ``n_lo, ..., n_hi`` of a window ``(n_lo, n_hi)``.
+    Any other value, or fewer than two nodes, raises
+    :class:`ConfigurationError`."""
+    if not (isinstance(window, tuple) and len(window) == 2 and all(
+            isinstance(n, (int, np.integer)) for n in window)):
+        raise ConfigurationError(
+            f"window {window!r} is not a pair (n_lo, n_hi) of integer nodes")
+    nodes = list(range(window[0], window[1] + 1))
     if len(nodes) < 2:
         raise ConfigurationError(
             f"window {window!r} needs at least two integer nodes")

@@ -107,10 +107,12 @@ class ForcingSequence:
 
 
 def _seq_sup(values):
-    """Sup over nodes of the Euclidean (vector) or spectral (matrix) norm."""
-    if values.ndim == 3:
-        return spectral_sup(values)
-    return float(np.max(np.linalg.norm(values, 2, axis=1), initial=0.0))
+    """Sup over nodes of the Euclidean (vector) or spectral (matrix) norm;
+    a vector norm that overflows reads inf, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        if values.ndim == 3:
+            return spectral_sup(values)
+        return float(np.max(np.linalg.norm(values, 2, axis=1), initial=0.0))
 
 
 def _band_for(cert, delta_eff, f_sup, trunc_tol):
@@ -187,23 +189,28 @@ def _gamma(sweeps, b_mats, f, x):
     ``S(n_lo) = 0``, backward ``U(m) = R_m (U(m+1) - Pi^u(m+1) u(m))`` from
     ``U(n_hi+1) = 0``.  Both sweeps are first-order linear recurrences,
     solved by doubling (:func:`_scan`) in place: ``S`` in the output, ``U``
-    in the buffer of ``u``, the backward one on the reversed nodes."""
+    in the buffer of ``u``, the backward one on the reversed nodes.  An
+    overflow raises :class:`SplitflowError` naming the first non-finite
+    node, with no numpy warning."""
     pi_s, lift_u, fwd, bwd = sweeps
-    u = np.einsum("kab,kb...->ka...", b_mats, x)
-    u += f.values
-    w = u.reshape(len(u), u.shape[1], -1)  # vector forcing as (W, d, 1)
-    mul = np.multiply if w.shape[1] == 1 else np.matmul  # d = 1: scalars
-    out = np.empty_like(w)
-    out[0] = 0.0
-    mul(pi_s, w[:-1], out=out[1:])
-    block = max(1, min(len(w), _SCAN_BYTES // w[0].nbytes))
-    tmp = np.empty((block,) + w.shape[1:])
-    for lo in range(0, len(w), block):  # u(m) -> -R_m Pi^u(m+1) u(m)
-        rows = w[lo:lo + block]
-        rows[...] = mul(lift_u[lo:lo + block], rows, out=tmp[:len(rows)])
-    _scan(out, fwd, tmp, mul)
-    _scan(w[::-1], bwd, tmp, mul)
-    out += w
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.einsum("kab,kb...->ka...", b_mats, x)
+        u += f.values
+        w = u.reshape(len(u), u.shape[1], -1)  # vector forcing as (W, d, 1)
+        mul = np.multiply if w.shape[1] == 1 else np.matmul  # d = 1: scalars
+        out = np.empty_like(w)
+        out[0] = 0.0
+        mul(pi_s, w[:-1], out=out[1:])
+        block = max(1, min(len(w), _SCAN_BYTES // w[0].nbytes))
+        tmp = np.empty((block,) + w.shape[1:])
+        for lo in range(0, len(w), block):  # u(m) -> -R_m Pi^u(m+1) u(m)
+            rows = w[lo:lo + block]
+            rows[...] = mul(lift_u[lo:lo + block], rows, out=tmp[:len(rows)])
+        _scan(out, fwd, tmp, mul)
+        _scan(w[::-1], bwd, tmp, mul)
+        out += w
+    if not np.isfinite(out).all():  # only then look for the node
+        _finite(out, range(f.n_min, f.n_max + 1), "kernel sum", nodes=True)
     return out.reshape(u.shape)
 
 
@@ -276,6 +283,8 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
             factor=rho, threshold=(1.0 - e) / (1.0 + e),
         )
     f_sup = f.sup_norm()
+    if not f_sup < math.inf:  # finite values whose norm overflows
+        raise SplitflowError(f"forcing norm overflows (sup {f_sup})")
     band = min(_band_for(cert, delta_eff, f_sup, trunc_tol), n_hi - n_lo + 1)
     sweeps = _sweeps(cocycle, cert, n_lo, n_hi)
     first = cert.bound * f_sup * (1.0 + e) / (1.0 - e)

@@ -85,16 +85,3 @@ class TimeGrid:
     def node_of(self, t):
         """Signed node index of grid time ``t`` (0 for ``t = 0``)."""
         return _as_node(t, self.h, "time")
-
-    def integer_nodes(self):
-        """Integer times contained in the grid (used as shift base points)."""
-        per = _as_node(1.0, self.h, "unit") if self.contains_unit() else None
-        if per is None:
-            raise ConfigurationError("grid step does not divide 1; no integer nodes")
-        lo = -((-self.n_min) // per)
-        hi = self.n_max // per
-        return np.arange(lo, hi + 1)
-
-    def contains_unit(self):
-        q = 1.0 / self.h
-        return abs(q - round(q)) <= _REL_TOL * max(1.0, q)

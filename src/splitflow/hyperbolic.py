@@ -160,8 +160,8 @@ def _central_jacobian(fn, ys, rel_step=1e-5):
 
 @cache
 def _cloud_draw(n, d, seed):
-    """Unit directions and radius fractions of :func:`_ball_cloud`, drawn
-    once per ``(n, d, seed)`` and read-only."""
+    """Unit directions and radius fractions of :func:`_ball_cloud` and
+    :func:`rho_modulus`, drawn once per ``(n, d, seed)`` and read-only."""
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-12)
@@ -203,8 +203,8 @@ def rho_modulus(p, eps, n_cloud=32, n_dirs=8):
     if eps <= 0.0:
         return 0.0
     xs = _ball_cloud(p.y0_star, p.r_u - eps, n_cloud)
-    dirs = np.random.default_rng(787).standard_normal((n_cloud, n_dirs, p.dim))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=2)[..., None], 1e-12)
+    dirs = _cloud_draw(n_cloud * n_dirs, p.dim, 787)[0].reshape(
+        n_cloud, n_dirs, p.dim)
     mags = np.array([eps, eps / 2, eps / 8])
     # steps h[cloud point, direction, magnitude] and the points x + h
     h = mags[:, None] * dirs[:, :, None, :]

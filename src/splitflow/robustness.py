@@ -11,7 +11,7 @@ certificate it emits once: *checked*, not trusted.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -59,14 +59,6 @@ class RobustConstants:
     D1: float
     D2: float
     M: float
-
-    def as_dict(self):
-        return {
-            "K": self.K, "alpha": self.alpha, "delta": self.delta,
-            "rho": self.rho, "alpha_tilde": self.alpha_tilde,
-            "beta_tilde": self.beta_tilde, "D1": self.D1, "D2": self.D2,
-            "M": self.M,
-        }
 
 
 def robust_constants(k_bound, alpha, delta):
@@ -140,7 +132,7 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
         projections=impulse_response_projection(
             base, base_cert, lambda ns: b_span[np.asarray(ns) - span_lo],
             nodes, tol=tol, trunc_tol=trunc_tol),
-        meta={"constants": consts.as_dict(), "delta_eff": delta_eff,
+        meta={"constants": asdict(consts), "delta_eff": delta_eff,
               "threshold": thr, "safety": safety,
               "window": [n_lo, n_hi], "beta_tilde": consts.beta_tilde},
     )

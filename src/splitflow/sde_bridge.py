@@ -24,7 +24,6 @@ fixed small collocation rule and re-projected, and the truncation error of
 that rule is a documented modeling choice, not a numerical bug.
 """
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,7 +32,6 @@ import numpy as np
 from .dichotomy import spectral_projection
 from .errors import ConfigurationError, NonHyperbolicError, WindowError
 from .grids import TimeGrid
-from .io import jsonable
 from .hyperbolic import (SemilinearProblem, eta_epsilon, eta_row, lambda_eta,
                          neighborhood_thresholds)
 from .noise import (DEFAULT_TAIL_TOL, _tail_start, default_kappa,
@@ -261,11 +259,6 @@ class WaveDemoReport:
 
     COLUMNS = ("eta", "sup_dist_v", "sup_dist_y", "certified", "alpha_tilde",
                "M_bound", "seed")
-
-    def to_json(self, indent=2):
-        return json.dumps(jsonable(
-            {"seed": self.seed, "meta": self.meta, "rows": self.rows}),
-            indent=indent)
 
 
 def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,

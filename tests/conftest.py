@@ -10,8 +10,9 @@ kernel sweeps one node at a time, where the library evaluates them by
 doubling, :func:`envelope_scan_sequential` builds the autonomous envelope
 tables one step at a time, where the library doubles, and
 :func:`all_pairs_ratios` takes an SVD of every kernel value, where the
-verifier prunes, and :func:`ball_cloud_oracle` draws its cloud afresh,
-where the library draws once.  The helpers at the end drive library internals
+verifier prunes, and :func:`ball_cloud_oracle` and
+:func:`rho_modulus_oracle` draw their clouds afresh, where the library
+draws once.  The helpers at the end drive library internals
 the way a test needs them.
 """
 
@@ -379,6 +380,20 @@ def ball_cloud_oracle(center, radius, n, seed=20201102):
     radii = radius * rng.random(n) ** (1.0 / d)
     radii[: max(1, n // 4)] = radius  # pin a share to the boundary
     return center + dirs * radii[:, None]
+
+
+def rho_modulus_oracle(p, eps, n_cloud=32, n_dirs=8):
+    """:func:`splitflow.rho_modulus` from a fresh draw of its unit
+    directions on every call."""
+    xs = _ball_cloud(p.y0_star, p.r_u - eps, n_cloud)
+    dirs = np.random.default_rng(787).standard_normal((n_cloud, n_dirs, p.dim))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=2)[..., None], 1e-12)
+    mags = np.array([eps, eps / 2, eps / 8])
+    h = mags[:, None] * dirs[:, :, None, :]
+    f0xh = p.f0_at((xs[:, None, None, :] + h).reshape(-1, p.dim))
+    rem = (f0xh.reshape(h.shape) - p.f0_at(xs)[:, None, None, :]
+           - np.einsum("cij,cdmj->cdmi", p.d_f0(xs), h))
+    return float(np.max(np.linalg.norm(rem, axis=-1) / mags))
 
 
 def bump_problem():

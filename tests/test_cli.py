@@ -10,7 +10,7 @@ import pytest
 import splitflow
 from conftest import bump_problem
 from splitflow import cli, hyperbolic, robustness
-from splitflow.cli import ExperimentConfig, main, parse_config_text
+from splitflow.cli import load_config, main
 from splitflow.errors import ConfigurationError
 
 
@@ -21,23 +21,23 @@ def run_cli(args):
 class TestConfigParsing:
     def test_unknown_key_with_line(self):
         with pytest.raises(ConfigurationError, match="line 2"):
-            parse_config_text("seed = 1\nnope = 2\n", "ou-check")
+            load_config("seed = 1\nnope = 2\n", "ou-check")
 
     def test_bad_value_names_field(self):
         with pytest.raises(ConfigurationError, match="n_paths"):
-            parse_config_text("n_paths = many\n", "ou-check")
+            load_config("n_paths = many\n", "ou-check")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
-            parse_config_text("seed = 1\nseed = 2\n", "ou-check")
+            load_config("seed = 1\nseed = 2\n", "ou-check")
 
     def test_eta_grid_must_be_descending(self):
         with pytest.raises(ConfigurationError, match="descending"):
-            ExperimentConfig.from_text("eta_grid = 0.1,0.2\n", "hyperbolic")
+            load_config("eta_grid = 0.1,0.2\n", "hyperbolic")
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ConfigurationError, match="tolerance"):
-            ExperimentConfig.from_text("tol = 0\n", "hyperbolic")
+            load_config("tol = 0\n", "hyperbolic")
 
 
 class TestExitCodes:

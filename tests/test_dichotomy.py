@@ -7,7 +7,7 @@ from scipy.linalg import expm, logm
 
 from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
                        DichotomyCertificate, NonHyperbolicError,
-                       SplitflowError, autonomous_certificate,
+                       SplitflowError, TimeGrid, autonomous_certificate,
                        build_wave_system, discretize, paper_projection_bound,
                        pointwise, projection_distance,
                        robust_dichotomy_discrete, spectral_projection,
@@ -436,6 +436,20 @@ class TestVerify:
         with pytest.raises(SplitflowError,
                            match=r"non-finite projection at node 2 \(1 of 7"):
             verify_dichotomy(saddle, cert, (-3, 3))
+
+    @pytest.mark.parametrize("window", [
+        (-3, 0, 3), (-3,), [-3, 3], range(-3, 4), (-3.0, 3.0), ("-3", "3"),
+        TimeGrid(-3.0, 3.0, 0.25), None])
+    def test_window_must_be_a_pair_of_nodes(self, window):
+        saddle = DiscreteCocycle.constant(SADDLE)
+        cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
+                                             np.log(2.0), discrete=True)
+        message = re.escape(f"window {window!r} is not a pair (n_lo, n_hi)")
+        with pytest.raises(ConfigurationError, match=message):
+            verify_dichotomy(saddle, cert, window)
+        with pytest.raises(ConfigurationError, match=message):
+            projection_distance(cert, cert, window)
+        assert verify_dichotomy(saddle, cert, (np.int64(-3), 3)).passed
 
     def test_non_finite_unit_step_raises_typed_error(self, monkeypatch):
         # the unit steps come from the unit-flow table, still checked finite

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,32 @@ class TestBoundedSolution:
         with pytest.raises(SplitflowError, match=r"Picard iteration did not "
                            r"certify residual 1e-12 \(got .* after 1 "):
             bounded_solution(c, cert, 0.05, f, tol=1e-12, max_iter=1)
+
+    @pytest.mark.parametrize("r", [None, 2])  # vector and matrix forcing
+    def test_overflowing_sweep_fails_closed_without_warnings(self, r):
+        # a "stable" step of 1e100: the forward sweep of the ones forcing
+        # overflows at node -4, four steps after the first
+        c = DiscreteCocycle.constant(np.diag([1e100, 2.0]))
+        cert = saddle()[1]
+        f = ForcingSequence(-8, 8, np.ones((17, 2) if r is None
+                                           else (17, 2, r)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SplitflowError, match=r"^non-finite kernel "
+                               r"sum at node -4 \("):
+                bounded_solution(c, cert, 0.0, f)
+
+    @pytest.mark.parametrize("r", [None, 2])
+    def test_overflowing_forcing_norm_fails_closed(self, r):
+        # finite entries whose norm overflows
+        c, cert = saddle()
+        f = ForcingSequence.zeros(-8, 8, 2, r)
+        f.values[3:5] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SplitflowError,
+                               match=r"^forcing norm overflows \(sup inf\)"):
+                bounded_solution(c, cert, 0.0, f)
 
     def test_contraction_certificate_random_pairs(self):
         c, cert = stable_scalar()

@@ -25,7 +25,8 @@ spectral max (``spectral_norms``, ``_frobenius``, ``FROBENIUS_SLACK``): every
 other module takes a max of matrix norms through ``spectral_argmax`` or the
 functions built on it, so the pruning rule has one implementation.
 Likewise only ``greens.py`` names ``_band_for``: every span of impulse
-solves comes from ``greens._impulse_span``.
+solves comes from ``greens._impulse_span``; and only ``cli.py`` names
+``json``: every JSON output goes through ``cli._write_json``.
 
 src/splitflow imports nothing of scipy, wherever the import statement
 stands: the package runs on numpy alone, and any scipy module would weigh on
@@ -201,6 +202,12 @@ def test_only_greens_names_the_band_rule():
     stray = _named_outside("greens.py", {"_band_for"})
     assert not stray, ("span rule rebuilt outside greens:\n"
                        + "\n".join(stray))
+
+
+def test_only_cli_names_json():
+    # every JSON output goes through cli._write_json
+    stray = _named_outside("cli.py", {"json"})
+    assert not stray, ("JSON written outside cli:\n" + "\n".join(stray))
 
 
 def _imported_modules(tree):

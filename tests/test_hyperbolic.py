@@ -16,7 +16,7 @@ from splitflow.cocycle import integrate_nonlinear
 from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _AutonomousGreen,
                                   _ball_cloud, _cloud_draw, _fast_len)
 from conftest import (ball_cloud_oracle, bump_problem, lambda_eta_loop,
-                      spectral_norm)
+                      rho_modulus_oracle, spectral_norm)
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -164,6 +164,18 @@ class TestRhoModulus:
     def test_requires_half_radius(self):
         with pytest.raises(ValueError):
             rho_modulus(additive_problem(), 0.6)
+
+    @pytest.mark.parametrize("make", [  # d = 1, 2 and 8
+        cubic_problem, lambda: build_wave_system(
+            1, 1.0, lambda u: u - u ** 3, lambda u: 1.0 - 3.0 * u ** 2),
+        wave_problem])
+    def test_matches_fresh_draw(self, make):
+        p = make()
+        for n_cloud, n_dirs in ((32, 8), (5, 3), (1, 1)):
+            for eps in (p.r_u / 2, p.r_u / 8, p.r_u / 100):
+                for _ in range(2):  # the second call reads the memo
+                    assert rho_modulus(p, eps, n_cloud, n_dirs) == \
+                        rho_modulus_oracle(p, eps, n_cloud, n_dirs)
 
 
 class TestEtaEpsilon:
