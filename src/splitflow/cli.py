@@ -333,6 +333,8 @@ def cmd_wave(v, out_dir):
             kappa=kap, tol=v["tol"], tail_tol=v["tail_tol"],
             trunc_tol=v["trunc_tol"], n_half=v["n_half"],
         )
+    except ConfigurationError:
+        raise  # a config error exits 2, from main
     except SplitflowError as exc:
         files = [_write_json(out_dir, "wave.json",
                              {"command": "wave", "error": str(exc)})]

@@ -55,8 +55,8 @@ class SemilinearProblem:
     ``a_matrix`` is the linearization at the equilibrium (drift plus
     ``f0'(y0_star)``); ``f_eta`` the perturbed nonlinearity with the
     driving-noise realization baked into the callback; ``r_u`` the radius of
-    the working neighborhood around ``y0_star``.  Analytic derivative
-    callbacks are optional; central differences stand in.
+    the working neighborhood around ``y0_star``.  Both Jacobian callbacks,
+    ``f0_prime`` and ``f_eta_dy``, are required and analytic.
 
     The callbacks are time-batched: ``f_eta(eta, ts[N], Y[N, d]) -> [N, d]``
     and ``f_eta_dy(eta, ts, Y) -> [N, d, d]`` evaluate row i at time
@@ -70,8 +70,8 @@ class SemilinearProblem:
     f0: object
     y0_star: np.ndarray
     r_u: float
-    f0_prime: object = None
-    f_eta_dy: object = None
+    f0_prime: object
+    f_eta_dy: object
     meta: dict = field(default_factory=dict)
     _base_cocycles: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
@@ -133,29 +133,11 @@ class SemilinearProblem:
 
     def d_f0(self, ys):
         """Jacobians of ``f0`` at the states ``ys[N, d]``, ``(N, d, d)``."""
-        if self.f0_prime is not None:
-            return _rows(self.f0_prime(ys), len(ys), self.dim, self.dim)
-        return _central_jacobian(self.f0_at, ys)
+        return _rows(self.f0_prime(ys), len(ys), self.dim, self.dim)
 
     def d_f_eta(self, eta, ts, ys):
         """Jacobians in y of ``f_eta`` at ``(ts[i], ys[i])``, ``(N, d, d)``."""
-        if self.f_eta_dy is not None:
-            return _rows(self.f_eta_dy(eta, ts, ys), len(ys), self.dim,
-                         self.dim)
-        return _central_jacobian(lambda yy: self.f_eta_at(eta, ts, yy), ys)
-
-
-def _central_jacobian(fn, ys, rel_step=1e-5):
-    """Central-difference Jacobians of a batched ``fn`` at every row of
-    ``ys``, shape ``(N, d, d)``."""
-    ys = np.asarray(ys, float)
-    step = rel_step * (1.0 + np.linalg.norm(ys, axis=1))
-    cols = []
-    for j in range(ys.shape[1]):
-        e = np.zeros_like(ys)
-        e[:, j] = step
-        cols.append((fn(ys + e) - fn(ys - e)) / (2 * step[:, None]))
-    return np.stack(cols, axis=-1)
+        return _rows(self.f_eta_dy(eta, ts, ys), len(ys), self.dim, self.dim)
 
 
 @cache
@@ -358,7 +340,6 @@ class HyperbolicSolutionCertificate:
     autonomous_cert: object
     y0_star: np.ndarray
     linearization_certificate: object = None
-    linearization_report: object = None
     meta: dict = field(default_factory=dict)
 
     def xi_star(self, t):
@@ -537,9 +518,8 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
             "threshold": getattr(exc, "threshold", None),
         }
         return cert
-    report = lin_cert.meta["verification_continuous"]
+    report = lin_cert.meta["verification"]
     cert.linearization_certificate = lin_cert
-    cert.linearization_report = report
     cert.status = STATUS_CERTIFIED if report.passed else STATUS_BOUNDED
     return cert
 

@@ -148,11 +148,14 @@ def lift_certificate(cc, discrete_cert, window):
     The lifted bound is ``K_hat = K * sup_{0<=t<=1} |phi(t)| e^{alpha t}``,
     with the sup sampled over the window's integer shifts (the observed
     envelope; for autonomous flows it coincides with the base-point scan).
+    The lifted certificate is unverified: a discrete verification record is
+    not carried over.
     """
     env = _unit_envelope(cc, _window_nodes(window)[:-1], discrete_cert.exponent)
+    meta = {k: v for k, v in discrete_cert.meta.items() if k != "verification"}
     return replace(discrete_cert, bound=discrete_cert.bound * env,
                    discrete=False,
-                   meta={**discrete_cert.meta, "lift_envelope": env,
+                   meta={**meta, "lift_envelope": env,
                          "discrete_bound": discrete_cert.bound})
 
 
@@ -171,7 +174,7 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
     window's nodes with all their snapshots, then the impulse span's outer
     nodes, which the discrete pipeline stacks, with endpoints only.  Only
     the lifted certificate is verified, at ``slack`` against the continuous
-    cocycle (``meta["verification_continuous"]``), unless ``verify=False``.
+    cocycle (``meta["verification"]``), unless ``verify=False``.
     """
     nodes = _window_nodes(window)
     n_lo, n_hi = nodes[0], nodes[-1]
@@ -196,7 +199,7 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
     cert.meta["d_unit"] = d_unit
     if verify:
         report = verify_dichotomy(perturbed_cc, cert, (n_lo, n_hi), slack=slack)
-        cert.meta["verification_continuous"] = report
+        cert.meta["verification"] = report
     return cert
 
 
@@ -204,7 +207,7 @@ def robustness_report(cert):
     """Machine-readable robustness report, ready for ``json.dumps``:
     thresholds, constants, residuals."""
     meta = cert.meta
-    rep = meta.get("verification") or meta.get("verification_continuous")
+    rep = meta.get("verification")
     return jsonable({
         "delta_eff": meta.get("delta_eff"),
         "threshold": meta.get("threshold"),

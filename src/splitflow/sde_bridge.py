@@ -86,9 +86,13 @@ class _NoiseDressing:
                               required_extension=t_first - path.grid.t_min)
         self.kz, self.ckz = rescaled_noise(path, kappa, self.ts, tail_tol)
 
-    def _check(self, t):
-        """Raise :class:`WindowError` when a time (scalar or array) leaves
-        the dressed window, naming the first such time and the count."""
+    def at(self, eta, pattern, t):
+        """``(scale, gap)`` at the times ``t[N]``: ``scale[N, d] = exp(eta
+        pattern kappa_t z*)``, so that ``y = scale * v``, and ``gap[N] = eta
+        (kappa_t - kappadot_t) z*``, the coefficient of the linear noise term
+        on the pattern block.  One range check per call: a time outside the
+        dressed window raises :class:`WindowError`, naming the first such
+        time and the count."""
         t = np.ravel(np.asarray(t, float))
         out = (t < self.ts[0] - 1e-9) | (t > self.ts[-1] + 1e-9)
         if np.any(out):
@@ -97,49 +101,15 @@ class _NoiseDressing:
                 f"[{self.ts[0]:.2f}, {self.ts[-1]:.2f}] "
                 f"({int(np.sum(out))} of {t.size} times out)"
             )
-
-    def kappa_z(self, t):
-        self._check(t)
-        return np.interp(t, self.ts, self.kz)
-
-    def gap(self, eta, t):
-        """``eta (kappa_t - kappadot_t) z*``, the coefficient of the linear
-        noise term, which acts on the pattern block."""
-        self._check(t)
-        return eta * np.interp(t, self.ts, self.ckz)
-
-    def scale(self, eta, pattern, t):
-        """``exp(eta pattern kappa_t z*)``, so that ``y = scale * v``; one
-        row per time when ``t`` is a column of times."""
-        return np.exp(eta * pattern * self.kappa_z(t))
-
-
-def _conjugated_fields(spec, dressing):
-    """The nonlinearity of ``spec`` under the change of variables,
-    ``e^{-c} f(e^{c} v)`` with ``c = eta pattern kappa_t z*``, and its
-    Jacobian in ``v``, both as batched functions of ``(eta, ts[N], V[N, d])``
-    (one range check and one interpolation per batch)."""
-    f, fp, pattern = spec.f, spec.f_prime, spec.pattern
-    d = len(pattern)
-
-    def f_eta(eta, ts, v):
-        s = dressing.scale(eta, pattern, np.asarray(ts, float)[:, None])
-        return np.asarray(f(s * v), float).reshape(s.shape) / s
-
-    def f_eta_dy(eta, ts, v):
-        s = dressing.scale(eta, pattern, np.asarray(ts, float)[:, None])
-        jac = np.asarray(fp(s * v), float).reshape(len(s), d, d)
-        return (jac * s[:, None, :]) / s[:, :, None]
-
-    return f_eta, f_eta_dy
+        scale = np.exp(eta * pattern * np.interp(t, self.ts, self.kz)[:, None])
+        return scale, eta * np.interp(t, self.ts, self.ckz)
 
 
 def inverse_transform(times, v_traj, spec, path, tail_tol=DEFAULT_TAIL_TOL):
     """Pointwise inverse map ``y(t) = exp(+eta_tilde kappa_t z*) v(t)``."""
     dressing = _NoiseDressing(path, spec.kappa, tail_tol)
     v_traj = np.atleast_2d(np.asarray(v_traj, float))
-    times = np.asarray(times, float)[:, None]
-    return dressing.scale(spec.eta, spec.pattern, times) * v_traj
+    return dressing.at(spec.eta, spec.pattern, times)[0] * v_traj
 
 
 def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
@@ -150,20 +120,25 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
     plus the linear noise term; both scale down to zero with eta.
     """
     dressing = _NoiseDressing(path, strat.kappa, tail_tol)
-    conj, conj_dy = _conjugated_fields(strat, dressing)
     pattern = strat.pattern
     f, fp = strat.f, strat.f_prime
+    d = len(pattern)
     y0_star = np.atleast_1d(np.asarray(y0_star, float))
     if a_matrix is None:
         a_matrix = strat.b_matrix + np.asarray(fp(y0_star[None]), float)[0]
 
-    def f_eta(eta, ts, y):
-        gap = dressing.gap(eta, np.asarray(ts, float))[:, None]
-        return conj(eta, ts, y) + gap * (pattern * y)
+    # with (s, gap) = dressing.at(eta, pattern, ts): the field
+    # f(s v)/s + gap pattern v and its Jacobian (J s_j)/s_i + gap diag(pattern)
+    def f_eta(eta, ts, v):
+        s, gap = dressing.at(eta, pattern, ts)
+        return (np.asarray(f(s * v), float).reshape(s.shape) / s
+                + gap[:, None] * (pattern * v))
 
-    def f_eta_dy(eta, ts, y):
-        gap = dressing.gap(eta, np.asarray(ts, float))[:, None, None]
-        return conj_dy(eta, ts, y) + gap * np.diag(pattern)
+    def f_eta_dy(eta, ts, v):
+        s, gap = dressing.at(eta, pattern, ts)
+        jac = np.asarray(fp(s * v), float).reshape(len(s), d, d)
+        return ((jac * s[:, None, :]) / s[:, :, None]
+                + gap[:, None, None] * np.diag(pattern))
 
     return SemilinearProblem(
         a_matrix=a_matrix,
@@ -173,7 +148,7 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
         r_u=r_u,
         f0_prime=fp,
         f_eta_dy=f_eta_dy,
-        meta={"dressing": dressing, "pattern": pattern},
+        meta={"dressing": dressing},
     )
 
 
@@ -242,6 +217,7 @@ def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime,
         y0_star=np.zeros(2 * n),
         r_u=r_u,
         f0_prime=f0_prime,
+        f_eta_dy=lambda eta, ts, ys: f0_prime(ys),
         meta={"n_modes": n, "beta_damping": beta_damping, "lambda_k": lam,
               "b_matrix": big_b, "collocation_x": x, "collocation_w": w,
               "phi": phi, "proj": proj},
@@ -318,9 +294,9 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
                            n_time=n_time, n_cloud=n_cloud)
         sup_y = None
         if sol is not None:
-            y = problem.meta["dressing"].scale(
-                row["eta"], strat.pattern, sol.interior_times()[:, None]
-            ) * sol.trajectory[sol.interior]
+            y = problem.meta["dressing"].at(
+                row["eta"], strat.pattern, sol.interior_times()
+            )[0] * sol.trajectory[sol.interior]
             sup_y = float(np.max(np.linalg.norm(y, axis=1)))
         rows.append({"eta": row["eta"], "seed": seed,
                      "sup_dist_v": row["sup_distance"], "sup_dist_y": sup_y,

@@ -10,9 +10,11 @@ kernel sweeps one node at a time, where the library evaluates them by
 doubling, :func:`envelope_scan_sequential` builds the autonomous envelope
 tables one step at a time, where the library doubles, and
 :func:`all_pairs_ratios` takes an SVD of every kernel value, where the
-verifier prunes, and :func:`ball_cloud_oracle` and
+verifier prunes, :func:`ball_cloud_oracle` and
 :func:`rho_modulus_oracle` draw their clouds afresh, where the library
-draws once.  The helpers at the end drive library internals
+draws once, and :func:`conjugated_fields_oracle` composes the random ODE's
+field from a conjugated nonlinearity and a linear noise term that each read
+the noise dressing, where the library reads it once per call.  The helpers at the end drive library internals
 the way a test needs them.
 """
 
@@ -367,6 +369,42 @@ def lambda_eta_loop(p, eta, window, n_time=65, n_cloud=32):
         dv = spectral_norms(p.d_f_eta(eta, ts, ys) - d0)
         worst = max(worst, float(np.max(v + dv, initial=0.0)))
     return worst
+
+
+def conjugated_fields_oracle(strat, dressing):
+    """The field and Jacobian of :func:`splitflow.random_ode_problem` in two
+    layers: the conjugated nonlinearity ``e^{-c} f(e^{c} v)``, ``c = eta
+    pattern kappa_t z*``, and its Jacobian in ``v``, each interpolating
+    ``kappa z*`` on its own, plus the linear noise term ``eta (kappa -
+    kappadot) z* pattern v``, interpolated on its own."""
+    f, fp, pattern = strat.f, strat.f_prime, strat.pattern
+    d = len(pattern)
+
+    def scale(eta, ts):
+        col = np.asarray(ts, float)[:, None]
+        return np.exp(eta * pattern * np.interp(col, dressing.ts, dressing.kz))
+
+    def gap(eta, ts):
+        return eta * np.interp(np.asarray(ts, float), dressing.ts,
+                               dressing.ckz)
+
+    def conj(eta, ts, v):
+        s = scale(eta, ts)
+        return np.asarray(f(s * v), float).reshape(s.shape) / s
+
+    def conj_dy(eta, ts, v):
+        s = scale(eta, ts)
+        jac = np.asarray(fp(s * v), float).reshape(len(s), d, d)
+        return (jac * s[:, None, :]) / s[:, :, None]
+
+    def f_eta(eta, ts, v):
+        return conj(eta, ts, v) + gap(eta, ts)[:, None] * (pattern * v)
+
+    def f_eta_dy(eta, ts, v):
+        return conj_dy(eta, ts, v) + gap(eta, ts)[:, None, None] * np.diag(
+            pattern)
+
+    return f_eta, f_eta_dy
 
 
 def ball_cloud_oracle(center, radius, n, seed=20201102):

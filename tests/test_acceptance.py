@@ -178,7 +178,7 @@ def test_c6_hyperbolic_convergence():
             if s.status == "certified":
                 all_rows_ok = all_rows_ok and (
                     s.sup_distance < s.eps_used
-                    and s.linearization_report.passed)
+                    and s.linearization_certificate.meta["verification"].passed)
             else:
                 all_rows_ok = False
     med = [float(np.median(sups[e])) for e in etas]

@@ -244,6 +244,20 @@ class TestWaveCmd:
         body = json.loads((out / "wave.json").read_text())
         assert "not hyperbolic" in body["error"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("n_modes = 0\n", "need n_modes >= 1"),
+        ("beta_damping = 0\n", "need positive damping"),
+    ])
+    def test_bad_model_config_is_two(self, tmp_path, capsys, text, message):
+        # a config the wave model refuses is a config error, not a
+        # scientific failure: exit 2 and no wave.json
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(["wave", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "wave.json").exists()
+
 
 @pytest.mark.parametrize("command, half", [("hyperbolic", 4), ("wave", 3)])
 def test_default_rows_certify_inside_the_window(tmp_path, monkeypatch,

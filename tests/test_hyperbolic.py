@@ -149,6 +149,7 @@ class TestRhoModulus:
             f0=lambda y: y ** 3,
             y0_star=[0.0], r_u=1.0,
             f0_prime=lambda y: (3.0 * y ** 2)[:, :, None],
+            f_eta_dy=lambda eta, t, y: (3.0 * y ** 2)[:, :, None],
         )
         for eps in (0.1, 0.25, 0.5):
             rho = rho_modulus(p, eps)
@@ -322,24 +323,37 @@ class TestFailClosed:
             a_matrix=np.diag([-1.0, -2.0]),
             f_eta=lambda eta, ts, ys: np.zeros_like(ys),
             f0=lambda ys: np.zeros_like(ys), y0_star=[0.0, 0.0], r_u=1.0,
-            f0_prime=lambda ys: np.full((len(ys), 2, 2), np.nan))
+            f0_prime=lambda ys: np.full((len(ys), 2, 2), np.nan),
+            f_eta_dy=lambda eta, ts, ys: np.zeros((len(ys), 2, 2)))
         with pytest.raises(SplitflowError, match="non-finite"):
             hyperbolic._lip_dev(p, 0.1)
 
-    def test_inf_field_without_analytic_jacobian_raises(self):
-        # central differences would turn the inf into nan Jacobians
+    def test_inf_field_raises(self):
+        # an inf field value fails closed before its Jacobians are read
         p = additive_problem(lambda eta, t, y: np.array(
             [np.inf if t == 0.0 else eta * np.cos(t)]))
-        p.f_eta_dy = None
         with pytest.raises(SplitflowError, match="field values at t=0.0"):
             lambda_eta(p, 0.01, TimeGrid(-4.0, 4.0, 0.25), n_time=9)
 
     def test_scalar_callback_gets_typed_error(self):
         p = SemilinearProblem(
             a_matrix=[[-1.0]], f_eta=lambda eta, t, y: np.zeros(1),
-            f0=lambda y: np.zeros(1), y0_star=[0.0], r_u=1.0)
+            f0=lambda y: np.zeros(1), y0_star=[0.0], r_u=1.0,
+            f0_prime=lambda y: np.zeros((1, 1)),
+            f_eta_dy=lambda eta, t, y: np.zeros((1, 1)))
         with pytest.raises(SplitflowError, match="pointwise"):
             lambda_eta(p, 0.01, TimeGrid(-4.0, 4.0, 0.25))
+
+    @pytest.mark.parametrize("missing", ["f0_prime", "f_eta_dy"])
+    def test_jacobians_are_required(self, missing):
+        # no difference quotient stands in for a missing Jacobian
+        parts = dict(a_matrix=[[-1.0]], f_eta=additive_problem().f_eta,
+                     f0=lambda ys: np.zeros_like(ys), y0_star=[0.0], r_u=1.0,
+                     f0_prime=lambda ys: np.zeros((len(ys), 1, 1)),
+                     f_eta_dy=lambda eta, ts, ys: np.zeros((len(ys), 1, 1)))
+        del parts[missing]
+        with pytest.raises(TypeError, match=missing):
+            SemilinearProblem(**parts)
 
 
 def saddle_green():
@@ -440,10 +454,8 @@ class TestLinearization:
         for t, got in zip(ts, batch):
             xi = np.array([np.interp(t, sol.times, sol.trajectory[:, 0])])
             # f_eta_dy of the transformed cubic at one point, by hand
-            dressing = p.meta["dressing"]
-            c = eta * dressing.kappa_z(t)
-            want = (-3.0 * np.exp(2 * c) * xi[0] ** 2
-                    + dressing.gap(eta, t)) - d0[0, 0]
+            scale, gap = p.meta["dressing"].at(eta, np.ones(1), t)
+            want = (-3.0 * scale[0, 0] ** 2 * xi[0] ** 2 + gap[0]) - d0[0, 0]
             assert abs(got[0, 0] - p.a_matrix[0, 0] - want) < 1e-12
             one = cc.generator(np.array([t]))[0]
             assert np.array_equal(one, got)
@@ -546,8 +558,8 @@ class TestCertify:
         assert row["status"] == "certified"
         assert len(calls) == 1 and isinstance(calls[0][0], ContinuousCocycle)
         meta = sol.linearization_certificate.meta
-        assert sol.linearization_report is meta["verification_continuous"]
-        assert "verification" not in meta
+        assert meta["verification"].passed
+        assert "verification_continuous" not in meta
 
 
 class TestEtaRow:

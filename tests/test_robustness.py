@@ -349,7 +349,7 @@ class TestContinuousPipeline:
             pointwise(lambda t: np.array([[-1.0 + 0.05 * np.sin(t)]])), 1)
         ca = autonomous_certificate(np.array([[-1.0]]))
         cert = robust_dichotomy_continuous(cc1, ca, cc2, (-5, 5))
-        assert cert.meta["verification_continuous"].passed
+        assert cert.meta["verification"].passed
         # integrating-factor oracle bounds the unit-interval distance
         # |e^{-t} - e^{-t + 0.05 int sin}| <= 0.05 * e crude bound
         assert cert.meta["d_unit"] <= 0.05 * np.e
@@ -368,7 +368,7 @@ class TestContinuousPipeline:
         ca = autonomous_certificate(a)
         cert = robust_dichotomy_continuous(ContinuousCocycle.constant(a), ca,
                                            cc2, (-5, 5))
-        assert cert.meta["verification_continuous"].passed
+        assert cert.meta["verification"].passed
         dist = projection_distance(ca, cert, (-5, 5))
         eps_hyp = max(ca.bound, cert.bound) * cert.meta["d_unit"]
         assert dist <= paper_projection_bound(ca.exponent, cert.exponent,
@@ -392,7 +392,7 @@ class TestContinuousPipeline:
             pointwise(lambda t: a + 0.02 * np.sin(t) * j_mat), 2)
         cert = robust_dichotomy_continuous(base, autonomous_certificate(a),
                                            pert, (-3, 3))
-        assert cert.meta["verification_continuous"].passed
+        assert cert.meta["verification"].passed
         # the constant base fills its one shared entry; the perturbed table
         # is filled in one run for the window and one for the impulse span
         assert len(runs) == 3
@@ -440,7 +440,7 @@ class TestContinuousPipeline:
             pointwise(lambda t: base_gen(t) + 0.02 * np.sin(t) * j_mat), 2)
         cert = robust_dichotomy_continuous(base, autonomous_certificate(a),
                                            pert, (-3, 3))
-        assert cert.meta["verification_continuous"].passed
+        assert cert.meta["verification"].passed
         window = [float(n) for n in range(-3, 4)]
         (span_lo, span_hi), = spans
         outer = [float(n) for n in range(span_lo, -3)] \
@@ -465,6 +465,20 @@ class TestContinuousPipeline:
         rep = verify_dichotomy(cc, lifted, (-3, 3), slack=1.05)
         assert rep.passed
 
+    def test_lift_carries_no_discrete_verification(self):
+        # a verified discrete certificate lifts to an unverified one: its
+        # report checked the unit-time steps, not the flow between them
+        a = np.array([[-LN2]])
+        cc = ContinuousCocycle.constant(a)
+        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+        dcert = robust_dichotomy_discrete(DiscreteCocycle.constant([[0.5]]),
+                                          bc, DiscreteCocycle.constant([[0.5]]),
+                                          (-3, 3))
+        assert dcert.meta["verification"].passed
+        lifted = lift_certificate(cc, dcert, (-3, 3))
+        assert "verification" not in lifted.meta
+        assert robustness_module.robustness_report(lifted)["passed"] is None
+
 
 class TestLinearPerturbationCheck:
     """The continuous pipeline's hypothesis check: ``d_unit``, the sampled
@@ -483,7 +497,7 @@ class TestLinearPerturbationCheck:
     def test_zero_perturbation(self):
         d_unit, cert = self.d_unit(lambda t: np.zeros((2, 2)), (-4, 4))
         assert d_unit == 0.0
-        assert cert.meta["verification_continuous"].passed
+        assert cert.meta["verification"].passed
 
     def test_constant_perturbation_value(self):
         # commuting flows: the distance peaks at t = 1, e (e^c - 1)
@@ -508,4 +522,4 @@ class TestLinearPerturbationCheck:
         # |e^{At} (e^{int b} - 1)| <= e (e^{eta m2} - 1) on a unit interval
         d_unit, cert = self.d_unit(b_fn, (-5, 6))
         assert d_unit <= np.e * np.expm1(eta * nb.m2) * (1.0 + 1e-6)
-        assert cert.meta["verification_continuous"].passed
+        assert cert.meta["verification"].passed

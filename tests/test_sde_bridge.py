@@ -13,6 +13,7 @@ from splitflow import (ConfigurationError, ContinuousCocycle, KappaFn,
                        spectral_projection, verify_dichotomy)
 from splitflow.cli import main
 from splitflow.cocycle import integrate_nonlinear
+from conftest import conjugated_fields_oracle
 
 H = 1.0 / 32
 PATH_GRID = TimeGrid(-48.0, 12.0, H)
@@ -29,9 +30,9 @@ def scalar_spec(eta, kappa=None, f=None, fp=None, b=-1.0):
 
 def transformed(spec, path):
     """The random-ODE problem of ``spec`` along ``path`` and its noise
-    dressing: the field is ``b_matrix v + f_eta(eta, t, v)``, whose linear
-    noise term is ``dressing.gap(eta, t) pattern v`` and whose change of
-    variables is ``y = dressing.scale(eta, pattern, t) v``."""
+    dressing: with ``scale, gap = dressing.at(eta, pattern, ts)``, the field
+    is ``b_matrix v + f_eta(eta, t, v)``, whose linear noise term is
+    ``gap pattern v``, and the change of variables is ``y = scale v``."""
     d = spec.b_matrix.shape[0]
     problem = random_ode_problem(spec, path, np.zeros(d), r_u=1.0)
     return problem, problem.meta["dressing"]
@@ -46,7 +47,8 @@ class TestTransform:
         ts = np.array([-2.0, 0.0, 3.0])
         y = rng.standard_normal((3, 1))
         assert np.allclose(problem.f_eta(0.0, ts, y), f(y), atol=1e-14)
-        assert np.allclose(dressing.gap(0.0, ts), 0.0, atol=1e-15)
+        assert np.allclose(dressing.at(0.0, spec.pattern, ts)[1], 0.0,
+                           atol=1e-15)
 
     def test_linear_field_matches_dressing(self):
         # f = 0: the transformed generator is B + eta (kappa - kappadot) z* I
@@ -69,7 +71,7 @@ class TestTransform:
         v = rng.standard_normal((41, 1))
         y = inverse_transform(ts, v, spec, path)
         # invert pointwise: v = y / scale
-        back = np.stack([y[i] / dressing.scale(0.25, spec.pattern, t)
+        back = np.stack([y[i] / dressing.at(0.25, spec.pattern, t)[0][0]
                          for i, t in enumerate(ts)])
         assert np.max(np.abs(back - v)) < 1e-14
 
@@ -86,12 +88,11 @@ class TestTransform:
         z = ou_series(path, np.array([t]))[0]
         c = kap.kappa(t) * z
         want = np.array([np.exp(0.4 * c), 1.0])
-        assert np.allclose(dressing.scale(0.4, spec.pattern, t), want,
-                           atol=1e-10)
+        scale, gap = dressing.at(0.4, spec.pattern, t)
+        assert np.allclose(scale[0], want, atol=1e-10)
         # the linear noise term acts on the noisy block only
-        gap = dressing.gap(0.4, np.array([t]))[0]
         jac = problem.f_eta_dy(0.4, np.array([t]), np.zeros((1, 2)))[0]
-        assert np.allclose(jac, np.diag([gap, 0.0]), atol=1e-15)
+        assert np.allclose(jac, np.diag([gap[0], 0.0]), atol=1e-15)
         y = inverse_transform([t], np.array([[2.0, 3.0]]), spec, path)[0]
         assert np.allclose(y, [2.0 * np.exp(0.4 * c), 3.0], atol=1e-9)
 
@@ -120,7 +121,7 @@ class TestTransform:
                                                      v[None])[0]
 
         t_end = 4.0
-        v0 = np.array([1.0]) / dressing.scale(eta, spec.pattern, 0.0)
+        v0 = np.array([1.0]) / dressing.at(eta, spec.pattern, 0.0)[0][0]
         v_end = integrate_nonlinear(v_field, 0.0, t_end, v0, step=1.0 / 128)
         y_end = inverse_transform([t_end], v_end[None, :], spec, path)[0, 0]
         ts = np.arange(0.0, t_end + 1e-12, 1.0 / 64)
@@ -137,8 +138,16 @@ class TestTransform:
         _, dressing = transformed(spec, path)
         win = TimeGrid(-4.0, 6.0, H)
         nb = noise_bounds(path, kap, win, eta=eta)
-        sup_b = float(np.max(np.abs(dressing.gap(eta, win.times()))))
+        sup_b = float(np.max(np.abs(
+            dressing.at(eta, spec.pattern, win.times())[1])))
         assert abs(sup_b - nb.b_sup) < 1e-12
+
+
+def at_point(dressing, eta, t):
+    """``(exp(eta kappa_t z*), eta (kappa_t - kappadot_t) z*)`` at one time
+    ``t``, as two scalars."""
+    scale, gap = dressing.at(eta, np.ones(1), t)
+    return scale[0, 0], gap[0]
 
 
 class TestBatchedFields:
@@ -167,12 +176,12 @@ class TestBatchedFields:
         ys = 1.0 + 0.3 * rng.standard_normal((50, 1))
 
         def f_point(t, y):
-            s = np.exp(eta * dressing.kappa_z(t))
-            return -(s * y) ** 3 / s + dressing.gap(eta, t) * y
+            s, gap = at_point(dressing, eta, t)
+            return -(s * y) ** 3 / s + gap * y
 
         def jac_point(t, y):
-            s = np.exp(eta * dressing.kappa_z(t))
-            return np.atleast_2d(-3.0 * s * s * y ** 2 + dressing.gap(eta, t))
+            s, gap = at_point(dressing, eta, t)
+            return np.atleast_2d(-3.0 * s * s * y ** 2 + gap)
 
         self.check_against_points(p.f_eta(eta, ts, ys), p.f_eta_dy(eta, ts, ys),
                                   ts, ys, f_point, jac_point)
@@ -207,12 +216,12 @@ class TestBatchedFields:
         dressing, eta = q.meta["dressing"], 0.05
 
         def f_point(t, y):
-            s = np.exp(eta * dressing.kappa_z(t))
-            return f0_point(s * y) / s + dressing.gap(eta, t) * y
+            s, gap = at_point(dressing, eta, t)
+            return f0_point(s * y) / s + gap * y
 
         def jac_point(t, y):
-            s = np.exp(eta * dressing.kappa_z(t))
-            return f0p_point(s * y) + dressing.gap(eta, t) * np.eye(6)
+            s, gap = at_point(dressing, eta, t)
+            return f0p_point(s * y) + gap * np.eye(6)
 
         self.check_against_points(q.f_eta(eta, ts, ys), q.f_eta_dy(eta, ts, ys),
                                   ts, ys, f_point, jac_point)
@@ -231,9 +240,12 @@ class TestBatchedFields:
         p = random_ode_problem(scalar_spec(1.0), path, [0.0], r_u=0.3)
         dressing = p.meta["dressing"]
         lo, hi = dressing.ts[0], dressing.ts[-1]
-        assert dressing.gap(0.5, hi) == dressing.gap(0.5, np.array([hi]))[0]
+        one = np.ones(1)
+        for got, want in zip(dressing.at(0.5, one, hi),
+                             dressing.at(0.5, one, np.array([hi]))):
+            assert np.array_equal(got, want)
         with pytest.raises(WindowError, match=r"time 13.0 outside .*\(1 of 1 "):
-            dressing.gap(0.5, 13.0)
+            dressing.at(0.5, one, 13.0)
         ts = np.array([0.0, hi + 1.0, lo - 2.0, hi + 3.0])
         with pytest.raises(WindowError) as exc:
             p.f_eta(0.5, ts, np.zeros((4, 1)))
@@ -254,6 +266,83 @@ class TestBatchedFields:
         ou_series(path, [t0], tail_tol)
         with pytest.raises(WindowError, match="left window too short"):
             ou_series(path, [t0 - H], tail_tol)
+
+
+def folded_case(name):
+    """``(strat, y0_star, a_matrix, center)`` of the scalar cubic, a d = 2
+    system with the noise on its first component only, and the d = 8 wave
+    of the wave demo; states are drawn around ``center``."""
+    if name == "cubic":
+        strat = StratonovichSpec(
+            b_matrix=[[1.0]], f=lambda y: -y ** 3,
+            f_prime=lambda y: (-3.0 * y ** 2)[:, :, None], eta=1.0,
+            kappa=KappaFn.inverse_quadratic(0.5))
+        return strat, [1.0], None, 1.0
+    if name == "pattern_1_0":
+        def f(y):
+            return np.stack([-y[:, 0] ** 3 + 0.5 * y[:, 0] * y[:, 1],
+                             -y[:, 1] ** 3], axis=1)
+
+        def fp(y):
+            jac = np.zeros((len(y), 2, 2))
+            jac[:, 0, 0] = -3.0 * y[:, 0] ** 2 + 0.5 * y[:, 1]
+            jac[:, 0, 1] = 0.5 * y[:, 0]
+            jac[:, 1, 1] = -3.0 * y[:, 1] ** 2
+            return jac
+
+        strat = StratonovichSpec(
+            b_matrix=np.diag([-1.0, -2.0]), f=f, f_prime=fp, eta=1.0,
+            kappa=KappaFn.inverse_quadratic(1.0), pattern=np.array([1.0, 0.0]))
+        return strat, [0.0, 0.0], None, 0.5
+    p = build_wave_system(4, 1.0, lambda u: u - u ** 3,
+                          lambda u: 1.0 - 3.0 * u ** 2)
+    strat = StratonovichSpec(b_matrix=p.meta["b_matrix"], f=p.f0,
+                             f_prime=p.f0_prime, eta=1.0,
+                             kappa=default_kappa(), pattern=np.ones(8))
+    return strat, p.y0_star, p.a_matrix, 0.0
+
+
+class TestFoldedFields:
+    """The field and Jacobian of ``random_ode_problem``, folded around one
+    dressing read per call, against the two-layer composition of
+    :func:`conftest.conjugated_fields_oracle`."""
+
+    @pytest.mark.parametrize("name", ["cubic", "pattern_1_0", "wave"])
+    def test_equal_to_the_two_layer_composition(self, name, rng):
+        strat, y0, a_matrix, center = folded_case(name)
+        path = sample_wiener_path(PATH_GRID, 13)
+        p = random_ode_problem(strat, path, y0, 0.3, a_matrix=a_matrix)
+        f_oracle, jac_oracle = conjugated_fields_oracle(strat,
+                                                        p.meta["dressing"])
+        grid = TimeGrid(-4.0, 6.0, H).times()
+        for ts in (grid, grid[:-1] + H / 2):  # grid times, RK4 midpoints
+            ys = center + 0.3 * rng.standard_normal((len(ts), len(y0)))
+            assert np.all(ys != 0.0)
+            for eta in (0.0, 0.05, 0.4):
+                assert np.array_equal(p.f_eta(eta, ts, ys),
+                                      f_oracle(eta, ts, ys))
+                assert np.array_equal(p.f_eta_dy(eta, ts, ys),
+                                      jac_oracle(eta, ts, ys))
+
+    def test_each_field_call_reads_the_dressing_once(self, monkeypatch, rng):
+        strat, y0, _, center = folded_case("pattern_1_0")
+        p = random_ode_problem(strat, sample_wiener_path(PATH_GRID, 13), y0,
+                               0.3)
+        # every method of the dressing, wrapped on the instance, so that a
+        # method calling another one counts twice
+        dressing, reads = p.meta["dressing"], []
+        for name, member in vars(type(dressing)).items():
+            if callable(member) and not name.startswith("__"):
+                monkeypatch.setattr(
+                    dressing, name,
+                    lambda *a, _n=name, _m=getattr(dressing, name):
+                        reads.append(_n) or _m(*a))
+        ts = TimeGrid(-4.0, 6.0, H).times()
+        ys = center + 0.3 * rng.standard_normal((len(ts), 2))
+        for field in (p.f_eta, p.f_eta_dy):
+            reads.clear()
+            field(0.4, ts, ys)
+            assert reads == ["at"]
 
 
 class TestWaveSystem:
