@@ -47,7 +47,7 @@ grid = sf.TimeGrid(-105.0, 64.0, 1.0 / 32)
 path = sf.sample_wiener_path(grid, seed=7)
 strat = sf.StratonovichSpec(
     b_matrix=p.meta["b_matrix"], f=p.f0, f_prime=p.f0_prime,
-    eta=1.0, kappa=sf.default_kappa(), pattern=np.ones(4),
+    eta=1.0, kappa=sf.default_kappa(),
 )
 prob = sf.random_ode_problem(strat, path, p.y0_star, p.r_u,
                              a_matrix=p.a_matrix)

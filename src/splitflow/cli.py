@@ -68,7 +68,7 @@ SCHEMAS = {
     },
     "robustness": {
         **_COMMON,
-        "t_min": (float, -8.0), "t_max": (float, 8.0), "h": (float, 1.0 / 64),
+        "t_min": (float, -8.0), "t_max": (float, 8.0),
         "base_step": (float, 0.5),
         "pert_step": (float, 0.55),
         "rotation": (float, 0.01),
@@ -141,7 +141,7 @@ def load_config(text, command):
             raise ConfigurationError("eta_grid entries must be >= 0")
         if list(grid) != sorted(grid, reverse=True):
             raise ConfigurationError("eta_grid must be sorted descending")
-    if not values["h"] > 0.0:
+    if "h" in values and not values["h"] > 0.0:
         raise ConfigurationError("h must be positive")
     return values
 

@@ -268,22 +268,16 @@ class NoiseBounds:
     ``m1 = max |kappa_t z*(theta_t omega)|`` and
     ``m2 = max |(kappa_t - kappa_dot_t) z*(theta_t omega)|`` over the window
     nodes.  Any finite window yields lower bounds for the suprema over all of
-    R; the window is recorded alongside.  ``eta`` scales the downstream
-    linear perturbation only: ``b_sup = eta * m2``.
+    R; the window is recorded alongside.
     """
 
-    def __init__(self, m1, m2, window, eta=0.0):
+    def __init__(self, m1, m2, window):
         self.m1 = float(m1)
         self.m2 = float(m2)
         self.window = window
-        self.eta = float(eta)
-
-    @property
-    def b_sup(self):
-        return self.eta * self.m2
 
     def __repr__(self):
-        return f"NoiseBounds(m1={self.m1:.6g}, m2={self.m2:.6g}, eta={self.eta:g})"
+        return f"NoiseBounds(m1={self.m1:.6g}, m2={self.m2:.6g})"
 
 
 def rescaled_noise(path, kappa, ts, tail_tol=DEFAULT_TAIL_TOL):
@@ -295,10 +289,10 @@ def rescaled_noise(path, kappa, ts, tail_tol=DEFAULT_TAIL_TOL):
     return k * z, (k - kd) * z
 
 
-def noise_bounds(path, kappa, window, eta=0.0, tail_tol=DEFAULT_TAIL_TOL):
+def noise_bounds(path, kappa, window, tail_tol=DEFAULT_TAIL_TOL):
     """Grid maxima m1, m2 of the kappa-rescaled stationary noise on ``window``."""
     kz, ckz = rescaled_noise(path, kappa, window.times(), tail_tol)
-    return NoiseBounds(np.max(np.abs(kz)), np.max(np.abs(ckz)), window, eta)
+    return NoiseBounds(np.max(np.abs(kz)), np.max(np.abs(ckz)), window)
 
 
 def sublinearity_report(path, checkpoints, tail_tol=DEFAULT_TAIL_TOL):

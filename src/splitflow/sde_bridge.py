@@ -49,9 +49,11 @@ class StratonovichSpec:
     """A Stratonovich problem with bounded time-rescaled multiplicative noise.
 
     ``f`` and ``f_prime`` are batched over states, ``f(Y[N, d]) -> [N, d]``
-    and ``f_prime(Y) -> [N, d, d]``.  ``pattern`` is the 0/1 diagonal of the
-    noise placement (which state blocks receive the noise); the actual
-    noise matrix is ``eta * diag(pattern)`` with entries in {0, eta}.
+    and ``f_prime(Y) -> [N, d, d]``.  The noise ``eta kappa_t y o dW_t`` is
+    scalar, one Wiener path on every component.  :func:`random_ode_problem`
+    takes eta per field call and the program's specs carry ``eta = 1``;
+    only :func:`inverse_transform` reads ``eta``, so a row's inverse map
+    needs a spec with that row's eta.
     """
 
     b_matrix: np.ndarray
@@ -59,17 +61,9 @@ class StratonovichSpec:
     f_prime: object
     eta: float
     kappa: object
-    pattern: np.ndarray = None
 
     def __post_init__(self):
         self.b_matrix = np.atleast_2d(np.asarray(self.b_matrix, float))
-        d = self.b_matrix.shape[0]
-        if self.pattern is None:
-            self.pattern = np.ones(d)
-        self.pattern = np.asarray(self.pattern, float)
-        if self.pattern.shape != (d,) or not np.all(
-                np.isin(self.pattern, (0.0, 1.0))):
-            raise ConfigurationError("pattern must be a 0/1 vector of length d")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigurationError(f"eta must lie in [0, 1], got {self.eta}")
 
@@ -86,13 +80,12 @@ class _NoiseDressing:
                               required_extension=t_first - path.grid.t_min)
         self.kz, self.ckz = rescaled_noise(path, kappa, self.ts, tail_tol)
 
-    def at(self, eta, pattern, t):
-        """``(scale, gap)`` at the times ``t[N]``: ``scale[N, d] = exp(eta
-        pattern kappa_t z*)``, so that ``y = scale * v``, and ``gap[N] = eta
-        (kappa_t - kappadot_t) z*``, the coefficient of the linear noise term
-        on the pattern block.  One range check per call: a time outside the
-        dressed window raises :class:`WindowError`, naming the first such
-        time and the count."""
+    def at(self, eta, t):
+        """``(scale, gap)`` at the times ``t[N]``: ``scale[N] = exp(eta
+        kappa_t z*)``, so that ``y = scale v``, and ``gap[N] = eta (kappa_t -
+        kappadot_t) z*``, the coefficient of the linear noise term.  One
+        range check per call: a time outside the dressed window raises
+        :class:`WindowError`, naming the first such time and the count."""
         t = np.ravel(np.asarray(t, float))
         out = (t < self.ts[0] - 1e-9) | (t > self.ts[-1] + 1e-9)
         if np.any(out):
@@ -101,15 +94,18 @@ class _NoiseDressing:
                 f"[{self.ts[0]:.2f}, {self.ts[-1]:.2f}] "
                 f"({int(np.sum(out))} of {t.size} times out)"
             )
-        scale = np.exp(eta * pattern * np.interp(t, self.ts, self.kz)[:, None])
-        return scale, eta * np.interp(t, self.ts, self.ckz)
+        return (np.exp(eta * np.interp(t, self.ts, self.kz)),
+                eta * np.interp(t, self.ts, self.ckz))
 
 
 def inverse_transform(times, v_traj, spec, path, tail_tol=DEFAULT_TAIL_TOL):
-    """Pointwise inverse map ``y(t) = exp(+eta_tilde kappa_t z*) v(t)``."""
+    """Pointwise inverse map ``y(t) = exp(+eta kappa_t z*) v(t)`` at the eta
+    of ``spec``, not a row's: :func:`random_ode_problem` takes eta per field
+    call and the program's specs carry ``eta = 1``, so a row's trajectory
+    needs a spec that carries that row's eta."""
     dressing = _NoiseDressing(path, spec.kappa, tail_tol)
     v_traj = np.atleast_2d(np.asarray(v_traj, float))
-    return dressing.at(spec.eta, spec.pattern, times)[0] * v_traj
+    return dressing.at(spec.eta, times)[0][:, None] * v_traj
 
 
 def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
@@ -120,25 +116,23 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
     plus the linear noise term; both scale down to zero with eta.
     """
     dressing = _NoiseDressing(path, strat.kappa, tail_tol)
-    pattern = strat.pattern
     f, fp = strat.f, strat.f_prime
-    d = len(pattern)
     y0_star = np.atleast_1d(np.asarray(y0_star, float))
     if a_matrix is None:
         a_matrix = strat.b_matrix + np.asarray(fp(y0_star[None]), float)[0]
 
-    # with (s, gap) = dressing.at(eta, pattern, ts): the field
-    # f(s v)/s + gap pattern v and its Jacobian (J s_j)/s_i + gap diag(pattern)
+    # with (s, gap) = dressing.at(eta, ts): the field f(s v)/s + gap v and,
+    # the scale being scalar, its Jacobian f'(s v) + gap I
     def f_eta(eta, ts, v):
-        s, gap = dressing.at(eta, pattern, ts)
-        return (np.asarray(f(s * v), float).reshape(s.shape) / s
-                + gap[:, None] * (pattern * v))
+        s, gap = (c[:, None] for c in dressing.at(eta, ts))
+        return np.asarray(f(s * v), float).reshape(v.shape) / s + gap * v
 
     def f_eta_dy(eta, ts, v):
-        s, gap = dressing.at(eta, pattern, ts)
-        jac = np.asarray(fp(s * v), float).reshape(len(s), d, d)
-        return ((jac * s[:, None, :]) / s[:, :, None]
-                + gap[:, None, None] * np.diag(pattern))
+        s, gap = dressing.at(eta, ts)
+        # the result first, summed in place: one (N, d, d) temporary fewer
+        jac = gap[:, None, None] * np.eye(v.shape[1])
+        jac += np.asarray(fp(s[:, None] * v), float).reshape(jac.shape)
+        return jac
 
     return SemilinearProblem(
         a_matrix=a_matrix,
@@ -254,14 +248,11 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
     if kappa is None:
         kappa = default_kappa()
     base = build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime)
-    d = 2 * n_modes
     path_grid = TimeGrid(window.t_min - PATH_MARGIN, window.t_max + 1.0,
                          window.h)
     path = sample_wiener_path(path_grid, seed)
-    strat = StratonovichSpec(
-        b_matrix=base.meta["b_matrix"], f=base.f0, f_prime=base.f0_prime,
-        eta=1.0, kappa=kappa, pattern=np.ones(d),
-    )
+    strat = StratonovichSpec(b_matrix=base.meta["b_matrix"], f=base.f0,
+                             f_prime=base.f0_prime, eta=1.0, kappa=kappa)
     problem = random_ode_problem(strat, path, base.y0_star, base.r_u,
                                  a_matrix=base.a_matrix, tail_tol=tail_tol)
     cert_a = problem.autonomous_cert
@@ -294,9 +285,9 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
                            n_time=n_time, n_cloud=n_cloud)
         sup_y = None
         if sol is not None:
-            y = problem.meta["dressing"].at(
-                row["eta"], strat.pattern, sol.interior_times()
-            )[0] * sol.trajectory[sol.interior]
+            scale = problem.meta["dressing"].at(row["eta"],
+                                                sol.interior_times())[0]
+            y = scale[:, None] * sol.trajectory[sol.interior]
             sup_y = float(np.max(np.linalg.norm(y, axis=1)))
         rows.append({"eta": row["eta"], "seed": seed,
                      "sup_dist_v": row["sup_distance"], "sup_dist_y": sup_y,

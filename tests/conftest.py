@@ -374,15 +374,15 @@ def lambda_eta_loop(p, eta, window, n_time=65, n_cloud=32):
 def conjugated_fields_oracle(strat, dressing):
     """The field and Jacobian of :func:`splitflow.random_ode_problem` in two
     layers: the conjugated nonlinearity ``e^{-c} f(e^{c} v)``, ``c = eta
-    pattern kappa_t z*``, and its Jacobian in ``v``, each interpolating
-    ``kappa z*`` on its own, plus the linear noise term ``eta (kappa -
-    kappadot) z* pattern v``, interpolated on its own."""
-    f, fp, pattern = strat.f, strat.f_prime, strat.pattern
-    d = len(pattern)
+    kappa_t z*``, and its Jacobian in ``v`` by the chain rule, ``f'(e^{c}
+    v)``, each interpolating ``kappa z*`` on its own, plus the linear noise
+    term ``eta (kappa - kappadot) z* v``, interpolated on its own."""
+    f, fp = strat.f, strat.f_prime
+    d = strat.b_matrix.shape[0]
 
     def scale(eta, ts):
         col = np.asarray(ts, float)[:, None]
-        return np.exp(eta * pattern * np.interp(col, dressing.ts, dressing.kz))
+        return np.exp(eta * np.interp(col, dressing.ts, dressing.kz))
 
     def gap(eta, ts):
         return eta * np.interp(np.asarray(ts, float), dressing.ts,
@@ -390,19 +390,16 @@ def conjugated_fields_oracle(strat, dressing):
 
     def conj(eta, ts, v):
         s = scale(eta, ts)
-        return np.asarray(f(s * v), float).reshape(s.shape) / s
+        return np.asarray(f(s * v), float).reshape(v.shape) / s
 
     def conj_dy(eta, ts, v):
-        s = scale(eta, ts)
-        jac = np.asarray(fp(s * v), float).reshape(len(s), d, d)
-        return (jac * s[:, None, :]) / s[:, :, None]
+        return np.asarray(fp(scale(eta, ts) * v), float).reshape(len(v), d, d)
 
     def f_eta(eta, ts, v):
-        return conj(eta, ts, v) + gap(eta, ts)[:, None] * (pattern * v)
+        return conj(eta, ts, v) + gap(eta, ts)[:, None] * v
 
     def f_eta_dy(eta, ts, v):
-        return conj_dy(eta, ts, v) + gap(eta, ts)[:, None, None] * np.diag(
-            pattern)
+        return conj_dy(eta, ts, v) + gap(eta, ts)[:, None, None] * np.eye(d)
 
     return f_eta, f_eta_dy
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,14 @@ class TestConfigParsing:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ConfigurationError, match="tolerance"):
             load_config("tol = 0\n", "hyperbolic")
+
+    def test_grid_step_only_where_the_schema_has_it(self):
+        # robustness works on the integer nodes of its window: no h key
+        with pytest.raises(ConfigurationError, match="unknown key 'h'"):
+            load_config("h = 0.1\n", "robustness")
+        for command in ("ou-check", "hyperbolic", "wave"):
+            with pytest.raises(ConfigurationError, match="h must be positive"):
+                load_config("h = 0\n", command)
 
 
 class TestExitCodes:
@@ -288,6 +297,28 @@ def test_default_rows_certify_inside_the_window(tmp_path, monkeypatch,
     for sol, ((lo, hi),) in certified:
         assert sol.linearization_certificate.meta["window"] == [-half, half]
         assert sol.times[0] <= lo and hi + 1 <= sol.times[-1]
+
+
+@pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
+def test_every_config_key_is_read(tmp_path, command):
+    # a schema key that no command reads is an option that changes nothing
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    text = "n_paths = 200\n" if command == "ou-check" else ""
+    v = Recording(load_config(text, command))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cli._COMMANDS[command](v, tmp_path / "out")
+    assert sorted(set(cli.SCHEMAS[command]) - read) == []
 
 
 def test_outputs_use_lf_endings(tmp_path):

@@ -64,7 +64,7 @@ def wave_problem(seed=7):
     path = sample_wiener_path(TimeGrid(-105.0, 61.0, 1.0 / 32), seed)
     strat = StratonovichSpec(
         b_matrix=base.meta["b_matrix"], f=base.f0, f_prime=base.f0_prime,
-        eta=1.0, kappa=default_kappa(), pattern=np.ones(8))
+        eta=1.0, kappa=default_kappa())
     return random_ode_problem(strat, path, base.y0_star, base.r_u,
                               a_matrix=base.a_matrix, tail_tol=1e-7)
 
@@ -454,8 +454,8 @@ class TestLinearization:
         for t, got in zip(ts, batch):
             xi = np.array([np.interp(t, sol.times, sol.trajectory[:, 0])])
             # f_eta_dy of the transformed cubic at one point, by hand
-            scale, gap = p.meta["dressing"].at(eta, np.ones(1), t)
-            want = (-3.0 * scale[0, 0] ** 2 * xi[0] ** 2 + gap[0]) - d0[0, 0]
+            scale, gap = p.meta["dressing"].at(eta, t)
+            want = (-3.0 * scale[0] ** 2 * xi[0] ** 2 + gap[0]) - d0[0, 0]
             assert abs(got[0, 0] - p.a_matrix[0, 0] - want) < 1e-12
             one = cc.generator(np.array([t]))[0]
             assert np.array_equal(one, got)

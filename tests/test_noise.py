@@ -269,14 +269,6 @@ class TestNoiseBounds:
         assert abs(nb.m1 - np.max(np.abs(kap))) < 1e-4
         assert abs(nb.m2 - np.max(np.abs(kap - kdot))) < 1e-4
 
-    def test_eta_only_scales_downstream(self):
-        win = TimeGrid(-2.0, 6.0, H)
-        p = sample_wiener_path(GRID, 14)
-        nb1 = noise_bounds(p, default_kappa(), win, eta=0.1)
-        nb2 = noise_bounds(p, default_kappa(), win, eta=0.2)
-        assert nb1.m1 == nb2.m1 and nb1.m2 == nb2.m2
-        assert abs(nb2.b_sup - 2.0 * nb1.b_sup) < 1e-15
-
     def test_shifted_window_sup_is_window_sup(self):
         # sup over subwindow shifts never exceeds the full-window maximum
         p = sample_wiener_path(GRID, 15)

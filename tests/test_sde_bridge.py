@@ -30,9 +30,9 @@ def scalar_spec(eta, kappa=None, f=None, fp=None, b=-1.0):
 
 def transformed(spec, path):
     """The random-ODE problem of ``spec`` along ``path`` and its noise
-    dressing: with ``scale, gap = dressing.at(eta, pattern, ts)``, the field
-    is ``b_matrix v + f_eta(eta, t, v)``, whose linear noise term is
-    ``gap pattern v``, and the change of variables is ``y = scale v``."""
+    dressing: with ``scale, gap = dressing.at(eta, ts)``, the field is
+    ``b_matrix v + f_eta(eta, t, v)``, whose linear noise term is ``gap v``,
+    and the change of variables is ``y = scale v``."""
     d = spec.b_matrix.shape[0]
     problem = random_ode_problem(spec, path, np.zeros(d), r_u=1.0)
     return problem, problem.meta["dressing"]
@@ -47,8 +47,7 @@ class TestTransform:
         ts = np.array([-2.0, 0.0, 3.0])
         y = rng.standard_normal((3, 1))
         assert np.allclose(problem.f_eta(0.0, ts, y), f(y), atol=1e-14)
-        assert np.allclose(dressing.at(0.0, spec.pattern, ts)[1], 0.0,
-                           atol=1e-15)
+        assert np.allclose(dressing.at(0.0, ts)[1], 0.0, atol=1e-15)
 
     def test_linear_field_matches_dressing(self):
         # f = 0: the transformed generator is B + eta (kappa - kappadot) z* I
@@ -71,39 +70,39 @@ class TestTransform:
         v = rng.standard_normal((41, 1))
         y = inverse_transform(ts, v, spec, path)
         # invert pointwise: v = y / scale
-        back = np.stack([y[i] / dressing.at(0.25, spec.pattern, t)[0][0]
+        back = np.stack([y[i] / dressing.at(0.25, t)[0][0]
                          for i, t in enumerate(ts)])
         assert np.max(np.abs(back - v)) < 1e-14
 
-    def test_structured_pattern_blocks(self):
+    def test_scalar_noise_on_two_components(self):
+        # one Wiener path drives both components: one scale for the map,
+        # one gap on the diagonal of the linear noise term
         path = sample_wiener_path(PATH_GRID, 5)
         kap = KappaFn.inverse_quadratic(1.0)
         spec = StratonovichSpec(
             b_matrix=np.diag([-1.0, -2.0]),
             f=lambda y: 0.0 * y, f_prime=lambda y: np.zeros((len(y), 2, 2)),
-            eta=0.4, kappa=kap, pattern=np.array([1.0, 0.0]),
+            eta=0.4, kappa=kap,
         )
         problem, dressing = transformed(spec, path)
         t = 1.5
         z = ou_series(path, np.array([t]))[0]
         c = kap.kappa(t) * z
-        want = np.array([np.exp(0.4 * c), 1.0])
-        scale, gap = dressing.at(0.4, spec.pattern, t)
-        assert np.allclose(scale[0], want, atol=1e-10)
-        # the linear noise term acts on the noisy block only
+        scale, gap = dressing.at(0.4, t)
+        assert scale.shape == gap.shape == (1,)
+        assert np.allclose(scale[0], np.exp(0.4 * c), atol=1e-10)
         jac = problem.f_eta_dy(0.4, np.array([t]), np.zeros((1, 2)))[0]
-        assert np.allclose(jac, np.diag([gap[0], 0.0]), atol=1e-15)
+        assert np.array_equal(jac, gap[0] * np.eye(2))
         y = inverse_transform([t], np.array([[2.0, 3.0]]), spec, path)[0]
-        assert np.allclose(y, [2.0 * np.exp(0.4 * c), 3.0], atol=1e-9)
+        assert np.allclose(y, np.exp(0.4 * c) * np.array([2.0, 3.0]),
+                           atol=1e-9)
 
-    def test_pattern_validation(self):
-        with pytest.raises(ConfigurationError):
-            StratonovichSpec(b_matrix=[[-1.0]], f=lambda y: y,
-                             f_prime=lambda y: np.eye(1), eta=0.5,
-                             kappa=KappaFn.inverse_quadratic(),
-                             pattern=np.array([0.3]))
-        with pytest.raises(ConfigurationError):
-            scalar_spec(1.5)
+    def test_eta_range_validation(self):
+        for eta in (-0.1, 1.5, np.nan):
+            with pytest.raises(ConfigurationError, match="eta must lie in"):
+                scalar_spec(eta)
+        for eta in (0.0, 1.0):
+            assert scalar_spec(eta).eta == eta
 
     def test_smooth_path_integrating_factor_round_trip(self):
         # on a smooth injected path the Stratonovich calculus is classical:
@@ -121,7 +120,7 @@ class TestTransform:
                                                      v[None])[0]
 
         t_end = 4.0
-        v0 = np.array([1.0]) / dressing.at(eta, spec.pattern, 0.0)[0][0]
+        v0 = np.array([1.0]) / dressing.at(eta, 0.0)[0][0]
         v_end = integrate_nonlinear(v_field, 0.0, t_end, v0, step=1.0 / 128)
         y_end = inverse_transform([t_end], v_end[None, :], spec, path)[0, 0]
         ts = np.arange(0.0, t_end + 1e-12, 1.0 / 64)
@@ -137,17 +136,16 @@ class TestTransform:
         spec = scalar_spec(eta, kappa=kap)
         _, dressing = transformed(spec, path)
         win = TimeGrid(-4.0, 6.0, H)
-        nb = noise_bounds(path, kap, win, eta=eta)
-        sup_b = float(np.max(np.abs(
-            dressing.at(eta, spec.pattern, win.times())[1])))
-        assert abs(sup_b - nb.b_sup) < 1e-12
+        nb = noise_bounds(path, kap, win)
+        sup_b = float(np.max(np.abs(dressing.at(eta, win.times())[1])))
+        assert abs(sup_b - eta * nb.m2) < 1e-12
 
 
 def at_point(dressing, eta, t):
     """``(exp(eta kappa_t z*), eta (kappa_t - kappadot_t) z*)`` at one time
     ``t``, as two scalars."""
-    scale, gap = dressing.at(eta, np.ones(1), t)
-    return scale[0, 0], gap[0]
+    scale, gap = dressing.at(eta, t)
+    return scale[0], gap[0]
 
 
 class TestBatchedFields:
@@ -210,7 +208,7 @@ class TestBatchedFields:
         path = sample_wiener_path(PATH_GRID, 10)
         strat = StratonovichSpec(b_matrix=p.meta["b_matrix"], f=p.f0,
                                  f_prime=p.f0_prime, eta=1.0,
-                                 kappa=default_kappa(), pattern=np.ones(6))
+                                 kappa=default_kappa())
         q = random_ode_problem(strat, path, p.y0_star, p.r_u,
                                a_matrix=p.a_matrix)
         dressing, eta = q.meta["dressing"], 0.05
@@ -240,12 +238,11 @@ class TestBatchedFields:
         p = random_ode_problem(scalar_spec(1.0), path, [0.0], r_u=0.3)
         dressing = p.meta["dressing"]
         lo, hi = dressing.ts[0], dressing.ts[-1]
-        one = np.ones(1)
-        for got, want in zip(dressing.at(0.5, one, hi),
-                             dressing.at(0.5, one, np.array([hi]))):
+        for got, want in zip(dressing.at(0.5, hi),
+                             dressing.at(0.5, np.array([hi]))):
             assert np.array_equal(got, want)
         with pytest.raises(WindowError, match=r"time 13.0 outside .*\(1 of 1 "):
-            dressing.at(0.5, one, 13.0)
+            dressing.at(0.5, 13.0)
         ts = np.array([0.0, hi + 1.0, lo - 2.0, hi + 3.0])
         with pytest.raises(WindowError) as exc:
             p.f_eta(0.5, ts, np.zeros((4, 1)))
@@ -269,16 +266,16 @@ class TestBatchedFields:
 
 
 def folded_case(name):
-    """``(strat, y0_star, a_matrix, center)`` of the scalar cubic, a d = 2
-    system with the noise on its first component only, and the d = 8 wave
-    of the wave demo; states are drawn around ``center``."""
+    """``(strat, y0_star, a_matrix, center)`` of the scalar cubic, a coupled
+    d = 2 system whose Jacobian has an off-diagonal entry, and the d = 8
+    wave of the wave demo; states are drawn around ``center``."""
     if name == "cubic":
         strat = StratonovichSpec(
             b_matrix=[[1.0]], f=lambda y: -y ** 3,
             f_prime=lambda y: (-3.0 * y ** 2)[:, :, None], eta=1.0,
             kappa=KappaFn.inverse_quadratic(0.5))
         return strat, [1.0], None, 1.0
-    if name == "pattern_1_0":
+    if name == "coupled_2d":
         def f(y):
             return np.stack([-y[:, 0] ** 3 + 0.5 * y[:, 0] * y[:, 1],
                              -y[:, 1] ** 3], axis=1)
@@ -292,13 +289,13 @@ def folded_case(name):
 
         strat = StratonovichSpec(
             b_matrix=np.diag([-1.0, -2.0]), f=f, f_prime=fp, eta=1.0,
-            kappa=KappaFn.inverse_quadratic(1.0), pattern=np.array([1.0, 0.0]))
+            kappa=KappaFn.inverse_quadratic(1.0))
         return strat, [0.0, 0.0], None, 0.5
     p = build_wave_system(4, 1.0, lambda u: u - u ** 3,
                           lambda u: 1.0 - 3.0 * u ** 2)
     strat = StratonovichSpec(b_matrix=p.meta["b_matrix"], f=p.f0,
                              f_prime=p.f0_prime, eta=1.0,
-                             kappa=default_kappa(), pattern=np.ones(8))
+                             kappa=default_kappa())
     return strat, p.y0_star, p.a_matrix, 0.0
 
 
@@ -307,7 +304,7 @@ class TestFoldedFields:
     dressing read per call, against the two-layer composition of
     :func:`conftest.conjugated_fields_oracle`."""
 
-    @pytest.mark.parametrize("name", ["cubic", "pattern_1_0", "wave"])
+    @pytest.mark.parametrize("name", ["cubic", "coupled_2d", "wave"])
     def test_equal_to_the_two_layer_composition(self, name, rng):
         strat, y0, a_matrix, center = folded_case(name)
         path = sample_wiener_path(PATH_GRID, 13)
@@ -321,11 +318,21 @@ class TestFoldedFields:
             for eta in (0.0, 0.05, 0.4):
                 assert np.array_equal(p.f_eta(eta, ts, ys),
                                       f_oracle(eta, ts, ys))
-                assert np.array_equal(p.f_eta_dy(eta, ts, ys),
-                                      jac_oracle(eta, ts, ys))
+                jac = p.f_eta_dy(eta, ts, ys)
+                assert np.array_equal(jac, jac_oracle(eta, ts, ys))
+                # the conjugated form (J s_j)/s_i + gap I of a per-component
+                # scale, here with equal entries, is within 2 ulp of the
+                # larger of the entry and its f' part
+                s, gap = p.meta["dressing"].at(eta, ts)
+                sv = np.repeat(s[:, None], len(y0), axis=1)
+                fp = strat.f_prime(sv * ys).reshape(jac.shape)
+                conj = ((fp * sv[:, None, :]) / sv[:, :, None]
+                        + gap[:, None, None] * np.eye(len(y0)))
+                ulp = np.spacing(np.maximum(np.abs(jac), np.abs(fp)))
+                assert np.all(np.abs(jac - conj) <= 2 * ulp)
 
     def test_each_field_call_reads_the_dressing_once(self, monkeypatch, rng):
-        strat, y0, _, center = folded_case("pattern_1_0")
+        strat, y0, _, center = folded_case("coupled_2d")
         p = random_ode_problem(strat, sample_wiener_path(PATH_GRID, 13), y0,
                                0.3)
         # every method of the dressing, wrapped on the instance, so that a
@@ -343,6 +350,37 @@ class TestFoldedFields:
             reads.clear()
             field(0.4, ts, ys)
             assert reads == ["at"]
+
+
+class TestJacobianIsTheStateDerivative:
+    """``f_eta_dy`` against central differences of ``f_eta`` in the state
+    ``v``, where the field is smooth; its time dependence, through the
+    Wiener path, is what is rough.  The fields of these cases are cubic
+    polynomials in ``v``, so the five-point quotient
+    ``(f(v - 2h) - 8 f(v - h) + 8 f(v + h) - f(v + 2h)) / (12 h)`` carries no
+    truncation error.  What is left is the rounding of the four field
+    values, each taken as at most ``8 eps (1 + max |f_eta|)``, which the
+    quotient multiplies by ``18 / (12 h)``."""
+
+    STEP = 2.0 ** -12
+
+    @pytest.mark.parametrize("eta", [0.0, 0.05, 0.4])
+    @pytest.mark.parametrize("name", ["cubic", "coupled_2d", "wave"])
+    def test_five_point_central_differences(self, name, eta, rng):
+        strat, y0, a_matrix, center = folded_case(name)
+        p = random_ode_problem(strat, sample_wiener_path(PATH_GRID, 13), y0,
+                               0.3, a_matrix=a_matrix)
+        ts = TimeGrid(-4.0, 6.0, H).times()[::4]
+        d, h = len(y0), self.STEP
+        ys = center + 0.3 * rng.standard_normal((len(ts), d))
+        jac = p.f_eta_dy(eta, ts, ys)
+        for j, e in enumerate(h * np.eye(d)):
+            f_m2, f_m1, f_p1, f_p2 = (p.f_eta(eta, ts, ys + k * e)
+                                      for k in (-2, -1, 1, 2))
+            quot = (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
+            f_max = max(np.max(np.abs(f)) for f in (f_m2, f_m1, f_p1, f_p2))
+            tol = 18.0 / (12.0 * h) * 8.0 * np.finfo(float).eps * (1.0 + f_max)
+            assert np.max(np.abs(quot - jac[:, :, j])) <= tol
 
 
 class TestWaveSystem:
