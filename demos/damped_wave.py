@@ -60,4 +60,4 @@ lc = sol.linearization_certificate
 print(f"eta = 2e-6: status {sol.status}, alpha~ = {lc.exponent:.5f}, "
       f"M_hat = {lc.bound:.2f}")
 print(f"unstable rank of the certified projections: "
-      f"{int(round(np.trace(lc.proj_u(0))))}")
+      f"{int(round(np.trace(lc.proj_u([0])[0])))}")

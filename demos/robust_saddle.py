@@ -22,7 +22,7 @@ rot = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
 base = sf.DiscreteCocycle.constant(d_mat)
 pert = sf.DiscreteCocycle.constant(rot @ d_mat)
 base_cert = sf.DichotomyCertificate.constant(
-    np.diag([1.0, 0.0]), bound=1.0, exponent=np.log(2.0), discrete=True)
+    np.diag([1.0, 0.0]), bound=1.0, exponent=np.log(2.0))
 
 thr = sf.delta_threshold(base_cert.exponent)
 print(f"threshold for alpha = ln 2: {thr:.6f} (= 1/3)")
@@ -35,7 +35,7 @@ print(f"perturbed exponent alpha~ = {c['alpha_tilde']:.6f} "
 print(f"perturbed bound M = {c['M']:.6f}  (D1={c['D1']:.4f}, D2={c['D2']:.4f})")
 
 print("\nstable projection at node 0 (impulse construction):")
-print(np.array_str(cert.proj_s(0), precision=6, suppress_small=False))
+print(np.array_str(cert.proj_s([0])[0], precision=6, suppress_small=False))
 
 dist = sf.projection_distance(base_cert, cert, (-6, 6))
 bound = sf.paper_projection_bound(base_cert.exponent, cert.exponent, eps)

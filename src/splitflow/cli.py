@@ -143,6 +143,11 @@ def load_config(text, command):
             raise ConfigurationError("eta_grid must be sorted descending")
     if "h" in values and not values["h"] > 0.0:
         raise ConfigurationError("h must be positive")
+    for key, least in (("n_paths", 2), ("n_half", 1)):  # a variance, a row
+        if key in values and values[key] < least:
+            raise ConfigurationError(f"{key} must be at least {least}")
+    if values.get("checkpoints") == []:
+        raise ConfigurationError("checkpoints must not be empty")
     return values
 
 
@@ -240,7 +245,7 @@ def cmd_robustness(v, out_dir):
                "pert_step": v["pert_step"]},
               DiscreteCocycle.constant([[v["base_step"]]]),
               DiscreteCocycle.constant([[v["pert_step"]]]),
-              DichotomyCertificate.constant([[1.0]], 1.0, ln2, discrete=True))]
+              DichotomyCertificate.constant([[1.0]], 1.0, ln2))]
     if v["run_saddle"]:
         eps = v["rotation"]
         d_mat = np.diag([0.5, 2.0])
@@ -250,7 +255,7 @@ def cmd_robustness(v, out_dir):
                       DiscreteCocycle.constant(d_mat),
                       DiscreteCocycle.constant(rot @ d_mat),
                       DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
-                                                    ln2, discrete=True)))
+                                                    ln2)))
     instances = []
     ok = True
     for entry, base, pert, bc in cases:

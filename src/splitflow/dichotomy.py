@@ -1,7 +1,8 @@
 """Dichotomy certificates: construction and verification.
 
-A :class:`DichotomyCertificate` packages a projection family on a window of
-integer nodes together with a bound ``K`` and an exponent ``alpha``:
+A :class:`DichotomyCertificate` packages a projection family, one stack of
+``Pi^s`` over consecutive integer nodes or one matrix for every node,
+together with a bound ``K`` and an exponent ``alpha``:
 the claim is that the flow decays like ``K e^{-alpha t}`` on the stable
 ranges forward in time and on the unstable ranges backward in time, with the
 projections commuting with the flow.  :func:`verify_dichotomy` checks the
@@ -156,16 +157,16 @@ def spectral_projection(A, gap_tol=GAP_TOL):
 class DichotomyCertificate:
     """Projection family with decay constants, plus verification residuals.
 
-    ``projections`` maps integer nodes to the stable projections
-    ``Pi^s``; a constant family may be stored once in
-    ``constant_projection``.  ``bound`` is K >= 1 and ``exponent`` alpha > 0.
+    ``projections`` is one ``(N, d, d)`` stack of the stable projections
+    ``Pi^s`` at the integer nodes ``first, first + 1, ...``; with
+    ``first=None`` it is a stack of one matrix, the projection at every
+    node.  ``bound`` is K >= 1 and ``exponent`` alpha > 0.
     """
 
     bound: float
     exponent: float
-    discrete: bool
-    constant_projection: np.ndarray | None = None
-    projections: dict | None = None
+    projections: np.ndarray
+    first: int | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -173,48 +174,35 @@ class DichotomyCertificate:
             raise ConfigurationError(f"certificate bound must be >= 1, got {self.bound}")
         if not 0.0 < self.exponent < math.inf:
             raise ConfigurationError(
-                f"certificate exponent must be positive, got {self.exponent}"
-            )
-        if (self.constant_projection is None) == (self.projections is None):
+                f"certificate exponent must be positive, got {self.exponent}")
+        p = self.projections = np.asarray(self.projections, float)
+        if p.ndim != 3 or p.shape[1] != p.shape[2] or not (
+                len(p) == 1 if self.first is None else len(p)):
             raise ConfigurationError(
-                "exactly one of constant_projection / projections must be given"
-            )
+                f"projections must be an (N, d, d) stack, one matrix when "
+                f"first is None; got shape {p.shape}")
 
     @staticmethod
-    def constant(pi_s, bound, exponent, discrete, meta=None):
-        return DichotomyCertificate(
-            bound=float(bound), exponent=float(exponent), discrete=discrete,
-            constant_projection=np.atleast_2d(np.asarray(pi_s, float)),
-            meta=meta or {},
-        )
+    def constant(pi_s, bound, exponent, meta=None):
+        return DichotomyCertificate(float(bound), float(exponent),
+                                    np.atleast_2d(pi_s)[None], meta=meta or {})
 
-    @property
-    def dim(self):
-        p = (self.constant_projection if self.constant_projection is not None
-             else next(iter(self.projections.values())))
-        return p.shape[0]
+    def proj_s(self, ns):
+        """``Pi^s`` at the integer nodes ``ns``, one contiguous stack; the
+        first node outside the family is named in a ConfigurationError."""
+        ns = np.asarray(ns, int)
+        if self.first is None:
+            return np.repeat(self.projections, len(ns), axis=0)
+        rows = ns - self.first
+        outside = (rows < 0) | (rows >= len(self.projections))
+        if outside.any():
+            raise ConfigurationError(
+                f"certificate has no projection at node {ns[outside.argmax()]}")
+        return self.projections[rows]
 
-    def nodes(self):
-        if self.projections is None:
-            return None
-        return sorted(self.projections)
-
-    def proj_s(self, n):
-        if self.constant_projection is not None:
-            return self.constant_projection
-        try:
-            return self.projections[int(n)]
-        except KeyError:
-            raise ConfigurationError(f"certificate has no projection at node {n}")
-
-    def proj_u(self, n):
-        return np.eye(self.dim) - self.proj_s(n)
-
-    def idempotence_residual(self):
-        mats = (self.constant_projection[None]
-                if self.constant_projection is not None
-                else np.array(list(self.projections.values())))
-        return spectral_sup(mats @ mats - mats)
+    def proj_u(self, ns):
+        """``Pi^u = I - Pi^s`` at the integer nodes ``ns``, stacked."""
+        return np.eye(self.projections.shape[-1]) - self.proj_s(ns)
 
 
 def _envelope_scan(pi_s, pi_u, step_fwd, step_bwd, count):
@@ -272,7 +260,7 @@ def autonomous_certificate(A, margin=ALPHA_MARGIN, scan_points=2048, gap_tol=GAP
     tables = _envelope_scan(pi_s, pi_u, expm(A * (ts[1] - ts[0])),
                             expm(-A * (ts[1] - ts[0])), scan_points)
     return DichotomyCertificate.constant(
-        pi_s, _envelope_bound(tables, alpha, ts), alpha, discrete=False,
+        pi_s, _envelope_bound(tables, alpha, ts), alpha,
         meta={"gap": gap, "margin": margin, "scan_span": span,
               "scan_points": scan_points},
     )
@@ -454,13 +442,12 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     """
     nodes = _window_nodes(window)
     discrete = isinstance(cocycle, DiscreteCocycle)
-    k_bound, alpha = cert.bound, cert.exponent
+    k_bound, alpha, family = cert.bound, cert.exponent, cert.projections
     n, d = len(nodes), cocycle.dim
     flows = None if discrete else cocycle.unit_flows(nodes[:-1])
     steps = (stack_steps(cocycle.step, nodes[:-1], d) if discrete
              else _finite(flows[:, -1], nodes[:-1], "unit step", nodes=True))
-    proj = _finite(np.array([cert.proj_s(m) for m in nodes]), nodes,
-                   "projection", nodes=True)
+    proj = _finite(cert.proj_s(nodes), nodes, "projection", nodes=True)
     back, _, no_inverse, cond = _restricted_inverse(steps, proj)
     comm = spectral_sup(proj[1:] @ steps - steps @ proj[:-1])
     proj_u = np.eye(d) - proj
@@ -528,7 +515,7 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
         "samples_per_unit": 0 if discrete else UNIT_SAMPLES,
         "bound": k_bound,
         "exponent": alpha,
-        "idempotence_residual": cert.idempotence_residual(),
+        "idempotence_residual": spectral_sup(family @ family - family),
     }
     return VerificationReport(axioms=axioms, passed=passed, meta=meta)
 
@@ -546,13 +533,4 @@ def paper_projection_bound(alpha_a, alpha_b, eps):
 def projection_distance(cert_a, cert_b, window):
     """Sup over window nodes of the stable-projection distance of two certs."""
     nodes = _window_nodes(window)
-    for c in (cert_a, cert_b):
-        if c.nodes() is not None:
-            missing = [n for n in nodes if n not in c.projections]
-            if missing:
-                raise ConfigurationError(
-                    f"certificate lacks projections at nodes {missing[:4]}..."
-                    if len(missing) > 4 else
-                    f"certificate lacks projections at nodes {missing}")
-    return spectral_sup(np.array(
-        [cert_a.proj_s(n) - cert_b.proj_s(n) for n in nodes]))
+    return spectral_sup(cert_a.proj_s(nodes) - cert_b.proj_s(nodes))

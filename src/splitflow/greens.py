@@ -169,8 +169,7 @@ def _sweeps(cocycle, cert, n_lo, n_hi):
     branch, or a non-finite projection raises :class:`SplitflowError`."""
     steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1), cocycle.dim)
     nodes = range(n_lo, n_hi + 2)
-    proj_s = _finite(np.array([cert.proj_s(m) for m in nodes]), nodes,
-                     "projection", nodes=True)
+    proj_s = _finite(cert.proj_s(nodes), nodes, "projection", nodes=True)
     back, rank, no_inverse, _ = _restricted_inverse(steps, proj_s)
     if np.any(no_inverse):
         k = int(np.argmax(no_inverse))
@@ -311,7 +310,8 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
 
 def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
                                 trunc_tol=DEFAULT_TRUNC_TOL):
-    """Perturbed stable projections ``{node: Pi^s}`` from unit impulses.
+    """Perturbed stable projections from unit impulses, stacked ``(m, d, d)``
+    with row j at ``nodes[j]``.
 
     Solving with the impulse ``f_{node-1} = e_j`` and reading the bounded
     solution at the impulse node gives column j of the perturbed stable
@@ -337,4 +337,4 @@ def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
             f"impulse projection at node {nodes[far[1]]} is far from "
             f"idempotent (residual {far[0]:.3e}); perturbation may be too "
             "large")
-    return dict(zip(nodes, pi_s))
+    return pi_s

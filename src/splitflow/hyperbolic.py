@@ -107,7 +107,7 @@ class SemilinearProblem:
         key = (h, n_off)
         if key not in self._greens:
             self._greens[key] = _AutonomousGreen(
-                self.a_matrix, self.autonomous_cert.proj_s(0), h, n_off)
+                self.a_matrix, self.autonomous_cert.proj_s([0])[0], h, n_off)
         return self._greens[key]
 
     def validate(self, tol=1e-8):
@@ -226,7 +226,7 @@ def neighborhood_thresholds(p, m_bound, beta, bisect_steps=16):
     modulus (capped at 1/2), and ``eps0 = min(eps1, eps2/2)`` is the largest
     neighborhood the argument supports.
     """
-    key = ("thresholds", round(m_bound, 12), round(beta, 12))
+    key = ("thresholds", m_bound, beta, bisect_steps)
     if key in p.meta:
         return p.meta[key]
     budget = beta / (SMALLNESS_DIVISOR * m_bound)
@@ -335,7 +335,6 @@ class HyperbolicSolutionCertificate:
     eta: float
     eps_used: float
     lambda_value: float
-    contraction_factor: float
     status: str
     autonomous_cert: object
     y0_star: np.ndarray
@@ -436,9 +435,8 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     return HyperbolicSolutionCertificate(
         times=times, trajectory=p.y0_star + phi, interior=interior,
         sup_distance=sup_dist, fixed_point_residual=residual, iterations=it,
-        eta=eta, eps_used=eps_used, lambda_value=lam,
-        contraction_factor=factor, status=status, autonomous_cert=cert_a,
-        y0_star=p.y0_star,
+        eta=eta, eps_used=eps_used, lambda_value=lam, status=status,
+        autonomous_cert=cert_a, y0_star=p.y0_star,
         meta={"eps1": eps1, "eps2": eps2, "eps0": eps0, "tail_tol": tail_tol,
               "kernel_offsets": n_off, "window": [window.t_min, window.t_max],
               "rho_eps": rho_eps, "lip_eps": lip_eps, "selfmap": selfmap},

@@ -128,10 +128,10 @@ def robust_dichotomy_discrete(base, base_cert, perturbed, window, *,
         )
     consts = robust_constants(k_bound, alpha, delta_eff)
     cert = DichotomyCertificate(
-        bound=max(consts.M, 1.0), exponent=consts.alpha_tilde, discrete=True,
+        bound=max(consts.M, 1.0), exponent=consts.alpha_tilde,
         projections=impulse_response_projection(
             base, base_cert, lambda ns: b_span[np.asarray(ns) - span_lo],
-            nodes, tol=tol, trunc_tol=trunc_tol),
+            nodes, tol=tol, trunc_tol=trunc_tol), first=n_lo,
         meta={"constants": asdict(consts), "delta_eff": delta_eff,
               "threshold": thr, "safety": safety,
               "window": [n_lo, n_hi], "beta_tilde": consts.beta_tilde},
@@ -154,7 +154,6 @@ def lift_certificate(cc, discrete_cert, window):
     env = _unit_envelope(cc, _window_nodes(window)[:-1], discrete_cert.exponent)
     meta = {k: v for k, v in discrete_cert.meta.items() if k != "verification"}
     return replace(discrete_cert, bound=discrete_cert.bound * env,
-                   discrete=False,
                    meta={**meta, "lift_envelope": env,
                          "discrete_bound": discrete_cert.bound})
 
@@ -191,10 +190,8 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
         )
     # base certificate transfers to the discretization with the same constants
     cert_d = robust_dichotomy_discrete(
-        discretize(base_cc), replace(base_cert, discrete=True),
-        discretize(perturbed_cc), (n_lo, n_hi), safety=safety, tol=tol,
-        trunc_tol=trunc_tol, verify=False,
-    )
+        discretize(base_cc), base_cert, discretize(perturbed_cc), (n_lo, n_hi),
+        safety=safety, tol=tol, trunc_tol=trunc_tol, verify=False)
     cert = lift_certificate(perturbed_cc, cert_d, (n_lo, n_hi))
     cert.meta["d_unit"] = d_unit
     if verify:

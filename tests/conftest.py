@@ -106,13 +106,14 @@ def time_varying_saddle(window, seed=14, sigma=0.03, reach=80):
     (forward power iteration from the far past), the stable one the
     preimage of ``A_{n+L-1} ... A_n`` (backward power iteration from the far
     future); at ``L = reach`` both are exact to machine precision.  Returns
-    ``(steps, projections)``: dicts of step matrices and ``Pi^s`` by node.
+    ``(steps, projections)``: a dict of step matrices by node and the
+    ``(N, 2, 2)`` stack of ``Pi^s`` at the nodes ``lo, ..., hi + 1``.
     """
     lo, hi = window
     gen = np.random.default_rng(seed)
     steps = {n: np.diag([0.5, 2.0]) + sigma * gen.standard_normal((2, 2))
              for n in range(lo - reach, hi + reach + 1)}
-    projections = {}
+    projections = np.empty((hi + 2 - lo, 2, 2))
     for n in range(lo, hi + 2):
         u = np.ones(2)
         for k in range(n - reach, n):
@@ -123,7 +124,7 @@ def time_varying_saddle(window, seed=14, sigma=0.03, reach=80):
             s = np.linalg.solve(steps[k], s)
             s /= np.linalg.norm(s)
         w = np.array([-s[1], s[0]])  # annihilates the stable direction
-        projections[n] = np.eye(2) - np.outer(u, w) / (w @ u)
+        projections[n - lo] = np.eye(2) - np.outer(u, w) / (w @ u)
     return steps, projections
 
 
@@ -151,8 +152,8 @@ def rotating_saddle(window, dim, n_stable, seed=0, bound=1.0, exponent=0.2):
         @ np.linalg.inv(frames[n]) for n in range(lo, hi + 1)])
     e = np.diag(stable.astype(float))
     cert = DichotomyCertificate(
-        bound=bound, exponent=exponent, discrete=True,
-        projections={n: v @ e @ np.linalg.inv(v) for n, v in frames.items()})
+        bound=bound, exponent=exponent, first=lo,
+        projections=[v @ e @ np.linalg.inv(v) for v in frames.values()])
     return DiscreteCocycle(lambda ns: steps[np.asarray(ns) - lo], dim), cert
 
 
@@ -191,16 +192,16 @@ class GreenKernel:
         if t >= s:
             # re-projected at every step, so round-off cannot grow along
             # the unstable range
-            m = self.cert.proj_s(s)
+            m = self.cert.proj_s([s])[0]
             for k in range(s, t):
-                m = self.cert.proj_s(k + 1) @ self._forward(k + 1, k, m)
+                m = self.cert.proj_s([k + 1])[0] @ self._forward(k + 1, k, m)
             return m
-        pu_s = self.cert.proj_u(s)
-        pu_t = self.cert.proj_u(t)
+        pu_s = self.cert.proj_u([s])[0]
+        pu_t = self.cert.proj_u([t])[0]
         b_s = _range_basis(pu_s)
         b_t = _range_basis(pu_t)
         if b_s.shape[1] == 0:
-            return np.zeros((self.cert.dim, self.cert.dim))
+            return np.zeros((self.cocycle.dim, self.cocycle.dim))
         w = b_s.T @ self._forward(s, t, b_t)
         sv = np.linalg.svd(w, compute_uv=False)
         if sv[-1] <= 1e-300:
@@ -211,8 +212,8 @@ class GreenKernel:
     def jump_residual(self, s):
         """|G(s,s) + (backward-branch limit at s) - Id|; zero when Pi^s+Pi^u=Id."""
         g_plus = self.eval(s, s)
-        back_limit = self.cert.proj_u(s)
-        return spectral_norm(g_plus + back_limit - np.eye(self.cert.dim))
+        back_limit = self.cert.proj_u([s])[0]
+        return spectral_norm(g_plus + back_limit - np.eye(self.cocycle.dim))
 
 
 def gamma_apply(cocycle, cert, b, f, x):
@@ -235,7 +236,7 @@ def gamma_sequential(cocycle, cert, b, f, x):
     d = cocycle.dim
     steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1), d)
     b_mats = stack_steps(as_step_sequence(b, d), range(n_lo, n_hi + 1), d)
-    proj_s = np.array([cert.proj_s(m) for m in range(n_lo, n_hi + 2)])
+    proj_s = cert.proj_s(range(n_lo, n_hi + 2))
     back = _restricted_inverse(steps, proj_s)[0]
     pi_s, pi_u = proj_s[1:], np.eye(d) - proj_s[1:]
     u = np.einsum("kab,kb...->ka...", b_mats, np.asarray(x, float)) + f.values
@@ -289,8 +290,7 @@ def all_pairs_ratios(cocycle, cert, window):
     flows = None if discrete else cocycle.unit_flows(nodes[:-1])
     steps = (stack_steps(cocycle.step, nodes[:-1], d) if discrete
              else flows[:, -1])
-    fwd, bwd = march_tables(
-        steps, np.array([cert.proj_s(m) for m in nodes]))
+    fwd, bwd = march_tables(steps, cert.proj_s(nodes))
 
     def ratios(norms, exponents):
         with np.errstate(over="ignore", invalid="ignore"):

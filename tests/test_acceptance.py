@@ -43,7 +43,7 @@ def test_c1_closed_form_constants():
 
 def test_c2_admissibility_oracle():
     c = DiscreteCocycle.constant([[0.5]])
-    cert = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+    cert = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
     tol = 1e-10
     f = impulse(-50, 50, -1, np.array([1.0]))
     sol = sf.bounded_solution(c, cert, 0.05, f, tol=tol)
@@ -68,7 +68,7 @@ def test_c2_admissibility_oracle():
 def test_c3_robustness_end_to_end():
     base = DiscreteCocycle.constant([[0.5]])
     pert = DiscreteCocycle.constant([[0.55]])
-    bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+    bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
     cert = sf.robust_dichotomy_discrete(base, bc, pert, (-8, 8), slack=1.1)
     scalar_ok = (cert.meta["verification"].passed
                  and cert.exponent <= -np.log(0.55) + 1e-9)
@@ -78,13 +78,12 @@ def test_c3_robustness_end_to_end():
     rot = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
     base2 = DiscreteCocycle.constant(d_mat)
     pert2 = DiscreteCocycle.constant(rot @ d_mat)
-    bc2 = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
-                                        discrete=True)
+    bc2 = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2)
     cert2 = sf.robust_dichotomy_discrete(base2, bc2, pert2, (-6, 6), slack=1.1)
     dist = sf.projection_distance(bc2, cert2, (-6, 6))
     bound = sf.paper_projection_bound(LN2, cert2.exponent, eps)
     pi_s_bf, _ = brute_force_projections(rot @ d_mat)
-    oracle_dev = spectral_norm(cert2.proj_s(0) - pi_s_bf)
+    oracle_dev = spectral_norm(cert2.proj_s([0])[0] - pi_s_bf)
     saddle_ok = (cert2.meta["verification"].passed and dist <= bound
                  and oracle_dev < 1e-6)
     report("C3 robustness end-to-end", scalar_ok and saddle_ok,
@@ -97,8 +96,8 @@ def test_c4_discretize_lift_round_trip():
     a = np.diag([-1.0, 1.0])
     cc = ContinuousCocycle.constant(a)
     cont = sf.autonomous_certificate(a)
-    disc = DichotomyCertificate.constant(cont.proj_s(0), cont.bound,
-                                         cont.exponent, discrete=True)
+    disc = DichotomyCertificate.constant(cont.proj_s([0])[0], cont.bound,
+                                         cont.exponent)
     lifted = sf.lift_certificate(cc, disc, (-4, 4))
     ts = np.linspace(0.0, 1.0, 20001)
     from scipy.linalg import expm
@@ -224,19 +223,17 @@ def test_c7_wave_demo():
 def test_c8_falsification_controls():
     a = np.diag([-1.0, 1.0])
     cert = sf.autonomous_certificate(a)
-    doubled = DichotomyCertificate.constant(cert.proj_s(0), cert.bound,
-                                            2.0 * cert.exponent,
-                                            discrete=False)
+    doubled = DichotomyCertificate.constant(cert.proj_s([0])[0], cert.bound,
+                                            2.0 * cert.exponent)
     rep1 = sf.verify_dichotomy(ContinuousCocycle.constant(a), doubled,
                                (-3, 3), slack=1.01)
 
     saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
-    identity_u = DichotomyCertificate.constant(np.zeros((2, 2)), 1.0, LN2,
-                                               discrete=True)
+    identity_u = DichotomyCertificate.constant(np.zeros((2, 2)), 1.0, LN2)
     rep2 = sf.verify_dichotomy(saddle, identity_u, (-3, 3), slack=1.05)
 
     base = DiscreteCocycle.constant([[0.5]])
-    bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+    bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
     try:
         sf.robust_dichotomy_discrete(base, bc,
                                      DiscreteCocycle.constant([[0.95]]),

@@ -71,6 +71,12 @@ class TestExitCodes:
         ("robustness", "pert_step = inf\n"),
         ("hyperbolic", "eta_grid = 0.2,nan\n"),
         ("ou-check", "checkpoints = 10,inf\n"),
+        # degenerate values: no variance, no checkpoint, no certified row
+        ("ou-check", "n_paths = 0\n"),
+        ("ou-check", "n_paths = 1\n"),
+        ("ou-check", "checkpoints = \n"),
+        ("hyperbolic", "n_half = 0\n"),
+        ("wave", "n_half = 0\n"),
     ])
     def test_non_finite_config_is_two(self, tmp_path, command, text):
         cfg = tmp_path / "c.cfg"

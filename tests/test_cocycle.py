@@ -55,8 +55,7 @@ class TestComposeDiscrete:
         # a step or perturbation written for one node returns one matrix
         # for a whole batch of nodes; pointwise adapts it
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, 0.5,
-                                             discrete=True)
+        cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, 0.5)
         one_node = DiscreteCocycle(lambda n: rot, 2)
         with pytest.raises(ConfigurationError, match="splitflow.pointwise"):
             verify_dichotomy(one_node, cert, (-3, 3))

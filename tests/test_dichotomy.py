@@ -6,8 +6,9 @@ import pytest
 from scipy.linalg import expm, logm
 
 from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
-                       DichotomyCertificate, NonHyperbolicError,
-                       SplitflowError, TimeGrid, autonomous_certificate,
+                       DichotomyCertificate, ForcingSequence,
+                       NonHyperbolicError, SplitflowError, TimeGrid,
+                       autonomous_certificate, bounded_solution,
                        build_wave_system, discretize, paper_projection_bound,
                        pointwise, projection_distance,
                        robust_dichotomy_discrete, spectral_projection,
@@ -51,7 +52,7 @@ def rotated_saddle():
     eps = 0.01
     rot = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
     base_cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
-                                              np.log(2.0), discrete=True)
+                                              np.log(2.0))
     return (DiscreteCocycle.constant(SADDLE), base_cert,
             DiscreteCocycle.constant(rot @ SADDLE))
 
@@ -70,7 +71,7 @@ def oracle_ratios(cocycle, cert, nodes):
     k, a = cert.bound, cert.exponent
     fwd = bwd = 0.0
     for s in nodes:
-        bwd = max(bwd, spectral_norm(cert.proj_u(s)) / k)
+        bwd = max(bwd, spectral_norm(cert.proj_u([s])[0]) / k)
         for t in nodes:
             if t < s:
                 bwd = max(bwd, spectral_norm(g.eval(t, s)) * np.exp(a * (s - t)) / k)
@@ -208,8 +209,38 @@ class TestCertificate:
     def test_non_finite_or_out_of_range_constants_rejected(self, bound,
                                                            exponent, match):
         with pytest.raises(ConfigurationError, match=match):
-            DichotomyCertificate.constant(np.eye(1), bound, exponent,
-                                          discrete=True)
+            DichotomyCertificate.constant(np.eye(1), bound, exponent)
+
+    @pytest.mark.parametrize("shape, first", [
+        ((2, 2), None), ((2, 2, 2), None), ((0, 2, 2), 0), ((3, 2, 1), 0)])
+    def test_projections_must_be_a_stack(self, shape, first):
+        with pytest.raises(ConfigurationError, match="an \\(N, d, d\\) stack"):
+            DichotomyCertificate(1.0, 0.5, np.zeros(shape), first)
+
+    def test_readers_stack_the_family_by_node(self):
+        family = np.arange(24.0).reshape(6, 2, 2)  # nodes 3, ..., 8
+        cert = DichotomyCertificate(1.0, 0.5, family, first=3)
+        assert np.array_equal(cert.proj_s([8, 3, 5]), family[[5, 0, 2]])
+        assert np.array_equal(cert.proj_u(range(4, 6)),
+                              np.eye(2) - family[1:3])
+        const = DichotomyCertificate.constant(SADDLE, 1.0, 0.5)
+        got = const.proj_s(range(-2, 3))
+        assert got.shape == (5, 2, 2) and got.flags["C_CONTIGUOUS"]
+        assert all(np.array_equal(m, SADDLE) for m in got)
+
+    def test_missing_node_is_named(self):
+        # one rule for every reader: the first node outside the family
+        fam = DichotomyCertificate(1.0, np.log(2.0),
+                                   np.repeat(np.diag([1.0, 0.0])[None], 6, 0),
+                                   first=0)  # nodes 0, ..., 5
+        missing = "certificate has no projection at node 6$"
+        with pytest.raises(ConfigurationError, match=missing):
+            verify_dichotomy(DiscreteCocycle.constant(SADDLE), fam, (0, 7))
+        with pytest.raises(ConfigurationError, match=missing):
+            projection_distance(rotated_saddle()[1], fam, (0, 7))
+        with pytest.raises(ConfigurationError, match=missing):
+            bounded_solution(DiscreteCocycle.constant(SADDLE), fam, 0.0,
+                             ForcingSequence.zeros(0, 6, 2))
 
 
 class TestAutonomousCertificate:
@@ -217,12 +248,12 @@ class TestAutonomousCertificate:
         cert = autonomous_certificate(np.diag([-1.0, 1.0]))
         assert cert.bound == 1.0
         assert abs(cert.exponent - 0.9) < 1e-12
-        assert np.allclose(cert.proj_s(0), np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(cert.proj_s([0])[0], np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_pure_decay(self):
         cert = autonomous_certificate(-np.eye(2))
-        assert np.allclose(cert.proj_s(0), np.eye(2))
-        assert np.allclose(cert.proj_u(0), 0.0)
+        assert np.allclose(cert.proj_s([0])[0], np.eye(2))
+        assert np.allclose(cert.proj_u([0])[0], 0.0)
         assert cert.bound == 1.0
 
     def test_jordan_block_needs_transient_headroom(self):
@@ -301,8 +332,8 @@ class TestVerify:
     def test_doubled_exponent_fails(self, half):
         a = np.diag([-1.0, 1.0])
         cert = autonomous_certificate(a)
-        bad = DichotomyCertificate.constant(cert.proj_s(0), cert.bound,
-                                            2.0 * cert.exponent, discrete=False)
+        bad = DichotomyCertificate.constant(cert.proj_s([0])[0], cert.bound,
+                                            2.0 * cert.exponent)
         rep = verify_dichotomy(ContinuousCocycle.constant(a), bad,
                                (-half, half), slack=1.01)
         assert not rep.passed
@@ -312,7 +343,7 @@ class TestVerify:
     def test_unstable_projection_identity_fails_backward(self, half):
         saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
         bad = DichotomyCertificate.constant(np.zeros((2, 2)), 1.0,
-                                            np.log(2.0), discrete=True)
+                                            np.log(2.0))
         rep = verify_dichotomy(saddle, bad, (-half, half), slack=1.05)
         assert not rep.passed
         assert not rep.axioms["backward_decay"]["passed"]
@@ -320,8 +351,7 @@ class TestVerify:
     @pytest.mark.parametrize("half", [3, 48])
     def test_stable_projection_identity_fails_forward(self, half):
         saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
-        bad = DichotomyCertificate.constant(np.eye(2), 1.0, np.log(2.0),
-                                            discrete=True)
+        bad = DichotomyCertificate.constant(np.eye(2), 1.0, np.log(2.0))
         rep = verify_dichotomy(saddle, bad, (-half, half), slack=1.05)
         assert not rep.passed
         assert not rep.axioms["forward_decay"]["passed"]
@@ -335,9 +365,8 @@ class TestVerify:
         c, s = np.cos(1e-3), np.sin(1e-3)
         tilt = np.array([[c, -s], [s, c]])
         bad = DichotomyCertificate(
-            bound=cert.bound, exponent=cert.exponent, discrete=True,
-            projections={n: tilt @ p @ tilt.T
-                         for n, p in cert.projections.items()})
+            bound=cert.bound, exponent=cert.exponent,
+            projections=tilt @ cert.projections @ tilt.T, first=cert.first)
         rep = verify_dichotomy(pert, bad, (-half, half), slack=1.1)
         assert not rep.passed
         assert not rep.axioms["commutation"]["passed"]
@@ -364,15 +393,14 @@ class TestVerify:
         if case == "time_varying":
             steps, projections = time_varying_saddle((-half, half))
             cocycle = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
-            cert = DichotomyCertificate(bound=1.0, exponent=0.8, discrete=True,
-                                        projections=projections)
+            cert = DichotomyCertificate(bound=1.0, exponent=0.8,
+                                        projections=projections, first=-half)
         else:
             a = np.array([[0.0, 1.0], [2.0, -1.0]])  # eigenvalues 1, -2
             cocycle = ContinuousCocycle.constant(a)
             # exponent above both rates: the ratios peak at long horizons
             cert = DichotomyCertificate.constant(
-                autonomous_certificate(a).proj_s(0), 1.0, 2.2,
-                discrete=case == "discretized")
+                autonomous_certificate(a).proj_s([0])[0], 1.0, 2.2)
             if case == "discretized":
                 cocycle = discretize(cocycle)
         rep = verify_dichotomy(cocycle, cert, (-half, half))
@@ -391,8 +419,7 @@ class TestVerify:
         tilt = np.array([[c, -s], [s, c]])
         pi_s = tilt @ np.diag([1.0, 0.0]) @ tilt.T
         for bound, charged_ok in ((1.0, True), (1e6, False)):
-            cert = DichotomyCertificate.constant(pi_s, bound, np.log(2.0),
-                                                 discrete=True)
+            cert = DichotomyCertificate.constant(pi_s, bound, np.log(2.0))
             rep = verify_dichotomy(saddle, cert, (-3, 3))
             inv = rep.axioms["invertibility"]
             assert rep.axioms["commutation"]["passed"]
@@ -405,7 +432,7 @@ class TestVerify:
         # the stable kernel underflows to 0 where e^{alpha t} overflows
         step = np.diag([1e-4, 1e4])
         cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
-                                             0.9 * np.log(1e4), discrete=True)
+                                             0.9 * np.log(1e4))
         rep = verify_dichotomy(DiscreteCocycle.constant(step), cert, (-48, 48))
         assert rep.passed
         assert rep.axioms["forward_decay"]["max_ratio"] == 1.0
@@ -415,7 +442,7 @@ class TestVerify:
         steps[1] = np.array([[0.5, np.nan], [0.0, 2.0]])
         cocycle = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
         cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
-                                             np.log(2.0), discrete=True)
+                                             np.log(2.0))
         with pytest.raises(SplitflowError, match="node 1"):
             verify_dichotomy(cocycle, cert, (-3, 3))
 
@@ -425,14 +452,14 @@ class TestVerify:
         # before the march factors them
         saddle = DiscreteCocycle.constant(SADDLE)
         constant = DichotomyCertificate.constant(
-            [[1.0, 0.0], [0.0, bad]], 1.0, np.log(2.0), discrete=True)
+            [[1.0, 0.0], [0.0, bad]], 1.0, np.log(2.0))
         with pytest.raises(SplitflowError,
                            match=r"non-finite projection at node -3 \(7 of 7"):
             verify_dichotomy(saddle, constant, (-3, 3))
-        family = {n: np.diag([1.0, 0.0]) for n in range(-3, 4)}
-        family[2] = np.array([[1.0, bad], [0.0, 0.0]])
+        family = np.repeat(np.diag([1.0, 0.0])[None], 7, axis=0)
+        family[5] = np.array([[1.0, bad], [0.0, 0.0]])  # node 2
         cert = DichotomyCertificate(bound=1.0, exponent=np.log(2.0),
-                                    discrete=True, projections=family)
+                                    projections=family, first=-3)
         with pytest.raises(SplitflowError,
                            match=r"non-finite projection at node 2 \(1 of 7"):
             verify_dichotomy(saddle, cert, (-3, 3))
@@ -443,7 +470,7 @@ class TestVerify:
     def test_window_must_be_a_pair_of_nodes(self, window):
         saddle = DiscreteCocycle.constant(SADDLE)
         cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
-                                             np.log(2.0), discrete=True)
+                                             np.log(2.0))
         message = re.escape(f"window {window!r} is not a pair (n_lo, n_hi)")
         with pytest.raises(ConfigurationError, match=message):
             verify_dichotomy(saddle, cert, window)
@@ -458,7 +485,7 @@ class TestVerify:
         flows[2, -1] = np.inf
         monkeypatch.setattr(ContinuousCocycle, "unit_flows",
                             lambda self, shifts: flows)
-        cert = DichotomyCertificate.constant([[1.0]], 1.0, 0.5, discrete=False)
+        cert = DichotomyCertificate.constant([[1.0]], 1.0, 0.5)
         with pytest.raises(SplitflowError, match=r"non-finite unit step at node -1 "):
             verify_dichotomy(c, cert, (-3, 2))
 
@@ -500,9 +527,8 @@ class TestStreamedVerifier:
         cocycle, cert = rotating_saddle((-10, 10), 3, 2, seed=seed)
         tilt = np.linalg.qr(np.eye(3) + 0.05 * gen.standard_normal((3, 3)))[0]
         bad = DichotomyCertificate(
-            bound=1.0, exponent=0.5, discrete=True,
-            projections={n: tilt @ p @ tilt.T
-                         for n, p in cert.projections.items()})
+            bound=1.0, exponent=0.5,
+            projections=tilt @ cert.projections @ tilt.T, first=cert.first)
         rep = _assert_matches_all_pairs(cocycle, bad, (-10, 10))
         assert not rep.passed
 
@@ -519,8 +545,7 @@ class TestStreamedVerifier:
             cocycle = ContinuousCocycle(
                 lambda ts: a + np.sin(ts)[:, None, None] * wobble, 3)
         for k_bound, alpha in ((cert.bound, cert.exponent), (1.0, 2.5)):
-            c = DichotomyCertificate.constant(cert.proj_s(0), k_bound, alpha,
-                                              discrete=False)
+            c = DichotomyCertificate.constant(cert.proj_s([0])[0], k_bound, alpha)
             _assert_matches_all_pairs(cocycle, c, (-4, 4))
 
     @pytest.mark.parametrize("offsets", [1, 3])
@@ -540,7 +565,7 @@ class TestStreamedVerifier:
         step = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
         monkeypatch.setattr(dichotomy, "_BLOCK_BYTES", offsets * 8 * n * 4)
         ties = _assert_matches_all_pairs(step, DichotomyCertificate.constant(
-            np.diag([1.0, 0.0]), 1.0, np.log(2.0), discrete=True), (-10, 10))
+            np.diag([1.0, 0.0]), 1.0, np.log(2.0)), (-10, 10))
         assert ties.axioms["forward_decay"]["worst"][0] == -10
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -549,8 +574,7 @@ class TestStreamedVerifier:
         # ratio, bit for bit, so the max ties across all sources and the
         # first in C order, source -12, wins
         step, pi_s = np.diag([0.5, 2.0][:dim]), np.diag([1.0, 0.0][:dim])
-        cert = DichotomyCertificate.constant(pi_s, 1.0, np.log(2.0),
-                                             discrete=True)
+        cert = DichotomyCertificate.constant(pi_s, 1.0, np.log(2.0))
         rep = _assert_matches_all_pairs(DiscreteCocycle.constant(step), cert,
                                         (-12, 12))
         fwd, bwd = (rep.axioms[a] for a in ("forward_decay", "backward_decay"))
@@ -614,7 +638,7 @@ class TestStreamedVerifier:
                 return out
 
             cert = DichotomyCertificate.constant(pi_s * np.eye(dim), 1.0,
-                                                 np.log(2.0), discrete=True)
+                                                 np.log(2.0))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(SplitflowError, match=re.escape(
@@ -633,8 +657,7 @@ class TestStreamedVerifier:
         cocycle, cert = rotating_saddle((-30, 30), 3, 2, seed=5)
         verify_dichotomy(cocycle, cert, (-30, 30))
         flow = ContinuousCocycle.constant([[-1.0]])
-        stable = DichotomyCertificate.constant([[1.0]], 1.0, 1.0,
-                                               discrete=False)
+        stable = DichotomyCertificate.constant([[1.0]], 1.0, 1.0)
         assert verify_dichotomy(flow, stable, (-4, 4)).passed
         assert located == []
 
@@ -667,8 +690,7 @@ class TestStreamedVerifier:
 class TestGreenKernel:
     def test_stable_scalar(self):
         c = DiscreteCocycle.constant([[0.5]])
-        cert = DichotomyCertificate.constant([[1.0]], 1.0, np.log(2.0),
-                                             discrete=True)
+        cert = DichotomyCertificate.constant([[1.0]], 1.0, np.log(2.0))
         g = GreenKernel(c, cert)
         for n in range(0, 6):
             assert g.eval(n, 0)[0, 0] == 0.5 ** n
@@ -677,8 +699,7 @@ class TestGreenKernel:
 
     def test_unstable_scalar(self):
         c = DiscreteCocycle.constant([[2.0]])
-        cert = DichotomyCertificate.constant([[0.0]], 1.0, np.log(2.0),
-                                             discrete=True)
+        cert = DichotomyCertificate.constant([[0.0]], 1.0, np.log(2.0))
         g = GreenKernel(c, cert)
         for n in range(0, 5):
             assert g.eval(n, 0)[0, 0] == 0.0
@@ -691,8 +712,8 @@ class TestGreenKernel:
         # unstable range
         steps, projections = time_varying_saddle((-40, 40))
         c = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
-        cert = DichotomyCertificate(bound=1.5, exponent=0.5, discrete=True,
-                                    projections=projections)
+        cert = DichotomyCertificate(bound=1.5, exponent=0.5,
+                                    projections=projections, first=-40)
         g = GreenKernel(c, cert)
         for j in (20, 40, 60, 80):
             assert spectral_norm(g.eval(-40 + j, -40)) < 0.5 ** j
@@ -700,7 +721,7 @@ class TestGreenKernel:
     def test_jump_identity(self):
         c = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
         cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
-                                             np.log(2.0), discrete=True)
+                                             np.log(2.0))
         g = GreenKernel(c, cert)
         for s in (-2, 0, 3):
             assert g.jump_residual(s) < 1e-15
@@ -709,8 +730,7 @@ class TestGreenKernel:
         # stable scalar with impulse forcing: sum_k G(n, k+1) f_k is the
         # explicit geometric solution, exactly in powers of two
         c = DiscreteCocycle.constant([[0.5]])
-        cert = DichotomyCertificate.constant([[1.0]], 1.0, np.log(2.0),
-                                             discrete=True)
+        cert = DichotomyCertificate.constant([[1.0]], 1.0, np.log(2.0))
         g = GreenKernel(c, cert)
         z = 1.0
         for n in range(0, 8):
@@ -746,7 +766,7 @@ class TestProjectionDistance:
     def test_window_mismatch_rejected(self):
         cert = autonomous_certificate(np.diag([-1.0, 1.0]))
         node_cert = DichotomyCertificate(
-            bound=1.0, exponent=0.5, discrete=True,
-            projections={0: np.diag([1.0, 0.0])})
-        with pytest.raises(ConfigurationError):
+            bound=1.0, exponent=0.5, projections=np.diag([1.0, 0.0])[None],
+            first=0)
+        with pytest.raises(ConfigurationError, match="projection at node -2$"):
             projection_distance(cert, node_cert, (-2, 2))

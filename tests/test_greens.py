@@ -19,14 +19,13 @@ LN2 = float(np.log(2.0))
 
 def stable_scalar():
     c = DiscreteCocycle.constant([[0.5]])
-    cert = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+    cert = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
     return c, cert
 
 
 def saddle():
     c = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
-    cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
-                                         discrete=True)
+    cert = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2)
     return c, cert
 
 
@@ -96,8 +95,8 @@ class TestGammaApply:
         the time-varying saddle with 3 forcing columns."""
         steps, projections = time_varying_saddle((n_lo, n_hi))
         c = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
-        cert = DichotomyCertificate(bound=1.5, exponent=3.0, discrete=True,
-                                    projections=projections)
+        cert = DichotomyCertificate(bound=1.5, exponent=3.0,
+                                    projections=projections, first=n_lo)
         rng = np.random.default_rng(5)
         w = n_hi - n_lo + 1
         b = {n: 0.02 * rng.standard_normal((2, 2))
@@ -176,8 +175,7 @@ class TestDoublingSweeps:
                         [np.sin(0.01), np.cos(0.01)]])
         b = rot @ np.diag([0.5, 2.0]) - np.diag([0.5, 2.0])
         family = impulse_response_projection(c, cert, b, list(range(-8, 9)))
-        first = family[-8]
-        assert all(np.array_equal(p, first) for p in family.values())
+        assert all(np.array_equal(p, family[0]) for p in family)
 
 
 class TestStoppingDecision:
@@ -254,12 +252,12 @@ class TestSplitMarch:
         n_lo, n_hi = -6, 5
         steps, projections = time_varying_saddle((n_lo, n_hi))
         c = DiscreteCocycle(pointwise(lambda n: steps[n]), 2)
-        cert = DichotomyCertificate(bound=1.5, exponent=0.5, discrete=True,
-                                    projections=projections)
+        cert = DichotomyCertificate(bound=1.5, exponent=0.5,
+                                    projections=projections, first=n_lo)
         band = n_hi - n_lo + 1
         fwd, bwd = march_tables(
             np.array([steps[n] for n in range(n_lo, n_hi + 1)]),
-            np.array([projections[n] for n in range(n_lo, n_hi + 2)]))
+            projections)
         g = GreenKernel(c, cert)
         for i, m in enumerate(range(n_lo, n_hi + 2)):
             for j in range(band + 1):
@@ -386,8 +384,8 @@ class TestBoundedSolution:
     def test_rank_change_raises(self):
         c, _ = saddle()
         cert = DichotomyCertificate(
-            bound=1.0, exponent=LN2, discrete=True,
-            projections={n: np.diag([1.0, float(n > 0)]) for n in range(-4, 5)})
+            bound=1.0, exponent=LN2, first=-4,
+            projections=[np.diag([1.0, float(n > 0)]) for n in range(-4, 5)])
         with pytest.raises(SplitflowError, match="rank changes across node 0"):
             bounded_solution(c, cert, 0.0, ForcingSequence.zeros(-4, 3, 2))
 
@@ -453,7 +451,7 @@ class TestImpulseProjections:
 
     def test_unstable_scalar(self):
         c = DiscreteCocycle.constant([[2.0]])
-        cert = DichotomyCertificate.constant([[0.0]], 1.0, LN2, discrete=True)
+        cert = DichotomyCertificate.constant([[0.0]], 1.0, LN2)
         pi_s = impulse_response_projection(c, cert, 0.05, [0], tol=1e-11)[0]
         pi_u = np.eye(1) - pi_s
         assert abs(pi_u[0, 0] - 1.0) < 1e-9
@@ -464,7 +462,7 @@ class TestImpulseProjections:
         rng = np.random.default_rng(14)
         b_mat = {n: 0.03 * rng.standard_normal((2, 2)) for n in range(-80, 81)}
         pi_s = impulse_response_projection(
-            c, cert, pointwise(lambda n: b_mat[n]), [2], tol=1e-11)[2]
+            c, cert, pointwise(lambda n: b_mat[n]), [2], tol=1e-11)[0]
         pi_u = np.eye(2) - pi_s
         assert np.linalg.norm(pi_s @ pi_s - pi_s, 2) < 1e-8
         assert np.linalg.norm(pi_s @ pi_u, 2) < 1e-8
@@ -499,8 +497,8 @@ class TestImpulseProjections:
         b = pointwise(lambda n: b_mat[n])
         nodes = list(range(-6, 7))
         family = impulse_response_projection(c, cert, b, nodes, tol=1e-11)
-        assert list(family) == nodes
-        for n in nodes:
+        assert family.shape == (len(nodes), 2, 2)
+        for n, pi_s in zip(nodes, family):
             single = impulse_response_projection(c, cert, b, [n],
-                                                 tol=1e-11)[n]
-            assert np.max(np.abs(family[n] - single)) < 1e-10
+                                                 tol=1e-11)[0]
+            assert np.max(np.abs(pi_s - single)) < 1e-10

@@ -17,8 +17,9 @@ only when ``src``, ``demos`` or ``perfbench`` mentions it, outside the
 re-exports of ``splitflow/__init__.py``, so that no definition lives in the
 package for the tests alone (test oracles live under ``tests/``).
 
-Likewise every ``self.<attr>`` stored under src/splitflow must be read
-somewhere: as an attribute load or as an identifier string (``getattr``).
+Likewise every ``self.<attr>`` stored under src/splitflow, and every field
+of a dataclass there, must be read somewhere: as an attribute load or as an
+identifier string (``getattr``).
 
 Only ``cocycle.py`` under src/splitflow names the parts of the pruned
 spectral max (``spectral_norms``, ``_frobenius``, ``FROBENIUS_SLACK``): every
@@ -165,17 +166,40 @@ def _attribute_reads(tree):
             yield node.value
 
 
-def test_every_stored_attribute_is_read():
+def _dataclass_fields(tree):
+    """``(class, field, line)`` of every field of a ``@dataclass`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id",
+                        None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign):
+                    yield node.name, item.target.id, item.lineno
+
+
+def _unread(stored):
+    """``path:line what`` of every ``(attr, what, path, line)`` in
+    ``stored`` whose ``attr`` no file reads (:func:`_attribute_reads`)."""
     read = set()
-    stored = []
-    for path, tree in _trees():
+    for _, tree in _trees():
         read.update(_attribute_reads(tree))
-        if path.is_relative_to(PACKAGE):
-            stored.extend((attr, path.relative_to(ROOT), line)
-                          for attr, line in _stored_attributes(tree))
-    unread = [f"{path}:{line} self.{attr}" for attr, path, line in stored
-              if attr not in read]
+    return [f"{path.relative_to(ROOT)}:{line} {what}"
+            for attr, what, path, line in stored if attr not in read]
+
+
+def test_every_stored_attribute_is_read():
+    unread = _unread([(attr, f"self.{attr}", path, line)
+                      for path, tree in _trees(("src",))
+                      for attr, line in _stored_attributes(tree)])
     assert not unread, "stored but never read:\n" + "\n".join(unread)
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread([(name, f"{cls}.{name}", path, line)
+                      for path, tree in _trees(("src",))
+                      for cls, name, line in _dataclass_fields(tree)])
+    assert not unread, "dataclass field never read:\n" + "\n".join(unread)
 
 
 SPECTRAL_PARTS = {"spectral_norms", "_frobenius", "FROBENIUS_SLACK"}

@@ -9,7 +9,7 @@ from splitflow import (ContinuousCocycle, ContractionMarginError, KappaFn,
                        TimeGrid, build_wave_system, certify_hyperbolic,
                        default_kappa, eta_epsilon, eta_row,
                        find_hyperbolic_solution, lambda_eta, linearize_along,
-                       pointwise, random_ode_problem, rho_modulus,
+                       neighborhood_thresholds, pointwise, random_ode_problem, rho_modulus,
                        sample_wiener_path)
 from splitflow import hyperbolic, robustness
 from splitflow.cocycle import integrate_nonlinear
@@ -215,6 +215,23 @@ class TestEtaEpsilon:
         assert got == 0.0
 
 
+def test_threshold_cache_keys_the_bisection_depth():
+    # a coarse bisection cached first must not answer a later default call:
+    # each problem below starts with no cached thresholds
+    p = cubic_problem()
+
+    def fresh():
+        return replace(p, meta={"dressing": p.meta["dressing"]})
+
+    m_bound, beta = p.autonomous_cert.bound, p.autonomous_cert.exponent
+    want = neighborhood_thresholds(fresh(), m_bound, beta)
+    coarse = fresh()
+    rough = neighborhood_thresholds(coarse, m_bound, beta, bisect_steps=3)
+    assert rough != want
+    assert neighborhood_thresholds(coarse, m_bound, beta) == want
+    assert neighborhood_thresholds(coarse, m_bound, beta, 3) == rough
+
+
 class TestFindSolution:
     def test_zero_eta_is_equilibrium(self):
         p = additive_problem()
@@ -406,7 +423,7 @@ def test_kernel_built_once_per_problem_step_and_offsets(monkeypatch):
     sols = [find_hyperbolic_solution(p, eta, W64) for eta in (0.03, 0.015)]
     assert len(builds) == 1
     n_off = sols[0].meta["kernel_offsets"]
-    fresh = _AutonomousGreen(p.a_matrix, p.autonomous_cert.proj_s(0), W64.h,
+    fresh = _AutonomousGreen(p.a_matrix, p.autonomous_cert.proj_s([0])[0], W64.h,
                              n_off)
     assert np.array_equal(p.autonomous_green(W64.h, n_off).table, fresh.table)
 
@@ -480,7 +497,7 @@ class TestCertify:
         assert sol.status == "certified"
         lc = sol.linearization_certificate
         assert abs(lc.exponent - sol.autonomous_cert.exponent) < 1e-10
-        assert spectral_norm(lc.proj_s(0) - sol.autonomous_cert.proj_s(0)) < 1e-9
+        assert spectral_norm(lc.proj_s([0])[0] - sol.autonomous_cert.proj_s([0])[0]) < 1e-9
 
     def test_multiplicative_cubic_rate_near_gap(self):
         # multiplicative noise at the zero equilibrium of y' = -y + y^3:
@@ -524,7 +541,7 @@ class TestCertify:
         p = cubic_problem()
         sol = find_hyperbolic_solution(p, 0.2, W64, tol=1e-9)
         sol.autonomous_cert = DichotomyCertificate.constant(
-            [[1.0]], 2000.0, 0.45, discrete=False)
+            [[1.0]], 2000.0, 0.45)
         certify_hyperbolic(p, sol, n_half=2, trunc_tol=1e-3)
         assert sol.status == "bounded"
         assert sol.linearization_certificate is None

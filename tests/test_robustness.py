@@ -166,17 +166,17 @@ class TestRobustConstants:
 class TestDiscretePipeline:
     def test_unperturbed_recovery(self):
         base = DiscreteCocycle.constant([[0.5]])
-        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
         cert = robust_dichotomy_discrete(base, bc, base, (-5, 5))
         assert cert.meta["delta_eff"] == 0.0
         assert abs(cert.exponent - LN2) < 1e-12
         assert abs(cert.bound - 1.0) < 1e-12
-        assert np.allclose(cert.proj_s(0), [[1.0]], atol=1e-10)
+        assert np.allclose(cert.proj_s([0])[0], [[1.0]], atol=1e-10)
 
     def test_scalar_example(self):
         base = DiscreteCocycle.constant([[0.5]])
         pert = DiscreteCocycle.constant([[0.55]])
-        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
         cert = robust_dichotomy_discrete(base, bc, pert, (-8, 8), slack=1.1)
         assert cert.meta["verification"].passed
         assert cert.exponent <= -np.log(0.55) + 1e-9
@@ -188,22 +188,21 @@ class TestDiscretePipeline:
                         [np.sin(eps), np.cos(eps)]])
         base = DiscreteCocycle.constant(d_mat)
         pert = DiscreteCocycle.constant(rot @ d_mat)
-        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
-                                           discrete=True)
+        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2)
         cert = robust_dichotomy_discrete(base, bc, pert, (-6, 6), slack=1.1)
         assert cert.meta["verification"].passed
-        assert cert.idempotence_residual() < 1e-9
+        assert cert.meta["verification"].meta["idempotence_residual"] < 1e-9
         dist = projection_distance(bc, cert, (-6, 6))
         bound = paper_projection_bound(LN2, cert.exponent, eps)
         assert dist <= bound
         # brute-force long-product directions as an independent oracle
         pi_s_bf, pi_u_bf = brute_force_projections(rot @ d_mat)
-        assert spectral_norm(cert.proj_s(0) - pi_s_bf) < 1e-6
+        assert spectral_norm(cert.proj_s([0])[0] - pi_s_bf) < 1e-6
 
     def test_threshold_rejection(self):
         base = DiscreteCocycle.constant([[0.5]])
         pert = DiscreteCocycle.constant([[0.95]])
-        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
         with pytest.raises(RobustnessHypothesisError) as exc:
             robust_dichotomy_discrete(base, bc, pert, (-5, 5))
         assert exc.value.measured > exc.value.threshold
@@ -216,13 +215,12 @@ class TestDiscretePipeline:
         step = rot @ d_mat
         base = DiscreteCocycle.constant(d_mat)
         pert = DiscreteCocycle.constant(step)
-        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
-                                           discrete=True)
+        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2)
         cert = robust_dichotomy_discrete(base, bc, pert, (-4, 4))
         for n in (-3, 0, 1):
             m = np.linalg.matrix_power(step, 3)
-            lhs = cert.proj_s(n + 3) @ m
-            rhs = m @ cert.proj_s(n)
+            lhs = cert.proj_s([n + 3])[0] @ m
+            rhs = m @ cert.proj_s([n])[0]
             assert spectral_norm(lhs - rhs) < 1e-8
 
     def test_one_bounded_solve_per_certificate(self, monkeypatch):
@@ -243,11 +241,10 @@ class TestDiscretePipeline:
                         [np.sin(0.01), np.cos(0.01)]])
         base = DiscreteCocycle.constant(d_mat)
         pert = DiscreteCocycle.constant(rot @ d_mat)
-        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
-                                           discrete=True)
+        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2)
         cert = robust_dichotomy_discrete(base, bc, pert, (-6, 6))
         assert cert.meta["verification"].passed
-        assert sorted(cert.projections) == list(range(-6, 7))
+        assert cert.first == -6 and cert.projections.shape == (13, 2, 2)
         assert len(calls) == 1
 
     def test_perturbation_read_once_per_node(self):
@@ -267,8 +264,7 @@ class TestDiscretePipeline:
             return DiscreteCocycle(step, 2)
 
         base, pert = counted("base", d_mat), counted("pert", rot @ d_mat)
-        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
-                                           discrete=True)
+        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2)
         cert = robust_dichotomy_discrete(base, bc, pert, (-8, 8))
         assert cert.meta["verification"].passed
         # the span is the window widened by 44 nodes per side
@@ -284,8 +280,7 @@ class TestDiscretePipeline:
         # certificate: stable columns decay forward, unstable ones backward
         d_mat = np.diag([0.5, 2.0])
         pert = DiscreteCocycle.constant(d_mat)
-        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
-                                           discrete=True)
+        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2)
         cert = robust_dichotomy_discrete(pert, bc, pert, (-6, 6))
         rep = cert.meta["verification"]
         assert rep.axioms["forward_decay"]["passed"]
@@ -295,14 +290,13 @@ class TestDiscretePipeline:
         # diagonal saddle, exact projections: both orbits decay like 2^-k,
         # so every decay ratio at rate ln 2 and K = 1 is exactly 1
         saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
-        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2,
-                                           discrete=True)
+        bc = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2)
         rep = verify_dichotomy(saddle, bc, (-5, 7))
         for way in ("forward_decay", "backward_decay"):
             assert rep.axioms[way]["max_ratio"] == pytest.approx(1.0,
                                                                  rel=1e-12)
         steep = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0,
-                                              1.01 * LN2, discrete=True)
+                                              1.01 * LN2)
         rep = verify_dichotomy(saddle, steep, (-5, 7), slack=1.0)
         assert not rep.axioms["forward_decay"]["passed"]
         assert not rep.axioms["backward_decay"]["passed"]
@@ -310,7 +304,7 @@ class TestDiscretePipeline:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_perturbation_raises_typed_error(self, bad):
         base = DiscreteCocycle.constant([[0.5]])
-        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
         with pytest.raises(SplitflowError, match="non-finite"):
             robust_dichotomy_discrete(base, bc,
                                       DiscreteCocycle.constant([[bad]]), (-5, 5))
@@ -320,13 +314,13 @@ class TestDiscretePipeline:
         # the impulse solves stack the base projections over their span
         saddle = DiscreteCocycle.constant(np.diag([0.5, 2.0]))
         constant = DichotomyCertificate.constant([[1.0, 0.0], [0.0, bad]],
-                                                 1.0, LN2, discrete=True)
+                                                 1.0, LN2)
         with pytest.raises(SplitflowError, match="non-finite projection"):
             robust_dichotomy_discrete(saddle, constant, saddle, (-5, 5))
-        family = {n: np.diag([1.0, 0.0]) for n in range(-60, 61)}
-        family[3] = np.array([[1.0, 0.0], [bad, 0.0]])
-        cert = DichotomyCertificate(bound=1.0, exponent=LN2, discrete=True,
-                                    projections=family)
+        family = np.repeat(np.diag([1.0, 0.0])[None], 121, axis=0)
+        family[63] = np.array([[1.0, 0.0], [bad, 0.0]])  # node 3
+        cert = DichotomyCertificate(bound=1.0, exponent=LN2,
+                                    projections=family, first=-60)
         with pytest.raises(SplitflowError,
                            match=r"non-finite projection at node 3 \(1 of"):
             robust_dichotomy_discrete(saddle, cert, saddle, (-5, 5))
@@ -341,7 +335,7 @@ class TestContinuousPipeline:
         assert cert.meta["delta_eff"] < 1e-11
         assert abs(cert.exponent - ca.exponent) < 1e-9
         for n in (-3, 0, 3):
-            assert spectral_norm(cert.proj_s(n) - ca.proj_s(n)) < 1e-8
+            assert spectral_norm(cert.proj_s([n])[0] - ca.proj_s([n])[0]) < 1e-8
 
     def test_scalar_sin_perturbation(self):
         cc1 = ContinuousCocycle.constant([[-1.0]])
@@ -457,8 +451,8 @@ class TestContinuousPipeline:
         a = np.diag([-1.0, 1.0])
         cc = ContinuousCocycle.constant(a)
         ca = autonomous_certificate(a)
-        dcert = DichotomyCertificate.constant(ca.proj_s(0), ca.bound,
-                                              ca.exponent, discrete=True)
+        dcert = DichotomyCertificate.constant(ca.proj_s([0])[0], ca.bound,
+                                              ca.exponent)
         lifted = lift_certificate(cc, dcert, (-3, 3))
         want = ca.bound * np.exp(1.0 + ca.exponent)  # sup e^t e^{alpha t} at t=1
         assert abs(lifted.bound - want) / want < 0.05
@@ -470,7 +464,7 @@ class TestContinuousPipeline:
         # report checked the unit-time steps, not the flow between them
         a = np.array([[-LN2]])
         cc = ContinuousCocycle.constant(a)
-        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2, discrete=True)
+        bc = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
         dcert = robust_dichotomy_discrete(DiscreteCocycle.constant([[0.5]]),
                                           bc, DiscreteCocycle.constant([[0.5]]),
                                           (-3, 3))
