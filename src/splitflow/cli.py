@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cocycle import DiscreteCocycle, pointwise
 from .dichotomy import DichotomyCertificate, _window_nodes
-from .errors import ConfigurationError, SplitflowError
+from .errors import ConfigurationError, SplitflowError, WindowError
 from .grids import TimeGrid
 from .hyperbolic import (ROW_COLUMNS, STATUS_FAILED, SemilinearProblem,
                          eta_row)
@@ -141,8 +141,9 @@ def load_config(text, command):
             raise ConfigurationError("eta_grid entries must be >= 0")
         if list(grid) != sorted(grid, reverse=True):
             raise ConfigurationError("eta_grid must be sorted descending")
-    if "h" in values and not values["h"] > 0.0:
-        raise ConfigurationError("h must be positive")
+    for key in ("h", "r_u"):
+        if key in values and not values[key] > 0.0:
+            raise ConfigurationError(f"{key} must be positive")
     for key, least in (("n_paths", 2), ("n_half", 1)):  # a variance, a row
         if key in values and values[key] < least:
             raise ConfigurationError(f"{key} must be at least {least}")
@@ -347,7 +348,7 @@ def cmd_wave(v, out_dir):
         return 1, files
     files = [_write_csv(out_dir, "wave.csv", report.rows, report.COLUMNS),
              _write_json(out_dir, "wave.json", {
-                 "seed": report.seed, "meta": report.meta, "rows": report.rows})]
+                 "seed": v["seed"], "meta": report.meta, "rows": report.rows})]
     cutoff = report.meta["eta_cutoff"]
     ok = all(r["certified"] for r in report.rows if r["eta"] <= cutoff)
     ok = ok and not any(r["status"] == STATUS_FAILED for r in report.rows)
@@ -387,7 +388,9 @@ def main(argv=None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code, files = _COMMANDS[args.command](v, args.out)
-    except ConfigurationError as exc:
+    except (ConfigurationError, WindowError) as exc:
+        # a WindowError reaches here only from ou-check, whose windows are
+        # all the config's; the other commands record theirs as failures
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     for f in files:

@@ -254,18 +254,6 @@ class DiscreteCocycle:
         return DiscreteCocycle(_constant_rows(m), m.shape[0])
 
 
-def as_step_sequence(b, dim):
-    """A perturbation spec as a batched step sequence ``b(ns) -> (N, d, d)``:
-    a callable is one already; a matrix, or a scalar times the identity,
-    is the same at every node."""
-    if callable(b):
-        return b
-    m = np.asarray(b, float)
-    if m.ndim == 0:
-        m = m * np.eye(dim)
-    return _constant_rows(np.atleast_2d(m))
-
-
 @dataclass(frozen=True)
 class ContinuousCocycle:
     """Generator view of a continuous linear cocycle ``x' = generator(t) x``.

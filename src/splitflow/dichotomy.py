@@ -442,7 +442,7 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
     """
     nodes = _window_nodes(window)
     discrete = isinstance(cocycle, DiscreteCocycle)
-    k_bound, alpha, family = cert.bound, cert.exponent, cert.projections
+    k_bound, alpha = cert.bound, cert.exponent
     n, d = len(nodes), cocycle.dim
     flows = None if discrete else cocycle.unit_flows(nodes[:-1])
     steps = (stack_steps(cocycle.step, nodes[:-1], d) if discrete
@@ -515,7 +515,7 @@ def verify_dichotomy(cocycle, cert, window, slack=1.05, comm_tol=1e-6):
         "samples_per_unit": 0 if discrete else UNIT_SAMPLES,
         "bound": k_bound,
         "exponent": alpha,
-        "idempotence_residual": spectral_sup(family @ family - family),
+        "idempotence_residual": spectral_sup(proj @ proj - proj),
     }
     return VerificationReport(axioms=axioms, passed=passed, meta=meta)
 

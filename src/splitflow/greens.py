@@ -30,9 +30,9 @@ The perturbed projections at a family of nodes are bounded solutions of
 unit-impulse problems, solved together as the column blocks of one forcing:
 one Picard loop and one residual certificate per family.
 
-A perturbation ``b`` is a matrix, a scalar (times the identity) or, like a
-cocycle's ``step``, a node-batched ``b(ns) -> (N, d, d)``; a solve reads
-both in one call each over its window.
+A perturbation ``b`` is, like a cocycle's ``step``, a node-batched
+``b(ns) -> (N, d, d)`` (``DiscreteCocycle.constant(m).step`` is the matrix
+``m`` at every node); a solve reads both in one call each over its window.
 """
 
 import math
@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import (_finite, as_step_sequence, spectral_argmax,
-                      spectral_sup, spectral_sup_at_most, stack_steps)
-from .dichotomy import _restricted_inverse
+from .cocycle import (_finite, spectral_argmax, spectral_sup,
+                      spectral_sup_at_most, stack_steps)
+from .dichotomy import _restricted_inverse, delta_threshold
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
 
 DEFAULT_TRUNC_TOL = 1e-10
@@ -269,17 +269,16 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     residual ``|Gamma_f x - x| <= tol``.
     """
     n_lo, n_hi = f.window
-    b_mats = stack_steps(as_step_sequence(b, cocycle.dim),
-                         range(n_lo, n_hi + 1), cocycle.dim)
+    b_mats = stack_steps(b, range(n_lo, n_hi + 1), cocycle.dim)
     delta_eff = cert.bound * spectral_sup(b_mats)
     e = math.exp(-cert.exponent)
     rho = delta_eff * (1.0 + e) / (1.0 - e)
     if rho > CONTRACTION_MARGIN:
+        thr = delta_threshold(cert.exponent)
         raise ContractionMarginError(
             f"contraction factor rho={rho:.4f} exceeds margin "
             f"{CONTRACTION_MARGIN}; the admissibility threshold on "
-            f"sup|B|*K is {(1.0 - e) / (1.0 + e):.6f}",
-            factor=rho, threshold=(1.0 - e) / (1.0 + e),
+            f"sup|B|*K is {thr:.6f}", factor=rho, threshold=thr,
         )
     f_sup = f.sup_norm()
     if not f_sup < math.inf:  # finite values whose norm overflows
@@ -322,7 +321,7 @@ def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
     """
     d, m = cocycle.dim, len(nodes)
     window = range(min(nodes), max(nodes) + 1)
-    b_window = stack_steps(as_step_sequence(b, d), window, d)
+    b_window = stack_steps(b, window, d)
     n_lo, n_hi = _impulse_span(cert, b_window, window[0], window[-1], trunc_tol)
     f = ForcingSequence.zeros(n_lo, n_hi, d, d * m)
     for j, n in enumerate(nodes):

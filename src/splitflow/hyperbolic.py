@@ -73,10 +73,10 @@ class SemilinearProblem:
     f0_prime: object
     f_eta_dy: object
     meta: dict = field(default_factory=dict)
-    _base_cocycles: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
-    _greens: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    # base cocycles, Green tables and thresholds; not an init field, so a
+    # problem made by dataclasses.replace starts with none
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         self.a_matrix = np.atleast_2d(np.asarray(self.a_matrix, float))
@@ -95,27 +95,27 @@ class SemilinearProblem:
     def base_cocycle(self, step):
         """Constant cocycle of ``a_matrix`` at RK4 step ``step``, one per
         problem and step, so its unit flow is integrated once."""
-        if step not in self._base_cocycles:
-            self._base_cocycles[step] = ContinuousCocycle.constant(
+        if ("base", step) not in self._memo:
+            self._memo["base", step] = ContinuousCocycle.constant(
                 self.a_matrix, step=step)
-        return self._base_cocycles[step]
+        return self._memo["base", step]
 
     def autonomous_green(self, h, n_off):
         """Tabulated Green kernel of ``a_matrix`` at grid step ``h`` over
         ``n_off`` offsets, one per problem, step and offset count, so an eta
         ladder builds it once."""
-        key = (h, n_off)
-        if key not in self._greens:
-            self._greens[key] = _AutonomousGreen(
+        key = ("green", h, n_off)
+        if key not in self._memo:
+            self._memo[key] = _AutonomousGreen(
                 self.a_matrix, self.autonomous_cert.proj_s([0])[0], h, n_off)
-        return self._greens[key]
+        return self._memo[key]
 
-    def validate(self, tol=1e-8):
+    def validate(self):
         """Equilibrium residual of the full autonomous field, plus hyperbolicity."""
         y0 = self.y0_star[None]
         drift = self.a_matrix - self.d_f0(y0)[0]
         res = float(np.linalg.norm(drift @ self.y0_star + self.f0_at(y0)[0]))
-        if res > tol:
+        if res > 1e-8:
             raise ConfigurationError(
                 f"y0_star is not an equilibrium (residual {res:.3e})"
             )
@@ -178,15 +178,15 @@ def lambda_eta(p, eta, window, n_time=65, n_cloud=32):
     return spectral_sup(jac - d0x, 1.0, v)
 
 
-def rho_modulus(p, eps, n_cloud=32, n_dirs=8):
-    """Sampled first-order remainder modulus of the autonomous nonlinearity."""
+def rho_modulus(p, eps):
+    """Sampled first-order remainder modulus of the autonomous nonlinearity:
+    32 cloud points in the ball of radius ``r_u - eps``, 8 directions each."""
     if eps > p.r_u / 2:
         raise ValueError(f"rho_modulus needs eps <= r_u/2 = {p.r_u / 2:g}")
     if eps <= 0.0:
         return 0.0
-    xs = _ball_cloud(p.y0_star, p.r_u - eps, n_cloud)
-    dirs = _cloud_draw(n_cloud * n_dirs, p.dim, 787)[0].reshape(
-        n_cloud, n_dirs, p.dim)
+    xs = _ball_cloud(p.y0_star, p.r_u - eps, 32)
+    dirs = _cloud_draw(32 * 8, p.dim, 787)[0].reshape(32, 8, p.dim)
     mags = np.array([eps, eps / 2, eps / 8])
     # steps h[cloud point, direction, magnitude] and the points x + h
     h = mags[:, None] * dirs[:, :, None, :]
@@ -196,12 +196,12 @@ def rho_modulus(p, eps, n_cloud=32, n_dirs=8):
     return float(np.max(np.linalg.norm(rem, axis=-1) / mags))
 
 
-def _lip_dev(p, eps, n_dirs=24):
-    """Sampled sup of ``|f0'(y0*+h) - f0'(y0*)|`` over ``|h| <= eps``."""
+def _lip_dev(p, eps):
+    """Sampled sup of ``|f0'(y0*+h) - f0'(y0*)|`` over 24 ``|h| <= eps``."""
     if eps <= 0.0:
         return 0.0
     d0 = p.d_f0(p.y0_star[None])[0]
-    hs = _ball_cloud(np.zeros(p.dim), eps, n_dirs, seed=555)
+    hs = _ball_cloud(np.zeros(p.dim), eps, 24, seed=555)
     return spectral_sup(p.d_f0(p.y0_star + hs) - d0)
 
 
@@ -227,27 +227,26 @@ def neighborhood_thresholds(p, m_bound, beta, bisect_steps=16):
     neighborhood the argument supports.
     """
     key = ("thresholds", m_bound, beta, bisect_steps)
-    if key in p.meta:
-        return p.meta[key]
+    if key in p._memo:
+        return p._memo[key]
     budget = beta / (SMALLNESS_DIVISOR * m_bound)
     eps1 = _bisect_largest(lambda e: _lip_dev(p, e) < budget, 0.0, p.r_u / 2,
                            bisect_steps)
     eps2 = _bisect_largest(lambda e: rho_modulus(p, e) < budget, 0.0,
                            min(p.r_u / 2, 0.5 - 1e-9), bisect_steps)
     out = (eps1, eps2, min(eps1, eps2 / 2))
-    p.meta[key] = out
+    p._memo[key] = out
     return out
 
 
-def eta_epsilon(p, eps, m_bound, beta, lambda_curve, eta_max=1.0,
-                bisect_steps=16):
+def eta_epsilon(p, eps, m_bound, beta, lambda_curve, eta_max=1.0):
     """Largest admissible perturbation size for a target neighborhood ``eps``.
 
-    Requires ``eps`` below the threshold ``eps0``; then bisects for the
-    largest eta with ``lambda_curve(eta) < eps/(6 M beta^{-1})``.  Returns 0
-    with a warning when even the smallest probed eta violates the bound.
+    Requires ``eps`` below the threshold ``eps0``; then bisects 16 times for
+    the largest eta with ``lambda_curve(eta) < eps/(6 M beta^{-1})``.
+    Returns 0 with a warning when even ``2^-16 eta_max`` violates the bound.
     """
-    eps1, eps2, eps0 = neighborhood_thresholds(p, m_bound, beta, bisect_steps)
+    eps1, eps2, eps0 = neighborhood_thresholds(p, m_bound, beta)
     if eps >= eps0:
         which = "eps1" if eps1 <= eps2 / 2 else "eps2"
         raise ThresholdError(
@@ -258,13 +257,12 @@ def eta_epsilon(p, eps, m_bound, beta, lambda_curve, eta_max=1.0,
     target = eps * beta / (SMALLNESS_DIVISOR * m_bound)
     if lambda_curve(eta_max) < target:
         return eta_max
-    tiny = eta_max * 2.0 ** (-bisect_steps)
+    tiny = eta_max * 2.0 ** -16
     if lambda_curve(tiny) >= target:
         warnings.warn("no eta on the grid satisfies the smallness bound; "
                       "returning 0")
         return 0.0
-    return _bisect_largest(lambda e: lambda_curve(e) < target, tiny, eta_max,
-                           bisect_steps)
+    return _bisect_largest(lambda e: lambda_curve(e) < target, tiny, eta_max)
 
 
 def kernel_tail_length(m_bound, beta, tail_tol):
@@ -336,8 +334,6 @@ class HyperbolicSolutionCertificate:
     eps_used: float
     lambda_value: float
     status: str
-    autonomous_cert: object
-    y0_star: np.ndarray
     linearization_certificate: object = None
     meta: dict = field(default_factory=dict)
 
@@ -436,7 +432,6 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
         times=times, trajectory=p.y0_star + phi, interior=interior,
         sup_distance=sup_dist, fixed_point_residual=residual, iterations=it,
         eta=eta, eps_used=eps_used, lambda_value=lam, status=status,
-        autonomous_cert=cert_a, y0_star=p.y0_star,
         meta={"eps1": eps1, "eps2": eps2, "eps0": eps0, "tail_tol": tail_tol,
               "kernel_offsets": n_off, "window": [window.t_min, window.t_max],
               "rho_eps": rho_eps, "lip_eps": lip_eps, "selfmap": selfmap},
@@ -489,7 +484,7 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
     dist = (pert_cc.unit_flows(nodes)[:, -1]
             - base_cc.unit_flows(nodes)[:, -1])
     for half in range(top, 0, -1):
-        lo, hi = _impulse_span(cert.autonomous_cert,
+        lo, hi = _impulse_span(p.autonomous_cert,
                                dist[top - half:top + half + 1], -half, half,
                                trunc_tol)
         if t0 <= lo and hi + 1 <= t1:
@@ -505,7 +500,7 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
         return cert
     try:
         lin_cert = robust_dichotomy_continuous(
-            base_cc, cert.autonomous_cert, pert_cc, (-half, half),
+            base_cc, p.autonomous_cert, pert_cc, (-half, half),
             slack=slack, tol=tol, trunc_tol=trunc_tol,
         )
     except (RobustnessHypothesisError, ContractionMarginError) as exc:

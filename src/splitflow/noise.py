@@ -37,8 +37,7 @@ class SamplePath:
     shifting an existing path with :func:`shift_path`.
     """
 
-    def __init__(self, grid, values, seed=None, *, _root=None, _root_lo=None,
-                 _shift=0):
+    def __init__(self, grid, values, *, _root=None, _root_lo=None, _shift=0):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_nodes,):
             raise ConfigurationError(
@@ -53,7 +52,6 @@ class SamplePath:
         self.grid = grid
         self.values = values
         self.values.setflags(write=False)
-        self.seed = seed
         # Raw sample array in the frame of the originally sampled path.
         # root[j] is the original path at node (_root_lo + j); this view's
         # node m corresponds to original node m + _shift.  Shifts re-anchor
@@ -94,7 +92,7 @@ def sample_wiener_path(grid, seed):
         raise ConfigurationError("grid must be a TimeGrid")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
-    return SamplePath(grid, _wiener_root(grid, seed), seed=int(seed))
+    return SamplePath(grid, _wiener_root(grid, seed))
 
 
 def injected_path(grid, fn):
@@ -136,8 +134,7 @@ def shift_path(path, t):
     base = shift - path._root_lo  # root index of the shifted path's node 0
     vals = path._root[base + out_lo : base + out_hi + 1] - path._root[base]
     return SamplePath(TimeGrid(out_lo * g.h, out_hi * g.h, g.h), vals,
-                      seed=path.seed, _root=path._root,
-                      _root_lo=path._root_lo, _shift=shift)
+                      _root=path._root, _root_lo=path._root_lo, _shift=shift)
 
 
 def _tail_start(path, tail_tol):
@@ -150,13 +147,13 @@ def _tail_start(path, tail_tol):
     return g.t_min + math.log(max(c, 1e-300) / tail_tol)
 
 
-def ou_value(path, t, tail_tol=DEFAULT_TAIL_TOL):
+def ou_value(path, t):
     """z* at the shifted base point, ``-int e^s (theta_t omega)(s) ds``: the
-    node ``t`` of :func:`ou_series`, O(h^2) plus a tail below ``tail_tol``."""
+    node ``t`` of :func:`ou_series` at its default tail tolerance."""
     g = path.grid
     if not (g.n_min < g.node_of(t) <= g.n_max):
         raise WindowError(f"base time {t} not inside the stored window")
-    return float(ou_series(path, [t], tail_tol)[0])
+    return float(ou_series(path, [t])[0])
 
 
 def _cumulative_trapezoid(y, h):
@@ -221,14 +218,14 @@ def ou_series(path, window, tail_tol=DEFAULT_TAIL_TOL):
     return _finite(z[idx - idx.min()], ts, "z*")
 
 
-def pathwise_ou_residual(path, window, tail_tol=DEFAULT_TAIL_TOL):
+def pathwise_ou_residual(path, window):
     """Centered-difference residual of ``dz/dt + z = domega/dt`` on ``window``.
 
     A smooth-path diagnostic: for differentiable injected paths the residual
     is O(h^2); for rough paths it is meaningless and merely reported.
     """
     ts = window.times()
-    z = ou_series(path, window, tail_tol)
+    z = ou_series(path, window)
     om = path.values[path.grid.index_of(ts)]
     h = window.h
     dz = (z[2:] - z[:-2]) / (2 * h)
@@ -267,14 +264,12 @@ class NoiseBounds:
 
     ``m1 = max |kappa_t z*(theta_t omega)|`` and
     ``m2 = max |(kappa_t - kappa_dot_t) z*(theta_t omega)|`` over the window
-    nodes.  Any finite window yields lower bounds for the suprema over all of
-    R; the window is recorded alongside.
+    nodes; any finite window yields lower bounds for the suprema over R.
     """
 
-    def __init__(self, m1, m2, window):
+    def __init__(self, m1, m2):
         self.m1 = float(m1)
         self.m2 = float(m2)
-        self.window = window
 
     def __repr__(self):
         return f"NoiseBounds(m1={self.m1:.6g}, m2={self.m2:.6g})"
@@ -289,18 +284,18 @@ def rescaled_noise(path, kappa, ts, tail_tol=DEFAULT_TAIL_TOL):
     return k * z, (k - kd) * z
 
 
-def noise_bounds(path, kappa, window, tail_tol=DEFAULT_TAIL_TOL):
+def noise_bounds(path, kappa, window):
     """Grid maxima m1, m2 of the kappa-rescaled stationary noise on ``window``."""
-    kz, ckz = rescaled_noise(path, kappa, window.times(), tail_tol)
-    return NoiseBounds(np.max(np.abs(kz)), np.max(np.abs(ckz)), window)
+    kz, ckz = rescaled_noise(path, kappa, window.times())
+    return NoiseBounds(np.max(np.abs(kz)), np.max(np.abs(ckz)))
 
 
-def sublinearity_report(path, checkpoints, tail_tol=DEFAULT_TAIL_TOL):
+def sublinearity_report(path, checkpoints):
     """|z*(theta_t omega)| / |t| at each checkpoint, one filter pass (trend to 0)."""
     t = np.asarray(checkpoints, float)
     if np.any(t == 0):
         raise ConfigurationError("sublinearity checkpoints must be nonzero")
-    return (np.abs(ou_series(path, t, tail_tol)) / np.abs(t)).tolist()
+    return (np.abs(ou_series(path, t)) / np.abs(t)).tolist()
 
 
 def ensemble_diagnostics(n_paths, h=1.0 / 64, t_min=-30.0, seed=0):

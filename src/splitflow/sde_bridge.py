@@ -155,17 +155,17 @@ def _chebyshev_rule(n_nodes):
     return x, w
 
 
-def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime,
-                      r_u=0.5):
+def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime):
     """Spectral reduction of the damped wave equation on the unit interval.
 
     State ``y = (a, adot)`` holds the coefficients of the Dirichlet sine
-    modes; ``lambda_k = (k pi)^2``.  The scalar nonlinearity acts through
-    collocation at ``n_modes + 2`` Chebyshev-type points followed by
-    re-projection onto the modes (the Gram solve makes linear nonlinearities
-    exact; the cubic aliasing error is the documented truncation).  Raises
-    when the equilibrium 0 is not hyperbolic (some ``lambda_k`` equals
-    ``f_scalar'(0)``).
+    modes; ``lambda_k = (k pi)^2``; the working neighborhood of the
+    equilibrium 0 has radius ``r_u = 0.5``.  The scalar nonlinearity acts
+    through collocation at ``n_modes + 2`` Chebyshev-type points followed
+    by re-projection onto the modes (the Gram solve makes linear
+    nonlinearities exact; the cubic aliasing error is the documented
+    truncation).  Raises when the equilibrium 0 is not hyperbolic (some
+    ``lambda_k`` equals ``f_scalar'(0)``).
     """
     if n_modes < 1:
         raise ConfigurationError("need n_modes >= 1")
@@ -209,7 +209,7 @@ def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime,
         f_eta=lambda eta, ts, ys: f0(ys),
         f0=f0,
         y0_star=np.zeros(2 * n),
-        r_u=r_u,
+        r_u=0.5,
         f0_prime=f0_prime,
         f_eta_dy=lambda eta, ts, ys: f0_prime(ys),
         meta={"n_modes": n, "beta_damping": beta_damping, "lambda_k": lam,
@@ -224,7 +224,6 @@ class WaveDemoReport:
     """Per-eta outcome table of the stochastic damped-wave pipeline."""
 
     rows: list
-    seed: int
     meta: dict = field(default_factory=dict)
 
     COLUMNS = ("eta", "sup_dist_v", "sup_dist_y", "certified", "alpha_tilde",
@@ -293,4 +292,4 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
                      "sup_dist_v": row["sup_distance"], "sup_dist_y": sup_y,
                      **{k: row[k] for k in ("certified", "alpha_tilde",
                                             "M_bound", "status", "error")}})
-    return WaveDemoReport(rows=rows, seed=seed, meta=meta)
+    return WaveDemoReport(rows=rows, meta=meta)

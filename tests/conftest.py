@@ -24,8 +24,7 @@ import pytest
 from splitflow import (ConfigurationError, DichotomyCertificate,
                        DiscreteCocycle, ForcingSequence, NonHyperbolicError,
                        SemilinearProblem, pointwise)
-from splitflow.cocycle import (UNIT_SAMPLES, as_step_sequence, spectral_norms,
-                               stack_steps)
+from splitflow.cocycle import UNIT_SAMPLES, spectral_norms, stack_steps
 from splitflow.dichotomy import (_restricted_inverse, _split_march,
                                  _window_nodes)
 from splitflow.greens import _gamma, _sweeps
@@ -221,8 +220,7 @@ def gamma_apply(cocycle, cert, b, f, x):
     ``greens._sweeps``) to a candidate ``x`` of the forcing's shape, over
     the forcing's whole window.  Linear in (x, f)."""
     n_lo, n_hi = f.window
-    b_mats = stack_steps(as_step_sequence(b, cocycle.dim),
-                         range(n_lo, n_hi + 1), cocycle.dim)
+    b_mats = stack_steps(b, range(n_lo, n_hi + 1), cocycle.dim)
     return _gamma(_sweeps(cocycle, cert, n_lo, n_hi), b_mats, f,
                   np.asarray(x, float))
 
@@ -235,7 +233,7 @@ def gamma_sequential(cocycle, cert, b, f, x):
     n_lo, n_hi = f.window
     d = cocycle.dim
     steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1), d)
-    b_mats = stack_steps(as_step_sequence(b, d), range(n_lo, n_hi + 1), d)
+    b_mats = stack_steps(b, range(n_lo, n_hi + 1), d)
     proj_s = cert.proj_s(range(n_lo, n_hi + 2))
     back = _restricted_inverse(steps, proj_s)[0]
     pi_s, pi_u = proj_s[1:], np.eye(d) - proj_s[1:]
@@ -417,9 +415,10 @@ def ball_cloud_oracle(center, radius, n, seed=20201102):
     return center + dirs * radii[:, None]
 
 
-def rho_modulus_oracle(p, eps, n_cloud=32, n_dirs=8):
+def rho_modulus_oracle(p, eps):
     """:func:`splitflow.rho_modulus` from a fresh draw of its unit
     directions on every call."""
+    n_cloud, n_dirs = 32, 8
     xs = _ball_cloud(p.y0_star, p.r_u - eps, n_cloud)
     dirs = np.random.default_rng(787).standard_normal((n_cloud, n_dirs, p.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=2)[..., None], 1e-12)

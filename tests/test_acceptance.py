@@ -44,19 +44,20 @@ def test_c1_closed_form_constants():
 def test_c2_admissibility_oracle():
     c = DiscreteCocycle.constant([[0.5]])
     cert = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
+    b = DiscreteCocycle.constant([[0.05]]).step
     tol = 1e-10
     f = impulse(-50, 50, -1, np.array([1.0]))
-    sol = sf.bounded_solution(c, cert, 0.05, f, tol=tol)
+    sol = sf.bounded_solution(c, cert, b, f, tol=tol)
     lo, hi = sol.interior
     worst = max(
         abs(value_at(sol, n)[0] - (0.55 ** n if n >= 0 else 0.0))
         for n in range(lo, hi + 1)
     )
     zero = sf.bounded_solution(
-        c, cert, 0.05, ForcingSequence.zeros(-50, 50, 1),
+        c, cert, b, ForcingSequence.zeros(-50, 50, 1),
         tol=tol).meta["sup_norm"]
     rng = np.random.default_rng(6)
-    alt = sf.bounded_solution(c, cert, 0.05, f, tol=tol,
+    alt = sf.bounded_solution(c, cert, b, f, tol=tol,
                               x0=rng.standard_normal(f.values.shape))
     guess_gap = float(np.max(np.abs(alt.values - sol.values)))
     ok = worst < 1e-8 and zero == 0.0 and guess_gap < 2 * tol

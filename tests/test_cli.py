@@ -77,13 +77,21 @@ class TestExitCodes:
         ("ou-check", "checkpoints = \n"),
         ("hyperbolic", "n_half = 0\n"),
         ("wave", "n_half = 0\n"),
+        # windows that cannot hold a check, and no working neighborhood
+        ("ou-check", "n_paths = 200\nt_min = -2.0\n"),
+        ("ou-check", "n_paths = 200\nt_max = 0.5\n"),
+        ("ou-check", "n_paths = 200\ncheckpoints = -100, 10\n"),
+        ("hyperbolic", "r_u = 0\n"),
+        ("hyperbolic", "r_u = -1\n"),
     ])
-    def test_non_finite_config_is_two(self, tmp_path, command, text):
+    def test_non_finite_config_is_two(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
         assert run_cli([command, "--config", str(cfg),
                         "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 class TestOuCheck(object):

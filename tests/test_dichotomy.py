@@ -239,7 +239,8 @@ class TestCertificate:
         with pytest.raises(ConfigurationError, match=missing):
             projection_distance(rotated_saddle()[1], fam, (0, 7))
         with pytest.raises(ConfigurationError, match=missing):
-            bounded_solution(DiscreteCocycle.constant(SADDLE), fam, 0.0,
+            bounded_solution(DiscreteCocycle.constant(SADDLE), fam,
+                             DiscreteCocycle.constant(np.zeros((2, 2))).step,
                              ForcingSequence.zeros(0, 6, 2))
 
 
@@ -311,6 +312,15 @@ class TestVerify:
                                slack=1.01)
         assert rep.passed
         assert rep.axioms["commutation"]["residual"] < 1e-10
+
+    def test_idempotence_residual_covers_the_window_only(self):
+        # a family on nodes [0, 10] whose projection at node 9, outside the
+        # verified window, is not idempotent (its residual would read 0.11)
+        family = np.repeat(np.diag([1.0, 0.0])[None], 11, 0)
+        family[9] = [[1.1, 0.0], [0.0, 0.0]]
+        cert = DichotomyCertificate(1.0, np.log(2.0), family, first=0)
+        rep = verify_dichotomy(DiscreteCocycle.constant(SADDLE), cert, (0, 5))
+        assert rep.meta["idempotence_residual"] == 0.0
 
     def test_normal_matrices_slack(self, rng):
         for _ in range(3):

@@ -17,6 +17,11 @@ from conftest import (GreenKernel, gamma_apply, gamma_sequential, impulse,
 LN2 = float(np.log(2.0))
 
 
+def constant_b(m):
+    """The perturbation ``m`` at every node, node-batched."""
+    return DiscreteCocycle.constant(m).step
+
+
 def stable_scalar():
     c = DiscreteCocycle.constant([[0.5]])
     cert = DichotomyCertificate.constant([[1.0]], 1.0, LN2)
@@ -65,13 +70,13 @@ class TestGammaApply:
         c, cert = stable_scalar()
         f = ForcingSequence.zeros(-10, 10, 1)
         x = np.random.default_rng(0).standard_normal((21, 1))
-        out = gamma_apply(c, cert, 0.0, f, x)
+        out = gamma_apply(c, cert, constant_b([[0.0]]), f, x)
         assert np.allclose(out, 0.0, atol=1e-15)
 
     def test_impulse_geometric(self):
         c, cert = stable_scalar()
         f = impulse(-20, 20, -1, np.array([1.0]))
-        out = gamma_apply(c, cert, 0.0, f, np.zeros((41, 1)))
+        out = gamma_apply(c, cert, constant_b([[0.0]]), f, np.zeros((41, 1)))
         for n in range(0, 10):
             assert out[n + 20, 0] == 0.5 ** n
         for n in range(-10, 0):
@@ -83,7 +88,7 @@ class TestGammaApply:
         f0 = ForcingSequence.zeros(-15, 15, 1)
         x = rng.standard_normal((31, 1))
         y = rng.standard_normal((31, 1))
-        b = 0.05
+        b = constant_b([[0.05]])
         lhs = gamma_apply(c, cert, b, f0, x + y)
         rhs = gamma_apply(c, cert, b, f0, x) + gamma_apply(c, cert, b, f0, y)
         assert np.allclose(lhs, rhs, atol=1e-12)
@@ -174,7 +179,8 @@ class TestDoublingSweeps:
         rot = np.array([[np.cos(0.01), -np.sin(0.01)],
                         [np.sin(0.01), np.cos(0.01)]])
         b = rot @ np.diag([0.5, 2.0]) - np.diag([0.5, 2.0])
-        family = impulse_response_projection(c, cert, b, list(range(-8, 9)))
+        family = impulse_response_projection(c, cert, constant_b(b),
+                                             list(range(-8, 9)))
         assert all(np.array_equal(p, family[0]) for p in family)
 
 
@@ -273,14 +279,14 @@ class TestBoundedSolution:
     def test_zero_forcing_gives_zero(self):
         c, cert = stable_scalar()
         f = ForcingSequence.zeros(-20, 20, 1)
-        sol = bounded_solution(c, cert, 0.05, f, tol=1e-10)
+        sol = bounded_solution(c, cert, constant_b([[0.05]]), f, tol=1e-10)
         assert sol.meta["sup_norm"] == 0.0
 
     def test_perturbed_geometric_oracle(self):
         # x_{n+1} = 0.55 x_n + f_n with impulse: x_n = 0.55^n, n >= 0
         c, cert = stable_scalar()
         f = impulse(-50, 50, -1, np.array([1.0]))
-        sol = bounded_solution(c, cert, 0.05, f, tol=1e-10)
+        sol = bounded_solution(c, cert, constant_b([[0.05]]), f, tol=1e-10)
         lo, hi = sol.interior
         for n in range(max(lo, -12), min(hi, 12) + 1):
             want = 0.55 ** n if n >= 0 else 0.0
@@ -290,9 +296,9 @@ class TestBoundedSolution:
         c, cert = stable_scalar()
         f = impulse(-40, 40, -1, np.array([1.0]))
         tol = 1e-9
-        s1 = bounded_solution(c, cert, 0.05, f, tol=tol)
+        s1 = bounded_solution(c, cert, constant_b([[0.05]]), f, tol=tol)
         rng = np.random.default_rng(8)
-        s2 = bounded_solution(c, cert, 0.05, f, tol=tol,
+        s2 = bounded_solution(c, cert, constant_b([[0.05]]), f, tol=tol,
                               x0=rng.standard_normal(f.values.shape))
         assert np.max(np.abs(s1.values - s2.values)) < 2 * tol
 
@@ -305,7 +311,8 @@ class TestBoundedSolution:
         f.values[20] = 1.0
         with pytest.raises(SplitflowError, match=r"Picard iteration did not "
                            r"certify residual 1e-12 \(got .* after 1 "):
-            bounded_solution(c, cert, 0.05, f, tol=1e-12, max_iter=1)
+            bounded_solution(c, cert, constant_b(0.05 * np.eye(2)), f,
+                             tol=1e-12, max_iter=1)
 
     @pytest.mark.parametrize("r", [None, 2])  # vector and matrix forcing
     def test_overflowing_sweep_fails_closed_without_warnings(self, r):
@@ -319,7 +326,7 @@ class TestBoundedSolution:
             warnings.simplefilter("error")
             with pytest.raises(SplitflowError, match=r"^non-finite kernel "
                                r"sum at node -4 \("):
-                bounded_solution(c, cert, 0.0, f)
+                bounded_solution(c, cert, constant_b(np.zeros((2, 2))), f)
 
     @pytest.mark.parametrize("r", [None, 2])
     def test_overflowing_forcing_norm_fails_closed(self, r):
@@ -331,7 +338,7 @@ class TestBoundedSolution:
             warnings.simplefilter("error")
             with pytest.raises(SplitflowError,
                                match=r"^forcing norm overflows \(sup inf\)"):
-                bounded_solution(c, cert, 0.0, f)
+                bounded_solution(c, cert, constant_b(np.zeros((2, 2))), f)
 
     def test_contraction_certificate_random_pairs(self):
         c, cert = stable_scalar()
@@ -342,8 +349,8 @@ class TestBoundedSolution:
         for _ in range(100):
             x = rng.standard_normal((51, 1))
             y = rng.standard_normal((51, 1))
-            gx = gamma_apply(c, cert, b, f0, x)
-            gy = gamma_apply(c, cert, b, f0, y)
+            gx = gamma_apply(c, cert, constant_b([[b]]), f0, x)
+            gy = gamma_apply(c, cert, constant_b([[b]]), f0, y)
             lhs = np.max(np.abs(gx - gy))
             rhs = rho * np.max(np.abs(x - y))
             assert lhs <= rhs * (1.0 + 1e-9)
@@ -351,7 +358,7 @@ class TestBoundedSolution:
     def test_apriori_bound_recorded_and_satisfied(self):
         c, cert = stable_scalar()
         f = impulse(-40, 40, -1, np.array([2.5]))
-        sol = bounded_solution(c, cert, 0.05, f, tol=1e-10)
+        sol = bounded_solution(c, cert, constant_b([[0.05]]), f, tol=1e-10)
         assert sol.meta["sup_norm"] <= sol.meta["apriori_bound"] * (1 + 1e-6)
 
     def test_solution_property_interior(self):
@@ -359,7 +366,7 @@ class TestBoundedSolution:
         rng = np.random.default_rng(11)
         b_mat = 0.03 * rng.standard_normal((2, 2))
         f = ForcingSequence(-40, 40, 0.3 * rng.standard_normal((81, 2)))
-        sol = bounded_solution(c, cert, b_mat, f, tol=1e-10)
+        sol = bounded_solution(c, cert, constant_b(b_mat), f, tol=1e-10)
         step = np.diag([0.5, 2.0]) + b_mat
         lo, hi = sol.interior
         for n in range(lo, hi):
@@ -375,8 +382,8 @@ class TestBoundedSolution:
         wide = np.zeros((81, 1))
         wide[20:61] = inner
         f2 = ForcingSequence(-40, 40, wide)
-        s1 = bounded_solution(c, cert, 0.05, f1, tol=1e-11)
-        s2 = bounded_solution(c, cert, 0.05, f2, tol=1e-11)
+        s1 = bounded_solution(c, cert, constant_b([[0.05]]), f1, tol=1e-11)
+        s2 = bounded_solution(c, cert, constant_b([[0.05]]), f2, tol=1e-11)
         lo, hi = s1.interior
         for n in range(lo, hi + 1):
             assert abs(value_at(s1, n)[0] - value_at(s2, n)[0]) < 1e-9
@@ -387,7 +394,8 @@ class TestBoundedSolution:
             bound=1.0, exponent=LN2, first=-4,
             projections=[np.diag([1.0, float(n > 0)]) for n in range(-4, 5)])
         with pytest.raises(SplitflowError, match="rank changes across node 0"):
-            bounded_solution(c, cert, 0.0, ForcingSequence.zeros(-4, 3, 2))
+            bounded_solution(c, cert, constant_b(np.zeros((2, 2))),
+                             ForcingSequence.zeros(-4, 3, 2))
 
     def test_perturbation_stacked_once_per_solve(self):
         # B is read in one batched call over the window nodes, not once per
@@ -410,7 +418,7 @@ class TestBoundedSolution:
         c, cert = stable_scalar()
         f = impulse(-20, 20, -1, np.array([1.0]))
         with pytest.raises(ContractionMarginError) as exc:
-            bounded_solution(c, cert, 0.4, f)
+            bounded_solution(c, cert, constant_b([[0.4]]), f)
         assert exc.value.factor > 0.9
         assert abs(exc.value.threshold - (1 - 0.5) / (1 + 0.5)) < 1e-12
 
@@ -418,7 +426,7 @@ class TestBoundedSolution:
         # assemble (I - Gamma_B) x = Gamma_f 0 densely and solve it
         c, cert = saddle()
         rng = np.random.default_rng(13)
-        b_mat = 0.04 * rng.standard_normal((2, 2))
+        b = constant_b(0.04 * rng.standard_normal((2, 2)))
         f = ForcingSequence(-18, 18, 0.5 * rng.standard_normal((37, 2)))
         w = 37
         zero_f = ForcingSequence.zeros(-18, 18, 2)
@@ -426,25 +434,27 @@ class TestBoundedSolution:
         for j in range(w * 2):
             e = np.zeros((w, 2))
             e[j // 2, j % 2] = 1.0
-            cols.append(gamma_apply(c, cert, b_mat, zero_f, e).ravel())
+            cols.append(gamma_apply(c, cert, b, zero_f, e).ravel())
         k_op = np.column_stack(cols)
-        rhs = gamma_apply(c, cert, b_mat, f, np.zeros((w, 2))).ravel()
+        rhs = gamma_apply(c, cert, b, f, np.zeros((w, 2))).ravel()
         x_direct = np.linalg.solve(np.eye(2 * w) - k_op, rhs).reshape(w, 2)
-        sol = bounded_solution(c, cert, b_mat, f, tol=1e-12)
+        sol = bounded_solution(c, cert, b, f, tol=1e-12)
         assert np.max(np.abs(sol.values - x_direct)) < 1e-9
 
 
 class TestImpulseProjections:
     def test_saddle_unperturbed_recovery(self):
         c, cert = saddle()
-        pi_s = impulse_response_projection(c, cert, 0.0, [0], tol=1e-11)[0]
+        pi_s = impulse_response_projection(
+            c, cert, constant_b(np.zeros((2, 2))), [0], tol=1e-11)[0]
         pi_u = np.eye(2) - pi_s
         assert np.allclose(pi_s, np.diag([1.0, 0.0]), atol=1e-9)
         assert np.allclose(pi_u, np.diag([0.0, 1.0]), atol=1e-9)
 
     def test_stable_scalar_any_small_perturbation(self):
         c, cert = stable_scalar()
-        pi_s = impulse_response_projection(c, cert, 0.05, [0], tol=1e-11)[0]
+        pi_s = impulse_response_projection(
+            c, cert, constant_b([[0.05]]), [0], tol=1e-11)[0]
         pi_u = np.eye(1) - pi_s
         assert abs(pi_s[0, 0] - 1.0) < 1e-9
         assert abs(pi_u[0, 0]) < 1e-9
@@ -452,7 +462,8 @@ class TestImpulseProjections:
     def test_unstable_scalar(self):
         c = DiscreteCocycle.constant([[2.0]])
         cert = DichotomyCertificate.constant([[0.0]], 1.0, LN2)
-        pi_s = impulse_response_projection(c, cert, 0.05, [0], tol=1e-11)[0]
+        pi_s = impulse_response_projection(
+            c, cert, constant_b([[0.05]]), [0], tol=1e-11)[0]
         pi_u = np.eye(1) - pi_s
         assert abs(pi_u[0, 0] - 1.0) < 1e-9
         assert abs(pi_s[0, 0]) < 1e-9
@@ -486,7 +497,8 @@ class TestImpulseProjections:
         monkeypatch.setattr(greens, "bounded_solution", doctored)
         with pytest.raises(SplitflowError,
                            match=r"node -1 .*\(residual 2\.000e\+00\)"):
-            impulse_response_projection(c, cert, 0.0, nodes)
+            impulse_response_projection(c, cert, constant_b(np.zeros((2, 2))),
+                                        nodes)
 
     def test_family_solve_matches_single_node_solves(self):
         # one solve for the whole family against one solve per node, on the

@@ -21,6 +21,15 @@ Likewise every ``self.<attr>`` stored under src/splitflow, and every field
 of a dataclass there, must be read somewhere: as an attribute load or as an
 identifier string (``getattr``).
 
+Every optional parameter of a function, method or class constructor under
+src/splitflow (a dataclass field with a default and ``init`` included) must
+be set by some call in ``src``, ``demos`` or ``perfbench``: by position, by
+keyword, through ``dataclasses.replace`` or, for a dataclass field, by an
+attribute store.  A call names its callee by function, attribute or class
+name, and counts for every definition of that name.  Parameters that start
+with an underscore are exempt, and so are the functions the benchmark wraps
+(``TRACED`` in ``perfbench/tracer.py``), whose parameters it freezes.
+
 Only ``cocycle.py`` under src/splitflow names the parts of the pruned
 spectral max (``spectral_norms``, ``_frobenius``, ``FROBENIUS_SLACK``): every
 other module takes a max of matrix norms through ``spectral_argmax`` or the
@@ -166,13 +175,15 @@ def _attribute_reads(tree):
             yield node.value
 
 
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
 def _dataclass_fields(tree):
     """``(class, field, line)`` of every field of a ``@dataclass`` class."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(
-                getattr(d.func if isinstance(d, ast.Call) else d, "id",
-                        None) == "dataclass"
-                for d in node.decorator_list):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign):
                     yield node.name, item.target.id, item.lineno
@@ -200,6 +211,109 @@ def test_every_dataclass_field_is_read():
                       for path, tree in _trees(("src",))
                       for cls, name, line in _dataclass_fields(tree)])
     assert not unread, "dataclass field never read:\n" + "\n".join(unread)
+
+
+def _init_field(item):
+    """Whether the dataclass field ``item`` is a constructor parameter: it
+    is not ``field(..., init=False)``."""
+    value = item.value
+    return not (isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in value.keywords))
+
+
+def _signatures(tree):
+    """``(name, params, dataclass, line)`` of every function, method and
+    class constructor: ``params`` the ``(parameter, position)`` pairs of
+    its optional parameters, ``position`` the index a positional argument
+    takes (bound ``self`` and ``cls`` not counted), None for a keyword-only
+    one.  A class is its ``__init__``, or for a dataclass its ``init``
+    fields, ``dataclass`` True."""
+    methods = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods.update(id(item) for item in node.body)
+        if _is_dataclass(node):
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign) and _init_field(item)]
+            yield node.name, [(item.target.id, i) for i, item in
+                              enumerate(fields) if item.value is not None], \
+                True, node.lineno
+        for item in node.body:
+            if isinstance(item, FUNCTIONS):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in item.decorator_list)
+                name = node.name if item.name == "__init__" else item.name
+                yield name, _optional(item.args, not static), False, item.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS) and id(node) not in methods:
+            yield node.name, _optional(node.args, False), False, node.lineno
+
+
+def _optional(args, bound):
+    """The ``(parameter, position)`` pairs of :func:`_signatures` for the
+    arguments ``args`` of a function, ``bound`` when the first is ``self``
+    or ``cls``."""
+    positional = [p.arg for p in args.posonlyargs + args.args][int(bound):]
+    first = len(positional) - len(args.defaults)
+    return ([(p, i) for i, p in enumerate(positional) if i >= first]
+            + [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _settings(tree):
+    """``(callee, n_positional, keywords)`` of every call, the callee named
+    by its function, attribute or class name (None when a ``*`` argument
+    passes any number of positional ones), and ``(None, 0, names)`` for the
+    fields set by ``dataclasses.replace`` or by an attribute store."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            keywords = {k.arg for k in node.keywords}
+            if name == "replace":
+                yield None, 0, keywords
+                continue
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            yield name, None if starred else len(node.args), keywords
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            yield None, 0, {node.attr}
+
+
+def _traced():
+    """The ``(module, function)`` pairs that ``perfbench/tracer.py`` wraps;
+    their parameters are frozen by the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "TRACED")
+
+
+def test_every_optional_parameter_is_set_by_the_program():
+    # an optional parameter that no command, demo or benchmark sets is a
+    # constant, and belongs in the body
+    calls = [s for _, tree in _trees(PROGRAM) for s in _settings(tree)]
+    stored = set().union(*(kw for name, _, kw in calls if name is None))
+    traced = set(_traced())
+    unset = []
+    for path, tree in _trees(("src",)):
+        for name, params, dataclass, line in _signatures(tree):
+            if (path.stem, name) in traced:
+                continue
+            unset.extend(
+                f"{path.relative_to(ROOT)}:{line} {name}({param})"
+                for param, at in params
+                if not param.startswith("_")
+                and not (dataclass and param in stored)
+                and not any(callee == name and (param in kw or at is not None
+                                                and (n is None or at < n))
+                            for callee, n, kw in calls))
+    assert not unset, ("optional parameter no program caller sets:\n"
+                       + "\n".join(unset))
 
 
 SPECTRAL_PARTS = {"spectral_norms", "_frobenius", "FROBENIUS_SLACK"}

@@ -172,11 +172,9 @@ class TestRhoModulus:
         wave_problem])
     def test_matches_fresh_draw(self, make):
         p = make()
-        for n_cloud, n_dirs in ((32, 8), (5, 3), (1, 1)):
-            for eps in (p.r_u / 2, p.r_u / 8, p.r_u / 100):
-                for _ in range(2):  # the second call reads the memo
-                    assert rho_modulus(p, eps, n_cloud, n_dirs) == \
-                        rho_modulus_oracle(p, eps, n_cloud, n_dirs)
+        for eps in (p.r_u / 2, p.r_u / 8, p.r_u / 100):
+            for _ in range(2):  # the second call reads the memo
+                assert rho_modulus(p, eps) == rho_modulus_oracle(p, eps)
 
 
 class TestEtaEpsilon:
@@ -219,17 +217,29 @@ def test_threshold_cache_keys_the_bisection_depth():
     # a coarse bisection cached first must not answer a later default call:
     # each problem below starts with no cached thresholds
     p = cubic_problem()
-
-    def fresh():
-        return replace(p, meta={"dressing": p.meta["dressing"]})
-
     m_bound, beta = p.autonomous_cert.bound, p.autonomous_cert.exponent
-    want = neighborhood_thresholds(fresh(), m_bound, beta)
-    coarse = fresh()
+    want = neighborhood_thresholds(replace(p), m_bound, beta)
+    coarse = replace(p)
     rough = neighborhood_thresholds(coarse, m_bound, beta, bisect_steps=3)
     assert rough != want
     assert neighborhood_thresholds(coarse, m_bound, beta) == want
     assert neighborhood_thresholds(coarse, m_bound, beta, 3) == rough
+
+
+def test_replaced_problem_has_its_own_thresholds():
+    # a problem made by dataclasses.replace, a 4x stiffer cubic, must not
+    # answer with the thresholds cached on the problem it was made from
+    p = cubic_problem()
+    m_bound, beta = p.autonomous_cert.bound, p.autonomous_cert.exponent
+    stiff = {"f0": lambda y: -4.0 * y ** 3,
+             "f0_prime": lambda y: (-12.0 * y ** 2)[:, :, None]}
+    fresh = SemilinearProblem(a_matrix=p.a_matrix, f_eta=p.f_eta,
+                              y0_star=p.y0_star, r_u=p.r_u,
+                              f_eta_dy=p.f_eta_dy, **stiff)
+    want = neighborhood_thresholds(fresh, m_bound, beta)
+    old = neighborhood_thresholds(p, m_bound, beta)
+    assert want[2] < old[2] / 2
+    assert neighborhood_thresholds(replace(p, **stiff), m_bound, beta) == want
 
 
 class TestFindSolution:
@@ -259,8 +269,8 @@ class TestFindSolution:
         sols = {}
         for eta in (0.2, 0.1, 0.05):
             sol = find_hyperbolic_solution(p, eta, W64, tol=1e-9)
-            c_proof = (SUP_OVER_LAMBDA * sol.autonomous_cert.bound
-                       / sol.autonomous_cert.exponent)
+            c_proof = (SUP_OVER_LAMBDA * p.autonomous_cert.bound
+                       / p.autonomous_cert.exponent)
             assert sol.sup_distance <= c_proof * sol.lambda_value
             assert sol.sup_distance < sol.eps_used
             sols[eta] = sol.sup_distance
@@ -496,8 +506,9 @@ class TestCertify:
         certify_hyperbolic(p, sol, n_half=4)
         assert sol.status == "certified"
         lc = sol.linearization_certificate
-        assert abs(lc.exponent - sol.autonomous_cert.exponent) < 1e-10
-        assert spectral_norm(lc.proj_s([0])[0] - sol.autonomous_cert.proj_s([0])[0]) < 1e-9
+        assert abs(lc.exponent - p.autonomous_cert.exponent) < 1e-10
+        assert spectral_norm(lc.proj_s([0])[0]
+                             - p.autonomous_cert.proj_s([0])[0]) < 1e-9
 
     def test_multiplicative_cubic_rate_near_gap(self):
         # multiplicative noise at the zero equilibrium of y' = -y + y^3:
@@ -540,9 +551,10 @@ class TestCertify:
 
         p = cubic_problem()
         sol = find_hyperbolic_solution(p, 0.2, W64, tol=1e-9)
-        sol.autonomous_cert = DichotomyCertificate.constant(
+        weak = replace(p)
+        weak.autonomous_cert = DichotomyCertificate.constant(
             [[1.0]], 2000.0, 0.45)
-        certify_hyperbolic(p, sol, n_half=2, trunc_tol=1e-3)
+        certify_hyperbolic(weak, sol, n_half=2, trunc_tol=1e-3)
         assert sol.status == "bounded"
         assert sol.linearization_certificate is None
         assert sol.meta["certification"]["threshold"] is not None
