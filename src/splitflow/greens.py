@@ -21,14 +21,22 @@ is the exact ``sup |Gamma_f x - x| <= tol``, which Frobenius bounds settle
 without an SVD in all but the last iteration or two
 (:func:`~splitflow.cocycle.spectral_sup_at_most`).
 Nodes within the certified geometric-tail length (the band) of the window
-edges are edge-contaminated.  (A direct linear solve would work too; the
-iteration mirrors the contraction argument and its residual is the
-certificate.  The test suite keeps the linear solve, a per-pair Green kernel
-and the sweeps one node at a time as oracles.)
+edges are edge-contaminated.  The test suite keeps a dense linear solve, a
+per-pair Green kernel and the sweeps one node at a time as oracles.
 
 The perturbed projections at a family of nodes are bounded solutions of
-unit-impulse problems, solved together as the column blocks of one forcing:
-one Picard loop and one residual certificate per family.
+unit-impulse problems over one span, the column blocks of one forcing; read
+at the impulse nodes, they are the splitting of the span's boundary-value
+problem.  Two paths give them (:func:`impulse_response_projection`).  Where
+the base ``Pi^s`` is exactly ``I`` (``Pi^u = 0``) or exactly ``0`` at every
+node of the span, every Picard iterate reads it unchanged at the impulse
+nodes, so ``Pi^s`` itself is the answer and no solve runs.  Otherwise the
+splitting is marched directly, with bases re-orthonormalised at every step
+(the re-projected continuation of Dieci & Van Vleck, SIAM J. Numer. Anal.
+40, 2002); the kernel sum of that splitting solves the family, and one
+Picard step of the base kernel sum from there certifies it with the same
+residual test.  The test suite keeps the Picard iteration from zero as the
+oracle of both.
 
 A perturbation ``b`` is, like a cocycle's ``step``, a node-batched
 ``b(ns) -> (N, d, d)`` (``DiscreteCocycle.constant(m).step`` is the matrix
@@ -40,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import (_finite, spectral_argmax, spectral_sup,
+from .cocycle import (DiscreteCocycle, _finite, spectral_argmax, spectral_sup,
                       spectral_sup_at_most, stack_steps)
 from .dichotomy import _restricted_inverse, delta_threshold
 from .errors import ConfigurationError, ContractionMarginError, SplitflowError
@@ -123,6 +131,24 @@ def _band_for(cert, delta_eff, f_sup, trunc_tol):
     return truncation_length(cert.exponent, sup_term, trunc_tol)
 
 
+def _contraction(cert, b_mats):
+    """``(rho, delta_eff)`` of the perturbation steps ``b_mats`` against the
+    certificate: ``delta_eff = K sup|B|`` and the contraction factor ``rho =
+    delta_eff (1+e^{-a})/(1-e^{-a})``.  A factor above
+    ``CONTRACTION_MARGIN`` raises :class:`ContractionMarginError`."""
+    delta_eff = cert.bound * spectral_sup(b_mats)
+    e = math.exp(-cert.exponent)
+    rho = delta_eff * (1.0 + e) / (1.0 - e)
+    if rho > CONTRACTION_MARGIN:
+        thr = delta_threshold(cert.exponent)
+        raise ContractionMarginError(
+            f"contraction factor rho={rho:.4f} exceeds margin "
+            f"{CONTRACTION_MARGIN}; the admissibility threshold on "
+            f"sup|B|*K is {thr:.6f}", factor=rho, threshold=thr,
+        )
+    return rho, delta_eff
+
+
 def _impulse_span(cert, b_mats, n_lo, n_hi, trunc_tol):
     """Span of the impulse solves for the nodes [n_lo, n_hi]: the window
     widened by the unit-forcing band of its perturbation size, plus 8.
@@ -160,16 +186,17 @@ def _scan(v, maps, tmp, mul):
         s *= 2
 
 
-def _sweeps(cocycle, cert, n_lo, n_hi):
-    """The two sweeps of :func:`_gamma` over the window's W nodes, as
-    :func:`_scan` recurrences: ``Pi^s(m+1)`` and ``-R_m Pi^u(m+1)``, which
-    take ``u(m)`` into the forward and the backward sweep, and the maps of
-    each, ``Pi^s(i) A_{i-1}`` and, on the reversed nodes, ``R_{W-1-i}``.  A
-    rank change or a singular restricted step, which leaves no backward
-    branch, or a non-finite projection raises :class:`SplitflowError`."""
-    steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1), cocycle.dim)
-    nodes = range(n_lo, n_hi + 2)
-    proj_s = _finite(cert.proj_s(nodes), nodes, "projection", nodes=True)
+def _sweeps(steps, proj_s, n_lo):
+    """The two sweeps of :func:`_gamma` over the W nodes ``n_lo, ...`` of
+    the steps ``steps``, with ``proj_s`` the ``Pi^s`` at those nodes and
+    the next, as :func:`_scan` recurrences: ``Pi^s(m+1)`` and ``-R_m
+    Pi^u(m+1)``, which take ``u(m)`` into the forward and the backward
+    sweep, and the maps of each, ``Pi^s(i) A_{i-1}`` and, on the reversed
+    nodes, ``R_{W-1-i}``.  A rank change or a singular restricted step,
+    which leaves no backward branch, or a non-finite projection raises
+    :class:`SplitflowError`."""
+    nodes = range(n_lo, n_lo + len(proj_s))
+    proj_s = _finite(proj_s, nodes, "projection", nodes=True)
     back, rank, no_inverse, _ = _restricted_inverse(steps, proj_s)
     if np.any(no_inverse):
         k = int(np.argmax(no_inverse))
@@ -178,39 +205,41 @@ def _sweeps(cocycle, cert, n_lo, n_hi):
         raise SplitflowError(f"{why} across node {n_lo + k}; "
                              "no backward branch")
     pi_s = proj_s[1:]
-    return (pi_s[:-1], back @ (pi_s - np.eye(cocycle.dim)),
+    return (pi_s[:-1], back @ (pi_s - np.eye(steps.shape[-1])),
             pi_s[:-1] @ steps[:-1], back[-2::-1].copy())
 
 
-def _gamma(sweeps, b_mats, f, x):
+def _gamma(sweeps, b_mats, f, x, out=None):
     """Kernel sum ``Gamma_f x = sum_k G(n, k+1) u(k)``, ``u = B x + f``, as
     ``S + U``: forward ``S(m+1) = Pi^s(m+1) (A_m S(m) + u(m))`` from
     ``S(n_lo) = 0``, backward ``U(m) = R_m (U(m+1) - Pi^u(m+1) u(m))`` from
     ``U(n_hi+1) = 0``.  Both sweeps are first-order linear recurrences,
     solved by doubling (:func:`_scan`) in place: ``S`` in the output, ``U``
-    in the buffer of ``u``, the backward one on the reversed nodes.  An
-    overflow raises :class:`SplitflowError` naming the first non-finite
-    node, with no numpy warning."""
+    in the buffer of ``u``, the backward one on the reversed nodes.  The
+    sum goes into ``out`` when one is given: a C-contiguous array of the
+    forcing's shape, not ``x``.  An overflow raises :class:`SplitflowError`
+    naming the first non-finite node, with no numpy warning."""
     pi_s, lift_u, fwd, bwd = sweeps
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.einsum("kab,kb...->ka...", b_mats, x)
         u += f.values
         w = u.reshape(len(u), u.shape[1], -1)  # vector forcing as (W, d, 1)
         mul = np.multiply if w.shape[1] == 1 else np.matmul  # d = 1: scalars
-        out = np.empty_like(w)
-        out[0] = 0.0
-        mul(pi_s, w[:-1], out=out[1:])
+        res = np.empty_like(u) if out is None else out
+        s = res.reshape(w.shape)  # a view
+        s[0] = 0.0
+        mul(pi_s, w[:-1], out=s[1:])
         block = max(1, min(len(w), _SCAN_BYTES // w[0].nbytes))
         tmp = np.empty((block,) + w.shape[1:])
         for lo in range(0, len(w), block):  # u(m) -> -R_m Pi^u(m+1) u(m)
             rows = w[lo:lo + block]
             rows[...] = mul(lift_u[lo:lo + block], rows, out=tmp[:len(rows)])
-        _scan(out, fwd, tmp, mul)
+        _scan(s, fwd, tmp, mul)
         _scan(w[::-1], bwd, tmp, mul)
-        out += w
-    if not np.isfinite(out).all():  # only then look for the node
-        _finite(out, range(f.n_min, f.n_max + 1), "kernel sum", nodes=True)
-    return out.reshape(u.shape)
+        s += w
+    if not np.isfinite(res).all():  # only then look for the node
+        _finite(res, range(f.n_min, f.n_max + 1), "kernel sum", nodes=True)
+    return res
 
 
 def _picard(apply, x, tol, rate, first, max_iter, what):
@@ -266,32 +295,32 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     ``rho = sup|B| * K * (1+e^{-a})/(1-e^{-a}) <= 0.9`` (the theory demands
     only < 1; the margin keeps iteration counts and downstream constants
     tame).  Returns the Picard fixed point with a certified sup-norm
-    residual ``|Gamma_f x - x| <= tol``.
+    residual ``|Gamma_f x - x| <= tol``, iterated from ``x0`` (zero by
+    default), whose buffer the iteration reuses: a caller passes an
+    initial guess without keeping it.
     """
     n_lo, n_hi = f.window
     b_mats = stack_steps(b, range(n_lo, n_hi + 1), cocycle.dim)
-    delta_eff = cert.bound * spectral_sup(b_mats)
+    rho, delta_eff = _contraction(cert, b_mats)
     e = math.exp(-cert.exponent)
-    rho = delta_eff * (1.0 + e) / (1.0 - e)
-    if rho > CONTRACTION_MARGIN:
-        thr = delta_threshold(cert.exponent)
-        raise ContractionMarginError(
-            f"contraction factor rho={rho:.4f} exceeds margin "
-            f"{CONTRACTION_MARGIN}; the admissibility threshold on "
-            f"sup|B|*K is {thr:.6f}", factor=rho, threshold=thr,
-        )
     f_sup = f.sup_norm()
     if not f_sup < math.inf:  # finite values whose norm overflows
         raise SplitflowError(f"forcing norm overflows (sup {f_sup})")
     band = min(_band_for(cert, delta_eff, f_sup, trunc_tol), n_hi - n_lo + 1)
-    sweeps = _sweeps(cocycle, cert, n_lo, n_hi)
+    sweeps = _sweeps(stack_steps(cocycle.step, range(n_lo, n_hi + 1),
+                                 cocycle.dim),
+                     cert.proj_s(range(n_lo, n_hi + 2)), n_lo)
     first = cert.bound * f_sup * (1.0 + e) / (1.0 - e)
-    if x0 is not None:
-        first += _seq_sup(np.asarray(x0, float))
+    if x0 is None:
+        start = np.zeros_like(f.values)
+    else:  # |x0(n)| <= sqrt(entries per node) max|x0|, with no SVD
+        start = _finite(np.ascontiguousarray(x0, float),
+                        range(n_lo, n_hi + 1), "initial guess", nodes=True)
+        first += math.sqrt(start[0].size) * max(start.max(), -start.min())
+    # the first iterate's buffer takes every later sum but that of itself
     x, residual, it = _picard(
-        lambda x: _gamma(sweeps, b_mats, f, x),
-        np.zeros_like(f.values) if x0 is None else np.array(x0, float),
-        tol, rho, first, max_iter, "Picard iteration")
+        lambda x: _gamma(sweeps, b_mats, f, x, None if x is start else start),
+        start, tol, rho, first, max_iter, "Picard iteration")
     apriori = cert.bound * f_sup * (1.0 + e) / ((1.0 - e) * (1.0 - rho))
     sup = _seq_sup(x)
     if f_sup > 0.0 and sup > apriori * (1.0 + 1e-6) + 10.0 * (tol + trunc_tol):
@@ -307,6 +336,80 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     )
 
 
+def _splitting(psi, proj_s, n_lo):
+    """Stable projections ``I - U (L U)^{-1} L`` of the splitting of the
+    boundary-value problem ``x(m+1) = psi_m x(m) + f(m)``, ``Pi^s(n_lo)
+    x(n_lo) = 0``, ``Pi^u(n_hi+1) x(n_hi+1) = 0``, at the nodes ``n_lo, ...,
+    n_hi+1`` of ``proj_s`` (the base ``Pi^s`` there).
+
+    ``U`` is an orthonormal basis of the range of ``Pi^u(n_lo)`` pushed
+    forward through the steps ``psi``, and the rows of ``L`` one of the
+    annihilator of the range of ``Pi^s(n_hi+1)`` pulled back through them;
+    both are re-orthonormalised by Gram-Schmidt after every step (Dieci &
+    Van Vleck, SIAM J. Numer. Anal. 40, 2002), and the two marches run as
+    one, stacked.  A rank change of ``Pi^u`` (read from its trace, before
+    the one SVD, of the two end projections) or a singular ``L U`` raises
+    :class:`SplitflowError` naming the node.
+    """
+    n, d = proj_s.shape[:2]
+    proj_u = np.eye(d) - proj_s
+    rank = np.rint(np.trace(proj_u, axis1=1, axis2=2)).astype(int)
+    if np.any(rank != rank[0]):
+        k = int(np.argmax(rank != rank[0]))
+        raise SplitflowError(f"unstable rank changes across node "
+                             f"{n_lo + k - 1}; no backward branch")
+    r = rank[0]
+    ends = np.linalg.svd(proj_u[[0, -1]])
+    maps = np.stack([psi, psi[::-1].swapaxes(1, 2)], axis=1)
+    # bases[k, 0] is U at node n_lo + k, bases[k, 1] is L^T at n_hi + 1 - k
+    bases = np.empty((n, 2, d, r))
+    bases[0] = ends[0][0, :, :r], ends[2][1, :r].T
+    for k in range(n - 1):
+        q = np.matmul(maps[k], bases[k], out=bases[k + 1])
+        for j in range(r):
+            col = q[..., j:j + 1]
+            if j:
+                col -= q[..., :j] @ (q[..., :j].swapaxes(1, 2) @ col)
+            col /= np.sqrt(col.swapaxes(1, 2) @ col)
+    u, lt = bases[:, 0], bases[::-1, 1]
+    lu = lt.swapaxes(1, 2) @ u
+    singular = ~(np.abs(np.linalg.det(lu)) > 0.0)  # a NaN too
+    if np.any(singular):
+        raise SplitflowError(
+            f"no splitting at node {n_lo + int(np.argmax(singular))}: the "
+            "pushed unstable and the pulled stable spaces meet")
+    return np.eye(d) - u @ np.linalg.solve(lu, lt.swapaxes(1, 2))
+
+
+def _exact_family(cert, n_lo, n_hi, nodes):
+    """``Pi^s`` at ``nodes`` when it is exactly ``I`` at every node ``n_lo,
+    ..., n_hi+1``, or exactly ``0``; None otherwise, and the span's stack
+    does not outlive the test.  A non-finite projection raises
+    :class:`SplitflowError` naming its node."""
+    span = range(n_lo, n_hi + 2)
+    proj_s = _finite(cert.proj_s(span), span, "projection", nodes=True)
+    if np.all(proj_s == np.eye(proj_s.shape[-1])) or not proj_s.any():
+        return proj_s[np.asarray(nodes) - n_lo]
+    return None
+
+
+def _split_solution(base, cert, b, f):
+    """Bounded solution of ``x(m+1) = psi_m x(m) + f(m)``, ``psi = A + B``
+    the steps of ``base`` and ``b`` over the window of ``f``, with the
+    boundary conditions of the base ``Pi^s`` at its ends: the kernel sum of
+    the splitting (:func:`_splitting`) with no perturbation.  It reads its
+    stacks itself, so that none outlives it; a non-finite ``psi`` raises
+    :class:`SplitflowError` naming its node."""
+    nodes = range(f.n_min, f.n_max + 1)
+    psi = _finite(stack_steps(base.step, nodes, base.dim)
+                  + stack_steps(b, nodes, base.dim), nodes, "perturbed step",
+                  nodes=True)
+    split = _splitting(psi, cert.proj_s(range(f.n_min, f.n_max + 2)),
+                       f.n_min)
+    return _gamma(_sweeps(psi, split, f.n_min), np.zeros_like(psi), f,
+                  np.broadcast_to(0.0, f.values.shape))
+
+
 def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
                                 trunc_tol=DEFAULT_TRUNC_TOL):
     """Perturbed stable projections from unit impulses, stacked ``(m, d, d)``
@@ -317,16 +420,35 @@ def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
     projection there; the unstable one is its complement.  The family is one
     bounded solution over :func:`_impulse_span`: column block j of the
     forcing is the identity at ``nodes[j] - 1``, and block j of the solution
-    is read at ``nodes[j]``.
+    is read at ``nodes[j]``.  The base steps are read once over the span,
+    and the checks of :func:`bounded_solution` come first, in its order:
+    finite ``B``, the contraction margin, finite steps and projections.
+
+    Where the base ``Pi^s`` is exactly ``I`` at every node of the span, or
+    exactly ``0``, every Picard iterate has ``x = e_j`` (``x = 0``) at the
+    impulse node, so ``Pi^s`` itself is returned and no solve runs
+    (:func:`_exact_family`).  Otherwise the splitting of the span's steps
+    ``psi = A + B`` is marched, its two sweeps give the family's bounded
+    solution (:func:`_split_solution`), and :func:`bounded_solution`
+    certifies it from there: one Picard step, and the residual test at
+    ``tol``, after an exact march.
     """
     d, m = cocycle.dim, len(nodes)
     window = range(min(nodes), max(nodes) + 1)
-    b_window = stack_steps(b, window, d)
-    n_lo, n_hi = _impulse_span(cert, b_window, window[0], window[-1], trunc_tol)
+    n_lo, n_hi = _impulse_span(cert, stack_steps(b, window, d), window[0],
+                               window[-1], trunc_tol)
+    span = range(n_lo, n_hi + 1)
+    _contraction(cert, stack_steps(b, span, d))
+    steps = stack_steps(cocycle.step, span, d)
+    exact = _exact_family(cert, n_lo, n_hi, nodes)
+    if exact is not None:
+        return exact
     f = ForcingSequence.zeros(n_lo, n_hi, d, d * m)
     for j, n in enumerate(nodes):
         f.values[n - 1 - n_lo, :, j * d:(j + 1) * d] = np.eye(d)
-    sol = bounded_solution(cocycle, cert, b, f, tol=tol, trunc_tol=trunc_tol)
+    base = DiscreteCocycle(lambda ns: steps[np.asarray(ns) - n_lo], d)
+    sol = bounded_solution(base, cert, b, f, tol=tol, trunc_tol=trunc_tol,
+                           x0=_split_solution(base, cert, b, f))
     # block j of row nodes[j], stacked (m, d, d)
     pi_s = sol.values.reshape(-1, d, m, d)[np.asarray(nodes) - n_lo, :,
                                            np.arange(m)]

@@ -14,8 +14,11 @@ verifier prunes, :func:`ball_cloud_oracle` and
 :func:`rho_modulus_oracle` draw their clouds afresh, where the library
 draws once, and :func:`conjugated_fields_oracle` composes the random ODE's
 field from a conjugated nonlinearity and a linear noise term that each read
-the noise dressing, where the library reads it once per call.  The helpers at the end drive library internals
-the way a test needs them.
+the noise dressing, where the library reads it once per call, and
+:func:`impulse_family_oracle` Picard-iterates the impulse family from zero,
+where the library returns a trivial splitting's ``Pi^s`` or solves for the
+splitting.  The helpers at the end drive library internals the way a test
+needs them.
 """
 
 import numpy as np
@@ -27,7 +30,8 @@ from splitflow import (ConfigurationError, DichotomyCertificate,
 from splitflow.cocycle import UNIT_SAMPLES, spectral_norms, stack_steps
 from splitflow.dichotomy import (_restricted_inverse, _split_march,
                                  _window_nodes)
-from splitflow.greens import _gamma, _sweeps
+from splitflow.greens import (_gamma, _impulse_span, _sweeps,
+                              bounded_solution)
 from splitflow.hyperbolic import _ball_cloud
 
 
@@ -221,7 +225,9 @@ def gamma_apply(cocycle, cert, b, f, x):
     the forcing's whole window.  Linear in (x, f)."""
     n_lo, n_hi = f.window
     b_mats = stack_steps(b, range(n_lo, n_hi + 1), cocycle.dim)
-    return _gamma(_sweeps(cocycle, cert, n_lo, n_hi), b_mats, f,
+    return _gamma(_sweeps(stack_steps(cocycle.step, range(n_lo, n_hi + 1),
+                                  cocycle.dim),
+                      cert.proj_s(range(n_lo, n_hi + 2)), n_lo), b_mats, f,
                   np.asarray(x, float))
 
 
@@ -328,6 +334,24 @@ def impulse(n_min, n_max, node, payload):
                               None if payload.ndim == 1 else payload.shape[1])
     f.values[node - n_min] = payload
     return f
+
+
+def impulse_family_oracle(cocycle, cert, b, nodes, tol=1e-10,
+                          trunc_tol=1e-10):
+    """The perturbed stable projections at ``nodes`` as one bounded solution
+    of the unit-impulse forcing over the library's impulse span, Picard
+    iterated from zero, where the library returns ``Pi^s`` itself or
+    solves for the span's splitting.  Returns ``(family, solution)``."""
+    d, m = cocycle.dim, len(nodes)
+    window = range(min(nodes), max(nodes) + 1)
+    n_lo, n_hi = _impulse_span(cert, stack_steps(b, window, d), window[0],
+                               window[-1], trunc_tol)
+    f = ForcingSequence.zeros(n_lo, n_hi, d, d * m)
+    for j, n in enumerate(nodes):
+        f.values[n - 1 - n_lo, :, j * d:(j + 1) * d] = np.eye(d)
+    sol = bounded_solution(cocycle, cert, b, f, tol=tol, trunc_tol=trunc_tol)
+    blocks = sol.values.reshape(-1, d, m, d)
+    return blocks[np.asarray(nodes) - n_lo, :, np.arange(m)], sol
 
 
 def value_at(sol, n):

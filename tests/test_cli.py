@@ -178,19 +178,16 @@ class TestRobustnessCmd:
 
 
 class TestHyperbolicCmd:
-    def test_additive_model(self, tmp_path):
+    def test_additive_model_is_retired(self, tmp_path, capsys):
+        # the additive model ignored r_u and kappa_amplitude; it is now an
+        # unknown model, a config error that writes nothing
         cfg = tmp_path / "h.cfg"
-        cfg.write_text("model = additive\neta_grid = 0.03,0.015\n"
-                       "tol = 1e-9\nt_min = -70\nt_max = 70\n")
+        cfg.write_text("model = additive\neta_grid = 0.03,0.015\n")
         out = tmp_path / "out"
         assert run_cli(["hyperbolic", "--config", str(cfg),
-                        "--out", str(out)]) == 0
-        lines = (out / "hyperbolic.csv").read_text().strip().splitlines()
-        assert len(lines) == 3
-        hdr = lines[0].split(",")
-        row = dict(zip(hdr, lines[1].split(",")))
-        assert row["status"] == "certified"
-        assert float(row["sup_distance"]) <= 0.03
+                        "--out", str(out)]) == 2
+        assert "unknown model 'additive'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_row_exits_one(self, tmp_path, monkeypatch):
         # the bump leaves the neighborhood lambda(eta) admitted it for
@@ -365,13 +362,15 @@ def test_cold_import_loads_no_scipy(tmp_path):
 
 def test_run_imports_nothing(tmp_path):
     # every module a run needs is loaded at start-up: a lazy import inside
-    # a run (numpy.random, numpy.fft, locale) would be timed as
-    # run time
+    # a run (numpy.random, numpy.fft, locale, numpy.ma by np.median) would
+    # be timed as run time
     configs = {
         "hyperbolic": "eta_grid = 0.1\n",
         "wave": "n_modes = 2\nt_min = -58\nt_max = 58\n"
                 "eta_grid = 1e-4,0.0\nn_half = 2\n",
         "robustness": "t_min = -4\nt_max = 4\n",
+        # 64 paths read the variances roughly: bands wide enough to pass
+        "ou-check": "n_paths = 64\nvariance_band = 0.5\nw1_band = 0.5\n",
     }
     for command, text in configs.items():
         (tmp_path / f"{command}.cfg").write_text(text)

@@ -11,8 +11,8 @@ from splitflow import cocycle, greens
 from splitflow.cocycle import FROBENIUS_SLACK, spectral_sup_at_most
 from splitflow.greens import _seq_sup
 from conftest import (GreenKernel, gamma_apply, gamma_sequential, impulse,
-                      march_tables, rotating_saddle, time_varying_saddle,
-                      value_at)
+                      impulse_family_oracle, march_tables, rotating_saddle,
+                      time_varying_saddle, value_at)
 
 LN2 = float(np.log(2.0))
 
@@ -302,6 +302,16 @@ class TestBoundedSolution:
                               x0=rng.standard_normal(f.values.shape))
         assert np.max(np.abs(s1.values - s2.values)) < 2 * tol
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_guess_names_its_node(self, bad):
+        c, cert = stable_scalar()
+        f = impulse(-10, 10, -1, np.array([1.0]))
+        x0 = np.zeros(f.values.shape)
+        x0[13] = bad
+        with pytest.raises(SplitflowError,
+                           match="non-finite initial guess at node 3 "):
+            bounded_solution(c, cert, constant_b([[0.05]]), f, x0=x0)
+
     @pytest.mark.parametrize("r", [None, 2])  # vector and matrix forcing
     def test_iteration_cap_fails_closed(self, r):
         # one Picard step at a tight tolerance leaves the residual
@@ -514,3 +524,136 @@ class TestImpulseProjections:
             single = impulse_response_projection(c, cert, b, [n],
                                                  tol=1e-11)[0]
             assert np.max(np.abs(pi_s - single)) < 1e-10
+
+
+def stable_rotations(dim=8, reach=120, seed=3):
+    """A fully stable time-varying cocycle ``A_n = 0.5 Q_n`` (``Q_n`` random
+    orthogonal) with its exact certificate ``Pi^s = I``, ``K = 1``,
+    ``alpha = ln 2``, and a time-varying perturbation of norm about 0.1,
+    both node-batched on ``[-reach, reach]``."""
+    gen = np.random.default_rng(seed)
+    steps = 0.5 * np.linalg.qr(gen.standard_normal((2 * reach + 1, dim,
+                                                    dim)))[0]
+    pert = 0.02 * gen.standard_normal((2 * reach + 1, dim, dim))
+    return (DiscreteCocycle(lambda ns: steps[np.asarray(ns) + reach], dim),
+            DichotomyCertificate.constant(np.eye(dim), 1.0, LN2),
+            lambda ns: pert[np.asarray(ns) + reach])
+
+
+def counted_solves(monkeypatch):
+    """The results of every ``greens.bounded_solution`` call, as a list."""
+    real, solves = greens.bounded_solution, []
+
+    def counted(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(greens, "bounded_solution", counted)
+    return solves
+
+
+class TestImpulseFamilyPaths:
+    """The family against :func:`conftest.impulse_family_oracle`, today's
+    solve Picard-iterated from zero."""
+
+    @pytest.mark.parametrize("case", ["stable scalar", "unstable scalar",
+                                      "stable d=8"])
+    def test_trivial_splitting_is_the_oracle_bit_for_bit(self, case,
+                                                         monkeypatch):
+        if case == "stable d=8":
+            c, cert, b = stable_rotations()
+        else:
+            c, cert = stable_scalar()
+            if case == "unstable scalar":
+                c = DiscreteCocycle.constant([[2.0]])
+                cert = DichotomyCertificate.constant([[0.0]], 1.0, LN2)
+            b = constant_b([[0.05]])
+        nodes = list(range(-5, 6))
+        want, sol = impulse_family_oracle(c, cert, b, nodes, tol=1e-11)
+        assert sol.iterations > 1
+        solves = counted_solves(monkeypatch)
+        got = impulse_response_projection(c, cert, b, nodes, tol=1e-11)
+        assert np.array_equal(got, want)
+        assert not solves
+
+    def test_mixed_splitting_takes_one_picard_step(self, monkeypatch):
+        # the time-varying saddle of test_idempotent
+        c, cert = saddle()
+        rng = np.random.default_rng(14)
+        b_mat = {n: 0.03 * rng.standard_normal((2, 2))
+                 for n in range(-80, 81)}
+        b = pointwise(lambda n: b_mat[n])
+        nodes = list(range(-6, 7))
+        want, sol = impulse_family_oracle(c, cert, b, nodes, tol=1e-13)
+        assert sol.iterations > 1
+        solves = counted_solves(monkeypatch)
+        got = impulse_response_projection(c, cert, b, nodes, tol=1e-11)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert [s.iterations for s in solves] == [1]
+
+    def test_doctored_splitting_is_corrected_by_the_picard_steps(
+            self, monkeypatch):
+        # the march only seeds the solve: a splitting off by 1e-3 costs
+        # iterations, and the residual test still decides the family
+        c, cert = saddle()
+        b = constant_b(0.03 * np.random.default_rng(5).standard_normal(
+            (2, 2)))
+        nodes = list(range(-4, 5))
+        want, _ = impulse_family_oracle(c, cert, b, nodes, tol=1e-13)
+        real = greens._splitting
+        monkeypatch.setattr(greens, "_splitting",
+                            lambda *args: real(*args) + 1e-3)
+        solves = counted_solves(monkeypatch)
+        got = impulse_response_projection(c, cert, b, nodes, tol=1e-11)
+        assert solves[0].iterations > 1
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    @pytest.mark.parametrize("fault", ["margin", "base step", "perturbation",
+                                       "projection"])
+    def test_trivial_splitting_raises_the_solves_errors(self, fault):
+        # the faults sit inside the span but outside the window, which
+        # sizes the span: the solve met them there first
+        c, cert = stable_scalar()
+        b = constant_b([[0.05]])
+        if fault == "margin":
+            b = constant_b([[0.4]])
+        elif fault == "base step":
+            c = DiscreteCocycle(lambda ns: np.where(
+                np.asarray(ns) == 20, np.inf, 0.5)[:, None, None], 1)
+        elif fault == "perturbation":
+            b = lambda ns: np.where(np.asarray(ns) == -20, np.nan,
+                                    0.05)[:, None, None]
+        else:
+            family = np.ones((201, 1, 1))
+            family[120] = np.nan
+            cert = DichotomyCertificate(1.0, LN2, family, first=-100)
+        kind = ContractionMarginError if fault == "margin" else SplitflowError
+        with pytest.raises(kind) as old:
+            impulse_family_oracle(c, cert, b, [-2, 0, 3])
+        with pytest.raises(kind) as new:
+            impulse_response_projection(c, cert, b, [-2, 0, 3])
+        assert type(new.value) is type(old.value)
+        assert str(new.value) == str(old.value)
+
+    def test_mixed_splitting_names_a_rank_change(self):
+        c, _ = saddle()
+        cert = DichotomyCertificate(
+            bound=1.0, exponent=LN2, first=-60,
+            projections=[np.diag([1.0, float(n > 30)])
+                         for n in range(-60, 61)])
+        with pytest.raises(SplitflowError,
+                           match="rank changes across node 30"):
+            impulse_response_projection(c, cert, constant_b(np.zeros((2, 2))),
+                                        [0])
+
+    def test_mixed_splitting_names_a_singular_node(self):
+        # the range of Pi^u at the span's first node is e1, the stable
+        # range at its last is e1 too: no splitting separates them
+        c, _ = saddle()
+        cert = DichotomyCertificate(
+            bound=1.0, exponent=LN2, first=-60,
+            projections=[np.diag([0.0, 1.0]) if n < -30
+                         else np.diag([1.0, 0.0]) for n in range(-60, 61)])
+        with pytest.raises(SplitflowError, match=r"no splitting at node -\d+"):
+            impulse_response_projection(c, cert, constant_b(np.zeros((2, 2))),
+                                        [0])

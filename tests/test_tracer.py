@@ -66,4 +66,6 @@ def test_every_tracer_hook_fires(tmp_path):
     assert out["keys"]["cocycle.propagator"] > 0
     assert out["keys"]["dichotomy.autonomous_certificate"] > 0
     assert out["layers"]["greens.impulse_response_projection.calls"] == 3
-    assert out["layers"]["greens.bounded_solution.calls"] == 3
+    # the scalar instance and the cubic family are exact (Pi^u = 0): only
+    # the saddle's family runs a bounded solve
+    assert out["layers"]["greens.bounded_solution.calls"] == 1
