@@ -49,8 +49,7 @@ strat = sf.StratonovichSpec(
     b_matrix=p.meta["b_matrix"], f=p.f0, f_prime=p.f0_prime,
     eta=1.0, kappa=sf.default_kappa(),
 )
-prob = sf.random_ode_problem(strat, path, p.y0_star, p.r_u,
-                             a_matrix=p.a_matrix)
+prob = sf.random_ode_problem(strat, path, p.y0_star, p.r_u)
 w2 = sf.TimeGrid(-58.0, 58.0, 1.0 / 32)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")

@@ -275,9 +275,7 @@ def cmd_robustness(v, out_dir):
                     true_rate is not None and cert.exponent <= true_rate + 1e-9)
                 passed = passed and entry["exponent_conservative"]
         except SplitflowError as exc:
-            entry["error"] = str(exc)
-            entry["measured"] = getattr(exc, "measured", None)
-            entry["threshold"] = getattr(exc, "threshold", None)
+            entry.update(exc.record())
             passed = False
         ok = ok and passed
         instances.append(entry)

@@ -142,8 +142,7 @@ def spectral_projection(A, gap_tol=GAP_TOL):
     if gap < gap_tol:
         raise NonHyperbolicError(
             f"eigenvalue within {gap_tol:g} of the imaginary axis (gap {gap:.3e})",
-            gap=gap,
-        )
+            measured=gap, threshold=gap_tol)
     right = eigs.real[eigs.real > 0]
     left = eigs.real[eigs.real < 0]
     d = A.shape[0]

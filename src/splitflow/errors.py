@@ -1,13 +1,27 @@
 """Exception hierarchy shared by the library.
 
 Domain errors on plain scalar arguments (e.g. a nonpositive decay exponent)
-raise ``ValueError`` directly; the classes below carry structured context for
-failures of the quantitative hypotheses the solvers depend on.
+raise ``ValueError`` directly; the classes below name the failures of the
+quantitative hypotheses the solvers depend on.
 """
 
 
 class SplitflowError(Exception):
-    """Base class for library-specific failures."""
+    """Base class for library-specific failures.
+
+    A failed comparison of a number with its bound carries both, in the
+    same units: ``measured`` and ``threshold`` (None when no number failed).
+    """
+
+    def __init__(self, message, measured=None, threshold=None):
+        super().__init__(message)
+        self.measured = measured
+        self.threshold = threshold
+
+    def record(self):
+        """The failure as an output record: message, measured, threshold."""
+        return {"error": str(self), "measured": self.measured,
+                "threshold": self.threshold}
 
 
 class ConfigurationError(SplitflowError):
@@ -15,15 +29,7 @@ class ConfigurationError(SplitflowError):
 
 
 class WindowError(SplitflowError):
-    """A time window does not cover what an operation needs.
-
-    ``required_extension`` (seconds) says how much further the stored window
-    would have to reach for the call to succeed, when that is known.
-    """
-
-    def __init__(self, message, required_extension=None):
-        super().__init__(message)
-        self.required_extension = required_extension
+    """A time window does not cover what an operation needs."""
 
 
 class IntegrationError(SplitflowError):
@@ -33,33 +39,14 @@ class IntegrationError(SplitflowError):
 class NonHyperbolicError(SplitflowError):
     """A spectrum touches the stability boundary within the gap tolerance."""
 
-    def __init__(self, message, gap=None):
-        super().__init__(message)
-        self.gap = gap
-
 
 class ContractionMarginError(SplitflowError):
     """A fixed-point map is not contracting with the required margin."""
-
-    def __init__(self, message, factor=None, threshold=None):
-        super().__init__(message)
-        self.factor = factor
-        self.threshold = threshold
 
 
 class RobustnessHypothesisError(SplitflowError):
     """A perturbation exceeds the smallness threshold of the robustness step."""
 
-    def __init__(self, message, measured=None, threshold=None):
-        super().__init__(message)
-        self.measured = measured
-        self.threshold = threshold
-
 
 class ThresholdError(SplitflowError):
     """A requested neighborhood size exceeds what the nonlinearity allows."""
-
-    def __init__(self, message, which=None, limit=None):
-        super().__init__(message)
-        self.which = which
-        self.limit = limit

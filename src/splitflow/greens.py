@@ -140,12 +140,11 @@ def _contraction(cert, b_mats):
     e = math.exp(-cert.exponent)
     rho = delta_eff * (1.0 + e) / (1.0 - e)
     if rho > CONTRACTION_MARGIN:
-        thr = delta_threshold(cert.exponent)
         raise ContractionMarginError(
             f"contraction factor rho={rho:.4f} exceeds margin "
-            f"{CONTRACTION_MARGIN}; the admissibility threshold on "
-            f"sup|B|*K is {thr:.6f}", factor=rho, threshold=thr,
-        )
+            f"{CONTRACTION_MARGIN}; the admissibility threshold on sup|B|*K "
+            f"is {delta_threshold(cert.exponent):.6f}",
+            measured=rho, threshold=CONTRACTION_MARGIN)
     return rho, delta_eff
 
 
@@ -265,8 +264,8 @@ def _picard(apply, x, tol, rate, first, max_iter, what):
     if not residual <= tol:
         raise SplitflowError(
             f"{what} did not certify residual {tol:g} "
-            f"(got {residual:.3e} after {it} iterations)"
-        )
+            f"(got {residual:.3e} after {it} iterations)",
+            measured=residual, threshold=tol)
     return x, residual, it
 
 
@@ -323,10 +322,11 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
         start, tol, rho, first, max_iter, "Picard iteration")
     apriori = cert.bound * f_sup * (1.0 + e) / ((1.0 - e) * (1.0 - rho))
     sup = _seq_sup(x)
-    if f_sup > 0.0 and sup > apriori * (1.0 + 1e-6) + 10.0 * (tol + trunc_tol):
+    allowed = apriori * (1.0 + 1e-6) + 10.0 * (tol + trunc_tol)
+    if f_sup > 0.0 and sup > allowed:
         raise SplitflowError(
-            f"a-priori bound violated: |x|={sup:.6g} > {apriori:.6g}"
-        )
+            f"a-priori bound violated: |x|={sup:.6g} > {apriori:.6g}",
+            measured=sup, threshold=allowed)
     interior = (n_lo + band, n_hi - band)
     return BoundedSolution(
         n_min=n_lo, n_max=n_hi, values=x, residual=residual, iterations=it,
@@ -457,5 +457,5 @@ def impulse_response_projection(cocycle, cert, b, nodes, tol=1e-10,
         raise SplitflowError(
             f"impulse projection at node {nodes[far[1]]} is far from "
             f"idempotent (residual {far[0]:.3e}); perturbation may be too "
-            "large")
+            "large", measured=far[0], threshold=1e-4)
     return pi_s

@@ -251,9 +251,7 @@ def eta_epsilon(p, eps, m_bound, beta, lambda_curve, eta_max=1.0):
         which = "eps1" if eps1 <= eps2 / 2 else "eps2"
         raise ThresholdError(
             f"eps={eps:g} is not below eps0={eps0:g} (binding: {which}, "
-            f"eps1={eps1:g}, eps2={eps2:g})",
-            which=which, limit=eps0,
-        )
+            f"eps1={eps1:g}, eps2={eps2:g})", measured=eps, threshold=eps0)
     target = eps * beta / (SMALLNESS_DIVISOR * m_bound)
     if lambda_curve(eta_max) < target:
         return eta_max
@@ -366,7 +364,7 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     eps1, eps2, eps0 = neighborhood_thresholds(p, m_bound, beta)
     if eps0 <= 0.0:
         raise ThresholdError("no admissible neighborhood: eps0 = 0",
-                             which="eps0", limit=0.0)
+                             measured=eps0, threshold=0.0)
     budget = beta / (SMALLNESS_DIVISOR * m_bound)
     if lam == 0.0:
         eps_used = eps0 / 2
@@ -376,8 +374,7 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
             raise ContractionMarginError(
                 f"lambda(eta)={lam:.4g} needs eps >= {eps_needed:.4g} but the "
                 f"thresholds cap eps0 at {eps0:.4g}",
-                factor=lam / (eps0 * budget), threshold=1.0,
-            )
+                measured=lam / (eps0 * budget), threshold=1.0)
         eps_used = min(0.999 * eps0, 1.5 * eps_needed)
     rho_eps = rho_modulus(p, min(eps_used, p.r_u / 2))
     lip_eps = _lip_dev(p, eps_used)
@@ -385,14 +382,13 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     if factor > CONTRACTION_LIMIT:
         raise ContractionMarginError(
             f"measured contraction factor {factor:.4f} exceeds "
-            f"{CONTRACTION_LIMIT}", factor=factor, threshold=CONTRACTION_LIMIT,
-        )
+            f"{CONTRACTION_LIMIT}", measured=factor,
+            threshold=CONTRACTION_LIMIT)
     selfmap = 2.0 * (m_bound / beta) * (lam + rho_eps * eps_used)
     if selfmap >= eps_used:
         raise ContractionMarginError(
             f"self-map bound {selfmap:.4g} does not close below eps="
-            f"{eps_used:.4g}", factor=selfmap / eps_used, threshold=1.0,
-        )
+            f"{eps_used:.4g}", measured=selfmap / eps_used, threshold=1.0)
 
     h = window.h
     times = window.times()
@@ -505,11 +501,7 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
         )
     except (RobustnessHypothesisError, ContractionMarginError) as exc:
         cert.status = STATUS_BOUNDED
-        cert.meta["certification"] = {
-            "error": str(exc),
-            "measured": getattr(exc, "measured", None),
-            "threshold": getattr(exc, "threshold", None),
-        }
+        cert.meta["certification"] = exc.record()
         return cert
     report = lin_cert.meta["verification"]
     cert.linearization_certificate = lin_cert

@@ -76,8 +76,7 @@ class _NoiseDressing:
         ts = path.grid.times()
         self.ts = ts[ts >= t_first]
         if len(self.ts) < 2:
-            raise WindowError("path window too short for the noise dressing",
-                              required_extension=t_first - path.grid.t_min)
+            raise WindowError("path window too short for the noise dressing")
         self.kz, self.ckz = rescaled_noise(path, kappa, self.ts, tail_tol)
 
     def at(self, eta, t):
@@ -253,7 +252,7 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
     strat = StratonovichSpec(b_matrix=base.meta["b_matrix"], f=base.f0,
                              f_prime=base.f0_prime, eta=1.0, kappa=kappa)
     problem = random_ode_problem(strat, path, base.y0_star, base.r_u,
-                                 a_matrix=base.a_matrix, tail_tol=tail_tol)
+                                 tail_tol=tail_tol)
     cert_a = problem.autonomous_cert
     m_bound, beta = cert_a.bound, cert_a.exponent
     n_time, n_cloud = LAMBDA_SAMPLES

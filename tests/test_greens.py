@@ -427,10 +427,13 @@ class TestBoundedSolution:
     def test_margin_error_reports_threshold(self):
         c, cert = stable_scalar()
         f = impulse(-20, 20, -1, np.array([1.0]))
-        with pytest.raises(ContractionMarginError) as exc:
+        # rho against its margin; the roughness threshold delta(alpha) =
+        # (1 - e^-a)/(1 + e^-a) on K sup|B| is named in the message
+        with pytest.raises(ContractionMarginError,
+                           match=r"threshold on sup\|B\|\*K is 0\.333333") as exc:
             bounded_solution(c, cert, constant_b([[0.4]]), f)
-        assert exc.value.factor > 0.9
-        assert abs(exc.value.threshold - (1 - 0.5) / (1 + 0.5)) < 1e-12
+        assert exc.value.measured > 0.9
+        assert exc.value.threshold == greens.CONTRACTION_MARGIN
 
     def test_direct_linear_solve_oracle(self):
         # assemble (I - Gamma_B) x = Gamma_f 0 densely and solve it

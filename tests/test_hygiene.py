@@ -17,9 +17,11 @@ only when ``src``, ``demos`` or ``perfbench`` mentions it, outside the
 re-exports of ``splitflow/__init__.py``, so that no definition lives in the
 package for the tests alone (test oracles live under ``tests/``).
 
-Likewise every ``self.<attr>`` stored under src/splitflow, and every field
-of a dataclass there, must be read somewhere: as an attribute load or as an
-identifier string (``getattr``).
+Likewise every ``self.<attr>`` stored under src/splitflow must be read by
+the program: as an attribute load in ``src``, ``demos`` or ``perfbench`` (a
+test's read, a dict key or a ``getattr`` string does not count).  Every
+field of a dataclass there must be read somewhere: as an attribute load or
+as an identifier string (``getattr``).
 
 Every optional parameter of a function, method or class constructor under
 src/splitflow (a dataclass field with a default and ``init`` included) must
@@ -200,10 +202,14 @@ def _unread(stored):
 
 
 def test_every_stored_attribute_is_read():
-    unread = _unread([(attr, f"self.{attr}", path, line)
-                      for path, tree in _trees(("src",))
-                      for attr, line in _stored_attributes(tree)])
-    assert not unread, "stored but never read:\n" + "\n".join(unread)
+    read = {node.attr for _, tree in _trees(PROGRAM) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.relative_to(ROOT)}:{line} self.{attr}"
+              for path, tree in _trees(("src",))
+              for attr, line in _stored_attributes(tree) if attr not in read]
+    assert not unread, ("stored but never read by the program:\n"
+                        + "\n".join(unread))
 
 
 def test_every_dataclass_field_is_read():

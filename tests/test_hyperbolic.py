@@ -201,10 +201,11 @@ class TestEtaEpsilon:
 
     def test_eps_above_threshold_names_binding(self):
         p = cubic_problem()
-        with pytest.raises(ThresholdError) as exc:
+        with pytest.raises(ThresholdError,
+                           match=r"binding: eps[12],") as exc:
             eta_epsilon(p, 0.2, 1.0, 1.8, lambda e: e)
-        assert exc.value.which in ("eps1", "eps2")
-        assert exc.value.limit < 0.2
+        assert exc.value.measured == 0.2
+        assert exc.value.threshold < 0.2
 
     def test_no_admissible_eta_warns_zero(self):
         p = additive_problem()
@@ -297,7 +298,7 @@ class TestFindSolution:
         p = additive_problem()
         with pytest.raises(ContractionMarginError) as exc:
             find_hyperbolic_solution(p, 0.5, W64)
-        assert exc.value.factor is not None
+        assert exc.value.measured is not None
 
     def test_pullback_oracle(self):
         p = cubic_problem()

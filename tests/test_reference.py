@@ -1,0 +1,62 @@
+"""The CLI's outputs match the references in ``tests/reference/``.
+
+Each call of ``update_reference.CALLS`` runs once; every cell (exit code,
+stderr, config, and each leaf of the output files) must equal its recorded
+value.  On the numpy version and platform recorded in the manifest a float
+cell must be ``==``; elsewhere it may differ by round-off, within
+``REL_TOL`` relative plus ``ABS_TOL`` absolute, and every other cell stays
+exact.  A failure lists each moved cell with its old and new value and the
+relative change.  A change that moves outputs on purpose rewrites the
+references with ``python tests/update_reference.py``, which prints the same
+list.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import update_reference as ref
+
+MANIFEST = ref.load_manifest()
+EXACT = MANIFEST["environment"] == ref.environment()
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    scratch = tmp_path_factory.mktemp("reference")
+    return {label: ref.run(label, scratch) for label in ref.CALLS}
+
+
+def test_every_call_has_a_reference():
+    assert sorted(MANIFEST["calls"]) == sorted(ref.CALLS)
+    on_disk = sorted(p.name for p in ref.REFERENCE.iterdir() if p.is_dir())
+    assert on_disk == sorted(ref.CALLS)
+
+
+@pytest.mark.parametrize("label", sorted(ref.CALLS))
+def test_outputs_match_reference(runs, label):
+    code, stderr, files = runs[label]
+    new = ref.cells(ref.CALLS[label][1], code, stderr, files)
+    moved = ref.diff(label, ref.reference_cells(label, MANIFEST), new,
+                     exact=EXACT)
+    rule = "==" if EXACT else (f"within {ref.REL_TOL:g} relative + "
+                               f"{ref.ABS_TOL:g} absolute (not the recorded "
+                               f"numpy version and platform)")
+    assert not moved, (f"{len(moved)} cells moved (floats compared {rule}):\n"
+                       + "\n".join(moved))
+
+
+def test_one_ulp_move_is_named():
+    # the differ sees the last bit of one certificate constant
+    label = "hyperbolic"
+    old = ref.reference_cells(label, MANIFEST)
+    doc = json.loads((ref.REFERENCE / label / "hyperbolic.json").read_text())
+    doc["rows"][1]["M_bound"] = float(np.nextafter(doc["rows"][1]["M_bound"],
+                                                   np.inf))
+    new = dict(old)
+    new.update(ref.file_cells("hyperbolic.json", json.dumps(doc, indent=2)))
+    moved = ref.diff(label, old, new)
+    assert len(moved) == 1
+    assert moved[0].startswith("hyperbolic/hyperbolic.json:rows[1].M_bound: ")
+    assert "(relative change 2.22e-16)" in moved[0]
