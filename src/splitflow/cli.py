@@ -333,7 +333,7 @@ def cmd_wave(v, out_dir):
         raise  # a config error exits 2, from main
     except SplitflowError as exc:
         files = [_write_json(out_dir, "wave.json",
-                             {"command": "wave", "error": str(exc)})]
+                             {"command": "wave", **exc.record()})]
         sys.stderr.write(f"wave: {exc}\n")
         return 1, files
     files = [_write_csv(out_dir, "wave.csv", report.rows, report.COLUMNS),

@@ -241,26 +241,40 @@ def _gamma(sweeps, b_mats, f, x, out=None):
     return res
 
 
+def _same_bits(a, b):
+    """Whether two arrays hold the same bytes: ``==`` would equate the
+    signed zeros, which a map may tell apart."""
+    return a.dtype == b.dtype and np.array_equal(
+        *(v.view(f"u{v.itemsize}") for v in (a, b)))
+
+
 def _picard(apply, x, tol, rate, first, max_iter, what):
     """Iterate ``x <- apply(x)`` to the exact test ``sup |apply(x) - x| <=
     tol`` (:func:`_seq_sup`), at most ``max_iter`` times (by default 20 more
     than a contraction of factor ``rate`` and first step ``first`` needs);
     returns ``(x, residual, iterations)``, and an uncertified residual
     raises :class:`SplitflowError` naming ``what``.  ``x`` is dropped after
-    the first step, so the caller passes it without keeping it."""
+    the first step, so the caller passes it without keeping it.
+
+    An iterate that reproduces its input bit for bit (signed zeros
+    included) is a fixed point of ``apply``, a deterministic map of its
+    input's bits: its residual is 0.0, with no further ``apply``."""
     if max_iter is None:
         max_iter = max(3, math.ceil(math.log(tol / (first + tol)) / math.log(
             max(rate, 1e-6))) + 20) if rate > 0.0 and first > 0.0 else 3
     it = 0
+    fixed = False
     while it < max_iter:
         y = apply(x)
         done = (_seq_sup(y - x) <= tol if y.ndim == 2
                 else spectral_sup_at_most(y - x, tol))
+        # the bits only when the test passed: a NaN or an inf never does
+        fixed = done and _same_bits(y, x)
         x = y
         it += 1
         if done:
             break
-    residual = _seq_sup(apply(x) - x)
+    residual = 0.0 if fixed else _seq_sup(apply(x) - x)
     if not residual <= tol:
         raise SplitflowError(
             f"{what} did not certify residual {tol:g} "

@@ -9,9 +9,13 @@ trajectory nearby: the fixed point of
 
 where ``G_A`` is the Green kernel of the frozen linearization ``A``.  The
 kernel integral is discretized by composite trapezoid with an exponential
-tail truncation, evaluated as a matrix-valued convolution via the FFT.  The
-trajectory is then certified as hyperbolic by linearizing along it and
-running the continuous robustness pipeline.
+tail truncation, evaluated as a matrix-valued convolution via the FFT; the
+kernel is tabulated and transformed on the first nonzero forcing.  Where
+``y0*`` solves every perturbed field too (multiplicative noise, ``f(0) =
+0``), the forcing is zero, and so is the first iterate, a bitwise fixed
+point: no table, no FFT and one field call.  The trajectory is then
+certified as hyperbolic by linearizing along it and running the continuous
+robustness pipeline.
 
 The admission thresholds mirror the contraction argument: each smallness
 term gets the budget ``1/(6 M beta^{-1})`` out of the contraction constant,
@@ -283,24 +287,35 @@ def _fast_len(n):
 
 
 class _AutonomousGreen:
-    """Tabulated kernel ``G(t - s)`` of a hyperbolic constant generator."""
+    """Kernel ``G(t - s)`` of a hyperbolic constant generator, tabulated
+    over the offsets ``-n_off .. n_off`` and transformed per FFT length on
+    the first nonzero forcing: a zero forcing reads neither."""
 
     def __init__(self, a_matrix, pi_s, h, n_off):
         self.h, self.n_off = h, n_off
-        pi_u = np.eye(a_matrix.shape[0]) - pi_s
-        fwd, bwd = _envelope_scan(pi_s, pi_u, expm(a_matrix * h),
-                                  expm(-a_matrix * h), n_off + 1)
+        self._a, self._pi_s = a_matrix, pi_s
+        self._spectra = {}  # rfft of the table per FFT length
+
+    @cached_property
+    def table(self):
+        """``G`` at the offsets ``-n_off .. n_off``, stacked
+        ``(2 n_off + 1, d, d)``."""
+        a, pi_s, h = self._a, self._pi_s, self.h
+        pi_u = np.eye(a.shape[0]) - pi_s
+        fwd, bwd = _envelope_scan(pi_s, pi_u, expm(a * h), expm(-a * h),
+                                  self.n_off + 1)
         # composite trapezoid split at the kernel jump: the coincidence node
         # carries the average of the one-sided limits, (Pi^s - Pi^u)/2
         fwd[0] = 0.5 * (pi_s - pi_u)
-        # stacked offsets -n_off .. n_off for the convolution
-        self.table = np.concatenate([-bwd[1:][::-1], fwd], axis=0)
-        self._spectra = {}  # rfft of the table per FFT length
+        return np.concatenate([-bwd[1:][::-1], fwd], axis=0)
 
     def convolve(self, u, weights):
-        """``h * sum_j G[i-j] w_j u_j`` for u of shape (N, d)."""
+        """``h * sum_j G[i-j] w_j u_j`` for u of shape (N, d); exact zeros,
+        with no table, spectrum or FFT, when every ``w_j u_j`` is zero."""
         n = u.shape[0]
         uw = u * weights[:, None]
+        if not uw.any():  # a linear map of zero; a NaN is nonzero
+            return np.zeros(uw.shape)
         n_fft = _fast_len(n + 2 * self.n_off + 1)
         if n_fft not in self._spectra:
             self._spectra[n_fft] = np.fft.rfft(self.table, n_fft, axis=0)

@@ -145,6 +145,18 @@ def _tail_start(path, tail_tol):
     return g.t_min + math.log(max(c, 1e-300) / tail_tol)
 
 
+def _window_floor(path, t0, tail_tol):
+    """The largest ``t_min`` whose tail bound admits the base time ``t0``
+    at the stored path's max|omega| ``m``: the fixed point of ``t = t0 -
+    log((|t| + m) / tail_tol)``.  The bound grows with ``|t_min|``, so the
+    stored ``t_min`` alone names too short a window; a wider window's
+    max|omega| is at least ``m`` and can only raise the bound further."""
+    m, t = float(np.max(np.abs(path.values))), path.grid.t_min
+    for _ in range(16):  # each step contracts by about 1/(|t| + m)
+        t = t0 - math.log(max(abs(t) + m, 1e-300) / tail_tol)
+    return t
+
+
 def ou_value(path, t):
     """z* at the shifted base point, ``-int e^s (theta_t omega)(s) ds``: the
     node ``t`` of :func:`ou_series` at its default tail tolerance."""
@@ -206,9 +218,11 @@ def ou_series(path, window, tail_tol=DEFAULT_TAIL_TOL):
     t0 = float(ts.min())
     start = _tail_start(path, tail_tol)
     if t0 < start:
-        raise WindowError(f"left window too short for tail tolerance {tail_tol:g} at "
-                          f"t={t0}: need t_min <= {g.t_min - (start - t0):.2f}, have "
-                          f"{g.t_min}")
+        raise WindowError(
+            f"left window too short for tail tolerance {tail_tol:g} at t={t0}: "
+            f"need t_min <= {_window_floor(path, t0, tail_tol):.2f}, have "
+            f"{g.t_min} (the fixed point of the tail bound at this path's "
+            f"max|omega|; a wider window's max|omega| can only raise the bound)")
     idx = g.index_of(ts)
     end = idx.max() + 1  # nodes right of the window enter no sum
     with np.errstate(over="ignore", invalid="ignore"):

@@ -83,7 +83,8 @@ def robust_constants(k_bound, alpha, delta):
     den2 = 1.0 - delta * math.exp(-b_tilde) / (1.0 - math.exp(-(alpha + b_tilde)))
     if den1 <= 0.0 or den2 <= 0.0:
         raise SplitflowError("perturbed-constant denominators are not positive; "
-                             "delta too close to the threshold")
+                             "delta too close to the threshold",
+                             measured=min(den1, den2), threshold=0.0)
     d1, d2 = 1.0 / den1, 1.0 / den2
     m = k_bound * (1.0 + delta / ((1.0 - rho) * (1.0 - e))) * max(d1, d2)
     return RobustConstants(K=k_bound, alpha=alpha, delta=delta, rho=rho,

@@ -173,10 +173,11 @@ def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime):
     n = int(n_modes)
     lam = (np.arange(1, n + 1) * np.pi) ** 2
     fp0 = float(f_scalar_prime(0.0))
-    if np.min(np.abs(lam - fp0)) < 1e-8:
+    gap = float(np.min(np.abs(lam - fp0)))
+    if gap < 1e-8:
         raise NonHyperbolicError(
-            f"equilibrium not hyperbolic: some lambda_k equals f'(0)={fp0:g}"
-        )
+            f"equilibrium not hyperbolic: some lambda_k equals f'(0)={fp0:g}",
+            measured=gap, threshold=1e-8)
     big_b = np.zeros((2 * n, 2 * n))
     big_b[:n, n:] = np.eye(n)
     big_b[n:, :n] = -np.diag(lam)

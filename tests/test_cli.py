@@ -263,6 +263,10 @@ class TestWaveCmd:
         assert run_cli(["wave", "--config", str(cfg), "--out", str(out)]) == 1
         body = json.loads((out / "wave.json").read_text())
         assert "not hyperbolic" in body["error"]
+        # the failure record: min |lambda_k - f'(0)| against the gap bound
+        assert list(body) == ["command", "error", "measured", "threshold"]
+        assert body["command"] == "wave"
+        assert body["measured"] == 0.0 and body["threshold"] == 1e-8
 
     @pytest.mark.parametrize("text, message", [
         ("n_modes = 0\n", "need n_modes >= 1"),

@@ -4,7 +4,7 @@ One case per raise site that compares a measured number with a bound: the
 exception's ``measured`` and ``threshold`` are finite and sit on the failing
 side of each other, in the direction the site compares them, and
 ``record()`` is the ``{"error", "measured", "threshold"}`` record the
-``robustness`` command and ``certify_hyperbolic`` write.
+``robustness`` and ``wave`` commands and ``certify_hyperbolic`` write.
 """
 
 import math
@@ -21,7 +21,8 @@ from splitflow import (ContinuousCocycle, ContractionMarginError,
                        impulse_response_projection, pointwise,
                        robust_constants, robust_dichotomy_continuous,
                        robust_dichotomy_discrete, spectral_projection)
-from splitflow import greens, hyperbolic
+from splitflow import greens, hyperbolic, robustness
+from splitflow.sde_bridge import build_wave_system
 
 LN2 = float(np.log(2.0))
 WINDOW = TimeGrid(-30.0, 30.0, 1.0 / 16)
@@ -47,6 +48,12 @@ def decaying_problem():
 
 def spectral_gap(monkeypatch):
     spectral_projection([[1e-12]])
+
+
+def wave_spectral_gap(monkeypatch):
+    # f'(0) = pi^2 = lambda_1, bit for bit
+    build_wave_system(2, 1.0, lambda u: np.pi ** 2 * u,
+                      lambda u: np.pi ** 2 + 0.0 * u)
 
 
 def contraction_margin(monkeypatch):
@@ -132,6 +139,16 @@ def delta_over_threshold(monkeypatch):
     robust_constants(1.0, LN2, 0.5)
 
 
+def denominators_not_positive(monkeypatch):
+    # no real input reaches this check: over alpha in [1e-4, 50] and delta
+    # up to the threshold, both denominators stay above 1/2.  A doctored
+    # gronwall_constants returns alpha_tilde just above -alpha, which sends
+    # the first denominator far below zero
+    monkeypatch.setattr(robustness, "gronwall_constants",
+                        lambda a, delta, d: (-a + 1e-12, 1.0))
+    robust_constants(1.0, LN2, 0.1)
+
+
 def delta_eff_over_threshold(monkeypatch):
     base, cert = scalar(0.5)
     robust_dichotomy_discrete(base, cert, DiscreteCocycle.constant([[0.95]]),
@@ -148,6 +165,7 @@ above = (lambda m, t: m > t, "measured > threshold")
 at_or_above = (lambda m, t: m >= t, "measured >= threshold")
 CASES = [
     (spectral_gap, NonHyperbolicError, (lambda m, t: m < t, "gap < gap_tol")),
+    (wave_spectral_gap, NonHyperbolicError, (lambda m, t: m < t, "gap < 1e-8")),
     (contraction_margin, ContractionMarginError, above),
     (picard_residual, SplitflowError, above),
     (apriori_bound, SplitflowError, above),
@@ -161,6 +179,8 @@ CASES = [
     (selfmap_open, ContractionMarginError, at_or_above),
     (delta_over_threshold, RobustnessHypothesisError,
      (lambda m, t: not m < t, "not measured < threshold")),
+    (denominators_not_positive, SplitflowError,
+     (lambda m, t: m <= t, "min(den1, den2) <= 0")),
     (delta_eff_over_threshold, RobustnessHypothesisError, above),
     (unit_flows_apart, RobustnessHypothesisError, above),
 ]

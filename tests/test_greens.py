@@ -251,6 +251,48 @@ class TestStoppingDecision:
             spectral_sup_at_most(mats, 1e-8)
 
 
+class TestPicardFixedPoint:
+    """An iterate that reproduces its input bit for bit ends the iteration
+    with residual 0.0 and no further ``apply``; anything else, a signed
+    zero included, is re-applied for its residual as before."""
+
+    @staticmethod
+    def _run(step, x, max_iter=None):
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return step(x)
+
+        out = greens._picard(apply, x, 1e-8, 0.5, 1.0, max_iter, "test")
+        return out, len(calls)
+
+    @pytest.mark.parametrize("shape", [(50, 3), (50, 2, 6)])
+    def test_bitwise_fixed_point_takes_one_apply(self, shape):
+        x = np.random.default_rng(23).standard_normal(shape)
+        (y, residual, it), calls = self._run(np.copy, x.copy())
+        assert calls == 1 and it == 1
+        assert residual == 0.0
+        assert y.tobytes() == x.tobytes()
+
+    def test_signed_zero_is_reapplied(self):
+        # -0.0 == 0.0, but a map may tell them apart: not a fixed point
+        (y, residual, it), calls = self._run(np.negative, np.zeros((40, 2)))
+        assert calls == 2 and it == 1
+        assert residual == 0.0 and np.signbit(y).all()
+
+    def test_converged_but_moved_is_reapplied(self):
+        (_, residual, it), calls = self._run(lambda x: x + 1e-12,
+                                             np.zeros((40, 2)))
+        assert calls == 2 and it == 1
+        assert 0.0 < residual <= 1e-8
+
+    def test_no_iterations_still_certify(self):
+        (_, residual, it), calls = self._run(np.copy, np.ones((40, 2)),
+                                             max_iter=0)
+        assert calls == 1 and it == 0 and residual == 0.0
+
+
 class TestSplitMarch:
     def test_tables_match_kernel_per_pair(self):
         # the marched tables against the per-pair two-branch kernel on a

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -403,6 +404,94 @@ def test_kernel_spectrum_cached_per_fft_length():
         want = green.h * np.fft.irfft(yf, n_fft, axis=0)[40:40 + n]
         assert np.array_equal(green.convolve(u[:n], w[:n]), want)
     assert len(green._spectra) == 2
+
+
+def test_zero_forcing_reads_no_table_or_spectrum():
+    # a linear map of zero is zero: no table, spectrum or FFT, and +0.0
+    # throughout, whatever the signs of the zeros or the weights
+    green = saddle_green()
+    rng = np.random.default_rng(6)
+    w = np.ones(300)
+    for u, weights in ((np.zeros((300, 2)), w), (-np.zeros((300, 2)), w),
+                       (rng.standard_normal((300, 2)), 0.0 * w)):
+        got = green.convolve(u, weights)
+        assert got.shape == (300, 2)
+        assert got.tobytes() == np.zeros((300, 2)).tobytes()
+    assert "table" not in vars(green)
+    assert green._spectra == {}
+    # the first nonzero forcing builds both, bit for bit a fresh kernel's
+    u = rng.standard_normal((300, 2))
+    assert np.array_equal(green.convolve(u, w), saddle_green().convolve(u, w))
+    assert "table" in vars(green) and len(green._spectra) == 1
+
+
+def test_nan_forcing_is_not_zero():
+    green = saddle_green()
+    u = np.zeros((100, 2))
+    u[50, 1] = np.nan
+    assert np.isnan(green.convolve(u, np.ones(100))).any()
+    assert len(green._spectra) == 1
+
+
+def counted_picard(monkeypatch):
+    """``apply`` calls of each kernel iteration, one list per call."""
+    runs = []
+    real = hyperbolic._picard
+
+    def counted(apply, *args):
+        runs.append(0)
+
+        def app(x):
+            runs[-1] += 1
+            return apply(x)
+
+        return real(app, *args)
+
+    monkeypatch.setattr(hyperbolic, "_picard", counted)
+    return runs
+
+
+def test_cubic_row_applies_as_before(monkeypatch):
+    # y* = 1 and a nonzero forcing: three iterations and the residual
+    # apply, as before the fixed-point rule
+    from splitflow import cli
+
+    v = cli.load_config("", "hyperbolic")
+    v["seed"] = 12345
+    runs = counted_picard(monkeypatch)
+    sol = find_hyperbolic_solution(cli._hyperbolic_problem(v), 0.2,
+                                   cli._grid(v), tol=v["tol"],
+                                   tail_tol=v["tail_tol"])
+    assert runs == [4] and sol.iterations == 3
+    assert 0.0 < sol.fixed_point_residual <= v["tol"]
+
+
+def test_wave_rows_read_no_kernel(monkeypatch):
+    # the noise is multiplicative and f(0) = 0: every row's trajectory is
+    # the equilibrium, one apply per row, and the Green kernel is never
+    # tabulated or transformed
+    from splitflow import cli, sde_bridge
+
+    problems = []
+    real = sde_bridge.random_ode_problem
+    monkeypatch.setattr(sde_bridge, "random_ode_problem",
+                        lambda *a, **k: problems.append(real(*a, **k))
+                        or problems[-1])
+    runs = counted_picard(monkeypatch)
+    v = cli.load_config("", "wave")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = sde_bridge.run_wave_demo(
+            v["n_modes"], v["beta_damping"], None, v["seed"], cli._grid(v),
+            kappa=KappaFn.inverse_quadratic(v["kappa_amplitude"]),
+            tol=v["tol"], tail_tol=v["tail_tol"], trunc_tol=v["trunc_tol"],
+            n_half=v["n_half"])
+    assert [r["sup_dist_v"] for r in report.rows] == [0.0] * 5
+    assert all(r["certified"] for r in report.rows)
+    assert runs == [1] * 5
+    greens = [g for k, g in problems[0]._memo.items() if k[0] == "green"]
+    assert len(greens) == 1
+    assert "table" not in vars(greens[0]) and greens[0]._spectra == {}
 
 
 def test_kernel_convolution_matches_direct_sum():

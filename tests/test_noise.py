@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 import warnings
 
@@ -176,6 +178,18 @@ class TestStationaryFilter:
         with pytest.raises(WindowError, match=r"need t_min <= -\d+\.\d+, "
                            r"have -4\.0"):
             ou_value(p, 0.0)
+
+    def test_tail_window_error_names_a_window_that_works(self):
+        # the fixed point of the tail bound at the stored path's max|omega|,
+        # not the bound at the stored t_min (which read -24.76 here)
+        p = sample_wiener_path(TimeGrid(-4, 4, H), 1)
+        with pytest.raises(WindowError) as exc:
+            ou_value(p, 0.0)
+        need = float(re.search(r"need t_min <= (-[\d.]+),", str(exc.value))[1])
+        assert need <= -26.35
+        assert "can only raise the bound" in str(exc.value)
+        wide = sample_wiener_path(TimeGrid(math.floor(need), 4, H), 1)
+        assert math.isfinite(ou_value(wide, 0.0))
 
     def test_long_window_matches_per_node_oracle(self):
         # 2,000 units: a single pass weighted by e^{t - t0} overflows past
