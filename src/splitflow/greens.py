@@ -16,10 +16,10 @@ backward through the restricted one-step inverses, apply it exactly
 (:func:`_gamma`).  Each sweep is a first-order linear recurrence, evaluated
 by doubling in ceil(log2 W) batched steps over a window of W nodes
 (:func:`_scan`; Kogge & Stone, 1973; Blelloch, 1990).  Picard iteration then
-yields the solution together with a residual certificate; its stopping test
-is the exact ``sup |Gamma_f x - x| <= tol``, which Frobenius bounds settle
-without an SVD in all but the last iteration or two
-(:func:`~splitflow.cocycle.spectral_sup_at_most`).
+yields the solution together with a residual certificate, one more
+application of the sum; its stopping test is the exact ``sup |Gamma_f x -
+x| <= tol``, which Frobenius bounds settle without an SVD in all but the
+last iteration or two (:func:`~splitflow.cocycle.spectral_sup_at_most`).
 Nodes within the certified geometric-tail length (the band) of the window
 edges are edge-contaminated.  The test suite keeps a dense linear solve, a
 per-pair Green kernel and the sweeps one node at a time as oracles.
@@ -241,40 +241,26 @@ def _gamma(sweeps, b_mats, f, x, out=None):
     return res
 
 
-def _same_bits(a, b):
-    """Whether two arrays hold the same bytes: ``==`` would equate the
-    signed zeros, which a map may tell apart."""
-    return a.dtype == b.dtype and np.array_equal(
-        *(v.view(f"u{v.itemsize}") for v in (a, b)))
-
-
 def _picard(apply, x, tol, rate, first, max_iter, what):
     """Iterate ``x <- apply(x)`` to the exact test ``sup |apply(x) - x| <=
     tol`` (:func:`_seq_sup`), at most ``max_iter`` times (by default 20 more
     than a contraction of factor ``rate`` and first step ``first`` needs);
     returns ``(x, residual, iterations)``, and an uncertified residual
     raises :class:`SplitflowError` naming ``what``.  ``x`` is dropped after
-    the first step, so the caller passes it without keeping it.
-
-    An iterate that reproduces its input bit for bit (signed zeros
-    included) is a fixed point of ``apply``, a deterministic map of its
-    input's bits: its residual is 0.0, with no further ``apply``."""
+    the first step, so the caller passes it without keeping it."""
     if max_iter is None:
         max_iter = max(3, math.ceil(math.log(tol / (first + tol)) / math.log(
             max(rate, 1e-6))) + 20) if rate > 0.0 and first > 0.0 else 3
     it = 0
-    fixed = False
     while it < max_iter:
         y = apply(x)
         done = (_seq_sup(y - x) <= tol if y.ndim == 2
                 else spectral_sup_at_most(y - x, tol))
-        # the bits only when the test passed: a NaN or an inf never does
-        fixed = done and _same_bits(y, x)
         x = y
         it += 1
         if done:
             break
-    residual = 0.0 if fixed else _seq_sup(apply(x) - x)
+    residual = _seq_sup(apply(x) - x)
     if not residual <= tol:
         raise SplitflowError(
             f"{what} did not certify residual {tol:g} "

@@ -9,13 +9,13 @@ trajectory nearby: the fixed point of
 
 where ``G_A`` is the Green kernel of the frozen linearization ``A``.  The
 kernel integral is discretized by composite trapezoid with an exponential
-tail truncation, evaluated as a matrix-valued convolution via the FFT; the
-kernel is tabulated and transformed on the first nonzero forcing.  Where
-``y0*`` solves every perturbed field too (multiplicative noise, ``f(0) =
-0``), the forcing is zero, and so is the first iterate, a bitwise fixed
-point: no table, no FFT and one field call.  The trajectory is then
-certified as hyperbolic by linearizing along it and running the continuous
-robustness pipeline.
+tail truncation, evaluated as a matrix-valued convolution via the FFT
+against the kernel's spectrum, one per problem, grid step, tail length and
+FFT length.  Where ``y0*`` solves every perturbed field too (multiplicative
+noise, ``f(0) = 0``), the forcing ``g(t, 0)`` is zero, and the zero
+trajectory is the answer: one field call, and no kernel is built.  The
+trajectory is then certified as hyperbolic by linearizing along it and
+running the continuous robustness pipeline.
 
 The admission thresholds mirror the contraction argument: each smallness
 term gets the budget ``1/(6 M beta^{-1})`` out of the contraction constant,
@@ -77,7 +77,7 @@ class SemilinearProblem:
     f0_prime: object
     f_eta_dy: object
     meta: dict = field(default_factory=dict)
-    # base cocycles, Green tables and thresholds; not an init field, so a
+    # base cocycles, Green spectra and thresholds; not an init field, so a
     # problem made by dataclasses.replace starts with none
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -104,14 +104,15 @@ class SemilinearProblem:
                 self.a_matrix, step=step)
         return self._memo["base", step]
 
-    def autonomous_green(self, h, n_off):
-        """Tabulated Green kernel of ``a_matrix`` at grid step ``h`` over
-        ``n_off`` offsets, one per problem, step and offset count, so an eta
-        ladder builds it once."""
-        key = ("green", h, n_off)
+    def green_spectrum(self, h, n_off, n_fft):
+        """``rfft`` over ``n_fft`` points of :func:`_green_table` of
+        ``a_matrix`` at step ``h`` and ``n_off`` offsets, once per problem
+        and arguments, so an eta ladder builds it once."""
+        key = ("green", h, n_off, n_fft)
         if key not in self._memo:
-            self._memo[key] = _AutonomousGreen(
-                self.a_matrix, self.autonomous_cert.proj_s([0])[0], h, n_off)
+            table = _green_table(self.a_matrix,
+                                 self.autonomous_cert.proj_s([0])[0], h, n_off)
+            self._memo[key] = np.fft.rfft(table, n_fft, axis=0)
         return self._memo[key]
 
     def validate(self):
@@ -286,44 +287,26 @@ def _fast_len(n):
         m += 1
 
 
-class _AutonomousGreen:
-    """Kernel ``G(t - s)`` of a hyperbolic constant generator, tabulated
-    over the offsets ``-n_off .. n_off`` and transformed per FFT length on
-    the first nonzero forcing: a zero forcing reads neither."""
+def _green_table(a, pi_s, h, n_off):
+    """Kernel ``G(t - s)`` of the hyperbolic constant generator ``a`` with
+    stable projection ``pi_s`` at the offsets ``-n_off .. n_off`` of step
+    ``h``, stacked ``(2 n_off + 1, d, d)``."""
+    pi_u = np.eye(a.shape[0]) - pi_s
+    fwd, bwd = _envelope_scan(pi_s, pi_u, expm(a * h), expm(-a * h),
+                              n_off + 1)
+    # composite trapezoid split at the kernel jump: the coincidence node
+    # carries the average of the one-sided limits, (Pi^s - Pi^u)/2
+    fwd[0] = 0.5 * (pi_s - pi_u)
+    return np.concatenate([-bwd[1:][::-1], fwd], axis=0)
 
-    def __init__(self, a_matrix, pi_s, h, n_off):
-        self.h, self.n_off = h, n_off
-        self._a, self._pi_s = a_matrix, pi_s
-        self._spectra = {}  # rfft of the table per FFT length
 
-    @cached_property
-    def table(self):
-        """``G`` at the offsets ``-n_off .. n_off``, stacked
-        ``(2 n_off + 1, d, d)``."""
-        a, pi_s, h = self._a, self._pi_s, self.h
-        pi_u = np.eye(a.shape[0]) - pi_s
-        fwd, bwd = _envelope_scan(pi_s, pi_u, expm(a * h), expm(-a * h),
-                                  self.n_off + 1)
-        # composite trapezoid split at the kernel jump: the coincidence node
-        # carries the average of the one-sided limits, (Pi^s - Pi^u)/2
-        fwd[0] = 0.5 * (pi_s - pi_u)
-        return np.concatenate([-bwd[1:][::-1], fwd], axis=0)
-
-    def convolve(self, u, weights):
-        """``h * sum_j G[i-j] w_j u_j`` for u of shape (N, d); exact zeros,
-        with no table, spectrum or FFT, when every ``w_j u_j`` is zero."""
-        n = u.shape[0]
-        uw = u * weights[:, None]
-        if not uw.any():  # a linear map of zero; a NaN is nonzero
-            return np.zeros(uw.shape)
-        n_fft = _fast_len(n + 2 * self.n_off + 1)
-        if n_fft not in self._spectra:
-            self._spectra[n_fft] = np.fft.rfft(self.table, n_fft, axis=0)
-        gf = self._spectra[n_fft]
-        uf = np.fft.rfft(uw, n_fft, axis=0)
-        yf = np.einsum("fab,fb->fa", gf, uf)
-        y = np.fft.irfft(yf, n_fft, axis=0)[self.n_off : self.n_off + n]
-        return self.h * y
+def _convolve(spectrum, u, weights, h, n_off, n_fft):
+    """``h * sum_j G[i-j] w_j u_j`` for u of shape (N, d), with
+    ``spectrum`` the ``rfft`` over ``n_fft >= N + 2 n_off + 1`` points of
+    the table ``G`` over ``n_off`` offsets each way."""
+    uf = np.fft.rfft(u * weights[:, None], n_fft, axis=0)
+    y = np.fft.irfft(np.einsum("fab,fb->fa", spectrum, uf), n_fft, axis=0)
+    return h * y[n_off:n_off + len(u)]
 
 
 @dataclass
@@ -414,7 +397,6 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
             f"window too short for the kernel tail: need > {2 * n_off} nodes, "
             f"have {n}"
         )
-    green = p.autonomous_green(h, n_off)
     weights = np.ones(n)
     weights[0] = weights[-1] = 0.5
     f0_star = p.f0_at(p.y0_star[None])[0]
@@ -426,11 +408,21 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
                     "field values")
         return f - f0_star - phi @ d0_star.T
 
-    phi, residual, it = _picard(
-        lambda phi: green.convolve(g_all(phi), weights),
-        np.zeros((n, p.dim)) if x0 is None else np.array(x0, float),
-        tol, factor, 2.0 * (m_bound / beta) * max(lam, tol), max_iter,
-        "kernel iteration")
+    def start():  # a fresh first iterate, which the iteration drops
+        return np.zeros((n, p.dim)) if x0 is None else np.array(x0, float)
+
+    g0 = [g_all(start())]  # the first apply's forcing, read by the zero test
+    if x0 is None and not (g0[0] * weights[:, None]).any():
+        # y0_star solves the perturbed field: phi = 0 is the fixed point
+        phi, residual, it = start(), 0.0, 1
+    else:
+        n_fft = _fast_len(n + 2 * n_off + 1)
+        spectrum = p.green_spectrum(h, n_off, n_fft)
+        phi, residual, it = _picard(
+            lambda x: _convolve(spectrum, g0.pop() if g0 else g_all(x),
+                                weights, h, n_off, n_fft),
+            start(), tol, factor, 2.0 * (m_bound / beta) * max(lam, tol),
+            max_iter, "kernel iteration")
     interior = slice(n_off, n - n_off)
     sup_dist = float(np.max(np.linalg.norm(phi[interior], axis=1)))
     status = STATUS_BOUNDED
@@ -531,8 +523,8 @@ def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
 
     Returns ``(row, sol)``, ``row`` keyed by ``ROW_COLUMNS``.  A
     :class:`SplitflowError` is warned about and becomes a row with status
-    ``error`` and ``sol`` None.  Anything else propagates: a ``ValueError``
-    names a bad argument, not a refused eta.
+    ``error`` and ``sol`` None.  A :class:`ConfigurationError` or anything
+    else propagates: it names a bad config or argument, not a refused eta.
     """
     eta = float(eta)
     row = dict.fromkeys(ROW_COLUMNS)
@@ -543,6 +535,8 @@ def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
                                        n_cloud=n_cloud)
         certify_hyperbolic(p, sol, n_half=n_half, trunc_tol=trunc_tol,
                            step=step)
+    except ConfigurationError:
+        raise
     except SplitflowError as exc:
         row["error"] = str(exc)
         warnings.warn(f"eta={eta:g}: {exc}")

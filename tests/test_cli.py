@@ -220,6 +220,29 @@ class TestHyperbolicCmd:
         assert run_cli(["hyperbolic", "--config", str(cfg),
                         "--out", str(tmp_path / "o")]) == 2
 
+    def test_window_short_of_the_kernel_tail_is_two(self, tmp_path, capsys):
+        # a config fault met inside an eta row ends the run, not the row
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("t_min = -5.0\nt_max = 5.0\n")
+        out = tmp_path / "out"
+        assert run_cli(["hyperbolic", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: window too short for the kernel tail")
+        assert not out.exists()
+
+    def test_off_grid_step_names_the_config_window(self, tmp_path, capsys):
+        # the error names the config's t_min, not the wider path grid's
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("h = 0.3\n")
+        out = tmp_path / "out"
+        assert run_cli(["hyperbolic", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: t_min -70.0 is not a multiple of the grid step "
+            "0.3\n")
+        assert not out.exists()
+
 
 class TestWaveCmd:
     def test_small_run_and_determinism(self, tmp_path):
@@ -281,6 +304,16 @@ class TestWaveCmd:
         assert run_cli(["wave", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (out / "wave.json").exists()
+
+    def test_window_short_of_the_kernel_tail_is_two(self, tmp_path, capsys):
+        # a config fault met inside an eta row ends the run, not the row
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("t_min = -10.0\nt_max = 10.0\n")
+        out = tmp_path / "out"
+        assert run_cli(["wave", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: window too short for the kernel tail")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, half", [("hyperbolic", 4), ("wave", 3)])

@@ -14,8 +14,8 @@ from splitflow import (ContinuousCocycle, ContractionMarginError, KappaFn,
                        sample_wiener_path)
 from splitflow import hyperbolic, robustness
 from splitflow.cocycle import integrate_nonlinear
-from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _AutonomousGreen,
-                                  _ball_cloud, _cloud_draw, _fast_len)
+from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _ball_cloud, _cloud_draw,
+                                  _convolve, _fast_len, _green_table)
 from conftest import (ball_cloud_oracle, bump_problem, lambda_eta_loop,
                       rho_modulus_oracle, spectral_norm)
 
@@ -385,52 +385,93 @@ class TestFailClosed:
             SemilinearProblem(**parts)
 
 
-def saddle_green():
+KERNEL_H, KERNEL_OFF = 1.0 / 16, 40
+
+
+def saddle_table():
     """Kernel table of a non-normal saddle, 40 offsets each way."""
     a = np.array([[-1.0, 0.3], [0.0, 2.0]])
     pi_s = np.array([[1.0, -0.1], [0.0, 0.0]])  # onto e_1 along (0.1, 1)
-    return _AutonomousGreen(a, pi_s, 1.0 / 16, 40)
+    return _green_table(a, pi_s, KERNEL_H, KERNEL_OFF)
+
+
+def saddle_convolve(u, w):
+    """The saddle kernel's convolution of ``u`` at the FFT length the
+    kernel iteration picks for it."""
+    n_fft = _fast_len(len(u) + 2 * KERNEL_OFF + 1)
+    spectrum = np.fft.rfft(saddle_table(), n_fft, axis=0)
+    return _convolve(spectrum, u, w, KERNEL_H, KERNEL_OFF, n_fft)
+
+
+def windowed(p, n_nodes):
+    """Wrap ``p.f_eta`` to count its calls over ``n_nodes`` times, the
+    kernel iteration's calls on a window of that many nodes."""
+    calls = []
+    f_eta = p.f_eta
+
+    def counted(eta, ts, ys):
+        calls.append(len(ts) == n_nodes)
+        return f_eta(eta, ts, ys)
+
+    p.f_eta = counted
+    return calls
+
+
+def green_keys(p):
+    return [k for k in p._memo if k[0] == "green"]
 
 
 def test_kernel_spectrum_cached_per_fft_length():
-    # the cached table spectrum gives the bytes of a fresh rfft per call
-    green = saddle_green()
+    # one spectrum per problem, step, offsets and FFT length, the bytes of
+    # a fresh rfft of the table; the convolution through a spectrum gives
+    # the bytes of the per-call FFT
+    p = additive_problem()
+    table = _green_table(p.a_matrix, p.autonomous_cert.proj_s([0])[0],
+                         KERNEL_H, KERNEL_OFF)
+    for n in (300, 300, 120):
+        n_fft = _fast_len(n + 2 * KERNEL_OFF + 1)
+        got = p.green_spectrum(KERNEL_H, KERNEL_OFF, n_fft)
+        assert got is p.green_spectrum(KERNEL_H, KERNEL_OFF, n_fft)
+        assert got.tobytes() == np.fft.rfft(table, n_fft, axis=0).tobytes()
+    assert len(green_keys(p)) == 2
     u = np.random.default_rng(2).standard_normal((300, 2))
     w = np.ones(300)
-    for n in (300, 300, 120):
-        n_fft = _fast_len(n + 2 * 40 + 1)
-        uf = np.fft.rfft(u[:n] * w[:n, None], n_fft, axis=0)
-        yf = np.einsum("fab,fb->fa", np.fft.rfft(green.table, n_fft, axis=0), uf)
-        want = green.h * np.fft.irfft(yf, n_fft, axis=0)[40:40 + n]
-        assert np.array_equal(green.convolve(u[:n], w[:n]), want)
-    assert len(green._spectra) == 2
+    n_fft = _fast_len(300 + 2 * KERNEL_OFF + 1)
+    uf = np.fft.rfft(u * w[:, None], n_fft, axis=0)
+    yf = np.einsum("fab,fb->fa", np.fft.rfft(saddle_table(), n_fft, axis=0),
+                   uf)
+    want = KERNEL_H * np.fft.irfft(yf, n_fft, axis=0)[40:340]
+    assert np.array_equal(saddle_convolve(u, w), want)
 
 
-def test_zero_forcing_reads_no_table_or_spectrum():
-    # a linear map of zero is zero: no table, spectrum or FFT, and +0.0
-    # throughout, whatever the signs of the zeros or the weights
-    green = saddle_green()
-    rng = np.random.default_rng(6)
-    w = np.ones(300)
-    for u, weights in ((np.zeros((300, 2)), w), (-np.zeros((300, 2)), w),
-                       (rng.standard_normal((300, 2)), 0.0 * w)):
-        got = green.convolve(u, weights)
-        assert got.shape == (300, 2)
-        assert got.tobytes() == np.zeros((300, 2)).tobytes()
-    assert "table" not in vars(green)
-    assert green._spectra == {}
-    # the first nonzero forcing builds both, bit for bit a fresh kernel's
-    u = rng.standard_normal((300, 2))
-    assert np.array_equal(green.convolve(u, w), saddle_green().convolve(u, w))
-    assert "table" in vars(green) and len(green._spectra) == 1
+def test_zero_forcing_reads_no_table_or_spectrum(monkeypatch):
+    # a zero forcing, whatever the signs of its zeros, is answered with the
+    # zero trajectory (+0.0 throughout, residual 0.0, one iteration) from
+    # one field call over the window, with no table, spectrum or Picard run
+    tables = []
+    monkeypatch.setattr(hyperbolic, "_green_table",
+                        lambda *a: tables.append(a) or _green_table(*a))
+    runs = counted_picard(monkeypatch)
+    for zero in (0.0, -0.0):
+        p = additive_problem(lambda eta, t, y: np.array([zero]))
+        calls = windowed(p, W64.n_nodes)
+        sol = find_hyperbolic_solution(p, 0.03, W64)
+        assert sol.trajectory.tobytes() == np.zeros((W64.n_nodes, 1)).tobytes()
+        assert (sol.fixed_point_residual, sol.iterations) == (0.0, 1)
+        assert sum(calls) == 1 and green_keys(p) == []
+    assert tables == [] and runs == []
+    # the first nonzero forcing builds the kernel, and iterates
+    p = additive_problem()
+    find_hyperbolic_solution(p, 0.03, W64)
+    assert len(tables) == 1 and len(green_keys(p)) == 1 and len(runs) == 1
 
 
 def test_nan_forcing_is_not_zero():
-    green = saddle_green()
+    # a NaN in the forcing is carried through the convolution, not read as
+    # a zero forcing
     u = np.zeros((100, 2))
     u[50, 1] = np.nan
-    assert np.isnan(green.convolve(u, np.ones(100))).any()
-    assert len(green._spectra) == 1
+    assert np.isnan(saddle_convolve(u, np.ones(100))).any()
 
 
 def counted_picard(monkeypatch):
@@ -453,50 +494,55 @@ def counted_picard(monkeypatch):
 
 def test_cubic_row_applies_as_before(monkeypatch):
     # y* = 1 and a nonzero forcing: three iterations and the residual
-    # apply, as before the fixed-point rule
+    # apply, four field calls over the window (the first apply reuses the
+    # forcing the zero test read)
     from splitflow import cli
 
     v = cli.load_config("", "hyperbolic")
     v["seed"] = 12345
     runs = counted_picard(monkeypatch)
-    sol = find_hyperbolic_solution(cli._hyperbolic_problem(v), 0.2,
-                                   cli._grid(v), tol=v["tol"],
+    p, window = cli._hyperbolic_problem(v), cli._grid(v)
+    calls = windowed(p, window.n_nodes)
+    sol = find_hyperbolic_solution(p, 0.2, window, tol=v["tol"],
                                    tail_tol=v["tail_tol"])
-    assert runs == [4] and sol.iterations == 3
+    assert runs == [4] and sol.iterations == 3 and sum(calls) == 4
     assert 0.0 < sol.fixed_point_residual <= v["tol"]
 
 
 def test_wave_rows_read_no_kernel(monkeypatch):
     # the noise is multiplicative and f(0) = 0: every row's trajectory is
-    # the equilibrium, one apply per row, and the Green kernel is never
-    # tabulated or transformed
+    # the equilibrium, one field call over the window per row, and no
+    # Green table or spectrum is built
     from splitflow import cli, sde_bridge
 
-    problems = []
-    real = sde_bridge.random_ode_problem
-    monkeypatch.setattr(sde_bridge, "random_ode_problem",
-                        lambda *a, **k: problems.append(real(*a, **k))
-                        or problems[-1])
-    runs = counted_picard(monkeypatch)
     v = cli.load_config("", "wave")
+    window = cli._grid(v)
+    problems, calls = [], []
+    real = sde_bridge.random_ode_problem
+
+    def made(*args, **kwargs):
+        problems.append(real(*args, **kwargs))
+        calls.append(windowed(problems[-1], window.n_nodes))
+        return problems[-1]
+
+    monkeypatch.setattr(sde_bridge, "random_ode_problem", made)
+    runs = counted_picard(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = sde_bridge.run_wave_demo(
-            v["n_modes"], v["beta_damping"], None, v["seed"], cli._grid(v),
+            v["n_modes"], v["beta_damping"], None, v["seed"], window,
             kappa=KappaFn.inverse_quadratic(v["kappa_amplitude"]),
             tol=v["tol"], tail_tol=v["tail_tol"], trunc_tol=v["trunc_tol"],
             n_half=v["n_half"])
     assert [r["sup_dist_v"] for r in report.rows] == [0.0] * 5
     assert all(r["certified"] for r in report.rows)
-    assert runs == [1] * 5
-    greens = [g for k, g in problems[0]._memo.items() if k[0] == "green"]
-    assert len(greens) == 1
-    assert "table" not in vars(greens[0]) and greens[0]._spectra == {}
+    assert runs == [] and sum(calls[0]) == 5
+    assert green_keys(problems[0]) == []
 
 
 def test_kernel_convolution_matches_direct_sum():
     # h * sum_j G[i-j] w_j u_j over |i-j| <= n_off, term by term
-    green = saddle_green()
+    table = saddle_table()
     rng = np.random.default_rng(4)
     n = 150
     u = rng.standard_normal((n, 2))
@@ -504,28 +550,31 @@ def test_kernel_convolution_matches_direct_sum():
     want = np.zeros((n, 2))
     for i in range(n):
         for j in range(max(0, i - 40), min(n, i + 41)):
-            want[i] += green.table[i - j + 40] @ (w[j] * u[j])
-    got = green.convolve(u, w)
-    assert np.max(np.abs(got - green.h * want)) < 1e-12
+            want[i] += table[i - j + 40] @ (w[j] * u[j])
+    got = saddle_convolve(u, w)
+    assert np.max(np.abs(got - KERNEL_H * want)) < 1e-12
 
 
 def test_kernel_built_once_per_problem_step_and_offsets(monkeypatch):
-    # an eta ladder on one problem shares one kernel table, bit for bit the
-    # table a fresh build gives
+    # an eta ladder on one problem shares one kernel spectrum, bit for bit
+    # the rfft of a fresh table
     builds = []
 
     def counted(*args):
         builds.append(args)
-        return _AutonomousGreen(*args)
+        return _green_table(*args)
 
-    monkeypatch.setattr(hyperbolic, "_AutonomousGreen", counted)
+    monkeypatch.setattr(hyperbolic, "_green_table", counted)
     p = additive_problem()
     sols = [find_hyperbolic_solution(p, eta, W64) for eta in (0.03, 0.015)]
     assert len(builds) == 1
     n_off = sols[0].meta["kernel_offsets"]
-    fresh = _AutonomousGreen(p.a_matrix, p.autonomous_cert.proj_s([0])[0], W64.h,
-                             n_off)
-    assert np.array_equal(p.autonomous_green(W64.h, n_off).table, fresh.table)
+    n_fft = _fast_len(W64.n_nodes + 2 * n_off + 1)
+    fresh = _green_table(p.a_matrix, p.autonomous_cert.proj_s([0])[0], W64.h,
+                         n_off)
+    assert np.array_equal(p.green_spectrum(W64.h, n_off, n_fft),
+                          np.fft.rfft(fresh, n_fft, axis=0))
+    assert len(builds) == 1
 
 
 def test_fft_length_is_scipys_default():

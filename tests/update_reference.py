@@ -15,7 +15,10 @@ of each benchmark workload at seed 41 (the configs are read from
 holds each call's output files as written; ``tests/reference/MANIFEST.json``
 holds each call's config, exit code and stderr (the output directory
 written as ``OUT``), and the numpy version and platform the references came
-from.
+from.  ``tests/reference/demos/<demo>.txt`` holds the standard output of
+each script under ``demos/``, run in a fresh interpreter;
+``tests/test_demos.py`` compares it exactly on the recorded numpy version
+and platform.
 
 A cell is one leaf of a JSON output (``rows[2].M_bound``) or one field of a
 CSV row (``[2].M_bound``), parsed back to a bool, None, int, float or
@@ -28,8 +31,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import platform
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -37,6 +42,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "reference"
 MANIFEST = REFERENCE / "MANIFEST.json"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMO_REFERENCE = REFERENCE / "demos"
 
 for _top in ("src", "perfbench"):
     if str(ROOT / _top) not in sys.path:
@@ -92,6 +99,22 @@ def run(label, scratch):
                          "--out", str(out)])
     files = {p.name: p.read_text() for p in sorted(out.glob("*"))}
     return code, err.getvalue().replace(str(out), "OUT"), files
+
+
+def run_demo(demo, cwd):
+    """The finished process of one demo script, run in a fresh interpreter
+    in ``cwd`` against the package in ``src/``, its output captured as
+    text."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(demo)], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+
+
+def demo_reference(demo):
+    """The reference file of a demo's standard output."""
+    return DEMO_REFERENCE / f"{demo.stem}.txt"
 
 
 def _parse(text):
@@ -187,6 +210,30 @@ def reference_cells(label, manifest):
     return cells(entry["config"], entry["exit"], entry["stderr"], files)
 
 
+def _update_demos():
+    """Rewrite the demo references; one line per demo added, removed or
+    whose standard output moved.  A demo that fails raises."""
+    DEMO_REFERENCE.mkdir(parents=True, exist_ok=True)
+    changed = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for demo in DEMOS:
+            done = run_demo(demo, scratch)
+            if done.returncode != 0:
+                raise RuntimeError(f"{demo.name} failed:\n{done.stderr}")
+            target = demo_reference(demo)
+            if not target.exists():
+                changed.append(f"demos/{target.name}: demo added")
+            elif target.read_text() != done.stdout:
+                changed.append(f"demos/{target.name}: standard output moved")
+            with open(target, "w", newline="\n") as fh:
+                fh.write(done.stdout)
+    for stale in set(DEMO_REFERENCE.glob("*.txt")) - set(map(demo_reference,
+                                                             DEMOS)):
+        stale.unlink()
+        changed.append(f"demos/{stale.name}: demo removed")
+    return changed
+
+
 def main():
     old = load_manifest() if MANIFEST.exists() else {"calls": {}}
     calls = {}
@@ -209,6 +256,7 @@ def main():
         changed.append(f"{label}: call removed")
     manifest = {"environment": environment(), "calls": calls}
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
+    changed += _update_demos()
     print("\n".join(changed))
     print(f"{len(changed)} changed cells")
 
