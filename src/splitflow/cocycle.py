@@ -212,6 +212,8 @@ def _finite(values, keys, what, nodes=False):
     """``values`` (one row per time in ``keys``, or per integer node when
     ``nodes``), or :class:`SplitflowError` naming the first time or node
     whose row is not finite."""
+    if np.isfinite(values).all():  # one pass in the common case
+        return values
     bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
     if np.any(bad):
         at, kind = ("node ", "nodes") if nodes else ("t=", "times")
@@ -332,12 +334,37 @@ def _step_count(span, step, samples):
 def _rk4_step(f, y, h):
     """One classical RK4 step of length ``h`` from ``y`` for ``y' = f(s,
     y)``, ``s`` the stage time: 0 the step's start, 1 its midpoint (second
-    and third stages), 2 its end."""
+    and third stages), 2 its end.
+
+    The stage arguments ``y + c k`` share one buffer and the sum ``y + (h /
+    6) (k1 + 2 k2 + 2 k3 + k4)`` is formed in place, in that operation
+    order (IEEE ``+`` and ``*`` commute, so ``b = c k; b += y`` is ``y + c
+    k`` bit for bit).  Only arrays made here are written, never a stage
+    value ``f`` returned: the buffer is given up for a fresh one once a
+    value may share its memory."""
     k1 = f(0, y)
-    k2 = f(1, y + h / 2 * k1)
-    k3 = f(1, y + h / 2 * k2)
-    k4 = f(2, y + h * k3)
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    buf = h / 2 * k1
+    buf += y
+    k2 = f(1, buf)
+    buf = np.multiply(h / 2, k2, out=_spare(buf, k2))
+    buf += y
+    k3 = f(1, buf)
+    buf = np.multiply(h, k3, out=_spare(buf, k2, k3))
+    buf += y
+    k4 = f(2, buf)
+    total = 2 * k2
+    total += k1
+    total += np.multiply(2, k3, out=_spare(buf, k4))
+    total += k4
+    total *= h / 6
+    total += y
+    return total
+
+
+def _spare(buf, *values):
+    """``buf`` to write into, or None (a fresh array) when one of the stage
+    ``values`` may share its memory."""
+    return None if any(np.may_share_memory(buf, v) for v in values) else buf
 
 
 def _step_maps(g, h):

@@ -82,6 +82,18 @@ class TimeGrid:
                                      f"[{self.t_min}, {self.t_max}]")
         return n - self.n_min
 
+    def widened(self, before, after):
+        """This grid reaching ``before`` earlier and ``after`` later, at the
+        same step; a margin that is not a multiple of ``h`` raises naming
+        ``h`` and both margins."""
+        try:
+            return TimeGrid(self.t_min - before, self.t_max + after, self.h)
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"h {self.h!r} must divide the margins {before!r} and "
+                f"{after!r} that the noise path reaches past the window") \
+                from exc
+
     def node_of(self, t):
         """Signed node index of grid time ``t`` (0 for ``t = 0``)."""
         return _as_node(t, self.h, "time")

@@ -178,9 +178,12 @@ def lambda_eta(p, eta, window, n_time=65, n_cloud=32):
     ys = np.repeat(xs, n_time, axis=0)
     f = _finite(p.f_eta_at(eta, ts, ys), ts, "field values")
     jac = _finite(p.d_f_eta(eta, ts, ys), ts, "field Jacobians")
-    f0x, d0x = (np.repeat(a, n_time, axis=0) for a in (p.f0_at(xs), p.d_f0(xs)))
-    v = np.linalg.norm(f - f0x, axis=1)
-    return spectral_sup(jac - d0x, 1.0, v)
+    # each cloud point's f0 and f0' broadcast over its block of times
+    dev = (f.reshape(n_cloud, n_time, -1)
+           - p.f0_at(xs)[:, None]).reshape(f.shape)
+    jac = (jac.reshape((n_cloud, n_time) + jac.shape[1:])
+           - p.d_f0(xs)[:, None]).reshape(jac.shape)
+    return spectral_sup(jac, 1.0, np.linalg.norm(dev, axis=1))
 
 
 def rho_modulus(p, eps):
@@ -258,14 +261,16 @@ def eta_epsilon(p, eps, m_bound, beta, lambda_curve, eta_max=1.0):
             f"eps={eps:g} is not below eps0={eps0:g} (binding: {which}, "
             f"eps1={eps1:g}, eps2={eps2:g})", measured=eps, threshold=eps0)
     target = eps * beta / (SMALLNESS_DIVISOR * m_bound)
-    if lambda_curve(eta_max) < target:
+    # memoized: the bisection tests eta_max again, and lambda is costly
+    admits = cache(lambda e: lambda_curve(e) < target)
+    if admits(eta_max):
         return eta_max
     tiny = eta_max * 2.0 ** -16
     if lambda_curve(tiny) >= target:
         warnings.warn("no eta on the grid satisfies the smallness bound; "
                       "returning 0")
         return 0.0
-    return _bisect_largest(lambda e: lambda_curve(e) < target, tiny, eta_max)
+    return _bisect_largest(admits, tiny, eta_max)
 
 
 def kernel_tail_length(m_bound, beta, tail_tol):
@@ -335,10 +340,39 @@ class HyperbolicSolutionCertificate:
 
     def xi_star(self, t):
         """Trajectory value at ``t``, shape ``t.shape + (d,)``: ``np.interp``
-        per component, exact at the nodes, held constant outside the
-        window."""
-        return np.stack([np.interp(t, self.times, c)
-                         for c in self.trajectory.T], axis=-1)
+        per component, bit for bit, exact at the nodes, held constant
+        outside the window, NaN at a NaN time.
+
+        A trajectory of one component is one ``np.interp`` call.  A wider
+        one finds each time's interval once, by one ``searchsorted``, and
+        reads every component there: a node (or a time outside the window)
+        takes its node value itself, so a ``-0.0`` survives, and any other
+        time ``slope * (t - x_j) + y_j`` with ``slope = (y_{j+1} - y_j) /
+        (x_{j+1} - x_j)``, np.interp's own arithmetic.  A NaN time, or a
+        NaN value from a non-finite trajectory (where np.interp retries
+        from ``x_{j+1}``), sends the call to np.interp per component.
+        """
+        t = np.asarray(t, float)
+        x, y = self.times, self.trajectory
+        if y.shape[1] == 1:
+            return np.interp(t, x, y[:, 0])[..., None]
+        flat = t.ravel()
+        node = np.searchsorted(x, flat, side="right") - 1  # x[node] <= t
+        np.maximum(node, 0, out=node)  # before the window: node 0
+        out, x_node = y[node], x[node]
+        inner = np.flatnonzero((x_node < flat) & (flat < x[-1]))
+        if len(inner):
+            j, x_j = node[inner], x_node[inner]
+            y_j = y[j]
+            with np.errstate(over="ignore", invalid="ignore"):  # as np.interp
+                value = y[j + 1] - y_j
+                value /= (x[j + 1] - x_j)[:, None]
+                value *= (flat[inner] - x_j)[:, None]
+                value += y_j
+            out[inner] = value
+        if np.isnan(flat).any() or np.isnan(out).any():
+            return np.stack([np.interp(t, x, c) for c in y.T], axis=-1)
+        return out.reshape(t.shape + (y.shape[1],))
 
     def interior_times(self):
         return self.times[self.interior]
@@ -452,7 +486,9 @@ def linearize_along(p, cert, step=None):
     eta = cert.eta
 
     def gen(ts):
-        return p.a_matrix + p.d_f_eta(eta, ts, cert.xi_star(ts)) - d0_star
+        g = p.a_matrix + p.d_f_eta(eta, ts, cert.xi_star(ts))
+        g -= d0_star  # in place: one (N, d, d) temporary fewer
+        return g
 
     h = cert.times[1] - cert.times[0]
     return ContinuousCocycle(gen, p.dim,

@@ -31,7 +31,6 @@ import numpy as np
 
 from .dichotomy import spectral_projection
 from .errors import ConfigurationError, NonHyperbolicError, WindowError
-from .grids import TimeGrid
 from .hyperbolic import (SemilinearProblem, eta_epsilon, eta_row, lambda_eta,
                          neighborhood_thresholds)
 from .noise import (DEFAULT_TAIL_TOL, _tail_start, default_kappa,
@@ -49,11 +48,13 @@ class StratonovichSpec:
     """A Stratonovich problem with bounded time-rescaled multiplicative noise.
 
     ``f`` and ``f_prime`` are batched over states, ``f(Y[N, d]) -> [N, d]``
-    and ``f_prime(Y) -> [N, d, d]``.  The noise ``eta kappa_t y o dW_t`` is
-    scalar, one Wiener path on every component.  :func:`random_ode_problem`
-    takes eta per field call and the program's specs carry ``eta = 1``;
-    only :func:`inverse_transform` reads ``eta``, so a row's inverse map
-    needs a spec with that row's eta.
+    and ``f_prime(Y) -> [N, d, d]``; ``f_prime`` returns a new array per
+    call, since :func:`random_ode_problem` adds the noise gap to its
+    diagonal in place (a read-only one is copied first).  The noise ``eta
+    kappa_t y o dW_t`` is scalar, one Wiener path on every component.
+    :func:`random_ode_problem` takes eta per field call and the program's
+    specs carry ``eta = 1``; only :func:`inverse_transform` reads ``eta``,
+    so a row's inverse map needs a spec with that row's eta.
     """
 
     b_matrix: np.ndarray
@@ -128,9 +129,12 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
 
     def f_eta_dy(eta, ts, v):
         s, gap = dressing.at(eta, ts)
-        # the result first, summed in place: one (N, d, d) temporary fewer
-        jac = gap[:, None, None] * np.eye(v.shape[1])
-        jac += np.asarray(fp(s[:, None] * v), float).reshape(jac.shape)
+        jac = np.asarray(fp(s[:, None] * v), float).reshape(
+            len(v), v.shape[1], v.shape[1])
+        if not jac.flags.writeable:
+            jac = jac.copy()
+        diag = np.einsum("nii->ni", jac)  # a writable view of the diagonals
+        diag += gap[:, None]
         return jac
 
     return SemilinearProblem(
@@ -188,18 +192,21 @@ def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime):
     gram = phi.T @ (w[:, None] * phi)
     proj = np.linalg.solve(gram, phi.T * w[None, :])  # modal re-projection
 
+    # batched over states, ys[N, 2n]; each product is written into its
+    # block of the zero result, and f'(u) phi takes its products over whole
+    # (n + 2, n) blocks, not rows of n (the same products, bit for bit)
     def f0(ys):
-        # batched over states: ys[N, 2n] -> [N, 2n]
         u = np.asarray(ys, float)[:, :n] @ phi.T
         out = np.zeros((len(u), 2 * n))
-        out[:, n:] = np.asarray(f_scalar(u), float) @ proj.T
+        np.matmul(np.asarray(f_scalar(u), float), proj.T, out=out[:, n:])
         return out
 
     def f0_prime(ys):
         u = np.asarray(ys, float)[:, :n] @ phi.T
         jac = np.zeros((len(u), 2 * n, 2 * n))
-        jac[:, n:, :n] = proj @ (np.asarray(f_scalar_prime(u), float)[:, :, None]
-                                 * phi)
+        fpu = np.asarray(f_scalar_prime(u), float).repeat(n, axis=1)
+        np.matmul(proj, fpu.reshape(len(u), n + 2, n) * phi,
+                  out=jac[:, n:, :n])
         return jac
 
     a_matrix = big_b + f0_prime(np.zeros((1, 2 * n)))[0]
@@ -242,14 +249,12 @@ def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
     cutoff is used (plus the eta = 0 reference row).
     """
     if f_scalar is None:
-        f_scalar = lambda u: u - u ** 3
+        f_scalar = lambda u: u - u * u * u  # no libm pow per element
         f_scalar_prime = lambda u: 1.0 - 3.0 * u ** 2
     if kappa is None:
         kappa = default_kappa()
     base = build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime)
-    path_grid = TimeGrid(window.t_min - PATH_MARGIN, window.t_max + 1.0,
-                         window.h)
-    path = sample_wiener_path(path_grid, seed)
+    path = sample_wiener_path(window.widened(PATH_MARGIN, 1.0), seed)
     strat = StratonovichSpec(b_matrix=base.meta["b_matrix"], f=base.f0,
                              f_prime=base.f0_prime, eta=1.0, kappa=kappa)
     problem = random_ode_problem(strat, path, base.y0_star, base.r_u,

@@ -13,6 +13,7 @@ from conftest import bump_problem
 from splitflow import cli, hyperbolic, robustness
 from splitflow.cli import load_config, main
 from splitflow.errors import ConfigurationError
+from splitflow.sde_bridge import PATH_MARGIN
 
 
 def run_cli(args):
@@ -243,6 +244,32 @@ class TestHyperbolicCmd:
             "0.3\n")
         assert not out.exists()
 
+    def test_step_off_the_path_margins_names_h(self, tmp_path, capsys):
+        # 17.5 divides the window [-70, 70] but not the noise path's
+        # margins: the error names h and the margins, not the path grid
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("h = 17.5\n")
+        out = tmp_path / "out"
+        assert run_cli(["hyperbolic", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: h 17.5 must divide the margins 42.0 and 2.0 that "
+            "the noise path reaches past the window\n")
+        assert not out.exists()
+
+    def test_empty_eta_grid_is_two(self, tmp_path, capsys):
+        # an empty ladder certifies nothing; wave reads an empty eta_grid
+        # as its automatic ladder
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("eta_grid =\n")
+        out = tmp_path / "out"
+        assert run_cli(["hyperbolic", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: eta_grid must not be empty\n")
+        assert not out.exists()
+        assert load_config("eta_grid =\n", "wave")["eta_grid"] == []
+
 
 class TestWaveCmd:
     def test_small_run_and_determinism(self, tmp_path):
@@ -304,6 +331,19 @@ class TestWaveCmd:
         assert run_cli(["wave", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (out / "wave.json").exists()
+
+    @pytest.mark.parametrize("h", [2.0, 0.75])
+    def test_step_off_the_path_margins_names_h(self, tmp_path, capsys, h):
+        # both divide the window [-60, 60]; 2.0 misses the margin before
+        # it, 0.75 the one after it
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"h = {h!r}\n")
+        out = tmp_path / "out"
+        assert run_cli(["wave", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: h {h!r} must divide the margins {PATH_MARGIN!r} "
+            "and 1.0 that the noise path reaches past the window\n")
+        assert not out.exists()
 
     def test_window_short_of_the_kernel_tail_is_two(self, tmp_path, capsys):
         # a config fault met inside an eta row ends the run, not the row

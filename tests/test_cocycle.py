@@ -403,6 +403,60 @@ def _generators():
             8: lambda t: a8 + np.sin(t) * b8}
 
 
+def _rk4_step_oracle(f, y, h):
+    """One RK4 step in its one-expression form: every stage argument and the
+    sum built from fresh temporaries."""
+    k1 = f(0, y)
+    k2 = f(1, y + h / 2 * k1)
+    k3 = f(1, y + h / 2 * k2)
+    k4 = f(2, y + h * k3)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, float).view(np.int64)
+
+
+class TestRk4Step:
+    """``_rk4_step`` (stage arguments in one buffer, the sum in place)
+    against the one-expression form, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_step_map_block(self, monkeypatch, dim):
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((2 * 3 + 1, 5, dim, dim))
+        h = rng.uniform(0.01, 0.1, (3, 5, 1, 1))
+        g_bits = _bits(g).copy()
+        got = cocycle._step_maps(g, h)[0]
+        assert np.array_equal(_bits(g), g_bits)  # the table is not written
+        monkeypatch.setattr(cocycle, "_rk4_step", _rk4_step_oracle)
+        want = cocycle._step_maps(g, h)[0]
+        assert got.shape == want.shape == (3, 5, dim, dim)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("name", ["nonlinear", "its_argument",
+                                      "a_view_of_it", "read_only"])
+    def test_nonlinear_field(self, name):
+        # fields that return their argument or a view of it share memory
+        # with the stage buffer, which must then not be written again
+        const = np.linspace(-1.0, 1.0, 4)
+        fields = {
+            "nonlinear": lambda s, y: np.sin(y) * (1.0 + s) - y ** 2,
+            "its_argument": lambda s, y: y,
+            "a_view_of_it": lambda s, y: y[:, ::-1],
+            "read_only": lambda s, y: np.broadcast_to(const * (s - 1.0),
+                                                      y.shape),
+        }
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((3, 4))
+        h = np.full((3, 1), 1.0 / 64)
+        y_bits = _bits(y).copy()
+        got = cocycle._rk4_step(fields[name], y, h)
+        assert np.array_equal(_bits(y), y_bits)
+        want = _rk4_step_oracle(fields[name], y, h)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestOneStepBound:
     """The lift envelope at exponent 0: the sampled sup of ``|phi(t, n)|``
     over the unit intervals of the shifts."""

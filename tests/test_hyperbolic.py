@@ -194,6 +194,17 @@ class TestEtaEpsilon:
         want = eps * beta / (6.0 * m_bound * c)
         assert abs(got - want) < want * 0.01
 
+    def test_each_eta_is_evaluated_once(self):
+        # the bisection tests eta_max again; lambda is read there once: the
+        # check at eta_max, the one at 2^-16 eta_max, and 16 midpoints
+        p = additive_problem()
+        seen = []
+        got = eta_epsilon(p, 0.05, 1.0, 0.9,
+                          lambda e: seen.append(e) or 2.0 * e)
+        assert len(seen) == len(set(seen)) == 18
+        assert seen[:2] == [1.0, 2.0 ** -16]
+        assert abs(got - 0.05 * 0.9 / 12.0) < 0.01 * got
+
     def test_halving_eps_halves_eta(self):
         p = additive_problem()
         e1 = eta_epsilon(p, 0.08, 1.0, 0.9, lambda e: 3.0 * e)
@@ -598,6 +609,65 @@ class TestXiStar:
         for j in range(2):
             assert np.array_equal(got[:, j], np.interp(ts, sol.times, traj[:, j]))
         assert np.array_equal(sol.xi_star(ts[0]), got[0])
+
+    @staticmethod
+    def eight_columns():
+        """A cubic solution whose trajectory is replaced by eight columns:
+        the solution, scaled copies, a column of zeros of either sign, and
+        ``-0.0`` at every tenth node of one column."""
+        sol = find_hyperbolic_solution(cubic_problem(), 0.1, W64, tol=1e-9)
+        x = sol.trajectory[:, 0] - 1.0
+        zeros = np.where(np.arange(len(x)) % 2, 0.0, -0.0)
+        traj = np.column_stack([x, -x, 3.0 * x, x * x, zeros, 1e-300 * x,
+                                x + 1.0, np.where(np.arange(len(x)) % 10,
+                                                  x, -0.0)])
+        sol.trajectory = traj
+        return sol
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    def test_eight_components_on_a_unit_fill_lattice(self, monkeypatch):
+        # every node and half-node of the stage lattice of a unit fill (step
+        # 1/64 on the 1/64 grid: nodes, then midpoints), every grid node and
+        # times outside the window: one interval search, np.interp's bits,
+        # -0.0 included, and no np.interp call
+        sol = self.eight_columns()
+        h = 1.0 / 128
+        lattice = (np.arange(-6, 6)[None, :] + h * np.arange(129)[:, None])
+        ts = np.concatenate([lattice.ravel(), sol.times,
+                             sol.times[:-1] + 1.0 / 128,
+                             [-70.0 - 1e-9, -80.0, 70.0 + 1e-9, 80.0,
+                              -np.inf, np.inf]])
+        want = np.stack([np.interp(ts, sol.times, c)
+                         for c in sol.trajectory.T], axis=-1)
+        assert np.any(self.bits(want[:, 4]) != self.bits(np.abs(want[:, 4])))
+        monkeypatch.setattr(np, "interp", None)  # the search path alone
+        got = sol.xi_star(ts)
+        assert np.array_equal(self.bits(got), self.bits(want))
+        got = sol.xi_star(lattice)
+        assert got.shape == lattice.shape + (8,)
+        assert np.array_equal(self.bits(got),
+                              self.bits(want[:lattice.size].reshape(got.shape)))
+
+    def test_nan_times_and_non_finite_trajectories(self):
+        # a NaN time reads NaN; a non-finite trajectory takes np.interp's
+        # own path (its retry from the right end of an interval)
+        sol = self.eight_columns()
+        ts = np.array([np.nan, -2.0, 0.5 / 64, np.nan, 2.0 + 1.0 / 128])
+        for inf_at in (None, 2.0):
+            if inf_at is not None:
+                sol.trajectory[sol.times == inf_at, 3] = np.inf
+                sol.trajectory[sol.times == -inf_at, 5] = -np.inf
+            want = np.stack([np.interp(ts, sol.times, c)
+                             for c in sol.trajectory.T], axis=-1)
+            got = sol.xi_star(ts)
+            assert np.array_equal(self.bits(got), self.bits(want))
+            assert np.isnan(got[[0, 3]]).all()
+        assert np.isinf(got[4, 3])  # np.interp's retry: inf, not NaN
+        assert np.array_equal(self.bits(sol.xi_star(ts[1:3])),
+                              self.bits(want[1:3]))
 
 
 class TestLinearization:

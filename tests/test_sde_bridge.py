@@ -352,6 +352,40 @@ class TestFoldedFields:
             assert reads == ["at"]
 
 
+class TestJacobianGap:
+    """``f_eta_dy`` adds the noise gap on the diagonal of the Jacobian
+    ``f'(s v)``, in place: bit for bit ``gap I + f'(s v)``."""
+
+    def test_wave_equals_gap_identity_plus_f_prime(self, rng):
+        strat, y0, a_matrix, _ = folded_case("wave")
+        p = random_ode_problem(strat, sample_wiener_path(PATH_GRID, 13), y0,
+                               0.3, a_matrix=a_matrix)
+        grid = TimeGrid(-4.0, 6.0, H).times()
+        for ts in (grid, grid[:-1] + H / 2):
+            ys = 0.3 * rng.standard_normal((len(ts), len(y0)))
+            for eta in (0.0, 0.05, 0.4):
+                s, gap = p.meta["dressing"].at(eta, ts)
+                want = (gap[:, None, None] * np.eye(len(y0))
+                        + strat.f_prime(s[:, None] * ys))
+                got = p.f_eta_dy(eta, ts, ys)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+    def test_read_only_f_prime_is_copied(self):
+        m = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        strat = StratonovichSpec(
+            b_matrix=np.zeros((2, 2)), f=lambda y: y @ m.T,
+            f_prime=lambda y: np.broadcast_to(m, (len(y), 2, 2)), eta=1.0,
+            kappa=KappaFn.inverse_quadratic(1.0))
+        p = random_ode_problem(strat, sample_wiener_path(PATH_GRID, 13),
+                               [0.0, 0.0], 0.3)
+        ts = np.array([-1.0, 0.0, 2.5])
+        gap = p.meta["dressing"].at(0.4, ts)[1]
+        got = p.f_eta_dy(0.4, ts, np.ones((3, 2)))
+        assert np.array_equal(got, m + gap[:, None, None] * np.eye(2))
+        assert np.array_equal(m, [[-1.0, 0.5], [0.0, -2.0]])
+
+
 class TestJacobianIsTheStateDerivative:
     """``f_eta_dy`` against central differences of ``f_eta`` in the state
     ``v``, where the field is smooth; its time dependence, through the
@@ -403,6 +437,23 @@ class TestWaveSystem:
             cc = ContinuousCocycle.constant(p.a_matrix)
             rep = verify_dichotomy(cc, cert, (-2, 2), slack=1.05)
             assert rep.passed, f"N={n}"
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_block_products_equal_row_products(self, n, rng):
+        # f0 and f0' write their products into the zero result's block, and
+        # f0' forms f'(u) phi over whole (n + 2, n) blocks: the same bits as
+        # the row-broadcast products assigned into a zero result
+        f_s, fp_s = (lambda u: u - u * u * u), (lambda u: 1.0 - 3.0 * u ** 2)
+        p = build_wave_system(n, 1.0, f_s, fp_s)
+        phi, proj = p.meta["phi"], p.meta["proj"]
+        ys = 0.3 * rng.standard_normal((540, 2 * n))
+        u = ys[:, :n] @ phi.T
+        f_want = np.zeros((540, 2 * n))
+        f_want[:, n:] = f_s(u) @ proj.T
+        jac_want = np.zeros((540, 2 * n, 2 * n))
+        jac_want[:, n:, :n] = proj @ (fp_s(u)[:, :, None] * phi)
+        for got, want in ((p.f0(ys), f_want), (p.f0_prime(ys), jac_want)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_eigenvalue_ratio(self):
         p = build_wave_system(4, 1.0, lambda u: u - u ** 3,
