@@ -20,41 +20,39 @@ import warnings
 import numpy as np
 
 import splitflow as sf
+from splitflow.sde_bridge import LAMBDA_SAMPLES
 
 window = sf.TimeGrid(-60.0, 60.0, 1.0 / 32)
+n_time, n_cloud = LAMBDA_SAMPLES
+knobs = dict(tol=1e-7, tail_tol=1e-7, n_half=3, trunc_tol=1e-7, step=window.h,
+             n_time=n_time, n_cloud=n_cloud)
 
 print("== stable configuration: f(u) = u - u^3, N = 4, beta = 1 ==")
+p = sf.wave_problem(4, 1.0, 1.0, sf.default_kappa(), window, 42, 1e-7)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    rep = sf.run_wave_demo(4, 1.0, None, seed=42, window=window)
-print(f"computed eta cutoff: {rep.meta['eta_cutoff']:.3e} "
-      f"(K = {rep.meta['autonomous_bound']}, "
-      f"alpha = {rep.meta['autonomous_exponent']})")
+    meta = sf.eta_cutoff(p, window, n_time, n_cloud)
+    rows = [sf.wave_row(p, row, sol, 42)
+            for row, sol in sf.ladder(p, window, [], **knobs)]
+print(f"computed eta cutoff: {meta['eta_cutoff']:.3e} "
+      f"(K = {meta['autonomous_bound']}, "
+      f"alpha = {meta['autonomous_exponent']})")
 print("eta          sup|v|    sup|y|    certified  alpha~      M_hat")
-for r in rep.rows:
+for r in rows:
     print(f"{r['eta']:<12.3e} {r['sup_dist_v']:<9.1e} {r['sup_dist_y']:<9.1e} "
           f"{str(r['certified']):<10} {r['alpha_tilde']:<11.6f} "
           f"{r['M_bound']:.2f}")
 
 print("\n== saddle configuration: f(u) = 12u - u^3 (first mode unstable) ==")
-p = sf.build_wave_system(2, 1.0, lambda u: 12.0 * u - u ** 3,
-                         lambda u: 12.0 - 3.0 * u ** 2)
+w2 = sf.TimeGrid(-58.0, 58.0, 1.0 / 32)
+p = sf.wave_problem(2, 1.0, 12.0, sf.default_kappa(), w2, 7, 1e-7)
 pi_u, gap = sf.spectral_projection(p.a_matrix)
 print(f"unstable rank at the equilibrium: {int(round(np.trace(pi_u)))}, "
       f"spectral gap {gap:.4f}")
 
-grid = sf.TimeGrid(-105.0, 64.0, 1.0 / 32)
-path = sf.sample_wiener_path(grid, seed=7)
-strat = sf.StratonovichSpec(
-    b_matrix=p.meta["b_matrix"], f=p.f0, f_prime=p.f0_prime,
-    eta=1.0, kappa=sf.default_kappa(),
-)
-prob = sf.random_ode_problem(strat, path, p.y0_star, p.r_u)
-w2 = sf.TimeGrid(-58.0, 58.0, 1.0 / 32)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    _, sol = sf.eta_row(prob, 2e-6, w2, tol=1e-7, tail_tol=1e-7, n_half=3,
-                        trunc_tol=1e-7, step=w2.h)
+    _, sol = next(sf.ladder(p, w2, [2e-6], **knobs))
 lc = sol.linearization_certificate
 print(f"eta = 2e-6: status {sol.status}, alpha~ = {lc.exponent:.5f}, "
       f"M_hat = {lc.bound:.2f}")

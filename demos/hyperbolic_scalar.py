@@ -29,9 +29,9 @@ problem.validate()
 
 window = sf.TimeGrid(-70.0, 70.0, 1.0 / 64)
 print("eta      sup|xi*-1|   lambda(eta)  eps_used   status     alpha~")
-for eta in (0.2, 0.1, 0.05, 0.025, 0.0):
-    row, _ = sf.eta_row(problem, eta, window, tol=1e-9, n_half=4)
-    alpha = row["alpha_tilde"]
+for row, _ in sf.ladder(problem, window, (0.2, 0.1, 0.05, 0.025, 0.0),
+                        tol=1e-9, tail_tol=1e-9, n_half=4):
+    eta, alpha = row["eta"], row["alpha_tilde"]
     print(f"{eta:<8} {row['sup_distance']:<12.3e} {row['lambda']:<12.3e} "
           f"{row['eps_used']:<10.4f} {row['status']:<10} "
           f"{float('nan') if alpha is None else alpha:.5f}")

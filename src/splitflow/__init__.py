@@ -15,7 +15,7 @@ Library layers, bottom to top:
 - :mod:`splitflow.hyperbolic` -- random hyperbolic solutions of semilinear
   problems and their certification;
 - :mod:`splitflow.sde_bridge` -- the multiplicative-noise change of
-  variables and the spectral damped-wave demo;
+  variables and the spectral damped-wave model;
 - :mod:`splitflow.cli` -- reproducible experiment runner.
 """
 
@@ -40,10 +40,11 @@ from .robustness import (RobustConstants, delta_threshold, gronwall_constants,
                          lift_certificate, robust_constants,
                          robust_dichotomy_continuous, robust_dichotomy_discrete)
 from .hyperbolic import (HyperbolicSolutionCertificate, SemilinearProblem,
-                         certify_hyperbolic, eta_epsilon, eta_row,
-                         find_hyperbolic_solution, lambda_eta, linearize_along,
-                         neighborhood_thresholds, rho_modulus)
-from .sde_bridge import (StratonovichSpec, WaveDemoReport, build_wave_system,
-                         inverse_transform, random_ode_problem, run_wave_demo)
+                         certify_hyperbolic, eta_cutoff,
+                         find_hyperbolic_solution, ladder, lambda_eta,
+                         linearize_along, neighborhood_thresholds, rho_modulus)
+from .sde_bridge import (StratonovichSpec, build_wave_system,
+                         inverse_transform, random_ode_problem, wave_problem,
+                         wave_row)
 
 __version__ = "0.1.0"

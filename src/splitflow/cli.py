@@ -20,6 +20,7 @@ import json
 import locale  # noqa: F401  -- argparse's gettext loads it at the first parser
 import sys
 import warnings
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,14 @@ from .cocycle import DiscreteCocycle
 from .dichotomy import DichotomyCertificate, _window_nodes
 from .errors import ConfigurationError, SplitflowError, WindowError
 from .grids import TimeGrid
-from .hyperbolic import ROW_COLUMNS, STATUS_FAILED, eta_row
+from .hyperbolic import ROW_COLUMNS, STATUS_FAILED, eta_cutoff, ladder
 from .io import cell, jsonable
 from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
                     ou_series, pathwise_ou_residual, sample_wiener_path,
                     shift_path, sublinearity_report, zero_path)
 from .robustness import robust_dichotomy_discrete, robustness_report
-from .sde_bridge import StratonovichSpec, random_ode_problem, run_wave_demo
+from .sde_bridge import (LAMBDA_SAMPLES, WAVE_COLUMNS, StratonovichSpec,
+                         random_ode_problem, wave_problem, wave_row)
 
 # key -> (parser, default)
 _COMMON = {"seed": (int, 12345)}
@@ -305,9 +307,10 @@ def cmd_hyperbolic(v, out_dir):
     """Bounded-solution ladder over the eta grid, with certification."""
     window = _grid(v)  # an off-grid window is named as the config gives it
     problem = _hyperbolic_problem(v)
-    rows = [eta_row(problem, eta, window, tol=v["tol"],
-                    tail_tol=v["tail_tol"], n_half=v["n_half"])[0]
-            for eta in v["eta_grid"]]
+    # the rows alone: each eta's trajectory is dropped before the next one's
+    rows = list(map(itemgetter(0), ladder(
+        problem, window, v["eta_grid"], tol=v["tol"], tail_tol=v["tail_tol"],
+        n_half=v["n_half"])))
     files = [_write_csv(out_dir, "hyperbolic.csv", rows, ROW_COLUMNS),
              _write_json(out_dir, "hyperbolic.json",
                          {"command": "hyperbolic", "seed": v["seed"],
@@ -319,17 +322,19 @@ def cmd_hyperbolic(v, out_dir):
 def cmd_wave(v, out_dir):
     """Stochastic damped-wave pipeline over the eta ladder."""
     window = _grid(v)
-    a = v["f_linear_coeff"]
-    kap = KappaFn.inverse_quadratic(v["kappa_amplitude"])
-    eta_grid = v["eta_grid"] if v["eta_grid"] else None
+    n_time, n_cloud = LAMBDA_SAMPLES
     try:
-        report = run_wave_demo(
-            v["n_modes"], v["beta_damping"], eta_grid, v["seed"], window,
-            f_scalar=lambda u: a * u - u * u * u,  # no libm pow per element
-            f_scalar_prime=lambda u: a - 3.0 * u ** 2,
-            kappa=kap, tol=v["tol"], tail_tol=v["tail_tol"],
-            trunc_tol=v["trunc_tol"], n_half=v["n_half"],
-        )
+        problem = wave_problem(
+            v["n_modes"], v["beta_damping"], v["f_linear_coeff"],
+            KappaFn.inverse_quadratic(v["kappa_amplitude"]), window,
+            v["seed"], v["tail_tol"])
+        meta = {**eta_cutoff(problem, window, n_time, n_cloud),
+                "n_modes": v["n_modes"], "beta_damping": v["beta_damping"]}
+        pairs = ladder(problem, window, v["eta_grid"], tol=v["tol"],
+                       tail_tol=v["tail_tol"], n_half=v["n_half"],
+                       trunc_tol=v["trunc_tol"], step=window.h,
+                       n_time=n_time, n_cloud=n_cloud)
+        rows = [wave_row(problem, row, sol, v["seed"]) for row, sol in pairs]
     except ConfigurationError:
         raise  # a config error exits 2, from main
     except SplitflowError as exc:
@@ -337,12 +342,11 @@ def cmd_wave(v, out_dir):
                              {"command": "wave", **exc.record()})]
         sys.stderr.write(f"wave: {exc}\n")
         return 1, files
-    files = [_write_csv(out_dir, "wave.csv", report.rows, report.COLUMNS),
-             _write_json(out_dir, "wave.json", {
-                 "seed": v["seed"], "meta": report.meta, "rows": report.rows})]
-    cutoff = report.meta["eta_cutoff"]
-    ok = all(r["certified"] for r in report.rows if r["eta"] <= cutoff)
-    ok = ok and not any(r["status"] == STATUS_FAILED for r in report.rows)
+    files = [_write_csv(out_dir, "wave.csv", rows, WAVE_COLUMNS),
+             _write_json(out_dir, "wave.json",
+                         {"seed": v["seed"], "meta": meta, "rows": rows})]
+    ok = all(r["certified"] for r in rows if r["eta"] <= meta["eta_cutoff"])
+    ok = ok and not any(r["status"] == STATUS_FAILED for r in rows)
     return (0 if ok else 1), files
 
 

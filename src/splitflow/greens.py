@@ -51,7 +51,8 @@ import numpy as np
 from .cocycle import (DiscreteCocycle, _finite, spectral_argmax, spectral_sup,
                       spectral_sup_at_most, stack_steps)
 from .dichotomy import _restricted_inverse, delta_threshold
-from .errors import ConfigurationError, ContractionMarginError, SplitflowError
+from .errors import (ConfigurationError, ContractionMarginError,
+                     RobustnessHypothesisError, SplitflowError)
 
 DEFAULT_TRUNC_TOL = 1e-10
 CONTRACTION_MARGIN = 0.9  # enforced bound on the contraction factor rho
@@ -128,6 +129,8 @@ def _band_for(cert, delta_eff, f_sup, trunc_tol):
     rho = min(delta_eff * (1.0 + e) / (1.0 - e), CONTRACTION_MARGIN)
     apriori = cert.bound * f_sup * (1.0 + e) / ((1.0 - e) * max(1.0 - rho, 1e-12))
     sup_term = 2.0 * (delta_eff * apriori + cert.bound * f_sup)  # both tails
+    if sup_term == math.inf:  # a bound past the floats: no finite band
+        raise OverflowError(f"band bound overflows at delta_eff={delta_eff}")
     return truncation_length(cert.exponent, sup_term, trunc_tol)
 
 
@@ -151,9 +154,16 @@ def _contraction(cert, b_mats):
 def _impulse_span(cert, b_mats, n_lo, n_hi, trunc_tol):
     """Span of the impulse solves for the nodes [n_lo, n_hi]: the window
     widened by the unit-forcing band of its perturbation size, plus 8.
-    ``b_mats`` stacks the perturbation steps over the window."""
-    band0 = _band_for(cert, cert.bound * spectral_sup(b_mats), 1.0,
-                      trunc_tol) + 8
+    ``b_mats`` stacks the perturbation steps over the window.  A size whose
+    band overflows raises :class:`RobustnessHypothesisError` naming it."""
+    delta_eff = cert.bound * spectral_sup(b_mats)
+    try:
+        band0 = _band_for(cert, delta_eff, 1.0, trunc_tol) + 8
+    except OverflowError as exc:
+        raise RobustnessHypothesisError(
+            f"perturbation size delta_eff={delta_eff:.6g} has no finite "
+            f"impulse span", measured=delta_eff,
+            threshold=delta_threshold(cert.exponent)) from exc
     return n_lo - band0, n_hi + band0
 
 

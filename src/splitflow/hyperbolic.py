@@ -39,6 +39,7 @@ from .robustness import robust_dichotomy_continuous
 
 SMALLNESS_DIVISOR = 6.0     # per-term budget: 1/(6 M beta^{-1})
 CONTRACTION_LIMIT = 0.75    # measured-factor bound: 1/2 from the proof + margin
+EPS_FRACTION = 0.5          # the automatic ladder's neighborhood over eps0
 # a-posteriori: sup distance <= 4 M beta^{-1} lambda; only the tests read it
 # until ROADMAP open item 8 records the bound on the hyperbolic rows
 SUP_OVER_LAMBDA = 4.0
@@ -247,12 +248,13 @@ def neighborhood_thresholds(p, m_bound, beta, bisect_steps=16):
     return out
 
 
-def eta_epsilon(p, eps, m_bound, beta, lambda_curve, eta_max=1.0):
+def eta_epsilon(p, eps, m_bound, beta, lambda_curve):
     """Largest admissible perturbation size for a target neighborhood ``eps``.
 
     Requires ``eps`` below the threshold ``eps0``; then bisects 16 times for
-    the largest eta with ``lambda_curve(eta) < eps/(6 M beta^{-1})``.
-    Returns 0 with a warning when even ``2^-16 eta_max`` violates the bound.
+    the largest eta with ``lambda_curve(eta) < eps/(6 M beta^{-1})``, between
+    the first of the floors ``1, 2^-16, ..., 2^-64`` that passes and the one
+    above it, reading each eta once.  Returns 0 with a warning when none does.
     """
     eps1, eps2, eps0 = neighborhood_thresholds(p, m_bound, beta)
     if eps >= eps0:
@@ -261,16 +263,35 @@ def eta_epsilon(p, eps, m_bound, beta, lambda_curve, eta_max=1.0):
             f"eps={eps:g} is not below eps0={eps0:g} (binding: {which}, "
             f"eps1={eps1:g}, eps2={eps2:g})", measured=eps, threshold=eps0)
     target = eps * beta / (SMALLNESS_DIVISOR * m_bound)
-    # memoized: the bisection tests eta_max again, and lambda is costly
+    # memoized: the bisection tests its upper floor again, and lambda is costly
     admits = cache(lambda e: lambda_curve(e) < target)
-    if admits(eta_max):
-        return eta_max
-    tiny = eta_max * 2.0 ** -16
-    if lambda_curve(tiny) >= target:
-        warnings.warn("no eta on the grid satisfies the smallness bound; "
-                      "returning 0")
-        return 0.0
-    return _bisect_largest(admits, tiny, eta_max)
+    if admits(1.0):
+        return 1.0
+    for k in range(1, 5):
+        floor = 2.0 ** (-16 * k)
+        if admits(floor):
+            return _bisect_largest(admits, floor, floor * 2.0 ** 16)
+    warnings.warn("no eta down to 2^-64 satisfies the smallness bound; "
+                  "returning 0")
+    return 0.0
+
+
+def eta_cutoff(p, window, n_time, n_cloud):
+    """:func:`eta_epsilon` at ``EPS_FRACTION * eps0``, lambda sampled over
+    ``window`` at ``(n_time, n_cloud)``: the dict of ``eta_cutoff``,
+    ``eps_pick``, ``eps0``, ``autonomous_bound`` and ``autonomous_exponent``,
+    once per problem, window and sampling (a ladder and its report share it)."""
+    key = ("cutoff", window, n_time, n_cloud)
+    if key not in p._memo:
+        m_bound, beta = p.autonomous_cert.bound, p.autonomous_cert.exponent
+        eps0 = neighborhood_thresholds(p, m_bound, beta)[2]
+        eps_pick = EPS_FRACTION * eps0
+        cut = eta_epsilon(p, eps_pick, m_bound, beta, lambda e: lambda_eta(
+            p, e, window, n_time=n_time, n_cloud=n_cloud))
+        p._memo[key] = {"eta_cutoff": cut, "eps_pick": eps_pick, "eps0": eps0,
+                        "autonomous_bound": m_bound,
+                        "autonomous_exponent": beta}
+    return p._memo[key]
 
 
 def kernel_tail_length(m_bound, beta, tail_tol):
@@ -585,3 +606,17 @@ def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
     if lc is not None:
         row.update(alpha_tilde=float(lc.exponent), M_bound=float(lc.bound))
     return row, sol
+
+
+def ladder(p, window, eta_grid, *, tol, tail_tol, n_half, trunc_tol=1e-9,
+           step=None, n_time=65, n_cloud=32):
+    """The :func:`eta_row` pairs ``(row, sol)`` of ``eta_grid``, yielded one
+    at a time, so a reader holds one trajectory at a time.  An empty grid is
+    the automatic ladder ``0.9 cut / 2^k``, k = 0 ... 3, then 0, under the
+    :func:`eta_cutoff` ``cut``; a given grid runs no search."""
+    if not eta_grid:
+        cut = eta_cutoff(p, window, n_time, n_cloud)["eta_cutoff"]
+        eta_grid = [0.9 * cut / (2 ** k) for k in range(4)] + [0.0]
+    for eta in eta_grid:
+        yield eta_row(p, eta, window, tol, tail_tol, n_half, trunc_tol, step,
+                      n_time, n_cloud)

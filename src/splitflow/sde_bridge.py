@@ -1,4 +1,4 @@
-"""Multiplicative-noise change of variables and the damped-wave demo.
+"""Multiplicative-noise change of variables and the damped-wave model.
 
 A Stratonovich equation with bounded time-rescaled multiplicative noise,
 
@@ -16,7 +16,7 @@ machinery consumes.  The transform is an algebraic pointwise map, so it
 inverts exactly; y-space results are pathwise reconstructions (the map is
 not a stationary conjugacy).
 
-The demo system is a damped wave equation reduced to its spectral
+The wave model is a damped wave equation reduced to its spectral
 coefficients.  Desk-scale reduction: the spatial domain is the unit
 interval (the theory is dimension-agnostic; the eigenstructure
 ``lambda_k = (k pi)^2`` is explicit), the nonlinearity is applied through a
@@ -24,23 +24,23 @@ fixed small collocation rule and re-projected, and the truncation error of
 that rule is a documented modeling choice, not a numerical bug.
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dichotomy import spectral_projection
 from .errors import ConfigurationError, NonHyperbolicError, WindowError
-from .hyperbolic import (SemilinearProblem, eta_epsilon, eta_row, lambda_eta,
-                         neighborhood_thresholds)
-from .noise import (DEFAULT_TAIL_TOL, _tail_start, default_kappa,
-                    rescaled_noise, sample_wiener_path)
+from .hyperbolic import SemilinearProblem
+from .noise import (DEFAULT_TAIL_TOL, _tail_start, rescaled_noise,
+                    sample_wiener_path)
 
-# the wave driver's target neighborhood as a share of eps0, the reach of
-# its noise path before the window, and its lambda(eta) (times, cloud) sizes
-EPS_FRACTION = 0.5
+# the wave model's reach of its noise path before the window, and its
+# lambda(eta) (times, cloud) sizes
 PATH_MARGIN = 45.0
 LAMBDA_SAMPLES = (33, 12)
+# one row of wave.csv, in the order the wave command writes it
+WAVE_COLUMNS = ("eta", "sup_dist_v", "sup_dist_y", "certified", "alpha_tilde",
+                "M_bound", "seed")
 
 
 @dataclass
@@ -149,15 +149,6 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
     )
 
 
-def _chebyshev_rule(n_nodes):
-    """Chebyshev-type nodes on (0, 1) with positive quadrature weights."""
-    q = np.arange(1, n_nodes + 1)
-    theta = np.pi * (2 * q - 1) / (2 * n_nodes)
-    x = 0.5 * (1.0 - np.cos(theta))
-    w = np.pi * np.sin(theta) / (2 * n_nodes)
-    return x, w
-
-
 def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime):
     """Spectral reduction of the damped wave equation on the unit interval.
 
@@ -187,7 +178,10 @@ def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime):
     big_b[n:, :n] = -np.diag(lam)
     big_b[n:, n:] = -beta_damping * np.eye(n)
 
-    x, w = _chebyshev_rule(n + 2)
+    # Chebyshev-type nodes on (0, 1) with positive quadrature weights
+    theta = np.pi * (2 * np.arange(1, n + 3) - 1) / (2 * (n + 2))
+    x = 0.5 * (1.0 - np.cos(theta))
+    w = np.pi * np.sin(theta) / (2 * (n + 2))
     phi = np.sqrt(2.0) * np.sin(np.outer(x, np.arange(1, n + 1)) * np.pi)
     gram = phi.T @ (w[:, None] * phi)
     proj = np.linalg.solve(gram, phi.T * w[None, :])  # modal re-projection
@@ -211,7 +205,7 @@ def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime):
 
     a_matrix = big_b + f0_prime(np.zeros((1, 2 * n)))[0]
     spectral_projection(a_matrix)  # hard error when not hyperbolic
-    problem = SemilinearProblem(
+    return SemilinearProblem(
         a_matrix=a_matrix,
         f_eta=lambda eta, ts, ys: f0(ys),
         f0=f0,
@@ -219,82 +213,36 @@ def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime):
         r_u=0.5,
         f0_prime=f0_prime,
         f_eta_dy=lambda eta, ts, ys: f0_prime(ys),
-        meta={"n_modes": n, "beta_damping": beta_damping, "lambda_k": lam,
-              "b_matrix": big_b, "collocation_x": x, "collocation_w": w,
-              "phi": phi, "proj": proj},
+        meta={"lambda_k": lam, "b_matrix": big_b, "phi": phi, "proj": proj},
     )
-    return problem
 
 
-@dataclass
-class WaveDemoReport:
-    """Per-eta outcome table of the stochastic damped-wave pipeline."""
-
-    rows: list
-    meta: dict = field(default_factory=dict)
-
-    COLUMNS = ("eta", "sup_dist_v", "sup_dist_y", "certified", "alpha_tilde",
-               "M_bound", "seed")
-
-
-def run_wave_demo(n_modes, beta_damping, eta_grid, seed, window, *,
-                  f_scalar=None, f_scalar_prime=None, kappa=None,
-                  tol=1e-7, tail_tol=1e-7, trunc_tol=1e-7, n_half=3):
-    """Full pipeline on the spectral damped wave system for an eta ladder.
-
-    For each eta: transform, solve for the bounded trajectory, certify the
-    linearization, and map the trajectory back to the original variables.
-    Per-eta failures are recorded in the row and the run continues.  When
-    ``eta_grid`` is None, a halving ladder under the computed admissibility
-    cutoff is used (plus the eta = 0 reference row).
-    """
-    if f_scalar is None:
-        f_scalar = lambda u: u - u * u * u  # no libm pow per element
-        f_scalar_prime = lambda u: 1.0 - 3.0 * u ** 2
-    if kappa is None:
-        kappa = default_kappa()
-    base = build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime)
+def wave_problem(n_modes, beta_damping, a, kappa, window, seed, tail_tol):
+    """The damped wave with ``f(u) = a u - u^3`` (:func:`build_wave_system`)
+    under the noise ``eta kappa_t y o dW_t``, as the random ODE of
+    :func:`random_ode_problem`.  The Wiener path of ``seed`` reaches
+    ``PATH_MARGIN`` before ``window`` and 1 after it."""
+    base = build_wave_system(n_modes, beta_damping,
+                             lambda u: a * u - u * u * u,  # no libm pow
+                             lambda u: a - 3.0 * u ** 2)
     path = sample_wiener_path(window.widened(PATH_MARGIN, 1.0), seed)
     strat = StratonovichSpec(b_matrix=base.meta["b_matrix"], f=base.f0,
                              f_prime=base.f0_prime, eta=1.0, kappa=kappa)
-    problem = random_ode_problem(strat, path, base.y0_star, base.r_u,
-                                 tail_tol=tail_tol)
-    cert_a = problem.autonomous_cert
-    m_bound, beta = cert_a.bound, cert_a.exponent
-    n_time, n_cloud = LAMBDA_SAMPLES
+    return random_ode_problem(strat, path, base.y0_star, base.r_u,
+                              tail_tol=tail_tol)
 
-    def lam_curve(e):
-        return lambda_eta(problem, e, window, n_time=n_time, n_cloud=n_cloud)
 
-    eps1, eps2, eps0 = neighborhood_thresholds(problem, m_bound, beta)
-    eps_pick = EPS_FRACTION * eps0
-    eta_cut, emax = 0.0, 1.0
-    for _ in range(4):  # zoom when the cutoff sits under the grid resolution
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            eta_cut = eta_epsilon(problem, eps_pick, m_bound, beta, lam_curve,
-                                  eta_max=emax)
-        if eta_cut > 0.0:
-            break
-        emax *= 2.0 ** -16
-    if eta_grid is None:
-        eta_grid = [0.9 * eta_cut / (2 ** k) for k in range(4)] + [0.0]
-    meta = {"eta_cutoff": eta_cut, "eps_pick": eps_pick, "eps0": eps0,
-            "autonomous_bound": m_bound, "autonomous_exponent": beta,
-            "n_modes": n_modes, "beta_damping": beta_damping}
-    rows = []
-    for eta in eta_grid:
-        row, sol = eta_row(problem, eta, window, tol=tol, tail_tol=tail_tol,
-                           n_half=n_half, trunc_tol=trunc_tol, step=window.h,
-                           n_time=n_time, n_cloud=n_cloud)
-        sup_y = None
-        if sol is not None:
-            scale = problem.meta["dressing"].at(row["eta"],
-                                                sol.interior_times())[0]
-            y = scale[:, None] * sol.trajectory[sol.interior]
-            sup_y = float(np.max(np.linalg.norm(y, axis=1)))
-        rows.append({"eta": row["eta"], "seed": seed,
-                     "sup_dist_v": row["sup_distance"], "sup_dist_y": sup_y,
-                     **{k: row[k] for k in ("certified", "alpha_tilde",
-                                            "M_bound", "status", "error")}})
-    return WaveDemoReport(rows=rows, meta=meta)
+def wave_row(p, row, sol, seed):
+    """The ``WAVE_COLUMNS`` row (plus ``status`` and ``error``) of a ladder
+    pair ``(row, sol)`` over the wave problem ``p``: ``sup_distance``
+    becomes ``sup_dist_v``, and ``sup_dist_y`` is the sup over the clean
+    interior of the trajectory mapped back to the original variables,
+    ``y = exp(eta kappa_t z*) v``."""
+    sup_y = None
+    if sol is not None:
+        scale = p.meta["dressing"].at(row["eta"], sol.interior_times())[0]
+        y = scale[:, None] * sol.trajectory[sol.interior]
+        sup_y = float(np.max(np.linalg.norm(y, axis=1)))
+    return {"eta": row["eta"], "seed": seed, "sup_dist_v": row["sup_distance"],
+            "sup_dist_y": sup_y, **{k: row[k] for k in (
+                "certified", "alpha_tilde", "M_bound", "status", "error")}}

@@ -26,13 +26,15 @@ import pytest
 
 from splitflow import (ConfigurationError, DichotomyCertificate,
                        DiscreteCocycle, ForcingSequence, NonHyperbolicError,
-                       SemilinearProblem, pointwise)
+                       SemilinearProblem, default_kappa, ladder, pointwise,
+                       wave_problem, wave_row)
 from splitflow.cocycle import UNIT_SAMPLES, spectral_norms, stack_steps
 from splitflow.dichotomy import (_restricted_inverse, _split_march,
                                  _window_nodes)
 from splitflow.greens import (_gamma, _impulse_span, _sweeps,
                               bounded_solution)
 from splitflow.hyperbolic import _ball_cloud
+from splitflow.sde_bridge import LAMBDA_SAMPLES
 
 
 def spectral_norm(m):
@@ -517,3 +519,16 @@ def ensemble_oracle(n_paths, h, t_min, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def wave_ladder(n_modes, eta_grid, seed, window, **knobs):
+    """The stable wave of the damped-wave demo (f(u) = u - u^3, the default
+    kappa) through the ladder at the ``wave`` command's defaults, ``knobs``
+    overriding them: ``(problem, rows)``, the rows as ``wave.csv`` has
+    them."""
+    p = wave_problem(n_modes, 1.0, 1.0, default_kappa(), window, seed, 1e-7)
+    n_time, n_cloud = LAMBDA_SAMPLES
+    knobs = {"tol": 1e-7, "tail_tol": 1e-7, "n_half": 3, "trunc_tol": 1e-7,
+             "step": window.h, "n_time": n_time, "n_cloud": n_cloud, **knobs}
+    return p, [wave_row(p, row, sol, seed)
+               for row, sol in ladder(p, window, eta_grid, **knobs)]

@@ -14,7 +14,9 @@ from splitflow import (DichotomyCertificate, DiscreteCocycle,
                        StratonovichSpec, TimeGrid)
 from splitflow.cli import main as cli_main
 from splitflow.noise import ensemble_diagnostics, pathwise_ou_residual
-from conftest import brute_force_projections, impulse, spectral_norm, value_at
+from splitflow.sde_bridge import LAMBDA_SAMPLES
+from conftest import (brute_force_projections, impulse, spectral_norm,
+                      value_at, wave_ladder)
 
 LN2 = float(np.log(2.0))
 
@@ -193,20 +195,20 @@ def test_c6_hyperbolic_convergence():
 
 def test_c7_wave_demo():
     w = TimeGrid(-60.0, 60.0, 1.0 / 32)
-    reports = []
+    runs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for seed in (41, 42, 43, 44, 45):
-            reports.append(sf.run_wave_demo(4, 1.0, None, seed, w))
+            p, rows = wave_ladder(4, [], seed, w)
+            runs.append((sf.eta_cutoff(p, w, *LAMBDA_SAMPLES), rows))
     zero_ok = True
     cutoff_ok = True
     ladders = []
-    for rep in reports:
-        rows = rep.rows
+    for meta, rows in runs:
         z = [r for r in rows if r["eta"] == 0.0][0]
         zero_ok = zero_ok and z["sup_dist_v"] == 0.0 and z["certified"] \
-            and abs(z["alpha_tilde"] - rep.meta["autonomous_exponent"]) < 1e-9
-        cutoff = rep.meta["eta_cutoff"]
+            and abs(z["alpha_tilde"] - meta["autonomous_exponent"]) < 1e-9
+        cutoff = meta["eta_cutoff"]
         for r in rows:
             if r["eta"] <= cutoff:
                 cutoff_ok = cutoff_ok and r["certified"]

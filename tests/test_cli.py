@@ -177,6 +177,23 @@ class TestRobustnessCmd:
             assert entry["measured"] > entry["threshold"]
             assert "threshold" in entry["error"]
 
+    @pytest.mark.parametrize("pert_step", [1e297, 1e308])
+    def test_overflowing_span_is_one_and_named(self, tmp_path, pert_step):
+        # the impulse span of so large a perturbation overflows (a raw
+        # OverflowError at 1e297, a non-finite band bound at 1e308): a typed
+        # failure of the scalar instance, recorded in a parseable file
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"pert_step = {pert_step!r}\nrun_saddle = false\n")
+        out = tmp_path / "out"
+        assert run_cli(["robustness", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+        body = json.loads((out / "robustness.json").read_text())
+        (entry,) = body["instances"]
+        assert body["passed"] is False
+        assert "no finite impulse span" in entry["error"]
+        assert entry["measured"] == pert_step - 0.5
+        assert entry["threshold"] == 1.0 / 3.0
+
 
 class TestHyperbolicCmd:
     def test_additive_model_is_retired(self, tmp_path, capsys):

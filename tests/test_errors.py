@@ -17,11 +17,12 @@ from splitflow import (ContinuousCocycle, ContractionMarginError,
                        NonHyperbolicError, RobustnessHypothesisError,
                        SemilinearProblem, SplitflowError, ThresholdError,
                        TimeGrid, autonomous_certificate, bounded_solution,
-                       eta_epsilon, find_hyperbolic_solution,
+                       find_hyperbolic_solution,
                        impulse_response_projection, pointwise,
                        robust_constants, robust_dichotomy_continuous,
                        robust_dichotomy_discrete, spectral_projection)
 from splitflow import greens, hyperbolic, robustness
+from splitflow.hyperbolic import eta_epsilon
 from splitflow.sde_bridge import build_wave_system
 
 LN2 = float(np.log(2.0))

@@ -37,8 +37,11 @@ spectral max (``spectral_norms``, ``_frobenius``, ``FROBENIUS_SLACK``): every
 other module takes a max of matrix norms through ``spectral_argmax`` or the
 functions built on it, so the pruning rule has one implementation.
 Likewise only ``greens.py`` names ``_band_for``: every span of impulse
-solves comes from ``greens._impulse_span``; and only ``cli.py`` names
-``json``: every JSON output goes through ``cli._write_json``.
+solves comes from ``greens._impulse_span``; only ``hyperbolic.py`` names
+``eta_row`` and ``eta_epsilon``: every eta ladder and cutoff search goes
+through ``hyperbolic.ladder`` and ``hyperbolic.eta_cutoff``; and only
+``cli.py`` names ``json``: every JSON output goes through
+``cli._write_json``.
 
 src/splitflow imports nothing of scipy, wherever the import statement
 stands: the package runs on numpy alone, and any scipy module would weigh on
@@ -345,6 +348,14 @@ def test_only_greens_names_the_band_rule():
     # every span of impulse solves comes from greens._impulse_span
     stray = _named_outside("greens.py", {"_band_for"})
     assert not stray, ("span rule rebuilt outside greens:\n"
+                       + "\n".join(stray))
+
+
+def test_only_hyperbolic_names_the_row_and_the_search():
+    # every eta ladder and cutoff goes through hyperbolic.ladder and
+    # hyperbolic.eta_cutoff
+    stray = _named_outside("hyperbolic.py", {"eta_row", "eta_epsilon"})
+    assert not stray, ("eta row or cutoff search outside hyperbolic:\n"
                        + "\n".join(stray))
 
 

@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -8,11 +9,11 @@ from splitflow import (ContinuousCocycle, ContractionMarginError, KappaFn,
                        SemilinearProblem, SplitflowError, StratonovichSpec,
                        ThresholdError,
                        TimeGrid, build_wave_system, certify_hyperbolic,
-                       default_kappa, eta_epsilon, eta_row,
-                       find_hyperbolic_solution, lambda_eta, linearize_along,
-                       neighborhood_thresholds, pointwise, random_ode_problem, rho_modulus,
-                       sample_wiener_path)
-from splitflow import hyperbolic, robustness
+                       default_kappa, find_hyperbolic_solution, lambda_eta,
+                       linearize_along, neighborhood_thresholds, pointwise,
+                       random_ode_problem, rho_modulus, sample_wiener_path)
+from splitflow import hyperbolic, robustness, sde_bridge
+from splitflow.hyperbolic import eta_epsilon, eta_row
 from splitflow.cocycle import integrate_nonlinear
 from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _ball_cloud, _cloud_draw,
                                   _convolve, _fast_len, _green_table)
@@ -57,17 +58,11 @@ def cubic_problem(seed=8, amplitude=0.002):
     return _CUBIC_CACHE[key]
 
 
-def wave_problem(seed=7):
+def wave_problem():
     """The transformed problem of the wave demo at its defaults (four
     modes, the default kappa) on the window [-60, 60], h = 1/32."""
-    base = build_wave_system(4, 1.0, lambda u: u - u ** 3,
-                             lambda u: 1.0 - 3.0 * u ** 2)
-    path = sample_wiener_path(TimeGrid(-105.0, 61.0, 1.0 / 32), seed)
-    strat = StratonovichSpec(
-        b_matrix=base.meta["b_matrix"], f=base.f0, f_prime=base.f0_prime,
-        eta=1.0, kappa=default_kappa())
-    return random_ode_problem(strat, path, base.y0_star, base.r_u,
-                              a_matrix=base.a_matrix, tail_tol=1e-7)
+    return sde_bridge.wave_problem(4, 1.0, 1.0, default_kappa(),
+                                   TimeGrid(-60.0, 60.0, 1.0 / 32), 7, 1e-7)
 
 
 class TestLambdaEta:
@@ -179,11 +174,30 @@ class TestRhoModulus:
 
 
 class TestEtaEpsilon:
-    def test_flat_curve_returns_grid_max(self):
+    def test_flat_curve_returns_one(self):
+        # eta = 1 passes: the search reads lambda there only
         p = additive_problem()
-        ca_bound, beta = 1.0, 0.9
-        got = eta_epsilon(p, 0.1, ca_bound, beta, lambda e: 0.0, eta_max=0.7)
-        assert got == 0.7
+        seen = []
+        got = eta_epsilon(p, 0.1, 1.0, 0.9, lambda e: seen.append(e) or 0.0)
+        assert got == 1.0 and seen == [1.0]
+
+    @pytest.mark.parametrize("edge, reads", [(2.0 ** -16, 19),
+                                             (2.0 ** -48, 21)])
+    def test_descent_through_the_floors(self, edge, reads):
+        # lambda admits exactly the etas under ``edge``: the search passes
+        # the floors 2^-16, 2^-32, ... down to the first one under it and
+        # bisects 16 times up to the floor above, which is ``edge``: the
+        # value of the earlier four-pass zoom, which read each failed floor
+        # twice.  Here each eta is read once: 1, the floors down to the
+        # first admitted one, and 16 midpoints
+        p = additive_problem()
+        seen = []
+        got = eta_epsilon(p, 0.05, 1.0, 0.9,
+                          lambda e: seen.append(e) or float(e >= edge))
+        assert got == edge - edge * 2.0 ** -16 + edge * 2.0 ** -32
+        assert len(seen) == len(set(seen)) == reads
+        floors = [2.0 ** (-16 * k) for k in range(reads - 16)]
+        assert seen[:reads - 16] == floors
 
     def test_linear_curve_inversion(self):
         p = additive_problem()
@@ -195,8 +209,8 @@ class TestEtaEpsilon:
         assert abs(got - want) < want * 0.01
 
     def test_each_eta_is_evaluated_once(self):
-        # the bisection tests eta_max again; lambda is read there once: the
-        # check at eta_max, the one at 2^-16 eta_max, and 16 midpoints
+        # the bisection tests eta = 1 again; lambda is read there once: the
+        # check at 1, the one at 2^-16, and 16 midpoints
         p = additive_problem()
         seen = []
         got = eta_epsilon(p, 0.05, 1.0, 0.9,
@@ -520,11 +534,11 @@ def test_cubic_row_applies_as_before(monkeypatch):
     assert 0.0 < sol.fixed_point_residual <= v["tol"]
 
 
-def test_wave_rows_read_no_kernel(monkeypatch):
+def test_wave_rows_read_no_kernel(monkeypatch, tmp_path):
     # the noise is multiplicative and f(0) = 0: every row's trajectory is
     # the equilibrium, one field call over the window per row, and no
     # Green table or spectrum is built
-    from splitflow import cli, sde_bridge
+    from splitflow import cli
 
     v = cli.load_config("", "wave")
     window = cli._grid(v)
@@ -540,13 +554,10 @@ def test_wave_rows_read_no_kernel(monkeypatch):
     runs = counted_picard(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = sde_bridge.run_wave_demo(
-            v["n_modes"], v["beta_damping"], None, v["seed"], window,
-            kappa=KappaFn.inverse_quadratic(v["kappa_amplitude"]),
-            tol=v["tol"], tail_tol=v["tail_tol"], trunc_tol=v["trunc_tol"],
-            n_half=v["n_half"])
-    assert [r["sup_dist_v"] for r in report.rows] == [0.0] * 5
-    assert all(r["certified"] for r in report.rows)
+        assert cli.cmd_wave(v, tmp_path)[0] == 0
+    rows = json.loads((tmp_path / "wave.json").read_text())["rows"]
+    assert [r["sup_dist_v"] for r in rows] == [0.0] * 5
+    assert all(r["certified"] for r in rows)
     assert runs == [] and sum(calls[0]) == 5
     assert green_keys(problems[0]) == []
 

@@ -6,14 +6,15 @@ import pytest
 
 from splitflow import (ConfigurationError, ContinuousCocycle, KappaFn,
                        NonHyperbolicError, StratonovichSpec, TimeGrid,
-                       WaveDemoReport, WindowError, autonomous_certificate,
+                       WindowError, autonomous_certificate,
                        build_wave_system, default_kappa, injected_path,
                        inverse_transform, noise_bounds, ou_series, pointwise,
-                       random_ode_problem, run_wave_demo, sample_wiener_path,
+                       random_ode_problem, sample_wiener_path,
                        spectral_projection, verify_dichotomy)
 from splitflow.cli import main
 from splitflow.cocycle import integrate_nonlinear
-from conftest import conjugated_fields_oracle
+from splitflow.sde_bridge import WAVE_COLUMNS
+from conftest import conjugated_fields_oracle, wave_ladder
 
 H = 1.0 / 32
 PATH_GRID = TimeGrid(-48.0, 12.0, H)
@@ -507,13 +508,12 @@ class TestWaveDemo:
         w = TimeGrid(-60.0, 60.0, H)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = run_wave_demo(2, 1.0, [0.0], 31, w)
-        row = rep.rows[0]
+            p, (row,) = wave_ladder(2, [0.0], 31, w)
         assert row["eta"] == 0.0
         assert row["sup_dist_v"] == 0.0 and row["sup_dist_y"] == 0.0
         assert row["certified"]
         # eta = 0 collapses to the autonomous constants
-        assert abs(row["alpha_tilde"] - rep.meta["autonomous_exponent"]) < 1e-9
+        assert abs(row["alpha_tilde"] - p.autonomous_cert.exponent) < 1e-9
 
     def test_transformed_field_at_zero_eta_reproduces_autonomous(self):
         # integrate the transformed field at eta = 0 from a nonzero state and
@@ -538,15 +538,15 @@ class TestWaveDemo:
         w = TimeGrid(-60.0, 60.0, H)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = run_wave_demo(2, 1.0, [0.9, 0.0], 31, w)
-        assert rep.rows[0]["error"] is not None
-        assert rep.rows[1]["certified"]
+            _, rows = wave_ladder(2, [0.9, 0.0], 31, w)
+        assert rows[0]["error"] is not None
+        assert rows[1]["certified"]
 
     def test_bad_argument_raises(self):
         # a ValueError names a bad argument: it is not an eta's error row
         w = TimeGrid(-60.0, 60.0, H)
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            run_wave_demo(2, 1.0, [0.0], 31, w, trunc_tol=0.0)
+            wave_ladder(2, [0.0], 31, w, trunc_tol=0.0)
 
     def test_report_serialization(self, tmp_path):
         cfg = tmp_path / "w.cfg"
@@ -556,7 +556,7 @@ class TestWaveDemo:
         assert main(["wave", "--config", str(cfg), "--out", str(out),
                      "--seed", "31"]) == 0
         text = (out / "wave.csv").read_text()
-        assert text.splitlines()[0] == ",".join(WaveDemoReport.COLUMNS)
+        assert text.splitlines()[0] == ",".join(WAVE_COLUMNS)
         # cells are true/false, empty (None) or numbers that float() parses
         for line in text.splitlines()[1:]:
             for c in line.split(","):
@@ -572,9 +572,7 @@ def test_mode_doubling_distance_sanity():
     w = TimeGrid(-60.0, 60.0, H)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r2 = run_wave_demo(2, 1.0, None, 31, w)
-        r4 = run_wave_demo(4, 1.0, None, 31, w)
-    d2 = r2.rows[0]["sup_dist_v"]
-    d4 = r4.rows[0]["sup_dist_v"]
+        d2 = wave_ladder(2, [], 31, w)[1][0]["sup_dist_v"]
+        d4 = wave_ladder(4, [], 31, w)[1][0]["sup_dist_v"]
     assert d2 is not None and d4 is not None
     assert abs(d4 - d2) <= 0.2 * max(d2, 1e-12)
