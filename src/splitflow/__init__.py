@@ -15,7 +15,8 @@ Library layers, bottom to top:
 - :mod:`splitflow.hyperbolic` -- random hyperbolic solutions of semilinear
   problems and their certification;
 - :mod:`splitflow.sde_bridge` -- the multiplicative-noise change of
-  variables and the spectral damped-wave model;
+  variables and the program's two models, the scalar cubic and the
+  spectral damped wave;
 - :mod:`splitflow.cli` -- reproducible experiment runner.
 """
 
@@ -43,7 +44,7 @@ from .hyperbolic import (HyperbolicSolutionCertificate, SemilinearProblem,
                          certify_hyperbolic, eta_cutoff,
                          find_hyperbolic_solution, ladder, lambda_eta,
                          linearize_along, neighborhood_thresholds, rho_modulus)
-from .sde_bridge import (StratonovichSpec, build_wave_system,
+from .sde_bridge import (StratonovichSpec, build_wave_system, cubic_problem,
                          inverse_transform, random_ode_problem, wave_problem,
                          wave_row)
 

@@ -36,8 +36,8 @@ from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
                     ou_series, pathwise_ou_residual, sample_wiener_path,
                     shift_path, sublinearity_report, zero_path)
 from .robustness import robust_dichotomy_discrete, robustness_report
-from .sde_bridge import (LAMBDA_SAMPLES, WAVE_COLUMNS, StratonovichSpec,
-                         random_ode_problem, wave_problem, wave_row)
+from .sde_bridge import (LAMBDA_SAMPLES, WAVE_COLUMNS, cubic_problem,
+                         wave_problem, wave_row)
 
 # key -> (parser, default)
 _COMMON = {"seed": (int, 12345)}
@@ -103,9 +103,10 @@ SCHEMAS = {
 }
 
 
-def load_config(text, command):
+def load_config(text, command, seed=None):
     """Typed config dict of ``command``: the schema defaults overridden by
-    the key = value lines of ``text``, checked; errors name a faulty line."""
+    the key = value lines of ``text``, and its seed by ``seed`` when given,
+    checked; errors name a faulty line."""
     schema = SCHEMAS[command]
     given = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -129,6 +130,11 @@ def load_config(text, command):
                 f"line {lineno}: field {key!r}: {exc}") from exc
     values = {key: given.get(key, default)
               for key, (_, default) in schema.items()}
+    if seed is not None:
+        values["seed"] = seed
+    if values["seed"] < 0:  # numpy's seed sequences take none below 0
+        raise ConfigurationError(
+            f"seed must be a nonnegative integer, got {values['seed']}")
     for key, val in values.items():
         if any(isinstance(x, float) and not np.isfinite(x)
                for x in (val if isinstance(val, list) else [val])):
@@ -148,11 +154,14 @@ def load_config(text, command):
     for key, least in (("n_paths", 2), ("n_half", 1)):  # a variance, a row
         if key in values and values[key] < least:
             raise ConfigurationError(f"{key} must be at least {least}")
-    # an empty list checks nothing; only wave reads an empty eta_grid, as
-    # the automatic ladder
-    for key in ("checkpoints", "eta_grid"):
-        if values.get(key) == [] and command != "wave":
-            raise ConfigurationError(f"{key} must not be empty")
+    if "checkpoints" in values:  # a trend from the first to the last
+        cps = values["checkpoints"]
+        if len(cps) < 2 or any(a >= b for a, b in zip(cps, cps[1:])):
+            raise ConfigurationError(
+                "checkpoints must be at least two, strictly ascending")
+    # an empty ladder checks nothing; wave reads it as the automatic one
+    if command == "hyperbolic" and not values["eta_grid"]:
+        raise ConfigurationError("eta_grid must not be empty")
     return values
 
 
@@ -292,14 +301,8 @@ def cmd_robustness(v, out_dir):
 
 def _hyperbolic_problem(v):
     if v["model"] == "cubic":
-        path = sample_wiener_path(_grid(v).widened(42.0, 2.0), v["seed"])
-        kap = KappaFn.inverse_quadratic(v["kappa_amplitude"])
-        strat = StratonovichSpec(
-            b_matrix=[[1.0]], f=lambda y: -y ** 3,
-            f_prime=lambda y: (-3.0 * y ** 2)[:, :, None],
-            eta=1.0, kappa=kap,
-        )
-        return random_ode_problem(strat, path, [1.0], r_u=v["r_u"])
+        return cubic_problem(KappaFn.inverse_quadratic(v["kappa_amplitude"]),
+                             _grid(v), v["seed"], v["r_u"])
     raise ConfigurationError(f"field 'model': unknown model {v['model']!r}")
 
 
@@ -377,9 +380,7 @@ def main(argv=None):
             text = Path(args.config).read_text() if args.config else ""
         except OSError as exc:
             raise ConfigurationError(f"cannot read config: {exc}") from exc
-        v = load_config(text, args.command)
-        if args.seed is not None:
-            v["seed"] = args.seed
+        v = load_config(text, args.command, args.seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code, files = _COMMANDS[args.command](v, args.out)

@@ -30,7 +30,8 @@ from functools import cache, cached_property
 import numpy as np
 import numpy.fft  # noqa: F401  -- loaded at start-up, not by the first run
 
-from .cocycle import ContinuousCocycle, _finite, _rows, spectral_sup
+from .cocycle import (DEFAULT_STEP, ContinuousCocycle, _finite, _rows,
+                      spectral_sup)
 from .dichotomy import _envelope_scan, autonomous_certificate, expm
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
@@ -513,7 +514,7 @@ def linearize_along(p, cert, step=None):
 
     h = cert.times[1] - cert.times[0]
     return ContinuousCocycle(gen, p.dim,
-                             step=step if step else min(h, 1.0 / 64.0))
+                             step=step if step else min(h, DEFAULT_STEP))
 
 
 def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
@@ -532,9 +533,8 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
     """
     if cert.status == STATUS_FAILED:
         return cert
-    h_grid = cert.times[1] - cert.times[0]
-    base_cc = p.base_cocycle(step if step else min(1.0 / 64.0, h_grid))
     pert_cc = linearize_along(p, cert, step=step)
+    base_cc = p.base_cocycle(pert_cc.step)
     # the impulse solves may read edge-contaminated trajectory values (they
     # enter with exponentially small weight), but no flow past the window
     t0, t1, t_int = cert.times[0], cert.times[-1], cert.interior_times()

@@ -1,4 +1,4 @@
-"""Multiplicative-noise change of variables and the damped-wave model.
+"""Multiplicative-noise change of variables and the program's two models.
 
 A Stratonovich equation with bounded time-rescaled multiplicative noise,
 
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dichotomy import spectral_projection
 from .errors import ConfigurationError, NonHyperbolicError, WindowError
 from .hyperbolic import SemilinearProblem
 from .noise import (DEFAULT_TAIL_TOL, _tail_start, rescaled_noise,
@@ -152,14 +151,13 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
 def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime):
     """Spectral reduction of the damped wave equation on the unit interval.
 
-    State ``y = (a, adot)`` holds the coefficients of the Dirichlet sine
-    modes; ``lambda_k = (k pi)^2``; the working neighborhood of the
-    equilibrium 0 has radius ``r_u = 0.5``.  The scalar nonlinearity acts
-    through collocation at ``n_modes + 2`` Chebyshev-type points followed
-    by re-projection onto the modes (the Gram solve makes linear
+    ``(b_matrix, f0, f0_prime)``, the drift and the batched nonlinearity
+    and its Jacobian, of ``y = (a, adot)``, the coefficients of the
+    Dirichlet sine modes; ``lambda_k = (k pi)^2``.  The scalar nonlinearity
+    acts through collocation at ``n_modes + 2`` Chebyshev-type points
+    followed by re-projection onto the modes (the Gram solve makes linear
     nonlinearities exact; the cubic aliasing error is the documented
-    truncation).  Raises when the equilibrium 0 is not hyperbolic (some
-    ``lambda_k`` equals ``f_scalar'(0)``).
+    truncation).  Raises when some ``lambda_k`` equals ``f_scalar'(0)``.
     """
     if n_modes < 1:
         raise ConfigurationError("need n_modes >= 1")
@@ -203,32 +201,32 @@ def build_wave_system(n_modes, beta_damping, f_scalar, f_scalar_prime):
                   out=jac[:, n:, :n])
         return jac
 
-    a_matrix = big_b + f0_prime(np.zeros((1, 2 * n)))[0]
-    spectral_projection(a_matrix)  # hard error when not hyperbolic
-    return SemilinearProblem(
-        a_matrix=a_matrix,
-        f_eta=lambda eta, ts, ys: f0(ys),
-        f0=f0,
-        y0_star=np.zeros(2 * n),
-        r_u=0.5,
-        f0_prime=f0_prime,
-        f_eta_dy=lambda eta, ts, ys: f0_prime(ys),
-        meta={"lambda_k": lam, "b_matrix": big_b, "phi": phi, "proj": proj},
-    )
+    return big_b, f0, f0_prime
+
+
+def cubic_problem(kappa, window, seed, r_u):
+    """The scalar cubic ``y' = y - y^3`` around its equilibrium ``y* = 1``,
+    working radius ``r_u``, under the noise ``eta kappa_t y o dW_t``, as the
+    random ODE of :func:`random_ode_problem`.  The Wiener path of ``seed``
+    reaches 42 before ``window`` and 2 after it."""
+    path = sample_wiener_path(window.widened(42.0, 2.0), seed)
+    strat = StratonovichSpec(b_matrix=[[1.0]], f=lambda y: -y ** 3,  # libm pow
+                             f_prime=lambda y: (-3.0 * y ** 2)[:, :, None],
+                             eta=1.0, kappa=kappa)
+    return random_ode_problem(strat, path, [1.0], r_u)
 
 
 def wave_problem(n_modes, beta_damping, a, kappa, window, seed, tail_tol):
     """The damped wave with ``f(u) = a u - u^3`` (:func:`build_wave_system`)
-    under the noise ``eta kappa_t y o dW_t``, as the random ODE of
-    :func:`random_ode_problem`.  The Wiener path of ``seed`` reaches
-    ``PATH_MARGIN`` before ``window`` and 1 after it."""
-    base = build_wave_system(n_modes, beta_damping,
-                             lambda u: a * u - u * u * u,  # no libm pow
-                             lambda u: a - 3.0 * u ** 2)
+    around ``y* = 0``, working radius 0.5, under the noise ``eta kappa_t y o
+    dW_t``, as the random ODE of :func:`random_ode_problem`.  The Wiener
+    path of ``seed`` reaches ``PATH_MARGIN`` before ``window`` and 1 after."""
+    b_matrix, f0, f0_prime = build_wave_system(
+        n_modes, beta_damping, lambda u: a * u - u * u * u,  # no libm pow
+        lambda u: a - 3.0 * u ** 2)
     path = sample_wiener_path(window.widened(PATH_MARGIN, 1.0), seed)
-    strat = StratonovichSpec(b_matrix=base.meta["b_matrix"], f=base.f0,
-                             f_prime=base.f0_prime, eta=1.0, kappa=kappa)
-    return random_ode_problem(strat, path, base.y0_star, base.r_u,
+    strat = StratonovichSpec(b_matrix, f0, f0_prime, eta=1.0, kappa=kappa)
+    return random_ode_problem(strat, path, np.zeros(len(b_matrix)), 0.5,
                               tail_tol=tail_tol)
 
 

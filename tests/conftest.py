@@ -17,8 +17,9 @@ field from a conjugated nonlinearity and a linear noise term that each read
 the noise dressing, where the library reads it once per call, and
 :func:`impulse_family_oracle` Picard-iterates the impulse family from zero,
 where the library returns a trivial splitting's ``Pi^s`` or solves for the
-splitting.  The helpers at the end drive library internals the way a test
-needs them.
+splitting, and :func:`wave_collocation` recomputes the wave model's
+collocation rule, which the library keeps inside its fields.  The helpers at
+the end drive library internals the way a test needs them.
 """
 
 import numpy as np
@@ -26,8 +27,8 @@ import pytest
 
 from splitflow import (ConfigurationError, DichotomyCertificate,
                        DiscreteCocycle, ForcingSequence, NonHyperbolicError,
-                       SemilinearProblem, default_kappa, ladder, pointwise,
-                       wave_problem, wave_row)
+                       SemilinearProblem, build_wave_system, default_kappa,
+                       ladder, pointwise, wave_problem, wave_row)
 from splitflow.cocycle import UNIT_SAMPLES, spectral_norms, stack_steps
 from splitflow.dichotomy import (_restricted_inverse, _split_march,
                                  _window_nodes)
@@ -532,3 +533,32 @@ def wave_ladder(n_modes, eta_grid, seed, window, **knobs):
              "step": window.h, "n_time": n_time, "n_cloud": n_cloud, **knobs}
     return p, [wave_row(p, row, sol, seed)
                for row, sol in ladder(p, window, eta_grid, **knobs)]
+
+
+def wave_collocation(n_modes):
+    """``(lambda_k, phi, proj)`` of :func:`splitflow.build_wave_system`'s
+    collocation rule, computed afresh: the eigenvalues ``(k pi)^2``, the
+    sine modes at the ``n_modes + 2`` Chebyshev-type nodes, and the
+    re-projection onto the modes by the Gram solve of the quadrature."""
+    n = int(n_modes)
+    theta = np.pi * (2 * np.arange(1, n + 3) - 1) / (2 * (n + 2))
+    x = 0.5 * (1.0 - np.cos(theta))
+    w = np.pi * np.sin(theta) / (2 * (n + 2))
+    phi = np.sqrt(2.0) * np.sin(np.outer(x, np.arange(1, n + 1)) * np.pi)
+    gram = phi.T @ (w[:, None] * phi)
+    proj = np.linalg.solve(gram, phi.T * w[None, :])
+    return (np.arange(1, n + 1) * np.pi) ** 2, phi, proj
+
+
+def autonomous_wave(n_modes, beta_damping, f_scalar, f_scalar_prime):
+    """The system of :func:`splitflow.build_wave_system` as an autonomous
+    problem around its equilibrium 0, working radius 0.5: ``a_matrix`` is
+    the drift plus ``f0'(0)``, and the perturbed field and its Jacobian are
+    ``f0`` and ``f0'``, whatever eta and t."""
+    b_matrix, f0, f0_prime = build_wave_system(n_modes, beta_damping,
+                                               f_scalar, f_scalar_prime)
+    zero = np.zeros(len(b_matrix))
+    return SemilinearProblem(
+        a_matrix=b_matrix + f0_prime(zero[None])[0],
+        f_eta=lambda eta, ts, ys: f0(ys), f0=f0, y0_star=zero, r_u=0.5,
+        f0_prime=f0_prime, f_eta_dy=lambda eta, ts, ys: f0_prime(ys))

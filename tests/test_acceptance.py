@@ -11,7 +11,7 @@ import numpy as np
 import splitflow as sf
 from splitflow import (DichotomyCertificate, DiscreteCocycle,
                        ContinuousCocycle, ForcingSequence, KappaFn,
-                       StratonovichSpec, TimeGrid)
+                       TimeGrid)
 from splitflow.cli import main as cli_main
 from splitflow.noise import ensemble_diagnostics, pathwise_ou_residual
 from splitflow.sde_bridge import LAMBDA_SAMPLES
@@ -135,17 +135,6 @@ def test_c5_ou_diagnostics():
            f"{zmax:.2e} <= 1e-4; ODE residual {res:.2e} <= h")
 
 
-def _cubic_problem(seed):
-    grid = TimeGrid(-112.0, 72.0, 1.0 / 64)
-    path = sf.sample_wiener_path(grid, seed)
-    strat = StratonovichSpec(
-        b_matrix=[[1.0]], f=lambda y: -y ** 3,
-        f_prime=lambda y: (-3.0 * y ** 2)[:, :, None],
-        eta=1.0, kappa=KappaFn.inverse_quadratic(0.002),
-    )
-    return sf.random_ode_problem(strat, path, [1.0], r_u=0.3)
-
-
 def test_c6_hyperbolic_convergence():
     w = TimeGrid(-70.0, 70.0, 1.0 / 64)
     # additive model against the variation-of-constants oracle
@@ -172,7 +161,8 @@ def test_c6_hyperbolic_convergence():
     sups = {e: [] for e in etas}
     all_rows_ok = True
     for seed in (7, 8, 9, 10, 11):
-        prob = _cubic_problem(seed)
+        prob = sf.cubic_problem(KappaFn.inverse_quadratic(0.002), w, seed,
+                                0.3)
         for e in etas:
             s = sf.find_hyperbolic_solution(prob, e, w, tol=1e-9)
             sf.certify_hyperbolic(prob, s, n_half=3)

@@ -84,6 +84,15 @@ class TestExitCodes:
         ("ou-check", "n_paths = 200\ncheckpoints = -100, 10\n"),
         ("hyperbolic", "r_u = 0\n"),
         ("hyperbolic", "r_u = -1\n"),
+        # no trend from one checkpoint, or from a later one to an earlier
+        ("ou-check", "checkpoints = 100, 10\n"),
+        ("ou-check", "checkpoints = 50\n"),
+        ("ou-check", "checkpoints = 10, 10, 50\n"),
+        # numpy's seed sequences take no negative seed
+        ("ou-check", "seed = -1\n"),
+        ("robustness", "seed = -1\n"),
+        ("hyperbolic", "seed = -1\n"),
+        ("wave", "seed = -1\n"),
     ])
     def test_non_finite_config_is_two(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "c.cfg"
@@ -93,6 +102,15 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", list(cli.SCHEMAS))
+    def test_negative_seed_flag_is_two(self, tmp_path, capsys, command):
+        # --seed is checked as a config line is
+        out = tmp_path / "o"
+        assert run_cli([command, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: seed must be a nonnegative integer, got -1\n")
+        assert not out.exists()
 
 
 class TestOuCheck(object):

@@ -15,7 +15,7 @@ from splitflow.cocycle import (UNIT_SAMPLES, _unit_envelope,
                                spectral_norms, spectral_sup, stack_steps)
 from splitflow.dichotomy import _decay_ratio
 from splitflow.errors import IntegrationError
-from conftest import march_tables, spectral_norm
+from conftest import autonomous_wave, march_tables, spectral_norm
 
 
 def composed(c, n_lo, n_hi):
@@ -487,11 +487,8 @@ def test_integrate_nonlinear_logistic():
 
 def test_cocycle_law_wave_scale():
     # the transformed wave generator at d = 8, horizons inside [0, 2]
-    from splitflow import build_wave_system
-
-    p = build_wave_system(4, 1.0, lambda u: u - u ** 3,
-                          lambda u: 1.0 - 3.0 * u ** 2)
-    a = p.a_matrix
+    a = autonomous_wave(4, 1.0, lambda u: u - u ** 3,
+                        lambda u: 1.0 - 3.0 * u ** 2).a_matrix
     c = ContinuousCocycle(pointwise(lambda t: a + 0.02 * np.sin(t) * np.eye(8)),
                           8)
     for (t, s) in [(1.0, 1.0), (0.5, 0.75), (1.0, 0.25)]:

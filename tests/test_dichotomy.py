@@ -9,16 +9,16 @@ from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
                        DichotomyCertificate, ForcingSequence,
                        NonHyperbolicError, SplitflowError, TimeGrid,
                        autonomous_certificate, bounded_solution,
-                       build_wave_system, discretize, paper_projection_bound,
+                       discretize, paper_projection_bound,
                        pointwise, projection_distance,
                        robust_dichotomy_discrete, spectral_projection,
                        verify_dichotomy)
 import splitflow.cocycle
 from splitflow import dichotomy
 from splitflow.cocycle import UNIT_SAMPLES
-from conftest import (GreenKernel, all_pairs_ratios, envelope_scan_sequential,
-                      riesz_projector_oracle, rotating_saddle, spectral_norm,
-                      time_varying_saddle)
+from conftest import (GreenKernel, all_pairs_ratios, autonomous_wave,
+                      envelope_scan_sequential, riesz_projector_oracle,
+                      rotating_saddle, spectral_norm, time_varying_saddle)
 
 SADDLE = np.diag([0.5, 2.0])
 
@@ -174,8 +174,8 @@ class TestExpm:
         # the CLI's wave generator, at the RK4 steps and the certificate's
         # scan step 40 / 2047; 4 modes stay below the Pade-13 norm bound,
         # 8 and 16 modes take 1 to 4 squarings
-        a = build_wave_system(n_modes, 1.0, lambda u: u - u ** 3,
-                              lambda u: 1.0 - 3.0 * u ** 2).a_matrix
+        a = autonomous_wave(n_modes, 1.0, lambda u: u - u ** 3,
+                            lambda u: 1.0 - 3.0 * u ** 2).a_matrix
         for step in (1 / 64, -1 / 64, 1 / 32, 40 / 2047):
             want = expm(a * step)
             got = dichotomy.expm(a * step)
@@ -274,8 +274,8 @@ class TestEnvelopeScan:
     # (eigenvalues -1, 1/2, -2) and a scalar; counts: the short edge cases,
     # the kernel tables of the hyperbolic runs and the autonomous scan
     GENERATORS = {
-        "wave": build_wave_system(4, 1.0, lambda u: u - u ** 3,
-                                  lambda u: 1.0 - 3.0 * u ** 2).a_matrix,
+        "wave": autonomous_wave(4, 1.0, lambda u: u - u ** 3,
+                                lambda u: 1.0 - 3.0 * u ** 2).a_matrix,
         "saddle": np.array([[-1.0, 5.0, 0.0], [0.0, 0.5, 3.0],
                             [0.0, 0.0, -2.0]]),
         "scalar": np.array([[-0.7]]),

@@ -39,9 +39,12 @@ functions built on it, so the pruning rule has one implementation.
 Likewise only ``greens.py`` names ``_band_for``: every span of impulse
 solves comes from ``greens._impulse_span``; only ``hyperbolic.py`` names
 ``eta_row`` and ``eta_epsilon``: every eta ladder and cutoff search goes
-through ``hyperbolic.ladder`` and ``hyperbolic.eta_cutoff``; and only
-``cli.py`` names ``json``: every JSON output goes through
-``cli._write_json``.
+through ``hyperbolic.ladder`` and ``hyperbolic.eta_cutoff``; only
+``sde_bridge.py`` names ``StratonovichSpec``, ``random_ode_problem`` and
+``build_wave_system``, re-exports in ``splitflow/__init__.py`` aside: every
+program model is built by ``sde_bridge.cubic_problem`` or
+``sde_bridge.wave_problem``; and only ``cli.py`` names ``json``: every JSON
+output goes through ``cli._write_json``.
 
 src/splitflow imports nothing of scipy, wherever the import statement
 stands: the package runs on numpy alone, and any scipy module would weigh on
@@ -326,14 +329,15 @@ def test_every_optional_parameter_is_set_by_the_program():
 
 
 SPECTRAL_PARTS = {"spectral_norms", "_frobenius", "FROBENIUS_SLACK"}
+MODEL_PARTS = {"StratonovichSpec", "random_ode_problem", "build_wave_system"}
 
 
-def _named_outside(owner, names):
+def _named_outside(owner, names, skip=()):
     """``path name`` of every mention of ``names`` under src/splitflow
-    outside the module ``owner``."""
+    outside the module ``owner`` and the modules ``skip``."""
     return sorted({f"{path.relative_to(ROOT)} {name}"
                    for path, tree in _trees(("src",))
-                   if path != PACKAGE / owner
+                   if path not in {PACKAGE / m for m in (owner, *skip)}
                    for name, _, _ in _mentions(tree)
                    if name in names})
 
@@ -357,6 +361,13 @@ def test_only_hyperbolic_names_the_row_and_the_search():
     stray = _named_outside("hyperbolic.py", {"eta_row", "eta_epsilon"})
     assert not stray, ("eta row or cutoff search outside hyperbolic:\n"
                        + "\n".join(stray))
+
+
+def test_only_sde_bridge_builds_models():
+    # every program model is built by a model function of sde_bridge
+    # (cubic_problem, wave_problem); the package re-exports its parts
+    stray = _named_outside("sde_bridge.py", MODEL_PARTS, skip=("__init__.py",))
+    assert not stray, ("model built outside sde_bridge:\n" + "\n".join(stray))
 
 
 def test_only_cli_names_json():

@@ -8,7 +8,7 @@ import pytest
 from splitflow import (ContinuousCocycle, ContractionMarginError, KappaFn,
                        SemilinearProblem, SplitflowError, StratonovichSpec,
                        ThresholdError,
-                       TimeGrid, build_wave_system, certify_hyperbolic,
+                       TimeGrid, certify_hyperbolic,
                        default_kappa, find_hyperbolic_solution, lambda_eta,
                        linearize_along, neighborhood_thresholds, pointwise,
                        random_ode_problem, rho_modulus, sample_wiener_path)
@@ -17,8 +17,8 @@ from splitflow.hyperbolic import eta_epsilon, eta_row
 from splitflow.cocycle import integrate_nonlinear
 from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _ball_cloud, _cloud_draw,
                                   _convolve, _fast_len, _green_table)
-from conftest import (ball_cloud_oracle, bump_problem, lambda_eta_loop,
-                      rho_modulus_oracle, spectral_norm)
+from conftest import (autonomous_wave, ball_cloud_oracle, bump_problem,
+                      lambda_eta_loop, rho_modulus_oracle, spectral_norm)
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -46,15 +46,8 @@ def cubic_problem(seed=8, amplitude=0.002):
     # shared instance: the threshold bisections are cached on problem.meta
     key = (seed, amplitude)
     if key not in _CUBIC_CACHE:
-        grid = TimeGrid(-112.0, 72.0, 1.0 / 64)
-        path = sample_wiener_path(grid, seed)
-        kap = KappaFn.inverse_quadratic(amplitude)
-        strat = StratonovichSpec(
-            b_matrix=[[1.0]], f=lambda y: -y ** 3,
-            f_prime=lambda y: (-3.0 * y ** 2)[:, :, None],
-            eta=1.0, kappa=kap,
-        )
-        _CUBIC_CACHE[key] = random_ode_problem(strat, path, [1.0], r_u=0.3)
+        _CUBIC_CACHE[key] = sde_bridge.cubic_problem(
+            KappaFn.inverse_quadratic(amplitude), W64, seed, 0.3)
     return _CUBIC_CACHE[key]
 
 
@@ -163,7 +156,7 @@ class TestRhoModulus:
             rho_modulus(additive_problem(), 0.6)
 
     @pytest.mark.parametrize("make", [  # d = 1, 2 and 8
-        cubic_problem, lambda: build_wave_system(
+        cubic_problem, lambda: autonomous_wave(
             1, 1.0, lambda u: u - u ** 3, lambda u: 1.0 - 3.0 * u ** 2),
         wave_problem])
     def test_matches_fresh_draw(self, make):

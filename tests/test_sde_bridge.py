@@ -14,7 +14,8 @@ from splitflow import (ConfigurationError, ContinuousCocycle, KappaFn,
 from splitflow.cli import main
 from splitflow.cocycle import integrate_nonlinear
 from splitflow.sde_bridge import WAVE_COLUMNS
-from conftest import conjugated_fields_oracle, wave_ladder
+from conftest import (autonomous_wave, conjugated_fields_oracle,
+                      wave_collocation, wave_ladder)
 
 H = 1.0 / 32
 PATH_GRID = TimeGrid(-48.0, 12.0, H)
@@ -187,8 +188,8 @@ class TestBatchedFields:
 
     def test_build_wave_system(self, rng):
         f_s, fp_s = (lambda u: u - u ** 3), (lambda u: 1.0 - 3.0 * u ** 2)
-        p = build_wave_system(3, 1.0, f_s, fp_s)
-        phi, proj = p.meta["phi"], p.meta["proj"]
+        b_matrix, f0, f0_prime = build_wave_system(3, 1.0, f_s, fp_s)
+        _, phi, proj = wave_collocation(3)
 
         def f0_point(y):
             out = np.zeros(6)
@@ -202,16 +203,14 @@ class TestBatchedFields:
 
         ts = rng.uniform(-5.0, 5.0, 20)
         ys = 0.2 * rng.standard_normal((20, 6))
-        self.check_against_points(p.f_eta(0.3, ts, ys), p.f0_prime(ys), ts, ys,
+        self.check_against_points(f0(ys), f0_prime(ys), ts, ys,
                                   lambda t, y: f0_point(y),
                                   lambda t, y: f0p_point(y))
         # and the transformed wave field on one noise path
         path = sample_wiener_path(PATH_GRID, 10)
-        strat = StratonovichSpec(b_matrix=p.meta["b_matrix"], f=p.f0,
-                                 f_prime=p.f0_prime, eta=1.0,
-                                 kappa=default_kappa())
-        q = random_ode_problem(strat, path, p.y0_star, p.r_u,
-                               a_matrix=p.a_matrix)
+        strat = StratonovichSpec(b_matrix=b_matrix, f=f0, f_prime=f0_prime,
+                                 eta=1.0, kappa=default_kappa())
+        q = random_ode_problem(strat, path, np.zeros(6), 0.5)
         dressing, eta = q.meta["dressing"], 0.05
 
         def f_point(t, y):
@@ -292,12 +291,11 @@ def folded_case(name):
             b_matrix=np.diag([-1.0, -2.0]), f=f, f_prime=fp, eta=1.0,
             kappa=KappaFn.inverse_quadratic(1.0))
         return strat, [0.0, 0.0], None, 0.5
-    p = build_wave_system(4, 1.0, lambda u: u - u ** 3,
-                          lambda u: 1.0 - 3.0 * u ** 2)
-    strat = StratonovichSpec(b_matrix=p.meta["b_matrix"], f=p.f0,
-                             f_prime=p.f0_prime, eta=1.0,
-                             kappa=default_kappa())
-    return strat, p.y0_star, p.a_matrix, 0.0
+    b_matrix, f0, f0_prime = build_wave_system(
+        4, 1.0, lambda u: u - u ** 3, lambda u: 1.0 - 3.0 * u ** 2)
+    strat = StratonovichSpec(b_matrix=b_matrix, f=f0, f_prime=f0_prime,
+                             eta=1.0, kappa=default_kappa())
+    return strat, np.zeros(8), None, 0.0
 
 
 class TestFoldedFields:
@@ -420,8 +418,8 @@ class TestJacobianIsTheStateDerivative:
 
 class TestWaveSystem:
     def test_single_mode_matrix_and_eigenvalues(self):
-        p = build_wave_system(1, 1.0, lambda u: u - u ** 3,
-                              lambda u: 1.0 - 3.0 * u ** 2)
+        p = autonomous_wave(1, 1.0, lambda u: u - u ** 3,
+                           lambda u: 1.0 - 3.0 * u ** 2)
         want = np.array([[0.0, 1.0], [1.0 - np.pi ** 2, -1.0]])
         assert np.allclose(p.a_matrix, want, atol=1e-12)
         eigs = np.linalg.eigvals(p.a_matrix)
@@ -433,7 +431,7 @@ class TestWaveSystem:
 
     def test_linear_wave_certificates_up_to_eight_modes(self):
         for n in (1, 2, 4, 8):
-            p = build_wave_system(n, 1.0, lambda u: 0.0 * u, lambda u: 0.0 * u)
+            p = autonomous_wave(n, 1.0, lambda u: 0.0 * u, lambda u: 0.0 * u)
             cert = autonomous_certificate(p.a_matrix)
             cc = ContinuousCocycle.constant(p.a_matrix)
             rep = verify_dichotomy(cc, cert, (-2, 2), slack=1.05)
@@ -445,28 +443,29 @@ class TestWaveSystem:
         # f0' forms f'(u) phi over whole (n + 2, n) blocks: the same bits as
         # the row-broadcast products assigned into a zero result
         f_s, fp_s = (lambda u: u - u * u * u), (lambda u: 1.0 - 3.0 * u ** 2)
-        p = build_wave_system(n, 1.0, f_s, fp_s)
-        phi, proj = p.meta["phi"], p.meta["proj"]
+        _, f0, f0_prime = build_wave_system(n, 1.0, f_s, fp_s)
+        _, phi, proj = wave_collocation(n)
         ys = 0.3 * rng.standard_normal((540, 2 * n))
         u = ys[:, :n] @ phi.T
         f_want = np.zeros((540, 2 * n))
         f_want[:, n:] = f_s(u) @ proj.T
         jac_want = np.zeros((540, 2 * n, 2 * n))
         jac_want[:, n:, :n] = proj @ (fp_s(u)[:, :, None] * phi)
-        for got, want in ((p.f0(ys), f_want), (p.f0_prime(ys), jac_want)):
+        for got, want in ((f0(ys), f_want), (f0_prime(ys), jac_want)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_eigenvalue_ratio(self):
-        p = build_wave_system(4, 1.0, lambda u: u - u ** 3,
-                              lambda u: 1.0 - 3.0 * u ** 2)
-        lam = p.meta["lambda_k"]
+        b_matrix, _, _ = build_wave_system(4, 1.0, lambda u: u - u ** 3,
+                                           lambda u: 1.0 - 3.0 * u ** 2)
+        lam = wave_collocation(4)[0]
+        assert np.array_equal(b_matrix[4:, :4], -np.diag(lam))
         assert lam[1] / lam[0] == 4.0
 
     def test_hyperbolic_for_all_small_n(self):
         # each modal block has trace -beta and det lambda_k - f'(0) > 0
         for n in range(1, 9):
-            p = build_wave_system(n, 1.0, lambda u: u - u ** 3,
-                                  lambda u: 1.0 - 3.0 * u ** 2)
+            p = autonomous_wave(n, 1.0, lambda u: u - u ** 3,
+                               lambda u: 1.0 - 3.0 * u ** 2)
             pi_u, gap = spectral_projection(p.a_matrix)
             assert np.allclose(pi_u, 0.0, atol=1e-10)
             assert gap > 0.4
@@ -474,14 +473,14 @@ class TestWaveSystem:
     def test_unstable_mode_variant(self):
         # f'(0) above the first eigenvalue flips one modal pair to a saddle
         a = 12.0
-        p = build_wave_system(2, 1.0, lambda u: a * u - u ** 3,
-                              lambda u: a - 3.0 * u ** 2)
+        p = autonomous_wave(2, 1.0, lambda u: a * u - u ** 3,
+                           lambda u: a - 3.0 * u ** 2)
         pi_u, _ = spectral_projection(p.a_matrix)
         assert abs(np.trace(pi_u) - 1.0) < 1e-9
 
     def test_nonlinearity_reprojection_is_gram_exact(self):
         # linear f must pass through collocation + reprojection unchanged
-        p = build_wave_system(3, 1.0, lambda u: 2.5 * u, lambda u: 2.5 + 0 * u)
+        p = autonomous_wave(3, 1.0, lambda u: 2.5 * u, lambda u: 2.5 + 0 * u)
         rng = np.random.default_rng(0)
         a = rng.standard_normal(3)
         y = np.concatenate([a, np.zeros(3)])
@@ -490,8 +489,8 @@ class TestWaveSystem:
         assert np.allclose(out[:3], 0.0)
 
     def test_equilibrium_validates(self):
-        p = build_wave_system(4, 1.0, lambda u: u - u ** 3,
-                              lambda u: 1.0 - 3.0 * u ** 2)
+        p = autonomous_wave(4, 1.0, lambda u: u - u ** 3,
+                           lambda u: 1.0 - 3.0 * u ** 2)
         assert p.validate() < 1e-10
 
     def test_non_hyperbolic_rejected(self):
@@ -518,16 +517,16 @@ class TestWaveDemo:
     def test_transformed_field_at_zero_eta_reproduces_autonomous(self):
         # integrate the transformed field at eta = 0 from a nonzero state and
         # compare with the frozen autonomous integration
-        p = build_wave_system(2, 1.0, lambda u: u - u ** 3,
-                              lambda u: 1.0 - 3.0 * u ** 2)
+        b_matrix, f0, f0_prime = build_wave_system(
+            2, 1.0, lambda u: u - u ** 3, lambda u: 1.0 - 3.0 * u ** 2)
         path = sample_wiener_path(PATH_GRID, 7)
         strat = StratonovichSpec(
-            b_matrix=p.meta["b_matrix"], f=p.f0, f_prime=p.f0_prime,
+            b_matrix=b_matrix, f=f0, f_prime=f0_prime,
             eta=0.0, kappa=KappaFn.inverse_quadratic(1.0),
         )
         problem, _ = transformed(strat, path)
         y0 = 0.1 * np.ones(4)
-        fa = lambda t, y: p.meta["b_matrix"] @ y + p.f0(y[None])[0]
+        fa = lambda t, y: b_matrix @ y + f0(y[None])[0]
         ft = lambda t, y: (strat.b_matrix @ y
                            + problem.f_eta(0.0, np.array([t]), y[None])[0])
         ya = integrate_nonlinear(fa, 0.0, 3.0, y0, step=1.0 / 64)
