@@ -29,7 +29,7 @@ from . import __version__
 from .cocycle import DiscreteCocycle
 from .dichotomy import DichotomyCertificate, _window_nodes
 from .errors import ConfigurationError, SplitflowError, WindowError
-from .grids import TimeGrid
+from .grids import TimeGrid, _as_node
 from .hyperbolic import ROW_COLUMNS, STATUS_FAILED, eta_cutoff, ladder
 from .io import cell, jsonable
 from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
@@ -41,6 +41,8 @@ from .sde_bridge import (LAMBDA_SAMPLES, WAVE_COLUMNS, cubic_problem,
 
 # key -> (parser, default)
 _COMMON = {"seed": (int, 12345)}
+# the grid step of ou-check's sublinearity paths, which its checkpoints lie on
+SUBLINEARITY_STEP = 1.0 / 16
 
 
 def _float_list(text):
@@ -159,6 +161,13 @@ def load_config(text, command, seed=None):
         if len(cps) < 2 or any(a >= b for a, b in zip(cps, cps[1:])):
             raise ConfigurationError(
                 "checkpoints must be at least two, strictly ascending")
+        for cp in cps:
+            try:
+                _as_node(cp, SUBLINEARITY_STEP)
+            except ConfigurationError:
+                raise ConfigurationError(
+                    f"checkpoints must be multiples of {SUBLINEARITY_STEP}, "
+                    f"the sublinearity paths' grid step, got {cp}") from None
     # an empty ladder checks nothing; wave reads it as the automatic one
     if command == "hyperbolic" and not values["eta_grid"]:
         raise ConfigurationError("eta_grid must not be empty")
@@ -236,7 +245,7 @@ def cmd_ou_check(v, out_dir):
 
     # sublinearity trend: ensemble medians at the first/last checkpoints
     cps = v["checkpoints"]
-    wide = TimeGrid(-30.0, max(cps) + 2.0, 1.0 / 16)
+    wide = TimeGrid(-30.0, max(cps) + 2.0, SUBLINEARITY_STEP)
     ratios = np.sort([sublinearity_report(
         sample_wiener_path(wide, v["seed"] + 1000 + k), [cps[0], cps[-1]])
         for k in range(500)], axis=0)

@@ -266,12 +266,19 @@ class ContinuousCocycle:
     when an oracle demands more accuracy than the O(step^4) default.
     ``time_invariant`` marks an autonomous generator so its unit-flow table
     holds one shared entry.
+
+    A dressed cocycle's generator is a time-invariant ``base``'s plus
+    ``g(t) I`` and ``log_scale(t0, t1) = int_{t0}^{t1} g`` (over arrays):
+    its flow is exactly the base's times ``exp(log_scale)``, so its unit-flow
+    table is the base's shift-0 table times those factors, no generator call.
     """
 
     generator: Callable[[np.ndarray], np.ndarray]
     dim: int
     step: float = DEFAULT_STEP
     time_invariant: bool = False
+    base: "ContinuousCocycle" = None
+    log_scale: Callable = None
     _units: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -281,7 +288,7 @@ class ContinuousCocycle:
 
         The table is memoized per cocycle and integer shift (shift 0 for
         every n when ``time_invariant``); the shifts it lacks are integrated
-        together, in one RK4 run over their stack.
+        together, in one RK4 run over their stack, or scaled when dressed.
         """
         keys = self._fill(shifts, snapshots=True)
         return np.array([self._units[k] for k in keys]).reshape(
@@ -296,14 +303,24 @@ class ContinuousCocycle:
             len(keys), self.dim, self.dim)
 
     def _fill(self, shifts, snapshots):
-        """Table keys of ``shifts``, after integrating the missing entries
-        (and, when ``snapshots``, the entries that hold only an endpoint)."""
+        """Table keys of ``shifts``, after filling the missing entries (and,
+        when ``snapshots``, the entries that hold only an endpoint)."""
         keys = [0 if self.time_invariant else int(n) for n in shifts]
         todo = sorted({k for k in keys if k not in self._units
                        or (snapshots and len(self._units[k]) == 1)})
         if not todo:
             return keys
-        if len(todo) == 1:  # a single shift is one propagator call
+        if self.log_scale is not None:  # dressed: the base's table, scaled
+            t0 = np.array(todo, float)[:, None]
+            table = self.base.unit_flows([0])[0]
+            taus = np.linspace(0.0, 1.0, UNIT_SAMPLES + 1)
+            if not snapshots:
+                table, taus = table[-1:], taus[-1:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = np.exp(self.log_scale(t0, t0 + taus))
+                flows = scale[..., None, None] * table
+            _finite_states(flows, t0[:, 0], t0[:, 0] + 1.0)
+        elif len(todo) == 1:  # a single shift is one propagator call
             flows = propagator(self, float(todo[0]), 1.0, UNIT_SAMPLES)[2][None]
         else:
             t0 = np.array(todo, float)
@@ -435,12 +452,17 @@ def _rk4(field, t0, t1, y0, n, every=None):
                     y = _rk4_step(lambda s, x: f(2 * i + s, x), y, h[lo + i])
                 if snaps is not None and (lo + i + 1) % every == 0:
                     snaps.append(y)
+    _finite_states(y, t0, t1)
+    return y if snaps is None else np.stack(snaps, axis=1)
+
+
+def _finite_states(y, t0, t1):
+    """:class:`IntegrationError` at the first non-finite member of ``y``."""
     bad = ~np.isfinite(y.reshape(len(y), -1)).all(axis=1)
     if np.any(bad):
         b = int(np.argmax(bad))
         raise IntegrationError(
             f"non-finite state while integrating [{t0[b]}, {t1[b]}]")
-    return y if snaps is None else np.stack(snaps, axis=1)
 
 
 def _linear_field(generator):

@@ -25,7 +25,7 @@ and the measured factor must stay below ``1/2`` plus a margin.
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 import numpy.fft  # noqa: F401  -- loaded at start-up, not by the first run
@@ -69,6 +69,9 @@ class SemilinearProblem:
     ``ts[i]`` and state ``Y[i]``; ``f0(Y) -> [N, d]`` and
     ``f0_prime(Y) -> [N, d, d]`` likewise for the autonomous field.  Wrap a
     callback written for one point with :func:`splitflow.pointwise`.
+
+    ``gap_integral(eta, t0, t1)``, if given, integrates ``gap`` over [t0, t1]
+    where ``f_eta_dy(eta, t, y0_star) - f0'(y0_star) = gap(eta, t) I``.
     """
 
     a_matrix: np.ndarray
@@ -78,6 +81,7 @@ class SemilinearProblem:
     r_u: float
     f0_prime: object
     f_eta_dy: object
+    gap_integral: object = None
     meta: dict = field(default_factory=dict)
     # base cocycles, Green spectra and thresholds; not an init field, so a
     # problem made by dataclasses.replace starts with none
@@ -362,39 +366,11 @@ class HyperbolicSolutionCertificate:
 
     def xi_star(self, t):
         """Trajectory value at ``t``, shape ``t.shape + (d,)``: ``np.interp``
-        per component, bit for bit, exact at the nodes, held constant
-        outside the window, NaN at a NaN time.
-
-        A trajectory of one component is one ``np.interp`` call.  A wider
-        one finds each time's interval once, by one ``searchsorted``, and
-        reads every component there: a node (or a time outside the window)
-        takes its node value itself, so a ``-0.0`` survives, and any other
-        time ``slope * (t - x_j) + y_j`` with ``slope = (y_{j+1} - y_j) /
-        (x_{j+1} - x_j)``, np.interp's own arithmetic.  A NaN time, or a
-        NaN value from a non-finite trajectory (where np.interp retries
-        from ``x_{j+1}``), sends the call to np.interp per component.
-        """
+        per component, exact at the nodes, held constant outside the
+        window, NaN at a NaN time."""
         t = np.asarray(t, float)
-        x, y = self.times, self.trajectory
-        if y.shape[1] == 1:
-            return np.interp(t, x, y[:, 0])[..., None]
-        flat = t.ravel()
-        node = np.searchsorted(x, flat, side="right") - 1  # x[node] <= t
-        np.maximum(node, 0, out=node)  # before the window: node 0
-        out, x_node = y[node], x[node]
-        inner = np.flatnonzero((x_node < flat) & (flat < x[-1]))
-        if len(inner):
-            j, x_j = node[inner], x_node[inner]
-            y_j = y[j]
-            with np.errstate(over="ignore", invalid="ignore"):  # as np.interp
-                value = y[j + 1] - y_j
-                value /= (x[j + 1] - x_j)[:, None]
-                value *= (flat[inner] - x_j)[:, None]
-                value += y_j
-            out[inner] = value
-        if np.isnan(flat).any() or np.isnan(out).any():
-            return np.stack([np.interp(t, x, c) for c in y.T], axis=-1)
-        return out.reshape(t.shape + (y.shape[1],))
+        return np.stack([np.interp(t, self.times, c)
+                         for c in self.trajectory.T], axis=-1)
 
     def interior_times(self):
         return self.times[self.interior]
@@ -502,7 +478,8 @@ def linearize_along(p, cert, step=None):
 
     Generator ``A + B(t)`` with
     ``B(t) = d_y f_eta(eta, t, xi*(t)) - f0'(y0*)``, evaluated for a vector
-    of times in one field call.
+    of times in one field call; dressed (base flows times ``exp(int gap)``)
+    along ``xi* = y0*`` bit for bit where the problem reports a ``gap``.
     """
     d0_star = p.d_f0(p.y0_star[None])[0]
     eta = cert.eta
@@ -513,8 +490,12 @@ def linearize_along(p, cert, step=None):
         return g
 
     h = cert.times[1] - cert.times[0]
-    return ContinuousCocycle(gen, p.dim,
-                             step=step if step else min(h, DEFAULT_STEP))
+    step = step if step else min(h, DEFAULT_STEP)
+    if p.gap_integral is not None and np.all(
+            cert.trajectory.view(np.int64) == p.y0_star.view(np.int64)):
+        return ContinuousCocycle(gen, p.dim, step, base=p.base_cocycle(step),
+                                 log_scale=partial(p.gap_integral, eta))
+    return ContinuousCocycle(gen, p.dim, step)
 
 
 def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,

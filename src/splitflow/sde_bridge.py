@@ -25,6 +25,7 @@ that rule is a documented modeling choice, not a numerical bug.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +70,8 @@ class StratonovichSpec:
 
 
 class _NoiseDressing:
-    """Interpolators of ``kappa z*`` and ``(kappa - kappadot) z*`` on a path."""
+    """Interpolators of ``kappa z*`` and ``(kappa - kappadot) z*`` on a path,
+    and the integral of the second."""
 
     def __init__(self, path, kappa, tail_tol=DEFAULT_TAIL_TOL):
         t_first = _tail_start(path, tail_tol)
@@ -96,6 +98,27 @@ class _NoiseDressing:
         return (np.exp(eta * np.interp(t, self.ts, self.kz)),
                 eta * np.interp(t, self.ts, self.ckz))
 
+    def gap_integral(self, eta, t0, t1):
+        """``int_{t0}^{t1} gap`` of :meth:`at`, broadcast over the arrays
+        ``t0`` and ``t1``, exact for the piecewise-linear interpolant: the
+        trapezoids on the path's nodes plus the partial segments at both
+        ends, which pass :meth:`at`'s range check."""
+        t0, t1 = np.broadcast_arrays(np.asarray(t0, float),
+                                     np.asarray(t1, float))
+        t = np.concatenate([t0.ravel(), t1.ravel()])
+        gap = self.at(1.0, t)[1]
+        k = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0,
+                    len(self.ts) - 2)
+        area = self.areas[k] + (t - self.ts[k]) * (self.ckz[k] + gap) / 2
+        return eta * (area[t0.size:] - area[:t0.size]).reshape(t0.shape)
+
+    @cached_property
+    def areas(self):
+        """``int_{ts[0]}^{ts[k]}`` of the ``(kappa - kappadot) z*``
+        interpolant at every node ``k``, made at the first integral."""
+        return np.concatenate([[0.0], np.cumsum(
+            np.diff(self.ts) * (self.ckz[:-1] + self.ckz[1:]) / 2)])
+
 
 def inverse_transform(times, v_traj, spec, path, tail_tol=DEFAULT_TAIL_TOL):
     """Pointwise inverse map ``y(t) = exp(+eta kappa_t z*) v(t)`` at the eta
@@ -112,7 +135,9 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
     """Semilinear problem for the transformed equation, eta as a live knob.
 
     The perturbation of the autonomous nonlinearity is the transformed field
-    plus the linear noise term; both scale down to zero with eta.
+    plus the linear noise term; both scale down to zero with eta.  At an
+    all-zero ``y0_star``, where the Jacobian is ``f'(0) + gap I`` at every
+    scale, the problem reports the integral of ``gap`` (``gap_integral``).
     """
     dressing = _NoiseDressing(path, strat.kappa, tail_tol)
     f, fp = strat.f, strat.f_prime
@@ -144,6 +169,7 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
         r_u=r_u,
         f0_prime=fp,
         f_eta_dy=f_eta_dy,
+        gap_integral=None if y0_star.any() else dressing.gap_integral,
         meta={"dressing": dressing},
     )
 
@@ -210,7 +236,7 @@ def cubic_problem(kappa, window, seed, r_u):
     random ODE of :func:`random_ode_problem`.  The Wiener path of ``seed``
     reaches 42 before ``window`` and 2 after it."""
     path = sample_wiener_path(window.widened(42.0, 2.0), seed)
-    strat = StratonovichSpec(b_matrix=[[1.0]], f=lambda y: -y ** 3,  # libm pow
+    strat = StratonovichSpec(b_matrix=[[1.0]], f=lambda y: -(y * y * y),
                              f_prime=lambda y: (-3.0 * y ** 2)[:, :, None],
                              eta=1.0, kappa=kappa)
     return random_ode_problem(strat, path, [1.0], r_u)

@@ -88,6 +88,9 @@ class TestExitCodes:
         ("ou-check", "checkpoints = 100, 10\n"),
         ("ou-check", "checkpoints = 50\n"),
         ("ou-check", "checkpoints = 10, 10, 50\n"),
+        # checkpoints off the grid step of the sublinearity paths
+        ("ou-check", "n_paths = 200\ncheckpoints = 1e-9, 10\n"),
+        ("ou-check", "n_paths = 200\ncheckpoints = 0.5, 10.03125\n"),
         # numpy's seed sequences take no negative seed
         ("ou-check", "seed = -1\n"),
         ("robustness", "seed = -1\n"),
@@ -102,6 +105,16 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, off", [("1e-9, 10", "1e-09"),
+                                           ("0.5, 10.03125", "10.03125")])
+    def test_checkpoints_off_the_sublinearity_grid(self, text, off):
+        # the message names the step the paths use, not one the config set
+        with pytest.raises(ConfigurationError) as exc:
+            load_config(f"checkpoints = {text}\n", "ou-check")
+        assert str(exc.value) == (
+            "checkpoints must be multiples of 0.0625, the sublinearity "
+            f"paths' grid step, got {off}")
 
     @pytest.mark.parametrize("command", list(cli.SCHEMAS))
     def test_negative_seed_flag_is_two(self, tmp_path, capsys, command):

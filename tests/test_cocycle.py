@@ -374,6 +374,11 @@ class TestUnitFlowTable:
         big = 5000.0 * np.eye(dim)
         varying = ContinuousCocycle(
             lambda ts: np.broadcast_to(big, (len(ts), dim, dim)), dim)
+        # the same generator as 0 dressed with gap 5000: its factor overflows
+        dressed = ContinuousCocycle(
+            varying.generator, dim,
+            base=ContinuousCocycle.constant(np.zeros((dim, dim))),
+            log_scale=lambda t0, t1: 5000.0 * (t1 - t0))
 
         def raises(at):
             return pytest.raises(IntegrationError, match=re.escape(
@@ -389,6 +394,10 @@ class TestUnitFlowTable:
                 varying.unit_flows(range(2, 5))
             with raises("[6.0, 7.0]"):
                 varying.unit_steps(range(6, 9))
+            with raises("[2.0, 3.0]"):
+                dressed.unit_flows(range(2, 5))
+            with raises("[6.0, 7.0]"):
+                dressed.unit_steps(range(6, 9))
             with raises("[0.0, 1.0]"):
                 integrate_nonlinear(lambda t, y: big @ y, 0.0, 1.0,
                                     np.ones(dim))

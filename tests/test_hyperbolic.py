@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,14 +8,15 @@ import pytest
 
 from splitflow import (ContinuousCocycle, ContractionMarginError, KappaFn,
                        SemilinearProblem, SplitflowError, StratonovichSpec,
-                       ThresholdError,
+                       ThresholdError, WindowError,
                        TimeGrid, certify_hyperbolic,
                        default_kappa, find_hyperbolic_solution, lambda_eta,
                        linearize_along, neighborhood_thresholds, pointwise,
                        random_ode_problem, rho_modulus, sample_wiener_path)
 from splitflow import hyperbolic, robustness, sde_bridge
 from splitflow.hyperbolic import eta_epsilon, eta_row
-from splitflow.cocycle import integrate_nonlinear
+from splitflow.cocycle import UNIT_SAMPLES, integrate_nonlinear
+from splitflow.errors import IntegrationError
 from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _ball_cloud, _cloud_draw,
                                   _convolve, _fast_len, _green_table)
 from conftest import (autonomous_wave, ball_cloud_oracle, bump_problem,
@@ -632,11 +634,11 @@ class TestXiStar:
     def bits(a):
         return np.ascontiguousarray(a).view(np.int64)
 
-    def test_eight_components_on_a_unit_fill_lattice(self, monkeypatch):
+    def test_eight_components_on_a_unit_fill_lattice(self):
         # every node and half-node of the stage lattice of a unit fill (step
         # 1/64 on the 1/64 grid: nodes, then midpoints), every grid node and
-        # times outside the window: one interval search, np.interp's bits,
-        # -0.0 included, and no np.interp call
+        # times outside the window: np.interp's bits per component, -0.0
+        # included, in the shape of the times plus one axis
         sol = self.eight_columns()
         h = 1.0 / 128
         lattice = (np.arange(-6, 6)[None, :] + h * np.arange(129)[:, None])
@@ -647,7 +649,6 @@ class TestXiStar:
         want = np.stack([np.interp(ts, sol.times, c)
                          for c in sol.trajectory.T], axis=-1)
         assert np.any(self.bits(want[:, 4]) != self.bits(np.abs(want[:, 4])))
-        monkeypatch.setattr(np, "interp", None)  # the search path alone
         got = sol.xi_star(ts)
         assert np.array_equal(self.bits(got), self.bits(want))
         got = sol.xi_star(lattice)
@@ -710,6 +711,136 @@ class TestLinearization:
             certify_hyperbolic(p, sol)
             deltas.append(sol.linearization_certificate.meta["delta_eff"])
         assert all(0.45 < y / x < 0.55 for x, y in zip(deltas, deltas[1:]))
+
+
+def equilibrium_row(p, eta, window):
+    """The row certificate of ``eta`` over ``window`` whose trajectory is
+    ``y0_star`` at every node, as :func:`find_hyperbolic_solution` returns
+    it when the forcing is zero, without its contraction check."""
+    times = window.times()
+    return hyperbolic.HyperbolicSolutionCertificate(
+        times=times, trajectory=p.y0_star + np.zeros((len(times), p.dim)),
+        interior=slice(None), sup_distance=0.0, fixed_point_residual=0.0,
+        iterations=1, eta=eta, eps_used=1.0, lambda_value=0.0,
+        status="bounded")
+
+
+def counted_jacobian(monkeypatch, p):
+    """Calls of ``p.f_eta_dy``, the linearization's generator, from now."""
+    calls = []
+    real = p.f_eta_dy
+    monkeypatch.setattr(p, "f_eta_dy",
+                        lambda *a: calls.append(len(a[1])) or real(*a))
+    return calls
+
+
+class TestDressedLinearization:
+    """Along ``y* = 0`` under scalar noise the linearization is ``A + gap(t)
+    I``, whose flow is the base flow times ``exp(int gap)``."""
+
+    W32 = TimeGrid(-60.0, 60.0, 1.0 / 32)
+
+    def test_log_scale_is_the_integral_of_the_gap(self):
+        # on a path grid whose step 0.05 does not divide 1/16, so every
+        # integral has partial segments at both ends: against a trapezoid
+        # over the path's nodes in between and 97 points of the interval,
+        # exact for the piecewise-linear gap, within 1e-13 of each shift's
+        # largest |log-scale| (measured 4.3e-14)
+        path = sample_wiener_path(TimeGrid(-60.0, 20.0, 0.05), 5)
+        strat = StratonovichSpec(
+            b_matrix=[[-1.0]], f=lambda y: 0.0 * y,
+            f_prime=lambda y: np.zeros((len(y), 1, 1)), eta=1.0,
+            kappa=default_kappa())
+        p = random_ode_problem(strat, path, [0.0], r_u=0.3)
+        dressing, eta = p.meta["dressing"], 0.7
+        t0 = np.arange(-8.0, 8.0)[:, None]
+        t1 = t0 + np.linspace(0.0, 1.0, UNIT_SAMPLES + 1)
+        got = p.gap_integral(eta, t0, t1)
+        assert got.shape == t1.shape and np.all(got[:, 0] == 0.0)
+        for a, row, ends in zip(t0[:, 0], got, t1):
+            want = []
+            for b in ends:
+                inner = dressing.ts[(dressing.ts > a) & (dressing.ts < b)]
+                ts = np.union1d(np.concatenate([[a, b], inner]),
+                                np.linspace(a, b, 97))
+                want.append(np.trapezoid(dressing.at(eta, ts)[1], ts))
+            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_only_equilibrium_rows_of_a_reported_gap_are_dressed(
+            self, monkeypatch):
+        # the wave at y* = 0 fills without a generator call; the cubic at
+        # y* = 1, and the wave along a trajectory that leaves 0 in one bit
+        # (-0.0 at one node), call it
+        p = wave_problem()
+        row = equilibrium_row(p, 0.5, self.W32)
+        calls = counted_jacobian(monkeypatch, p)
+        cc = linearize_along(p, row, step=1.0 / 32)
+        assert cc.base is p.base_cocycle(1.0 / 32)
+        cc.unit_flows(range(-3, 3))
+        cc.unit_steps(range(3, 6))
+        assert calls == []
+        row.trajectory[100, 3] = -0.0
+        linearize_along(p, row, step=1.0 / 32).unit_flows([0])
+        assert calls != []
+        cubic = cubic_problem()
+        assert cubic.gap_integral is None
+        sol = find_hyperbolic_solution(cubic, 0.1, W64, tol=1e-9)
+        calls = counted_jacobian(monkeypatch, cubic)
+        cc = linearize_along(cubic, sol)
+        assert cc.log_scale is None
+        cc.unit_flows([0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    def test_unit_flows_match_the_rk4_fill(self, eta):
+        # both at step 1/512: the exact flows agree, the RK4 errors nearly
+        # so (measured 2.6e-9 and 6.9e-9 relative).  At the wave's step
+        # 1/32 the dressed flows differ from the RK4 fill of the same
+        # generator at 1/32 by 2.3e-4 (eta 0.5) and 3.9e-4 (eta 1), and
+        # both from the fill at 1/512 by 2.3e-2: the RK4 error of A
+        p = wave_problem()
+        shifts = list(range(-4, 4))
+        cc = linearize_along(p, equilibrium_row(p, eta, self.W32),
+                             step=1.0 / 512)
+        want = ContinuousCocycle(cc.generator, p.dim,
+                                 step=1.0 / 512).unit_flows(shifts)
+        for got, ref in zip(cc.unit_flows(shifts), want):
+            for a, b in zip(got, ref):
+                assert spectral_norm(a - b) <= 1e-8 * spectral_norm(b)
+
+    def test_zero_eta_is_the_base_table(self):
+        p = wave_problem()
+        cc = linearize_along(p, equilibrium_row(p, 0.0, self.W32),
+                             step=1.0 / 32)
+        base = p.base_cocycle(1.0 / 32)
+        assert np.array_equal(cc.unit_steps(range(5, 8)),
+                              base.unit_steps(range(5, 8)))
+        assert np.array_equal(cc.unit_flows(range(-3, 3)),
+                              base.unit_flows(range(-3, 3)))
+
+    def test_huge_gap_and_far_times_fail_closed(self):
+        # exp(eta int gap) overflows: IntegrationError naming the first
+        # interval that does, and no numpy warning; a shift past the
+        # dressed window raises the dressing's WindowError
+        p = wave_problem()
+        eta = 1e5
+        shifts = np.arange(-5, 5)
+        t0 = shifts[:, None].astype(float)
+        c = p.gap_integral(eta, t0,
+                           t0 + np.linspace(0.0, 1.0, UNIT_SAMPLES + 1))
+        first = shifts[np.argmax(c.max(axis=1) > 710.0)]
+        assert c.max() > 710.0
+        cc = linearize_along(p, equilibrium_row(p, eta, self.W32),
+                             step=1.0 / 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match=re.escape(
+                    f"non-finite state while integrating [{float(first)}, "
+                    f"{first + 1.0}]")):
+                cc.unit_flows(shifts)
+        with pytest.raises(WindowError, match=r"time 62.0 outside the "
+                           r"dressed window .*\(1 of 2 times out\)"):
+            cc.unit_steps([61])
 
 
 class TestCertify:

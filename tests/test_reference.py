@@ -61,3 +61,23 @@ def test_one_ulp_move_is_named():
     assert len(moved) == 1
     assert moved[0].startswith("hyperbolic/hyperbolic.json:rows[1].M_bound: ")
     assert "(relative change 2.22e-16)" in moved[0]
+
+
+def test_summary_counts_moved_cells_by_kind():
+    # per label the moved cells, the largest relative float move, and every
+    # other move (an exit code, a verdict, None, a string, an absent cell)
+    pairs = {
+        "a": ({"exit": 0, "x": 1.0, "y": 2.0, "ok": True, "z": None},
+              {"exit": 1, "x": 1.0 + 1e-9, "y": 2.0, "ok": False, "z": 0.5}),
+        "b": ({"x": 4.0, "s": "r", "gone": 1.0},
+              {"x": 3.0, "s": "t", "new": 1}),
+        "c": ({"x": -0.0, "n": float("nan")}, {"x": 0.0, "n": float("nan")}),
+    }
+    assert ref.summary(pairs) == (
+        "moved cells: a 4, b 4; largest relative float change 0.25; "
+        "6 non-float cells moved")
+    assert ref.summary({"c": pairs["c"]}) == (
+        "moved cells: none; largest relative float change 0; 0 non-float "
+        "cells moved")
+    nan = {"d": ({"x": 1.0}, {"x": float("nan")})}
+    assert "largest relative float change inf" in ref.summary(nan)

@@ -243,6 +243,8 @@ class TestBatchedFields:
             assert np.array_equal(got, want)
         with pytest.raises(WindowError, match=r"time 13.0 outside .*\(1 of 1 "):
             dressing.at(0.5, 13.0)
+        with pytest.raises(WindowError, match=r"time 13.0 outside .*\(1 of 2 "):
+            dressing.gap_integral(0.5, 0.0, 13.0)  # the same check, both ends
         ts = np.array([0.0, hi + 1.0, lo - 2.0, hi + 3.0])
         with pytest.raises(WindowError) as exc:
             p.f_eta(0.5, ts, np.zeros((4, 1)))

@@ -4,8 +4,10 @@
 
 re-runs every call of :data:`CALLS`, rewrites ``tests/reference/`` and
 prints each cell that moved against the references it replaces (old value,
-new value, relative change), then the number of changed cells.  That list
-is the record of a change that moves outputs on purpose;
+new value, relative change), then the number of changed cells, then one
+:func:`summary` line: the moved cells per call, the largest relative change
+among the moved float cells and the number of moved cells of any other
+kind.  That list is the record of a change that moves outputs on purpose;
 ``tests/test_reference.py`` runs the same calls and fails on any moved cell.
 
 The calls: ``robustness``, ``hyperbolic`` and ``wave`` at their defaults
@@ -190,13 +192,43 @@ def diff(label, old, new, exact=True):
     to ``new`` (cell dicts); a cell only one side has reads ``<absent>``
     on the other."""
     lines = []
-    for key in list(old) + [k for k in new if k not in old]:
+    for key in _moved(old, new, exact):
         a = old.get(key, "<absent>")
         b = new.get(key, "<absent>")
-        if key in old and key in new and _same(a, b, exact):
-            continue
         lines.append(f"{label}/{key}: {a!r} -> {b!r}{_relative(a, b)}")
     return lines
+
+
+def _moved(old, new, exact):
+    """The keys of the cells that moved from ``old`` to ``new``, those only
+    one side has included, in the order of ``old`` and then ``new``."""
+    return [key for key in list(old) + [k for k in new if k not in old]
+            if not (key in old and key in new
+                    and _same(old[key], new[key], exact))]
+
+
+def summary(pairs):
+    """One line over ``label -> (old, new)`` cell dicts: the number of moved
+    cells of each label that has any, the largest relative change among the
+    moved cells that are floats on both sides (infinite when one is NaN or
+    infinite), and the number of moved cells that are not (exit codes,
+    verdicts, strings, None, a cell only one side has)."""
+    per_label, largest, other = [], 0.0, 0
+    for label, (old, new) in pairs.items():
+        moved = _moved(old, new, True)
+        if moved:
+            per_label.append(f"{label} {len(moved)}")
+        for key in moved:
+            a, b = old.get(key), new.get(key)
+            if type(a) is float and type(b) is float:
+                # the scale is not 0: zeros of either sign are the same
+                rel = abs(b - a) / max(abs(a), abs(b))
+                largest = max(largest, math.inf if math.isnan(rel) else rel)
+            else:
+                other += 1
+    return (f"moved cells: {', '.join(per_label) or 'none'}; largest "
+            f"relative float change {largest:.3g}; {other} non-float cells "
+            "moved")
 
 
 def load_manifest():
@@ -238,12 +270,14 @@ def main():
     old = load_manifest() if MANIFEST.exists() else {"calls": {}}
     calls = {}
     changed = []
+    pairs = {}
     with tempfile.TemporaryDirectory() as scratch:
         for label, (_, config, _) in CALLS.items():
             code, stderr, files = run(label, scratch)
             before = reference_cells(label, old) if label in old["calls"] \
                 else {}
-            changed += diff(label, before, cells(config, code, stderr, files))
+            pairs[label] = before, cells(config, code, stderr, files)
+            changed += diff(label, *pairs[label])
             calls[label] = {"config": config, "exit": code, "stderr": stderr}
             target = REFERENCE / label
             shutil.rmtree(target, ignore_errors=True)
@@ -259,6 +293,7 @@ def main():
     changed += _update_demos()
     print("\n".join(changed))
     print(f"{len(changed)} changed cells")
+    print(summary(pairs))
 
 
 if __name__ == "__main__":
