@@ -8,10 +8,11 @@ trajectory nearby: the fixed point of
     g(t, phi) = f_eta(t, y0* + phi) - f0(y0*) - f0'(y0*) phi,
 
 where ``G_A`` is the Green kernel of the frozen linearization ``A``.  The
-kernel integral is discretized by composite trapezoid with an exponential
-tail truncation, evaluated as a matrix-valued convolution via the FFT
-against the kernel's spectrum, one per problem, grid step, tail length and
-FFT length.  Where ``y0*`` solves every perturbed field too (multiplicative
+kernel is exponential, ``e^{A tau} Pi^s`` forward and ``-e^{A tau} Pi^u``
+backward, so its composite trapezoid sum over the window is two
+first-order recurrences with one constant map each, solved exactly by
+doubling (:func:`_kernel_sum`); the two maps are built once per problem and
+grid step.  Where ``y0*`` solves every perturbed field too (multiplicative
 noise, ``f(0) = 0``), the forcing ``g(t, 0)`` is zero, and the zero
 trajectory is the answer: one field call, and no kernel is built.  The
 trajectory is then certified as hyperbolic by linearizing along it and
@@ -28,14 +29,13 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
 import numpy as np
-import numpy.fft  # noqa: F401  -- loaded at start-up, not by the first run
 
 from .cocycle import (DEFAULT_STEP, ContinuousCocycle, _finite, _rows,
                       spectral_sup)
-from .dichotomy import _envelope_scan, autonomous_certificate, expm
+from .dichotomy import autonomous_certificate, expm
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
-from .greens import _impulse_span, _picard
+from .greens import _impulse_span, _picard, _seq_sup
 from .robustness import robust_dichotomy_continuous
 
 SMALLNESS_DIVISOR = 6.0     # per-term budget: 1/(6 M beta^{-1})
@@ -83,7 +83,7 @@ class SemilinearProblem:
     f_eta_dy: object
     gap_integral: object = None
     meta: dict = field(default_factory=dict)
-    # base cocycles, Green spectra and thresholds; not an init field, so a
+    # base cocycles, Green kernel maps and thresholds; not an init field, so a
     # problem made by dataclasses.replace starts with none
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -109,17 +109,6 @@ class SemilinearProblem:
             self._memo["base", step] = ContinuousCocycle.constant(
                 self.a_matrix, step=step)
         return self._memo["base", step]
-
-    def green_spectrum(self, h, n_off, n_fft):
-        """``rfft`` over ``n_fft`` points of :func:`_green_table` of
-        ``a_matrix`` at step ``h`` and ``n_off`` offsets, once per problem
-        and arguments, so an eta ladder builds it once."""
-        key = ("green", h, n_off, n_fft)
-        if key not in self._memo:
-            table = _green_table(self.a_matrix,
-                                 self.autonomous_cert.proj_s([0])[0], h, n_off)
-            self._memo[key] = np.fft.rfft(table, n_fft, axis=0)
-        return self._memo[key]
 
     def validate(self):
         """Equilibrium residual of the full autonomous field, plus hyperbolicity."""
@@ -300,44 +289,35 @@ def eta_cutoff(p, window, n_time, n_cloud):
 
 
 def kernel_tail_length(m_bound, beta, tail_tol):
-    """Time span after which the kernel tail integral drops below ``tail_tol``."""
+    """Time span after which the kernel tail integral drops below
+    ``tail_tol``: the band at each window edge where the kernel sum, cut
+    off at the edge, may differ from the sum over all time by more."""
     return math.log(max(m_bound / (beta * tail_tol), 2.0)) / beta
 
 
-def _fast_len(n):
-    """Smallest 11-smooth integer ``>= n``: the FFT length
-    ``scipy.fft.next_fast_len`` picks by default."""
-    m = n
-    while True:
-        k = m
-        for p in (2, 3, 5, 7, 11):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 1
-
-
-def _green_table(a, pi_s, h, n_off):
-    """Kernel ``G(t - s)`` of the hyperbolic constant generator ``a`` with
-    stable projection ``pi_s`` at the offsets ``-n_off .. n_off`` of step
-    ``h``, stacked ``(2 n_off + 1, d, d)``."""
-    pi_u = np.eye(a.shape[0]) - pi_s
-    fwd, bwd = _envelope_scan(pi_s, pi_u, expm(a * h), expm(-a * h),
-                              n_off + 1)
-    # composite trapezoid split at the kernel jump: the coincidence node
-    # carries the average of the one-sided limits, (Pi^s - Pi^u)/2
-    fwd[0] = 0.5 * (pi_s - pi_u)
-    return np.concatenate([-bwd[1:][::-1], fwd], axis=0)
-
-
-def _convolve(spectrum, u, weights, h, n_off, n_fft):
-    """``h * sum_j G[i-j] w_j u_j`` for u of shape (N, d), with
-    ``spectrum`` the ``rfft`` over ``n_fft >= N + 2 n_off + 1`` points of
-    the table ``G`` over ``n_off`` offsets each way."""
-    uf = np.fft.rfft(u * weights[:, None], n_fft, axis=0)
-    y = np.fft.irfft(np.einsum("fab,fb->fa", spectrum, uf), n_fft, axis=0)
-    return h * y[n_off:n_off + len(u)]
+def _kernel_sum(maps, jump, u, h, times):
+    """Trapezoid sum ``h sum_j G(t_i - t_j) u_j`` of the Green kernel over
+    the window, untruncated: ``h (F + J u - B)``, with ``J = jump = (Pi^s -
+    Pi^u) / 2`` at the kernel's jump, and the forward ``F_i = T (F_{i-1} +
+    u_{i-1})`` and backward ``B_i = S (B_{i+1} + u_{i+1})`` sweeps of
+    ``maps = (T, S) = (Pi^s e^{Ah}, Pi^u e^{-Ah})``, run together by
+    doubling on one map each: ``v[s:] += v[:-s] (T^s)^T`` at s = 1, 2, 4,
+    ..., the power squared after each level (Kogge & Stone, IEEE Trans.
+    Comput. C-22, 1973).  An overflow raises :class:`SplitflowError` naming
+    the first non-finite time, with no numpy warning."""
+    mul = np.multiply if u.shape[1] == 1 else np.matmul  # d = 1: scalars
+    power = maps.transpose(0, 2, 1)  # row vectors: v @ T^T
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.zeros((2,) + u.shape)
+        mul(np.stack([u[:-1], u[:0:-1]]), power, out=v[:, 1:])
+        s = 1
+        while s < len(u):
+            v[:, s:] += mul(v[:, :-s], power)
+            power, s = power @ power, 2 * s
+        out = v[0] - v[1, ::-1]
+        out += mul(u, jump.T)
+        out *= h
+    return _finite(out, times, "kernel sum")
 
 
 @dataclass
@@ -434,29 +414,33 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     f0_star = p.f0_at(p.y0_star[None])[0]
     d0_star = p.d_f0(p.y0_star[None])[0]
 
-    def g_all(phi):
-        # one field call over every node; a non-finite value fails closed
+    def u_all(phi):
+        # w g(t, phi), one field call over every node; non-finite fails closed
         f = _finite(p.f_eta_at(eta, times, p.y0_star + phi), times,
                     "field values")
-        return f - f0_star - phi @ d0_star.T
+        return (f - f0_star - phi @ d0_star.T) * weights[:, None]
 
     def start():  # a fresh first iterate, which the iteration drops
         return np.zeros((n, p.dim)) if x0 is None else np.array(x0, float)
 
-    g0 = [g_all(start())]  # the first apply's forcing, read by the zero test
-    if x0 is None and not (g0[0] * weights[:, None]).any():
+    u0 = [u_all(start())]  # the first apply's forcing, read by the zero test
+    if x0 is None and not u0[0].any():
         # y0_star solves the perturbed field: phi = 0 is the fixed point
         phi, residual, it = start(), 0.0, 1
     else:
-        n_fft = _fast_len(n + 2 * n_off + 1)
-        spectrum = p.green_spectrum(h, n_off, n_fft)
+        pi_s, eye = cert_a.proj_s([0])[0], np.eye(p.dim)
+        if ("green", h) not in p._memo:  # once per problem and step
+            p._memo["green", h] = np.stack([
+                pi_s @ expm(p.a_matrix * h),
+                (eye - pi_s) @ expm(-p.a_matrix * h)])
+        maps, jump = p._memo["green", h], pi_s - 0.5 * eye
         phi, residual, it = _picard(
-            lambda x: _convolve(spectrum, g0.pop() if g0 else g_all(x),
-                                weights, h, n_off, n_fft),
+            lambda x: _kernel_sum(maps, jump, u0.pop() if u0 else u_all(x),
+                                  h, times),
             start(), tol, factor, 2.0 * (m_bound / beta) * max(lam, tol),
             max_iter, "kernel iteration")
     interior = slice(n_off, n - n_off)
-    sup_dist = float(np.max(np.linalg.norm(phi[interior], axis=1)))
+    sup_dist = _seq_sup(phi[interior])  # an overflow reads inf
     status = STATUS_BOUNDED
     if not sup_dist < eps_used:  # a NaN fails closed
         warnings.warn(

@@ -7,7 +7,9 @@ by forward/backward power iteration, and :class:`GreenKernel` evaluates the
 two-branch Green kernel one pair of times at a time, where the library
 marches and sweeps whole windows; :func:`gamma_sequential` runs the two
 kernel sweeps one node at a time, where the library evaluates them by
-doubling, :func:`envelope_scan_sequential` builds the autonomous envelope
+doubling, :func:`kernel_sum_oracle` sums the autonomous Green kernel over
+every pair of a window's times, where the hyperbolic kernel iteration
+sweeps, :func:`envelope_scan_sequential` builds the autonomous envelope
 tables one step at a time, where the library doubles, and
 :func:`all_pairs_ratios` takes an SVD of every kernel value, where the
 verifier prunes, :func:`ball_cloud_oracle` and
@@ -255,6 +257,33 @@ def gamma_sequential(cocycle, cert, b, f, x):
         acc = back[m] @ (acc - pi_u[m] @ u[m])
         out[m] += acc
     return out
+
+
+def kernel_sum_oracle(a_matrix, pi_s, u, h, reach=None):
+    """The trapezoid sum ``h sum_j G(t_i - t_j) u_j`` of the autonomous
+    Green kernel of ``a_matrix`` over the pairs of nodes of a window of
+    step ``h``, ``u`` holding the weighted forcing at every node: all pairs,
+    or those at most ``reach`` nodes apart.  ``G(kh)`` is ``(Pi^s
+    e^{Ah})^k Pi^s`` for k > 0, ``-(Pi^u e^{-Ah})^{-k} Pi^u`` for k < 0 and
+    ``(Pi^s - Pi^u) / 2`` at k = 0, each power one factor (scipy's
+    ``expm``) on the last, with the ``pi_s`` given, where the library
+    sweeps by doubling."""
+    from scipy.linalg import expm
+
+    a = np.atleast_2d(np.asarray(a_matrix, float))
+    n, pi_u = len(u), np.eye(len(a)) - pi_s
+    fwd, bwd = pi_s @ expm(a * h), pi_u @ expm(-a * h)
+    kernel = np.empty((2 * n - 1, len(a), len(a)))  # offsets 1-n .. n-1
+    kernel[n - 1] = 0.5 * (pi_s - pi_u)
+    up, down = pi_s, pi_u
+    for k in range(1, n):
+        up, down = fwd @ up, bwd @ down
+        kernel[n - 1 + k], kernel[n - 1 - k] = up, -down
+    if reach is not None:
+        kernel[:n - 1 - reach] = kernel[n + reach:] = 0.0
+    js = np.arange(n)
+    return h * np.stack([np.einsum("jab,jb->a", kernel[n - 1 + i - js], u)
+                         for i in range(n)])
 
 
 def envelope_scan_sequential(pi_s, pi_u, step_fwd, step_bwd, count):

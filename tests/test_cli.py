@@ -475,12 +475,13 @@ def _fresh_interpreter(code, tmp_path):
                           cwd=tmp_path, capture_output=True, text=True).stdout
 
 
-def test_cold_import_loads_no_scipy(tmp_path):
+def test_cold_import_loads_no_scipy_or_numpy_fft(tmp_path):
     # the package runs on numpy alone; importing scipy.linalg took about
-    # half of every start-up
+    # half of every start-up, and no kernel is applied by FFT
     loaded = _fresh_interpreter(
         "import sys, splitflow.cli; "
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith('numpy.fft')))",
         tmp_path).split()
     assert loaded == []
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -17,10 +18,12 @@ from splitflow import hyperbolic, robustness, sde_bridge
 from splitflow.hyperbolic import eta_epsilon, eta_row
 from splitflow.cocycle import UNIT_SAMPLES, integrate_nonlinear
 from splitflow.errors import IntegrationError
+from splitflow.dichotomy import expm
 from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _ball_cloud, _cloud_draw,
-                                  _convolve, _fast_len, _green_table)
+                                  _kernel_sum, kernel_tail_length)
 from conftest import (autonomous_wave, ball_cloud_oracle, bump_problem,
-                      lambda_eta_loop, rho_modulus_oracle, spectral_norm)
+                      kernel_sum_oracle, lambda_eta_loop, rho_modulus_oracle,
+                      spectral_norm)
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -393,6 +396,30 @@ class TestFailClosed:
         with pytest.raises(SplitflowError, match="pointwise"):
             lambda_eta(p, 0.01, TimeGrid(-4.0, 4.0, 0.25))
 
+    def test_overflowing_kernel_sum_raises(self):
+        # a finite forcing of 1e308 on t >= 0 overflows the forward sweep,
+        # which names its first non-finite time with no numpy warning; at
+        # 1e307 the sum is finite, its sup norm reads inf, and the
+        # trajectory fails closed.  lambda_eta samples t = -30 alone, so
+        # only the kernel iteration sees the forcing
+        window = TimeGrid(-30.0, 30.0, 1.0 / 16)
+
+        def huge_from_zero(big):
+            return additive_problem(lambda eta, t, y: np.array(
+                [big if t >= 0 else eta * np.cos(t)]))
+
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(SplitflowError, match=r"non-finite kernel sum "
+                               r"at t=0\.125 \(479 of 961 times\)"):
+                find_hyperbolic_solution(huge_from_zero(1e308), 0.01, window,
+                                         n_time=1)
+            sol = find_hyperbolic_solution(huge_from_zero(1e307), 0.01,
+                                           window, n_time=1)
+        assert (sol.status, sol.sup_distance) == ("failed", np.inf)
+        assert [str(w.message) for w in seen] == [
+            f"sup distance inf is not below eps={sol.eps_used:.4g}"]
+
     @pytest.mark.parametrize("missing", ["f0_prime", "f_eta_dy"])
     def test_jacobians_are_required(self, missing):
         # no difference quotient stands in for a missing Jacobian
@@ -403,24 +430,6 @@ class TestFailClosed:
         del parts[missing]
         with pytest.raises(TypeError, match=missing):
             SemilinearProblem(**parts)
-
-
-KERNEL_H, KERNEL_OFF = 1.0 / 16, 40
-
-
-def saddle_table():
-    """Kernel table of a non-normal saddle, 40 offsets each way."""
-    a = np.array([[-1.0, 0.3], [0.0, 2.0]])
-    pi_s = np.array([[1.0, -0.1], [0.0, 0.0]])  # onto e_1 along (0.1, 1)
-    return _green_table(a, pi_s, KERNEL_H, KERNEL_OFF)
-
-
-def saddle_convolve(u, w):
-    """The saddle kernel's convolution of ``u`` at the FFT length the
-    kernel iteration picks for it."""
-    n_fft = _fast_len(len(u) + 2 * KERNEL_OFF + 1)
-    spectrum = np.fft.rfft(saddle_table(), n_fft, axis=0)
-    return _convolve(spectrum, u, w, KERNEL_H, KERNEL_OFF, n_fft)
 
 
 def windowed(p, n_nodes):
@@ -441,36 +450,20 @@ def green_keys(p):
     return [k for k in p._memo if k[0] == "green"]
 
 
-def test_kernel_spectrum_cached_per_fft_length():
-    # one spectrum per problem, step, offsets and FFT length, the bytes of
-    # a fresh rfft of the table; the convolution through a spectrum gives
-    # the bytes of the per-call FFT
-    p = additive_problem()
-    table = _green_table(p.a_matrix, p.autonomous_cert.proj_s([0])[0],
-                         KERNEL_H, KERNEL_OFF)
-    for n in (300, 300, 120):
-        n_fft = _fast_len(n + 2 * KERNEL_OFF + 1)
-        got = p.green_spectrum(KERNEL_H, KERNEL_OFF, n_fft)
-        assert got is p.green_spectrum(KERNEL_H, KERNEL_OFF, n_fft)
-        assert got.tobytes() == np.fft.rfft(table, n_fft, axis=0).tobytes()
-    assert len(green_keys(p)) == 2
-    u = np.random.default_rng(2).standard_normal((300, 2))
-    w = np.ones(300)
-    n_fft = _fast_len(300 + 2 * KERNEL_OFF + 1)
-    uf = np.fft.rfft(u * w[:, None], n_fft, axis=0)
-    yf = np.einsum("fab,fb->fa", np.fft.rfft(saddle_table(), n_fft, axis=0),
-                   uf)
-    want = KERNEL_H * np.fft.irfft(yf, n_fft, axis=0)[40:340]
-    assert np.array_equal(saddle_convolve(u, w), want)
+def counted_expm(monkeypatch):
+    """The matrix exponentials the hyperbolic module takes, two per build
+    of a kernel's maps ``(T, S)``."""
+    calls = []
+    monkeypatch.setattr(hyperbolic, "expm",
+                        lambda m: calls.append(m) or expm(m))
+    return calls
 
 
 def test_zero_forcing_reads_no_table_or_spectrum(monkeypatch):
     # a zero forcing, whatever the signs of its zeros, is answered with the
     # zero trajectory (+0.0 throughout, residual 0.0, one iteration) from
-    # one field call over the window, with no table, spectrum or Picard run
-    tables = []
-    monkeypatch.setattr(hyperbolic, "_green_table",
-                        lambda *a: tables.append(a) or _green_table(*a))
+    # one field call over the window, with no kernel maps and no Picard run
+    builds = counted_expm(monkeypatch)
     runs = counted_picard(monkeypatch)
     for zero in (0.0, -0.0):
         p = additive_problem(lambda eta, t, y: np.array([zero]))
@@ -479,19 +472,25 @@ def test_zero_forcing_reads_no_table_or_spectrum(monkeypatch):
         assert sol.trajectory.tobytes() == np.zeros((W64.n_nodes, 1)).tobytes()
         assert (sol.fixed_point_residual, sol.iterations) == (0.0, 1)
         assert sum(calls) == 1 and green_keys(p) == []
-    assert tables == [] and runs == []
+    assert builds == [] and runs == []
     # the first nonzero forcing builds the kernel, and iterates
     p = additive_problem()
     find_hyperbolic_solution(p, 0.03, W64)
-    assert len(tables) == 1 and len(green_keys(p)) == 1 and len(runs) == 1
+    assert len(builds) == 2 and len(green_keys(p)) == 1 and len(runs) == 1
 
 
 def test_nan_forcing_is_not_zero():
-    # a NaN in the forcing is carried through the convolution, not read as
-    # a zero forcing
+    # a NaN in the forcing is carried through both sweeps of a non-normal
+    # saddle to every node, and the kernel sum raises, naming the first
+    a = np.array([[-1.0, 0.3], [0.0, 2.0]])
+    pi_s = np.array([[1.0, -0.1], [0.0, 0.0]])  # onto e_1 along (0.1, 1)
+    maps = np.stack([pi_s @ expm(a / 16), (np.eye(2) - pi_s) @ expm(-a / 16)])
     u = np.zeros((100, 2))
     u[50, 1] = np.nan
-    assert np.isnan(saddle_convolve(u, np.ones(100))).any()
+    with pytest.raises(SplitflowError, match=r"non-finite kernel sum at "
+                       r"t=0\.0 \(100 of 100 times\)"):
+        _kernel_sum(maps, pi_s - 0.5 * np.eye(2), u, 1.0 / 16,
+                    np.arange(100) / 16)
 
 
 def counted_picard(monkeypatch):
@@ -532,7 +531,7 @@ def test_cubic_row_applies_as_before(monkeypatch):
 def test_wave_rows_read_no_kernel(monkeypatch, tmp_path):
     # the noise is multiplicative and f(0) = 0: every row's trajectory is
     # the equilibrium, one field call over the window per row, and no
-    # Green table or spectrum is built
+    # kernel maps are built
     from splitflow import cli
 
     v = cli.load_config("", "wave")
@@ -557,48 +556,95 @@ def test_wave_rows_read_no_kernel(monkeypatch, tmp_path):
     assert green_keys(problems[0]) == []
 
 
-def test_kernel_convolution_matches_direct_sum():
-    # h * sum_j G[i-j] w_j u_j over |i-j| <= n_off, term by term
-    table = saddle_table()
-    rng = np.random.default_rng(4)
-    n = 150
-    u = rng.standard_normal((n, 2))
-    w = rng.uniform(0.5, 1.0, n)
-    want = np.zeros((n, 2))
-    for i in range(n):
-        for j in range(max(0, i - 40), min(n, i + 41)):
-            want[i] += table[i - j + 40] @ (w[j] * u[j])
-    got = saddle_convolve(u, w)
-    assert np.max(np.abs(got - KERNEL_H * want)) < 1e-12
+def linear_problem(a, seed=5):
+    """``y' = A y + eta g(t)``, ``g`` a sum of six random sines per
+    component: its bounded solution is one kernel sum of the forcing, which
+    the kernel iteration returns bit for bit after its second apply."""
+    a = np.atleast_2d(np.asarray(a, float))
+    d = len(a)
+    amp, omega, phase = np.random.default_rng(seed).standard_normal((3, 6, d))
+
+    def g(ts):
+        return np.sum(amp * np.sin(omega * ts[:, None, None] + phase), axis=1)
+
+    p = SemilinearProblem(
+        a_matrix=a, f_eta=lambda eta, ts, ys: eta * g(ts),
+        f0=lambda ys: np.zeros_like(ys), y0_star=np.zeros(d), r_u=1.0,
+        f0_prime=lambda ys: np.zeros((len(ys), d, d)),
+        f_eta_dy=lambda eta, ts, ys: np.zeros((len(ys), d, d)))
+    return p, g
 
 
-def test_kernel_built_once_per_problem_step_and_offsets(monkeypatch):
-    # an eta ladder on one problem shares one kernel spectrum, bit for bit
-    # the rfft of a fresh table
-    builds = []
+def sweeps_and_oracle(a, window, eta=1e-3, tail_tol=1e-9, reach=None):
+    """The kernel iteration's trajectory of :func:`linear_problem` over
+    ``window``, the dense trapezoid sum of its weighted forcing (pairs at
+    most ``reach`` nodes apart, or all) on the library's ``Pi^s``, and
+    the problem."""
+    p, g = linear_problem(a)
+    sol = find_hyperbolic_solution(p, eta, window, tail_tol=tail_tol)
+    ts = window.times()
+    w = np.ones(len(ts))
+    w[0] = w[-1] = 0.5
+    want = kernel_sum_oracle(p.a_matrix, p.autonomous_cert.proj_s([0])[0],
+                             eta * g(ts) * w[:, None], window.h, reach)
+    return sol.trajectory, want, p
 
-    def counted(*args):
-        builds.append(args)
-        return _green_table(*args)
 
-    monkeypatch.setattr(hyperbolic, "_green_table", counted)
+def relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.8], ids=["stable", "unstable"])
+def test_kernel_sweeps_match_dense_sum_scalar(a):
+    # d = 1 (the np.multiply levels), one sweep or the other
+    got, want, _ = sweeps_and_oracle([[a]], TimeGrid(-30.0, 30.0, 1.0 / 16))
+    assert relative_gap(got, want) < 1e-13
+
+
+def test_kernel_sweeps_match_dense_sum_mixed_d8():
+    # d = 8 (the matmul levels), four stable and four unstable directions
+    # of a non-normal generator, both sweeps at every node
+    rng = np.random.default_rng(11)
+    v = np.eye(8) + 0.25 * rng.standard_normal((8, 8))
+    a = v @ np.diag([-2.0, -1.6, -1.2, -0.9, 0.9, 1.3, 1.7, 2.1]) \
+        @ np.linalg.inv(v)
+    got, want, p = sweeps_and_oracle(a, TimeGrid(-40.0, 40.0, 1.0 / 8))
+    rank = np.trace(p.autonomous_cert.proj_s([0])[0])
+    assert abs(rank - 4.0) < 1e-12
+    assert relative_gap(got, want) < 1e-13
+
+
+def test_kernel_sweeps_count_pairs_past_the_tail_length():
+    # a saddle at tail_tol 1e-3: the pairs more than n_off nodes apart,
+    # which a table truncated at the tail length leaves out, move the sum
+    # by far more than the sweeps miss it
+    a = [[-0.5, 0.4], [0.0, 0.7]]
+    window, tail_tol = TimeGrid(-25.0, 25.0, 1.0 / 8), 1e-3
+    got, want, p = sweeps_and_oracle(a, window, tail_tol=tail_tol)
+    cert = p.autonomous_cert
+    n_off = math.ceil(kernel_tail_length(cert.bound, cert.exponent, tail_tol)
+                      / window.h)
+    assert 2 * n_off < window.n_nodes < 4 * n_off
+    truncated = sweeps_and_oracle(a, window, tail_tol=tail_tol,
+                                  reach=n_off)[1]
+    assert relative_gap(truncated, want) > 1e-6
+    assert relative_gap(got, want) < 1e-13
+
+
+def test_kernel_maps_built_once_per_problem_and_step(monkeypatch):
+    # an eta ladder on one problem shares one pair (T, S) = (Pi^s e^{Ah},
+    # Pi^u e^{-Ah}), the bytes of a fresh build; another step builds its own
+    builds = counted_expm(monkeypatch)
     p = additive_problem()
-    sols = [find_hyperbolic_solution(p, eta, W64) for eta in (0.03, 0.015)]
-    assert len(builds) == 1
-    n_off = sols[0].meta["kernel_offsets"]
-    n_fft = _fast_len(W64.n_nodes + 2 * n_off + 1)
-    fresh = _green_table(p.a_matrix, p.autonomous_cert.proj_s([0])[0], W64.h,
-                         n_off)
-    assert np.array_equal(p.green_spectrum(W64.h, n_off, n_fft),
-                          np.fft.rfft(fresh, n_fft, axis=0))
-    assert len(builds) == 1
-
-
-def test_fft_length_is_scipys_default():
-    from scipy.fft import next_fast_len
-
-    assert [_fast_len(n) for n in range(1, 20001)] == \
-        [next_fast_len(n) for n in range(1, 20001)]
+    for eta in (0.03, 0.015):
+        find_hyperbolic_solution(p, eta, W64)
+    assert len(builds) == 2 and green_keys(p) == [("green", W64.h)]
+    pi_s = p.autonomous_cert.proj_s([0])[0]
+    fresh = np.stack([pi_s @ expm(p.a_matrix * W64.h),
+                      (np.eye(1) - pi_s) @ expm(-p.a_matrix * W64.h)])
+    assert p._memo["green", W64.h].tobytes() == fresh.tobytes()
+    find_hyperbolic_solution(p, 0.03, TimeGrid(-70.0, 70.0, 1.0 / 32))
+    assert len(builds) == 4 and len(green_keys(p)) == 2
 
 
 class TestXiStar:

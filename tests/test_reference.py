@@ -74,10 +74,35 @@ def test_summary_counts_moved_cells_by_kind():
         "c": ({"x": -0.0, "n": float("nan")}, {"x": 0.0, "n": float("nan")}),
     }
     assert ref.summary(pairs) == (
-        "moved cells: a 4, b 4; largest relative float change 0.25; "
-        "6 non-float cells moved")
+        "moved cells: a 4, b 4; largest relative float change 0.25 outside "
+        "residual; moved residual cells at most 0 in absolute value; 6 "
+        "non-float cells moved")
     assert ref.summary({"c": pairs["c"]}) == (
-        "moved cells: none; largest relative float change 0; 0 non-float "
-        "cells moved")
+        "moved cells: none; largest relative float change 0 outside "
+        "residual; moved residual cells at most 0 in absolute value; 0 "
+        "non-float cells moved")
     nan = {"d": ({"x": 1.0}, {"x": float("nan")})}
     assert "largest relative float change inf" in ref.summary(nan)
+
+
+def test_summary_reports_the_residual_column_apart():
+    # a fixed-point residual is round-off: its moves count among the moved
+    # cells, but only their largest absolute value is reported, not their
+    # relative change; a residual that turns into a string is a non-float
+    # move, and a cell that only ends in "residual" is an ordinary float
+    pairs = {
+        "h": ({"hyperbolic.csv:[0].residual": 3.0e-15,
+               "hyperbolic.json:rows[1].residual": 4.6e-17,
+               "hyperbolic.json:rows[1].sup_distance": 1.0,
+               "hyperbolic.json:rows[2].residual": 1e-16},
+              {"hyperbolic.csv:[0].residual": 2.0e-15,
+               "hyperbolic.json:rows[1].residual": 3.3e-14,
+               "hyperbolic.json:rows[1].sup_distance": 1.0 + 2e-12,
+               "hyperbolic.json:rows[2].residual": "x"}),
+        "r": ({"robustness.json:fixed_residual": 1.0},
+              {"robustness.json:fixed_residual": 1.5}),
+    }
+    assert ref.summary(pairs) == (
+        "moved cells: h 4, r 1; largest relative float change 0.333 outside "
+        "residual; moved residual cells at most 3.3e-14 in absolute value; "
+        "1 non-float cells moved")
