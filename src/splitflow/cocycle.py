@@ -105,25 +105,18 @@ def spectral_argmax(mats, weigh=None, floor=-math.inf):
     until the next bound falls below the running max: no row left out can
     exceed it, and every row that ties with it is evaluated, so the first
     one is known.  Matrices of one entry take ``abs``, a stack of one
-    matrix takes one SVD, and a non-finite entry raises
+    matrix (every row bitwise equal, such as the steps of a constant
+    perturbation: exact ties defeat the pruning) takes one SVD, its norm
+    shared by every row, and a non-finite entry raises
     :class:`SplitflowError`.
     """
     mats = np.asarray(mats, float)
     flat = mats.reshape((-1,) + mats.shape[-2:])
     if not np.isfinite(flat).all():
         raise SplitflowError("non-finite matrix entry in a spectral max")
-    frob = (np.abs(flat[:, 0, 0]) if flat.shape[1:] == (1, 1)
-            else _frobenius(flat))  # |M| itself for 1x1, in one pass
-    return _pruned_argmax(flat, frob, weigh, floor)
-
-
-def _pruned_argmax(flat, frob, weigh, floor):
-    """:func:`spectral_argmax` of a finite ``(N, m, n)`` stack whose
-    Frobenius norms ``frob`` are known.  A stack of one matrix (every row
-    bitwise equal, such as the steps of a constant perturbation: exact ties
-    defeat the pruning) takes one SVD, its norm shared by every row."""
     weigh = weigh or (lambda norms, rows: norms)
-    scalar = flat.shape[1:] == (1, 1)  # frob is |M| itself: no SVD
+    scalar = flat.shape[1:] == (1, 1)  # |M| itself for 1x1, in one pass
+    frob = np.abs(flat[:, 0, 0]) if scalar else _frobenius(flat)
     if scalar or _one_matrix(flat, frob):
         norms = frob if scalar else np.repeat(spectral_norms(flat[:1]),
                                               len(flat))
@@ -173,37 +166,15 @@ def spectral_sup(mats, scale=1.0, offset=0.0):
     return 0.0 if found is None else found[0]
 
 
-def spectral_sup_at_most(mats, tol):
-    """``spectral_sup(mats) <= tol``, exactly, for an ``(N, m, n)`` stack.
-    No SVD runs while some row's Frobenius norm exceeds ``tol sqrt(min(m,
-    n)) (1 + FROBENIUS_SLACK)``, since ``|M| >= |M|_F / sqrt(rank M)``, nor
-    once every row's Frobenius bound is at most ``tol`` (the pruned max of
-    :func:`spectral_argmax` with a floor just above ``tol``, on the same
-    Frobenius norms: one pass over the stack).  A non-finite entry raises
-    :class:`SplitflowError`.
-    """
-    frob = _frobenius(mats)
-    top = np.max(frob, initial=0.0)
-    if math.isnan(top):  # _frobenius reads NaN after a non-finite entry
-        raise SplitflowError("non-finite matrix entry in a spectral max")
-    if top > tol * math.sqrt(min(mats.shape[1:])) * (1.0 + FROBENIUS_SLACK):
-        return False
-    return _pruned_argmax(mats, frob, None,
-                          np.nextafter(tol, math.inf)) is None
-
-
 def _frobenius(mats):
-    """``|M|_F`` of every matrix of an ``(N, m, n)`` stack, exactly ``|M|``
-    for 1x1 matrices (``sqrt(fl(x^2)) = |x|`` in binary floating point).
-    Where squares may under- or overflow, ``|M|_F = m |M / m|_F`` with ``m =
-    max |M_ij|`` (a zero matrix has its norm 0 already); a non-finite entry
-    gives NaN."""
+    """``|M|_F`` of every matrix of a finite ``(N, m, n)`` stack.  Where
+    squares may under- or overflow, ``|M|_F = m |M / m|_F`` with ``m = max
+    |M_ij|`` (a zero matrix has its norm 0 already)."""
     frob = np.sqrt(np.einsum("nij,nij->n", mats, mats))
     odd = ~((frob >= 1e-150) & (frob <= 1e150)) & mats.any(axis=(1, 2))
     if np.any(odd):
         big = np.max(np.abs(mats[odd]), axis=(1, 2))
-        with np.errstate(invalid="ignore"):  # inf / inf: NaN, as it should
-            unit = mats[odd] / np.where(big > 0.0, big, 1.0)[:, None, None]
+        unit = mats[odd] / big[:, None, None]
         frob[odd] = big * np.sqrt(np.einsum("nij,nij->n", unit, unit))
     return frob
 
@@ -351,37 +322,14 @@ def _step_count(span, step, samples):
 def _rk4_step(f, y, h):
     """One classical RK4 step of length ``h`` from ``y`` for ``y' = f(s,
     y)``, ``s`` the stage time: 0 the step's start, 1 its midpoint (second
-    and third stages), 2 its end.
-
-    The stage arguments ``y + c k`` share one buffer and the sum ``y + (h /
-    6) (k1 + 2 k2 + 2 k3 + k4)`` is formed in place, in that operation
-    order (IEEE ``+`` and ``*`` commute, so ``b = c k; b += y`` is ``y + c
-    k`` bit for bit).  Only arrays made here are written, never a stage
-    value ``f`` returned: the buffer is given up for a fresh one once a
-    value may share its memory."""
+    and third stages), 2 its end.  Every stage argument and the sum ``y +
+    (h / 6) (k1 + 2 k2 + 2 k3 + k4)`` are fresh arrays, so neither ``y``
+    nor a stage value ``f`` returned is written."""
     k1 = f(0, y)
-    buf = h / 2 * k1
-    buf += y
-    k2 = f(1, buf)
-    buf = np.multiply(h / 2, k2, out=_spare(buf, k2))
-    buf += y
-    k3 = f(1, buf)
-    buf = np.multiply(h, k3, out=_spare(buf, k2, k3))
-    buf += y
-    k4 = f(2, buf)
-    total = 2 * k2
-    total += k1
-    total += np.multiply(2, k3, out=_spare(buf, k4))
-    total += k4
-    total *= h / 6
-    total += y
-    return total
-
-
-def _spare(buf, *values):
-    """``buf`` to write into, or None (a fresh array) when one of the stage
-    ``values`` may share its memory."""
-    return None if any(np.may_share_memory(buf, v) for v in values) else buf
+    k2 = f(1, y + h / 2 * k1)
+    k3 = f(1, y + h / 2 * k2)
+    k4 = f(2, y + h * k3)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _step_maps(g, h):

@@ -329,6 +329,7 @@ class HyperbolicSolutionCertificate:
     (sup distance not below ``eps_used``; never certified).
     Nodes within the kernel-tail length of the window edges are
     edge-contaminated; ``interior`` indexes the clean region.
+    ``iterations`` counts the kernel applications, none for a zero forcing.
     """
 
     times: np.ndarray
@@ -420,13 +421,12 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
                     "field values")
         return (f - f0_star - phi @ d0_star.T) * weights[:, None]
 
-    def start():  # a fresh first iterate, which the iteration drops
-        return np.zeros((n, p.dim)) if x0 is None else np.array(x0, float)
-
-    u0 = [u_all(start())]  # the first apply's forcing, read by the zero test
+    phi = np.zeros((n, p.dim)) if x0 is None else np.array(x0, float)
+    u0 = [u_all(phi)]  # the first apply's forcing, read by the zero test
     if x0 is None and not u0[0].any():
-        # y0_star solves the perturbed field: phi = 0 is the fixed point
-        phi, residual, it = start(), 0.0, 1
+        # y0_star solves the perturbed field: phi = 0 is the fixed point,
+        # with no kernel applied
+        residual, it = 0.0, 0
     else:
         pi_s, eye = cert_a.proj_s([0])[0], np.eye(p.dim)
         if ("green", h) not in p._memo:  # once per problem and step
@@ -437,7 +437,7 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
         phi, residual, it = _picard(
             lambda x: _kernel_sum(maps, jump, u0.pop() if u0 else u_all(x),
                                   h, times),
-            start(), tol, factor, 2.0 * (m_bound / beta) * max(lam, tol),
+            phi, tol, factor, 2.0 * (m_bound / beta) * max(lam, tol),
             max_iter, "kernel iteration")
     interior = slice(n_off, n - n_off)
     sup_dist = _seq_sup(phi[interior])  # an overflow reads inf

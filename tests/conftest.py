@@ -368,12 +368,10 @@ def impulse(n_min, n_max, node, payload):
     return f
 
 
-def impulse_family_oracle(cocycle, cert, b, nodes, tol=1e-10,
-                          trunc_tol=1e-10):
-    """The perturbed stable projections at ``nodes`` as one bounded solution
-    of the unit-impulse forcing over the library's impulse span, Picard
-    iterated from zero, where the library returns ``Pi^s`` itself or
-    solves for the span's splitting.  Returns ``(family, solution)``."""
+def impulse_family_forcing(cocycle, cert, b, nodes, trunc_tol=1e-10):
+    """The unit-impulse forcing of the family at ``nodes`` over the
+    library's impulse span: column block j is the identity at ``nodes[j] -
+    1``."""
     d, m = cocycle.dim, len(nodes)
     window = range(min(nodes), max(nodes) + 1)
     n_lo, n_hi = _impulse_span(cert, stack_steps(b, window, d), window[0],
@@ -381,6 +379,18 @@ def impulse_family_oracle(cocycle, cert, b, nodes, tol=1e-10,
     f = ForcingSequence.zeros(n_lo, n_hi, d, d * m)
     for j, n in enumerate(nodes):
         f.values[n - 1 - n_lo, :, j * d:(j + 1) * d] = np.eye(d)
+    return f
+
+
+def impulse_family_oracle(cocycle, cert, b, nodes, tol=1e-10,
+                          trunc_tol=1e-10):
+    """The perturbed stable projections at ``nodes`` as one bounded solution
+    of :func:`impulse_family_forcing`, Picard iterated from zero, where the
+    library returns ``Pi^s`` itself or solves for the span's splitting.
+    Returns ``(family, solution)``."""
+    d, m = cocycle.dim, len(nodes)
+    f = impulse_family_forcing(cocycle, cert, b, nodes, trunc_tol)
+    n_lo = f.n_min
     sol = bounded_solution(cocycle, cert, b, f, tol=tol, trunc_tol=trunc_tol)
     blocks = sol.values.reshape(-1, d, m, d)
     return blocks[np.asarray(nodes) - n_lo, :, np.arange(m)], sol
@@ -591,3 +601,21 @@ def autonomous_wave(n_modes, beta_damping, f_scalar, f_scalar_prime):
         a_matrix=b_matrix + f0_prime(zero[None])[0],
         f_eta=lambda eta, ts, ys: f0(ys), f0=f0, y0_star=zero, r_u=0.5,
         f0_prime=f0_prime, f_eta_dy=lambda eta, ts, ys: f0_prime(ys))
+
+
+def counted_applies(monkeypatch, module):
+    """The ``apply`` calls of every ``_picard`` run that ``module`` starts,
+    one count per run, as a list."""
+    real, runs = module._picard, []
+
+    def counted(apply, *args):
+        runs.append(0)
+
+        def app(x):
+            runs[-1] += 1
+            return apply(x)
+
+        return real(app, *args)
+
+    monkeypatch.setattr(module, "_picard", counted)
+    return runs

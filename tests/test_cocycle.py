@@ -427,8 +427,9 @@ def _bits(a):
 
 
 class TestRk4Step:
-    """``_rk4_step`` (stage arguments in one buffer, the sum in place)
-    against the one-expression form, bit for bit."""
+    """``_rk4_step`` against the one-expression form, bit for bit, writing
+    neither its state, nor a stage table, nor a field value that shares
+    memory with its argument."""
 
     @pytest.mark.parametrize("dim", [1, 3, 8])
     def test_step_map_block(self, monkeypatch, dim):
@@ -447,7 +448,7 @@ class TestRk4Step:
                                       "a_view_of_it", "read_only"])
     def test_nonlinear_field(self, name):
         # fields that return their argument or a view of it share memory
-        # with the stage buffer, which must then not be written again
+        # with the stage argument, and neither may be written
         const = np.linspace(-1.0, 1.0, 4)
         fields = {
             "nonlinear": lambda s, y: np.sin(y) * (1.0 + s) - y ** 2,

@@ -7,10 +7,10 @@ from splitflow import (ContractionMarginError, DiscreteCocycle,
                        DichotomyCertificate, ForcingSequence, SplitflowError,
                        bounded_solution, impulse_response_projection,
                        pointwise, truncation_length)
-from splitflow import cocycle, greens
-from splitflow.cocycle import FROBENIUS_SLACK, spectral_sup_at_most
+from splitflow import greens
 from splitflow.greens import _seq_sup
-from conftest import (GreenKernel, gamma_apply, gamma_sequential, impulse,
+from conftest import (GreenKernel, counted_applies, gamma_apply,
+                      gamma_sequential, impulse, impulse_family_forcing,
                       impulse_family_oracle, march_tables, rotating_saddle,
                       time_varying_saddle, value_at)
 
@@ -184,81 +184,14 @@ class TestDoublingSweeps:
         assert all(np.array_equal(p, family[0]) for p in family)
 
 
-class TestStoppingDecision:
-    @staticmethod
-    def _straddling(rng, d, r, tol):
-        """Stacks of 24 rows around ``tol``: Frobenius norms in
-        ``(tol, sqrt(k) tol]``, rank-one rows of norm ``tol`` up to
-        round-off, single entries of exactly ``tol``, and the same rows
-        shrunk below ``tol``."""
-        k = min(d, r)
-        mats = rng.standard_normal((24, d, r))
-        mats *= (tol * rng.uniform(1.0, np.sqrt(k), 24)
-                 / np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
-        u = rng.standard_normal((24, d, 1))
-        v = rng.standard_normal((24, 1, r))
-        rank_one = tol * (u / np.linalg.norm(u, axis=1, keepdims=True)) * (
-            v / np.linalg.norm(v, axis=2, keepdims=True))
-        exact = np.zeros((24, d, r))
-        exact[:, 0, -1] = tol
-        yield mats
-        yield rank_one
-        yield exact
-        yield np.concatenate([exact, 0.5 * mats])
-        yield np.concatenate([0.5 * mats, rank_one])
-        yield mats / np.sqrt(k)
-        yield rank_one * (1.0 - 1e-15)
-
-    def test_equals_exact_sup_on_straddling_stacks(self):
-        rng = np.random.default_rng(21)
-        seen = set()
-        for tol in (1e-10, 1e-8, 0.5):
-            for d, r in ((2, 194), (2, 3), (1, 9), (8, 40), (3, 3), (4, 1)):
-                for _ in range(5):
-                    for mats in self._straddling(rng, d, r, tol):
-                        want = _seq_sup(mats) <= tol
-                        assert spectral_sup_at_most(mats, tol) == want
-                        seen.add(bool(want))
-        assert seen == {True, False}
-
-    def test_no_svd_while_a_row_is_far_above_tol(self, monkeypatch):
-        rng = np.random.default_rng(22)
-        tol = 1e-8
-        rows = []
-        real = cocycle.spectral_norms
-        monkeypatch.setattr(cocycle, "spectral_norms",
-                            lambda m: rows.append(len(m)) or real(m))
-        mats = 1e-3 * tol * rng.standard_normal((185, 2, 194))
-        mats[100] = tol * np.sqrt(2.0) * (1.0 + 4.0 * FROBENIUS_SLACK) * (
-            np.eye(2, 194) / np.sqrt(2.0))  # |M|_F just above sqrt(2) tol
-        assert spectral_sup_at_most(mats, tol) is False
-        mats[100] *= 1e-3  # every row's |M|_F now below tol
-        assert spectral_sup_at_most(mats, tol) is True
-        assert rows == []
-        mats[100] = 0.99 * tol * np.eye(2, 194)  # |M|_F > tol > |M|
-        assert spectral_sup_at_most(mats, tol) is True
-        assert sum(rows) > 0
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry_raises(self, bad):
-        mats = np.zeros((10, 2, 6))
-        mats[2] = 10.0  # a row whose norm alone rules out convergence
-        mats[7, 1, 3] = bad
-        with pytest.raises(SplitflowError, match="non-finite"):
-            spectral_sup_at_most(mats, 1e-8)
-        mats[2] = 0.0  # and a stack that would otherwise read converged
-        with pytest.raises(SplitflowError, match="non-finite"):
-            spectral_sup_at_most(mats, 1e-8)
-
-
 class TestPicardFixedPoint:
-    """The certified residual is one more ``apply`` after the last iterate,
-    always: whether the iterate reproduced its input bit for bit, moved
-    within the tolerance, or was never iterated."""
+    """``_picard`` returns the first iterate whose measured residual is
+    within the tolerance, that residual and the number of ``apply`` calls,
+    of which at least one runs and none after the loop."""
 
     @staticmethod
-    def _run(step, x, max_iter=None):
-        calls = []
+    def _run(step, x, max_iter=None, calls=None):
+        calls = [] if calls is None else calls
 
         def apply(x):
             calls.append(1)
@@ -267,22 +200,42 @@ class TestPicardFixedPoint:
         out = greens._picard(apply, x, 1e-8, 0.5, 1.0, max_iter, "test")
         return out, len(calls)
 
-    def test_signed_zero_is_reapplied(self):
-        # a step that flips the zeros' signs passes the test at once
-        (y, residual, it), calls = self._run(np.negative, np.zeros((40, 2)))
-        assert calls == 2 and it == 1
-        assert residual == 0.0 and np.signbit(y).all()
+    def test_signed_zero_returns_its_input(self):
+        # a step that flips the zeros' signs passes the test at once, and
+        # its input, not its output, is the certified iterate
+        x = np.zeros((40, 2))
+        (y, residual, it), calls = self._run(np.negative, x)
+        assert calls == 1 and it == 1
+        assert y is x and residual == 0.0 and not np.signbit(y).any()
 
-    def test_converged_but_moved_is_reapplied(self):
-        (_, residual, it), calls = self._run(lambda x: x + 1e-12,
-                                             np.zeros((40, 2)))
-        assert calls == 2 and it == 1
-        assert 0.0 < residual <= 1e-8
+    def test_moved_within_tol_returns_its_input(self):
+        x = np.zeros((40, 2))
+        (y, residual, it), calls = self._run(lambda x: x + 1e-12, x)
+        assert calls == 1 and it == 1 and y is x
+        assert residual == _seq_sup(np.full((40, 2), 1e-12))
 
     def test_no_iterations_still_certify(self):
         (_, residual, it), calls = self._run(np.copy, np.ones((40, 2)),
                                              max_iter=0)
-        assert calls == 1 and it == 0 and residual == 0.0
+        assert calls == 1 and it == 1 and residual == 0.0
+
+    def test_returns_the_iterate_it_measured(self):
+        # x <- x / 2 + 1 from 0, exact in binary: x_k = 2 - 2^(1-k) and the
+        # step from it 2^-k, first within 1e-8 at k = 27
+        (x, residual, it), calls = self._run(lambda x: 0.5 * x + 1.0,
+                                             np.zeros((3, 1)))
+        assert calls == it == 28
+        assert residual == 2.0 ** -27
+        assert np.array_equal(x, np.full((3, 1), 2.0 - 2.0 ** -26))
+
+    def test_uncertified_raises_after_max_iter_applications(self):
+        calls = []
+        with pytest.raises(SplitflowError, match=r"test did not certify "
+                           r"residual 1e-08 \(got 1\.000e\+00 after 4 "
+                           r"iterations\)") as exc:
+            self._run(lambda x: x + 1.0, np.zeros((3, 1)), 4, calls)
+        assert len(calls) == 4
+        assert (exc.value.measured, exc.value.threshold) == (1.0, 1e-8)
 
 
 class TestSplitMarch:
@@ -614,7 +567,9 @@ class TestImpulseFamilyPaths:
         assert not solves
 
     def test_mixed_splitting_takes_one_picard_step(self, monkeypatch):
-        # the time-varying saddle of test_idempotent
+        # the time-varying saddle of test_idempotent: the marched solution
+        # certifies at one kernel application, and is what the solve
+        # returns, with the residual of that application
         c, cert = saddle()
         rng = np.random.default_rng(14)
         b_mat = {n: 0.03 * rng.standard_normal((2, 2))
@@ -624,9 +579,14 @@ class TestImpulseFamilyPaths:
         want, sol = impulse_family_oracle(c, cert, b, nodes, tol=1e-13)
         assert sol.iterations > 1
         solves = counted_solves(monkeypatch)
+        applies = counted_applies(monkeypatch, greens)
         got = impulse_response_projection(c, cert, b, nodes, tol=1e-11)
         assert np.max(np.abs(got - want)) < 1e-12
-        assert [s.iterations for s in solves] == [1]
+        [sol] = solves
+        assert applies == [1] and sol.iterations == 1
+        f = impulse_family_forcing(c, cert, b, nodes)
+        assert _seq_sup(gamma_apply(c, cert, b, f, sol.values)
+                        - sol.values) == sol.residual <= 1e-11
 
     def test_doctored_splitting_is_corrected_by_the_picard_steps(
             self, monkeypatch):

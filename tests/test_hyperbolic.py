@@ -22,8 +22,8 @@ from splitflow.dichotomy import expm
 from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _ball_cloud, _cloud_draw,
                                   _kernel_sum, kernel_tail_length)
 from conftest import (autonomous_wave, ball_cloud_oracle, bump_problem,
-                      kernel_sum_oracle, lambda_eta_loop, rho_modulus_oracle,
-                      spectral_norm)
+                      counted_applies, kernel_sum_oracle, lambda_eta_loop,
+                      rho_modulus_oracle, spectral_norm)
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -461,16 +461,17 @@ def counted_expm(monkeypatch):
 
 def test_zero_forcing_reads_no_table_or_spectrum(monkeypatch):
     # a zero forcing, whatever the signs of its zeros, is answered with the
-    # zero trajectory (+0.0 throughout, residual 0.0, one iteration) from
-    # one field call over the window, with no kernel maps and no Picard run
+    # zero trajectory (+0.0 throughout, residual 0.0, no kernel applied)
+    # from one field call over the window, with no kernel maps and no
+    # Picard run
     builds = counted_expm(monkeypatch)
-    runs = counted_picard(monkeypatch)
+    runs = counted_applies(monkeypatch, hyperbolic)
     for zero in (0.0, -0.0):
         p = additive_problem(lambda eta, t, y: np.array([zero]))
         calls = windowed(p, W64.n_nodes)
         sol = find_hyperbolic_solution(p, 0.03, W64)
         assert sol.trajectory.tobytes() == np.zeros((W64.n_nodes, 1)).tobytes()
-        assert (sol.fixed_point_residual, sol.iterations) == (0.0, 1)
+        assert (sol.fixed_point_residual, sol.iterations) == (0.0, 0)
         assert sum(calls) == 1 and green_keys(p) == []
     assert builds == [] and runs == []
     # the first nonzero forcing builds the kernel, and iterates
@@ -493,39 +494,32 @@ def test_nan_forcing_is_not_zero():
                     np.arange(100) / 16)
 
 
-def counted_picard(monkeypatch):
-    """``apply`` calls of each kernel iteration, one list per call."""
-    runs = []
-    real = hyperbolic._picard
-
-    def counted(apply, *args):
-        runs.append(0)
-
-        def app(x):
-            runs[-1] += 1
-            return apply(x)
-
-        return real(app, *args)
-
-    monkeypatch.setattr(hyperbolic, "_picard", counted)
-    return runs
-
-
 def test_cubic_row_applies_as_before(monkeypatch):
-    # y* = 1 and a nonzero forcing: three iterations and the residual
-    # apply, four field calls over the window (the first apply reuses the
-    # forcing the zero test read)
+    # y* = 1 and a nonzero forcing: three kernel applications, the last of
+    # which certifies the iterate returned, and three field calls over the
+    # window (the first apply reuses the forcing the zero test read)
     from splitflow import cli
 
     v = cli.load_config("", "hyperbolic")
     v["seed"] = 12345
-    runs = counted_picard(monkeypatch)
+    runs = counted_applies(monkeypatch, hyperbolic)
     p, window = cli._hyperbolic_problem(v), cli._grid(v)
     calls = windowed(p, window.n_nodes)
     sol = find_hyperbolic_solution(p, 0.2, window, tol=v["tol"],
                                    tail_tol=v["tail_tol"])
-    assert runs == [4] and sol.iterations == 3 and sum(calls) == 4
+    assert runs == [3] and sol.iterations == 3 and sum(calls) == 3
     assert 0.0 < sol.fixed_point_residual <= v["tol"]
+    # the residual, recomputed on the returned trajectory by the dense sum
+    ts, phi = sol.times, sol.trajectory - p.y0_star
+    w = np.ones(len(ts))
+    w[0] = w[-1] = 0.5
+    y_star = p.y0_star[None]
+    g = (p.f_eta(0.2, ts, sol.trajectory) - p.f0_at(y_star)
+         - phi @ p.d_f0(y_star)[0].T)
+    gamma = kernel_sum_oracle(p.a_matrix, p.autonomous_cert.proj_s([0])[0],
+                              g * w[:, None], window.h)
+    residual = float(np.max(np.linalg.norm(gamma - phi, axis=1)))
+    assert abs(residual - sol.fixed_point_residual) <= 1e-14  # round-off
 
 
 def test_wave_rows_read_no_kernel(monkeypatch, tmp_path):
@@ -545,7 +539,7 @@ def test_wave_rows_read_no_kernel(monkeypatch, tmp_path):
         return problems[-1]
 
     monkeypatch.setattr(sde_bridge, "random_ode_problem", made)
-    runs = counted_picard(monkeypatch)
+    runs = counted_applies(monkeypatch, hyperbolic)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert cli.cmd_wave(v, tmp_path)[0] == 0

@@ -6,9 +6,9 @@ re-runs every call of :data:`CALLS`, rewrites ``tests/reference/`` and
 prints each cell that moved against the references it replaces (old value,
 new value, relative change), then the number of changed cells, then one
 :func:`summary` line: the moved cells per call, the largest relative change
-among the moved float cells outside the round-off ``residual`` column, the
-largest absolute value of the moved ``residual`` cells and the number of
-moved cells of any other kind.  That list is the record of a change that
+among the moved float cells outside the ``residual`` column, the largest
+absolute value of the moved ``residual`` cells and the number of moved
+cells of any other kind.  That list is the record of a change that
 moves outputs on purpose; ``tests/test_reference.py`` runs the same calls
 and fails on any moved cell.
 
@@ -209,10 +209,12 @@ def _moved(old, new, exact):
                     and _same(old[key], new[key], exact))]
 
 
-def _round_off(key):
-    """Whether cell ``key`` is a fixed-point residual: its values are
-    round-off (4.6e-17 to 3.3e-14 on the cubic rows), so a last-bit change
-    upstream moves it by a large relative amount."""
+def _is_residual(key):
+    """Whether cell ``key`` is a residual, read absolutely: in
+    ``robustness.json`` it is round-off, which a last-bit change upstream
+    moves by a large relative amount, and in ``hyperbolic`` the kernel
+    iteration's last measured step, at most the row's ``tol``, which moves
+    with the iterate the iteration stops at."""
     return key.rsplit(".", 1)[-1] == "residual"
 
 
@@ -220,10 +222,10 @@ def summary(pairs):
     """One line over ``label -> (old, new)`` cell dicts: the number of moved
     cells of each label that has any, the largest relative change among the
     moved cells that are floats on both sides (infinite when one is NaN or
-    infinite), the largest absolute value of the moved ``residual`` cells,
-    which are round-off and left out of the relative change, and the number
-    of moved cells that are not floats (exit codes, verdicts, strings, None,
-    a cell only one side has)."""
+    infinite), the largest absolute value of the moved ``residual`` cells
+    (:func:`_is_residual`), which are left out of the relative change, and
+    the number of moved cells that are not floats (exit codes, verdicts,
+    strings, None, a cell only one side has)."""
     per_label, largest, residual, other = [], 0.0, 0.0, 0
     for label, (old, new) in pairs.items():
         moved = _moved(old, new, True)
@@ -231,7 +233,7 @@ def summary(pairs):
             per_label.append(f"{label} {len(moved)}")
         for key in moved:
             a, b = old.get(key), new.get(key)
-            if type(a) is float and type(b) is float and _round_off(key):
+            if type(a) is float and type(b) is float and _is_residual(key):
                 residual = max(residual, abs(a), abs(b))
             elif type(a) is float and type(b) is float:
                 # the scale is not 0: zeros of either sign are the same
