@@ -9,8 +9,10 @@ original variables.
 
 Because the noise is multiplicative and the equilibrium sits at zero, the
 random hyperbolic solution *is* the zero function for every eta; the
-content here is the persistence of hyperbolicity, visible in the
-certificates' exponents marching back to the autonomous value as eta drops.
+content here is the persistence of hyperbolicity.  Along it the
+linearization is conjugate to the autonomous flow, so each certificate
+keeps the autonomous exponent, and its bound K e^{eta u} falls back to the
+autonomous K as eta drops.
 A second run with f(u) = 12u - u^3 flips the first mode pair across the
 axis and exercises the saddle (rank-one unstable) certification.
 """

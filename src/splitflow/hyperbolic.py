@@ -15,8 +15,9 @@ doubling (:func:`_kernel_sum`); the two maps are built once per problem and
 grid step.  Where ``y0*`` solves every perturbed field too (multiplicative
 noise, ``f(0) = 0``), the forcing ``g(t, 0)`` is zero, and the zero
 trajectory is the answer: one field call, and no kernel is built.  The
-trajectory is then certified as hyperbolic by linearizing along it and
-running the continuous robustness pipeline.
+trajectory is then certified as hyperbolic by linearizing along it: by the
+conjugacy of a dressed linearization to the autonomous flow, or else by the
+continuous robustness pipeline.
 
 The admission thresholds mirror the contraction argument: each smallness
 term gets the budget ``1/(6 M beta^{-1})`` out of the contraction constant,
@@ -32,7 +33,8 @@ import numpy as np
 
 from .cocycle import (DEFAULT_STEP, ContinuousCocycle, _finite, _rows,
                       spectral_sup)
-from .dichotomy import autonomous_certificate, expm
+from .dichotomy import (DichotomyCertificate, autonomous_certificate,
+                        expm, verify_dichotomy)
 from .errors import (ConfigurationError, ContractionMarginError,
                      RobustnessHypothesisError, SplitflowError, ThresholdError)
 from .greens import _impulse_span, _picard, _seq_sup
@@ -71,7 +73,9 @@ class SemilinearProblem:
     callback written for one point with :func:`splitflow.pointwise`.
 
     ``gap_integral(eta, t0, t1)``, if given, integrates ``gap`` over [t0, t1]
-    where ``f_eta_dy(eta, t, y0_star) - f0'(y0_star) = gap(eta, t) I``.
+    where ``f_eta_dy(eta, t, y0_star) - f0'(y0_star) = gap(eta, t) I``; it is
+    a bound method whose owner also gives the rises of that integral
+    (``rises(eta, t0, t1)``, as :class:`~splitflow.sde_bridge._NoiseDressing`).
     """
 
     a_matrix: np.ndarray
@@ -83,8 +87,8 @@ class SemilinearProblem:
     f_eta_dy: object
     gap_integral: object = None
     meta: dict = field(default_factory=dict)
-    # base cocycles, Green kernel maps and thresholds; not an init field, so a
-    # problem made by dataclasses.replace starts with none
+    # base cocycles, Green kernel maps, lambda samples and thresholds; not an
+    # init field, so a problem made by dataclasses.replace starts with none
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -166,18 +170,24 @@ def lambda_eta(p, eta, window, n_time=65, n_cloud=32):
     The sup of ``|f_eta - f0| + |d_y f_eta - f0'|`` over the window times and
     a deterministic cloud in the working ball; one batched field call and
     one Jacobian call cover the whole cloud x time grid (cloud point major),
-    and a non-finite value raises naming its time.
+    and a non-finite value raises naming its time.  The grid (read-only)
+    and ``f0``, ``f0'`` at the cloud are sampled once per problem and
+    ``(window, n_time, n_cloud)``.
     """
-    xs = _ball_cloud(p.y0_star, p.r_u, n_cloud)
-    ts = np.tile(np.linspace(window.t_min, window.t_max, n_time), n_cloud)
-    ys = np.repeat(xs, n_time, axis=0)
+    key = ("lambda", window, n_time, n_cloud)
+    if key not in p._memo:
+        xs = _ball_cloud(p.y0_star, p.r_u, n_cloud)
+        ts = np.tile(np.linspace(window.t_min, window.t_max, n_time), n_cloud)
+        ys = np.repeat(xs, n_time, axis=0)
+        ts.flags.writeable = ys.flags.writeable = False
+        p._memo[key] = ts, ys, p.f0_at(xs), p.d_f0(xs)
+    ts, ys, f0x, d0x = p._memo[key]
     f = _finite(p.f_eta_at(eta, ts, ys), ts, "field values")
     jac = _finite(p.d_f_eta(eta, ts, ys), ts, "field Jacobians")
     # each cloud point's f0 and f0' broadcast over its block of times
-    dev = (f.reshape(n_cloud, n_time, -1)
-           - p.f0_at(xs)[:, None]).reshape(f.shape)
+    dev = (f.reshape(n_cloud, n_time, -1) - f0x[:, None]).reshape(f.shape)
     jac = (jac.reshape((n_cloud, n_time) + jac.shape[1:])
-           - p.d_f0(xs)[:, None]).reshape(jac.shape)
+           - d0x[:, None]).reshape(jac.shape)
     return spectral_sup(jac, 1.0, np.linalg.norm(dev, axis=1))
 
 
@@ -203,9 +213,10 @@ def _lip_dev(p, eps):
     """Sampled sup of ``|f0'(y0*+h) - f0'(y0*)|`` over 24 ``|h| <= eps``."""
     if eps <= 0.0:
         return 0.0
-    d0 = p.d_f0(p.y0_star[None])[0]
+    if "d_f0_star" not in p._memo:  # once per problem: bisections call often
+        p._memo["d_f0_star"] = p.d_f0(p.y0_star[None])[0]
     hs = _ball_cloud(np.zeros(p.dim), eps, 24, seed=555)
-    return spectral_sup(p.d_f0(p.y0_star + hs) - d0)
+    return spectral_sup(p.d_f0(p.y0_star + hs) - p._memo["d_f0_star"])
 
 
 def _bisect_largest(pred, lo, hi, steps=16):
@@ -482,41 +493,76 @@ def linearize_along(p, cert, step=None):
     return ContinuousCocycle(gen, p.dim, step)
 
 
+def _conjugacy_certificate(p, cert, pert_cc, half, slack):
+    """``(K e^{|eta| u}, beta, Pi^s)`` of ``A``'s certificate, verified on
+    [-half, half]: a dressed flow is ``e^{eta (C(t) - C(s))} e^{A (t - s)}``,
+    ``C = int gap``, u the larger rise of ``C`` over the trajectory window,
+    once per problem and window (Duan, Lu & Schmalfuss, Ann. Probab. 31,
+    2003).  A bound past the floats raises RobustnessHypothesisError."""
+    cert_a, key = p.autonomous_cert, ("rise", cert.times[0], cert.times[-1])
+    if key not in p._memo:
+        p._memo[key] = max(p.gap_integral.__self__.rises(1.0, *key[1:]))
+    rise = p._memo[key]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(cert_a.bound * np.exp(abs(cert.eta) * rise))
+    if not bound < math.inf:  # a NaN fails closed
+        raise RobustnessHypothesisError(
+            f"conjugacy bound K e^(|eta| u) = {bound} is not finite "
+            f"(K={cert_a.bound:g}, eta={cert.eta:g}, u={rise:g})",
+            measured=bound, threshold=math.inf)
+    lin_cert = DichotomyCertificate.constant(
+        cert_a.projections[0], bound, cert_a.exponent,
+        meta={"route": "conjugacy", "rise": rise, "window": [-half, half]})
+    lin_cert.meta["verification"] = verify_dichotomy(
+        pert_cc, lin_cert, (-half, half), slack=slack)
+    return lin_cert
+
+
 def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
                        trunc_tol=1e-9, step=None):
     """Attach a dichotomy certificate of the linearization along ``cert``.
 
-    Runs the continuous robustness pipeline with the frozen linearization as
-    the base; a threshold violation downgrades the status to ``bounded``
-    (hyperbolicity unverified) instead of raising.  The projection nodes
-    are [-h, h], h the largest up to ``n_half`` in the clean interior whose
-    impulse span (:func:`~splitflow.greens._impulse_span` of the unit-step
-    distance over [-h, h]) keeps its unit flows inside the trajectory
-    window; with none, the status drops to ``bounded``, naming the span.  A
-    ``failed`` trajectory (its sup distance not below ``eps_used``) is left
-    as it is, uncertified.
+    The projection nodes are [-h, h], h the largest up to ``n_half`` in the
+    clean interior.  A dressed linearization (:func:`linearize_along`) is
+    certified by its conjugacy (:func:`_conjugacy_certificate`); any other
+    by the continuous robustness pipeline with the frozen linearization as
+    the base, h cut further until the impulse span
+    (:func:`~splitflow.greens._impulse_span` of the unit-step distance over
+    [-h, h]) keeps its unit flows inside the trajectory window.  With no
+    such h, or on a threshold violation, the status drops to ``bounded``,
+    naming why.  The certificate's ``meta["route"]`` is ``conjugacy`` or
+    ``roughness``, and the row is ``certified`` when :func:`verify_dichotomy`
+    passes it.  A ``failed`` trajectory is left uncertified.
     """
     if cert.status == STATUS_FAILED:
         return cert
     pert_cc = linearize_along(p, cert, step=step)
-    base_cc = p.base_cocycle(pert_cc.step)
-    # the impulse solves may read edge-contaminated trajectory values (they
-    # enter with exponentially small weight), but no flow past the window
+    dressed = pert_cc.log_scale is not None
+    if dressed and not (0.0 < tol < math.inf and 0.0 < trunc_tol < math.inf):
+        raise ValueError(f"tolerance must be positive and finite, got "
+                         f"tol={tol}, trunc_tol={trunc_tol}")
     t0, t1, t_int = cert.times[0], cert.times[-1], cert.interior_times()
     top = min(n_half, int(min(-t_int[0], t_int[-1]) - 1) if len(t_int) else 0)
     need = "n_half and the clean interior leave no nodes -1, 1"
-    nodes = np.arange(-top, top + 1)  # read again by the robustness pipeline
-    dist = (pert_cc.unit_flows(nodes)[:, -1]
-            - base_cc.unit_flows(nodes)[:, -1])
-    for half in range(top, 0, -1):
-        lo, hi = _impulse_span(p.autonomous_cert,
-                               dist[top - half:top + half + 1], -half, half,
-                               trunc_tol)
-        if t0 <= lo and hi + 1 <= t1:
-            break
-        need = (f"the impulse span [{lo}, {hi}] of nodes [-{half}, {half}] "
-                f"needs unit flows on [{lo}, {hi + 1}]")
-    else:
+    half = top
+    if not dressed:
+        base_cc = p.base_cocycle(pert_cc.step)
+        # the impulse solves may read edge-contaminated trajectory values
+        # (of exponentially small weight), but no flow past the window
+        nodes = np.arange(-top, top + 1)  # read again by the pipeline
+        dist = (pert_cc.unit_flows(nodes)[:, -1]
+                - base_cc.unit_flows(nodes)[:, -1])
+        for half in range(top, 0, -1):
+            lo, hi = _impulse_span(p.autonomous_cert,
+                                   dist[top - half:top + half + 1], -half,
+                                   half, trunc_tol)
+            if t0 <= lo and hi + 1 <= t1:
+                break
+            need = (f"the impulse span [{lo}, {hi}] of nodes [-{half}, "
+                    f"{half}] needs unit flows on [{lo}, {hi + 1}]")
+        else:
+            half = 0
+    if half < 1:
         cert.status = STATUS_BOUNDED
         cert.meta["certification"] = {
             "error": f"trajectory window [{t0:g}, {t1:g}] too short for "
@@ -524,10 +570,14 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
         }
         return cert
     try:
-        lin_cert = robust_dichotomy_continuous(
-            base_cc, p.autonomous_cert, pert_cc, (-half, half),
-            slack=slack, tol=tol, trunc_tol=trunc_tol,
-        )
+        if dressed:
+            lin_cert = _conjugacy_certificate(p, cert, pert_cc, half, slack)
+        else:
+            lin_cert = robust_dichotomy_continuous(
+                base_cc, p.autonomous_cert, pert_cc, (-half, half),
+                slack=slack, tol=tol, trunc_tol=trunc_tol,
+            )
+            lin_cert.meta["route"] = "roughness"
     except (RobustnessHypothesisError, ContractionMarginError) as exc:
         cert.status = STATUS_BOUNDED
         cert.meta["certification"] = exc.record()

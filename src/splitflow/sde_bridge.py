@@ -112,6 +112,21 @@ class _NoiseDressing:
         area = self.areas[k] + (t - self.ts[k]) * (self.ckz[k] + gap) / 2
         return eta * (area[t0.size:] - area[:t0.size]).reshape(t0.shape)
 
+    def rises(self, eta, t0, t1):
+        """``(forward, backward)`` rises ``sup_{s <= t} (C(t) - C(s))`` and
+        ``sup_{t <= s} (C(t) - C(s))`` of ``C = int gap`` over [t0, t1],
+        exact for the piecewise-linear gap: ``C`` is piecewise quadratic,
+        so it turns only at the path's nodes and the gap's zero crossings,
+        where (and at t0, t1) :meth:`gap_integral` reads it."""
+        ts, c = self.ts, self.ckz
+        k = np.flatnonzero(np.sign(c[:-1]) * np.sign(c[1:]) < 0.0)
+        cross = ts[k] + (ts[k + 1] - ts[k]) * (c[k] / (c[k] - c[k + 1]))
+        t = np.concatenate([[t0], ts, cross, [t1]])
+        t = np.sort(t[(t >= t0) & (t <= t1)])
+        area = self.gap_integral(eta, t0, t)
+        return (float(np.max(area - np.minimum.accumulate(area))),
+                float(np.max(area - np.minimum.accumulate(area[::-1])[::-1])))
+
     @cached_property
     def areas(self):
         """``int_{ts[0]}^{ts[k]}`` of the ``(kappa - kappadot) z*``

@@ -619,3 +619,25 @@ def counted_applies(monkeypatch, module):
 
     monkeypatch.setattr(module, "_picard", counted)
     return runs
+
+
+def gap_rise_oracle(dressing, eta, t0, t1, sub=64):
+    """``(forward, backward)`` rises of ``C = int gap`` over [t0, t1] (see
+    ``_NoiseDressing.rises``), densely: the gap read through
+    ``dressing.at``, integrated by the trapezoid at ``sub`` points per
+    segment between ``t0``, the path's nodes, the gap's zero crossings
+    (where ``C`` turns) and ``t1``, and the rises taken over those
+    points."""
+    nodes = dressing.ts[(dressing.ts > t0) & (dressing.ts < t1)]
+    knots = np.concatenate([[t0], nodes, [t1]])
+    g = dressing.at(eta, knots)[1]
+    turns = [a - g0 * (b - a) / (g1 - g0)
+             for a, b, g0, g1 in zip(knots, knots[1:], g, g[1:])
+             if g0 * g1 < 0.0]
+    knots = np.sort(np.concatenate([knots, turns]))
+    t = np.concatenate([np.linspace(a, b, sub + 1)[:-1]
+                        for a, b in zip(knots, knots[1:])] + [[t1]])
+    g = dressing.at(eta, t)[1]
+    c = np.concatenate([[0.0], np.cumsum(np.diff(t) * (g[:-1] + g[1:]) / 2)])
+    return (float(np.max(c - np.minimum.accumulate(c))),
+            float(np.max(c - np.minimum.accumulate(c[::-1])[::-1])))

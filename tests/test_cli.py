@@ -407,9 +407,11 @@ class TestWaveCmd:
 @pytest.mark.parametrize("command, half", [("hyperbolic", 4), ("wave", 3)])
 def test_default_rows_certify_inside_the_window(tmp_path, monkeypatch,
                                                 command, half):
-    # at defaults every certified row covers [-n_half, n_half], and the
-    # impulse span [lo, hi] of its linearization, whose last unit flow ends
-    # at hi + 1, lies inside the trajectory window
+    # at defaults every certified row covers [-n_half, n_half].  A cubic row
+    # takes the roughness route: the impulse span [lo, hi] of its
+    # linearization, whose last unit flow ends at hi + 1, lies inside the
+    # trajectory window.  A wave row is dressed: its conjugacy route
+    # computes no impulse span
     spans, certified = [], []
     span_rule, certify = robustness._impulse_span, hyperbolic.certify_hyperbolic
 
@@ -430,8 +432,14 @@ def test_default_rows_certify_inside_the_window(tmp_path, monkeypatch,
     assert run_cli([command, "--out", str(out), "--seed", "12345"]) == 0
     rows = json.loads((out / f"{command}.json").read_text())["rows"]
     assert len(certified) == sum(r["certified"] for r in rows) > 0
-    for sol, ((lo, hi),) in certified:
-        assert sol.linearization_certificate.meta["window"] == [-half, half]
+    for sol, row_spans in certified:
+        meta = sol.linearization_certificate.meta
+        assert meta["window"] == [-half, half]
+        if command == "wave":
+            assert meta["route"] == "conjugacy" and row_spans == []
+            continue
+        assert meta["route"] == "roughness"
+        ((lo, hi),) = row_spans
         assert sol.times[0] <= lo and hi + 1 <= sol.times[-1]
 
 

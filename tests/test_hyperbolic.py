@@ -13,7 +13,8 @@ from splitflow import (ContinuousCocycle, ContractionMarginError, KappaFn,
                        TimeGrid, certify_hyperbolic,
                        default_kappa, find_hyperbolic_solution, lambda_eta,
                        linearize_along, neighborhood_thresholds, pointwise,
-                       random_ode_problem, rho_modulus, sample_wiener_path)
+                       random_ode_problem, rho_modulus, sample_wiener_path,
+                       verify_dichotomy)
 from splitflow import hyperbolic, robustness, sde_bridge
 from splitflow.hyperbolic import eta_epsilon, eta_row
 from splitflow.cocycle import UNIT_SAMPLES, integrate_nonlinear
@@ -108,6 +109,37 @@ class TestLambdaEta:
         win = TimeGrid(-20.0, 20.0, 1.0 / 16)
         assert lambda_eta(p, 0.1, win) == lambda_eta_loop(base, 0.1, win)
         assert calls == ["f_eta", "f_eta_dy"]
+
+    @pytest.mark.parametrize("make, win, sizes", [
+        (lambda: sde_bridge.cubic_problem(KappaFn.inverse_quadratic(0.002),
+                                          W64, 8, 0.3),
+         TimeGrid(-20.0, 20.0, 1.0 / 16), (65, 32)),
+        (wave_problem, TimeGrid(-60.0, 60.0, 1.0 / 32), (33, 12)),
+    ], ids=["cubic", "wave"])
+    def test_samples_shared_across_eta_bit_for_bit(self, make, win, sizes):
+        # the grid, the states and f0, f0' at the cloud are sampled once per
+        # problem and (window, n_time, n_cloud): lambda at two etas on one
+        # problem equals lambda on fresh problems, and f0, f0' run once
+        p, calls = make(), []
+        f0, f0_prime = p.f0, p.f0_prime
+        p.f0 = lambda ys: calls.append("f0") or f0(ys)
+        p.f0_prime = lambda ys: calls.append("f0'") or f0_prime(ys)
+        for eta in (1e-3, 1.5e-5, 1e-3):
+            assert lambda_eta(p, eta, win, *sizes) == lambda_eta(
+                make(), eta, win, *sizes)
+        assert calls == ["f0", "f0'"]
+        ts, ys = p._memo["lambda", win, *sizes][:2]
+        assert not ts.flags.writeable and not ys.flags.writeable
+        lambda_eta(p, 1e-3, win, sizes[0] + 1, sizes[1])  # another sampling
+        assert calls == ["f0", "f0'"] * 2
+
+    def test_lip_dev_reads_the_equilibrium_jacobian_once(self):
+        p, rows = wave_problem(), []
+        f0_prime = p.f0_prime
+        p.f0_prime = lambda ys: rows.append(len(ys)) or f0_prime(ys)
+        want = [hyperbolic._lip_dev(wave_problem(), e) for e in (0.1, 0.2)]
+        assert [hyperbolic._lip_dev(p, e) for e in (0.1, 0.2)] == want
+        assert rows == [1, 24, 24]
 
 
 class TestBallCloud:
@@ -973,6 +1005,142 @@ class TestCertify:
         meta = sol.linearization_certificate.meta
         assert meta["verification"].passed
         assert "verification_continuous" not in meta
+
+
+class TestConjugacyRoute:
+    """A dressed row (``y* = 0`` under scalar noise) is certified by its
+    conjugacy to the autonomous flow: ``(K e^{|eta| u}, beta, Pi^s of A)``,
+    u the larger rise of ``C = int gap`` over the trajectory window, checked
+    by the verifier; no roughness pipeline runs."""
+
+    W32 = TimeGrid(-60.0, 60.0, 1.0 / 32)
+
+    def certified(self, p, eta, **knobs):
+        row = equilibrium_row(p, eta, self.W32)
+        certify_hyperbolic(p, row, **{"n_half": 3, "step": 1.0 / 32,
+                                      **knobs})
+        return row
+
+    def test_certificate_is_the_autonomous_one_dressed(self, monkeypatch):
+        # the route reads the rise, builds the certificate and verifies
+        # it once; no unit-flow distance, impulse span or robustness run
+        for name in ("robust_dichotomy_continuous", "_impulse_span"):
+            monkeypatch.setattr(hyperbolic, name, None)
+        p = wave_problem()
+        cert_a = p.autonomous_cert
+        rise = max(p.meta["dressing"].rises(1.0, -60.0, 60.0))
+        for eta in (2e-6, 0.5, -0.5):
+            row = self.certified(p, eta)
+            lc = row.linearization_certificate
+            assert row.status == "certified"
+            assert lc.meta["route"] == "conjugacy"
+            assert lc.meta["rise"] == rise and lc.meta["window"] == [-3, 3]
+            assert lc.bound == cert_a.bound * math.exp(abs(eta) * rise)
+            assert lc.exponent == cert_a.exponent
+            assert np.array_equal(lc.projections, cert_a.projections)
+            assert lc.meta["verification"].passed
+
+    def test_zero_eta_is_exactly_the_autonomous_certificate(self):
+        p = wave_problem()
+        lc = self.certified(p, 0.0).linearization_certificate
+        cert_a = p.autonomous_cert
+        assert (lc.bound, lc.exponent) == (cert_a.bound, cert_a.exponent)
+        assert np.array_equal(lc.projections, cert_a.projections)
+
+    def test_roughness_route_on_the_same_row_is_no_tighter(self):
+        # the roughness pipeline run by hand on one dressed row: both
+        # certificates pass the verifier, and the conjugacy bound (12.4 e^{
+        # eta u}) is below the roughness bound (about K^2 = 154)
+        p = wave_problem()
+        row = self.certified(p, 2e-6)
+        conj = row.linearization_certificate
+        cc = linearize_along(p, row, step=1.0 / 32)
+        rough = robustness.robust_dichotomy_continuous(
+            p.base_cocycle(1.0 / 32), p.autonomous_cert, cc, (-3, 3),
+            slack=1.2, tol=1e-7, trunc_tol=1e-7)
+        assert conj.meta["verification"].passed
+        assert rough.meta["verification"].passed
+        assert conj.bound <= rough.bound
+        assert conj.exponent >= rough.exponent
+
+    def test_doctored_certificates_are_rejected(self):
+        # alpha doubled where the bound is tight, and u replaced by 0 where
+        # e^{eta u} = 49: the verifier's forward ratio reads 5.4 and 1.27
+        p = wave_problem()
+        for eta, doctor in ((0.5, lambda lc: replace(
+                lc, exponent=2.0 * lc.exponent)), (5.0, lambda lc: replace(
+                lc, bound=p.autonomous_cert.bound))):
+            row = self.certified(p, eta)
+            lc = row.linearization_certificate
+            assert row.status == "certified"
+            assert math.exp(eta * lc.meta["rise"]) > 1.2
+            cc = linearize_along(p, row, step=1.0 / 32)
+            report = verify_dichotomy(cc, doctor(lc), (-3, 3), slack=1.2)
+            assert not report.passed
+            assert not report.axioms["forward_decay"]["passed"]
+
+    def test_mixed_splitting_uses_the_backward_rise(self):
+        # f(u) = 50 u - u^3: two unstable modes, Pi^s != I.  At seed 12345
+        # the gap's largest fall (backward rise) exceeds its largest rise,
+        # and every row of the automatic ladder certifies with the bound
+        # 10.4 e^{eta u} (the roughness route read 18,517 at the top row)
+        p = sde_bridge.wave_problem(4, 1.0, 50.0, default_kappa(), self.W32,
+                                    12345, 1e-7)
+        pi_s = p.autonomous_cert.projections[0]
+        assert 0.0 < np.trace(pi_s) < p.dim - 0.5
+        fwd, bwd = p.meta["dressing"].rises(1.0, -60.0, 60.0)
+        assert bwd > fwd
+        n_time, n_cloud = sde_bridge.LAMBDA_SAMPLES
+        rows = list(hyperbolic.ladder(
+            p, self.W32, [], tol=1e-7, tail_tol=1e-7, n_half=3,
+            trunc_tol=1e-7, step=1.0 / 32, n_time=n_time, n_cloud=n_cloud))
+        assert len(rows) == 5
+        for row, sol in rows:
+            lc = sol.linearization_certificate
+            assert row["certified"] and lc.meta["route"] == "conjugacy"
+            assert lc.meta["rise"] == bwd
+            assert row["M_bound"] == p.autonomous_cert.bound * math.exp(
+                row["eta"] * bwd) < 10.41
+
+    def test_overflowing_bound_fails_closed(self):
+        # K e^{eta u} past the floats: the row is bounded and names the
+        # bound, with no numpy warning and no ConfigurationError
+        p = wave_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = self.certified(p, 1e5)
+        assert row.status == "bounded"
+        assert row.linearization_certificate is None
+        record = row.meta["certification"]
+        assert record["error"].startswith(
+            "conjugacy bound K e^(|eta| u) = inf is not finite")
+        assert record["measured"] == math.inf
+
+    @pytest.mark.parametrize("knob", ["tol", "trunc_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan])
+    def test_bad_tolerance_raises(self, knob, value):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            self.certified(wave_problem(), 0.5, **{knob: value})
+
+    def test_short_window_stays_bounded(self):
+        # n_half = 0 leaves no nodes -1, 1: the error text of the roughness
+        # route, and no certificate
+        p = wave_problem()
+        row = self.certified(p, 0.5, n_half=0)
+        assert row.status == "bounded"
+        assert row.meta["certification"]["error"] == (
+            "trajectory window [-60, 60] too short for certification: "
+            "n_half and the clean interior leave no nodes -1, 1")
+
+    def test_rise_is_read_once_per_window(self, monkeypatch):
+        p = wave_problem()
+        calls = []
+        real = type(p.meta["dressing"]).rises
+        monkeypatch.setattr(type(p.meta["dressing"]), "rises",
+                            lambda *a: calls.append(a[2:]) or real(*a))
+        for eta in (0.0, 0.1, 0.2):
+            self.certified(p, eta)
+        assert calls == [(-60.0, 60.0)]
 
 
 class TestEtaRow:

@@ -106,3 +106,20 @@ def test_summary_reports_the_residual_column_apart():
         "moved cells: h 4, r 1; largest relative float change 0.333 outside "
         "residual; moved residual cells at most 3.3e-14 in absolute value; "
         "1 non-float cells moved")
+
+
+def test_summary_reads_the_verifier_leakage_absolutely():
+    # the verifier's one-step leakage and its charged value are round-off
+    # (about 1e-16 in robustness.json) and move by large relative amounts,
+    # so only their largest absolute value is reported, with the residuals;
+    # a cell that only ends in "leakage" is an ordinary float
+    inv = "robustness.json:instances[0].axioms.invertibility"
+    old = {f"{inv}.leakage": 1.1e-16, f"{inv}.charged_leakage": 2.2e-16,
+           f"{inv}.max_leakage": 1.0, f"{inv}.delta_threshold": 0.5}
+    new = {f"{inv}.leakage": 2.2e-16, f"{inv}.charged_leakage": 4.4e-16,
+           f"{inv}.max_leakage": 1.0 + 1e-12, f"{inv}.delta_threshold": 0.5}
+    assert [ref._is_residual(k) for k in old] == [True, True, False, False]
+    assert ref.summary({"r": (old, new)}) == (
+        "moved cells: r 3; largest relative float change 1e-12 outside "
+        "residual; moved residual cells at most 4.4e-16 in absolute value; "
+        "0 non-float cells moved")

@@ -15,7 +15,7 @@ from splitflow.cli import main
 from splitflow.cocycle import integrate_nonlinear
 from splitflow.sde_bridge import WAVE_COLUMNS
 from conftest import (autonomous_wave, conjugated_fields_oracle,
-                      wave_collocation, wave_ladder)
+                      gap_rise_oracle, wave_collocation, wave_ladder)
 
 H = 1.0 / 32
 PATH_GRID = TimeGrid(-48.0, 12.0, H)
@@ -265,6 +265,56 @@ class TestBatchedFields:
         ou_series(path, [t0], tail_tol)
         with pytest.raises(WindowError, match="left window too short"):
             ou_series(path, [t0 - H], tail_tol)
+
+
+class TestGapRises:
+    """``_NoiseDressing.rises``: the forward and backward rises of ``C =
+    int gap``, exact for the piecewise-linear gap, against the dense
+    trapezoid of ``conftest.gap_rise_oracle``."""
+
+    @pytest.mark.parametrize("seed", [41, 12345, 7])
+    def test_rises_match_the_dense_oracle(self, seed):
+        # windows with partial segments at both ends, whole ones, and eta
+        # of either sign (a negative eta swaps the rises); measured at most
+        # 1.5e-13 relative either way, the two sums rounding differently,
+        # so the rises are never below the oracle beyond round-off
+        path = sample_wiener_path(TimeGrid(-110.0, 62.0, H), seed)
+        p = random_ode_problem(scalar_spec(1.0, kappa=default_kappa()),
+                               path, [0.0], r_u=0.3)
+        dressing = p.gap_integral.__self__
+        assert dressing is p.meta["dressing"]
+        for t0, t1 in ((-60.0, 60.0), (-37.3, 41.71), (-3.0, 3.0)):
+            for eta in (1.0, 0.3, -0.5):
+                got = dressing.rises(eta, t0, t1)
+                want = gap_rise_oracle(dressing, eta, t0, t1)
+                for g, w in zip(got, want):
+                    assert w > 0.0
+                    assert abs(g - w) <= 1e-12 * w
+            fwd, bwd = dressing.rises(1.0, t0, t1)
+            assert dressing.rises(-1.0, t0, t1) == pytest.approx(
+                (bwd, fwd), rel=1e-14)
+
+    def test_turns_inside_segments_are_found(self):
+        # the gap crosses zero inside a segment, where C turns: sampled at
+        # the path's nodes only, the rises would read low
+        path = sample_wiener_path(TimeGrid(-110.0, 62.0, H), 41)
+        dressing = random_ode_problem(scalar_spec(1.0, kappa=default_kappa()),
+                                      path, [0.0], r_u=0.3).meta["dressing"]
+        t0, t1 = -60.0, 60.0
+        ts = dressing.ts[(dressing.ts >= t0) & (dressing.ts <= t1)]
+        c = dressing.gap_integral(1.0, t0, ts)
+        at_nodes = (np.max(c - np.minimum.accumulate(c)),
+                    np.max(c - np.minimum.accumulate(c[::-1])[::-1]))
+        got = dressing.rises(1.0, t0, t1)
+        assert all(g >= n for g, n in zip(got, at_nodes))
+        assert any(g > n * (1.0 + 1e-12) for g, n in zip(got, at_nodes))
+
+    def test_window_check(self):
+        path = sample_wiener_path(PATH_GRID, 11)
+        dressing = random_ode_problem(scalar_spec(1.0), path, [0.0],
+                                      r_u=0.3).meta["dressing"]
+        with pytest.raises(WindowError, match=r"time 13.0 outside"):
+            dressing.rises(1.0, 0.0, 13.0)
 
 
 def folded_case(name):

@@ -6,8 +6,9 @@ re-runs every call of :data:`CALLS`, rewrites ``tests/reference/`` and
 prints each cell that moved against the references it replaces (old value,
 new value, relative change), then the number of changed cells, then one
 :func:`summary` line: the moved cells per call, the largest relative change
-among the moved float cells outside the ``residual`` column, the largest
-absolute value of the moved ``residual`` cells and the number of moved
+among the moved float cells outside the residual cells, the largest
+absolute value of the moved residual cells (``residual``, ``leakage`` and
+``charged_leakage``: round-off, read absolutely) and the number of moved
 cells of any other kind.  That list is the record of a change that
 moves outputs on purpose; ``tests/test_reference.py`` runs the same calls
 and fails on any moved cell.
@@ -210,20 +211,24 @@ def _moved(old, new, exact):
 
 
 def _is_residual(key):
-    """Whether cell ``key`` is a residual, read absolutely: in
-    ``robustness.json`` it is round-off, which a last-bit change upstream
-    moves by a large relative amount, and in ``hyperbolic`` the kernel
+    """Whether cell ``key`` is read absolutely, as a residual: the
+    ``residual`` cells, and the verifier's one-step ``leakage`` and its
+    ``charged_leakage`` (``K`` times it).  In ``robustness.json`` these are
+    round-off, about 1e-16, which a last-bit change upstream moves by a
+    large relative amount; in ``hyperbolic`` the ``residual`` is the kernel
     iteration's last measured step, at most the row's ``tol``, which moves
     with the iterate the iteration stops at."""
-    return key.rsplit(".", 1)[-1] == "residual"
+    return key.rsplit(".", 1)[-1] in ("residual", "leakage",
+                                      "charged_leakage")
 
 
 def summary(pairs):
     """One line over ``label -> (old, new)`` cell dicts: the number of moved
     cells of each label that has any, the largest relative change among the
     moved cells that are floats on both sides (infinite when one is NaN or
-    infinite), the largest absolute value of the moved ``residual`` cells
-    (:func:`_is_residual`), which are left out of the relative change, and
+    infinite), the largest absolute value of the moved residual cells
+    (``residual``, ``leakage`` and ``charged_leakage``;
+    :func:`_is_residual`), which are left out of the relative change, and
     the number of moved cells that are not floats (exit codes, verdicts,
     strings, None, a cell only one side has)."""
     per_label, largest, residual, other = [], 0.0, 0.0, 0
