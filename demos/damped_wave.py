@@ -26,7 +26,7 @@ from splitflow.sde_bridge import LAMBDA_SAMPLES
 
 window = sf.TimeGrid(-60.0, 60.0, 1.0 / 32)
 n_time, n_cloud = LAMBDA_SAMPLES
-knobs = dict(tol=1e-7, tail_tol=1e-7, n_half=3, trunc_tol=1e-7, step=window.h,
+knobs = dict(tol=1e-7, tail_tol=1e-7, n_half=3, trunc_tol=1e-7,
              n_time=n_time, n_cloud=n_cloud)
 
 print("== stable configuration: f(u) = u - u^3, N = 4, beta = 1 ==")

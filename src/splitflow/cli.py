@@ -344,8 +344,8 @@ def cmd_wave(v, out_dir):
                 "n_modes": v["n_modes"], "beta_damping": v["beta_damping"]}
         pairs = ladder(problem, window, v["eta_grid"], tol=v["tol"],
                        tail_tol=v["tail_tol"], n_half=v["n_half"],
-                       trunc_tol=v["trunc_tol"], step=window.h,
-                       n_time=n_time, n_cloud=n_cloud)
+                       trunc_tol=v["trunc_tol"], n_time=n_time,
+                       n_cloud=n_cloud)
         rows = [wave_row(problem, row, sol, v["seed"]) for row, sol in pairs]
     except ConfigurationError:
         raise  # a config error exits 2, from main

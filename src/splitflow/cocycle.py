@@ -258,38 +258,20 @@ class ContinuousCocycle:
         every integer shift, stacked to ``(len(shifts), UNIT_SAMPLES + 1, d, d)``.
 
         The table is memoized per cocycle and integer shift (shift 0 for
-        every n when ``time_invariant``); the shifts it lacks are integrated
-        together, in one RK4 run over their stack, or scaled when dressed.
+        every n when ``time_invariant``), every entry with all its
+        snapshots; the shifts it lacks are integrated together, in one RK4
+        run over their stack, or scaled when dressed.
         """
-        keys = self._fill(shifts, snapshots=True)
-        return np.array([self._units[k] for k in keys]).reshape(
-            len(keys), UNIT_SAMPLES + 1, self.dim, self.dim)
-
-    def unit_steps(self, shifts):
-        """The unit steps ``phi(1, shift n)`` at every integer shift, stacked
-        to shape ``(len(shifts), d, d)``.  A shift this integrates keeps only
-        its endpoint in the table; each is still integrated once."""
-        keys = self._fill(shifts, snapshots=False)
-        return np.array([self._units[k][-1] for k in keys]).reshape(
-            len(keys), self.dim, self.dim)
-
-    def _fill(self, shifts, snapshots):
-        """Table keys of ``shifts``, after filling the missing entries (and,
-        when ``snapshots``, the entries that hold only an endpoint)."""
         keys = [0 if self.time_invariant else int(n) for n in shifts]
-        todo = sorted({k for k in keys if k not in self._units
-                       or (snapshots and len(self._units[k]) == 1)})
+        todo = sorted({k for k in keys if k not in self._units})
         if not todo:
-            return keys
-        if self.log_scale is not None:  # dressed: the base's table, scaled
+            flows = ()
+        elif self.log_scale is not None:  # dressed: the base's table, scaled
             t0 = np.array(todo, float)[:, None]
-            table = self.base.unit_flows([0])[0]
             taus = np.linspace(0.0, 1.0, UNIT_SAMPLES + 1)
-            if not snapshots:
-                table, taus = table[-1:], taus[-1:]
             with np.errstate(over="ignore", invalid="ignore"):
                 scale = np.exp(self.log_scale(t0, t0 + taus))
-                flows = scale[..., None, None] * table
+                flows = scale[..., None, None] * self.base.unit_flows([0])[0]
             _finite_states(flows, t0[:, 0], t0[:, 0] + 1.0)
         elif len(todo) == 1:  # a single shift is one propagator call
             flows = propagator(self, float(todo[0]), 1.0, UNIT_SAMPLES)[2][None]
@@ -299,10 +281,15 @@ class ContinuousCocycle:
             flows = _rk4(_linear_field(self.generator), t0, t0 + 1.0,
                          np.broadcast_to(np.eye(self.dim),
                                          (len(todo), self.dim, self.dim)),
-                         n, every=n // UNIT_SAMPLES if snapshots else n)
-        for k, flow in zip(todo, flows):
-            self._units[k] = flow if snapshots else flow[-1:]
-        return keys
+                         n, every=n // UNIT_SAMPLES)
+        self._units.update(zip(todo, flows))
+        return np.array([self._units[k] for k in keys]).reshape(
+            len(keys), UNIT_SAMPLES + 1, self.dim, self.dim)
+
+    def unit_steps(self, shifts):
+        """The unit steps ``phi(1, shift n)``, the endpoints of
+        :meth:`unit_flows`, stacked to shape ``(len(shifts), d, d)``."""
+        return self.unit_flows(shifts)[:, -1]
 
     @staticmethod
     def constant(matrix, step=DEFAULT_STEP):

@@ -124,13 +124,20 @@ def _seq_sup(values):
 
 
 def _band_for(cert, delta_eff, f_sup, trunc_tol):
+    """Truncation band of forcing of sup ``f_sup`` at ``delta_eff``; a band
+    past the floats (or a NaN bound) raises :class:`SplitflowError`."""
     e = math.exp(-cert.exponent)
     rho = min(delta_eff * (1.0 + e) / (1.0 - e), CONTRACTION_MARGIN)
     apriori = cert.bound * f_sup * (1.0 + e) / ((1.0 - e) * max(1.0 - rho, 1e-12))
     sup_term = 2.0 * (delta_eff * apriori + cert.bound * f_sup)  # both tails
-    if sup_term == math.inf:  # a bound past the floats: no finite band
-        raise OverflowError(f"band bound overflows at delta_eff={delta_eff}")
-    return truncation_length(cert.exponent, sup_term, trunc_tol)
+    try:
+        if sup_term < math.inf:
+            return truncation_length(cert.exponent, sup_term, trunc_tol)
+    except OverflowError:  # its length is past the floats
+        pass
+    raise SplitflowError(f"the truncation band has no finite length (tail "
+                         f"bound {sup_term:.6g} at delta_eff={delta_eff:.6g})",
+                         measured=sup_term, threshold=math.inf)
 
 
 def _contraction(cert, b_mats):
@@ -158,7 +165,7 @@ def _impulse_span(cert, b_mats, n_lo, n_hi, trunc_tol):
     delta_eff = cert.bound * spectral_sup(b_mats)
     try:
         band0 = _band_for(cert, delta_eff, 1.0, trunc_tol) + 8
-    except OverflowError as exc:
+    except SplitflowError as exc:
         raise RobustnessHypothesisError(
             f"perturbation size delta_eff={delta_eff:.6g} has no finite "
             f"impulse span", measured=delta_eff,

@@ -119,7 +119,7 @@ class SemilinearProblem:
         y0 = self.y0_star[None]
         drift = self.a_matrix - self.d_f0(y0)[0]
         res = float(np.linalg.norm(drift @ self.y0_star + self.f0_at(y0)[0]))
-        if res > 1e-8:
+        if not res <= 1e-8:  # a NaN fails closed
             raise ConfigurationError(
                 f"y0_star is not an equilibrium (residual {res:.3e})"
             )
@@ -206,7 +206,11 @@ def rho_modulus(p, eps):
     f0xh = p.f0_at((xs[:, None, None, :] + h).reshape(-1, p.dim))
     rem = (f0xh.reshape(h.shape) - p.f0_at(xs)[:, None, None, :]
            - np.einsum("cij,cdmj->cdmi", p.d_f0(xs), h))
-    return float(np.max(np.linalg.norm(rem, axis=-1) / mags))
+    out = float(np.max(np.linalg.norm(rem, axis=-1) / mags))
+    if not out < math.inf:  # a NaN fails closed
+        raise SplitflowError(f"remainder modulus {out} at eps={eps:g}: f0 is "
+                             f"not finite in the ball of radius {p.r_u:g}")
+    return out
 
 
 def _lip_dev(p, eps):
@@ -550,8 +554,7 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
         # the impulse solves may read edge-contaminated trajectory values
         # (of exponentially small weight), but no flow past the window
         nodes = np.arange(-top, top + 1)  # read again by the pipeline
-        dist = (pert_cc.unit_flows(nodes)[:, -1]
-                - base_cc.unit_flows(nodes)[:, -1])
+        dist = pert_cc.unit_steps(nodes) - base_cc.unit_steps(nodes)
         for half in range(top, 0, -1):
             lo, hi = _impulse_span(p.autonomous_cert,
                                    dist[top - half:top + half + 1], -half,
@@ -589,7 +592,7 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
 
 
 def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
-            trunc_tol=1e-9, step=None, n_time=65, n_cloud=32):
+            trunc_tol=1e-9, n_time=65, n_cloud=32):
     """One eta of a ladder: find the bounded trajectory, certify its
     linearization, and read the outcome back as a row.
 
@@ -605,8 +608,7 @@ def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
         sol = find_hyperbolic_solution(p, eta, window, tol=tol,
                                        tail_tol=tail_tol, n_time=n_time,
                                        n_cloud=n_cloud)
-        certify_hyperbolic(p, sol, n_half=n_half, trunc_tol=trunc_tol,
-                           step=step)
+        certify_hyperbolic(p, sol, n_half=n_half, trunc_tol=trunc_tol)
     except ConfigurationError:
         raise
     except SplitflowError as exc:
@@ -624,7 +626,7 @@ def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
 
 
 def ladder(p, window, eta_grid, *, tol, tail_tol, n_half, trunc_tol=1e-9,
-           step=None, n_time=65, n_cloud=32):
+           n_time=65, n_cloud=32):
     """The :func:`eta_row` pairs ``(row, sol)`` of ``eta_grid``, yielded one
     at a time, so a reader holds one trajectory at a time.  An empty grid is
     the automatic ladder ``0.9 cut / 2^k``, k = 0 ... 3, then 0, under the
@@ -633,5 +635,5 @@ def ladder(p, window, eta_grid, *, tol, tail_tol, n_half, trunc_tol=1e-9,
         cut = eta_cutoff(p, window, n_time, n_cloud)["eta_cutoff"]
         eta_grid = [0.9 * cut / (2 ** k) for k in range(4)] + [0.0]
     for eta in eta_grid:
-        yield eta_row(p, eta, window, tol, tail_tol, n_half, trunc_tol, step,
+        yield eta_row(p, eta, window, tol, tail_tol, n_half, trunc_tol,
                       n_time, n_cloud)

@@ -5,9 +5,10 @@ admissibility threshold, rebuild the projection family from unit-impulse
 bounded solutions, attach the explicit perturbed constants, and verify the
 result; it reads each cocycle's steps in one batched call for the window and
 one for the impulse span's outer nodes.  The continuous pipeline discretizes
-at unit time, runs the discrete pipeline unverified, and lifts the
-certificate back with the intra-unit envelope factor.  Each verifies the
-certificate it emits once: *checked*, not trusted.
+at unit time (the endpoints of the unit-flow tables), runs the discrete
+pipeline unverified, and lifts the certificate back with the intra-unit
+envelope factor.  Each verifies the certificate it emits once: *checked*,
+not trusted.
 """
 
 import math
@@ -171,10 +172,10 @@ def robust_dichotomy_continuous(base_cc, base_cert, perturbed_cc, window, *,
     Every unit flow comes from the cocycles' unit-flow tables, so each is
     integrated once across the measurement, the discrete pipeline, the lift
     and the verification.  Each table is filled in two batched runs: the
-    window's nodes with all their snapshots, then the impulse span's outer
-    nodes, which the discrete pipeline stacks, with endpoints only.  Only
-    the lifted certificate is verified, at ``slack`` against the continuous
-    cocycle (``meta["verification"]``), unless ``verify=False``.
+    window's nodes, then the impulse span's outer nodes, which the discrete
+    pipeline stacks; every entry holds all its snapshots.  Only the lifted
+    certificate is verified, at ``slack`` against the continuous cocycle
+    (``meta["verification"]``), unless ``verify=False``.
     """
     nodes = _window_nodes(window)
     n_lo, n_hi = nodes[0], nodes[-1]

@@ -569,7 +569,7 @@ def wave_ladder(n_modes, eta_grid, seed, window, **knobs):
     p = wave_problem(n_modes, 1.0, 1.0, default_kappa(), window, seed, 1e-7)
     n_time, n_cloud = LAMBDA_SAMPLES
     knobs = {"tol": 1e-7, "tail_tol": 1e-7, "n_half": 3, "trunc_tol": 1e-7,
-             "step": window.h, "n_time": n_time, "n_cloud": n_cloud, **knobs}
+             "n_time": n_time, "n_cloud": n_cloud, **knobs}
     return p, [wave_row(p, row, sol, seed)
                for row, sol in ladder(p, window, eta_grid, **knobs)]
 

@@ -10,8 +10,9 @@ import pytest
 
 import splitflow
 from conftest import bump_problem
-from splitflow import cli, hyperbolic, robustness
+from splitflow import ContinuousCocycle, cli, hyperbolic, robustness
 from splitflow.cli import load_config, main
+from splitflow.cocycle import UNIT_SAMPLES
 from splitflow.errors import ConfigurationError
 from splitflow.sde_bridge import PATH_MARGIN
 
@@ -210,8 +211,8 @@ class TestRobustnessCmd:
 
     @pytest.mark.parametrize("pert_step", [1e297, 1e308])
     def test_overflowing_span_is_one_and_named(self, tmp_path, pert_step):
-        # the impulse span of so large a perturbation overflows (a raw
-        # OverflowError at 1e297, a non-finite band bound at 1e308): a typed
+        # the impulse span of so large a perturbation has no finite band
+        # (its length overflows at 1e297, its tail bound at 1e308): a typed
         # failure of the scalar instance, recorded in a parseable file
         cfg = tmp_path / "r.cfg"
         cfg.write_text(f"pert_step = {pert_step!r}\nrun_saddle = false\n")
@@ -441,6 +442,38 @@ def test_default_rows_certify_inside_the_window(tmp_path, monkeypatch,
         assert meta["route"] == "roughness"
         ((lo, hi),) = row_spans
         assert sol.times[0] <= lo and hi + 1 <= sol.times[-1]
+
+
+@pytest.mark.parametrize("command, text, half", [
+    ("hyperbolic", "model = cubic\nt_min = -70.0\nt_max = 70.0\n"
+                   "h = 0.015625\neta_grid = 0.2\n", 4),
+    ("wave", "n_modes = 4\nt_min = -60.0\nt_max = 60.0\nh = 0.03125\n"
+             "eta_grid = 0.0\n", 3)])
+def test_every_unit_flow_entry_holds_all_snapshots(tmp_path, monkeypatch,
+                                                   command, text, half):
+    # a cubic row (the roughness route, whose discrete pipeline stacks the
+    # impulse span's outer nodes by their unit steps) and a wave row (the
+    # conjugacy route, over the nodes [-half, half]) leave every table
+    # entry with all its snapshots
+    tables, unit_flows = [], ContinuousCocycle.unit_flows
+
+    def recorded(cc, shifts):
+        tables.append(cc)
+        return unit_flows(cc, shifts)
+
+    monkeypatch.setattr(ContinuousCocycle, "unit_flows", recorded)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run_cli([command, "--config", str(cfg), "--out",
+                    str(tmp_path / "out"), "--seed", "41"]) == 0
+    shifts = {n for cc in tables for n in cc._units}
+    if command == "hyperbolic":  # the outer span nodes are in a table
+        assert min(shifts) < -half and max(shifts) > half
+    else:
+        assert shifts == set(range(-half, half))
+    for cc in tables:
+        for flow in cc._units.values():
+            assert flow.shape == (UNIT_SAMPLES + 1, cc.dim, cc.dim)
 
 
 @pytest.mark.parametrize("command", sorted(cli.SCHEMAS))

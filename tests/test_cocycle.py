@@ -249,7 +249,7 @@ class TestUnitFlowTable:
 
         c = ContinuousCocycle(gen, 3, step=step)
         for shifts, fill in ((range(-4, 5), c.unit_flows),
-                             (range(5, 8), c.unit_steps)):  # endpoint-only
+                             (range(5, 8), c.unit_steps)):  # endpoints
             calls.clear()
             got = fill(list(shifts))
             members = len(shifts)
@@ -298,18 +298,28 @@ class TestUnitFlowTable:
         with pytest.raises(SplitflowError, match=match):
             propagator(c, 0.0, 1.0)
 
-    def test_endpoint_only_shifts(self):
-        c = ContinuousCocycle(pointwise(self.gen), 3, step=1.0 / 20)
+    def test_unit_steps_are_the_table_endpoints(self):
+        # the shifts unit_steps integrates keep all their snapshots, from
+        # one generator call; asking for the snapshots later calls it no more
+        calls = []
+
+        def gen(ts):
+            calls.append(len(ts))
+            return pointwise(self.gen)(ts)
+
+        c = ContinuousCocycle(gen, 3, step=1.0 / 20)
         steps = c.unit_steps(range(-2, 3))
+        assert calls == [5 * 65]  # five shifts, 2 * 32 + 1 stage times each
+        assert sorted(c._units) == list(range(-2, 3))
+        for flow in c._units.values():
+            assert flow.shape == (UNIT_SAMPLES + 1, 3, 3)
+        flows = c.unit_flows(range(-2, 3))
+        assert calls == [5 * 65]
+        assert np.array_equal(flows[:, -1], steps)
+        assert np.array_equal(discretize(c).step([0])[0], flows[2, -1])
         for n, got in zip(range(-2, 3), steps):
             want = propagator(c, float(n), 1.0, UNIT_SAMPLES)[0]
             assert np.max(np.abs(got - want)) <= 1e-13
-            assert len(c._units[n]) == 1  # only the endpoint is kept
-        # asking for the snapshots later integrates them; the endpoint agrees
-        flow = c.unit_flows([0])[0]
-        assert len(c._units[0]) == UNIT_SAMPLES + 1
-        assert np.array_equal(flow[-1], steps[2])
-        assert np.array_equal(discretize(c).step([0])[0], flow[-1])
 
     def test_time_invariant_table_has_one_entry(self):
         c = ContinuousCocycle.constant([[0.0, 1.0], [-4.0, -0.5]])
@@ -332,7 +342,7 @@ class TestUnitFlowTable:
         gen = _generators()[dim]
         c = ContinuousCocycle(pointwise(gen), dim, step=step)
         for shifts, fill in ((range(-4, 5), c.unit_flows),
-                             (range(5, 8), c.unit_steps)):  # endpoint-only
+                             (range(5, 8), c.unit_steps)):  # endpoints
             for n, flow in zip(shifts, fill(list(shifts))):
                 state = _state_march(gen, float(n), n_steps, UNIT_SAMPLES)
                 if flow.ndim == 2:

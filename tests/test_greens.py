@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from splitflow import (ContractionMarginError, DiscreteCocycle,
-                       DichotomyCertificate, ForcingSequence, SplitflowError,
+                       DichotomyCertificate, ForcingSequence,
+                       RobustnessHypothesisError, SplitflowError,
                        bounded_solution, impulse_response_projection,
                        pointwise, truncation_length)
 from splitflow import greens
@@ -337,6 +338,20 @@ class TestBoundedSolution:
                                match=r"^forcing norm overflows \(sup inf\)"):
                 bounded_solution(c, cert, constant_b(np.zeros((2, 2))), f)
 
+    @pytest.mark.parametrize("b, got", [(0.0, "nan"), (1e-302, "inf")])
+    def test_band_past_the_floats_fails_closed(self, b, got):
+        # K = 1e300 against forcing 1e10: the tail bound overflows, and with
+        # no perturbation it reads 0 * inf = NaN
+        c = DiscreteCocycle.constant([[0.5]])
+        cert = DichotomyCertificate.constant([[1.0]], 1e300, LN2)
+        f = ForcingSequence(-5, 5, np.full((11, 1), 1e10))
+        with pytest.raises(SplitflowError) as exc:
+            bounded_solution(c, cert, constant_b([[b]]), f)
+        assert str(exc.value).startswith(
+            "the truncation band has no finite length (tail bound "
+            f"{got} at delta_eff=")
+        assert exc.value.threshold == np.inf
+
     def test_contraction_certificate_random_pairs(self):
         c, cert = stable_scalar()
         f0 = ForcingSequence.zeros(-25, 25, 1)
@@ -499,6 +514,16 @@ class TestImpulseProjections:
                            match=r"node -1 .*\(residual 2\.000e\+00\)"):
             impulse_response_projection(c, cert, constant_b(np.zeros((2, 2))),
                                         nodes)
+
+    def test_band_past_the_floats_fails_closed(self):
+        # K = 1e308 and no perturbation: the span's tail bound reads
+        # 0 * inf = NaN, a refused hypothesis
+        c = DiscreteCocycle.constant([[0.5]])
+        cert = DichotomyCertificate.constant([[1.0]], 1e308, LN2)
+        with pytest.raises(RobustnessHypothesisError,
+                           match=r"^perturbation size delta_eff=0 has no "
+                           r"finite impulse span"):
+            impulse_response_projection(c, cert, constant_b([[0.0]]), [0])
 
     def test_family_solve_matches_single_node_solves(self):
         # one solve for the whole family against one solve per node, on the

@@ -49,6 +49,10 @@ output goes through ``cli._write_json``.
 src/splitflow imports nothing of scipy, wherever the import statement
 stands: the package runs on numpy alone, and any scipy module would weigh on
 every start-up, or on the first call that reaches a deferred import.
+
+No comparison under src/splitflow tests ``==`` or ``!=`` against
+``math.inf`` or ``np.inf`` (negated or not): such a guard lets a NaN
+through, where ``not x < math.inf`` fails closed.
 """
 
 import ast
@@ -394,3 +398,33 @@ def test_scipy_is_not_imported():
                      for line, module in _imported_modules(tree)
                      if module.split(".")[0] == "scipy")
     assert not stray, "scipy imported:\n" + "\n".join(stray)
+
+
+def _is_inf(node):
+    """Whether ``node`` is ``math.inf``, ``np.inf`` or ``numpy.inf``, or
+    one of them negated."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("math", "np", "numpy"))
+
+
+def _inf_equalities(tree):
+    """Lines of every ``==`` or ``!=`` comparison with an infinity."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Eq, ast.NotEq))
+                   and (_is_inf(a) or _is_inf(b))
+                   for op, a, b in zip(node.ops, sides, sides[1:])):
+                yield node.lineno
+
+
+def test_no_equality_with_infinity():
+    # x == inf is False for a NaN x, so the guard it makes lets NaN through
+    stray = [f"{path.relative_to(ROOT)}:{line}"
+             for path, tree in _trees(("src",))
+             for line in _inf_equalities(tree)]
+    assert not stray, ("equality with an infinity misses NaN:\n"
+                       + "\n".join(stray))

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitflow import (ContinuousCocycle, ContractionMarginError, KappaFn,
+from splitflow import (ConfigurationError, ContinuousCocycle,
+                       ContractionMarginError, KappaFn,
                        SemilinearProblem, SplitflowError, StratonovichSpec,
                        ThresholdError, WindowError,
                        TimeGrid, certify_hyperbolic,
@@ -191,6 +192,29 @@ class TestRhoModulus:
     def test_requires_half_radius(self):
         with pytest.raises(ValueError):
             rho_modulus(additive_problem(), 0.6)
+
+    @staticmethod
+    def nan_past(radius):
+        """The scalar -y^3 with f0 NaN where |y| > radius."""
+        cube = lambda y: np.where(np.abs(y) > radius, np.nan, -y ** 3)
+        return SemilinearProblem(
+            a_matrix=[[-1.0]], f_eta=lambda eta, t, y: cube(y), f0=cube,
+            y0_star=[0.0], r_u=0.3,
+            f0_prime=lambda y: (-3.0 * y ** 2)[:, :, None],
+            f_eta_dy=lambda eta, t, y: (-3.0 * y ** 2)[:, :, None])
+
+    def test_non_finite_f0_in_the_ball_fails_closed(self):
+        # NaN past |y| = 0.2 inside the ball of radius 0.3: no NaN modulus
+        # reaches the contraction factor
+        with pytest.raises(SplitflowError, match=r"^remainder modulus nan at "
+                           r"eps=0.01: f0 is not finite in the ball"):
+            rho_modulus(self.nan_past(0.2), 0.01)
+
+    def test_nan_equilibrium_residual_fails_closed(self):
+        # f0 NaN at y0_star itself: the residual is NaN, not an equilibrium
+        with pytest.raises(ConfigurationError, match=r"^y0_star is not an "
+                           r"equilibrium \(residual nan\)"):
+            self.nan_past(-1.0).validate()
 
     @pytest.mark.parametrize("make", [  # d = 1, 2 and 8
         cubic_problem, lambda: autonomous_wave(
@@ -892,8 +916,9 @@ class TestDressedLinearization:
 
     def test_huge_gap_and_far_times_fail_closed(self):
         # exp(eta int gap) overflows: IntegrationError naming the first
-        # interval that does, and no numpy warning; a shift past the
-        # dressed window raises the dressing's WindowError
+        # interval that does, and no numpy warning; a shift whose unit
+        # interval leaves the dressed window raises the dressing's
+        # WindowError at its first snapshot time past the window
         p = wave_problem()
         eta = 1e5
         shifts = np.arange(-5, 5)
@@ -910,8 +935,9 @@ class TestDressedLinearization:
                     f"non-finite state while integrating [{float(first)}, "
                     f"{first + 1.0}]")):
                 cc.unit_flows(shifts)
-        with pytest.raises(WindowError, match=r"time 62.0 outside the "
-                           r"dressed window .*\(1 of 2 times out\)"):
+        with pytest.raises(WindowError, match=r"time 61.0625 outside the "
+                           r"dressed window \[-84.00, 61.00\] \(16 of 34 "
+                           r"times out\)"):
             cc.unit_steps([61])
 
 
@@ -1040,6 +1066,19 @@ class TestConjugacyRoute:
             assert np.array_equal(lc.projections, cert_a.projections)
             assert lc.meta["verification"].passed
 
+    def test_rk4_step_moves_no_constant(self):
+        # (K e^{|eta| u}, beta) does not read the RK4 step of the table the
+        # verifier checks it on: at steps 1/32 and 1/64 the constants are
+        # equal and the verdict is the same
+        p = wave_problem()
+        for eta in (2e-6, 0.5):
+            coarse, fine = (self.certified(p, eta, step=step)
+                            for step in (1.0 / 32, 1.0 / 64))
+            assert coarse.status == fine.status == "certified"
+            a, b = (row.linearization_certificate for row in (coarse, fine))
+            assert (a.exponent, a.bound) == (b.exponent, b.bound)
+        assert {("base", 1.0 / 32), ("base", 1.0 / 64)} <= set(p._memo)
+
     def test_zero_eta_is_exactly_the_autonomous_certificate(self):
         p = wave_problem()
         lc = self.certified(p, 0.0).linearization_certificate
@@ -1093,7 +1132,7 @@ class TestConjugacyRoute:
         n_time, n_cloud = sde_bridge.LAMBDA_SAMPLES
         rows = list(hyperbolic.ladder(
             p, self.W32, [], tol=1e-7, tail_tol=1e-7, n_half=3,
-            trunc_tol=1e-7, step=1.0 / 32, n_time=n_time, n_cloud=n_cloud))
+            trunc_tol=1e-7, n_time=n_time, n_cloud=n_cloud))
         assert len(rows) == 5
         for row, sol in rows:
             lc = sol.linearization_certificate

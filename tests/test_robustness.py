@@ -388,23 +388,23 @@ class TestContinuousPipeline:
                                            pert, (-3, 3))
         assert cert.meta["verification"].passed
         # the constant base fills its one shared entry; the perturbed table
-        # is filled in one run for the window and one for the impulse span
+        # is filled in one run for the window and one for the impulse span,
+        # both at the same steps and keeping all their snapshots
         assert len(runs) == 3
         (base_shifts, _, _), window, span = runs
         assert base_shifts == [0.0] and list(base._units) == [0]
         assert window[0] == [float(n) for n in range(-3, 4)]
-        assert window[2] == window[1] // UNIT_SAMPLES  # all snapshots
-        assert span[2] == span[1]  # no intermediate snapshots
+        assert window[2] == window[1] // UNIT_SAMPLES
+        assert span[1:] == window[1:]
         # each shift is integrated once, and the span surrounds the window
         assert not set(window[0]) & set(span[0])
         shifts = sorted(window[0] + span[0])
         assert shifts == [float(n) for n in range(int(shifts[0]),
                                                   int(shifts[-1]) + 1)]
         assert shifts[0] < -3 and shifts[-1] > 3
-        for n in range(-3, 4):
-            assert len(pert._units[n]) == UNIT_SAMPLES + 1
-        for n in span[0]:
-            assert len(pert._units[int(n)]) == 1
+        assert sorted(pert._units) == [int(n) for n in shifts]
+        for flow in pert._units.values():
+            assert flow.shape == (UNIT_SAMPLES + 1, 2, 2)
 
     def test_outer_span_nodes_integrated_in_one_run(self, monkeypatch):
         # with a time-varying base and perturbation, each unit-flow table is
@@ -442,8 +442,8 @@ class TestContinuousPipeline:
         assert span_lo < -3 and span_hi > 3
         assert len(runs) == 4
         assert [r[0] for r in runs] == [window, window, outer, outer]
-        for shifts, n, every in runs[2:]:
-            assert every == n  # endpoints only
+        for shifts, n, every in runs:
+            assert every == n // UNIT_SAMPLES  # all snapshots
         for cc in (base, pert):
             assert sorted(cc._units) == list(range(span_lo, span_hi + 1))
 
