@@ -40,6 +40,6 @@ for t, r in zip(checkpoints, ratios):
     print(f"  |z*(theta_t)|/t at t={t:>5}: {r:.5f}")
 
 kappa = sf.default_kappa()
-nb = sf.noise_bounds(path, kappa, win)
-print(f"\nkappa = {kappa.name}: m1 = {nb.m1:.4f}, m2 = {nb.m2:.4f}")
-print(f"linear perturbation sup at eta=0.1: {0.1 * nb.m2:.4f}")
+m1, m2 = sf.NoiseDressing(path, kappa).bounds(win)
+print(f"\nkappa = {kappa.name}: m1 = {m1:.4f}, m2 = {m2:.4f}")
+print(f"linear perturbation sup at eta=0.1: {0.1 * m2:.4f}")

@@ -3,7 +3,7 @@
 Library layers, bottom to top:
 
 - :mod:`splitflow.noise` -- two-sided noise paths, Wiener shifts, the
-  stationary pathwise filter z*, and the time-rescaling kappa;
+  stationary pathwise filter z*, the time-rescaling kappa and the dressing;
 - :mod:`splitflow.cocycle` -- discrete/continuous linear cocycles and their
   propagators;
 - :mod:`splitflow.dichotomy` -- dichotomy certificates, spectral splitting,
@@ -25,10 +25,10 @@ from .errors import (ConfigurationError, ContractionMarginError,
                      IntegrationError, NonHyperbolicError,
                      RobustnessHypothesisError, SplitflowError,
                      ThresholdError, WindowError)
-from .noise import (KappaFn, NoiseBounds, SamplePath, default_kappa,
-                    injected_path, linear_path, noise_bounds, ou_series,
-                    ou_value, sample_wiener_path, shift_path,
-                    sublinearity_report, zero_path)
+from .noise import (KappaFn, NoiseDressing, SamplePath, default_kappa,
+                    injected_path, linear_path, ou_series, ou_value,
+                    sample_wiener_path, shift_path, sublinearity_report,
+                    zero_path)
 from .cocycle import (ContinuousCocycle, DiscreteCocycle, discretize,
                       pointwise, propagator)
 from .dichotomy import (DichotomyCertificate, VerificationReport,

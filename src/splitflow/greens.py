@@ -60,7 +60,8 @@ CONTRACTION_MARGIN = 0.9  # enforced bound on the contraction factor rho
 def truncation_length(alpha, sup_bound, tol):
     """Smallest N with ``sup_bound * e^{-alpha N} / (1 - e^{-alpha}) <= tol``.
 
-    The geometric tail of the kernel sum beyond N is below ``tol``.
+    The geometric tail of the kernel sum beyond N is below ``tol``; an N
+    past the floats raises :class:`SplitflowError`.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"decay exponent must be positive and finite, "
@@ -75,7 +76,12 @@ def truncation_length(alpha, sup_bound, tol):
     lim = sup_bound / (1.0 - math.exp(-alpha))
     if lim <= tol:
         return 0
-    return int(math.ceil(math.log(lim / tol) / alpha))
+    n = math.log(lim / tol) / alpha
+    if not n < math.inf:
+        raise SplitflowError(f"the truncation length is past the floats (tail "
+                             f"bound {sup_bound:.6g} over tolerance {tol:g})",
+                             measured=sup_bound, threshold=math.inf)
+    return int(math.ceil(n))
 
 
 @dataclass
@@ -130,11 +136,8 @@ def _band_for(cert, delta_eff, f_sup, trunc_tol):
     rho = min(delta_eff * (1.0 + e) / (1.0 - e), CONTRACTION_MARGIN)
     apriori = cert.bound * f_sup * (1.0 + e) / ((1.0 - e) * max(1.0 - rho, 1e-12))
     sup_term = 2.0 * (delta_eff * apriori + cert.bound * f_sup)  # both tails
-    try:
-        if sup_term < math.inf:
-            return truncation_length(cert.exponent, sup_term, trunc_tol)
-    except OverflowError:  # its length is past the floats
-        pass
+    if sup_term < math.inf:  # a NaN fails closed
+        return truncation_length(cert.exponent, sup_term, trunc_tol)
     raise SplitflowError(f"the truncation band has no finite length (tail "
                          f"bound {sup_term:.6g} at delta_eff={delta_eff:.6g})",
                          measured=sup_term, threshold=math.inf)

@@ -72,10 +72,11 @@ class SemilinearProblem:
     ``f0_prime(Y) -> [N, d, d]`` likewise for the autonomous field.  Wrap a
     callback written for one point with :func:`splitflow.pointwise`.
 
-    ``gap_integral(eta, t0, t1)``, if given, integrates ``gap`` over [t0, t1]
-    where ``f_eta_dy(eta, t, y0_star) - f0'(y0_star) = gap(eta, t) I``; it is
-    a bound method whose owner also gives the rises of that integral
-    (``rises(eta, t0, t1)``, as :class:`~splitflow.sde_bridge._NoiseDressing`).
+    ``dressing``, if given, is the :class:`~splitflow.noise.NoiseDressing`
+    of the scalar multiplicative noise the fields were transformed by.  At
+    an all-zero ``y0_star`` the transformed Jacobian is ``f0'(0) + gap I``,
+    ``gap`` of ``dressing.at``, so a linearization along ``y0_star`` is
+    dressed by ``dressing.gap_integral`` (:func:`linearize_along`).
     """
 
     a_matrix: np.ndarray
@@ -85,8 +86,7 @@ class SemilinearProblem:
     r_u: float
     f0_prime: object
     f_eta_dy: object
-    gap_integral: object = None
-    meta: dict = field(default_factory=dict)
+    dressing: object = None
     # base cocycles, Green kernel maps, lambda samples and thresholds; not an
     # init field, so a problem made by dataclasses.replace starts with none
     _memo: dict = field(default_factory=dict, init=False, repr=False,
@@ -478,7 +478,8 @@ def linearize_along(p, cert, step=None):
     Generator ``A + B(t)`` with
     ``B(t) = d_y f_eta(eta, t, xi*(t)) - f0'(y0*)``, evaluated for a vector
     of times in one field call; dressed (base flows times ``exp(int gap)``)
-    along ``xi* = y0*`` bit for bit where the problem reports a ``gap``.
+    where the problem holds a ``dressing``, ``y0*`` is all zero and ``xi* =
+    y0*`` bit for bit.
     """
     d0_star = p.d_f0(p.y0_star[None])[0]
     eta = cert.eta
@@ -490,10 +491,11 @@ def linearize_along(p, cert, step=None):
 
     h = cert.times[1] - cert.times[0]
     step = step if step else min(h, DEFAULT_STEP)
-    if p.gap_integral is not None and np.all(
+    if p.dressing is not None and not p.y0_star.any() and np.all(
             cert.trajectory.view(np.int64) == p.y0_star.view(np.int64)):
         return ContinuousCocycle(gen, p.dim, step, base=p.base_cocycle(step),
-                                 log_scale=partial(p.gap_integral, eta))
+                                 log_scale=partial(p.dressing.gap_integral,
+                                                   eta))
     return ContinuousCocycle(gen, p.dim, step)
 
 
@@ -505,7 +507,7 @@ def _conjugacy_certificate(p, cert, pert_cc, half, slack):
     2003).  A bound past the floats raises RobustnessHypothesisError."""
     cert_a, key = p.autonomous_cert, ("rise", cert.times[0], cert.times[-1])
     if key not in p._memo:
-        p._memo[key] = max(p.gap_integral.__self__.rises(1.0, *key[1:]))
+        p._memo[key] = max(p.dressing.rises(1.0, *key[1:]))
     rise = p._memo[key]
     with np.errstate(over="ignore", invalid="ignore"):
         bound = float(cert_a.bound * np.exp(abs(cert.eta) * rise))

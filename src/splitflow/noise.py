@@ -271,35 +271,86 @@ def default_kappa():
     return KappaFn.inverse_quadratic(1.0)
 
 
-class NoiseBounds:
-    """Window maxima of the rescaled noise products.
+class NoiseDressing:
+    """The noise coefficients ``kappa_t z*(theta_t omega)`` and ``(kappa_t -
+    kappadot_t) z*(theta_t omega)`` of a path, stored at the path's nodes
+    from the first base time the filter's tail rule admits, and read by
+    piecewise-linear interpolation; every reader range-checks its times
+    once per call, and a time outside the dressed window raises
+    :class:`WindowError`, naming the first such time and the count."""
 
-    ``m1 = max |kappa_t z*(theta_t omega)|`` and
-    ``m2 = max |(kappa_t - kappa_dot_t) z*(theta_t omega)|`` over the window
-    nodes; any finite window yields lower bounds for the suprema over R.
-    """
+    def __init__(self, path, kappa, tail_tol=DEFAULT_TAIL_TOL):
+        t_first = _tail_start(path, tail_tol)
+        ts = path.grid.times()
+        self.ts = ts[ts >= t_first]
+        if len(self.ts) < 2:
+            raise WindowError("path window too short for the noise dressing")
+        z = ou_series(path, self.ts, tail_tol)
+        k = np.asarray(kappa.kappa(self.ts), float)
+        self.kz = k * z
+        self.ckz = c = (k - np.asarray(kappa.kappa_dot(self.ts), float)) * z
+        # the integral of the ckz interpolant from ts[0] to every node
+        self.areas = np.concatenate([[0.0], np.cumsum(
+            np.diff(self.ts) * (c[:-1] + c[1:]) / 2)])
 
-    def __init__(self, m1, m2):
-        self.m1 = float(m1)
-        self.m2 = float(m2)
+    def _inside(self, t):
+        """The times ``t``, flattened, after the range check."""
+        t = np.ravel(np.asarray(t, float))
+        out = (t < self.ts[0] - 1e-9) | (t > self.ts[-1] + 1e-9)
+        if np.any(out):
+            raise WindowError(
+                f"time {t[np.argmax(out)]} outside the dressed window "
+                f"[{self.ts[0]:.2f}, {self.ts[-1]:.2f}] "
+                f"({int(np.sum(out))} of {t.size} times out)"
+            )
+        return t
 
-    def __repr__(self):
-        return f"NoiseBounds(m1={self.m1:.6g}, m2={self.m2:.6g})"
+    def at(self, eta, t):
+        """``(scale, gap)`` at the times ``t[N]``: ``scale[N] = exp(eta
+        kappa_t z*)``, so that ``y = scale v``, and ``gap[N] = eta (kappa_t -
+        kappadot_t) z*``, the coefficient of the linear noise term."""
+        t = self._inside(t)
+        return (np.exp(eta * np.interp(t, self.ts, self.kz)),
+                eta * np.interp(t, self.ts, self.ckz))
 
+    def bounds(self, window):
+        """``(m1, m2)``, the maxima of ``|kappa_t z*|`` and ``|(kappa_t -
+        kappadot_t) z*|`` at the nodes of the :class:`TimeGrid` ``window``;
+        a finite window yields lower bounds for the suprema over R."""
+        t = self._inside(window.times())
+        return tuple(float(np.max(np.abs(np.interp(t, self.ts, c))))
+                     for c in (self.kz, self.ckz))
 
-def rescaled_noise(path, kappa, ts, tail_tol=DEFAULT_TAIL_TOL):
-    """The noise coefficients ``kappa_t z*(theta_t omega)`` and
-    ``(kappa_t - kappa_dot_t) z*(theta_t omega)`` at the grid times ``ts``."""
-    z = ou_series(path, ts, tail_tol)
-    k = np.asarray(kappa.kappa(ts), float)
-    kd = np.asarray(kappa.kappa_dot(ts), float)
-    return k * z, (k - kd) * z
+    def gap_integral(self, eta, t0, t1):
+        """``int_{t0}^{t1} gap`` of :meth:`at`, broadcast over the arrays
+        ``t0`` and ``t1``, exact for the piecewise-linear interpolant."""
+        return eta * (self._area(t1) - self._area(t0))
 
+    def _area(self, t):
+        """``int_{ts[0]}^{t}`` of the ``(kappa - kappadot) z*`` interpolant
+        at the array ``t``, each time checked and interpolated once: the
+        trapezoids on the path's nodes plus the partial segment."""
+        shape, t = np.shape(t), self._inside(t)
+        k = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0,
+                    len(self.ts) - 2)
+        gap = np.interp(t, self.ts, self.ckz)
+        return (self.areas[k] + (t - self.ts[k]) * (self.ckz[k] + gap) / 2
+                ).reshape(shape)
 
-def noise_bounds(path, kappa, window):
-    """Grid maxima m1, m2 of the kappa-rescaled stationary noise on ``window``."""
-    kz, ckz = rescaled_noise(path, kappa, window.times())
-    return NoiseBounds(np.max(np.abs(kz)), np.max(np.abs(ckz)))
+    def rises(self, eta, t0, t1):
+        """``(forward, backward)`` rises ``sup_{s <= t} (C(t) - C(s))`` and
+        ``sup_{t <= s} (C(t) - C(s))`` of ``C = int gap`` over [t0, t1],
+        exact for the piecewise-linear gap: ``C`` is piecewise quadratic,
+        so it turns only at the path's nodes and the gap's zero crossings,
+        where (and at t0, t1) :meth:`gap_integral` reads it."""
+        ts, c = self.ts, self.ckz
+        k = np.flatnonzero(np.sign(c[:-1]) * np.sign(c[1:]) < 0.0)
+        cross = ts[k] + (ts[k + 1] - ts[k]) * (c[k] / (c[k] - c[k + 1]))
+        t = np.concatenate([[t0], ts, cross, [t1]])
+        t = np.sort(t[(t >= t0) & (t <= t1)])
+        area = self.gap_integral(eta, t0, t)
+        return (float(np.max(area - np.minimum.accumulate(area))),
+                float(np.max(area - np.minimum.accumulate(area[::-1])[::-1])))
 
 
 def sublinearity_report(path, checkpoints):

@@ -25,14 +25,12 @@ that rule is a documented modeling choice, not a numerical bug.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, NonHyperbolicError, WindowError
+from .errors import ConfigurationError, NonHyperbolicError
 from .hyperbolic import SemilinearProblem
-from .noise import (DEFAULT_TAIL_TOL, _tail_start, rescaled_noise,
-                    sample_wiener_path)
+from .noise import DEFAULT_TAIL_TOL, NoiseDressing, sample_wiener_path
 
 # the wave model's reach of its noise path before the window, and its
 # lambda(eta) (times, cloud) sizes
@@ -69,78 +67,12 @@ class StratonovichSpec:
             raise ConfigurationError(f"eta must lie in [0, 1], got {self.eta}")
 
 
-class _NoiseDressing:
-    """Interpolators of ``kappa z*`` and ``(kappa - kappadot) z*`` on a path,
-    and the integral of the second."""
-
-    def __init__(self, path, kappa, tail_tol=DEFAULT_TAIL_TOL):
-        t_first = _tail_start(path, tail_tol)
-        ts = path.grid.times()
-        self.ts = ts[ts >= t_first]
-        if len(self.ts) < 2:
-            raise WindowError("path window too short for the noise dressing")
-        self.kz, self.ckz = rescaled_noise(path, kappa, self.ts, tail_tol)
-
-    def at(self, eta, t):
-        """``(scale, gap)`` at the times ``t[N]``: ``scale[N] = exp(eta
-        kappa_t z*)``, so that ``y = scale v``, and ``gap[N] = eta (kappa_t -
-        kappadot_t) z*``, the coefficient of the linear noise term.  One
-        range check per call: a time outside the dressed window raises
-        :class:`WindowError`, naming the first such time and the count."""
-        t = np.ravel(np.asarray(t, float))
-        out = (t < self.ts[0] - 1e-9) | (t > self.ts[-1] + 1e-9)
-        if np.any(out):
-            raise WindowError(
-                f"time {t[np.argmax(out)]} outside the dressed window "
-                f"[{self.ts[0]:.2f}, {self.ts[-1]:.2f}] "
-                f"({int(np.sum(out))} of {t.size} times out)"
-            )
-        return (np.exp(eta * np.interp(t, self.ts, self.kz)),
-                eta * np.interp(t, self.ts, self.ckz))
-
-    def gap_integral(self, eta, t0, t1):
-        """``int_{t0}^{t1} gap`` of :meth:`at`, broadcast over the arrays
-        ``t0`` and ``t1``, exact for the piecewise-linear interpolant: the
-        trapezoids on the path's nodes plus the partial segments at both
-        ends, which pass :meth:`at`'s range check."""
-        t0, t1 = np.broadcast_arrays(np.asarray(t0, float),
-                                     np.asarray(t1, float))
-        t = np.concatenate([t0.ravel(), t1.ravel()])
-        gap = self.at(1.0, t)[1]
-        k = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0,
-                    len(self.ts) - 2)
-        area = self.areas[k] + (t - self.ts[k]) * (self.ckz[k] + gap) / 2
-        return eta * (area[t0.size:] - area[:t0.size]).reshape(t0.shape)
-
-    def rises(self, eta, t0, t1):
-        """``(forward, backward)`` rises ``sup_{s <= t} (C(t) - C(s))`` and
-        ``sup_{t <= s} (C(t) - C(s))`` of ``C = int gap`` over [t0, t1],
-        exact for the piecewise-linear gap: ``C`` is piecewise quadratic,
-        so it turns only at the path's nodes and the gap's zero crossings,
-        where (and at t0, t1) :meth:`gap_integral` reads it."""
-        ts, c = self.ts, self.ckz
-        k = np.flatnonzero(np.sign(c[:-1]) * np.sign(c[1:]) < 0.0)
-        cross = ts[k] + (ts[k + 1] - ts[k]) * (c[k] / (c[k] - c[k + 1]))
-        t = np.concatenate([[t0], ts, cross, [t1]])
-        t = np.sort(t[(t >= t0) & (t <= t1)])
-        area = self.gap_integral(eta, t0, t)
-        return (float(np.max(area - np.minimum.accumulate(area))),
-                float(np.max(area - np.minimum.accumulate(area[::-1])[::-1])))
-
-    @cached_property
-    def areas(self):
-        """``int_{ts[0]}^{ts[k]}`` of the ``(kappa - kappadot) z*``
-        interpolant at every node ``k``, made at the first integral."""
-        return np.concatenate([[0.0], np.cumsum(
-            np.diff(self.ts) * (self.ckz[:-1] + self.ckz[1:]) / 2)])
-
-
 def inverse_transform(times, v_traj, spec, path, tail_tol=DEFAULT_TAIL_TOL):
     """Pointwise inverse map ``y(t) = exp(+eta kappa_t z*) v(t)`` at the eta
     of ``spec``, not a row's: :func:`random_ode_problem` takes eta per field
     call and the program's specs carry ``eta = 1``, so a row's trajectory
     needs a spec that carries that row's eta."""
-    dressing = _NoiseDressing(path, spec.kappa, tail_tol)
+    dressing = NoiseDressing(path, spec.kappa, tail_tol)
     v_traj = np.atleast_2d(np.asarray(v_traj, float))
     return dressing.at(spec.eta, times)[0][:, None] * v_traj
 
@@ -150,11 +82,11 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
     """Semilinear problem for the transformed equation, eta as a live knob.
 
     The perturbation of the autonomous nonlinearity is the transformed field
-    plus the linear noise term; both scale down to zero with eta.  At an
-    all-zero ``y0_star``, where the Jacobian is ``f'(0) + gap I`` at every
-    scale, the problem reports the integral of ``gap`` (``gap_integral``).
+    plus the linear noise term; both scale down to zero with eta.  The
+    problem holds the :class:`~splitflow.noise.NoiseDressing` its fields
+    read (``dressing``).
     """
-    dressing = _NoiseDressing(path, strat.kappa, tail_tol)
+    dressing = NoiseDressing(path, strat.kappa, tail_tol)
     f, fp = strat.f, strat.f_prime
     y0_star = np.atleast_1d(np.asarray(y0_star, float))
     if a_matrix is None:
@@ -184,8 +116,7 @@ def random_ode_problem(strat, path, y0_star, r_u, a_matrix=None,
         r_u=r_u,
         f0_prime=fp,
         f_eta_dy=f_eta_dy,
-        gap_integral=None if y0_star.any() else dressing.gap_integral,
-        meta={"dressing": dressing},
+        dressing=dressing,
     )
 
 
@@ -279,7 +210,7 @@ def wave_row(p, row, sol, seed):
     ``y = exp(eta kappa_t z*) v``."""
     sup_y = None
     if sol is not None:
-        scale = p.meta["dressing"].at(row["eta"], sol.interior_times())[0]
+        scale = p.dressing.at(row["eta"], sol.interior_times())[0]
         y = scale[:, None] * sol.trajectory[sol.interior]
         sup_y = float(np.max(np.linalg.norm(y, axis=1)))
     return {"eta": row["eta"], "seed": seed, "sup_dist_v": row["sup_distance"],

@@ -623,7 +623,7 @@ def counted_applies(monkeypatch, module):
 
 def gap_rise_oracle(dressing, eta, t0, t1, sub=64):
     """``(forward, backward)`` rises of ``C = int gap`` over [t0, t1] (see
-    ``_NoiseDressing.rises``), densely: the gap read through
+    ``NoiseDressing.rises``), densely: the gap read through
     ``dressing.at``, integrated by the trapezoid at ``sub`` points per
     segment between ``t0``, the path's nodes, the gap's zero crossings
     (where ``C`` turns) and ``t1``, and the rises taken over those

@@ -65,6 +65,14 @@ class TestTruncationLength:
         with pytest.raises(ValueError, match="finite"):
             truncation_length(*args)
 
+    def test_length_past_the_floats_fails_closed(self):
+        # sup_bound / tol overflows: a typed failure naming the bound, not
+        # the OverflowError of ceil(log(inf))
+        with pytest.raises(SplitflowError, match=r"^the truncation length "
+                           r"is past the floats \(tail bound 6e\+298 ") as exc:
+            truncation_length(LN2, 6e298, 1e-10)
+        assert exc.value.measured == 6e298 and exc.value.threshold == np.inf
+
 
 class TestGammaApply:
     def test_zero_everything(self):

@@ -53,6 +53,10 @@ every start-up, or on the first call that reaches a deferred import.
 No comparison under src/splitflow tests ``==`` or ``!=`` against
 ``math.inf`` or ``np.inf`` (negated or not): such a guard lets a NaN
 through, where ``not x < math.inf`` fails closed.
+
+No code under src/splitflow reads ``__self__``: an object that a reader
+needs is held in a field of its own, not reached through the owner of a
+bound method passed for one of its methods.
 """
 
 import ast
@@ -428,3 +432,11 @@ def test_no_equality_with_infinity():
              for line in _inf_equalities(tree)]
     assert not stray, ("equality with an infinity misses NaN:\n"
                        + "\n".join(stray))
+
+
+def test_no_bound_method_owner_is_read():
+    # a bound method's owner is a second, hidden field of whatever holds it
+    stray = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path, tree in _trees(("src",)) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "__self__"]
+    assert not stray, "owner read through __self__:\n" + "\n".join(stray)

@@ -50,7 +50,7 @@ _CUBIC_CACHE = {}
 
 
 def cubic_problem(seed=8, amplitude=0.002):
-    # shared instance: the threshold bisections are cached on problem.meta
+    # shared instance: the threshold bisections are cached on problem._memo
     key = (seed, amplitude)
     if key not in _CUBIC_CACHE:
         _CUBIC_CACHE[key] = sde_bridge.cubic_problem(
@@ -791,7 +791,7 @@ class TestLinearization:
         for t, got in zip(ts, batch):
             xi = np.array([np.interp(t, sol.times, sol.trajectory[:, 0])])
             # f_eta_dy of the transformed cubic at one point, by hand
-            scale, gap = p.meta["dressing"].at(eta, t)
+            scale, gap = p.dressing.at(eta, t)
             want = (-3.0 * scale[0] ** 2 * xi[0] ** 2 + gap[0]) - d0[0, 0]
             assert abs(got[0, 0] - p.a_matrix[0, 0] - want) < 1e-12
             one = cc.generator(np.array([t]))[0]
@@ -848,10 +848,10 @@ class TestDressedLinearization:
             f_prime=lambda y: np.zeros((len(y), 1, 1)), eta=1.0,
             kappa=default_kappa())
         p = random_ode_problem(strat, path, [0.0], r_u=0.3)
-        dressing, eta = p.meta["dressing"], 0.7
+        dressing, eta = p.dressing, 0.7
         t0 = np.arange(-8.0, 8.0)[:, None]
         t1 = t0 + np.linspace(0.0, 1.0, UNIT_SAMPLES + 1)
-        got = p.gap_integral(eta, t0, t1)
+        got = dressing.gap_integral(eta, t0, t1)
         assert got.shape == t1.shape and np.all(got[:, 0] == 0.0)
         for a, row, ends in zip(t0[:, 0], got, t1):
             want = []
@@ -879,11 +879,24 @@ class TestDressedLinearization:
         linearize_along(p, row, step=1.0 / 32).unit_flows([0])
         assert calls != []
         cubic = cubic_problem()
-        assert cubic.gap_integral is None
+        assert cubic.dressing is not None and cubic.y0_star.any()
         sol = find_hyperbolic_solution(cubic, 0.1, W64, tol=1e-9)
         calls = counted_jacobian(monkeypatch, cubic)
         cc = linearize_along(cubic, sol)
         assert cc.log_scale is None
+        cc.unit_flows([0])
+        assert len(calls) == 1
+
+    def test_cubic_equilibrium_row_is_not_dressed(self, monkeypatch):
+        # the cubic holds its dressing, and its row along y* = 1 equals
+        # y0_star bit for bit, but its Jacobian there is f0'(s) + gap, not
+        # f0'(1) + gap: the fill calls the generator
+        cubic = cubic_problem()
+        assert cubic.dressing is not None
+        row = equilibrium_row(cubic, 0.1, W64)
+        calls = counted_jacobian(monkeypatch, cubic)
+        cc = linearize_along(cubic, row, step=1.0 / 32)
+        assert cc.log_scale is None and cc.base is None
         cc.unit_flows([0])
         assert len(calls) == 1
 
@@ -923,8 +936,8 @@ class TestDressedLinearization:
         eta = 1e5
         shifts = np.arange(-5, 5)
         t0 = shifts[:, None].astype(float)
-        c = p.gap_integral(eta, t0,
-                           t0 + np.linspace(0.0, 1.0, UNIT_SAMPLES + 1))
+        c = p.dressing.gap_integral(
+            eta, t0, t0 + np.linspace(0.0, 1.0, UNIT_SAMPLES + 1))
         first = shifts[np.argmax(c.max(axis=1) > 710.0)]
         assert c.max() > 710.0
         cc = linearize_along(p, equilibrium_row(p, eta, self.W32),
@@ -936,7 +949,7 @@ class TestDressedLinearization:
                     f"{first + 1.0}]")):
                 cc.unit_flows(shifts)
         with pytest.raises(WindowError, match=r"time 61.0625 outside the "
-                           r"dressed window \[-84.00, 61.00\] \(16 of 34 "
+                           r"dressed window \[-84.00, 61.00\] \(16 of 17 "
                            r"times out\)"):
             cc.unit_steps([61])
 
@@ -1054,7 +1067,7 @@ class TestConjugacyRoute:
             monkeypatch.setattr(hyperbolic, name, None)
         p = wave_problem()
         cert_a = p.autonomous_cert
-        rise = max(p.meta["dressing"].rises(1.0, -60.0, 60.0))
+        rise = max(p.dressing.rises(1.0, -60.0, 60.0))
         for eta in (2e-6, 0.5, -0.5):
             row = self.certified(p, eta)
             lc = row.linearization_certificate
@@ -1127,7 +1140,7 @@ class TestConjugacyRoute:
                                     12345, 1e-7)
         pi_s = p.autonomous_cert.projections[0]
         assert 0.0 < np.trace(pi_s) < p.dim - 0.5
-        fwd, bwd = p.meta["dressing"].rises(1.0, -60.0, 60.0)
+        fwd, bwd = p.dressing.rises(1.0, -60.0, 60.0)
         assert bwd > fwd
         n_time, n_cloud = sde_bridge.LAMBDA_SAMPLES
         rows = list(hyperbolic.ladder(
@@ -1138,8 +1151,8 @@ class TestConjugacyRoute:
             lc = sol.linearization_certificate
             assert row["certified"] and lc.meta["route"] == "conjugacy"
             assert lc.meta["rise"] == bwd
-            assert row["M_bound"] == p.autonomous_cert.bound * math.exp(
-                row["eta"] * bwd) < 10.41
+            assert row["M_bound"] == float(p.autonomous_cert.bound * np.exp(
+                row["eta"] * bwd)) < 10.41
 
     def test_overflowing_bound_fails_closed(self):
         # K e^{eta u} past the floats: the row is bounded and names the
@@ -1174,8 +1187,8 @@ class TestConjugacyRoute:
     def test_rise_is_read_once_per_window(self, monkeypatch):
         p = wave_problem()
         calls = []
-        real = type(p.meta["dressing"]).rises
-        monkeypatch.setattr(type(p.meta["dressing"]), "rises",
+        real = type(p.dressing).rises
+        monkeypatch.setattr(type(p.dressing), "rises",
                             lambda *a: calls.append(a[2:]) or real(*a))
         for eta in (0.0, 0.1, 0.2):
             self.certified(p, eta)

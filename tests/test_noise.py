@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from splitflow import (ConfigurationError, KappaFn, SamplePath, SplitflowError,
-                       TimeGrid, WindowError, injected_path, linear_path,
-                       noise_bounds, ou_series, ou_value, sample_wiener_path,
+                       NoiseDressing, TimeGrid, WindowError, injected_path,
+                       linear_path, ou_series, ou_value, sample_wiener_path,
                        shift_path, sublinearity_report, zero_path)
 from splitflow.noise import (_OU_BLOCK, _cumulative_trapezoid, _ou_filter,
                              _z0_weights, default_kappa, ensemble_diagnostics,
@@ -281,29 +281,55 @@ class TestStationaryFilter:
         assert np.max(np.abs(res_lin)) < H * H / 8
 
 
+def dressed_bounds(path, kappa, window):
+    """``(m1, m2)`` of ``window`` read from the noise dressing of ``path``."""
+    return NoiseDressing(path, kappa).bounds(window)
+
+
 class TestNoiseBounds:
     def test_zero_path(self):
-        nb = noise_bounds(zero_path(GRID), default_kappa(), TimeGrid(-2.0, 6.0, H))
-        assert nb.m1 == 0.0 and nb.m2 == 0.0
+        m1, m2 = dressed_bounds(zero_path(GRID), default_kappa(),
+                              TimeGrid(-2.0, 6.0, H))
+        assert m1 == 0.0 and m2 == 0.0
 
     def test_linear_path_closed_form(self):
         win = TimeGrid(-2.0, 6.0, H)
-        nb = noise_bounds(linear_path(GRID), default_kappa(), win)
+        m1, m2 = dressed_bounds(linear_path(GRID), default_kappa(), win)
         ts = win.times()
         kap = 1.0 / (1.0 + ts**2)
         kdot = -2.0 * ts / (1.0 + ts**2) ** 2
         # z* = 1 on this path, so the maxima are those of the kappa factors
-        assert abs(nb.m1 - np.max(np.abs(kap))) < 1e-4
-        assert abs(nb.m2 - np.max(np.abs(kap - kdot))) < 1e-4
+        assert abs(m1 - np.max(np.abs(kap))) < 1e-4
+        assert abs(m2 - np.max(np.abs(kap - kdot))) < 1e-4
 
     def test_shifted_window_sup_is_window_sup(self):
         # sup over subwindow shifts never exceeds the full-window maximum
         p = sample_wiener_path(GRID, 15)
         kap = default_kappa()
-        full = noise_bounds(p, kap, TimeGrid(-4.0, 6.0, H))
-        subs = [noise_bounds(p, kap, TimeGrid(-4.0 + s, 2.0 + s, H))
+        full = dressed_bounds(p, kap, TimeGrid(-4.0, 6.0, H))
+        subs = [dressed_bounds(p, kap, TimeGrid(-4.0 + s, 2.0 + s, H))
                 for s in (0.0, 1.0, 2.0, 3.0)]
-        assert max(nb.m2 for nb in subs) <= full.m2 + 1e-12
+        assert max(m2 for _, m2 in subs) <= full[1] + 1e-12
+
+    def test_bounds_are_the_maxima_of_the_stored_nodes(self):
+        # the window's nodes are the path's: bit for bit the max of the
+        # stored |kappa z*| and |(kappa - kappadot) z*| on them
+        dressing = NoiseDressing(sample_wiener_path(GRID, 15), default_kappa())
+        win = TimeGrid(-4.0, 6.0, H)
+        on = (dressing.ts >= -4.0) & (dressing.ts <= 6.0)
+        assert np.count_nonzero(on) == win.n_nodes
+        assert dressing.bounds(win) == (float(np.max(np.abs(dressing.kz[on]))),
+                                        float(np.max(np.abs(dressing.ckz[on]))))
+
+    def test_window_left_of_the_dressing_raises(self):
+        # the dressing starts where the filter's tail rule admits, right of
+        # the path's first node; a window starting before it has no z*
+        dressing = NoiseDressing(sample_wiener_path(GRID, 15), default_kappa())
+        lo = dressing.ts[0]
+        assert lo > GRID.t_min
+        with pytest.raises(WindowError, match=r"outside the dressed window"):
+            dressing.bounds(TimeGrid(GRID.t_min, 1.0, H))
+        dressing.bounds(TimeGrid(lo, 1.0, H))
 
     def test_refinement_monotone_smooth(self):
         # on a smooth injected path, halving h can only add candidate nodes
@@ -312,10 +338,10 @@ class TestNoiseBounds:
         win_f = TimeGrid(-2.0, 6.0, 1.0 / 32)
         pc = injected_path(TimeGrid(-32.0, 8.0, 1.0 / 16), np.sin)
         pf = injected_path(TimeGrid(-32.0, 8.0, 1.0 / 32), np.sin)
-        c = noise_bounds(pc, kap, win_c)
-        f = noise_bounds(pf, kap, win_f)
+        c = dressed_bounds(pc, kap, win_c)
+        f = dressed_bounds(pf, kap, win_f)
         modulus = 2.0 * (1.0 / 16)  # crude slope bound of the products
-        assert f.m1 >= c.m1 - modulus and f.m2 >= c.m2 - modulus
+        assert all(fm >= cm - modulus for fm, cm in zip(f, c))
 
 
 class TestSublinearity:

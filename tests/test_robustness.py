@@ -6,8 +6,8 @@ import pytest
 from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        DichotomyCertificate, KappaFn, RobustnessHypothesisError,
                        SplitflowError, TimeGrid, autonomous_certificate,
-                       delta_threshold, gronwall_constants, lift_certificate,
-                       noise_bounds, ou_series, paper_projection_bound,
+                       NoiseDressing, delta_threshold, gronwall_constants,
+                       lift_certificate, ou_series, paper_projection_bound,
                        projection_distance, robust_constants,
                        robust_dichotomy_continuous, robust_dichotomy_discrete,
                        sample_wiener_path, pointwise, verify_dichotomy)
@@ -504,7 +504,7 @@ class TestLinearPerturbationCheck:
         path = sample_wiener_path(g, 4)
         kap = KappaFn.inverse_quadratic(1.0)
         win = TimeGrid(-50.0, 16.0, 1.0 / 32)
-        nb = noise_bounds(path, kap, win)
+        _, m2 = NoiseDressing(path, kap).bounds(win)
         z = ou_series(path, win)
         ts = win.times()
         eta = 0.01
@@ -515,5 +515,5 @@ class TestLinearPerturbationCheck:
 
         # |e^{At} (e^{int b} - 1)| <= e (e^{eta m2} - 1) on a unit interval
         d_unit, cert = self.d_unit(b_fn, (-5, 6))
-        assert d_unit <= np.e * np.expm1(eta * nb.m2) * (1.0 + 1e-6)
+        assert d_unit <= np.e * np.expm1(eta * m2) * (1.0 + 1e-6)
         assert cert.meta["verification"].passed

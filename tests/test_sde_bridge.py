@@ -8,7 +8,7 @@ from splitflow import (ConfigurationError, ContinuousCocycle, KappaFn,
                        NonHyperbolicError, StratonovichSpec, TimeGrid,
                        WindowError, autonomous_certificate,
                        build_wave_system, default_kappa, injected_path,
-                       inverse_transform, noise_bounds, ou_series, pointwise,
+                       inverse_transform, ou_series, pointwise,
                        random_ode_problem, sample_wiener_path,
                        spectral_projection, verify_dichotomy)
 from splitflow.cli import main
@@ -37,7 +37,7 @@ def transformed(spec, path):
     and the change of variables is ``y = scale v``."""
     d = spec.b_matrix.shape[0]
     problem = random_ode_problem(spec, path, np.zeros(d), r_u=1.0)
-    return problem, problem.meta["dressing"]
+    return problem, problem.dressing
 
 
 class TestTransform:
@@ -138,9 +138,9 @@ class TestTransform:
         spec = scalar_spec(eta, kappa=kap)
         _, dressing = transformed(spec, path)
         win = TimeGrid(-4.0, 6.0, H)
-        nb = noise_bounds(path, kap, win)
+        _, m2 = dressing.bounds(win)
         sup_b = float(np.max(np.abs(dressing.at(eta, win.times())[1])))
-        assert abs(sup_b - eta * nb.m2) < 1e-12
+        assert abs(sup_b - eta * m2) < 1e-12
 
 
 def at_point(dressing, eta, t):
@@ -171,7 +171,7 @@ class TestBatchedFields:
             f_prime=lambda y: (-3.0 * y ** 2)[:, :, None], eta=1.0,
             kappa=kap)
         p = random_ode_problem(strat, path, [1.0], r_u=0.3)
-        dressing, eta = p.meta["dressing"], 0.4
+        dressing, eta = p.dressing, 0.4
         ts = rng.uniform(-4.0, 9.0, 50)
         ys = 1.0 + 0.3 * rng.standard_normal((50, 1))
 
@@ -211,7 +211,7 @@ class TestBatchedFields:
         strat = StratonovichSpec(b_matrix=b_matrix, f=f0, f_prime=f0_prime,
                                  eta=1.0, kappa=default_kappa())
         q = random_ode_problem(strat, path, np.zeros(6), 0.5)
-        dressing, eta = q.meta["dressing"], 0.05
+        dressing, eta = q.dressing, 0.05
 
         def f_point(t, y):
             s, gap = at_point(dressing, eta, t)
@@ -236,15 +236,17 @@ class TestBatchedFields:
     def test_dressing_window_check(self):
         path = sample_wiener_path(PATH_GRID, 11)
         p = random_ode_problem(scalar_spec(1.0), path, [0.0], r_u=0.3)
-        dressing = p.meta["dressing"]
+        dressing = p.dressing
         lo, hi = dressing.ts[0], dressing.ts[-1]
         for got, want in zip(dressing.at(0.5, hi),
                              dressing.at(0.5, np.array([hi]))):
             assert np.array_equal(got, want)
         with pytest.raises(WindowError, match=r"time 13.0 outside .*\(1 of 1 "):
             dressing.at(0.5, 13.0)
-        with pytest.raises(WindowError, match=r"time 13.0 outside .*\(1 of 2 "):
-            dressing.gap_integral(0.5, 0.0, 13.0)  # the same check, both ends
+        with pytest.raises(WindowError, match=r"time 13.0 outside .*\(1 of 1 "):
+            dressing.gap_integral(0.5, 0.0, 13.0)  # the same check, each end
+        with pytest.raises(WindowError, match=r"time 13.0 outside .*\(1 of 1 "):
+            dressing.gap_integral(0.5, 13.0, 0.0)
         ts = np.array([0.0, hi + 1.0, lo - 2.0, hi + 3.0])
         with pytest.raises(WindowError) as exc:
             p.f_eta(0.5, ts, np.zeros((4, 1)))
@@ -260,7 +262,7 @@ class TestBatchedFields:
         path = sample_wiener_path(PATH_GRID, 11)
         p = random_ode_problem(scalar_spec(1.0), path, [0.0], r_u=0.3,
                                tail_tol=tail_tol)
-        t0 = p.meta["dressing"].ts[0]
+        t0 = p.dressing.ts[0]
         assert t0 > PATH_GRID.t_min
         ou_series(path, [t0], tail_tol)
         with pytest.raises(WindowError, match="left window too short"):
@@ -268,7 +270,7 @@ class TestBatchedFields:
 
 
 class TestGapRises:
-    """``_NoiseDressing.rises``: the forward and backward rises of ``C =
+    """``NoiseDressing.rises``: the forward and backward rises of ``C =
     int gap``, exact for the piecewise-linear gap, against the dense
     trapezoid of ``conftest.gap_rise_oracle``."""
 
@@ -281,8 +283,7 @@ class TestGapRises:
         path = sample_wiener_path(TimeGrid(-110.0, 62.0, H), seed)
         p = random_ode_problem(scalar_spec(1.0, kappa=default_kappa()),
                                path, [0.0], r_u=0.3)
-        dressing = p.gap_integral.__self__
-        assert dressing is p.meta["dressing"]
+        dressing = p.dressing
         for t0, t1 in ((-60.0, 60.0), (-37.3, 41.71), (-3.0, 3.0)):
             for eta in (1.0, 0.3, -0.5):
                 got = dressing.rises(eta, t0, t1)
@@ -299,7 +300,7 @@ class TestGapRises:
         # the path's nodes only, the rises would read low
         path = sample_wiener_path(TimeGrid(-110.0, 62.0, H), 41)
         dressing = random_ode_problem(scalar_spec(1.0, kappa=default_kappa()),
-                                      path, [0.0], r_u=0.3).meta["dressing"]
+                                      path, [0.0], r_u=0.3).dressing
         t0, t1 = -60.0, 60.0
         ts = dressing.ts[(dressing.ts >= t0) & (dressing.ts <= t1)]
         c = dressing.gap_integral(1.0, t0, ts)
@@ -312,7 +313,7 @@ class TestGapRises:
     def test_window_check(self):
         path = sample_wiener_path(PATH_GRID, 11)
         dressing = random_ode_problem(scalar_spec(1.0), path, [0.0],
-                                      r_u=0.3).meta["dressing"]
+                                      r_u=0.3).dressing
         with pytest.raises(WindowError, match=r"time 13.0 outside"):
             dressing.rises(1.0, 0.0, 13.0)
 
@@ -361,7 +362,7 @@ class TestFoldedFields:
         path = sample_wiener_path(PATH_GRID, 13)
         p = random_ode_problem(strat, path, y0, 0.3, a_matrix=a_matrix)
         f_oracle, jac_oracle = conjugated_fields_oracle(strat,
-                                                        p.meta["dressing"])
+                                                        p.dressing)
         grid = TimeGrid(-4.0, 6.0, H).times()
         for ts in (grid, grid[:-1] + H / 2):  # grid times, RK4 midpoints
             ys = center + 0.3 * rng.standard_normal((len(ts), len(y0)))
@@ -374,7 +375,7 @@ class TestFoldedFields:
                 # the conjugated form (J s_j)/s_i + gap I of a per-component
                 # scale, here with equal entries, is within 2 ulp of the
                 # larger of the entry and its f' part
-                s, gap = p.meta["dressing"].at(eta, ts)
+                s, gap = p.dressing.at(eta, ts)
                 sv = np.repeat(s[:, None], len(y0), axis=1)
                 fp = strat.f_prime(sv * ys).reshape(jac.shape)
                 conj = ((fp * sv[:, None, :]) / sv[:, :, None]
@@ -387,8 +388,9 @@ class TestFoldedFields:
         p = random_ode_problem(strat, sample_wiener_path(PATH_GRID, 13), y0,
                                0.3)
         # every method of the dressing, wrapped on the instance, so that a
-        # method calling another one counts twice
-        dressing, reads = p.meta["dressing"], []
+        # method calling another one counts twice: one read, whose range
+        # check is one call of _inside
+        dressing, reads = p.dressing, []
         for name, member in vars(type(dressing)).items():
             if callable(member) and not name.startswith("__"):
                 monkeypatch.setattr(
@@ -400,7 +402,7 @@ class TestFoldedFields:
         for field in (p.f_eta, p.f_eta_dy):
             reads.clear()
             field(0.4, ts, ys)
-            assert reads == ["at"]
+            assert reads == ["at", "_inside"]
 
 
 class TestJacobianGap:
@@ -415,7 +417,7 @@ class TestJacobianGap:
         for ts in (grid, grid[:-1] + H / 2):
             ys = 0.3 * rng.standard_normal((len(ts), len(y0)))
             for eta in (0.0, 0.05, 0.4):
-                s, gap = p.meta["dressing"].at(eta, ts)
+                s, gap = p.dressing.at(eta, ts)
                 want = (gap[:, None, None] * np.eye(len(y0))
                         + strat.f_prime(s[:, None] * ys))
                 got = p.f_eta_dy(eta, ts, ys)
@@ -431,7 +433,7 @@ class TestJacobianGap:
         p = random_ode_problem(strat, sample_wiener_path(PATH_GRID, 13),
                                [0.0, 0.0], 0.3)
         ts = np.array([-1.0, 0.0, 2.5])
-        gap = p.meta["dressing"].at(0.4, ts)[1]
+        gap = p.dressing.at(0.4, ts)[1]
         got = p.f_eta_dy(0.4, ts, np.ones((3, 2)))
         assert np.array_equal(got, m + gap[:, None, None] * np.eye(2))
         assert np.array_equal(m, [[-1.0, 0.5], [0.0, -2.0]])
