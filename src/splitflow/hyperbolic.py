@@ -223,18 +223,49 @@ def _lip_dev(p, eps):
     return spectral_sup(p.d_f0(p.y0_star + hs) - p._memo["d_f0_star"])
 
 
-def _bisect_largest(pred, lo, hi, steps=16):
-    """Largest x in (lo, hi] with pred(x), assuming pred monotone."""
-    if pred(hi):
+def _largest_below(value, target, lo, hi, steps, v_lo, v_hi=None):
+    """Largest x with ``value(x) < target`` among the floats a ``steps``-step
+    bisection of [lo, hi] visits, ``value`` nondecreasing: the float that
+    bisection returns, or ``lo`` (value ``v_lo``, not read).  ``value(hi)``
+    is read unless ``v_hi`` gives it.
+
+    The bracket holds lattice indices in 0 ... 2^steps, the last that passed
+    and the first that failed.  Each probe is the index that log-log
+    interpolation of their values predicts (exact for a power law), or the
+    midpoint where a value is not positive and finite or the last
+    interpolated probe did not halve the bracket (Brent, 1973, ch. 4); its
+    float replays the bisection's ``0.5 * (good + hi)``.  A midpoint halves
+    the bracket and follows any probe that did not, so at most ``2 steps -
+    1`` points below hi are read, ``steps`` when every probe is a midpoint.
+    """
+    if v_hi is None:
+        v_hi = value(hi)
+    if v_hi < target:
         return hi
-    good = lo
-    for _ in range(steps):
-        mid = 0.5 * (good + hi)
-        if pred(mid):
-            good = mid
+    (a, x_a, v_a), (b, x_b, v_b) = (0, lo, v_lo), (1 << steps, hi, v_hi)
+    halve = False
+    while b - a > 1:
+        k = (a + b) // 2
+        guided = (not halve and 0.0 < x_a and 0.0 < v_a < target
+                  and v_b / v_a < math.inf)
+        if guided:  # t in (0, 1]: no log or power leaves the floats
+            t = math.log(target / v_a) / math.log(v_b / v_a)
+            frac = (x_a * (x_b / x_a) ** t - x_a) / (x_b - x_a)
+            k = min(max(a + int((b - a) * frac), a + 1), b - 1)
+        x_k, x_h = lo, hi
+        for bit in reversed(range(steps)):  # the bits of k pick each half
+            x_m = 0.5 * (x_k + x_h)
+            if k >> bit & 1:
+                x_k = x_m
+            else:
+                x_h = x_m
+        v, width = value(x_k), b - a
+        if v < target:
+            a, x_a, v_a = k, x_k, v
         else:
-            hi = mid
-    return good
+            b, x_b, v_b = k, x_k, v
+        halve = guided and 2 * (b - a) > width
+    return x_a
 
 
 def neighborhood_thresholds(p, m_bound, beta, bisect_steps=16):
@@ -242,16 +273,17 @@ def neighborhood_thresholds(p, m_bound, beta, bisect_steps=16):
 
     ``eps1`` bounds the derivative deviation term, ``eps2`` the remainder
     modulus (capped at 1/2), and ``eps0 = min(eps1, eps2/2)`` is the largest
-    neighborhood the argument supports.
+    neighborhood the argument supports.  Each is a :func:`_largest_below`
+    search from 0, where both sups are 0, over ``bisect_steps`` steps.
     """
     key = ("thresholds", m_bound, beta, bisect_steps)
     if key in p._memo:
         return p._memo[key]
     budget = beta / (SMALLNESS_DIVISOR * m_bound)
-    eps1 = _bisect_largest(lambda e: _lip_dev(p, e) < budget, 0.0, p.r_u / 2,
-                           bisect_steps)
-    eps2 = _bisect_largest(lambda e: rho_modulus(p, e) < budget, 0.0,
-                           min(p.r_u / 2, 0.5 - 1e-9), bisect_steps)
+    eps1 = _largest_below(partial(_lip_dev, p), budget, 0.0, p.r_u / 2,
+                          bisect_steps, 0.0)
+    eps2 = _largest_below(partial(rho_modulus, p), budget, 0.0,
+                          min(p.r_u / 2, 0.5 - 1e-9), bisect_steps, 0.0)
     out = (eps1, eps2, min(eps1, eps2 / 2))
     p._memo[key] = out
     return out
@@ -260,10 +292,11 @@ def neighborhood_thresholds(p, m_bound, beta, bisect_steps=16):
 def eta_epsilon(p, eps, m_bound, beta, lambda_curve):
     """Largest admissible perturbation size for a target neighborhood ``eps``.
 
-    Requires ``eps`` below the threshold ``eps0``; then bisects 16 times for
-    the largest eta with ``lambda_curve(eta) < eps/(6 M beta^{-1})``, between
-    the first of the floors ``1, 2^-16, ..., 2^-64`` that passes and the one
-    above it, reading each eta once.  Returns 0 with a warning when none does.
+    Requires ``eps`` below the threshold ``eps0``; then searches 16 steps
+    deep (:func:`_largest_below`) for the largest eta with ``lambda_curve(eta)
+    < eps/(6 M beta^{-1})``, between the first of the floors ``1, 2^-16, ...,
+    2^-64`` that passes and the one above it, reading each eta once.
+    Returns 0 with a warning when none does.
     """
     eps1, eps2, eps0 = neighborhood_thresholds(p, m_bound, beta)
     if eps >= eps0:
@@ -272,14 +305,16 @@ def eta_epsilon(p, eps, m_bound, beta, lambda_curve):
             f"eps={eps:g} is not below eps0={eps0:g} (binding: {which}, "
             f"eps1={eps1:g}, eps2={eps2:g})", measured=eps, threshold=eps0)
     target = eps * beta / (SMALLNESS_DIVISOR * m_bound)
-    # memoized: the bisection tests its upper floor again, and lambda is costly
-    admits = cache(lambda e: lambda_curve(e) < target)
-    if admits(1.0):
+    above = lambda_curve(1.0)
+    if above < target:
         return 1.0
     for k in range(1, 5):
         floor = 2.0 ** (-16 * k)
-        if admits(floor):
-            return _bisect_largest(admits, floor, floor * 2.0 ** 16)
+        lam = lambda_curve(floor)
+        if lam < target:
+            return _largest_below(lambda_curve, target, floor,
+                                  floor * 2.0 ** 16, 16, lam, above)
+        above = lam
     warnings.warn("no eta down to 2^-64 satisfies the smallness bound; "
                   "returning 0")
     return 0.0

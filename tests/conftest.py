@@ -20,8 +20,12 @@ the noise dressing, where the library reads it once per call, and
 :func:`impulse_family_oracle` Picard-iterates the impulse family from zero,
 where the library returns a trivial splitting's ``Pi^s`` or solves for the
 splitting, and :func:`wave_collocation` recomputes the wave model's
-collocation rule, which the library keeps inside its fields.  The helpers at
-the end drive library internals the way a test needs them.
+collocation rule, which the library keeps inside its fields, and
+:func:`bisect_largest_oracle` bisects plainly, reading only whether each
+midpoint passes, where the library's searches interpolate the values they
+read (:func:`thresholds_oracle` and :func:`eta_search_oracle` redo the
+threshold and eta cutoff searches on it).  The helpers at the end drive
+library internals the way a test needs them.
 """
 
 import numpy as np
@@ -36,7 +40,8 @@ from splitflow.dichotomy import (_restricted_inverse, _split_march,
                                  _window_nodes)
 from splitflow.greens import (_gamma, _impulse_span, _sweeps,
                               bounded_solution)
-from splitflow.hyperbolic import _ball_cloud
+from splitflow.hyperbolic import (SMALLNESS_DIVISOR, _ball_cloud, _lip_dev,
+                                  rho_modulus)
 from splitflow.sde_bridge import LAMBDA_SAMPLES
 
 
@@ -494,6 +499,47 @@ def rho_modulus_oracle(p, eps):
     rem = (f0xh.reshape(h.shape) - p.f0_at(xs)[:, None, None, :]
            - np.einsum("cij,cdmj->cdmi", p.d_f0(xs), h))
     return float(np.max(np.linalg.norm(rem, axis=-1) / mags))
+
+
+def bisect_largest_oracle(pred, lo, hi, steps=16):
+    """Largest x in (lo, hi] with pred(x), pred monotone, by ``steps``
+    bisections ``mid = 0.5 * (good + hi)``; ``lo`` when none passes."""
+    if pred(hi):
+        return hi
+    good = lo
+    for _ in range(steps):
+        mid = 0.5 * (good + hi)
+        if pred(mid):
+            good = mid
+        else:
+            hi = mid
+    return good
+
+
+def thresholds_oracle(p, m_bound, beta, steps=16):
+    """:func:`splitflow.neighborhood_thresholds` by plain bisection."""
+    budget = beta / (SMALLNESS_DIVISOR * m_bound)
+    eps1 = bisect_largest_oracle(lambda e: _lip_dev(p, e) < budget, 0.0,
+                                 p.r_u / 2, steps)
+    eps2 = bisect_largest_oracle(lambda e: rho_modulus(p, e) < budget, 0.0,
+                                 min(p.r_u / 2, 0.5 - 1e-9), steps)
+    return eps1, eps2, min(eps1, eps2 / 2)
+
+
+def eta_search_oracle(lambda_curve, target):
+    """The eta of :func:`splitflow.hyperbolic.eta_epsilon` for a smallness
+    ``target``: 1 if it passes, else 16 plain bisections between the first
+    floor 2^-16, ..., 2^-64 that passes and the one above it, else 0."""
+    def admits(eta):
+        return lambda_curve(eta) < target
+
+    if admits(1.0):
+        return 1.0
+    for k in range(1, 5):
+        floor = 2.0 ** (-16 * k)
+        if admits(floor):
+            return bisect_largest_oracle(admits, floor, floor * 2.0 ** 16)
+    return 0.0
 
 
 def bump_problem():

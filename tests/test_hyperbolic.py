@@ -21,11 +21,15 @@ from splitflow.hyperbolic import eta_epsilon, eta_row
 from splitflow.cocycle import UNIT_SAMPLES, integrate_nonlinear
 from splitflow.errors import IntegrationError
 from splitflow.dichotomy import expm
-from splitflow.hyperbolic import (SUP_OVER_LAMBDA, _ball_cloud, _cloud_draw,
-                                  _kernel_sum, kernel_tail_length)
-from conftest import (autonomous_wave, ball_cloud_oracle, bump_problem,
-                      counted_applies, kernel_sum_oracle, lambda_eta_loop,
-                      rho_modulus_oracle, spectral_norm)
+from splitflow.hyperbolic import (EPS_FRACTION, SMALLNESS_DIVISOR,
+                                  SUP_OVER_LAMBDA, _ball_cloud, _cloud_draw,
+                                  _kernel_sum, _largest_below, eta_cutoff,
+                                  kernel_tail_length)
+from splitflow.sde_bridge import LAMBDA_SAMPLES
+from conftest import (autonomous_wave, ball_cloud_oracle,
+                      bisect_largest_oracle, bump_problem, counted_applies,
+                      eta_search_oracle, kernel_sum_oracle, lambda_eta_loop,
+                      rho_modulus_oracle, spectral_norm, thresholds_oracle)
 
 W64 = TimeGrid(-70.0, 70.0, 1.0 / 64)
 
@@ -240,10 +244,10 @@ class TestEtaEpsilon:
     def test_descent_through_the_floors(self, edge, reads):
         # lambda admits exactly the etas under ``edge``: the search passes
         # the floors 2^-16, 2^-32, ... down to the first one under it and
-        # bisects 16 times up to the floor above, which is ``edge``: the
-        # value of the earlier four-pass zoom, which read each failed floor
-        # twice.  Here each eta is read once: 1, the floors down to the
-        # first admitted one, and 16 midpoints
+        # searches up to the floor above, which is ``edge``.  A step curve
+        # reads 0 where it passes, which no interpolation can use, so each
+        # probe is a midpoint: 1, the floors down to the first admitted one,
+        # and 16 midpoints, each eta read once, and the bisection's answer
         p = additive_problem()
         seen = []
         got = eta_epsilon(p, 0.05, 1.0, 0.9,
@@ -263,15 +267,45 @@ class TestEtaEpsilon:
         assert abs(got - want) < want * 0.01
 
     def test_each_eta_is_evaluated_once(self):
-        # the bisection tests eta = 1 again; lambda is read there once: the
-        # check at 1, the one at 2^-16, and 16 midpoints
+        # lambda = 2 eta is a power law, which the log-log interpolation
+        # fits exactly: after the check at 1 and the one at 2^-16 the search
+        # reads at most four etas, each once, and lands on the bisection's
+        # answer
         p = additive_problem()
         seen = []
         got = eta_epsilon(p, 0.05, 1.0, 0.9,
                           lambda e: seen.append(e) or 2.0 * e)
-        assert len(seen) == len(set(seen)) == 18
+        assert len(seen) == len(set(seen)) <= 6
         assert seen[:2] == [1.0, 2.0 ** -16]
-        assert abs(got - 0.05 * 0.9 / 12.0) < 0.01 * got
+        assert got == eta_search_oracle(lambda e: 2.0 * e, 0.05 * 0.9 / 6.0)
+
+    @pytest.mark.parametrize("beyond", [math.inf, math.nan])
+    def test_non_finite_lambda_falls_back_to_midpoints(self, beyond):
+        # lambda = 2 eta up to an edge and not finite from there on: a
+        # bracket end that is not finite takes the midpoint, with no raw
+        # error from math.log, and the answer is the bisection's
+        p = additive_problem()
+        edge = 0.3
+
+        def curve(e):
+            return 2.0 * e if e < edge else beyond
+
+        got = eta_epsilon(p, 0.05, 1.0, 0.9, curve)
+        assert got == eta_search_oracle(curve, 0.05 * 0.9 / 6.0)
+        assert 0.0 < got < edge
+
+    def test_near_flat_lambda(self):
+        # lambda rises by a part in 10^12 over [2^-16, 1]: the fitted power
+        # is near 0, and the interpolation still stays in the bracket
+        p = additive_problem()
+        target = 0.05 * 0.9 / 6.0
+
+        def curve(e):
+            return target * (1.0 - 1e-13) * (1.0 + 1e-12 * e)
+
+        got = eta_epsilon(p, 0.05, 1.0, 0.9, curve)
+        assert got == eta_search_oracle(curve, target)
+        assert 2.0 ** -16 < got < 1.0
 
     def test_halving_eps_halves_eta(self):
         p = additive_problem()
@@ -294,6 +328,133 @@ class TestEtaEpsilon:
         assert got == 0.0
 
 
+def _power(rng, lo, hi):
+    c, k = rng.uniform(0.1, 10.0), rng.uniform(0.2, 4.0)
+    return lambda x: c * x ** k
+
+
+def _exponential(rng, lo, hi):
+    c, r = rng.uniform(0.1, 10.0), rng.uniform(0.5, 40.0) / (hi - lo)
+    return lambda x: c * math.exp(r * (x - lo))
+
+
+def _step(rng, lo, hi):
+    edge = rng.uniform(lo - 0.05 * (hi - lo), hi)
+    return lambda x: float(x >= edge)
+
+
+class TestLargestBelow:
+    """The value-guided search against plain bisection on the same lattice,
+    with ``==``."""
+
+    @pytest.mark.parametrize("steps", [3, 8, 16])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.15), (0.0, 0.185),
+                                        (2.0 ** -16, 1.0), (0.37, 1.9)])
+    @pytest.mark.parametrize("shape", [_power, _exponential, _step])
+    def test_random_monotone_curves(self, shape, lo, hi, steps):
+        rng = np.random.default_rng([steps, int(hi * 1000)])
+        for _ in range(60):
+            curve = shape(rng, lo, hi)
+            # targets below, inside and above the curve's range
+            at = max(lo + rng.uniform(-0.1, 1.1) * (hi - lo), 0.0)
+            target = curve(at) if shape is not _step else 0.5
+            seen = []
+            got = _largest_below(lambda x: seen.append(x) or curve(x),
+                                 target, lo, hi, steps, curve(lo))
+            want = bisect_largest_oracle(lambda x: curve(x) < target, lo,
+                                         hi, steps)
+            assert got == want
+            # the docstring's bound, hi included; a step curve reads 0 or 1
+            # at each end, so every probe is a midpoint
+            assert len(seen) == len(set(seen)) <= 2 * steps
+            if shape is _step and lo < got < hi:
+                assert len(seen) == steps + 1
+
+    def test_power_law_reads_few(self):
+        # log-log interpolation is exact for a power law: a few reads
+        # where the bisection reads 17
+        rng = np.random.default_rng(3)
+        reads = []
+        for _ in range(200):
+            curve = _power(rng, 2.0 ** -16, 1.0)
+            target = curve(rng.uniform(2.0 ** -16, 1.0))
+            seen = []
+            got = _largest_below(lambda x: seen.append(x) or curve(x),
+                                 target, 2.0 ** -16, 1.0, 16,
+                                 curve(2.0 ** -16))
+            assert got == bisect_largest_oracle(lambda x: curve(x) < target,
+                                                2.0 ** -16, 1.0)
+            reads.append(len(seen))
+        assert max(reads) <= 6
+
+    @pytest.mark.parametrize("target", [1.0 + 1e-13, 1.0 + 5e-13,
+                                        1.0 + 9.9e-13])
+    def test_near_flat_curve(self, target):
+        # the fitted power tends to 0, and the predicted point stays in the
+        # bracket: no OverflowError from the power
+        def curve(x):
+            return 1.0 + 1e-12 * x
+
+        got = _largest_below(curve, target, 0.5, 1.0, 16, curve(0.5))
+        assert got == bisect_largest_oracle(lambda x: curve(x) < target,
+                                            0.5, 1.0)
+
+    @pytest.mark.parametrize("lo", [0.0, 0.02])
+    def test_zero_at_a_bracket_end(self, lo):
+        # zero up to 0.05, then a square: a passing value of 0 admits no
+        # log, so the search takes the midpoint until one above 0 passes
+        def curve(x):
+            return max(x - 0.05, 0.0) ** 2
+
+        for target in (1e-6, 1e-3, 0.009):
+            got = _largest_below(curve, target, lo, 0.15, 16, 0.0)
+            assert got == bisect_largest_oracle(
+                lambda x: curve(x) < target, lo, 0.15)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_values_take_the_midpoint(self, bad):
+        def curve(x):
+            return x if x < 0.1 else bad
+
+        for v_hi in (None, bad):
+            got = _largest_below(curve, 0.07, 0.0, 0.185, 16, 0.0, v_hi)
+            assert got == bisect_largest_oracle(lambda x: curve(x) < 0.07,
+                                                0.0, 0.185)
+
+
+def _model(name, seed):
+    """A program model with the window and lambda sampling its command
+    uses, at the default knobs: ``cubic`` at a radius r_u, ``wave`` at a
+    number of modes."""
+    kind, knob = name.split()
+    if kind == "cubic":
+        return (sde_bridge.cubic_problem(KappaFn.inverse_quadratic(0.002),
+                                         W64, seed, float(knob)),
+                W64, (65, 32))
+    window = TimeGrid(-60.0, 60.0, 1.0 / 32)
+    return (sde_bridge.wave_problem(int(knob), 1.0, 1.0,
+                                    KappaFn.inverse_quadratic(0.05), window,
+                                    seed, 1e-7),
+            window, LAMBDA_SAMPLES)
+
+
+@pytest.mark.parametrize("seed", [41, 12345])
+@pytest.mark.parametrize("model", ["cubic 0.3", "cubic 0.37", "wave 4",
+                                   "wave 8"])
+def test_searches_match_the_bisection_on_the_models(model, seed):
+    # the thresholds and the eta cutoff, recomputed by plain bisection on a
+    # copy with nothing cached
+    p, window, samples = _model(model, seed)
+    m_bound, beta = p.autonomous_cert.bound, p.autonomous_cert.exponent
+    fresh = replace(p)
+    want = thresholds_oracle(fresh, m_bound, beta)
+    assert neighborhood_thresholds(p, m_bound, beta) == want
+    target = EPS_FRACTION * want[2] * beta / (SMALLNESS_DIVISOR * m_bound)
+    cut = eta_cutoff(p, window, *samples)["eta_cutoff"]
+    assert cut == eta_search_oracle(
+        lambda e: lambda_eta(fresh, e, window, *samples), target)
+
+
 def test_threshold_cache_keys_the_bisection_depth():
     # a coarse bisection cached first must not answer a later default call:
     # each problem below starts with no cached thresholds
@@ -303,6 +464,7 @@ def test_threshold_cache_keys_the_bisection_depth():
     coarse = replace(p)
     rough = neighborhood_thresholds(coarse, m_bound, beta, bisect_steps=3)
     assert rough != want
+    assert rough == thresholds_oracle(replace(p), m_bound, beta, 3)
     assert neighborhood_thresholds(coarse, m_bound, beta) == want
     assert neighborhood_thresholds(coarse, m_bound, beta, 3) == rough
 
