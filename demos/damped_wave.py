@@ -22,18 +22,15 @@ import warnings
 import numpy as np
 
 import splitflow as sf
-from splitflow.sde_bridge import LAMBDA_SAMPLES
 
 window = sf.TimeGrid(-60.0, 60.0, 1.0 / 32)
-n_time, n_cloud = LAMBDA_SAMPLES
-knobs = dict(tol=1e-7, tail_tol=1e-7, n_half=3, trunc_tol=1e-7,
-             n_time=n_time, n_cloud=n_cloud)
+knobs = dict(tol=1e-7, tail_tol=1e-7, n_half=3, trunc_tol=1e-7)
 
 print("== stable configuration: f(u) = u - u^3, N = 4, beta = 1 ==")
 p = sf.wave_problem(4, 1.0, 1.0, sf.default_kappa(), window, 42, 1e-7)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    meta = sf.eta_cutoff(p, window, n_time, n_cloud)
+    meta = sf.eta_cutoff(p, window)
     rows = [sf.wave_row(p, row, sol, 42)
             for row, sol in sf.ladder(p, window, [], **knobs)]
 print(f"computed eta cutoff: {meta['eta_cutoff']:.3e} "

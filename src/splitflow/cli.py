@@ -36,8 +36,7 @@ from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
                     ou_series, pathwise_ou_residual, sample_wiener_path,
                     shift_path, sublinearity_report, zero_path)
 from .robustness import robust_dichotomy_discrete, robustness_report
-from .sde_bridge import (LAMBDA_SAMPLES, WAVE_COLUMNS, cubic_problem,
-                         wave_problem, wave_row)
+from .sde_bridge import WAVE_COLUMNS, cubic_problem, wave_problem, wave_row
 
 # key -> (parser, default)
 _COMMON = {"seed": (int, 12345)}
@@ -150,7 +149,7 @@ def load_config(text, command, seed=None):
             raise ConfigurationError("eta_grid entries must be >= 0")
         if list(grid) != sorted(grid, reverse=True):
             raise ConfigurationError("eta_grid must be sorted descending")
-    for key in ("h", "r_u"):
+    for key in ("h", "r_u", "slack", "variance_band", "w1_band"):
         if key in values and not values[key] > 0.0:
             raise ConfigurationError(f"{key} must be positive")
     for key, least in (("n_paths", 2), ("n_half", 1)):  # a variance, a row
@@ -334,18 +333,16 @@ def cmd_hyperbolic(v, out_dir):
 def cmd_wave(v, out_dir):
     """Stochastic damped-wave pipeline over the eta ladder."""
     window = _grid(v)
-    n_time, n_cloud = LAMBDA_SAMPLES
     try:
         problem = wave_problem(
             v["n_modes"], v["beta_damping"], v["f_linear_coeff"],
             KappaFn.inverse_quadratic(v["kappa_amplitude"]), window,
             v["seed"], v["tail_tol"])
-        meta = {**eta_cutoff(problem, window, n_time, n_cloud),
+        meta = {**eta_cutoff(problem, window),
                 "n_modes": v["n_modes"], "beta_damping": v["beta_damping"]}
         pairs = ladder(problem, window, v["eta_grid"], tol=v["tol"],
                        tail_tol=v["tail_tol"], n_half=v["n_half"],
-                       trunc_tol=v["trunc_tol"], n_time=n_time,
-                       n_cloud=n_cloud)
+                       trunc_tol=v["trunc_tol"])
         rows = [wave_row(problem, row, sol, v["seed"]) for row, sol in pairs]
     except ConfigurationError:
         raise  # a config error exits 2, from main

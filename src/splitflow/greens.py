@@ -267,6 +267,8 @@ def _picard(apply, x, tol, rate, first, max_iter, what):
     default 20 more than a contraction of factor ``rate`` and first step
     ``first`` needs); a residual still above ``tol`` then raises
     :class:`SplitflowError` naming ``what``."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol=}")
     if max_iter is None:
         max_iter = max(3, math.ceil(math.log(tol / (first + tol)) / math.log(
             max(rate, 1e-6))) + 20) if rate > 0.0 and first > 0.0 else 3

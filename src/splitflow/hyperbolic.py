@@ -87,6 +87,7 @@ class SemilinearProblem:
     f0_prime: object
     f_eta_dy: object
     dressing: object = None
+    lambda_samples: tuple = (65, 32)  # lambda_eta's (n_time, n_cloud)
     # base cocycles, Green kernel maps, lambda samples and thresholds; not an
     # init field, so a problem made by dataclasses.replace starts with none
     _memo: dict = field(default_factory=dict, init=False, repr=False,
@@ -284,9 +285,8 @@ def neighborhood_thresholds(p, m_bound, beta, bisect_steps=16):
                           bisect_steps, 0.0)
     eps2 = _largest_below(partial(rho_modulus, p), budget, 0.0,
                           min(p.r_u / 2, 0.5 - 1e-9), bisect_steps, 0.0)
-    out = (eps1, eps2, min(eps1, eps2 / 2))
-    p._memo[key] = out
-    return out
+    p._memo[key] = (eps1, eps2, min(eps1, eps2 / 2))
+    return p._memo[key]
 
 
 def eta_epsilon(p, eps, m_bound, beta, lambda_curve):
@@ -320,18 +320,18 @@ def eta_epsilon(p, eps, m_bound, beta, lambda_curve):
     return 0.0
 
 
-def eta_cutoff(p, window, n_time, n_cloud):
+def eta_cutoff(p, window):
     """:func:`eta_epsilon` at ``EPS_FRACTION * eps0``, lambda sampled over
-    ``window`` at ``(n_time, n_cloud)``: the dict of ``eta_cutoff``,
+    ``window`` at ``p.lambda_samples``: the dict of ``eta_cutoff``,
     ``eps_pick``, ``eps0``, ``autonomous_bound`` and ``autonomous_exponent``,
-    once per problem, window and sampling (a ladder and its report share it)."""
-    key = ("cutoff", window, n_time, n_cloud)
+    once per problem and window (a ladder and its report share it)."""
+    key = ("cutoff", window)
     if key not in p._memo:
         m_bound, beta = p.autonomous_cert.bound, p.autonomous_cert.exponent
         eps0 = neighborhood_thresholds(p, m_bound, beta)[2]
         eps_pick = EPS_FRACTION * eps0
         cut = eta_epsilon(p, eps_pick, m_bound, beta, lambda e: lambda_eta(
-            p, e, window, n_time=n_time, n_cloud=n_cloud))
+            p, e, window, *p.lambda_samples))
         p._memo[key] = {"eta_cutoff": cut, "eps_pick": eps_pick, "eps0": eps0,
                         "autonomous_bound": m_bound,
                         "autonomous_exponent": beta}
@@ -575,13 +575,13 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
     ``roughness``, and the row is ``certified`` when :func:`verify_dichotomy`
     passes it.  A ``failed`` trajectory is left uncertified.
     """
+    if not (0.0 < tol < math.inf and 0.0 < trunc_tol < math.inf):
+        raise ValueError(f"tolerance must be positive and finite, got "
+                         f"tol={tol}, trunc_tol={trunc_tol}")
     if cert.status == STATUS_FAILED:
         return cert
     pert_cc = linearize_along(p, cert, step=step)
     dressed = pert_cc.log_scale is not None
-    if dressed and not (0.0 < tol < math.inf and 0.0 < trunc_tol < math.inf):
-        raise ValueError(f"tolerance must be positive and finite, got "
-                         f"tol={tol}, trunc_tol={trunc_tol}")
     t0, t1, t_int = cert.times[0], cert.times[-1], cert.interior_times()
     top = min(n_half, int(min(-t_int[0], t_int[-1]) - 1) if len(t_int) else 0)
     need = "n_half and the clean interior leave no nodes -1, 1"
@@ -629,7 +629,7 @@ def certify_hyperbolic(p, cert, n_half=5, slack=1.2, tol=1e-9,
 
 
 def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
-            trunc_tol=1e-9, n_time=65, n_cloud=32):
+            trunc_tol=1e-9):
     """One eta of a ladder: find the bounded trajectory, certify its
     linearization, and read the outcome back as a row.
 
@@ -641,6 +641,7 @@ def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
     eta = float(eta)
     row = dict.fromkeys(ROW_COLUMNS)
     row.update(eta=eta, certified=False, status="error")
+    n_time, n_cloud = p.lambda_samples
     try:
         sol = find_hyperbolic_solution(p, eta, window, tol=tol,
                                        tail_tol=tail_tol, n_time=n_time,
@@ -662,15 +663,13 @@ def eta_row(p, eta, window, tol=1e-8, tail_tol=1e-9, n_half=5,
     return row, sol
 
 
-def ladder(p, window, eta_grid, *, tol, tail_tol, n_half, trunc_tol=1e-9,
-           n_time=65, n_cloud=32):
+def ladder(p, window, eta_grid, *, tol, tail_tol, n_half, trunc_tol=1e-9):
     """The :func:`eta_row` pairs ``(row, sol)`` of ``eta_grid``, yielded one
     at a time, so a reader holds one trajectory at a time.  An empty grid is
     the automatic ladder ``0.9 cut / 2^k``, k = 0 ... 3, then 0, under the
     :func:`eta_cutoff` ``cut``; a given grid runs no search."""
     if not eta_grid:
-        cut = eta_cutoff(p, window, n_time, n_cloud)["eta_cutoff"]
+        cut = eta_cutoff(p, window)["eta_cutoff"]
         eta_grid = [0.9 * cut / (2 ** k) for k in range(4)] + [0.0]
     for eta in eta_grid:
-        yield eta_row(p, eta, window, tol, tail_tol, n_half, trunc_tol,
-                      n_time, n_cloud)
+        yield eta_row(p, eta, window, tol, tail_tol, n_half, trunc_tol)

@@ -198,8 +198,10 @@ def wave_problem(n_modes, beta_damping, a, kappa, window, seed, tail_tol):
         lambda u: a - 3.0 * u ** 2)
     path = sample_wiener_path(window.widened(PATH_MARGIN, 1.0), seed)
     strat = StratonovichSpec(b_matrix, f0, f0_prime, eta=1.0, kappa=kappa)
-    return random_ode_problem(strat, path, np.zeros(len(b_matrix)), 0.5,
-                              tail_tol=tail_tol)
+    p = random_ode_problem(strat, path, np.zeros(len(b_matrix)), 0.5,
+                           tail_tol=tail_tol)
+    p.lambda_samples = LAMBDA_SAMPLES
+    return p
 
 
 def wave_row(p, row, sol, seed):

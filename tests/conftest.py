@@ -42,7 +42,6 @@ from splitflow.greens import (_gamma, _impulse_span, _sweeps,
                               bounded_solution)
 from splitflow.hyperbolic import (SMALLNESS_DIVISOR, _ball_cloud, _lip_dev,
                                   rho_modulus)
-from splitflow.sde_bridge import LAMBDA_SAMPLES
 
 
 def spectral_norm(m):
@@ -613,26 +612,30 @@ def wave_ladder(n_modes, eta_grid, seed, window, **knobs):
     overriding them: ``(problem, rows)``, the rows as ``wave.csv`` has
     them."""
     p = wave_problem(n_modes, 1.0, 1.0, default_kappa(), window, seed, 1e-7)
-    n_time, n_cloud = LAMBDA_SAMPLES
     knobs = {"tol": 1e-7, "tail_tol": 1e-7, "n_half": 3, "trunc_tol": 1e-7,
-             "n_time": n_time, "n_cloud": n_cloud, **knobs}
+             **knobs}
     return p, [wave_row(p, row, sol, seed)
                for row, sol in ladder(p, window, eta_grid, **knobs)]
 
 
-def wave_collocation(n_modes):
-    """``(lambda_k, phi, proj)`` of :func:`splitflow.build_wave_system`'s
-    collocation rule, computed afresh: the eigenvalues ``(k pi)^2``, the
-    sine modes at the ``n_modes + 2`` Chebyshev-type nodes, and the
-    re-projection onto the modes by the Gram solve of the quadrature."""
-    n = int(n_modes)
+def wave_collocation(b_matrix):
+    """``(lambda_k, phi, proj)`` of the collocation rule of the
+    :func:`splitflow.build_wave_system` whose drift is ``b_matrix``,
+    computed afresh: the eigenvalues ``(k pi)^2``, the sine modes at the
+    ``n + 2`` Chebyshev-type nodes divided by the diagonal ``c`` of the
+    coupling block ``B[:n, n:]``, and the re-projection onto the modes by
+    the Gram solve of the quadrature.  The first half of the state is ``c
+    a``, ``a`` the sine coefficients (c = 1 in coefficient coordinates,
+    ``sqrt(lambda_k)`` in energy ones), so ``u = y[:n] @ phi.T``."""
+    n = len(b_matrix) // 2
     theta = np.pi * (2 * np.arange(1, n + 3) - 1) / (2 * (n + 2))
     x = 0.5 * (1.0 - np.cos(theta))
     w = np.pi * np.sin(theta) / (2 * (n + 2))
     phi = np.sqrt(2.0) * np.sin(np.outer(x, np.arange(1, n + 1)) * np.pi)
     gram = phi.T @ (w[:, None] * phi)
     proj = np.linalg.solve(gram, phi.T * w[None, :])
-    return (np.arange(1, n + 1) * np.pi) ** 2, phi, proj
+    c = np.diag(b_matrix[:n, n:])
+    return (np.arange(1, n + 1) * np.pi) ** 2, phi / c, proj
 
 
 def autonomous_wave(n_modes, beta_damping, f_scalar, f_scalar_prime):

@@ -14,7 +14,6 @@ from splitflow import (DichotomyCertificate, DiscreteCocycle,
                        TimeGrid)
 from splitflow.cli import main as cli_main
 from splitflow.noise import ensemble_diagnostics, pathwise_ou_residual
-from splitflow.sde_bridge import LAMBDA_SAMPLES
 from conftest import (brute_force_projections, impulse, spectral_norm,
                       value_at, wave_ladder)
 
@@ -190,7 +189,7 @@ def test_c7_wave_demo():
         warnings.simplefilter("ignore")
         for seed in (41, 42, 43, 44, 45):
             p, rows = wave_ladder(4, [], seed, w)
-            runs.append((sf.eta_cutoff(p, w, *LAMBDA_SAMPLES), rows))
+            runs.append((sf.eta_cutoff(p, w), rows))
     zero_ok = True
     cutoff_ok = True
     ladders = []

@@ -52,6 +52,22 @@ class TestConfigParsing:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, text", [
+        ("robustness", "slack = 0"), ("robustness", "slack = -1"),
+        ("ou-check", "variance_band = 0"), ("ou-check", "w1_band = -0.05"),
+    ])
+    def test_nonpositive_slack_or_band_is_two(self, tmp_path, capsys, command,
+                                              text):
+        # a check against a band or slack of 0 or less is no check: a
+        # config error, not a scientific failure
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        assert run_cli([command, "--config", str(cfg),
+                        "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err == (
+            f"config error: {text.split()[0]} must be positive\n")
+
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["not-a-command"])

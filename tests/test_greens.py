@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -237,6 +239,16 @@ class TestPicardFixedPoint:
         assert residual == 2.0 ** -27
         assert np.array_equal(x, np.full((3, 1), 2.0 - 2.0 ** -26))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+    @pytest.mark.parametrize("max_iter", [None, 4])
+    def test_bad_tolerance_raises_before_any_apply(self, tol, max_iter):
+        calls = []
+        with pytest.raises(ValueError, match=re.escape(
+                f"tolerance must be positive and finite, got tol={tol}")):
+            greens._picard(lambda x: calls.append(1) or x, np.zeros((3, 1)),
+                           tol, 0.5, 1.0, max_iter, "test")
+        assert not calls
+
     def test_uncertified_raises_after_max_iter_applications(self):
         calls = []
         with pytest.raises(SplitflowError, match=r"test did not certify "
@@ -287,6 +299,15 @@ class TestBoundedSolution:
         for n in range(max(lo, -12), min(hi, 12) + 1):
             want = 0.55 ** n if n >= 0 else 0.0
             assert abs(value_at(sol, n)[0] - want) < 1e-8
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_bad_tolerance_raises(self, tol):
+        # was a math domain error at 0 and an int of NaN in the iteration cap
+        c, cert = stable_scalar()
+        f = impulse(-20, 20, -1, np.array([1.0]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"tolerance must be positive and finite, got tol={tol}")):
+            bounded_solution(c, cert, constant_b([[0.05]]), f, tol=tol)
 
     def test_two_initial_guesses_agree(self):
         c, cert = stable_scalar()

@@ -43,7 +43,9 @@ through ``hyperbolic.ladder`` and ``hyperbolic.eta_cutoff``; only
 ``sde_bridge.py`` names ``StratonovichSpec``, ``random_ode_problem`` and
 ``build_wave_system``, re-exports in ``splitflow/__init__.py`` aside: every
 program model is built by ``sde_bridge.cubic_problem`` or
-``sde_bridge.wave_problem``; and only ``cli.py`` names ``json``: every JSON
+``sde_bridge.wave_problem``; only ``sde_bridge.py`` names
+``LAMBDA_SAMPLES``: the wave's lambda sampling travels on the problem that
+``wave_problem`` returns; and only ``cli.py`` names ``json``: every JSON
 output goes through ``cli._write_json``.
 
 src/splitflow imports nothing of scipy, wherever the import statement
@@ -376,6 +378,13 @@ def test_only_sde_bridge_builds_models():
     # (cubic_problem, wave_problem); the package re-exports its parts
     stray = _named_outside("sde_bridge.py", MODEL_PARTS, skip=("__init__.py",))
     assert not stray, ("model built outside sde_bridge:\n" + "\n".join(stray))
+
+
+def test_only_sde_bridge_names_the_wave_sampling():
+    # the wave problem carries its lambda sampling (lambda_samples)
+    stray = _named_outside("sde_bridge.py", {"LAMBDA_SAMPLES"})
+    assert not stray, ("wave sampling named outside sde_bridge:\n"
+                       + "\n".join(stray))
 
 
 def test_only_cli_names_json():

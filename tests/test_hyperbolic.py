@@ -25,7 +25,6 @@ from splitflow.hyperbolic import (EPS_FRACTION, SMALLNESS_DIVISOR,
                                   SUP_OVER_LAMBDA, _ball_cloud, _cloud_draw,
                                   _kernel_sum, _largest_below, eta_cutoff,
                                   kernel_tail_length)
-from splitflow.sde_bridge import LAMBDA_SAMPLES
 from conftest import (autonomous_wave, ball_cloud_oracle,
                       bisect_largest_oracle, bump_problem, counted_applies,
                       eta_search_oracle, kernel_sum_oracle, lambda_eta_loop,
@@ -137,6 +136,34 @@ class TestLambdaEta:
         assert not ts.flags.writeable and not ys.flags.writeable
         lambda_eta(p, 1e-3, win, sizes[0] + 1, sizes[1])  # another sampling
         assert calls == ["f0", "f0'"] * 2
+
+    def test_wave_samples_travel_with_the_problem(self):
+        # the wave's cutoff and every ladder row read lambda on its own
+        # 33 x 12 grid, not the 65 x 32 default, and a copy keeps it
+        p, win = wave_problem(), TimeGrid(-60.0, 60.0, 1.0 / 32)
+        fresh = replace(p)
+        assert fresh.lambda_samples == (33, 12)
+        meta = eta_cutoff(p, win)
+        search = [fresh, meta["eps_pick"], meta["autonomous_bound"],
+                  meta["autonomous_exponent"]]
+        assert meta["eta_cutoff"] == eta_epsilon(*search, lambda e: lambda_eta(
+            fresh, e, win, n_time=33, n_cloud=12))
+        assert meta["eta_cutoff"] != eta_epsilon(*search, lambda e: lambda_eta(
+            fresh, e, win, n_time=65, n_cloud=32))
+        rows = [row for row, _ in hyperbolic.ladder(
+            p, win, [], tol=1e-7, tail_tol=1e-7, n_half=3, trunc_tol=1e-7)]
+        assert len(rows) == 5
+        for row in rows:
+            assert row["lambda"] == lambda_eta(fresh, row["eta"], win,
+                                               n_time=33, n_cloud=12)
+
+    def test_cubic_reads_the_default_samples(self):
+        p = cubic_problem()
+        assert p.lambda_samples == (65, 32)
+        assert additive_problem().lambda_samples == (65, 32)
+        row, _ = eta_row(p, 0.1, W64, tol=1e-9, n_half=4)
+        assert row["lambda"] == lambda_eta(replace(p), 0.1, W64, n_time=65,
+                                           n_cloud=32)
 
     def test_lip_dev_reads_the_equilibrium_jacobian_once(self):
         p, rows = wave_problem(), []
@@ -435,7 +462,7 @@ def _model(name, seed):
     return (sde_bridge.wave_problem(int(knob), 1.0, 1.0,
                                     KappaFn.inverse_quadratic(0.05), window,
                                     seed, 1e-7),
-            window, LAMBDA_SAMPLES)
+            window, (33, 12))
 
 
 @pytest.mark.parametrize("seed", [41, 12345])
@@ -450,7 +477,7 @@ def test_searches_match_the_bisection_on_the_models(model, seed):
     want = thresholds_oracle(fresh, m_bound, beta)
     assert neighborhood_thresholds(p, m_bound, beta) == want
     target = EPS_FRACTION * want[2] * beta / (SMALLNESS_DIVISOR * m_bound)
-    cut = eta_cutoff(p, window, *samples)["eta_cutoff"]
+    cut = eta_cutoff(p, window)["eta_cutoff"]
     assert cut == eta_search_oracle(
         lambda e: lambda_eta(fresh, e, window, *samples), target)
 
@@ -486,6 +513,14 @@ def test_replaced_problem_has_its_own_thresholds():
 
 
 class TestFindSolution:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
+    def test_bad_tolerance_raises(self, tol):
+        # the kernel iteration refuses it, where its iteration cap took a
+        # log of it (a math domain error at 0, an int of NaN)
+        with pytest.raises(ValueError, match=re.escape(
+                f"tolerance must be positive and finite, got tol={tol}")):
+            find_hyperbolic_solution(cubic_problem(), 0.1, W64, tol=tol)
+
     def test_zero_eta_is_equilibrium(self):
         p = additive_problem()
         sol = find_hyperbolic_solution(p, 0.0, W64, tol=1e-11)
@@ -1117,6 +1152,18 @@ class TestDressedLinearization:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("knob", ["tol", "trunc_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_bad_tolerance_raises_on_the_roughness_route(self, knob, value):
+        # checked before the route is picked, as on the conjugacy route
+        p = cubic_problem()
+        sol = find_hyperbolic_solution(p, 0.1, W64, tol=1e-9)
+        assert linearize_along(p, sol).log_scale is None  # not dressed
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            certify_hyperbolic(p, sol, n_half=4, **{knob: value})
+        assert sol.status == "bounded"
+        assert sol.linearization_certificate is None
+
     def test_zero_eta_equals_autonomous(self):
         p = additive_problem()
         sol = find_hyperbolic_solution(p, 0.0, W64, tol=1e-11)
@@ -1304,10 +1351,9 @@ class TestConjugacyRoute:
         assert 0.0 < np.trace(pi_s) < p.dim - 0.5
         fwd, bwd = p.dressing.rises(1.0, -60.0, 60.0)
         assert bwd > fwd
-        n_time, n_cloud = sde_bridge.LAMBDA_SAMPLES
         rows = list(hyperbolic.ladder(
             p, self.W32, [], tol=1e-7, tail_tol=1e-7, n_half=3,
-            trunc_tol=1e-7, n_time=n_time, n_cloud=n_cloud))
+            trunc_tol=1e-7))
         assert len(rows) == 5
         for row, sol in rows:
             lc = sol.linearization_certificate

@@ -189,7 +189,7 @@ class TestBatchedFields:
     def test_build_wave_system(self, rng):
         f_s, fp_s = (lambda u: u - u ** 3), (lambda u: 1.0 - 3.0 * u ** 2)
         b_matrix, f0, f0_prime = build_wave_system(3, 1.0, f_s, fp_s)
-        _, phi, proj = wave_collocation(3)
+        _, phi, proj = wave_collocation(b_matrix)
 
         def f0_point(y):
             out = np.zeros(6)
@@ -472,10 +472,14 @@ class TestJacobianIsTheStateDerivative:
 
 class TestWaveSystem:
     def test_single_mode_matrix_and_eigenvalues(self):
-        p = autonomous_wave(1, 1.0, lambda u: u - u ** 3,
-                           lambda u: 1.0 - 3.0 * u ** 2)
+        # A in sine coefficients (a, adot) is diag(c, 1)^-1 A diag(c, 1), c
+        # the coupling block B[0, 1] that scales the first coordinate
+        f_s, fp_s = (lambda u: u - u ** 3), (lambda u: 1.0 - 3.0 * u ** 2)
+        p = autonomous_wave(1, 1.0, f_s, fp_s)
+        scale = np.diag([build_wave_system(1, 1.0, f_s, fp_s)[0][0, 1], 1.0])
         want = np.array([[0.0, 1.0], [1.0 - np.pi ** 2, -1.0]])
-        assert np.allclose(p.a_matrix, want, atol=1e-12)
+        assert np.allclose(np.linalg.solve(scale, p.a_matrix @ scale), want,
+                           atol=1e-12)
         eigs = np.linalg.eigvals(p.a_matrix)
         assert np.allclose(sorted(eigs.real), [-0.5, -0.5], atol=1e-12)
         assert np.allclose(sorted(abs(eigs.imag)),
@@ -497,8 +501,8 @@ class TestWaveSystem:
         # f0' forms f'(u) phi over whole (n + 2, n) blocks: the same bits as
         # the row-broadcast products assigned into a zero result
         f_s, fp_s = (lambda u: u - u * u * u), (lambda u: 1.0 - 3.0 * u ** 2)
-        _, f0, f0_prime = build_wave_system(n, 1.0, f_s, fp_s)
-        _, phi, proj = wave_collocation(n)
+        b_matrix, f0, f0_prime = build_wave_system(n, 1.0, f_s, fp_s)
+        _, phi, proj = wave_collocation(b_matrix)
         ys = 0.3 * rng.standard_normal((540, 2 * n))
         u = ys[:, :n] @ phi.T
         f_want = np.zeros((540, 2 * n))
@@ -509,10 +513,13 @@ class TestWaveSystem:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_eigenvalue_ratio(self):
+        # the two coupling blocks multiply to the Dirichlet eigenvalues,
+        # whatever scaling of the first coordinate they carry
         b_matrix, _, _ = build_wave_system(4, 1.0, lambda u: u - u ** 3,
                                            lambda u: 1.0 - 3.0 * u ** 2)
-        lam = wave_collocation(4)[0]
-        assert np.array_equal(b_matrix[4:, :4], -np.diag(lam))
+        lam = wave_collocation(b_matrix)[0]
+        assert np.allclose(-b_matrix[4:, :4] @ b_matrix[:4, 4:], np.diag(lam),
+                           rtol=1e-15, atol=0.0)
         assert lam[1] / lam[0] == 4.0
 
     def test_hyperbolic_for_all_small_n(self):
@@ -533,13 +540,17 @@ class TestWaveSystem:
         assert abs(np.trace(pi_u) - 1.0) < 1e-9
 
     def test_nonlinearity_reprojection_is_gram_exact(self):
-        # linear f must pass through collocation + reprojection unchanged
-        p = autonomous_wave(3, 1.0, lambda u: 2.5 * u, lambda u: 2.5 + 0 * u)
+        # linear f must pass through collocation + reprojection unchanged:
+        # the state (a, 0) holds the coefficients c^-1 a, c the diagonal of
+        # the coupling block B[:n, n:]
+        b_matrix, f0, _ = build_wave_system(3, 1.0, lambda u: 2.5 * u,
+                                            lambda u: 2.5 + 0 * u)
         rng = np.random.default_rng(0)
         a = rng.standard_normal(3)
         y = np.concatenate([a, np.zeros(3)])
-        out = p.f0(y[None])[0]
-        assert np.allclose(out[3:], 2.5 * a, atol=1e-12)
+        out = f0(y[None])[0]
+        assert np.allclose(out[3:], 2.5 * a / np.diag(b_matrix[:3, 3:]),
+                           atol=1e-12)
         assert np.allclose(out[:3], 0.0)
 
     def test_equilibrium_validates(self):
