@@ -25,9 +25,10 @@ import splitflow as sf
 
 window = sf.TimeGrid(-60.0, 60.0, 1.0 / 32)
 knobs = dict(tol=1e-7, tail_tol=1e-7, n_half=3, trunc_tol=1e-7)
+kappa = sf.KappaFn.inverse_quadratic(1.0)
 
 print("== stable configuration: f(u) = u - u^3, N = 4, beta = 1 ==")
-p = sf.wave_problem(4, 1.0, 1.0, sf.default_kappa(), window, 42, 1e-7)
+p = sf.wave_problem(4, 1.0, 1.0, kappa, window, 42, 1e-7)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     meta = sf.eta_cutoff(p, window)
@@ -44,7 +45,7 @@ for r in rows:
 
 print("\n== saddle configuration: f(u) = 12u - u^3 (first mode unstable) ==")
 w2 = sf.TimeGrid(-58.0, 58.0, 1.0 / 32)
-p = sf.wave_problem(2, 1.0, 12.0, sf.default_kappa(), w2, 7, 1e-7)
+p = sf.wave_problem(2, 1.0, 12.0, kappa, w2, 7, 1e-7)
 pi_u, gap = sf.spectral_projection(p.a_matrix)
 print(f"unstable rank at the equilibrium: {int(round(np.trace(pi_u)))}, "
       f"spectral gap {gap:.4f}")

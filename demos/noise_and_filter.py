@@ -7,6 +7,8 @@ time-rescaling kappa is needed: z* grows sublinearly but unboundedly, while
 kappa z* stays uniformly small.
 """
 
+import numpy as np
+
 import splitflow as sf
 
 grid = sf.TimeGrid(-40.0, 60.0, 1.0 / 32)
@@ -31,15 +33,16 @@ for t in (0.0, 5.0, 10.0, 20.0):
 
 print("\nsanity: on the injected path omega(s) = s the filter is constant 1:")
 lin = sf.linear_path(grid)
-print("  values:", [round(sf.ou_value(lin, t), 6) for t in (0.0, 3.0, 9.0)])
+print("  values:", [round(float(sf.ou_series(lin, [t])[0]), 6)
+                   for t in (0.0, 3.0, 9.0)])
 
 print("\n== sublinear growth vs kappa-rescaled boundedness ==")
 checkpoints = [5.0, 10.0, 20.0, 40.0]
-ratios = sf.sublinearity_report(path, checkpoints)
+ratios = np.abs(sf.ou_series(path, checkpoints)) / np.abs(checkpoints)
 for t, r in zip(checkpoints, ratios):
     print(f"  |z*(theta_t)|/t at t={t:>5}: {r:.5f}")
 
-kappa = sf.default_kappa()
+kappa = sf.KappaFn.inverse_quadratic(1.0)
 m1, m2 = sf.NoiseDressing(path, kappa).bounds(win)
 print(f"\nkappa = {kappa.name}: m1 = {m1:.4f}, m2 = {m2:.4f}")
 print(f"linear perturbation sup at eta=0.1: {0.1 * m2:.4f}")

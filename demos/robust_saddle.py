@@ -37,7 +37,9 @@ print(f"perturbed bound M = {c['M']:.6f}  (D1={c['D1']:.4f}, D2={c['D2']:.4f})")
 print("\nstable projection at node 0 (impulse construction):")
 print(np.array_str(cert.proj_s([0])[0], precision=6, suppress_small=False))
 
-dist = sf.projection_distance(base_cert, cert, (-6, 6))
+nodes = range(-6, 7)
+dist = np.linalg.norm(base_cert.proj_s(nodes) - cert.proj_s(nodes), 2,
+                      axis=(1, 2)).max()
 bound = sf.paper_projection_bound(base_cert.exponent, cert.exponent, eps)
 print(f"\nprojection distance {dist:.6f} <= continuity bound {bound:.6f}: "
       f"{dist <= bound}")

@@ -25,16 +25,14 @@ from .errors import (ConfigurationError, ContractionMarginError,
                      IntegrationError, NonHyperbolicError,
                      RobustnessHypothesisError, SplitflowError,
                      ThresholdError, WindowError)
-from .noise import (KappaFn, NoiseDressing, SamplePath, default_kappa,
-                    injected_path, linear_path, ou_series, ou_value,
-                    sample_wiener_path, shift_path, sublinearity_report,
+from .noise import (KappaFn, NoiseDressing, SamplePath, injected_path,
+                    linear_path, ou_series, sample_wiener_path, shift_path,
                     zero_path)
 from .cocycle import (ContinuousCocycle, DiscreteCocycle, discretize,
                       pointwise, propagator)
 from .dichotomy import (DichotomyCertificate, VerificationReport,
                         autonomous_certificate, paper_projection_bound,
-                        projection_distance, spectral_projection,
-                        verify_dichotomy)
+                        spectral_projection, verify_dichotomy)
 from .greens import (BoundedSolution, ForcingSequence, bounded_solution,
                      impulse_response_projection, truncation_length)
 from .robustness import (RobustConstants, delta_threshold, gronwall_constants,

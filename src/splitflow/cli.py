@@ -34,7 +34,7 @@ from .hyperbolic import ROW_COLUMNS, STATUS_FAILED, eta_cutoff, ladder
 from .io import cell, jsonable
 from .noise import (KappaFn, ensemble_diagnostics, injected_path, linear_path,
                     ou_series, pathwise_ou_residual, sample_wiener_path,
-                    shift_path, sublinearity_report, zero_path)
+                    shift_path, zero_path)
 from .robustness import robust_dichotomy_discrete, robustness_report
 from .sde_bridge import WAVE_COLUMNS, cubic_problem, wave_problem, wave_row
 
@@ -167,6 +167,8 @@ def load_config(text, command, seed=None):
                 raise ConfigurationError(
                     f"checkpoints must be multiples of {SUBLINEARITY_STEP}, "
                     f"the sublinearity paths' grid step, got {cp}") from None
+        if 0.0 in cps:  # |z*(theta_t omega)| / |t| has no value at t = 0
+            raise ConfigurationError("sublinearity checkpoints must be nonzero")
     # an empty ladder checks nothing; wave reads it as the automatic one
     if command == "hyperbolic" and not values["eta_grid"]:
         raise ConfigurationError("eta_grid must not be empty")
@@ -245,8 +247,9 @@ def cmd_ou_check(v, out_dir):
     # sublinearity trend: ensemble medians at the first/last checkpoints
     cps = v["checkpoints"]
     wide = TimeGrid(-30.0, max(cps) + 2.0, SUBLINEARITY_STEP)
-    ratios = np.sort([sublinearity_report(
-        sample_wiener_path(wide, v["seed"] + 1000 + k), [cps[0], cps[-1]])
+    t = np.array([cps[0], cps[-1]])
+    ratios = np.sort([np.abs(ou_series(
+        sample_wiener_path(wide, v["seed"] + 1000 + k), t)) / np.abs(t)
         for k in range(500)], axis=0)
     # the median of the 500, as np.median takes it (which imports numpy.ma)
     early, late = ((ratios[249] + ratios[250]) / 2).tolist()

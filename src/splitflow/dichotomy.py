@@ -527,9 +527,3 @@ def paper_projection_bound(alpha_a, alpha_b, eps):
     """
     ea, eb = np.exp(-alpha_a), np.exp(-alpha_b)
     return float(eps * (ea + eb) / (1.0 - ea * eb))
-
-
-def projection_distance(cert_a, cert_b, window):
-    """Sup over window nodes of the stable-projection distance of two certs."""
-    nodes = _window_nodes(window)
-    return spectral_sup(cert_a.proj_s(nodes) - cert_b.proj_s(nodes))

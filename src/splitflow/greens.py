@@ -112,13 +112,6 @@ class ForcingSequence:
         shape = (n_max - n_min + 1, d) if r is None else (n_max - n_min + 1, d, r)
         return ForcingSequence(n_min, n_max, np.zeros(shape))
 
-    @property
-    def window(self):
-        return (self.n_min, self.n_max)
-
-    def sup_norm(self):
-        return _seq_sup(self.values)
-
 
 def _seq_sup(values):
     """Sup over nodes of the Euclidean (vector) or spectral (matrix) norm;
@@ -315,11 +308,11 @@ def bounded_solution(cocycle, cert, b, f, tol=1e-8, trunc_tol=DEFAULT_TRUNC_TOL,
     whose sup-norm residual ``|Gamma_f x - x|`` is at most ``tol``, with
     that residual and the number of kernel applications.
     """
-    n_lo, n_hi = f.window
+    n_lo, n_hi = f.n_min, f.n_max
     b_mats = stack_steps(b, range(n_lo, n_hi + 1), cocycle.dim)
     rho, delta_eff = _contraction(cert, b_mats)
     e = math.exp(-cert.exponent)
-    f_sup = f.sup_norm()
+    f_sup = _seq_sup(f.values)
     if not f_sup < math.inf:  # finite values whose norm overflows
         raise SplitflowError(f"forcing norm overflows (sup {f_sup})")
     band = min(_band_for(cert, delta_eff, f_sup, trunc_tol), n_hi - n_lo + 1)

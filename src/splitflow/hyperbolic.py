@@ -88,14 +88,19 @@ class SemilinearProblem:
     f_eta_dy: object
     dressing: object = None
     lambda_samples: tuple = (65, 32)  # lambda_eta's (n_time, n_cloud)
-    # base cocycles, Green kernel maps, lambda samples and thresholds; not an
-    # init field, so a problem made by dataclasses.replace starts with none
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
-    def __post_init__(self):
-        self.a_matrix = np.atleast_2d(np.asarray(self.a_matrix, float))
-        self.y0_star = np.atleast_1d(np.asarray(self.y0_star, float))
+    def __setattr__(self, name, value):
+        # the caches read the fields, so every store empties them: ``_memo``
+        # (base cocycles, Green kernel maps, lambda samples, thresholds) and
+        # ``autonomous_cert``, unless that is the attribute stored; the
+        # arrays are stored as read-only copies, which no edit can bypass
+        ndim = {"a_matrix": 2, "y0_star": 1}.get(name)
+        if ndim:
+            value = np.array(value, float, ndmin=ndim)
+            value.flags.writeable = False
+        self.__dict__.pop("autonomous_cert", None)
+        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, name, value)
 
     @property
     def dim(self):
@@ -419,6 +424,9 @@ def find_hyperbolic_solution(p, eta, window, tol=1e-8, tail_tol=1e-9,
     separately by :func:`certify_hyperbolic`), or ``'failed'`` when its sup
     distance is not below ``eps_used``.
     """
+    if not (0.0 < tol < math.inf and 0.0 < tail_tol < math.inf):
+        raise ValueError(f"tolerance must be positive and finite, got "
+                         f"tol={tol}, tail_tol={tail_tol}")
     cert_a = p.autonomous_cert
     m_bound, beta = cert_a.bound, cert_a.exponent
     lam = lambda_eta(p, eta, window, n_time=n_time, n_cloud=n_cloud)

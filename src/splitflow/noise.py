@@ -138,7 +138,7 @@ def shift_path(path, t):
 def _tail_start(path, tail_tol):
     """The first base time whose neglected left tail of the z* integral,
     bounded by ``e^{t_min - t} (|t_min| + max|omega|)``, is within ``tail_tol``."""
-    if not tail_tol > 0.0:
+    if not 0.0 < tail_tol < math.inf:
         raise ConfigurationError(f"tail_tol must be positive, got {tail_tol!r}")
     g = path.grid
     c = abs(g.t_min) + float(np.max(np.abs(path.values)))
@@ -155,15 +155,6 @@ def _window_floor(path, t0, tail_tol):
     for _ in range(16):  # each step contracts by about 1/(|t| + m)
         t = t0 - math.log(max(abs(t) + m, 1e-300) / tail_tol)
     return t
-
-
-def ou_value(path, t):
-    """z* at the shifted base point, ``-int e^s (theta_t omega)(s) ds``: the
-    node ``t`` of :func:`ou_series` at its default tail tolerance."""
-    g = path.grid
-    if not (g.n_min < g.node_of(t) <= g.n_max):
-        raise WindowError(f"base time {t} not inside the stored window")
-    return float(ou_series(path, [t])[0])
 
 
 def _cumulative_trapezoid(y, h):
@@ -253,9 +244,6 @@ class KappaFn:
         self.kappa_dot = kappa_dot
         self.name = name
 
-    def __call__(self, t):
-        return self.kappa(t)
-
     @staticmethod
     def inverse_quadratic(amplitude=1.0):
         """kappa_t = a / (1 + t^2), the library default with a = 1."""
@@ -265,10 +253,6 @@ class KappaFn:
             lambda t: -2.0 * a * t / (1.0 + t * t) ** 2,
             name=f"{a:g}/(1+t^2)",
         )
-
-
-def default_kappa():
-    return KappaFn.inverse_quadratic(1.0)
 
 
 class NoiseDressing:
@@ -351,14 +335,6 @@ class NoiseDressing:
         area = self.gap_integral(eta, t0, t)
         return (float(np.max(area - np.minimum.accumulate(area))),
                 float(np.max(area - np.minimum.accumulate(area[::-1])[::-1])))
-
-
-def sublinearity_report(path, checkpoints):
-    """|z*(theta_t omega)| / |t| at each checkpoint, one filter pass (trend to 0)."""
-    t = np.asarray(checkpoints, float)
-    if np.any(t == 0):
-        raise ConfigurationError("sublinearity checkpoints must be nonzero")
-    return (np.abs(ou_series(path, t)) / np.abs(t)).tolist()
 
 
 def ensemble_diagnostics(n_paths, h=1.0 / 64, t_min=-30.0, seed=0):

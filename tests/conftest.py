@@ -32,9 +32,10 @@ import numpy as np
 import pytest
 
 from splitflow import (ConfigurationError, DichotomyCertificate,
-                       DiscreteCocycle, ForcingSequence, NonHyperbolicError,
-                       SemilinearProblem, build_wave_system, default_kappa,
-                       ladder, pointwise, wave_problem, wave_row)
+                       DiscreteCocycle, ForcingSequence, KappaFn,
+                       NonHyperbolicError, SemilinearProblem,
+                       build_wave_system, ladder, pointwise, wave_problem,
+                       wave_row)
 from splitflow.cocycle import UNIT_SAMPLES, spectral_norms, stack_steps
 from splitflow.dichotomy import (_restricted_inverse, _split_march,
                                  _window_nodes)
@@ -47,6 +48,15 @@ from splitflow.hyperbolic import (SMALLNESS_DIVISOR, _ball_cloud, _lip_dev,
 def spectral_norm(m):
     """Largest singular value of one matrix."""
     return float(np.linalg.norm(np.asarray(m, float), 2))
+
+
+def projection_gap(cert_a, cert_b, window):
+    """Sup over the nodes of ``window = (n_lo, n_hi)`` of ``|Pi^s_a(n) -
+    Pi^s_b(n)|``, the side of the paper's continuity estimate
+    (:func:`splitflow.paper_projection_bound`) that a test measures."""
+    nodes = range(window[0], window[1] + 1)
+    return max(spectral_norm(m)
+               for m in cert_a.proj_s(nodes) - cert_b.proj_s(nodes))
 
 
 def riesz_projector_oracle(a_matrix):
@@ -232,7 +242,7 @@ def gamma_apply(cocycle, cert, b, f, x):
     """One application of the library's kernel sum (``greens._gamma`` over
     ``greens._sweeps``) to a candidate ``x`` of the forcing's shape, over
     the forcing's whole window.  Linear in (x, f)."""
-    n_lo, n_hi = f.window
+    n_lo, n_hi = f.n_min, f.n_max
     b_mats = stack_steps(b, range(n_lo, n_hi + 1), cocycle.dim)
     return _gamma(_sweeps(stack_steps(cocycle.step, range(n_lo, n_hi + 1),
                                   cocycle.dim),
@@ -245,7 +255,7 @@ def gamma_sequential(cocycle, cert, b, f, x):
     one node at a time: forward ``S(m+1) = Pi^s(m+1) (A_m S(m) + u(m))``
     from ``S(n_lo) = 0``, backward ``U(m) = R_m (U(m+1) - Pi^u(m+1) u(m))``
     from ``U(n_hi+1) = 0``, with ``u = B x + f``."""
-    n_lo, n_hi = f.window
+    n_lo, n_hi = f.n_min, f.n_max
     d = cocycle.dim
     steps = stack_steps(cocycle.step, range(n_lo, n_hi + 1), d)
     b_mats = stack_steps(b, range(n_lo, n_hi + 1), d)
@@ -560,7 +570,7 @@ def bump_problem():
     )
 
 
-def ou_value_oracle(path, t):
+def z_star_oracle(path, t):
     """z*(theta_t omega) by the trapezoid rule on the nodes from the
     window's left edge to ``t``, one sum per base point."""
     g = path.grid
@@ -611,7 +621,8 @@ def wave_ladder(n_modes, eta_grid, seed, window, **knobs):
     kappa) through the ladder at the ``wave`` command's defaults, ``knobs``
     overriding them: ``(problem, rows)``, the rows as ``wave.csv`` has
     them."""
-    p = wave_problem(n_modes, 1.0, 1.0, default_kappa(), window, seed, 1e-7)
+    p = wave_problem(n_modes, 1.0, 1.0, KappaFn.inverse_quadratic(1.0), window,
+                     seed, 1e-7)
     knobs = {"tol": 1e-7, "tail_tol": 1e-7, "n_half": 3, "trunc_tol": 1e-7,
              **knobs}
     return p, [wave_row(p, row, sol, seed)

@@ -14,8 +14,8 @@ from splitflow import (DichotomyCertificate, DiscreteCocycle,
                        TimeGrid)
 from splitflow.cli import main as cli_main
 from splitflow.noise import ensemble_diagnostics, pathwise_ou_residual
-from conftest import (brute_force_projections, impulse, spectral_norm,
-                      value_at, wave_ladder)
+from conftest import (brute_force_projections, impulse, projection_gap,
+                      spectral_norm, value_at, wave_ladder)
 
 LN2 = float(np.log(2.0))
 
@@ -82,7 +82,7 @@ def test_c3_robustness_end_to_end():
     pert2 = DiscreteCocycle.constant(rot @ d_mat)
     bc2 = DichotomyCertificate.constant(np.diag([1.0, 0.0]), 1.0, LN2)
     cert2 = sf.robust_dichotomy_discrete(base2, bc2, pert2, (-6, 6), slack=1.1)
-    dist = sf.projection_distance(bc2, cert2, (-6, 6))
+    dist = projection_gap(bc2, cert2, (-6, 6))
     bound = sf.paper_projection_bound(LN2, cert2.exponent, eps)
     pi_s_bf, _ = brute_force_projections(rot @ d_mat)
     oracle_dev = spectral_norm(cert2.proj_s([0])[0] - pi_s_bf)

@@ -133,6 +133,19 @@ class TestExitCodes:
             "checkpoints must be multiples of 0.0625, the sublinearity "
             f"paths' grid step, got {off}")
 
+    def test_zero_checkpoint_is_two_before_any_path(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # |z*(theta_t omega)| / |t| has no value at t = 0: the config check
+        # refuses it, and no path is drawn
+        monkeypatch.setitem(cli._COMMANDS, "ou-check", None)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("checkpoints = 0, 10\n")
+        assert run_cli(["ou-check", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sublinearity checkpoints must be nonzero\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", list(cli.SCHEMAS))
     def test_negative_seed_flag_is_two(self, tmp_path, capsys, command):
         # --seed is checked as a config line is

@@ -10,15 +10,15 @@ from splitflow import (ConfigurationError, ContinuousCocycle, DiscreteCocycle,
                        NonHyperbolicError, SplitflowError, TimeGrid,
                        autonomous_certificate, bounded_solution,
                        discretize, paper_projection_bound,
-                       pointwise, projection_distance,
-                       robust_dichotomy_discrete, spectral_projection,
-                       verify_dichotomy)
+                       pointwise, robust_dichotomy_discrete,
+                       spectral_projection, verify_dichotomy)
 import splitflow.cocycle
 from splitflow import dichotomy
 from splitflow.cocycle import UNIT_SAMPLES
 from conftest import (GreenKernel, all_pairs_ratios, autonomous_wave,
-                      envelope_scan_sequential, riesz_projector_oracle,
-                      rotating_saddle, spectral_norm, time_varying_saddle)
+                      envelope_scan_sequential, projection_gap,
+                      riesz_projector_oracle, rotating_saddle, spectral_norm,
+                      time_varying_saddle)
 
 SADDLE = np.diag([0.5, 2.0])
 
@@ -237,7 +237,7 @@ class TestCertificate:
         with pytest.raises(ConfigurationError, match=missing):
             verify_dichotomy(DiscreteCocycle.constant(SADDLE), fam, (0, 7))
         with pytest.raises(ConfigurationError, match=missing):
-            projection_distance(rotated_saddle()[1], fam, (0, 7))
+            fam.proj_s(range(0, 8))
         with pytest.raises(ConfigurationError, match=missing):
             bounded_solution(DiscreteCocycle.constant(SADDLE), fam,
                              DiscreteCocycle.constant(np.zeros((2, 2))).step,
@@ -484,8 +484,6 @@ class TestVerify:
         message = re.escape(f"window {window!r} is not a pair (n_lo, n_hi)")
         with pytest.raises(ConfigurationError, match=message):
             verify_dichotomy(saddle, cert, window)
-        with pytest.raises(ConfigurationError, match=message):
-            projection_distance(cert, cert, window)
         assert verify_dichotomy(saddle, cert, (np.int64(-3), 3)).passed
 
     def test_non_finite_unit_step_raises_typed_error(self, monkeypatch):
@@ -750,10 +748,6 @@ class TestGreenKernel:
 
 
 class TestProjectionDistance:
-    def test_identical_is_zero(self):
-        cert = autonomous_certificate(np.diag([-1.0, 1.0]))
-        assert projection_distance(cert, cert, (-4, 4)) == 0.0
-
     def test_paper_bound_closed_form(self):
         got = paper_projection_bound(np.log(2.0), np.log(2.0), 0.01)
         assert abs(got - 0.01 * (0.5 + 0.5) / (1.0 - 0.25)) < 1e-15
@@ -767,16 +761,16 @@ class TestProjectionDistance:
         # certificates of the generators whose time-one maps are the steps
         cert_a = autonomous_certificate(logm(d_mat).real)
         cert_b = autonomous_certificate(logm(rot @ d_mat).real)
-        dist = projection_distance(cert_a, cert_b, (-3, 3))
+        dist = projection_gap(cert_a, cert_b, (-3, 3))
         # hypothesis constant: sup K |phi_1 - psi_1|
         eps_hyp = max(cert_a.bound, cert_b.bound) * spectral_norm(rot @ d_mat - d_mat)
         bound = paper_projection_bound(cert_a.exponent, cert_b.exponent, eps_hyp)
         assert dist <= bound
 
     def test_window_mismatch_rejected(self):
-        cert = autonomous_certificate(np.diag([-1.0, 1.0]))
+        # a family that lacks a node of the window names it
         node_cert = DichotomyCertificate(
             bound=1.0, exponent=0.5, projections=np.diag([1.0, 0.0])[None],
             first=0)
         with pytest.raises(ConfigurationError, match="projection at node -2$"):
-            projection_distance(cert, node_cert, (-2, 2))
+            node_cert.proj_s(range(-2, 3))

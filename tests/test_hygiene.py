@@ -56,6 +56,11 @@ No comparison under src/splitflow tests ``==`` or ``!=`` against
 ``math.inf`` or ``np.inf`` (negated or not): such a guard lets a NaN
 through, where ``not x < math.inf`` fails closed.
 
+No comparison under src/splitflow checks a tolerance on one side only
+(``tol > 0``, ``not tol > 0``, ``tol <= 0`` or a mirror of them, ``tol`` a
+name or attribute ending in ``tol``): such a guard lets ``inf`` through,
+where ``not 0 < tol < math.inf`` refuses it.
+
 No code under src/splitflow reads ``__self__``: an object that a reader
 needs is held in a field of its own, not reached through the owner of a
 bound method passed for one of its methods.
@@ -440,6 +445,39 @@ def test_no_equality_with_infinity():
              for path, tree in _trees(("src",))
              for line in _inf_equalities(tree)]
     assert not stray, ("equality with an infinity misses NaN:\n"
+                       + "\n".join(stray))
+
+
+def _is_tolerance(node):
+    """Whether ``node`` is a name or an attribute ending in ``tol``."""
+    name = node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else ""
+    return name.endswith("tol")
+
+
+def _is_zero(node):
+    return isinstance(node, ast.Constant) and node.value == 0
+
+
+def _one_sided_tolerance_guards(tree):
+    """Lines of every single comparison ``tol > 0`` or ``tol <= 0``, or
+    ``0 < tol`` or ``0 >= tol``, ``tol`` as :func:`_is_tolerance` reads it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and len(node.ops) == 1:
+            left, op, right = node.left, node.ops[0], node.comparators[0]
+            if (isinstance(op, (ast.Gt, ast.LtE)) and _is_tolerance(left)
+                    and _is_zero(right)) or (
+                    isinstance(op, (ast.Lt, ast.GtE)) and _is_zero(left)
+                    and _is_tolerance(right)):
+                yield node.lineno
+
+
+def test_no_one_sided_tolerance_guard():
+    # tol > 0 holds for tol = inf, which then reaches a log or a division
+    stray = [f"{path.relative_to(ROOT)}:{line}"
+             for path, tree in _trees(("src",))
+             for line in _one_sided_tolerance_guards(tree)]
+    assert not stray, ("tolerance guarded on one side, inf passes:\n"
                        + "\n".join(stray))
 
 

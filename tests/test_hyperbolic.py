@@ -12,7 +12,7 @@ from splitflow import (ConfigurationError, ContinuousCocycle,
                        SemilinearProblem, SplitflowError, StratonovichSpec,
                        ThresholdError, WindowError,
                        TimeGrid, certify_hyperbolic,
-                       default_kappa, find_hyperbolic_solution, lambda_eta,
+                       find_hyperbolic_solution, lambda_eta,
                        linearize_along, neighborhood_thresholds, pointwise,
                        random_ode_problem, rho_modulus, sample_wiener_path,
                        verify_dichotomy)
@@ -64,7 +64,7 @@ def cubic_problem(seed=8, amplitude=0.002):
 def wave_problem():
     """The transformed problem of the wave demo at its defaults (four
     modes, the default kappa) on the window [-60, 60], h = 1/32."""
-    return sde_bridge.wave_problem(4, 1.0, 1.0, default_kappa(),
+    return sde_bridge.wave_problem(4, 1.0, 1.0, KappaFn.inverse_quadratic(1.0),
                                    TimeGrid(-60.0, 60.0, 1.0 / 32), 7, 1e-7)
 
 
@@ -512,6 +512,34 @@ def test_replaced_problem_has_its_own_thresholds():
     assert neighborhood_thresholds(replace(p, **stiff), m_bound, beta) == want
 
 
+def test_a_store_empties_the_caches():
+    # the thresholds cached before r_u changed must not answer after it
+    p, _, _ = _model("wave 4", 12345)
+    m_bound, beta = p.autonomous_cert.bound, p.autonomous_cert.exponent
+    before = neighborhood_thresholds(p, m_bound, beta)
+    p.r_u = 0.1
+    fresh = _model("wave 4", 12345)[0]
+    fresh.r_u = 0.1
+    want = neighborhood_thresholds(fresh, m_bound, beta)
+    assert want != before
+    assert neighborhood_thresholds(p, m_bound, beta) == want
+
+
+def test_the_linearization_is_read_only_and_a_store_recertifies():
+    # an in-place edit would leave autonomous_cert stale, so it is refused;
+    # a store drops the cached certificate, and a given array is copied
+    p = _model("cubic 0.3", 12345)[0]
+    assert p.autonomous_cert.exponent == pytest.approx(1.8)
+    for array in (p.a_matrix, p.y0_star):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = -5.0
+    given = np.array([[-5.0]])
+    p.a_matrix = given
+    assert p.autonomous_cert.exponent == pytest.approx(4.5)
+    given[0, 0] = -2.0
+    assert p.a_matrix[0, 0] == -5.0
+
+
 class TestFindSolution:
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
     def test_bad_tolerance_raises(self, tol):
@@ -520,6 +548,26 @@ class TestFindSolution:
         with pytest.raises(ValueError, match=re.escape(
                 f"tolerance must be positive and finite, got tol={tol}")):
             find_hyperbolic_solution(cubic_problem(), 0.1, W64, tol=tol)
+
+    @pytest.mark.parametrize("knob", ["tol", "tail_tol"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("row", ["cubic 0.3", "wave 4"])
+    def test_bad_tolerance_refused_before_any_field_call(self, row, bad, knob):
+        # a wave row's zero forcing skips the kernel iteration, which alone
+        # checked tol; a bad tail_tol reached the kernel tail length
+        p, window, _ = _model(row, 12345)
+        eta = 0.1 if row.startswith("cubic") else 1e-5
+
+        def refuse(*args):
+            raise AssertionError("a field was called")
+
+        p = replace(p, f_eta=refuse, f_eta_dy=refuse, f0=refuse,
+                    f0_prime=refuse)
+        knobs = {"tol": 1e-8, "tail_tol": 1e-9, knob: bad}
+        with pytest.raises(ValueError, match=re.escape(
+                "tolerance must be positive and finite, got "
+                f"tol={knobs['tol']}, tail_tol={knobs['tail_tol']}")):
+            find_hyperbolic_solution(p, eta, window, **knobs)
 
     def test_zero_eta_is_equilibrium(self):
         p = additive_problem()
@@ -1043,7 +1091,7 @@ class TestDressedLinearization:
         strat = StratonovichSpec(
             b_matrix=[[-1.0]], f=lambda y: 0.0 * y,
             f_prime=lambda y: np.zeros((len(y), 1, 1)), eta=1.0,
-            kappa=default_kappa())
+            kappa=KappaFn.inverse_quadratic(1.0))
         p = random_ode_problem(strat, path, [0.0], r_u=0.3)
         dressing, eta = p.dressing, 0.7
         t0 = np.arange(-8.0, 8.0)[:, None]
@@ -1345,7 +1393,8 @@ class TestConjugacyRoute:
         # the gap's largest fall (backward rise) exceeds its largest rise,
         # and every row of the automatic ladder certifies with the bound
         # 10.4 e^{eta u} (the roughness route read 18,517 at the top row)
-        p = sde_bridge.wave_problem(4, 1.0, 50.0, default_kappa(), self.W32,
+        p = sde_bridge.wave_problem(4, 1.0, 50.0,
+                                    KappaFn.inverse_quadratic(1.0), self.W32,
                                     12345, 1e-7)
         pi_s = p.autonomous_cert.projections[0]
         assert 0.0 < np.trace(pi_s) < p.dim - 0.5

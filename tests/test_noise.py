@@ -8,16 +8,18 @@ import pytest
 
 from splitflow import (ConfigurationError, KappaFn, SamplePath, SplitflowError,
                        NoiseDressing, TimeGrid, WindowError, injected_path,
-                       linear_path, ou_series, ou_value, sample_wiener_path,
-                       shift_path, sublinearity_report, zero_path)
+                       linear_path, ou_series, sample_wiener_path,
+                       shift_path, zero_path)
 from splitflow.noise import (_OU_BLOCK, _cumulative_trapezoid, _ou_filter,
-                             _z0_weights, default_kappa, ensemble_diagnostics,
+                             _z0_weights, ensemble_diagnostics,
                              pathwise_ou_residual)
-from conftest import (cumulative_ou_oracle, ensemble_oracle, ou_value_oracle,
+from splitflow.cli import load_config
+from conftest import (cumulative_ou_oracle, ensemble_oracle, z_star_oracle,
                       validate_kappa)
 
 H = 1.0 / 64
 GRID = TimeGrid(-32.0, 8.0, H)
+KAPPA = KappaFn.inverse_quadratic(1.0)  # the library's default kappa
 
 
 def common_values(p, q, cap=None):
@@ -138,21 +140,21 @@ class TestShift:
 
 class TestStationaryFilter:
     def test_zero_path(self):
-        assert ou_value(zero_path(GRID), 0.0) == 0.0
+        assert ou_series(zero_path(GRID), [0.0])[0] == 0.0
 
     def test_linear_path_value(self):
         p = linear_path(GRID)
         for t in (0.0, 1.0, 5.5):
-            assert abs(ou_value(p, t) - 1.0) < 1e-4
+            assert abs(ou_series(p, [t])[0] - 1.0) < 1e-4
 
     def test_series_matches_pointwise(self):
         p = sample_wiener_path(GRID, 21)
         win = TimeGrid(-1.0, 6.0, H)
         zs = ou_series(p, win)
         for t in win.times()[::16]:
-            want = ou_value_oracle(p, t)
+            want = z_star_oracle(p, t)
             assert abs(zs[win.index_of(t)] - want) < 1e-12
-            assert abs(ou_value(p, t) - want) < 1e-12
+            assert abs(ou_series(p, [t])[0] - want) < 1e-12
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_single_block_bit_identical_to_one_cumulative_pass(self, seed):
@@ -165,9 +167,9 @@ class TestStationaryFilter:
         p = sample_wiener_path(GRID, 22)
         t = 3.0
         q = shift_path(p, t)
-        assert abs(ou_value(q, 0.0) - ou_value(p, t)) < 1e-12
+        assert abs(ou_series(q, [0.0])[0] - ou_series(p, [t])[0]) < 1e-12
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, math.inf])
     def test_non_positive_tail_tolerance_rejected(self, tol):
         p = sample_wiener_path(GRID, 1)
         with pytest.raises(ConfigurationError, match="tail_tol must be positive"):
@@ -177,19 +179,19 @@ class TestStationaryFilter:
         p = sample_wiener_path(TimeGrid(-4.0, 4.0, H), 1)
         with pytest.raises(WindowError, match=r"need t_min <= -\d+\.\d+, "
                            r"have -4\.0"):
-            ou_value(p, 0.0)
+            ou_series(p, [0.0])
 
     def test_tail_window_error_names_a_window_that_works(self):
         # the fixed point of the tail bound at the stored path's max|omega|,
         # not the bound at the stored t_min (which read -24.76 here)
         p = sample_wiener_path(TimeGrid(-4, 4, H), 1)
         with pytest.raises(WindowError) as exc:
-            ou_value(p, 0.0)
+            ou_series(p, [0.0])
         need = float(re.search(r"need t_min <= (-[\d.]+),", str(exc.value))[1])
         assert need <= -26.35
         assert "can only raise the bound" in str(exc.value)
         wide = sample_wiener_path(TimeGrid(math.floor(need), 4, H), 1)
-        assert math.isfinite(ou_value(wide, 0.0))
+        assert math.isfinite(ou_series(wide, [0.0])[0])
 
     def test_long_window_matches_per_node_oracle(self):
         # 2,000 units: a single pass weighted by e^{t - t0} overflows past
@@ -201,7 +203,7 @@ class TestStationaryFilter:
             z = ou_series(p, ts)
         assert np.all(np.isfinite(z))
         for i in [*range(0, len(ts), 251), *range(8190, 8195), len(ts) - 1]:
-            assert abs(z[i] - ou_value_oracle(p, ts[i])) < 1e-12
+            assert abs(z[i] - z_star_oracle(p, ts[i])) < 1e-12
 
     def test_block_boundary_matches_oracles(self):
         # a window of 648 units crosses the first block boundary, where the
@@ -214,7 +216,7 @@ class TestStationaryFilter:
         assert np.array_equal(z[first], old[first])
         assert np.max(np.abs(z - old)) < 1e-12
         for i in [*range(0, len(ts), 97), *range(8190, 8196)]:
-            assert abs(z[i] - ou_value_oracle(p, ts[i])) < 1e-12
+            assert abs(z[i] - z_star_oracle(p, ts[i])) < 1e-12
 
     def test_overflowing_path_fails_closed(self):
         # a finite path whose weighted values overflow inside one block
@@ -288,13 +290,13 @@ def dressed_bounds(path, kappa, window):
 
 class TestNoiseBounds:
     def test_zero_path(self):
-        m1, m2 = dressed_bounds(zero_path(GRID), default_kappa(),
+        m1, m2 = dressed_bounds(zero_path(GRID), KAPPA,
                               TimeGrid(-2.0, 6.0, H))
         assert m1 == 0.0 and m2 == 0.0
 
     def test_linear_path_closed_form(self):
         win = TimeGrid(-2.0, 6.0, H)
-        m1, m2 = dressed_bounds(linear_path(GRID), default_kappa(), win)
+        m1, m2 = dressed_bounds(linear_path(GRID), KAPPA, win)
         ts = win.times()
         kap = 1.0 / (1.0 + ts**2)
         kdot = -2.0 * ts / (1.0 + ts**2) ** 2
@@ -305,16 +307,15 @@ class TestNoiseBounds:
     def test_shifted_window_sup_is_window_sup(self):
         # sup over subwindow shifts never exceeds the full-window maximum
         p = sample_wiener_path(GRID, 15)
-        kap = default_kappa()
-        full = dressed_bounds(p, kap, TimeGrid(-4.0, 6.0, H))
-        subs = [dressed_bounds(p, kap, TimeGrid(-4.0 + s, 2.0 + s, H))
+        full = dressed_bounds(p, KAPPA, TimeGrid(-4.0, 6.0, H))
+        subs = [dressed_bounds(p, KAPPA, TimeGrid(-4.0 + s, 2.0 + s, H))
                 for s in (0.0, 1.0, 2.0, 3.0)]
         assert max(m2 for _, m2 in subs) <= full[1] + 1e-12
 
     def test_bounds_are_the_maxima_of_the_stored_nodes(self):
         # the window's nodes are the path's: bit for bit the max of the
         # stored |kappa z*| and |(kappa - kappadot) z*| on them
-        dressing = NoiseDressing(sample_wiener_path(GRID, 15), default_kappa())
+        dressing = NoiseDressing(sample_wiener_path(GRID, 15), KAPPA)
         win = TimeGrid(-4.0, 6.0, H)
         on = (dressing.ts >= -4.0) & (dressing.ts <= 6.0)
         assert np.count_nonzero(on) == win.n_nodes
@@ -324,7 +325,7 @@ class TestNoiseBounds:
     def test_window_left_of_the_dressing_raises(self):
         # the dressing starts where the filter's tail rule admits, right of
         # the path's first node; a window starting before it has no z*
-        dressing = NoiseDressing(sample_wiener_path(GRID, 15), default_kappa())
+        dressing = NoiseDressing(sample_wiener_path(GRID, 15), KAPPA)
         lo = dressing.ts[0]
         assert lo > GRID.t_min
         with pytest.raises(WindowError, match=r"outside the dressed window"):
@@ -333,24 +334,29 @@ class TestNoiseBounds:
 
     def test_refinement_monotone_smooth(self):
         # on a smooth injected path, halving h can only add candidate nodes
-        kap = default_kappa()
         win_c = TimeGrid(-2.0, 6.0, 1.0 / 16)
         win_f = TimeGrid(-2.0, 6.0, 1.0 / 32)
         pc = injected_path(TimeGrid(-32.0, 8.0, 1.0 / 16), np.sin)
         pf = injected_path(TimeGrid(-32.0, 8.0, 1.0 / 32), np.sin)
-        c = dressed_bounds(pc, kap, win_c)
-        f = dressed_bounds(pf, kap, win_f)
+        c = dressed_bounds(pc, KAPPA, win_c)
+        f = dressed_bounds(pf, KAPPA, win_f)
         modulus = 2.0 * (1.0 / 16)  # crude slope bound of the products
         assert all(fm >= cm - modulus for fm, cm in zip(f, c))
 
 
+def growth_ratios(path, checkpoints):
+    """|z*(theta_t omega)| / |t| at the checkpoints, as ou-check reads them."""
+    t = np.asarray(checkpoints, float)
+    return np.abs(ou_series(path, t)) / np.abs(t)
+
+
 class TestSublinearity:
     def test_zero_path(self):
-        assert sublinearity_report(zero_path(GRID), [1.0, 4.0]) == [0.0, 0.0]
+        assert growth_ratios(zero_path(GRID), [1.0, 4.0]).tolist() == [0.0, 0.0]
 
     def test_linear_path_decreasing(self):
         p = linear_path(TimeGrid(-40.0, 12.0, H))
-        vals = sublinearity_report(p, [2.0, 4.0, 8.0])
+        vals = growth_ratios(p, [2.0, 4.0, 8.0])
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert abs(vals[0] - 1.0 / 2.0) < 1e-3
 
@@ -359,7 +365,7 @@ class TestSublinearity:
         early, late = [], []
         for seed in range(1000):
             p = sample_wiener_path(grid, 5000 + seed)
-            v = sublinearity_report(p, [10.0, 100.0])
+            v = growth_ratios(p, [10.0, 100.0])
             early.append(v[0])
             late.append(v[1])
         assert np.median(late) < np.median(early)
@@ -367,17 +373,20 @@ class TestSublinearity:
     def test_one_pass_matches_per_node_oracle(self):
         p = sample_wiener_path(TimeGrid(-30.0, 102.0, 1.0 / 16), 5)
         cps = [10.0, 25.0, 50.0, 100.0]
-        for got, t in zip(sublinearity_report(p, cps), cps):
-            assert abs(got - abs(ou_value_oracle(p, t)) / t) < 1e-14
+        for got, t in zip(growth_ratios(p, cps), cps):
+            assert abs(got - abs(z_star_oracle(p, t)) / t) < 1e-14
 
     def test_zero_checkpoint_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sublinearity_report(zero_path(GRID), [0.0])
+        # t = 0 has no ratio: the ou-check config refuses it before any
+        # path is drawn
+        with pytest.raises(ConfigurationError) as exc:
+            load_config("checkpoints = 0, 10\n", "ou-check")
+        assert str(exc.value) == "sublinearity checkpoints must be nonzero"
 
 
 class TestKappa:
     def test_default_valid(self):
-        assert validate_kappa(default_kappa(), TimeGrid(-8.0, 8.0, H)) < 1e-3
+        assert validate_kappa(KAPPA, TimeGrid(-8.0, 8.0, H)) < 1e-3
 
     def test_positivity_enforced(self):
         bad = KappaFn(lambda t: np.cos(t), lambda t: -np.sin(t))

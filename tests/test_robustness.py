@@ -8,14 +8,14 @@ from splitflow import (ContinuousCocycle, DiscreteCocycle,
                        SplitflowError, TimeGrid, autonomous_certificate,
                        NoiseDressing, delta_threshold, gronwall_constants,
                        lift_certificate, ou_series, paper_projection_bound,
-                       projection_distance, robust_constants,
+                       robust_constants,
                        robust_dichotomy_continuous, robust_dichotomy_discrete,
                        sample_wiener_path, pointwise, verify_dichotomy)
 from splitflow import cocycle as cocycle_module
 from splitflow.cocycle import UNIT_SAMPLES
 from splitflow import greens as greens_module
 from splitflow import robustness as robustness_module
-from conftest import brute_force_projections, spectral_norm
+from conftest import brute_force_projections, projection_gap, spectral_norm
 
 LN2 = float(np.log(2.0))
 
@@ -192,7 +192,7 @@ class TestDiscretePipeline:
         cert = robust_dichotomy_discrete(base, bc, pert, (-6, 6), slack=1.1)
         assert cert.meta["verification"].passed
         assert cert.meta["verification"].meta["idempotence_residual"] < 1e-9
-        dist = projection_distance(bc, cert, (-6, 6))
+        dist = projection_gap(bc, cert, (-6, 6))
         bound = paper_projection_bound(LN2, cert.exponent, eps)
         assert dist <= bound
         # brute-force long-product directions as an independent oracle
@@ -363,7 +363,7 @@ class TestContinuousPipeline:
         cert = robust_dichotomy_continuous(ContinuousCocycle.constant(a), ca,
                                            cc2, (-5, 5))
         assert cert.meta["verification"].passed
-        dist = projection_distance(ca, cert, (-5, 5))
+        dist = projection_gap(ca, cert, (-5, 5))
         eps_hyp = max(ca.bound, cert.bound) * cert.meta["d_unit"]
         assert dist <= paper_projection_bound(ca.exponent, cert.exponent,
                                               eps_hyp)

@@ -7,7 +7,7 @@ import pytest
 from splitflow import (ConfigurationError, ContinuousCocycle, KappaFn,
                        NonHyperbolicError, StratonovichSpec, TimeGrid,
                        WindowError, autonomous_certificate,
-                       build_wave_system, default_kappa, injected_path,
+                       build_wave_system, injected_path,
                        inverse_transform, ou_series, pointwise,
                        random_ode_problem, sample_wiener_path,
                        spectral_projection, verify_dichotomy)
@@ -209,7 +209,7 @@ class TestBatchedFields:
         # and the transformed wave field on one noise path
         path = sample_wiener_path(PATH_GRID, 10)
         strat = StratonovichSpec(b_matrix=b_matrix, f=f0, f_prime=f0_prime,
-                                 eta=1.0, kappa=default_kappa())
+                                 eta=1.0, kappa=KappaFn.inverse_quadratic(1.0))
         q = random_ode_problem(strat, path, np.zeros(6), 0.5)
         dressing, eta = q.dressing, 0.05
 
@@ -281,7 +281,7 @@ class TestGapRises:
         # 1.5e-13 relative either way, the two sums rounding differently,
         # so the rises are never below the oracle beyond round-off
         path = sample_wiener_path(TimeGrid(-110.0, 62.0, H), seed)
-        p = random_ode_problem(scalar_spec(1.0, kappa=default_kappa()),
+        p = random_ode_problem(scalar_spec(1.0),
                                path, [0.0], r_u=0.3)
         dressing = p.dressing
         for t0, t1 in ((-60.0, 60.0), (-37.3, 41.71), (-3.0, 3.0)):
@@ -299,7 +299,7 @@ class TestGapRises:
         # the gap crosses zero inside a segment, where C turns: sampled at
         # the path's nodes only, the rises would read low
         path = sample_wiener_path(TimeGrid(-110.0, 62.0, H), 41)
-        dressing = random_ode_problem(scalar_spec(1.0, kappa=default_kappa()),
+        dressing = random_ode_problem(scalar_spec(1.0),
                                       path, [0.0], r_u=0.3).dressing
         t0, t1 = -60.0, 60.0
         ts = dressing.ts[(dressing.ts >= t0) & (dressing.ts <= t1)]
@@ -347,7 +347,7 @@ def folded_case(name):
     b_matrix, f0, f0_prime = build_wave_system(
         4, 1.0, lambda u: u - u ** 3, lambda u: 1.0 - 3.0 * u ** 2)
     strat = StratonovichSpec(b_matrix=b_matrix, f=f0, f_prime=f0_prime,
-                             eta=1.0, kappa=default_kappa())
+                             eta=1.0, kappa=KappaFn.inverse_quadratic(1.0))
     return strat, np.zeros(8), None, 0.0
 
 
